@@ -24,6 +24,7 @@
 use crate::checkpoint::{payload_bytes, CheckpointError};
 use crate::rank::RankLayout;
 use bytes::{Buf, BufMut, Bytes, BytesMut};
+use hacc_comm::ParticleBatch;
 
 /// Magic tag of the multi-rank checkpoint format.
 const MAGIC_MULTI: u32 = 0x4843_4B33; // "HCK3"
@@ -38,40 +39,12 @@ const HCK3_HEADER_BYTES: usize = 4 + 8 + 8 + 3 * 8 + 8;
 /// Bytes of one rank's section header (its particle count).
 const HCK3_RANK_HEADER_BYTES: usize = 8;
 
-/// One rank's complete particle store at a step boundary, id-sorted —
-/// the public mirror of the engine's internal per-rank state.
-#[derive(Clone, Debug, Default, PartialEq)]
-pub struct RankSnapshot {
-    /// Global particle ids, ascending.
-    pub ids: Vec<u64>,
-    /// Positions in grid units.
-    pub pos: Vec<[f64; 3]>,
-    /// Momenta (comoving).
-    pub mom: Vec<[f64; 3]>,
-    /// Masses.
-    pub mass: Vec<f64>,
-    /// SPH smoothing lengths.
-    pub h: Vec<f64>,
-    /// Specific internal energies.
-    pub u: Vec<f64>,
-}
-
-impl RankSnapshot {
-    /// Number of particles in the snapshot.
-    pub fn len(&self) -> usize {
-        self.ids.len()
-    }
-
-    /// True when the snapshot holds no particles.
-    pub fn is_empty(&self) -> bool {
-        self.ids.is_empty()
-    }
-
-    /// Serialized bytes of this rank's section (header + payload) —
-    /// also the modeled size of its buddy-mirror transfer.
-    pub fn wire_bytes(&self) -> u64 {
-        (HCK3_RANK_HEADER_BYTES + self.len() * HCK3_STRIDE) as u64
-    }
+/// Serialized bytes of one rank's `HCK3` section (count header +
+/// payload) — also the modeled size of its buddy-mirror transfer. Not
+/// [`ParticleBatch::wire_bytes`]: that is the size of a transport
+/// *message*, whose envelope is larger.
+pub(crate) fn section_bytes(batch: &ParticleBatch) -> u64 {
+    (HCK3_RANK_HEADER_BYTES + batch.len() * HCK3_STRIDE) as u64
 }
 
 /// The buddy placement rule: a rank mirrors its snapshot to its
@@ -89,7 +62,7 @@ pub fn buddy_of(layout: &RankLayout, rank: usize) -> usize {
 
 /// A globally consistent snapshot of every rank in a multi-rank run
 /// (`HCK3`): the step count, the decomposition it was taken under, and
-/// one [`RankSnapshot`] per rank.
+/// one id-sorted [`ParticleBatch`] per rank — the engine's own store.
 #[derive(Clone, Debug, PartialEq)]
 pub struct MultiRankCheckpoint {
     /// Steps completed when the snapshot was taken.
@@ -99,7 +72,7 @@ pub struct MultiRankCheckpoint {
     /// Rank grid dimensions of the layout the snapshot was taken under.
     pub dims: [usize; 3],
     /// Per-rank particle stores, indexed by rank.
-    pub per_rank: Vec<RankSnapshot>,
+    pub per_rank: Vec<ParticleBatch>,
 }
 
 impl MultiRankCheckpoint {
@@ -110,7 +83,7 @@ impl MultiRankCheckpoint {
 
     /// Total particles across all ranks.
     pub fn n_particles(&self) -> usize {
-        self.per_rank.iter().map(RankSnapshot::len).sum()
+        self.per_rank.iter().map(ParticleBatch::len).sum()
     }
 
     /// The layout the snapshot was taken under.
@@ -126,12 +99,7 @@ impl MultiRankCheckpoint {
 
     /// Serialized size in bytes (header plus every rank section).
     pub fn total_bytes(&self) -> u64 {
-        HCK3_HEADER_BYTES as u64
-            + self
-                .per_rank
-                .iter()
-                .map(RankSnapshot::wire_bytes)
-                .sum::<u64>()
+        HCK3_HEADER_BYTES as u64 + self.per_rank.iter().map(section_bytes).sum::<u64>()
     }
 
     /// Modeled interconnect bytes of the coordinated buddy mirror: each
@@ -143,7 +111,7 @@ impl MultiRankCheckpoint {
             .iter()
             .enumerate()
             .filter(|&(r, _)| buddies[r] != r)
-            .map(|(_, s)| s.wire_bytes())
+            .map(|(_, s)| section_bytes(s))
             .sum()
     }
 
@@ -242,22 +210,17 @@ impl MultiRankCheckpoint {
                     what: "rank payload",
                 });
             }
-            let mut snap = RankSnapshot::default();
-            snap.ids.reserve(n);
-            snap.pos.reserve(n);
-            snap.mom.reserve(n);
-            snap.mass.reserve(n);
-            snap.h.reserve(n);
-            snap.u.reserve(n);
+            let mut snap = ParticleBatch::with_capacity(n);
             for _ in 0..n {
-                snap.ids.push(data.get_u64());
-                snap.pos
-                    .push([data.get_f64(), data.get_f64(), data.get_f64()]);
-                snap.mom
-                    .push([data.get_f64(), data.get_f64(), data.get_f64()]);
-                snap.mass.push(data.get_f64());
-                snap.h.push(data.get_f64());
-                snap.u.push(data.get_f64());
+                // Arguments evaluate left to right: the wire order.
+                snap.push(
+                    data.get_u64(),
+                    [data.get_f64(), data.get_f64(), data.get_f64()],
+                    [data.get_f64(), data.get_f64(), data.get_f64()],
+                    data.get_f64(),
+                    data.get_f64(),
+                    data.get_f64(),
+                );
             }
             per_rank.push(snap);
         }
@@ -285,8 +248,8 @@ impl MultiRankCheckpoint {
 mod tests {
     use super::*;
 
-    fn snap(rank: u64, n: usize) -> RankSnapshot {
-        let mut s = RankSnapshot::default();
+    fn snap(rank: u64, n: usize) -> ParticleBatch {
+        let mut s = ParticleBatch::default();
         for k in 0..n as u64 {
             let id = rank * 1000 + k;
             s.ids.push(id);
@@ -383,7 +346,7 @@ mod tests {
     #[test]
     fn mirror_bytes_cover_every_rank_once() {
         let cp = sample();
-        let expected: u64 = cp.per_rank.iter().map(RankSnapshot::wire_bytes).sum();
+        let expected: u64 = cp.per_rank.iter().map(section_bytes).sum();
         assert_eq!(cp.mirror_bytes(), expected);
         let single = MultiRankCheckpoint {
             step: 0,
@@ -392,5 +355,22 @@ mod tests {
             per_rank: vec![snap(0, 4)],
         };
         assert_eq!(single.mirror_bytes(), 0, "no partner, nothing moves");
+    }
+
+    #[test]
+    fn hck3_sizes_are_pinned() {
+        // 3 ranks holding 2 + 0 + 5 particles: a 52-byte header, then
+        // an 8-byte count + 80 bytes per particle per rank. A transport
+        // message envelope (32 bytes) must never leak into these.
+        let cp = MultiRankCheckpoint {
+            step: 1,
+            ng: 16,
+            dims: [1, 1, 3],
+            per_rank: vec![snap(0, 2), snap(1, 0), snap(2, 5)],
+        };
+        assert_eq!(cp.total_bytes(), 52 + 3 * 8 + 7 * 80);
+        assert_eq!(cp.to_bytes().len() as u64, cp.total_bytes());
+        assert_eq!(cp.mirror_bytes(), 3 * 8 + 7 * 80, "every rank has a buddy");
+        assert_eq!(section_bytes(&cp.per_rank[2]), 8 + 5 * 80);
     }
 }

@@ -24,7 +24,7 @@ pub mod timers;
 pub use analysis::{density_moments, find_halos, mass_function, rms_velocity};
 pub use checkpoint::{Checkpoint, CheckpointError, FullCheckpoint};
 pub use config::{DeviceConfig, SimConfig};
-pub use distckpt::{buddy_of, MultiRankCheckpoint, RankSnapshot};
+pub use distckpt::{buddy_of, MultiRankCheckpoint};
 pub use fom::{fom, FomProblem};
 pub use guard::{GuardViolation, StepGuard};
 pub use multirank::{MultiRankProblem, MultiRankSim, RankStepStats, StepStats};

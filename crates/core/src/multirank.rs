@@ -33,7 +33,7 @@
 //! reproducible and architecture-differentiated.
 
 use crate::checkpoint::CheckpointError;
-use crate::distckpt::{MultiRankCheckpoint, RankSnapshot};
+use crate::distckpt::MultiRankCheckpoint;
 use crate::rank::{NodeMapping, RankLayout};
 use hacc_comm::{
     CommError, ExchangeReport, Interconnect, ParticleBatch, Tag, Transport, TransportStats,
@@ -103,57 +103,6 @@ impl MultiRankProblem {
     }
 }
 
-/// Per-rank particle store, always sorted by global id.
-#[derive(Clone, Debug, Default)]
-struct RankState {
-    ids: Vec<u64>,
-    pos: Vec<[f64; 3]>,
-    mom: Vec<[f64; 3]>,
-    mass: Vec<f64>,
-    h: Vec<f64>,
-    u: Vec<f64>,
-}
-
-impl RankState {
-    fn len(&self) -> usize {
-        self.ids.len()
-    }
-
-    fn push(&mut self, id: u64, pos: [f64; 3], mom: [f64; 3], mass: f64, h: f64, u: f64) {
-        self.ids.push(id);
-        self.pos.push(pos);
-        self.mom.push(mom);
-        self.mass.push(mass);
-        self.h.push(h);
-        self.u.push(u);
-    }
-
-    fn absorb(&mut self, batch: &ParticleBatch) {
-        for k in 0..batch.len() {
-            self.push(
-                batch.ids[k],
-                batch.pos[k],
-                batch.mom[k],
-                batch.mass[k],
-                batch.h[k],
-                batch.u[k],
-            );
-        }
-    }
-
-    /// Restores ascending-id order after absorbing immigrants.
-    fn sort_by_id(&mut self) {
-        let mut order: Vec<usize> = (0..self.len()).collect();
-        order.sort_by_key(|&k| self.ids[k]);
-        self.ids = order.iter().map(|&k| self.ids[k]).collect();
-        self.pos = order.iter().map(|&k| self.pos[k]).collect();
-        self.mom = order.iter().map(|&k| self.mom[k]).collect();
-        self.mass = order.iter().map(|&k| self.mass[k]).collect();
-        self.h = order.iter().map(|&k| self.h[k]).collect();
-        self.u = order.iter().map(|&k| self.u[k]).collect();
-    }
-}
-
 /// One step's accounting for one rank.
 #[derive(Clone, Debug, Serialize)]
 pub struct RankStepStats {
@@ -193,6 +142,30 @@ pub struct RankStepStats {
     pub wait_seconds: f64,
 }
 
+impl RankStepStats {
+    /// Prices the step on a schedule's timeline: the halo seconds
+    /// interior compute covers are overlap, and the critical path is
+    /// `migrate + max(halo, interior) + boundary`.
+    fn set_timeline(&mut self, migrate: f64, halo: f64, bytes_sent: u64, wait: f64) {
+        self.migrate_seconds = migrate;
+        self.halo_seconds = halo;
+        self.bytes_sent = bytes_sent;
+        self.wait_seconds = wait;
+        self.overlap_seconds = halo.min(self.interior_seconds);
+        self.step_seconds = migrate + halo.max(self.interior_seconds) + self.boundary_seconds;
+    }
+}
+
+/// What the interior phase hands the boundary phase.
+struct InteriorForces {
+    /// Accelerations so far (zero for boundary particles).
+    acc: Vec<[f64; 3]>,
+    /// Which particles keep their whole interaction ball in-domain.
+    interior: Vec<bool>,
+    /// In-cutoff pairs evaluated.
+    pairs: u64,
+}
+
 /// One step's accounting across all ranks.
 #[derive(Clone, Debug, Serialize)]
 pub struct StepStats {
@@ -227,7 +200,8 @@ pub struct MultiRankSim {
     /// The injector configuration, kept so a rebuilt transport (shrink
     /// recovery re-sizes the communicator) re-attaches the same faults.
     fault_config: Option<FaultConfig>,
-    states: Vec<RankState>,
+    /// Per-rank particle stores, each sorted by global id.
+    states: Vec<ParticleBatch>,
     step_count: u64,
     /// When true, [`Self::step`] runs on the task-graph executor
     /// instead of the barriered reference schedule.
@@ -269,7 +243,7 @@ impl MultiRankSim {
             / (mapping.sharing_penalty() * problem.work_scale.max(1.0));
         let transport = Transport::new(ranks, Interconnect::for_arch(&arch));
 
-        let mut states: Vec<RankState> = vec![RankState::default(); ranks];
+        let mut states = vec![ParticleBatch::new(); ranks];
         let ng = problem.ng as f64;
         for id in 0..problem.n_particles as u64 {
             let pos = [
@@ -362,7 +336,7 @@ impl MultiRankSim {
 
     /// Total particles across ranks.
     pub fn n_particles(&self) -> usize {
-        self.states.iter().map(RankState::len).sum()
+        self.states.iter().map(ParticleBatch::len).sum()
     }
 
     /// Steps completed.
@@ -372,14 +346,14 @@ impl MultiRankSim {
 
     /// Particles owned by each rank.
     pub fn rank_populations(&self) -> Vec<usize> {
-        self.states.iter().map(RankState::len).collect()
+        self.states.iter().map(ParticleBatch::len).collect()
     }
 
     /// FNV-1a digest over the full particle state in ascending-id
     /// order — decomposition-invariant, so any rank count must produce
     /// the same value after the same number of steps.
     pub fn state_digest(&self) -> u64 {
-        let mut refs: Vec<(&RankState, usize)> = Vec::new();
+        let mut refs: Vec<(&ParticleBatch, usize)> = Vec::new();
         for s in &self.states {
             for k in 0..s.len() {
                 refs.push((s, k));
@@ -409,6 +383,9 @@ impl MultiRankSim {
     /// dispatching to the barriered reference schedule or the
     /// asynchronous task-graph schedule per [`Self::set_async`].
     pub fn step(&mut self) -> Result<StepStats, CommError> {
+        // Opened before any drain so every link span this step emits
+        // nests under it; closed when the method returns.
+        let _step_span = self.recorder.as_ref().map(|r| r.span("step"));
         if self.async_step {
             self.step_async()
         } else {
@@ -416,305 +393,266 @@ impl MultiRankSim {
         }
     }
 
+    // ------ Phase bodies. Each exists once; a schedule decides only
+    // when a body runs and how the transport is drained around it.
+
+    /// Posts one batch per destination, ascending.
+    fn post(&self, rank: usize, tag: Tag, outgoing: BTreeMap<usize, ParticleBatch>) {
+        for (dst, batch) in outgoing {
+            self.transport.send(rank, dst, tag, batch);
+        }
+    }
+
+    /// Migration, sending side: splits off the particles whose drifted
+    /// position now falls in another domain and posts them to their
+    /// new owners. Returns how many left.
+    fn post_emigrants(&self, rank: usize, state: &mut ParticleBatch) -> u64 {
+        let mut keep = ParticleBatch::new();
+        let mut outgoing: BTreeMap<usize, ParticleBatch> = BTreeMap::new();
+        for k in 0..state.len() {
+            let owner = self.layout.rank_of(&state.pos[k]);
+            let home = if owner == rank {
+                &mut keep
+            } else {
+                outgoing.entry(owner).or_default()
+            };
+            home.push_from(state, k);
+        }
+        let moved = (state.len() - keep.len()) as u64;
+        *state = keep;
+        self.post(rank, Tag::Migrate, outgoing);
+        moved
+    }
+
+    /// Migration, receiving side: absorbs the delivered immigrants and
+    /// restores ascending-id order. Takes only `Migrate` traffic — a
+    /// fast neighbor's halos may already share the inbox.
+    fn absorb_immigrants(&self, rank: usize, state: &mut ParticleBatch) {
+        let msgs = self.transport.take_inbox_tagged(rank, Tag::Migrate);
+        for msg in &msgs {
+            state.extend_from(&msg.batch);
+        }
+        if !msgs.is_empty() {
+            state.sort_by_id();
+        }
+    }
+
+    /// Posts halo copies of every particle to each neighbor whose
+    /// expanded domain reaches it.
+    fn post_halos(&self, rank: usize, state: &ParticleBatch) {
+        let mut outgoing: BTreeMap<usize, ParticleBatch> = BTreeMap::new();
+        for k in 0..state.len() {
+            for dst in self.layout.ghost_targets(&state.pos[k], self.problem.r_cut) {
+                outgoing.entry(dst).or_default().push_from(state, k);
+            }
+        }
+        self.post(rank, Tag::Halo, outgoing);
+    }
+
+    /// Forces on interior particles. A particle is interior when every
+    /// split dimension keeps it ≥ `r_cut` from both domain faces; its
+    /// whole interaction ball is then owned, so this needs no ghosts
+    /// and can run while the halo exchange is in flight.
+    fn interior_forces(&self, rank: usize, state: &ParticleBatch) -> InteriorForces {
+        let r_cut = self.problem.r_cut;
+        let (lo, hi) = self.layout.domain(rank);
+        let interior: Vec<bool> = (0..state.len())
+            .map(|k| {
+                (0..3).all(|d| {
+                    self.layout.dims[d] == 1
+                        || (state.pos[k][d] - lo[d] >= r_cut && hi[d] - state.pos[k][d] >= r_cut)
+                })
+            })
+            .collect();
+        let mut acc = vec![[0.0f64; 3]; state.len()];
+        let mut pairs = 0u64;
+        for k in 0..state.len() {
+            if interior[k] {
+                pairs += self.accumulate(&mut acc[k], state.ids[k], &state.pos[k], state);
+            }
+        }
+        InteriorForces {
+            acc,
+            interior,
+            pairs,
+        }
+    }
+
+    /// Takes the delivered ghosts, finishes the boundary particles
+    /// against owned + ghost neighbors, then kicks and drifts
+    /// everything. Returns the rank's schedule-independent accounting;
+    /// the schedule prices its timeline afterwards.
+    fn finish_boundary(
+        &self,
+        rank: usize,
+        state: &mut ParticleBatch,
+        forces: InteriorForces,
+    ) -> RankStepStats {
+        let InteriorForces {
+            mut acc,
+            interior,
+            pairs: interior_pairs,
+        } = forces;
+        // Candidates in ascending id, the canonical accumulation order
+        // (owned and ghost sets are disjoint by construction).
+        let mut cand = state.clone();
+        for msg in self.transport.take_inbox_tagged(rank, Tag::Halo) {
+            cand.extend_from(&msg.batch);
+        }
+        cand.sort_by_id();
+
+        let mut boundary_pairs = 0u64;
+        for k in 0..state.len() {
+            if !interior[k] {
+                boundary_pairs += self.accumulate(&mut acc[k], state.ids[k], &state.pos[k], &cand);
+            }
+        }
+
+        let (ng, dt) = (self.problem.ng as f64, self.problem.dt);
+        for k in 0..state.len() {
+            for c in 0..3 {
+                state.mom[k][c] += state.mass[k] * acc[k][c] * dt;
+                let mut x = state.pos[k][c] + state.mom[k][c] / state.mass[k] * dt;
+                x = x.rem_euclid(ng);
+                if x >= ng {
+                    x = 0.0;
+                }
+                state.pos[k][c] = x;
+            }
+        }
+        RankStepStats {
+            rank,
+            owned: state.len(),
+            ghosts: cand.len() - state.len(),
+            interior_pairs,
+            boundary_pairs,
+            interior_seconds: interior_pairs as f64 * self.pair_seconds
+                + state.len() as f64 * self.particle_seconds,
+            boundary_seconds: boundary_pairs as f64 * self.pair_seconds,
+            halo_seconds: 0.0,
+            migrate_seconds: 0.0,
+            bytes_sent: 0,
+            overlap_seconds: 0.0,
+            step_seconds: 0.0,
+            wait_seconds: 0.0,
+        }
+    }
+
+    /// Accumulates softened-gravity acceleration on one particle over
+    /// a candidate batch in its given (ascending-id) order; returns the
+    /// number of in-cutoff pairs. `f64` throughout — the order and
+    /// width are the determinism contract.
+    fn accumulate(
+        &self,
+        acc: &mut [f64; 3],
+        own_id: u64,
+        own_pos: &[f64; 3],
+        cand: &ParticleBatch,
+    ) -> u64 {
+        let (ng, eps) = (self.problem.ng as f64, self.problem.eps);
+        let r_cut2 = self.problem.r_cut * self.problem.r_cut;
+        let mut pairs = 0;
+        for ((&id, pos), &mass) in cand.ids.iter().zip(&cand.pos).zip(&cand.mass) {
+            if id == own_id {
+                continue;
+            }
+            let d = min_image(own_pos, pos, ng);
+            let r2 = d[0] * d[0] + d[1] * d[1] + d[2] * d[2];
+            if r2 < r_cut2 {
+                pairs += 1;
+                let w = mass / (r2 + eps * eps).powf(1.5);
+                for c in 0..3 {
+                    acc[c] += w * d[c];
+                }
+            }
+        }
+        pairs
+    }
+
     /// The barriered reference schedule described in the module docs:
-    /// every phase drains at a global exchange barrier.
+    /// every phase runs on all ranks, then drains at a global exchange
+    /// barrier.
     fn step_barriered(&mut self) -> Result<StepStats, CommError> {
         let ranks = self.layout.ranks;
-        let r_cut = self.problem.r_cut;
-        let ng = self.problem.ng as f64;
-        // Opened before the exchanges so every link span this step emits
-        // nests under it; closed when the method returns.
-        let recorder = self.recorder.clone();
-        let _step_span = recorder.as_ref().map(|r| r.span("step"));
+        let mut states = std::mem::take(&mut self.states);
+        let this = &*self;
 
-        // ------ Phase 1: migration. Each rank splits off particles
-        // whose drifted position now falls in another domain and posts
-        // them (ascending destination) to their new owners.
-        let layout = self.layout.clone();
-        let transport = &self.transport;
-        let old_states = std::mem::take(&mut self.states);
-        let mut migrated = 0u64;
-        let kept: Vec<(RankState, u64)> = old_states
-            .into_par_iter()
+        let migrated: u64 = states
+            .par_iter_mut()
             .zip(0..ranks)
-            .map(|(state, rank)| {
-                let mut keep = RankState::default();
-                let mut outgoing: BTreeMap<usize, ParticleBatch> = BTreeMap::new();
-                let mut moved = 0u64;
-                for k in 0..state.len() {
-                    let owner = layout.rank_of(&state.pos[k]);
-                    if owner == rank {
-                        keep.push(
-                            state.ids[k],
-                            state.pos[k],
-                            state.mom[k],
-                            state.mass[k],
-                            state.h[k],
-                            state.u[k],
-                        );
-                    } else {
-                        moved += 1;
-                        outgoing.entry(owner).or_default().push(
-                            state.ids[k],
-                            state.pos[k],
-                            state.mom[k],
-                            state.mass[k],
-                            state.h[k],
-                            state.u[k],
-                        );
-                    }
-                }
-                for (dst, batch) in outgoing {
-                    transport.send(rank, dst, Tag::Migrate, batch);
-                }
-                (keep, moved)
-            })
-            .collect();
-        let migrate_report = self.transport.exchange()?;
-        let mut states: Vec<RankState> = kept
-            .into_iter()
-            .map(|(keep, moved)| {
-                migrated += moved;
-                keep
-            })
-            .collect();
+            .map(|(state, rank)| this.post_emigrants(rank, state))
+            .sum();
+        let migrate_report = this.transport.exchange()?;
         states
             .par_iter_mut()
             .zip(0..ranks)
-            .for_each(|(state, rank)| {
-                let mut touched = false;
-                for msg in transport.take_inbox(rank) {
-                    state.absorb(&msg.batch);
-                    touched = true;
-                }
-                if touched {
-                    state.sort_by_id();
-                }
-            });
+            .for_each(|(state, rank)| this.absorb_immigrants(rank, state));
 
-        // ------ Phase 2: post halos, then compute interior forces
-        // while the exchange is notionally in flight. A particle is
-        // interior when every split dimension keeps it ≥ r_cut from
-        // both domain faces; its whole interaction ball is then owned.
-        let accel: Vec<(Vec<[f64; 3]>, Vec<bool>, u64)> = states
+        // Interior forces run while the halo exchange is notionally in
+        // flight.
+        let forces: Vec<InteriorForces> = states
             .par_iter()
             .zip(0..ranks)
             .map(|(state, rank)| {
-                let mut outgoing: BTreeMap<usize, ParticleBatch> = BTreeMap::new();
-                for k in 0..state.len() {
-                    for dst in layout.ghost_targets(&state.pos[k], r_cut) {
-                        outgoing.entry(dst).or_default().push(
-                            state.ids[k],
-                            state.pos[k],
-                            state.mom[k],
-                            state.mass[k],
-                            state.h[k],
-                            state.u[k],
-                        );
-                    }
-                }
-                for (dst, batch) in outgoing {
-                    transport.send(rank, dst, Tag::Halo, batch);
-                }
-
-                let (lo, hi) = layout.domain(rank);
-                let interior: Vec<bool> = (0..state.len())
-                    .map(|k| {
-                        (0..3).all(|d| {
-                            layout.dims[d] == 1
-                                || (state.pos[k][d] - lo[d] >= r_cut
-                                    && hi[d] - state.pos[k][d] >= r_cut)
-                        })
-                    })
-                    .collect();
-
-                let mut acc = vec![[0.0f64; 3]; state.len()];
-                let mut pairs = 0u64;
-                for k in 0..state.len() {
-                    if interior[k] {
-                        pairs += accumulate(
-                            &mut acc[k],
-                            state.ids[k],
-                            &state.pos[k],
-                            state.ids.iter().copied(),
-                            &state.pos,
-                            &state.mass,
-                            ng,
-                            r_cut,
-                            self.problem.eps,
-                        );
-                    }
-                }
-                (acc, interior, pairs)
+                this.post_halos(rank, state);
+                this.interior_forces(rank, state)
             })
             .collect();
-        let halo_report = self.transport.exchange()?;
+        let halo_report = this.transport.exchange()?;
 
-        // ------ Phase 3: deliver ghosts, finish boundary particles
-        // against owned + ghost neighbors (merged ascending-id, the
-        // canonical order), then kick and drift everything.
-        let dt = self.problem.dt;
-        let eps = self.problem.eps;
-        let results: Vec<(RankState, u64, u64, usize)> = states
-            .into_par_iter()
-            .zip(accel)
+        let mut per_rank: Vec<RankStepStats> = states
+            .par_iter_mut()
+            .zip(forces)
             .zip(0..ranks)
-            .map(|((mut state, (mut acc, interior, interior_pairs)), rank)| {
-                let mut ghosts = RankState::default();
-                for msg in transport.take_inbox(rank) {
-                    ghosts.absorb(&msg.batch);
-                }
-                ghosts.sort_by_id();
-
-                // Merged candidate list: ids and positions of owned +
-                // ghost neighbors, ascending id (owned and ghost sets
-                // are disjoint by construction).
-                let n_own = state.len();
-                let mut cand_ids: Vec<u64> = Vec::with_capacity(n_own + ghosts.len());
-                let mut cand_pos: Vec<[f64; 3]> = Vec::with_capacity(n_own + ghosts.len());
-                let mut cand_mass: Vec<f64> = Vec::with_capacity(n_own + ghosts.len());
-                let mut i = 0;
-                let mut j = 0;
-                while i < n_own || j < ghosts.len() {
-                    let take_own = j >= ghosts.len() || (i < n_own && state.ids[i] < ghosts.ids[j]);
-                    if take_own {
-                        cand_ids.push(state.ids[i]);
-                        cand_pos.push(state.pos[i]);
-                        cand_mass.push(state.mass[i]);
-                        i += 1;
-                    } else {
-                        cand_ids.push(ghosts.ids[j]);
-                        cand_pos.push(ghosts.pos[j]);
-                        cand_mass.push(ghosts.mass[j]);
-                        j += 1;
-                    }
-                }
-
-                let mut boundary_pairs = 0u64;
-                for k in 0..state.len() {
-                    if !interior[k] {
-                        boundary_pairs += accumulate(
-                            &mut acc[k],
-                            state.ids[k],
-                            &state.pos[k],
-                            cand_ids.iter().copied(),
-                            &cand_pos,
-                            &cand_mass,
-                            ng,
-                            r_cut,
-                            eps,
-                        );
-                    }
-                }
-
-                for k in 0..state.len() {
-                    for c in 0..3 {
-                        state.mom[k][c] += state.mass[k] * acc[k][c] * dt;
-                        let mut x = state.pos[k][c] + state.mom[k][c] / state.mass[k] * dt;
-                        x = x.rem_euclid(ng);
-                        if x >= ng {
-                            x = 0.0;
-                        }
-                        state.pos[k][c] = x;
-                    }
-                }
-                let n_ghosts = ghosts.len();
-                (state, interior_pairs, boundary_pairs, n_ghosts)
-            })
+            .map(|((state, forces), rank)| this.finish_boundary(rank, state, forces))
             .collect();
 
-        // ------ Phase 4: deterministic diagnostics allreduce and the
-        // per-rank cost model.
-        let mut per_rank = Vec::with_capacity(ranks);
-        let mut ke_parts = Vec::with_capacity(ranks);
-        let mut new_states = Vec::with_capacity(ranks);
-        for (rank, (state, interior_pairs, boundary_pairs, n_ghosts)) in
-            results.into_iter().enumerate()
-        {
-            let mut ke = 0.0f64;
-            for k in 0..state.len() {
-                let m = state.mass[k];
-                let p2: f64 = state.mom[k].iter().map(|p| p * p).sum();
-                ke += 0.5 * p2 / m;
-            }
-            ke_parts.push(ke);
-
-            let interior_seconds = interior_pairs as f64 * self.pair_seconds
-                + state.len() as f64 * self.particle_seconds;
-            let boundary_seconds = boundary_pairs as f64 * self.pair_seconds;
-            let halo_seconds = halo_report.rank_seconds(rank);
-            let migrate_seconds = migrate_report.rank_seconds(rank);
-            let overlap_seconds = halo_seconds.min(interior_seconds);
-            per_rank.push(RankStepStats {
-                rank,
-                owned: state.len(),
-                ghosts: n_ghosts,
-                interior_pairs,
-                boundary_pairs,
-                interior_seconds,
-                boundary_seconds,
-                halo_seconds,
-                migrate_seconds,
-                bytes_sent: halo_report.rank_bytes_sent(rank)
-                    + migrate_report.rank_bytes_sent(rank),
-                overlap_seconds,
-                step_seconds: migrate_seconds
-                    + halo_seconds.max(interior_seconds)
-                    + boundary_seconds,
-                wait_seconds: 0.0,
-            });
-            new_states.push(state);
+        // Barriered timeline: a rank is busy for every link incident
+        // on it, and idles at the global join until the slowest rank
+        // arrives.
+        for r in &mut per_rank {
+            r.set_timeline(
+                migrate_report.rank_seconds(r.rank),
+                halo_report.rank_seconds(r.rank),
+                halo_report.rank_bytes_sent(r.rank) + migrate_report.rank_bytes_sent(r.rank),
+                0.0,
+            );
         }
-        self.states = new_states;
-        Ok(self.emit_step_stats(
-            recorder.as_ref(),
-            per_rank,
-            migrated,
-            migrate_report.bytes + halo_report.bytes,
-            ke_parts,
-            true,
-        ))
+        let node_seconds = per_rank.iter().map(|r| r.step_seconds).fold(0.0, f64::max);
+        for r in &mut per_rank {
+            r.wait_seconds = (node_seconds - r.step_seconds).max(0.0);
+        }
+        self.states = states;
+        Ok(self.emit_step_stats(per_rank, migrated))
     }
 
-    /// The asynchronous task-graph schedule: the same physics as the
-    /// barriered path, but per-rank migrate flushes, absorbs, halo
-    /// posts, interior compute, and boundary compute are task nodes
-    /// scheduled as their dependencies resolve — a rank whose
-    /// 27-neighborhood has flushed starts its boundary compute while
-    /// other ranks are still exchanging, and no global join exists
-    /// anywhere in the step.
+    /// The asynchronous task-graph schedule: the same phase bodies,
+    /// but per-rank migrate flushes, absorbs, halo posts, interior
+    /// compute, and boundary compute are task nodes scheduled as their
+    /// dependencies resolve — a rank whose 27-neighborhood has flushed
+    /// starts its boundary compute while other ranks are still
+    /// exchanging, and no global join exists anywhere in the step.
     ///
-    /// Bit-identical to the barriered reference by construction:
-    /// [`Transport::flush_source`] assigns the same per-source
-    /// `(src, seq)` stream the exchange barrier would, tagged inbox
-    /// takes sort canonically, and every force accumulation keeps its
-    /// ascending-id order (the distributed analogue of the deferred-
-    /// atomic replay rule — interleavings change nothing).
+    /// Bit-identical to the barriered reference by construction: the
+    /// bodies are shared, [`Transport::flush_source`] is the drain the
+    /// exchange barrier runs per source, and tagged inbox takes sort
+    /// canonically — interleavings change nothing.
     fn step_async(&mut self) -> Result<StepStats, CommError> {
+        fn slots<T>(n: usize) -> Vec<Mutex<Option<T>>> {
+            (0..n).map(|_| Mutex::new(None)).collect()
+        }
         let ranks = self.layout.ranks;
-        let r_cut = self.problem.r_cut;
-        let ng = self.problem.ng as f64;
-        let dt = self.problem.dt;
-        let eps = self.problem.eps;
-        let recorder = self.recorder.clone();
-        let _step_span = recorder.as_ref().map(|r| r.span("step"));
-
-        let layout = self.layout.clone();
-        let transport = &self.transport;
-        let states: Vec<Mutex<RankState>> = std::mem::take(&mut self.states)
+        let states: Vec<Mutex<ParticleBatch>> = std::mem::take(&mut self.states)
             .into_iter()
             .map(Mutex::new)
             .collect();
+        let this = &*self;
         // Per-rank task outputs; each slot is written by exactly one
         // task, the locks never contend.
-        let mig_out: Vec<Mutex<Option<(ExchangeReport, u64)>>> =
-            (0..ranks).map(|_| Mutex::new(None)).collect();
-        let halo_out: Vec<Mutex<Option<ExchangeReport>>> =
-            (0..ranks).map(|_| Mutex::new(None)).collect();
-        let int_out: Vec<Mutex<Option<(Vec<[f64; 3]>, Vec<bool>, u64)>>> =
-            (0..ranks).map(|_| Mutex::new(None)).collect();
-        let bnd_out: Vec<Mutex<Option<(u64, u64, usize)>>> =
-            (0..ranks).map(|_| Mutex::new(None)).collect();
+        let mig_out = slots::<(ExchangeReport, u64)>(ranks);
+        let halo_out = slots::<ExchangeReport>(ranks);
+        let int_out = slots::<InteriorForces>(ranks);
+        let bnd_out = slots::<RankStepStats>(ranks);
 
         let mut graph: TaskGraph<'_, CommError> = TaskGraph::new();
         let state_res: Vec<ResourceId> = (0..ranks)
@@ -724,49 +662,18 @@ impl MultiRankSim {
             .map(|r| ResourceId::indexed("rank.acc", r))
             .collect();
 
-        // mig.r — split off emigrants, post them ascending-destination,
-        // flush this source's wire. Writes state.r.
+        // mig.r — post emigrants, flush this source's wire. Writes
+        // state.r.
         let mut mig_ids = Vec::with_capacity(ranks);
         for rank in 0..ranks {
-            let (states, mig_out, layout) = (&states, &mig_out, &layout);
+            let (states, mig_out) = (&states, &mig_out);
             mig_ids.push(graph.add_task(
                 format!("mig.{rank}"),
                 &[],
                 &[state_res[rank]],
                 move || {
-                    let mut state = states[rank].lock().unwrap();
-                    let mut keep = RankState::default();
-                    let mut outgoing: BTreeMap<usize, ParticleBatch> = BTreeMap::new();
-                    let mut moved = 0u64;
-                    for k in 0..state.len() {
-                        let owner = layout.rank_of(&state.pos[k]);
-                        if owner == rank {
-                            keep.push(
-                                state.ids[k],
-                                state.pos[k],
-                                state.mom[k],
-                                state.mass[k],
-                                state.h[k],
-                                state.u[k],
-                            );
-                        } else {
-                            moved += 1;
-                            outgoing.entry(owner).or_default().push(
-                                state.ids[k],
-                                state.pos[k],
-                                state.mom[k],
-                                state.mass[k],
-                                state.h[k],
-                                state.u[k],
-                            );
-                        }
-                    }
-                    *state = keep;
-                    drop(state);
-                    for (dst, batch) in outgoing {
-                        transport.send(rank, dst, Tag::Migrate, batch);
-                    }
-                    let report = transport.flush_source(rank)?;
+                    let moved = this.post_emigrants(rank, &mut states[rank].lock().unwrap());
+                    let report = this.transport.flush_source(rank)?;
                     *mig_out[rank].lock().unwrap() = Some((report, moved));
                     Ok(())
                 },
@@ -780,14 +687,7 @@ impl MultiRankSim {
         for rank in 0..ranks {
             let states = &states;
             let id = graph.add_task(format!("abs.{rank}"), &[], &[state_res[rank]], move || {
-                let msgs = transport.take_inbox_tagged(rank, Tag::Migrate);
-                if !msgs.is_empty() {
-                    let mut state = states[rank].lock().unwrap();
-                    for msg in &msgs {
-                        state.absorb(&msg.batch);
-                    }
-                    state.sort_by_id();
-                }
+                this.absorb_immigrants(rank, &mut states[rank].lock().unwrap());
                 Ok(())
             });
             for &m in &mig_ids {
@@ -797,90 +697,44 @@ impl MultiRankSim {
             }
         }
 
-        // post.r — post halo ghosts ascending-destination and flush
-        // this source's wire. Reads state.r.
+        // post.r — post halos and flush this source's wire. Reads
+        // state.r.
         let mut post_ids = Vec::with_capacity(ranks);
         for rank in 0..ranks {
-            let (states, halo_out, layout) = (&states, &halo_out, &layout);
+            let (states, halo_out) = (&states, &halo_out);
             post_ids.push(graph.add_task(
                 format!("post.{rank}"),
                 &[state_res[rank]],
                 &[],
                 move || {
-                    let state = states[rank].lock().unwrap();
-                    let mut outgoing: BTreeMap<usize, ParticleBatch> = BTreeMap::new();
-                    for k in 0..state.len() {
-                        for dst in layout.ghost_targets(&state.pos[k], r_cut) {
-                            outgoing.entry(dst).or_default().push(
-                                state.ids[k],
-                                state.pos[k],
-                                state.mom[k],
-                                state.mass[k],
-                                state.h[k],
-                                state.u[k],
-                            );
-                        }
-                    }
-                    drop(state);
-                    for (dst, batch) in outgoing {
-                        transport.send(rank, dst, Tag::Halo, batch);
-                    }
-                    let report = transport.flush_source(rank)?;
+                    this.post_halos(rank, &states[rank].lock().unwrap());
+                    let report = this.transport.flush_source(rank)?;
                     *halo_out[rank].lock().unwrap() = Some(report);
                     Ok(())
                 },
             ));
         }
 
-        // int.r — interior forces (whole interaction ball owned, no
-        // ghosts needed), overlapping the halo wire. Reads state.r,
-        // writes acc.r.
+        // int.r — interior forces, overlapping the halo wire. Reads
+        // state.r, writes acc.r.
         for rank in 0..ranks {
-            let (states, int_out, layout) = (&states, &int_out, &layout);
+            let (states, int_out) = (&states, &int_out);
             graph.add_task(
                 format!("int.{rank}"),
                 &[state_res[rank]],
                 &[acc_res[rank]],
                 move || {
-                    let state = states[rank].lock().unwrap();
-                    let (lo, hi) = layout.domain(rank);
-                    let interior: Vec<bool> = (0..state.len())
-                        .map(|k| {
-                            (0..3).all(|d| {
-                                layout.dims[d] == 1
-                                    || (state.pos[k][d] - lo[d] >= r_cut
-                                        && hi[d] - state.pos[k][d] >= r_cut)
-                            })
-                        })
-                        .collect();
-                    let mut acc = vec![[0.0f64; 3]; state.len()];
-                    let mut pairs = 0u64;
-                    for k in 0..state.len() {
-                        if interior[k] {
-                            pairs += accumulate(
-                                &mut acc[k],
-                                state.ids[k],
-                                &state.pos[k],
-                                state.ids.iter().copied(),
-                                &state.pos,
-                                &state.mass,
-                                ng,
-                                r_cut,
-                                eps,
-                            );
-                        }
-                    }
-                    *int_out[rank].lock().unwrap() = Some((acc, interior, pairs));
+                    let forces = this.interior_forces(rank, &states[rank].lock().unwrap());
+                    *int_out[rank].lock().unwrap() = Some(forces);
                     Ok(())
                 },
             );
         }
 
-        // bnd.r — once the 27-neighborhood has flushed its halos, take
-        // the ghosts, finish boundary forces against the merged
-        // ascending-id candidate list, then kick and drift. Reads
-        // acc.r, writes state.r and acc.r (the WAR edges on post.r and
-        // int.r come from the state.r read set).
+        // bnd.r — once the 27-neighborhood has flushed its halos,
+        // finish the boundary. Reads acc.r, writes state.r and acc.r
+        // (the WAR edges on post.r and int.r come from the state.r
+        // read set).
         for rank in 0..ranks {
             let (states, int_out, bnd_out) = (&states, &int_out, &bnd_out);
             let id = graph.add_task(
@@ -888,90 +742,31 @@ impl MultiRankSim {
                 &[acc_res[rank]],
                 &[state_res[rank], acc_res[rank]],
                 move || {
-                    let mut ghosts = RankState::default();
-                    for msg in transport.take_inbox_tagged(rank, Tag::Halo) {
-                        ghosts.absorb(&msg.batch);
-                    }
-                    ghosts.sort_by_id();
-
-                    let mut state = states[rank].lock().unwrap();
-                    let (mut acc, interior, interior_pairs) = int_out[rank]
+                    let forces = int_out[rank]
                         .lock()
                         .unwrap()
                         .take()
                         .expect("int.r precedes bnd.r");
-                    let n_own = state.len();
-                    let mut cand_ids: Vec<u64> = Vec::with_capacity(n_own + ghosts.len());
-                    let mut cand_pos: Vec<[f64; 3]> = Vec::with_capacity(n_own + ghosts.len());
-                    let mut cand_mass: Vec<f64> = Vec::with_capacity(n_own + ghosts.len());
-                    let mut i = 0;
-                    let mut j = 0;
-                    while i < n_own || j < ghosts.len() {
-                        let take_own =
-                            j >= ghosts.len() || (i < n_own && state.ids[i] < ghosts.ids[j]);
-                        if take_own {
-                            cand_ids.push(state.ids[i]);
-                            cand_pos.push(state.pos[i]);
-                            cand_mass.push(state.mass[i]);
-                            i += 1;
-                        } else {
-                            cand_ids.push(ghosts.ids[j]);
-                            cand_pos.push(ghosts.pos[j]);
-                            cand_mass.push(ghosts.mass[j]);
-                            j += 1;
-                        }
-                    }
-
-                    let mut boundary_pairs = 0u64;
-                    for k in 0..state.len() {
-                        if !interior[k] {
-                            boundary_pairs += accumulate(
-                                &mut acc[k],
-                                state.ids[k],
-                                &state.pos[k],
-                                cand_ids.iter().copied(),
-                                &cand_pos,
-                                &cand_mass,
-                                ng,
-                                r_cut,
-                                eps,
-                            );
-                        }
-                    }
-                    for k in 0..state.len() {
-                        for c in 0..3 {
-                            state.mom[k][c] += state.mass[k] * acc[k][c] * dt;
-                            let mut x = state.pos[k][c] + state.mom[k][c] / state.mass[k] * dt;
-                            x = x.rem_euclid(ng);
-                            if x >= ng {
-                                x = 0.0;
-                            }
-                            state.pos[k][c] = x;
-                        }
-                    }
-                    *bnd_out[rank].lock().unwrap() =
-                        Some((interior_pairs, boundary_pairs, ghosts.len()));
+                    let stats =
+                        this.finish_boundary(rank, &mut states[rank].lock().unwrap(), forces);
+                    *bnd_out[rank].lock().unwrap() = Some(stats);
                     Ok(())
                 },
             );
-            for &s in &layout.neighbors(rank) {
+            for &s in &this.layout.neighbors(rank) {
                 graph
                     .add_dep(id, post_ids[s])
                     .expect("halo posts precede boundary compute in canonical order");
             }
         }
 
-        if let Err(e) = graph.run(0, None, recorder.as_ref()) {
+        if let Err(e) = graph.run(0, None, this.recorder.as_ref()) {
             return Err(match e {
                 RunError::Task { error, .. } => error,
                 RunError::Watchdog { .. } => unreachable!("step graph runs without a watchdog"),
             });
         }
 
-        self.states = states
-            .into_iter()
-            .map(|m| m.into_inner().unwrap())
-            .collect();
         let mut mig_rep = Vec::with_capacity(ranks);
         let mut migrated = 0u64;
         for slot in mig_out {
@@ -993,55 +788,30 @@ impl MultiRankSim {
         // maxes over the neighborhood instead of the barriered model's
         // sums over every incident link, which is exactly the wait the
         // task graph removes from the critical path.
+        let sends_to = |rep: &ExchangeReport, r: usize| rep.links.iter().any(|l| l.dst == r);
         let mig_done: Vec<f64> = mig_rep.iter().map(|r| r.seconds).collect();
         let absorb_start: Vec<f64> = (0..ranks)
             .map(|r| {
-                let mut t = mig_done[r];
-                for (s, rep) in mig_rep.iter().enumerate() {
-                    if s != r && rep.links.iter().any(|l| l.dst == r) {
-                        t = t.max(mig_done[s]);
-                    }
-                }
-                t
+                (0..ranks)
+                    .filter(|&s| s != r && sends_to(&mig_rep[s], r))
+                    .fold(mig_done[r], |t, s| t.max(mig_done[s]))
             })
             .collect();
         let post_done: Vec<f64> = (0..ranks)
             .map(|r| absorb_start[r] + halo_rep[r].seconds)
             .collect();
-        let ghost_ready: Vec<f64> = (0..ranks)
-            .map(|r| {
-                // Own post gates the boundary write too (the WAR edge).
-                let mut t = post_done[r];
-                for (s, rep) in halo_rep.iter().enumerate() {
-                    if s != r && rep.links.iter().any(|l| l.dst == r) {
-                        t = t.max(post_done[s]);
-                    }
-                }
-                t
-            })
-            .collect();
 
         let mut per_rank = Vec::with_capacity(ranks);
-        let mut ke_parts = Vec::with_capacity(ranks);
-        let mut bytes = 0u64;
         for (rank, slot) in bnd_out.into_iter().enumerate() {
-            let (interior_pairs, boundary_pairs, n_ghosts) =
-                slot.into_inner().unwrap().expect("bnd.r ran");
-            let state = &self.states[rank];
-            let mut ke = 0.0f64;
-            for k in 0..state.len() {
-                let m = state.mass[k];
-                let p2: f64 = state.mom[k].iter().map(|p| p * p).sum();
-                ke += 0.5 * p2 / m;
-            }
-            ke_parts.push(ke);
-
-            let interior_seconds = interior_pairs as f64 * self.pair_seconds
-                + state.len() as f64 * self.particle_seconds;
-            let boundary_seconds = boundary_pairs as f64 * self.pair_seconds;
+            let mut r: RankStepStats = slot.into_inner().unwrap().expect("bnd.r ran");
+            let ghosts_from_others = (0..ranks)
+                .filter(|&s| s != rank && sends_to(&halo_rep[s], rank))
+                .fold(0.0, |t, s| post_done[s].max(t));
+            // Own post gates the boundary write too (the WAR edge).
+            let ghost_ready = post_done[rank].max(ghosts_from_others);
             // The ghost-wait window after absorb; the part interior
             // compute does not cover is the exposed exchange.
-            let halo_window = (ghost_ready[rank] - absorb_start[rank]).max(0.0);
+            let halo_window = (ghost_ready - absorb_start[rank]).max(0.0);
             // In-step stalls attributable to *other* ranks: idle
             // waiting on slower migrate senders, plus idle before
             // boundary compute while neighbors' ghosts are still in
@@ -1049,67 +819,32 @@ impl MultiRankSim {
             // exposure is exchange, not wait — matching the barriered
             // attribution). The end-of-step tail is not wait here —
             // the scheduler feeds the rank its next ready task.
-            let ghosts_from_others = halo_rep
-                .iter()
-                .enumerate()
-                .filter(|(s, rep)| *s != rank && rep.links.iter().any(|l| l.dst == rank))
-                .map(|(s, _)| post_done[s])
-                .fold(0.0, f64::max);
-            let own_busy_until = (absorb_start[rank] + interior_seconds).max(post_done[rank]);
-            let wait_seconds = (absorb_start[rank] - mig_done[rank])
+            let own_busy_until = (absorb_start[rank] + r.interior_seconds).max(post_done[rank]);
+            let wait = (absorb_start[rank] - mig_done[rank])
                 + (ghosts_from_others - own_busy_until).max(0.0);
-            let sent = mig_rep[rank].bytes + halo_rep[rank].bytes;
-            bytes += sent;
-            per_rank.push(RankStepStats {
-                rank,
-                owned: state.len(),
-                ghosts: n_ghosts,
-                interior_pairs,
-                boundary_pairs,
-                interior_seconds,
-                boundary_seconds,
-                halo_seconds: halo_window,
-                migrate_seconds: absorb_start[rank],
-                bytes_sent: sent,
-                overlap_seconds: halo_window.min(interior_seconds),
-                step_seconds: absorb_start[rank]
-                    + halo_window.max(interior_seconds)
-                    + boundary_seconds,
-                wait_seconds,
-            });
+            r.set_timeline(
+                absorb_start[rank],
+                halo_window,
+                mig_rep[rank].bytes + halo_rep[rank].bytes,
+                wait,
+            );
+            per_rank.push(r);
         }
-        Ok(self.emit_step_stats(
-            recorder.as_ref(),
-            per_rank,
-            migrated,
-            bytes,
-            ke_parts,
-            false,
-        ))
+        self.states = states
+            .into_iter()
+            .map(|m| m.into_inner().unwrap())
+            .collect();
+        Ok(self.emit_step_stats(per_rank, migrated))
     }
 
     /// Shared step epilogue: deterministic diagnostics allreduce,
-    /// node-time and wait attribution, and the per-rank telemetry
-    /// spans the analysis plane's critical-path pass consumes.
-    fn emit_step_stats(
-        &mut self,
-        recorder: Option<&Recorder>,
-        mut per_rank: Vec<RankStepStats>,
-        migrated: u64,
-        bytes: u64,
-        ke_parts: Vec<f64>,
-        barrier_wait: bool,
-    ) -> StepStats {
+    /// node time, and the per-rank telemetry spans the analysis
+    /// plane's critical-path pass consumes.
+    fn emit_step_stats(&mut self, per_rank: Vec<RankStepStats>, migrated: u64) -> StepStats {
+        let ke_parts: Vec<f64> = self.states.iter().map(kinetic_energy).collect();
         let kinetic_energy = self.transport.allreduce_sum(&ke_parts);
         self.step_count += 1;
         let node_seconds = per_rank.iter().map(|r| r.step_seconds).fold(0.0, f64::max);
-        if barrier_wait {
-            // The barriered schedule pins every rank at the global
-            // join; the async path passes its in-step stalls instead.
-            for r in &mut per_rank {
-                r.wait_seconds = (node_seconds - r.step_seconds).max(0.0);
-            }
-        }
         let halo_total: f64 = per_rank.iter().map(|r| r.halo_seconds).sum();
         let overlap_total: f64 = per_rank.iter().map(|r| r.overlap_seconds).sum();
         let overlap_fraction = if halo_total > 0.0 {
@@ -1117,7 +852,7 @@ impl MultiRankSim {
         } else {
             0.0
         };
-        if let Some(rec) = recorder {
+        if let Some(rec) = self.recorder.as_ref() {
             // One span per rank under the step span, carrying the four
             // modeled phase timers. Values are pure cost-model output,
             // so the timer stream stays bit-reproducible across runs.
@@ -1134,7 +869,7 @@ impl MultiRankSim {
         StepStats {
             step: self.step_count,
             node_seconds,
-            bytes,
+            bytes: per_rank.iter().map(|r| r.bytes_sent).sum(),
             migrated,
             overlap_fraction,
             kinetic_energy,
@@ -1156,18 +891,7 @@ impl MultiRankSim {
             step: self.step_count,
             ng: self.problem.ng,
             dims: self.layout.dims,
-            per_rank: self
-                .states
-                .iter()
-                .map(|s| RankSnapshot {
-                    ids: s.ids.clone(),
-                    pos: s.pos.clone(),
-                    mom: s.mom.clone(),
-                    mass: s.mass.clone(),
-                    h: s.h.clone(),
-                    u: s.u.clone(),
-                })
-                .collect(),
+            per_rank: self.states.clone(),
         }
     }
 
@@ -1189,7 +913,7 @@ impl MultiRankSim {
                 ),
             });
         }
-        self.states = ckpt.per_rank.iter().map(rank_state_from).collect();
+        self.states = ckpt.per_rank.clone();
         self.step_count = ckpt.step;
         self.transport.purge();
         Ok(())
@@ -1231,17 +955,10 @@ impl MultiRankSim {
         if let Some(recorder) = self.recorder.clone() {
             transport.set_recorder(recorder);
         }
-        let mut states: Vec<RankState> = vec![RankState::default(); ranks];
+        let mut states = vec![ParticleBatch::new(); ranks];
         for snap in &ckpt.per_rank {
             for k in 0..snap.len() {
-                states[layout.rank_of(&snap.pos[k])].push(
-                    snap.ids[k],
-                    snap.pos[k],
-                    snap.mom[k],
-                    snap.mass[k],
-                    snap.h[k],
-                    snap.u[k],
-                );
+                states[layout.rank_of(&snap.pos[k])].push_from(snap, k);
             }
         }
         for state in &mut states {
@@ -1255,51 +972,14 @@ impl MultiRankSim {
     }
 }
 
-/// Rebuilds the engine's internal store from a public snapshot.
-fn rank_state_from(snap: &RankSnapshot) -> RankState {
-    RankState {
-        ids: snap.ids.clone(),
-        pos: snap.pos.clone(),
-        mom: snap.mom.clone(),
-        mass: snap.mass.clone(),
-        h: snap.h.clone(),
-        u: snap.u.clone(),
+/// One rank's kinetic energy, summed in ascending-id order.
+fn kinetic_energy(state: &ParticleBatch) -> f64 {
+    let mut ke = 0.0f64;
+    for k in 0..state.len() {
+        let p2: f64 = state.mom[k].iter().map(|p| p * p).sum();
+        ke += 0.5 * p2 / state.mass[k];
     }
-}
-
-/// Accumulates softened-gravity acceleration on one particle over a
-/// candidate list in its given (ascending-id) order; returns the
-/// number of in-cutoff pairs. `f64` throughout — the order and width
-/// are the determinism contract.
-#[allow(clippy::too_many_arguments)]
-fn accumulate(
-    acc: &mut [f64; 3],
-    own_id: u64,
-    own_pos: &[f64; 3],
-    ids: impl Iterator<Item = u64>,
-    pos: &[[f64; 3]],
-    mass: &[f64],
-    ng: f64,
-    r_cut: f64,
-    eps: f64,
-) -> u64 {
-    let r_cut2 = r_cut * r_cut;
-    let mut pairs = 0;
-    for (j, id) in ids.enumerate() {
-        if id == own_id {
-            continue;
-        }
-        let d = min_image(own_pos, &pos[j], ng);
-        let r2 = d[0] * d[0] + d[1] * d[1] + d[2] * d[2];
-        if r2 < r_cut2 {
-            pairs += 1;
-            let w = mass[j] / (r2 + eps * eps).powf(1.5);
-            for c in 0..3 {
-                acc[c] += w * d[c];
-            }
-        }
-    }
-    pairs
+    ke
 }
 
 #[cfg(test)]

@@ -30,7 +30,7 @@
 //! run's — the acceptance gate the resilience tests and the CI smoke
 //! job enforce.
 
-use crate::distckpt::{buddy_of, MultiRankCheckpoint};
+use crate::distckpt::{buddy_of, section_bytes, MultiRankCheckpoint};
 use crate::multirank::{MultiRankSim, StepStats};
 use hacc_comm::CommError;
 use hacc_telemetry::FaultInfo;
@@ -285,7 +285,7 @@ impl MultiRankSim {
         for (rank, snap) in ckpt.per_rank.iter().enumerate() {
             let buddy = buddy_of(&layout, rank);
             if buddy != rank {
-                seconds += fabric.cost(rank, buddy, snap.wire_bytes());
+                seconds += fabric.cost(rank, buddy, section_bytes(snap));
             }
         }
         if let Some(rec) = self.recorder() {
@@ -317,7 +317,7 @@ impl MultiRankSim {
         for &rank in &lost {
             let buddy = buddy_of(&layout, rank);
             if buddy != rank {
-                restore_seconds += fabric.cost(buddy, rank, ckpt.per_rank[rank].wire_bytes());
+                restore_seconds += fabric.cost(buddy, rank, section_bytes(&ckpt.per_rank[rank]));
             }
         }
         let ranks_after = match mode {

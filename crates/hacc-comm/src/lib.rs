@@ -9,9 +9,10 @@
 //! built from each system's published link numbers (the way
 //! `sycl-sim`'s cost model mirrors its GPUs), injects link faults
 //! through the same seeded machinery as kernel launches, and delivers
-//! with a determinism discipline — `(src, seq)`-sorted inboxes, serial
-//! barrier-time fault ordinals — that keeps distributed runs
-//! bit-identical at any thread count.
+//! with a determinism discipline — `(src, seq)`-sorted inboxes,
+//! per-source fault ordinals and accounting slots — that keeps
+//! distributed runs, statistics included, bit-identical at any thread
+//! count and under either step schedule.
 
 #![warn(missing_docs)]
 

@@ -4,21 +4,30 @@
 //! rayon pool post [`ParticleBatch`] messages into per-source outboxes
 //! (each rank writes only its own, so posting is contention-free and
 //! each source's message order is its own sequential program order).
-//! A single caller then drives [`Transport::exchange`] at the step
-//! barrier: messages are costed on the [`Interconnect`], passed through
-//! the fault injector link by link, and delivered to per-destination
-//! inboxes sorted by `(source, sequence)`. Because the exchange walks
-//! sources in ascending order on one thread, the fault-injector ordinal
-//! sequence — and hence the whole fault schedule and every delivery
-//! order — is identical at any thread count. That is the message-
-//! ordering determinism rule: *rank code may post concurrently, but
-//! ordinals and deliveries are only ever claimed at the serial barrier,
-//! in `(src, seq)` order.*
+//! Posted messages reach their inboxes through one drain per source:
+//! each message is costed on the [`Interconnect`], passed through the
+//! fault injector on that source's own channel (`<tag>.s<src>`), and
+//! delivered in the source's program order. [`Transport::exchange`]
+//! drains every source in ascending order on the calling thread (the
+//! step barrier); [`Transport::flush_source`] drains one, and may run
+//! concurrently for distinct sources. Either way a source's ordinals,
+//! sequence numbers and accounting are claimed only by whoever drains
+//! that source, so the fault schedule, every delivery order and every
+//! statistic are identical at any thread count and under either
+//! schedule. That is the message-ordering determinism rule: *rank code
+//! may post concurrently, but nothing a source owns is ever touched by
+//! two tasks, and consumers only observe `(src, seq)` order.*
+//!
+//! Accounting follows the same rule. [`TransportStats`] is kept in one
+//! slot per source plus one for the serial caller, each written only
+//! by its owner, and reduced in ascending slot order on read — no
+//! float is ever summed in completion order.
 
 use crate::fabric::Interconnect;
 use hacc_telemetry::{EventKind, FaultInfo, Recorder};
 use parking_lot::Mutex;
 use std::fmt;
+use std::sync::{PoisonError, RwLock, RwLockReadGuard};
 use sycl_sim::{FaultConfig, FaultInjector, LaunchError};
 
 /// What a message carries, selecting its fault-injection channel and
@@ -70,6 +79,18 @@ impl ParticleBatch {
         Self::default()
     }
 
+    /// Creates an empty batch with room for `n` particles.
+    pub fn with_capacity(n: usize) -> Self {
+        Self {
+            ids: Vec::with_capacity(n),
+            pos: Vec::with_capacity(n),
+            mom: Vec::with_capacity(n),
+            mass: Vec::with_capacity(n),
+            h: Vec::with_capacity(n),
+            u: Vec::with_capacity(n),
+        }
+    }
+
     /// Number of particles in the batch.
     pub fn len(&self) -> usize {
         self.ids.len()
@@ -88,6 +109,45 @@ impl ParticleBatch {
         self.mass.push(mass);
         self.h.push(h);
         self.u.push(u);
+    }
+
+    /// Appends particle `k` of `other`.
+    pub fn push_from(&mut self, other: &ParticleBatch, k: usize) {
+        self.push(
+            other.ids[k],
+            other.pos[k],
+            other.mom[k],
+            other.mass[k],
+            other.h[k],
+            other.u[k],
+        );
+    }
+
+    /// Appends every particle of `other`, in its order.
+    pub fn extend_from(&mut self, other: &ParticleBatch) {
+        self.ids.extend_from_slice(&other.ids);
+        self.pos.extend_from_slice(&other.pos);
+        self.mom.extend_from_slice(&other.mom);
+        self.mass.extend_from_slice(&other.mass);
+        self.h.extend_from_slice(&other.h);
+        self.u.extend_from_slice(&other.u);
+    }
+
+    /// Reorders the batch by ascending global id (stable).
+    pub fn sort_by_id(&mut self) {
+        fn permuted<T: Copy>(column: &[T], order: &[usize]) -> Vec<T> {
+            order.iter().map(|&k| column[k]).collect()
+        }
+        let mut order: Vec<usize> = (0..self.len()).collect();
+        order.sort_by_key(|&k| self.ids[k]);
+        *self = Self {
+            ids: permuted(&self.ids, &order),
+            pos: permuted(&self.pos, &order),
+            mom: permuted(&self.mom, &order),
+            mass: permuted(&self.mass, &order),
+            h: permuted(&self.h, &order),
+            u: permuted(&self.u, &order),
+        };
     }
 
     /// Serialized size on the wire, header included.
@@ -230,7 +290,7 @@ impl Default for RetryPolicy {
 }
 
 /// Traffic over one directed link during an exchange.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default)]
 pub struct LinkTraffic {
     /// Sending rank.
     pub src: usize,
@@ -262,6 +322,29 @@ pub struct ExchangeReport {
 }
 
 impl ExchangeReport {
+    /// Books one delivered message. A drain walks one source, so its
+    /// report's links are keyed by destination.
+    fn record(&mut self, src: usize, dst: usize, bytes: u64, seconds: f64, retries: u64) {
+        let known = self.links.iter().position(|l| l.dst == dst);
+        let at = known.unwrap_or_else(|| {
+            self.links.push(LinkTraffic {
+                src,
+                dst,
+                ..LinkTraffic::default()
+            });
+            self.links.len() - 1
+        });
+        let link = &mut self.links[at];
+        link.messages += 1;
+        link.bytes += bytes;
+        link.seconds += seconds;
+        link.retries += retries;
+        self.messages += 1;
+        self.bytes += bytes;
+        self.seconds += seconds;
+        self.retries += retries;
+    }
+
     /// Modeled comm seconds incident on one rank (messages it sent or
     /// received — both ends are busy for the transfer).
     pub fn rank_seconds(&self, rank: usize) -> f64 {
@@ -307,16 +390,22 @@ pub struct Transport {
     injector: Option<FaultInjector>,
     recorder: Option<Recorder>,
     retry: RetryPolicy,
-    stats: Mutex<TransportStats>,
+    /// Accounting slots: slot `src` is written only by whoever drains
+    /// source `src`; the last slot belongs to the serial caller of
+    /// [`Transport::exchange`] and [`Transport::allreduce_sum`].
+    /// [`Transport::stats`] reduces them in ascending order, so no sum
+    /// depends on which drain finished first.
+    slots: Vec<Mutex<TransportStats>>,
     /// Per-rank death step: `Some(step)` once a rank has been lost.
-    dead: Mutex<Vec<Option<u64>>>,
+    /// Written between steps, read (shared) for the length of a drain.
+    dead: RwLock<Vec<Option<u64>>>,
     /// Adversarial delivery-order injection (test surface): when set,
     /// each delivery lands at a seed-derived position in its inbox
     /// instead of at the tail, modeling messages arriving in
     /// non-`(src, seq)` order. Consumers must still observe canonical
     /// order — [`Transport::take_inbox`] re-sorts — so physics must be
     /// invariant to this knob.
-    reorder_seed: Mutex<Option<u64>>,
+    reorder_seed: Option<u64>,
 }
 
 /// splitmix64, for the reorder-injection placement hash.
@@ -332,7 +421,7 @@ impl fmt::Debug for Transport {
         f.debug_struct("Transport")
             .field("ranks", &self.ranks)
             .field("fabric", &self.fabric.arch)
-            .field("stats", &*self.stats.lock())
+            .field("stats", &self.stats())
             .finish()
     }
 }
@@ -350,9 +439,9 @@ impl Transport {
             injector: None,
             recorder: None,
             retry: RetryPolicy::default(),
-            stats: Mutex::new(TransportStats::default()),
-            dead: Mutex::new(vec![None; ranks]),
-            reorder_seed: Mutex::new(None),
+            slots: (0..=ranks).map(|_| Mutex::default()).collect(),
+            dead: RwLock::new(vec![None; ranks]),
+            reorder_seed: None,
         }
     }
 
@@ -362,7 +451,7 @@ impl Transport {
     /// non-`(src, seq)` order. [`Transport::take_inbox`] still hands
     /// rank code the canonical order — this knob exists to prove that.
     pub fn set_reorder_injection(&mut self, seed: Option<u64>) {
-        *self.reorder_seed.lock() = seed;
+        self.reorder_seed = seed;
     }
 
     /// Number of ranks in the communicator.
@@ -375,8 +464,8 @@ impl Transport {
         &self.fabric
     }
 
-    /// Routes link faults through a seeded injector (`comm.halo` /
-    /// `comm.migrate` channels).
+    /// Routes link faults through a seeded injector, one channel per
+    /// `(tag, source)`: `comm.halo.s<src>` / `comm.migrate.s<src>`.
     pub fn enable_fault_injection(&mut self, config: FaultConfig) {
         self.injector = Some(FaultInjector::new(config));
     }
@@ -397,9 +486,31 @@ impl Transport {
         self.retry = policy;
     }
 
-    /// Cumulative statistics since construction.
+    /// Cumulative statistics since construction: the accounting slots
+    /// reduced in ascending order.
     pub fn stats(&self) -> TransportStats {
-        *self.stats.lock()
+        let mut total = TransportStats::default();
+        for slot in &self.slots {
+            let s = slot.lock();
+            total.messages += s.messages;
+            total.bytes += s.bytes;
+            total.seconds += s.seconds;
+            total.retries += s.retries;
+            total.exchanges += s.exchanges;
+        }
+        total
+    }
+
+    /// The death table, shared. A poisoned lock means a thread panicked
+    /// mid-`mark_dead`/`revive`; each is a single store, so the table
+    /// is still valid.
+    fn dead(&self) -> RwLockReadGuard<'_, Vec<Option<u64>>> {
+        self.dead.read().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    fn set_dead(&self, rank: usize, step: Option<u64>) {
+        assert!(rank < self.ranks, "rank out of range");
+        self.dead.write().unwrap_or_else(PoisonError::into_inner)[rank] = step;
     }
 
     /// Marks a rank dead as of the given step. Its pending and future
@@ -408,21 +519,18 @@ impl Transport {
     /// [`CommError::RankDead`] — that failure is the detection event
     /// recovery reacts to.
     pub fn mark_dead(&self, rank: usize, step: u64) {
-        assert!(rank < self.ranks, "rank out of range");
-        self.dead.lock()[rank] = Some(step);
+        self.set_dead(rank, Some(step));
     }
 
     /// Brings a dead rank back (respawn recovery: a replacement process
     /// rejoins the communicator on the same slot).
     pub fn revive(&self, rank: usize) {
-        assert!(rank < self.ranks, "rank out of range");
-        self.dead.lock()[rank] = None;
+        self.set_dead(rank, None);
     }
 
     /// Ranks currently marked dead, ascending.
     pub fn dead_ranks(&self) -> Vec<usize> {
-        self.dead
-            .lock()
+        self.dead()
             .iter()
             .enumerate()
             .filter_map(|(r, d)| d.map(|_| r))
@@ -432,7 +540,7 @@ impl Transport {
     /// The step at which `rank` died, if it is dead.
     pub fn death_step(&self, rank: usize) -> Option<u64> {
         assert!(rank < self.ranks, "rank out of range");
-        self.dead.lock()[rank]
+        self.dead()[rank]
     }
 
     /// Discards every queued message — outboxes and undelivered
@@ -449,7 +557,7 @@ impl Transport {
 
     /// Posts a message. Safe to call concurrently from distinct source
     /// ranks; each source's messages keep its program order. Delivery
-    /// happens at the next [`Transport::exchange`].
+    /// happens when the source is next drained.
     pub fn send(&self, src: usize, dst: usize, tag: Tag, batch: ParticleBatch) {
         assert!(src < self.ranks && dst < self.ranks, "rank out of range");
         assert_ne!(src, dst, "self-sends are a decomposition bug");
@@ -459,98 +567,99 @@ impl Transport {
     /// Drives every posted message to its inbox: the step barrier.
     ///
     /// Must be called from one thread with no concurrent [`Self::send`]s
-    /// in flight. Sources are drained in ascending rank order, so fault
-    /// ordinals, telemetry, and delivery order are all independent of
-    /// how the posting ranks were scheduled.
+    /// in flight. Drains every source in ascending rank order, so
+    /// telemetry order is independent of how the posting ranks were
+    /// scheduled; counts as one exchange.
     pub fn exchange(&self) -> Result<ExchangeReport, CommError> {
         let _span = self.recorder.as_ref().map(|r| r.span("comm.exchange"));
-        let dead: Vec<Option<u64>> = self.dead.lock().clone();
         let mut report = ExchangeReport::default();
         for src in 0..self.ranks {
-            let posted = std::mem::take(&mut *self.outboxes[src].lock());
-            if posted.is_empty() {
-                continue;
-            }
-            if dead[src].is_some() {
-                // A dead sender's posted messages never left the node:
-                // drop them without costing the fabric.
-                continue;
-            }
-            let mut seq = self.seqs[src].lock();
-            for (dst, tag, batch) in posted {
-                if let Some(step) = dead[dst] {
-                    // A message to a dead peer is how survivors detect
-                    // the loss: the matching receive never completes.
-                    if let Some(rec) = self.recorder.as_ref() {
-                        rec.fault(
-                            "fault.rank_dead",
-                            FaultInfo {
-                                kind: "rank-dead".to_string(),
-                                kernel: tag.label().to_string(),
-                                variant: String::new(),
-                                detail: format!(
-                                    "link {src}->{dst}: peer {dst} dead since step {step}"
-                                ),
-                            },
-                            1.0,
-                        );
-                    }
-                    return Err(CommError::RankDead { rank: dst, step });
-                }
-                let retries = self.clear_link(src, dst, tag)?;
-                let bytes = batch.wire_bytes();
-                let seconds = self.fabric.cost(src, dst, bytes);
-                self.charge(src, dst, bytes, seconds);
-                match report
-                    .links
-                    .iter_mut()
-                    .find(|l| l.src == src && l.dst == dst)
-                {
-                    Some(l) => {
-                        l.messages += 1;
-                        l.bytes += bytes;
-                        l.seconds += seconds;
-                        l.retries += retries;
-                    }
-                    None => report.links.push(LinkTraffic {
-                        src,
-                        dst,
-                        messages: 1,
-                        bytes,
-                        seconds,
-                        retries,
-                    }),
-                }
-                report.messages += 1;
-                report.bytes += bytes;
-                report.seconds += seconds;
-                report.retries += retries;
-                self.deliver(Message {
-                    src,
-                    dst,
-                    tag,
-                    seq: *seq,
-                    batch,
-                });
-                *seq += 1;
-            }
+            let part = self.drain_source(src)?;
+            report.links.extend(part.links);
+            report.messages += part.messages;
+            report.bytes += part.bytes;
+            report.seconds += part.seconds;
+            report.retries += part.retries;
         }
-        report.links.sort_by_key(|l| (l.src, l.dst));
-        let mut stats = self.stats.lock();
-        stats.messages += report.messages;
-        stats.bytes += report.bytes;
-        stats.seconds += report.seconds;
-        stats.retries += report.retries;
-        stats.exchanges += 1;
+        self.slots[self.ranks].lock().exchanges += 1;
+        Ok(report)
+    }
+
+    /// Drains *one* source rank's outbox to the destination inboxes —
+    /// the barrier-free delivery primitive behind the async executor;
+    /// counts as one exchange.
+    ///
+    /// Safe to call concurrently for **distinct** sources: each source
+    /// owns its outbox, its sequence counter, its injector channels and
+    /// its accounting slot, so flush tasks never race on an ordinal
+    /// stream or a sum. Dead-rank, timeout and link-failure semantics
+    /// are [`Transport::exchange`]'s — it is the same drain.
+    pub fn flush_source(&self, src: usize) -> Result<ExchangeReport, CommError> {
+        assert!(src < self.ranks, "rank out of range");
+        let report = self.drain_source(src)?;
+        self.slots[src].lock().exchanges += 1;
+        Ok(report)
+    }
+
+    /// The one drain: clears, costs and delivers everything `src` has
+    /// posted, in program order, and books the traffic to `src`'s
+    /// accounting slot. Links in the report ascend by destination.
+    fn drain_source(&self, src: usize) -> Result<ExchangeReport, CommError> {
+        let posted = std::mem::take(&mut *self.outboxes[src].lock());
+        let dead = self.dead();
+        let mut report = ExchangeReport::default();
+        if dead[src].is_some() {
+            // A dead sender's posted messages never left the node:
+            // drop them without costing the fabric.
+            return Ok(report);
+        }
+        let mut seq = self.seqs[src].lock();
+        for (dst, tag, batch) in posted {
+            if let Some(step) = dead[dst] {
+                // A message to a dead peer is how survivors detect the
+                // loss: the matching receive never completes.
+                if let Some(rec) = self.recorder.as_ref() {
+                    rec.fault(
+                        "fault.rank_dead",
+                        FaultInfo {
+                            kind: "rank-dead".to_string(),
+                            kernel: tag.label().to_string(),
+                            variant: String::new(),
+                            detail: format!("link {src}->{dst}: peer {dst} dead since step {step}"),
+                        },
+                        1.0,
+                    );
+                }
+                return Err(CommError::RankDead { rank: dst, step });
+            }
+            let retries = self.clear_link(src, dst, tag)?;
+            let bytes = batch.wire_bytes();
+            let seconds = self.fabric.cost(src, dst, bytes);
+            self.charge(src, dst, bytes, seconds);
+            report.record(src, dst, bytes, seconds, retries);
+            self.deliver(Message {
+                src,
+                dst,
+                tag,
+                seq: *seq,
+                batch,
+            });
+            *seq += 1;
+        }
+        report.links.sort_by_key(|l| l.dst);
+        let mut slot = self.slots[src].lock();
+        slot.messages += report.messages;
+        slot.bytes += report.bytes;
+        slot.seconds += report.seconds;
+        slot.retries += report.retries;
         Ok(report)
     }
 
     /// Places one message into its destination inbox — at the tail, or
     /// at a seed-derived position when reorder injection is on.
     fn deliver(&self, msg: Message) {
-        let reorder = *self.reorder_seed.lock();
         let mut inbox = self.inboxes[msg.dst].lock();
-        let at = match reorder {
+        let at = match self.reorder_seed {
             Some(seed) => {
                 let key =
                     mix64(seed ^ mix64((msg.dst as u64) << 32 ^ (msg.src as u64) << 16 ^ msg.seq));
@@ -561,114 +670,16 @@ impl Transport {
         inbox.insert(at, msg);
     }
 
-    /// Drains *one* source rank's outbox to the destination inboxes —
-    /// the barrier-free delivery primitive behind the async executor.
-    ///
-    /// Safe to call concurrently for **distinct** sources: each source
-    /// owns its outbox, its sequence counter, and (when faults are on)
-    /// its own injector channels (`comm.halo.s<src>` etc.), so flush
-    /// tasks never race on an ordinal stream and the fault schedule is
-    /// deterministic at any thread count. Dead-rank semantics match
-    /// [`Transport::exchange`]: a dead source's posts are dropped, and
-    /// a message to a dead peer surfaces [`CommError::RankDead`] naming
-    /// the dead rank. Timeouts and link failures name the stalled
-    /// `(src, dst)` link exactly as the barriered path does.
-    pub fn flush_source(&self, src: usize) -> Result<ExchangeReport, CommError> {
-        assert!(src < self.ranks, "rank out of range");
-        let dead: Vec<Option<u64>> = self.dead.lock().clone();
-        let mut report = ExchangeReport::default();
-        let posted = std::mem::take(&mut *self.outboxes[src].lock());
-        if !posted.is_empty() && dead[src].is_none() {
-            let mut seq = self.seqs[src].lock();
-            for (dst, tag, batch) in posted {
-                if let Some(step) = dead[dst] {
-                    if let Some(rec) = self.recorder.as_ref() {
-                        rec.fault(
-                            "fault.rank_dead",
-                            FaultInfo {
-                                kind: "rank-dead".to_string(),
-                                kernel: tag.label().to_string(),
-                                variant: String::new(),
-                                detail: format!(
-                                    "link {src}->{dst}: peer {dst} dead since step {step}"
-                                ),
-                            },
-                            1.0,
-                        );
-                    }
-                    return Err(CommError::RankDead { rank: dst, step });
-                }
-                // Per-source injector channel: each source's ordinal
-                // stream is its own program order, so concurrent
-                // flushes of distinct sources stay deterministic.
-                let channel = format!("{}.s{src}", tag.label());
-                let retries = self.clear_link_on(&channel, src, dst, tag)?;
-                let bytes = batch.wire_bytes();
-                let seconds = self.fabric.cost(src, dst, bytes);
-                self.charge(src, dst, bytes, seconds);
-                match report
-                    .links
-                    .iter_mut()
-                    .find(|l| l.src == src && l.dst == dst)
-                {
-                    Some(l) => {
-                        l.messages += 1;
-                        l.bytes += bytes;
-                        l.seconds += seconds;
-                        l.retries += retries;
-                    }
-                    None => report.links.push(LinkTraffic {
-                        src,
-                        dst,
-                        messages: 1,
-                        bytes,
-                        seconds,
-                        retries,
-                    }),
-                }
-                report.messages += 1;
-                report.bytes += bytes;
-                report.seconds += seconds;
-                report.retries += retries;
-                self.deliver(Message {
-                    src,
-                    dst,
-                    tag,
-                    seq: *seq,
-                    batch,
-                });
-                *seq += 1;
-            }
-        }
-        report.links.sort_by_key(|l| (l.src, l.dst));
-        let mut stats = self.stats.lock();
-        stats.messages += report.messages;
-        stats.bytes += report.bytes;
-        stats.seconds += report.seconds;
-        stats.retries += report.retries;
-        stats.exchanges += 1;
-        Ok(report)
-    }
-
     /// Runs one message through the fault injector with bounded retry
     /// under the exchange deadline; returns the number of transient
-    /// retries absorbed.
+    /// retries absorbed. Ordinals come from the source's own channel
+    /// (`<tag>.s<src>`): a source's ordinal stream is its program
+    /// order, whichever thread drains it and whenever.
     fn clear_link(&self, src: usize, dst: usize, tag: Tag) -> Result<u64, CommError> {
-        self.clear_link_on(tag.label(), src, dst, tag)
-    }
-
-    /// [`Self::clear_link`] on an explicit injector channel (the async
-    /// path claims per-source channels).
-    fn clear_link_on(
-        &self,
-        kernel: &str,
-        src: usize,
-        dst: usize,
-        tag: Tag,
-    ) -> Result<u64, CommError> {
         let Some(injector) = self.injector.as_ref() else {
             return Ok(0);
         };
+        let kernel = &format!("{}.s{src}", tag.label());
         let mut attempts = 0u32;
         let mut waited_s = 0.0f64;
         loop {
@@ -825,9 +836,7 @@ impl Transport {
         if let Some(rec) = self.recorder.as_ref() {
             rec.timer("comm.allreduce", seconds);
         }
-        let mut stats = self.stats.lock();
-        stats.seconds += seconds;
-        drop(stats);
+        self.slots[self.ranks].lock().seconds += seconds;
         per_rank.iter().sum()
     }
 }
@@ -1065,6 +1074,58 @@ mod tests {
                 .collect::<Vec<_>>()
         };
         assert_eq!(run(true), run(false));
+    }
+
+    #[test]
+    fn exchange_is_the_ascending_flush_of_every_source() {
+        // Same posts under the same transient-fault schedule: one
+        // transport drains at the barrier, the other flushes source by
+        // source. Everything but the exchange count agrees to the bit.
+        let run = |barriered: bool| {
+            let mut t = transport(4);
+            t.enable_fault_injection(FaultConfig {
+                seed: 21,
+                transient_rate: 0.3,
+                ..FaultConfig::default()
+            });
+            t.set_retry_policy(RetryPolicy {
+                max_retries: 12,
+                ..RetryPolicy::default()
+            });
+            let mut links = Vec::new();
+            for round in 0..6 {
+                for src in 0..4 {
+                    for dst in (0..4).filter(|&d| d != src) {
+                        let tag = [Tag::Halo, Tag::Migrate][(src + dst + round) % 2];
+                        t.send(src, dst, tag, batch(1 + src + 2 * dst + round));
+                    }
+                }
+                let reports = if barriered {
+                    vec![t.exchange().unwrap()]
+                } else {
+                    (0..4).map(|src| t.flush_source(src).unwrap()).collect()
+                };
+                for l in reports.into_iter().flat_map(|r| r.links) {
+                    let seconds = l.seconds.to_bits();
+                    links.push((l.src, l.dst, l.messages, l.bytes, seconds, l.retries));
+                }
+                t.allreduce_sum(&[1.0; 4]);
+            }
+            let inboxes: Vec<Vec<_>> = (0..4)
+                .map(|rank| {
+                    t.take_inbox(rank)
+                        .into_iter()
+                        .map(|m| (m.src, m.seq, m.tag, m.batch))
+                        .collect()
+                })
+                .collect();
+            let s = t.stats();
+            let totals = (s.messages, s.bytes, s.retries, s.seconds.to_bits());
+            (inboxes, links, totals)
+        };
+        let (barriered, flushed) = (run(true), run(false));
+        assert!(barriered.2 .2 > 0, "the fault schedule must actually fire");
+        assert_eq!(barriered, flushed);
     }
 
     #[test]

@@ -8,10 +8,11 @@
 //!    interior/boundary force passes must be a pure reorganization of
 //!    the arithmetic, not a perturbation of it.
 //! 2. **Thread invariance** — the 8-rank run is bit-identical at any
-//!    worker-thread count. Ranks step concurrently on the shared pool,
-//!    but messages are claimed at the serial exchange barrier in
-//!    ascending (source, sequence) order, so the schedule cannot leak
-//!    into the physics — or even into the comm counters.
+//!    worker-thread count and under either step schedule. Ranks step
+//!    concurrently on the shared pool, but everything a source owns
+//!    (sequence numbers, fault ordinals, accounting) is claimed only by
+//!    whoever drains that source, so the schedule cannot leak into the
+//!    physics — or even into the comm counters.
 
 use crk_hacc::core::{MultiRankProblem, MultiRankSim};
 use crk_hacc::sycl::{FaultConfig, GpuArch};
@@ -23,6 +24,15 @@ const STEPS: u64 = 3;
 
 fn problem() -> MultiRankProblem {
     MultiRankProblem::small(512, 0xACCE55)
+}
+
+/// The 5 % transient link-fault schedule the faulted rows run under.
+fn link_faults() -> FaultConfig {
+    FaultConfig {
+        seed: 0xFA_17,
+        transient_rate: 0.05,
+        ..Default::default()
+    }
 }
 
 /// Runs `ranks` ranks under a pinned worker-thread count and returns
@@ -110,13 +120,8 @@ fn every_rank_count_matches_the_single_rank_digest() {
 #[test]
 fn link_faults_retry_without_perturbing_the_bits() {
     let (clean, _) = run_with_threads(8, 4, None);
-    let faulty_config = FaultConfig {
-        seed: 0xFA_17,
-        transient_rate: 0.05,
-        ..Default::default()
-    };
     for &threads in &THREADS {
-        let (digest, stats) = run_with_threads(8, threads, Some(faulty_config.clone()));
+        let (digest, stats) = run_with_threads(8, threads, Some(link_faults()));
         assert_eq!(
             digest, clean,
             "retried link faults must not change the physics ({threads} threads)"
@@ -128,42 +133,56 @@ fn link_faults_retry_without_perturbing_the_bits() {
 /// The async×barriered axis: the task-graph step — per-rank exchanges
 /// flushed independently, interior force overlapped with the halo
 /// window — must land on the barriered reference bits at every rank
-/// count, worker-thread count, and fault schedule. Transport message
-/// *counts* legitimately differ (per-source flushes vs one barriered
-/// exchange), so only digests and wire bytes are compared across
-/// modes; full stats equality is asserted within the async mode.
+/// count, worker-thread count, and fault schedule. Both schedules run
+/// the one per-source drain on the one set of fault channels and
+/// accounting slots, so the transport statistics agree field for field
+/// too — all but `exchanges`, which counts barriers vs per-source
+/// flushes.
 #[test]
 fn async_mode_reproduces_barriered_bits_at_every_width() {
-    let faults = FaultConfig {
-        seed: 0xFA_17,
-        transient_rate: 0.05,
-        ..Default::default()
-    };
-    for fault_config in [None, Some(faults)] {
+    for fault_config in [None, Some(link_faults())] {
         for ranks in [1, 8] {
             let (reference, barriered_stats) =
                 run_mode(ranks, THREADS[0], fault_config.clone(), false);
-            let (ref_async_digest, ref_async_stats) =
-                run_mode(ranks, THREADS[0], fault_config.clone(), true);
-            assert_eq!(
-                ref_async_digest,
-                reference,
-                "async diverged from barriered at {ranks} ranks (faults={})",
-                fault_config.is_some()
-            );
-            assert_eq!(
-                ref_async_stats.bytes, barriered_stats.bytes,
-                "async moved different wire bytes at {ranks} ranks"
-            );
-            for &threads in &THREADS[1..] {
+            for &threads in &THREADS {
                 let (digest, stats) = run_mode(ranks, threads, fault_config.clone(), true);
                 assert_eq!(
-                    digest, reference,
-                    "async at {threads} threads diverged ({ranks} ranks)"
+                    digest,
+                    reference,
+                    "async at {threads} threads diverged from barriered ({ranks} ranks, faults={})",
+                    fault_config.is_some()
                 );
                 assert_eq!(
-                    stats, ref_async_stats,
-                    "async transport stats are schedule dependent at {threads} threads"
+                    crk_hacc::comm::TransportStats {
+                        exchanges: barriered_stats.exchanges,
+                        ..stats
+                    },
+                    barriered_stats,
+                    "async transport stats differ from barriered at {threads} threads \
+                     ({ranks} ranks, faults={})",
+                    fault_config.is_some()
+                );
+            }
+        }
+    }
+}
+
+/// Schedule-independence of the accounting is an every-run property,
+/// not a most-runs one: a float summed in flush *completion* order
+/// splits by 1 ulp about one run in six on two cores. Repeat the
+/// 8-rank async run 50× at each width, clean and faulted, against the
+/// first run's full statistics.
+#[test]
+fn async_transport_stats_repeat_bit_for_bit() {
+    for fault_config in [None, Some(link_faults())] {
+        let first = run_mode(8, 2, fault_config.clone(), true);
+        for threads in [2, 4, 8] {
+            for rep in 0..50 {
+                assert_eq!(
+                    run_mode(8, threads, fault_config.clone(), true),
+                    first,
+                    "repeat {rep} at {threads} threads split from the first run (faults={})",
+                    fault_config.is_some()
                 );
             }
         }
