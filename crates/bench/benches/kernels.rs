@@ -6,30 +6,18 @@
 //! the host-speed measurements.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use hacc_bench::experiments::{kernel_seconds, total_seconds, workload, VariantChoice};
-use hacc_kernels::Variant;
-use sycl_sim::{GpuArch, Toolchain};
+use hacc_bench::experiments::{
+    kernel_seconds, total_seconds, variants_for, workload, VariantChoice,
+};
+use sycl_sim::GpuArch;
 
 fn bench_variants(c: &mut Criterion) {
     let problem = workload(6, 7);
     let mut g = c.benchmark_group("variants");
     g.sample_size(10);
     for arch in GpuArch::all() {
-        for variant in [
-            Variant::Select,
-            Variant::Memory32,
-            Variant::MemoryObject,
-            Variant::Broadcast,
-            Variant::Visa,
-        ] {
-            if variant.needs_visa() && !arch.supports_visa {
-                continue;
-            }
-            let tc = if variant.needs_visa() {
-                Toolchain::sycl_visa()
-            } else {
-                Toolchain::sycl()
-            };
+        for variant in variants_for(&arch) {
+            let tc = variant.toolchain();
             let choice = VariantChoice::paper_default(&arch, variant);
             // Print the simulated seconds once (the figure datum).
             let secs = kernel_seconds(&arch, tc, choice, &problem);

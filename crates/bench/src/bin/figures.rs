@@ -7,8 +7,8 @@
 //! ```
 //!
 //! Valid targets: `table1 table2 fig2 fig9 fig10 fig11 fig12 fig13
-//! ablations tuned cpu ranks fom profile validate faults scaling
-//! health resilience autotune all`.
+//! ablations cpu ranks fom profile validate faults scaling health
+//! resilience autotune all`.
 //! `--size N` sets the workload side length (default 8, i.e. 8³
 //! baryons); `--json PATH` additionally writes the raw evaluation data
 //! as JSON. `faults` (not part of `all`) sweeps injected fault rates
@@ -430,7 +430,6 @@ fn main() {
             "fig12",
             "fig13",
             "ablations",
-            "tuned",
             "cpu",
         ]
         .iter()
@@ -468,12 +467,6 @@ fn main() {
         println!("{}", ablation_registers(&problem));
         println!("{}", ablation_fast_math(&problem));
         println!("{}", ablation_memory_granularity(&problem));
-    }
-    if want("tuned") {
-        for arch in GpuArch::all() {
-            let schedule = hacc_bench::tuner::autotune(&arch, &problem);
-            println!("{}", hacc_bench::tuner::render(&schedule));
-        }
     }
     if want("cpu") {
         println!("{}", hacc_bench::cpu_backend::render(&problem));

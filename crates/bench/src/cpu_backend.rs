@@ -7,32 +7,23 @@
 //! claims on the simulated CPU device: correctness (verified by the
 //! equivalence tests) and the atomic-dominated cost profile.
 
-use crate::experiments::{kernel_seconds, total_seconds, BenchProblem, VariantChoice};
+use crate::experiments::{
+    kernel_seconds, prepare, total_seconds, variants_for, BenchProblem, VariantChoice,
+};
 use hacc_kernels::Variant;
 use hacc_metrics::performance_portability;
+use hacc_telemetry::Recorder;
 use std::collections::BTreeMap;
 use sycl_sim::{CostModel, GpuArch, GrfMode, InstrClass, Toolchain};
-
-/// CPU launch configuration: AVX-512 sub-groups of 16.
-pub fn cpu_choice(variant: Variant) -> VariantChoice {
-    VariantChoice {
-        variant,
-        sg_size: 16,
-        grf: GrfMode::Default,
-    }
-}
 
 /// Runs the hydro kernels on the CPU backend, returning per-timer
 /// seconds and the fraction of lane-cycles spent in (CAS-emulated)
 /// atomics per timer.
 pub fn cpu_profile(problem: &BenchProblem) -> (BTreeMap<String, f64>, f64) {
     let cpu = GpuArch::cpu_host();
-    let secs = kernel_seconds(
-        &cpu,
-        Toolchain::sycl(),
-        cpu_choice(Variant::Select),
-        problem,
-    );
+    // The Appendix-A table clamps to the CPU's AVX-512 sub-groups of 16.
+    let choice = VariantChoice::paper_default(&cpu, Variant::Select);
+    let secs = kernel_seconds(&cpu, Toolchain::sycl(), choice, problem);
     // Re-run one kernel to read the class breakdown (atomic share).
     let atomic_share = atomic_share_of(&cpu, problem);
     (secs, atomic_share)
@@ -41,37 +32,25 @@ pub fn cpu_profile(problem: &BenchProblem) -> (BTreeMap<String, f64>, f64) {
 /// Fraction of pre-multiplier lane-cycles in atomic classes for the
 /// Select variant on an architecture.
 pub fn atomic_share_of(arch: &GpuArch, problem: &BenchProblem) -> f64 {
-    use hacc_kernels::{run_hydro_step, DeviceParticles, WorkLists};
-    use hacc_tree::{InteractionList, RcbTree};
-    let device = sycl_sim::Device::new(arch.clone(), Toolchain::sycl()).unwrap();
     let cost = CostModel::new(arch.clone());
-    let sg = if arch.supports_sg_size(16) {
-        16
-    } else {
-        *arch.sg_sizes.first().unwrap()
-    };
-    let launch = sycl_sim::LaunchConfig {
-        sg_size: sg,
-        wg_size: 128.max(sg),
+    let choice = VariantChoice {
+        variant: Variant::Select,
+        sg_size: if arch.supports_sg_size(16) {
+            16
+        } else {
+            *arch.sg_sizes.first().unwrap()
+        },
         grf: GrfMode::Default,
-        exec: sycl_sim::ExecutionPolicy::from_env(),
-        meter: sycl_sim::MeterPolicy::Full,
-        bounds: sycl_sim::LaunchBounds::Default,
     };
-    let tree = RcbTree::build(&problem.particles.pos, sg / 2);
-    let list = InteractionList::build(&tree, problem.box_size, problem.r_cut);
-    let work = WorkLists::build(&tree, &list, sg);
-    let data = DeviceParticles::upload(&problem.particles.permuted(&tree.order));
-    let reports = run_hydro_step(
-        &device,
-        &data,
-        &work,
-        Variant::Select,
-        problem.box_size as f32,
-        launch,
-        &hacc_telemetry::Recorder::new(),
-    )
-    .expect("fault-free hydro step must succeed");
+    let prepared = prepare(
+        arch,
+        Toolchain::sycl(),
+        choice.variant,
+        choice.sg_size,
+        problem,
+        None,
+    );
+    let reports = prepared.hydro(&prepared.upload(), choice.launch(arch), &Recorder::new());
     let mut atomic = 0.0;
     let mut total = 0.0;
     for r in &reports {
@@ -92,27 +71,7 @@ pub fn pp_with_cpu(problem: &BenchProblem) -> (f64, f64) {
     let mut effs_gpu_only = Vec::new();
     let mut effs_with_cpu = Vec::new();
     for arch in GpuArch::all_with_cpu() {
-        let variants: Vec<Variant> = if arch.supports_visa {
-            vec![
-                Variant::Select,
-                Variant::Memory32,
-                Variant::MemoryObject,
-                Variant::Broadcast,
-                Variant::Visa,
-            ]
-        } else {
-            vec![
-                Variant::Select,
-                Variant::Memory32,
-                Variant::MemoryObject,
-                Variant::Broadcast,
-            ]
-        };
-        let sg = if arch.id == "cpu" {
-            16
-        } else {
-            *arch.sg_sizes.last().unwrap()
-        };
+        let sg = *arch.sg_sizes.last().unwrap();
         // The config's variant on this platform: vISA on Intel GPUs,
         // Select elsewhere (including the CPU).
         let config_variant = if arch.supports_visa {
@@ -122,18 +81,13 @@ pub fn pp_with_cpu(problem: &BenchProblem) -> (f64, f64) {
         };
         let mut config_total = 0.0;
         let mut best_total = f64::INFINITY;
-        for v in variants {
-            let tc = if v.needs_visa() {
-                Toolchain::sycl_visa()
-            } else {
-                Toolchain::sycl()
-            };
+        for v in variants_for(&arch) {
             let choice = VariantChoice {
                 variant: v,
                 sg_size: sg,
                 grf: GrfMode::Default,
             };
-            let t = total_seconds(&kernel_seconds(&arch, tc, choice, problem));
+            let t = total_seconds(&kernel_seconds(&arch, v.toolchain(), choice, problem));
             if v == config_variant {
                 config_total = t;
             }

@@ -10,14 +10,20 @@
 //! neighbor counts are realistic).
 
 use hacc_cosmo::LinearPower;
+use hacc_kernels::tuning::{hand_picked_knobs, variant_candidates};
 use hacc_kernels::{
-    run_gravity, run_hydro_step, DeviceParticles, GravityParams, HostParticles, Variant, WorkLists,
+    run_gravity, run_hydro_step, DeviceParticles, GravityParams, HostParticles, TimerReport,
+    Variant, WorkLists,
 };
 use hacc_mesh::{zeldovich_ics, ForceSplit, PolyShortRange};
 use hacc_telemetry::Recorder;
 use hacc_tree::{InteractionList, RcbTree};
 use std::collections::BTreeMap;
-use sycl_sim::{Device, GpuArch, GrfMode, LaunchConfig, Toolchain};
+use std::sync::Arc;
+use sycl_sim::{
+    Device, ExecutionPolicy, FaultConfig, FaultInjector, GpuArch, GrfMode, LaunchConfig,
+    MeterPolicy, Toolchain, TunablePoint,
+};
 
 /// A benchmark problem instance: baryon snapshot + interaction geometry.
 pub struct BenchProblem {
@@ -66,7 +72,9 @@ pub fn workload(n_side: usize, seed: u64) -> BenchProblem {
     }
 }
 
-/// One build to measure: variant + launch knobs.
+/// One build to measure: variant + launch knobs — the workspace's one
+/// pairing of a typed [`Variant`] with launch knobs (the tuning cache's
+/// `hacc_tune::TuneChoice` is its string-keyed wire form).
 #[derive(Clone, Copy, Debug)]
 pub struct VariantChoice {
     /// Communication variant.
@@ -78,193 +86,182 @@ pub struct VariantChoice {
 }
 
 impl VariantChoice {
-    /// The paper's launch configuration for a variant on an architecture:
-    /// Appendix-A sub-group sizes (16 on Aurora via `HACC_SYCL_SG_SIZE`
-    /// for the broadcast kernels, §5.3.2; 32 on Polaris; 64 on Frontier),
-    /// large GRF on Intel ("almost all results use 256 registers").
+    /// The paper's launch configuration for a variant on an
+    /// architecture — the Appendix-A table,
+    /// [`hacc_kernels::tuning::hand_picked_knobs`]: sub-group 16 on
+    /// Aurora via `HACC_SYCL_SG_SIZE` for the broadcast kernels
+    /// (§5.3.2) and 32 otherwise, 32 on Polaris, 64 on Frontier, large
+    /// GRF on Intel ("almost all results use 256 registers"), clamped
+    /// to what the architecture supports anywhere else.
     pub fn paper_default(arch: &GpuArch, variant: Variant) -> Self {
-        let (sg_size, grf) = match arch.id {
-            "pvc" => {
-                if variant == Variant::Broadcast {
-                    (16, GrfMode::Large)
-                } else {
-                    (32, GrfMode::Large)
-                }
-            }
-            "a100" => (32, GrfMode::Default),
-            _ => (64, GrfMode::Default),
-        };
+        let (sg_size, grf) = hand_picked_knobs(arch, variant);
         Self {
             variant,
             sg_size,
             grf,
         }
     }
+
+    /// The launch this build is measured with: the classic work-group
+    /// rule and default bounds around its knobs, fully metered — the
+    /// experiment sweeps exist to measure instruction mixes.
+    pub fn launch(&self, arch: &GpuArch) -> LaunchConfig {
+        TunablePoint::classic(self.sg_size, self.grf).apply_to(base_launch(arch, MeterPolicy::Full))
+    }
+}
+
+/// The launch configuration every bench measurement starts from: the
+/// environment's execution policy (so `--serial` / `--threads` reach
+/// every sweep — a speed knob only, the bits do not depend on it) and
+/// the given metering mode.
+pub(crate) fn base_launch(arch: &GpuArch, meter: MeterPolicy) -> LaunchConfig {
+    LaunchConfig::defaults_for(arch)
+        .with_exec(ExecutionPolicy::from_env())
+        .with_meter(meter)
+}
+
+/// The set-up of one measured build: the device, and the problem's
+/// geometry at the variant's preferred leaf granularity for one
+/// sub-group size. Built once; every run uploads a fresh particle
+/// state, so repeated runs see bit-identical inputs.
+pub(crate) struct Prepared {
+    /// The device (with the fault injector, when one was asked for).
+    pub device: Device,
+    /// Communication variant the geometry was built for.
+    pub variant: Variant,
+    work: WorkLists,
+    ordered: HostParticles,
+    box_size: f32,
+    gravity: GravityParams,
+}
+
+/// Builds the [`Prepared`] set-up for a (arch, toolchain, variant,
+/// sub-group size) build, optionally installing a fault configuration
+/// on the device.
+pub(crate) fn prepare(
+    arch: &GpuArch,
+    toolchain: Toolchain,
+    variant: Variant,
+    sg_size: usize,
+    problem: &BenchProblem,
+    fault: Option<FaultConfig>,
+) -> Prepared {
+    let mut device = Device::new(arch.clone(), toolchain).expect("toolchain/arch mismatch");
+    if let Some(cfg) = fault {
+        device = device.with_fault_injector(Arc::new(FaultInjector::new(cfg)));
+    }
+    let tree = RcbTree::build(
+        &problem.particles.pos,
+        variant.preferred_leaf_capacity(sg_size),
+    );
+    let list = InteractionList::build(&tree, problem.box_size, problem.r_cut);
+    Prepared {
+        device,
+        variant,
+        work: WorkLists::build(&tree, &list, sg_size),
+        ordered: problem.particles.permuted(&tree.order),
+        box_size: problem.box_size as f32,
+        gravity: GravityParams {
+            poly: problem.poly,
+            r_cut2: (problem.r_cut * problem.r_cut) as f32,
+            soft2: 1e-4,
+        },
+    }
+}
+
+impl Prepared {
+    /// A fresh device copy of the leaf-ordered particles.
+    pub fn upload(&self) -> DeviceParticles {
+        DeviceParticles::upload(&self.ordered)
+    }
+
+    /// The seven-timer hydro sequence on `data`. Panics when a launch
+    /// fails beyond the retry/fallback budget — measured runs inject at
+    /// most corruption and latency, which never fail a launch.
+    pub fn hydro(
+        &self,
+        data: &DeviceParticles,
+        launch: LaunchConfig,
+        telemetry: &Recorder,
+    ) -> Vec<TimerReport> {
+        run_hydro_step(
+            &self.device,
+            data,
+            &self.work,
+            self.variant,
+            self.box_size,
+            launch,
+            telemetry,
+        )
+        .expect("measured hydro step must succeed")
+    }
+
+    /// The short-range gravity bracket on `data` (same contract as
+    /// [`Prepared::hydro`]).
+    pub fn gravity(
+        &self,
+        data: &DeviceParticles,
+        launch: LaunchConfig,
+        telemetry: &Recorder,
+    ) -> TimerReport {
+        run_gravity(
+            &self.device,
+            data,
+            &self.work,
+            self.variant,
+            self.box_size,
+            self.gravity,
+            launch,
+            telemetry,
+        )
+        .expect("measured gravity launch must succeed")
+    }
 }
 
 /// Executes one full measured kernel sequence (hydro step + gravity)
-/// for a (arch, toolchain, choice) build, emitting spans, per-launch
-/// kernel profiles, and timer events into `telemetry`.
-pub fn run_measurement(
-    arch: &GpuArch,
-    toolchain: Toolchain,
-    choice: VariantChoice,
-    problem: &BenchProblem,
-    telemetry: &Recorder,
-) {
-    run_measurement_faulty(arch, toolchain, choice, problem, telemetry, None);
-}
-
-/// [`run_measurement`] with an optional fault configuration installed
-/// on the device — the health report's slow-kernel check uses the
-/// injector's latency knob to manufacture a known regression.
-pub fn run_measurement_faulty(
-    arch: &GpuArch,
-    toolchain: Toolchain,
-    choice: VariantChoice,
-    problem: &BenchProblem,
-    telemetry: &Recorder,
-    fault: Option<sycl_sim::FaultConfig>,
-) {
-    let mut device = Device::new(arch.clone(), toolchain).expect("toolchain/arch mismatch");
-    if let Some(cfg) = fault {
-        device = device.with_fault_injector(std::sync::Arc::new(sycl_sim::FaultInjector::new(cfg)));
-    }
-    let launch = LaunchConfig {
-        sg_size: choice.sg_size,
-        wg_size: 128.max(choice.sg_size),
-        grf: choice.grf,
-        exec: sycl_sim::ExecutionPolicy::from_env(),
-        // The experiment sweeps exist to measure instruction mixes, so
-        // they always meter.
-        meter: sycl_sim::MeterPolicy::Full,
-        bounds: sycl_sim::LaunchBounds::Default,
-    };
-    let tree = RcbTree::build(
-        &problem.particles.pos,
-        choice.variant.preferred_leaf_capacity(choice.sg_size),
-    );
-    let list = InteractionList::build(&tree, problem.box_size, problem.r_cut);
-    let work = WorkLists::build(&tree, &list, choice.sg_size);
-    let ordered = problem.particles.permuted(&tree.order);
-    let data = DeviceParticles::upload(&ordered);
-    let _span = telemetry.span("measure");
-    run_hydro_step(
-        &device,
-        &data,
-        &work,
-        choice.variant,
-        problem.box_size as f32,
-        launch,
-        telemetry,
-    )
-    .expect("fault-free hydro step must succeed");
-    run_gravity(
-        &device,
-        &data,
-        &work,
-        choice.variant,
-        problem.box_size as f32,
-        GravityParams {
-            poly: problem.poly,
-            r_cut2: (problem.r_cut * problem.r_cut) as f32,
-            soft2: 1e-4,
-        },
-        launch,
-        telemetry,
-    )
-    .expect("fault-free gravity launch must succeed");
-}
-
-/// [`run_measurement`] with a fully explicit launch configuration.
-/// The autotune sweep goes through here: it varies work-group sizes,
-/// launch bounds, and metering modes that the paper-default path pins,
-/// while the tree/work-list construction still follows the variant's
-/// preferred leaf granularity at the requested sub-group size.
-pub fn run_measurement_with(
+/// for a (arch, toolchain, variant, launch) build and returns its
+/// telemetry: spans, per-launch kernel profiles, timer events. `fault`
+/// optionally installs a fault configuration on the device — the
+/// health report's slow-kernel check uses the injector's latency knob
+/// to manufacture a known regression. Every bench measurement that
+/// reads telemetry goes through here.
+pub fn measure(
     arch: &GpuArch,
     toolchain: Toolchain,
     variant: Variant,
     launch: LaunchConfig,
     problem: &BenchProblem,
-    telemetry: &Recorder,
-) {
-    let device = Device::new(arch.clone(), toolchain).expect("toolchain/arch mismatch");
-    let tree = RcbTree::build(
-        &problem.particles.pos,
-        variant.preferred_leaf_capacity(launch.sg_size),
-    );
-    let list = InteractionList::build(&tree, problem.box_size, problem.r_cut);
-    let work = WorkLists::build(&tree, &list, launch.sg_size);
-    let ordered = problem.particles.permuted(&tree.order);
-    let data = DeviceParticles::upload(&ordered);
-    let _span = telemetry.span("measure");
-    run_hydro_step(
-        &device,
-        &data,
-        &work,
-        variant,
-        problem.box_size as f32,
-        launch,
-        telemetry,
-    )
-    .expect("fault-free hydro step must succeed");
-    run_gravity(
-        &device,
-        &data,
-        &work,
-        variant,
-        problem.box_size as f32,
-        GravityParams {
-            poly: problem.poly,
-            r_cut2: (problem.r_cut * problem.r_cut) as f32,
-            soft2: 1e-4,
-        },
-        launch,
-        telemetry,
-    )
-    .expect("fault-free gravity launch must succeed");
-}
-
-/// Per-timer simulated seconds for one explicit (variant, launch) build.
-pub fn kernel_seconds_with(
-    arch: &GpuArch,
-    toolchain: Toolchain,
-    variant: Variant,
-    launch: LaunchConfig,
-    problem: &BenchProblem,
-) -> BTreeMap<String, f64> {
+    fault: Option<FaultConfig>,
+) -> Recorder {
+    let prepared = prepare(arch, toolchain, variant, launch.sg_size, problem, fault);
+    let data = prepared.upload();
     let telemetry = Recorder::new();
-    run_measurement_with(arch, toolchain, variant, launch, problem, &telemetry);
-    hacc_telemetry::timer_totals(&telemetry.events())
-        .into_iter()
-        .map(|(name, seconds, _calls)| (name, seconds))
-        .collect()
+    {
+        let _span = telemetry.span("measure");
+        prepared.hydro(&data, launch, &telemetry);
+        prepared.gravity(&data, launch, &telemetry);
+    }
+    telemetry
 }
 
-/// Captures the full telemetry of one measured kernel sequence.
+/// Captures the full telemetry of one measured kernel sequence at a
+/// build's own launch configuration.
 pub fn profile_run(
     arch: &GpuArch,
     toolchain: Toolchain,
     choice: VariantChoice,
     problem: &BenchProblem,
 ) -> Recorder {
-    let telemetry = Recorder::new();
-    run_measurement(arch, toolchain, choice, problem, &telemetry);
-    telemetry
+    let launch = choice.launch(arch);
+    measure(arch, toolchain, choice.variant, launch, problem, None)
 }
 
-/// [`profile_run`] with an optional fault configuration on the device.
-pub fn profile_run_faulty(
-    arch: &GpuArch,
-    toolchain: Toolchain,
-    choice: VariantChoice,
-    problem: &BenchProblem,
-    fault: Option<sycl_sim::FaultConfig>,
-) -> Recorder {
-    let telemetry = Recorder::new();
-    run_measurement_faulty(arch, toolchain, choice, problem, &telemetry, fault);
-    telemetry
+/// Per-timer simulated seconds recorded in a measured run's telemetry.
+pub(crate) fn timer_seconds(telemetry: &Recorder) -> BTreeMap<String, f64> {
+    hacc_telemetry::timer_totals(&telemetry.events())
+        .into_iter()
+        .map(|(name, seconds, _calls)| (name, seconds))
+        .collect()
 }
 
 /// Per-timer simulated seconds for one (arch, toolchain, choice) run.
@@ -274,11 +271,7 @@ pub fn kernel_seconds(
     choice: VariantChoice,
     problem: &BenchProblem,
 ) -> BTreeMap<String, f64> {
-    let telemetry = profile_run(arch, toolchain, choice, problem);
-    hacc_telemetry::timer_totals(&telemetry.events())
-        .into_iter()
-        .map(|(name, seconds, _calls)| (name, seconds))
-        .collect()
+    timer_seconds(&profile_run(arch, toolchain, choice, problem))
 }
 
 /// Runs every variant on one architecture and returns
@@ -290,18 +283,10 @@ pub struct ArchRun {
     pub by_variant: BTreeMap<&'static str, BTreeMap<String, f64>>,
 }
 
-/// Variants measurable on an architecture (vISA is Intel-only).
+/// Variants measurable on an architecture (vISA is Intel-only): the
+/// legal-variant list with the vISA toolchain available.
 pub fn variants_for(arch: &GpuArch) -> Vec<Variant> {
-    let mut v = vec![
-        Variant::Select,
-        Variant::Memory32,
-        Variant::MemoryObject,
-        Variant::Broadcast,
-    ];
-    if arch.supports_visa {
-        v.push(Variant::Visa);
-    }
-    v
+    variant_candidates(arch, true)
 }
 
 /// Measures all variants on one architecture with the paper's SYCL
@@ -309,13 +294,8 @@ pub fn variants_for(arch: &GpuArch) -> Vec<Variant> {
 pub fn run_all_variants(arch: &GpuArch, problem: &BenchProblem) -> ArchRun {
     let mut by_variant = BTreeMap::new();
     for variant in variants_for(arch) {
-        let tc = if variant.needs_visa() {
-            Toolchain::sycl_visa()
-        } else {
-            Toolchain::sycl()
-        };
         let choice = VariantChoice::paper_default(arch, variant);
-        let secs = kernel_seconds(arch, tc, choice, problem);
+        let secs = kernel_seconds(arch, variant.toolchain(), choice, problem);
         by_variant.insert(variant.label(), secs);
     }
     ArchRun {
@@ -395,50 +375,30 @@ mod tests {
     /// thread counts, and with a corrupting fault injector attached (the
     /// reports' injected-fault counts must reconcile with the injector
     /// log at every thread count).
-    fn check_histograms_conserve(exec: sycl_sim::ExecutionPolicy, corrupt_rate: f64) {
-        use hacc_kernels::run_hydro_step;
-        use sycl_sim::{FaultConfig, FaultInjector, FaultKind};
+    fn check_histograms_conserve(exec: ExecutionPolicy, corrupt_rate: f64) {
+        use sycl_sim::FaultKind;
         let p = tiny();
         let arch = GpuArch::frontier();
         let choice = VariantChoice::paper_default(&arch, Variant::Select);
-        let mut device = Device::new(arch.clone(), Toolchain::sycl()).unwrap();
-        let injector = if corrupt_rate > 0.0 {
-            let inj = std::sync::Arc::new(FaultInjector::new(FaultConfig {
-                seed: 42,
-                corrupt_rate,
-                ..FaultConfig::default()
-            }));
-            device = device.with_fault_injector(inj.clone());
-            Some(inj)
-        } else {
-            None
-        };
-        let launch = LaunchConfig {
-            sg_size: choice.sg_size,
-            wg_size: 128.max(choice.sg_size),
-            grf: choice.grf,
-            exec,
-            meter: sycl_sim::MeterPolicy::Full,
-            bounds: sycl_sim::LaunchBounds::Default,
-        };
-        let tree = RcbTree::build(
-            &p.particles.pos,
-            choice.variant.preferred_leaf_capacity(choice.sg_size),
-        );
-        let list = InteractionList::build(&tree, p.box_size, p.r_cut);
-        let work = WorkLists::build(&tree, &list, choice.sg_size);
-        let data = DeviceParticles::upload(&p.particles.permuted(&tree.order));
-        let telemetry = Recorder::new();
-        let reports = run_hydro_step(
-            &device,
-            &data,
-            &work,
+        let fault = (corrupt_rate > 0.0).then(|| FaultConfig {
+            seed: 42,
+            corrupt_rate,
+            ..FaultConfig::default()
+        });
+        let prepared = prepare(
+            &arch,
+            Toolchain::sycl(),
             choice.variant,
-            p.box_size as f32,
-            launch,
+            choice.sg_size,
+            &p,
+            fault,
+        );
+        let telemetry = Recorder::new();
+        let reports = prepared.hydro(
+            &prepared.upload(),
+            choice.launch(&arch).with_exec(exec),
             &telemetry,
-        )
-        .expect("corruption-only faults never fail a launch");
+        );
 
         let mut meter_totals = [0u64; hacc_telemetry::N_INSTR_CLASSES];
         for r in &reports {
@@ -465,7 +425,7 @@ mod tests {
 
         // Fault reconciliation: corrupted words counted in the reports
         // match the injector's log exactly, regardless of thread count.
-        if let Some(inj) = injector {
+        if let Some(inj) = &prepared.device.fault {
             let reported: u32 = reports.iter().map(|r| r.report.injected_faults).sum();
             assert_eq!(
                 reported as usize,
@@ -478,7 +438,6 @@ mod tests {
 
     #[test]
     fn per_launch_histograms_sum_to_meter_totals() {
-        use sycl_sim::ExecutionPolicy;
         check_histograms_conserve(ExecutionPolicy::Serial, 0.0);
         for threads in [1usize, 2, 4, 8] {
             check_histograms_conserve(ExecutionPolicy::Parallel { threads }, 0.0);
@@ -487,7 +446,6 @@ mod tests {
 
     #[test]
     fn per_launch_histograms_reconcile_with_fault_log_in_parallel() {
-        use sycl_sim::ExecutionPolicy;
         check_histograms_conserve(ExecutionPolicy::Serial, 1.0);
         for threads in [1usize, 2, 4, 8] {
             check_histograms_conserve(ExecutionPolicy::Parallel { threads }, 1.0);
@@ -495,21 +453,34 @@ mod tests {
     }
 
     #[test]
-    fn explicit_launch_path_matches_the_paper_default_path() {
-        let p = tiny();
-        let arch = GpuArch::frontier();
-        let choice = VariantChoice::paper_default(&arch, Variant::Select);
-        let secs = kernel_seconds(&arch, Toolchain::sycl(), choice, &p);
-        let launch = LaunchConfig {
-            sg_size: choice.sg_size,
-            wg_size: 128.max(choice.sg_size),
-            grf: choice.grf,
-            exec: sycl_sim::ExecutionPolicy::from_env(),
-            meter: sycl_sim::MeterPolicy::Full,
-            bounds: sycl_sim::LaunchBounds::Default,
-        };
-        let explicit = kernel_seconds_with(&arch, Toolchain::sycl(), choice.variant, launch, &p);
-        assert_eq!(secs, explicit, "the explicit path is the same measurement");
+    fn paper_default_launches_on_every_arch_and_legal_variant() {
+        // The CPU host included: its sub-group sizes stop at 16, and the
+        // Appendix-A table must clamp to that rather than hand out 64.
+        let p = workload(4, 3);
+        for arch in GpuArch::all_with_cpu() {
+            for variant in variants_for(&arch) {
+                let choice = VariantChoice::paper_default(&arch, variant);
+                let what = format!("{} / {}", arch.id, variant.label());
+                assert!(
+                    TunablePoint::classic(choice.sg_size, choice.grf).is_valid(&arch),
+                    "{what}: sg {} / {:?} is not a legal point",
+                    choice.sg_size,
+                    choice.grf
+                );
+                let prepared = prepare(
+                    &arch,
+                    variant.toolchain(),
+                    variant,
+                    choice.sg_size,
+                    &p,
+                    None,
+                );
+                let launch = choice.launch(&arch).deterministic();
+                let reports = prepared.hydro(&prepared.upload(), launch, &Recorder::new());
+                assert_eq!(reports.len(), 7, "{what}");
+                assert_eq!(reports[0].report.sg_size, choice.sg_size, "{what}");
+            }
+        }
     }
 
     #[test]

@@ -6,8 +6,8 @@
 //! from the same code paths.
 
 use crate::experiments::{
-    best_per_kernel, kernel_seconds, run_all_variants, total_seconds, variants_for, ArchRun,
-    BenchProblem, VariantChoice,
+    best_per_kernel, kernel_seconds, run_all_variants, total_seconds, ArchRun, BenchProblem,
+    VariantChoice,
 };
 use hacc_kernels::Variant;
 use hacc_metrics::{
@@ -441,11 +441,6 @@ pub fn ablation_memory_granularity(problem: &BenchProblem) -> String {
         ));
     }
     out
-}
-
-/// Sanity accessor used by tests: all variants measured per platform.
-pub fn variant_labels(arch: &GpuArch) -> Vec<&'static str> {
-    variants_for(arch).into_iter().map(|v| v.label()).collect()
 }
 
 /// Machine-readable dump of the full evaluation (for plotting scripts

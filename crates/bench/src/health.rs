@@ -20,7 +20,7 @@
 //! (inline SVG, no scripts), and [`regressions`] ranks metric movement
 //! against a baseline report for the gate and the nightly diff.
 
-use crate::experiments::{profile_run_faulty, workload, VariantChoice};
+use crate::experiments::{measure, workload, VariantChoice};
 use hacc_core::{MultiRankProblem, MultiRankSim};
 use hacc_kernels::Variant;
 use hacc_telemetry::analysis::{critical_paths, StepCriticalPath};
@@ -111,8 +111,14 @@ pub fn collect_faulty(
     let mut archs = Vec::new();
     for arch in GpuArch::all() {
         let choice = VariantChoice::paper_default(&arch, Variant::Select);
-        let kernel_rec =
-            profile_run_faulty(&arch, Toolchain::sycl(), choice, &problem, fault.clone());
+        let kernel_rec = measure(
+            &arch,
+            Toolchain::sycl(),
+            choice.variant,
+            choice.launch(&arch),
+            &problem,
+            fault.clone(),
+        );
         let mut sim = MultiRankSim::new(HEALTH_RANKS, arch.clone(), mr_problem);
         let rank_rec = Recorder::new();
         sim.set_recorder(rank_rec.clone());

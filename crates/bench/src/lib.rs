@@ -14,4 +14,3 @@ pub mod health;
 pub mod ranks;
 pub mod resilience;
 pub mod scaling;
-pub mod tuner;

@@ -14,16 +14,13 @@
 //! two-species fast-mode row that the metered interpreter could not
 //! afford.
 
-use crate::experiments::{BenchProblem, VariantChoice};
-use hacc_kernels::{
-    run_gravity, run_hydro_step, DeviceParticles, GravityParams, HostParticles, Variant, WorkLists,
-};
+use crate::experiments::{prepare, BenchProblem, Prepared, VariantChoice};
+use hacc_kernels::{HostParticles, Variant};
 use hacc_telemetry::{EventKind, Recorder};
-use hacc_tree::{InteractionList, RcbTree};
 use rayon::prelude::*;
 use serde::Serialize;
 use std::time::Instant;
-use sycl_sim::{Device, ExecutionPolicy, GpuArch, LaunchConfig, MeterPolicy, Toolchain};
+use sycl_sim::{ExecutionPolicy, GpuArch, LaunchConfig, MeterPolicy, Toolchain};
 
 /// The metering modes the sweep crosses with every execution policy:
 /// the fully metered reference interpreter and the SIMD-chunked fast
@@ -115,45 +112,19 @@ pub struct ScalingSweep {
     pub big: Option<BigRow>,
 }
 
-/// Work shared by every row: geometry is built once so each row times
-/// only the kernel sequence.
-struct Prepared {
-    device: Device,
-    work: WorkLists,
-    ordered: hacc_kernels::HostParticles,
-    launch: LaunchConfig,
-    variant: Variant,
-    box_size: f32,
-    poly: [f32; 6],
-    r_cut2: f32,
-}
-
-fn prepare(arch: &GpuArch, choice: VariantChoice, problem: &BenchProblem) -> Prepared {
-    let device = Device::new(arch.clone(), Toolchain::sycl()).expect("toolchain/arch mismatch");
-    let tree = RcbTree::build(
-        &problem.particles.pos,
-        choice.variant.preferred_leaf_capacity(choice.sg_size),
+/// Work shared by every row: the Select build's paper-default set-up
+/// is built once so each row times only the kernel sequence.
+fn prepare_select(arch: &GpuArch, problem: &BenchProblem) -> (Prepared, LaunchConfig) {
+    let choice = VariantChoice::paper_default(arch, Variant::Select);
+    let prepared = prepare(
+        arch,
+        Toolchain::sycl(),
+        choice.variant,
+        choice.sg_size,
+        problem,
+        None,
     );
-    let list = InteractionList::build(&tree, problem.box_size, problem.r_cut);
-    let work = WorkLists::build(&tree, &list, choice.sg_size);
-    let ordered = problem.particles.permuted(&tree.order);
-    Prepared {
-        device,
-        work,
-        ordered,
-        launch: LaunchConfig {
-            sg_size: choice.sg_size,
-            wg_size: 128.max(choice.sg_size),
-            grf: choice.grf,
-            exec: ExecutionPolicy::Serial,
-            meter: MeterPolicy::Full,
-            bounds: sycl_sim::LaunchBounds::Default,
-        },
-        variant: choice.variant,
-        box_size: problem.box_size as f32,
-        poly: problem.poly,
-        r_cut2: (problem.r_cut * problem.r_cut) as f32,
-    }
+    (prepared, choice.launch(arch))
 }
 
 /// Measures what parallel speedup this host can physically deliver: a
@@ -210,42 +181,14 @@ fn kernel_wall(telemetry: &Recorder) -> Vec<KernelWall> {
     out
 }
 
-/// Runs one full step under `exec` and `meter`, returning (wall
-/// seconds, digest, per-kernel wall breakdown).
-fn timed_step(
-    p: &Prepared,
-    exec: ExecutionPolicy,
-    meter: MeterPolicy,
-) -> (f64, u64, Vec<KernelWall>) {
-    // Fresh upload per run: the step mutates the accumulators, and a
-    // clean slate keeps every row's input bit-identical.
-    let data = DeviceParticles::upload(&p.ordered);
-    let launch = LaunchConfig {
-        exec,
-        meter,
-        ..p.launch
-    };
+/// Runs one full step under `launch`, returning (wall seconds, digest,
+/// per-kernel wall breakdown).
+fn timed_step(p: &Prepared, launch: LaunchConfig) -> (f64, u64, Vec<KernelWall>) {
+    let data = p.upload();
     let telemetry = Recorder::new();
     let t0 = Instant::now();
-    run_hydro_step(
-        &p.device, &data, &p.work, p.variant, p.box_size, launch, &telemetry,
-    )
-    .expect("fault-free hydro step must succeed");
-    run_gravity(
-        &p.device,
-        &data,
-        &p.work,
-        p.variant,
-        p.box_size,
-        GravityParams {
-            poly: p.poly,
-            r_cut2: p.r_cut2,
-            soft2: 1e-4,
-        },
-        launch,
-        &telemetry,
-    )
-    .expect("fault-free gravity launch must succeed");
+    p.hydro(&data, launch, &telemetry);
+    p.gravity(&data, launch, &telemetry);
     let wall = t0.elapsed().as_secs_f64();
     (wall, data.state_digest(), kernel_wall(&telemetry))
 }
@@ -292,14 +235,14 @@ pub fn two_species(problem: &BenchProblem) -> BenchProblem {
 /// throughput. There is deliberately no metered twin — the row exists
 /// because the fast path makes this size affordable at all.
 pub fn big_row(arch: &GpuArch, problem: &BenchProblem) -> BigRow {
-    let choice = VariantChoice::paper_default(arch, Variant::Select);
-    let p = prepare(arch, choice, problem);
-    let exec = ExecutionPolicy::from_env();
-    let (wall, digest, _) = timed_step(&p, exec, MeterPolicy::Off);
+    // The build's own launch already carries the environment's
+    // execution policy; only metering is switched off.
+    let (p, launch) = prepare_select(arch, problem);
+    let (wall, digest, _) = timed_step(&p, launch.with_meter(MeterPolicy::Off));
     BigRow {
         n_particles: problem.particles.len(),
         mode: "fast".to_string(),
-        policy: exec.label(),
+        policy: launch.exec.label(),
         step_seconds: wall,
         particles_per_second: problem.particles.len() as f64 / wall.max(1e-12),
         digest: format!("{digest:016x}"),
@@ -315,8 +258,7 @@ pub fn sweep(
     thread_counts: &[usize],
     repeats: usize,
 ) -> ScalingSweep {
-    let choice = VariantChoice::paper_default(arch, Variant::Select);
-    let p = prepare(arch, choice, problem);
+    let (p, launch) = prepare_select(arch, problem);
     let repeats = repeats.max(1);
 
     let mut policies = vec![ExecutionPolicy::Serial];
@@ -358,7 +300,7 @@ pub fn sweep(
     // each window across every row, so best-of compares like with like.
     for r in 0..repeats {
         for row in &mut rows {
-            let (wall, d, kw) = timed_step(&p, row.exec, row.meter);
+            let (wall, d, kw) = timed_step(&p, launch.with_exec(row.exec).with_meter(row.meter));
             if r == 0 {
                 row.digest = d;
             } else {

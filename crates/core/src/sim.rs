@@ -28,9 +28,9 @@ use crate::timers::{Timers, TimersSink};
 use hacc_comm::{Interconnect, ParticleBatch, Tag, Transport};
 use hacc_cosmo::{z_to_a, Friedmann, LinearPower};
 use hacc_kernels::{
-    launch_resilient, run_gravity_with_policy, run_hydro_step_planned, run_hydro_step_with_policy,
-    DeviceParticles, GravityParams, HostParticles, LaunchPolicy, Subgrid, SubgridParams,
-    TunedSelector, Variant, WorkLists, WorkSet, GRAVITY_TIMER,
+    launch_resilient, run_gravity_with_policy, run_hydro_step_planned, DeviceParticles,
+    GravityParams, HostParticles, LaunchPolicy, StepPlan, Subgrid, SubgridParams, TunedSelector,
+    Variant, WorkLists, WorkSet, GRAVITY_TIMER,
 };
 use hacc_mesh::{zeldovich_ics, ForceSplit, PmSolver, PolyShortRange};
 use hacc_telemetry::Recorder;
@@ -38,7 +38,7 @@ use hacc_tree::{InteractionList, RcbTree};
 use std::sync::{Arc, Mutex};
 use sycl_sim::{
     Device, FaultConfig, FaultInjector, GrfMode, LaunchConfig, LaunchError, ResourceId, RunError,
-    TaskGraph, Toolchain,
+    TaskGraph, Toolchain, TunablePoint,
 };
 
 /// Particle species tags.
@@ -144,7 +144,7 @@ fn device_gravity_with(ctx: &GravityCtx<'_>, idx: &[usize]) -> Result<Vec<[f64; 
             .lock()
             .unwrap()
             .peek(GRAVITY_TIMER)
-            .map(|(v, c)| (v, c.apply_to(ctx.launch)))
+            .map(|(v, c)| (v, c.knobs().apply_to(ctx.launch)))
             .unwrap_or((ctx.variant, ctx.launch)),
         None => (ctx.variant, ctx.launch),
     };
@@ -263,14 +263,9 @@ impl Simulation {
         let sg_size = device_cfg
             .sg_size
             .unwrap_or_else(|| *arch.sg_sizes.last().expect("arch without sg sizes"));
-        let launch = LaunchConfig {
-            sg_size,
-            wg_size: 128.max(sg_size),
-            grf: device_cfg.grf,
-            exec: sycl_sim::ExecutionPolicy::default(),
-            meter: sycl_sim::MeterPolicy::from_env(),
-            bounds: sycl_sim::LaunchBounds::Default,
-        };
+        let launch = TunablePoint::classic(sg_size, device_cfg.grf).apply_to(
+            LaunchConfig::defaults_for(&arch).with_meter(sycl_sim::MeterPolicy::from_env()),
+        );
 
         // Initial conditions: one Gaussian realization displaces both
         // species (baryons trace dark matter at z_init, as in adiabatic
@@ -590,35 +585,34 @@ impl Simulation {
         // Upload: pos(3)+vel(3)+mass+h+u.
         self.charge_transfer("h2d", idx.len() * 9 * 4);
         let data = DeviceParticles::upload(&hp);
-        if let Some(tuning) = &self.tuning {
-            // Tuned path: per-timer plan from the cache (with epsilon
-            // exploration), work lists for every planned sub-group
-            // size, and measured estimates fed back into the cache.
-            let mut sel = tuning.lock().unwrap();
-            let plan = sel.plan(self.variant, self.launch, Some(&self.telemetry));
-            let works = WorkSet::build(&tree, &list, plan.sg_sizes());
-            let reports = run_hydro_step_planned(
-                &self.device,
-                &data,
-                &works,
-                &plan,
-                box_size as f32,
-                &self.telemetry,
-                &self.launch_policy,
-            )?;
-            sel.observe_step(&self.device, &reports, Some(&self.telemetry));
-        } else {
-            let work = WorkLists::build(&tree, &list, self.launch.sg_size);
-            run_hydro_step_with_policy(
-                &self.device,
-                &data,
-                &work,
+        // The tuner's per-timer plan (cached winners, epsilon
+        // exploration) when one is attached, else the uniform plan; one
+        // kernel sequence either way. Work lists cover every planned
+        // sub-group size, and a tuner gets the measured estimates back.
+        let plan = match &self.tuning {
+            Some(t) => t.lock().expect("tuner lock poisoned").plan(
                 self.variant,
-                box_size as f32,
                 self.launch,
-                &self.telemetry,
-                &self.launch_policy,
-            )?;
+                Some(&self.telemetry),
+            ),
+            None => StepPlan::uniform(self.variant, self.launch),
+        };
+        let works = WorkSet::build(&tree, &list, plan.sg_sizes());
+        let reports = run_hydro_step_planned(
+            &self.device,
+            &data,
+            &works,
+            &plan,
+            box_size as f32,
+            &self.telemetry,
+            &self.launch_policy,
+        )?;
+        if let Some(t) = &self.tuning {
+            t.lock().expect("tuner lock poisoned").observe_step(
+                &self.device,
+                &reports,
+                Some(&self.telemetry),
+            );
         }
 
         // Sub-grid pass (lane-parallel; adds its cooling rate and

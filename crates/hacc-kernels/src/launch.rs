@@ -21,6 +21,7 @@ use crate::variant::Variant;
 use crate::worklist::{build_chunks, build_tiles, ChunkWork, Tile};
 use hacc_telemetry::{FaultInfo, KernelProfile, Recorder};
 use hacc_tree::{InteractionList, RcbTree};
+use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::sync::Arc;
 use sycl_sim::{Device, LaunchConfig, LaunchError, LaunchReport, SgKernel};
 
@@ -299,326 +300,6 @@ fn finish_bracket(
     }
 }
 
-/// Runs the complete hydro kernel sequence for one time step under the
-/// default [`LaunchPolicy`] and returns the seven timer reports (in the
-/// paper's order), leaving the outputs in the device buffers.
-pub fn run_hydro_step(
-    device: &Device,
-    data: &DeviceParticles,
-    work: &WorkLists,
-    variant: Variant,
-    box_size: f32,
-    cfg: LaunchConfig,
-    telemetry: &Recorder,
-) -> Result<Vec<TimerReport>, LaunchError> {
-    run_hydro_step_with_policy(
-        device,
-        data,
-        work,
-        variant,
-        box_size,
-        cfg,
-        telemetry,
-        &LaunchPolicy::default(),
-    )
-}
-
-/// [`run_hydro_step`] with an explicit retry/fallback policy.
-///
-/// A variant that persistently faults mid-step is demoted along its
-/// fallback chain and the *demoted* variant carries the rest of the
-/// step, so all seven timer brackets stay mutually consistent.
-#[allow(clippy::too_many_arguments)]
-pub fn run_hydro_step_with_policy(
-    device: &Device,
-    data: &DeviceParticles,
-    work: &WorkLists,
-    variant: Variant,
-    box_size: f32,
-    cfg: LaunchConfig,
-    telemetry: &Recorder,
-    policy: &LaunchPolicy,
-) -> Result<Vec<TimerReport>, LaunchError> {
-    if variant.needs_visa() && !device.toolchain.enable_visa {
-        return Err(LaunchError::Config {
-            message: "the vISA variant requires the SYCL(vISA) toolchain".to_string(),
-        });
-    }
-    data.clear_accumulators();
-    let n = data.n;
-    let fin_cfg = cfg;
-    let fin_instances = lane_parallel_instances(n, cfg.sg_size);
-    let mut active = variant;
-    let mut timers = Vec::new();
-
-    // Geometry + finalize.
-    {
-        let _span = telemetry.span("upGeo");
-        let geo = launch_pair_resilient(
-            device,
-            Geometry {
-                data: data.clone(),
-                box_size,
-            },
-            work,
-            &mut active,
-            cfg,
-            policy,
-            telemetry,
-        )?;
-        let fin = launch_resilient(
-            device,
-            &FinalizeGeometry { data: data.clone() },
-            fin_instances,
-            fin_cfg,
-            policy,
-            telemetry,
-            active.label(),
-        )?;
-        timers.push(finish_bracket(
-            device,
-            telemetry,
-            active,
-            "upGeo",
-            vec![geo, fin],
-        ));
-    }
-
-    // Corrections + finalize.
-    {
-        let _span = telemetry.span("upCor");
-        let cor = launch_pair_resilient(
-            device,
-            Corrections {
-                data: data.clone(),
-                box_size,
-            },
-            work,
-            &mut active,
-            cfg,
-            policy,
-            telemetry,
-        )?;
-        let fin = launch_resilient(
-            device,
-            &FinalizeCorrections { data: data.clone() },
-            fin_instances,
-            fin_cfg,
-            policy,
-            telemetry,
-            active.label(),
-        )?;
-        timers.push(finish_bracket(
-            device,
-            telemetry,
-            active,
-            "upCor",
-            vec![cor, fin],
-        ));
-    }
-
-    // Extras + EOS finalize.
-    {
-        let _span = telemetry.span("upBarEx");
-        let ext = launch_pair_resilient(
-            device,
-            Extras {
-                data: data.clone(),
-                box_size,
-            },
-            work,
-            &mut active,
-            cfg,
-            policy,
-            telemetry,
-        )?;
-        let fin = launch_resilient(
-            device,
-            &FinalizeEos { data: data.clone() },
-            fin_instances,
-            fin_cfg,
-            policy,
-            telemetry,
-            active.label(),
-        )?;
-        timers.push(finish_bracket(
-            device,
-            telemetry,
-            active,
-            "upBarEx",
-            vec![ext, fin],
-        ));
-    }
-
-    // Acceleration + Energy, predictor pass.
-    {
-        let _span = telemetry.span("upBarAc");
-        let ac = launch_pair_resilient(
-            device,
-            Acceleration {
-                data: data.clone(),
-                box_size,
-            },
-            work,
-            &mut active,
-            cfg,
-            policy,
-            telemetry,
-        )?;
-        timers.push(finish_bracket(
-            device,
-            telemetry,
-            active,
-            "upBarAc",
-            vec![ac],
-        ));
-    }
-    {
-        let _span = telemetry.span("upBarDu");
-        let du = launch_pair_resilient(
-            device,
-            Energy {
-                data: data.clone(),
-                box_size,
-            },
-            work,
-            &mut active,
-            cfg,
-            policy,
-            telemetry,
-        )?;
-        timers.push(finish_bracket(
-            device,
-            telemetry,
-            active,
-            "upBarDu",
-            vec![du],
-        ));
-    }
-
-    // Corrector pass: CRK-HACC re-evaluates the momentum and energy
-    // derivatives after the half-step update. The state here is the same
-    // (the driver owns the half-step push), so clear and re-accumulate.
-    for c in 0..3 {
-        data.acc[c].fill_f32(0.0);
-    }
-    data.du_dt.fill_f32(0.0);
-    data.dt_min.fill_f32(f32::MAX);
-    {
-        let _span = telemetry.span("upBarAcF");
-        let acf = launch_pair_resilient(
-            device,
-            Acceleration {
-                data: data.clone(),
-                box_size,
-            },
-            work,
-            &mut active,
-            cfg,
-            policy,
-            telemetry,
-        )?;
-        timers.push(finish_bracket(
-            device,
-            telemetry,
-            active,
-            "upBarAcF",
-            vec![acf],
-        ));
-    }
-    {
-        let _span = telemetry.span("upBarDuF");
-        let duf = launch_pair_resilient(
-            device,
-            Energy {
-                data: data.clone(),
-                box_size,
-            },
-            work,
-            &mut active,
-            cfg,
-            policy,
-            telemetry,
-        )?;
-        timers.push(finish_bracket(
-            device,
-            telemetry,
-            active,
-            "upBarDuF",
-            vec![duf],
-        ));
-    }
-
-    Ok(timers)
-}
-
-/// Launches the short-range gravity kernel (its own timer, outside the
-/// five hydro hot spots) under the default [`LaunchPolicy`].
-pub fn run_gravity(
-    device: &Device,
-    data: &DeviceParticles,
-    work: &WorkLists,
-    variant: Variant,
-    box_size: f32,
-    params: GravityParams,
-    cfg: LaunchConfig,
-    telemetry: &Recorder,
-) -> Result<TimerReport, LaunchError> {
-    run_gravity_with_policy(
-        device,
-        data,
-        work,
-        variant,
-        box_size,
-        params,
-        cfg,
-        telemetry,
-        &LaunchPolicy::default(),
-    )
-}
-
-/// [`run_gravity`] with an explicit retry/fallback policy.
-#[allow(clippy::too_many_arguments)]
-pub fn run_gravity_with_policy(
-    device: &Device,
-    data: &DeviceParticles,
-    work: &WorkLists,
-    variant: Variant,
-    box_size: f32,
-    params: GravityParams,
-    cfg: LaunchConfig,
-    telemetry: &Recorder,
-    policy: &LaunchPolicy,
-) -> Result<TimerReport, LaunchError> {
-    for c in 0..3 {
-        data.acc_grav[c].fill_f32(0.0);
-    }
-    let _span = telemetry.span("upGrav");
-    let mut active = variant;
-    let grav = launch_pair_resilient(
-        device,
-        Gravity {
-            data: data.clone(),
-            box_size,
-            poly: params.poly,
-            r_cut2: params.r_cut2,
-            soft2: params.soft2,
-        },
-        work,
-        &mut active,
-        cfg,
-        policy,
-        telemetry,
-    )?;
-    Ok(finish_bracket(
-        device,
-        telemetry,
-        active,
-        "upGrav",
-        vec![grav],
-    ))
-}
-
 /// The paper's seven hydro timer names, in presentation order.
 pub const HYDRO_TIMERS: [&str; 7] = [
     "upGeo", "upCor", "upBarEx", "upBarAc", "upBarAcF", "upBarDu", "upBarDuF",
@@ -628,21 +309,20 @@ pub const HYDRO_TIMERS: [&str; 7] = [
 pub const GRAVITY_TIMER: &str = "upGrav";
 
 /// A per-timer launch plan: which (variant, launch config) each kernel
-/// bracket runs with. Built by the autotuner from cached winners; a
-/// uniform plan reproduces the classic single-choice step exactly.
+/// bracket runs with. The untuned step is the uniform plan; the
+/// autotuner overrides timers from cached winners.
 #[derive(Clone, Debug)]
 pub struct StepPlan {
     default: (Variant, LaunchConfig),
-    per_timer: std::collections::BTreeMap<String, (Variant, LaunchConfig)>,
+    per_timer: BTreeMap<String, (Variant, LaunchConfig)>,
 }
 
 impl StepPlan {
-    /// A plan that uses one (variant, config) for every bracket —
-    /// equivalent to the untuned step.
+    /// A plan that uses one (variant, config) for every bracket.
     pub fn uniform(variant: Variant, cfg: LaunchConfig) -> Self {
         Self {
             default: (variant, cfg),
-            per_timer: std::collections::BTreeMap::new(),
+            per_timer: BTreeMap::new(),
         }
     }
 
@@ -658,12 +338,9 @@ impl StepPlan {
 
     /// Every distinct sub-group size the plan launches with — the sizes
     /// a [`WorkSet`] must cover.
-    pub fn sg_sizes(&self) -> std::collections::BTreeSet<usize> {
-        let mut s = std::collections::BTreeSet::new();
-        s.insert(self.default.1.sg_size);
-        for (_, cfg) in self.per_timer.values() {
-            s.insert(cfg.sg_size);
-        }
+    pub fn sg_sizes(&self) -> BTreeSet<usize> {
+        let mut s = BTreeSet::from([self.default.1.sg_size]);
+        s.extend(self.per_timer.values().map(|(_, cfg)| cfg.sg_size));
         s
     }
 }
@@ -675,7 +352,7 @@ impl StepPlan {
 /// and chunks.
 #[derive(Clone, Default)]
 pub struct WorkSet {
-    by_sg: std::collections::BTreeMap<usize, WorkLists>,
+    by_sg: BTreeMap<usize, WorkLists>,
 }
 
 impl WorkSet {
@@ -685,7 +362,7 @@ impl WorkSet {
         list: &InteractionList,
         sg_sizes: I,
     ) -> Self {
-        let mut by_sg = std::collections::BTreeMap::new();
+        let mut by_sg = BTreeMap::new();
         for sg in sg_sizes {
             by_sg
                 .entry(sg)
@@ -696,9 +373,9 @@ impl WorkSet {
 
     /// Wraps an already-built list for a single sub-group size.
     pub fn single(sg_size: usize, work: WorkLists) -> Self {
-        let mut by_sg = std::collections::BTreeMap::new();
-        by_sg.insert(sg_size, work);
-        Self { by_sg }
+        Self {
+            by_sg: BTreeMap::from([(sg_size, work)]),
+        }
     }
 
     /// The work lists for a sub-group size, if built.
@@ -707,56 +384,117 @@ impl WorkSet {
     }
 }
 
-/// Runs one planned timer bracket: the pairwise kernel under the plan's
-/// (variant, config) for this timer, plus an optional lane-parallel
-/// finalize pass. Fallback on a persistently faulting variant is local
-/// to the bracket — each bracket restarts from its *planned* variant,
-/// unlike the untuned step where one demotion carries forward.
-fn planned_bracket<P: PairPhysics + Clone, F: SgKernel>(
-    device: &Device,
-    works: &WorkSet,
-    plan: &StepPlan,
-    timer: &str,
-    physics: P,
-    finalize: Option<&F>,
-    n: usize,
-    telemetry: &Recorder,
-    policy: &LaunchPolicy,
-) -> Result<TimerReport, LaunchError> {
-    let (variant, cfg) = plan.choice(timer);
-    if variant.needs_visa() && !device.toolchain.enable_visa {
-        return Err(LaunchError::Config {
-            message: format!("timer {timer}: the vISA variant requires the SYCL(vISA) toolchain"),
-        });
-    }
-    let work = works.get(cfg.sg_size).ok_or_else(|| LaunchError::Config {
-        message: format!(
-            "timer {timer}: no work lists built for sub-group size {}",
-            cfg.sg_size
-        ),
-    })?;
-    let _span = telemetry.span(timer);
-    let mut active = variant;
-    let main = launch_pair_resilient(device, physics, work, &mut active, cfg, policy, telemetry)?;
-    let mut launches = vec![main];
-    if let Some(fin) = finalize {
-        launches.push(launch_resilient(
-            device,
-            fin,
-            lane_parallel_instances(n, cfg.sg_size),
-            cfg,
-            policy,
-            telemetry,
-            active.label(),
-        )?);
-    }
-    Ok(finish_bracket(device, telemetry, active, timer, launches))
+/// What every bracket of one kernel sequence shares.
+struct Sequence<'a> {
+    device: &'a Device,
+    data: &'a DeviceParticles,
+    box_size: f32,
+    telemetry: &'a Recorder,
+    policy: &'a LaunchPolicy,
 }
 
-/// Runs the hydro step under a per-timer [`StepPlan`] — the tuned
-/// counterpart of [`run_hydro_step_with_policy`]. With a uniform plan
-/// and a matching [`WorkSet`] the launch sequence, telemetry stream and
-/// physics are identical to the untuned step.
+impl Sequence<'_> {
+    /// Runs one timer bracket — the only one there is: the pairwise
+    /// kernel under (`variant`, `cfg`) plus an optional lane-parallel
+    /// finalize pass, closed by [`finish_bracket`]. `variant` comes back
+    /// as the variant that actually ran (a fallback demotion of the one
+    /// passed in when that persistently faults).
+    fn bracket<P: PairPhysics + Clone, F: SgKernel>(
+        &self,
+        timer: &str,
+        work: &WorkLists,
+        variant: &mut Variant,
+        cfg: LaunchConfig,
+        physics: P,
+        finalize: Option<&F>,
+    ) -> Result<TimerReport, LaunchError> {
+        if variant.needs_visa() && !self.device.toolchain.enable_visa {
+            return Err(LaunchError::Config {
+                message: format!(
+                    "timer {timer}: the vISA variant requires the SYCL(vISA) toolchain"
+                ),
+            });
+        }
+        let Self {
+            device,
+            telemetry,
+            policy,
+            ..
+        } = *self;
+        let _span = telemetry.span(timer);
+        let main = launch_pair_resilient(device, physics, work, variant, cfg, policy, telemetry)?;
+        let mut launches = vec![main];
+        if let Some(fin) = finalize {
+            launches.push(launch_resilient(
+                device,
+                fin,
+                lane_parallel_instances(self.data.n, cfg.sg_size),
+                cfg,
+                policy,
+                telemetry,
+                variant.label(),
+            )?);
+        }
+        Ok(finish_bracket(device, telemetry, *variant, timer, launches))
+    }
+}
+
+/// Launches one hydro timer's bracket through [`Sequence::bracket`].
+type HydroBracket = fn(
+    &Sequence<'_>,
+    &str,
+    &WorkLists,
+    &mut Variant,
+    LaunchConfig,
+) -> Result<TimerReport, LaunchError>;
+
+/// For the brackets that have no finalize pass.
+const NO_FINALIZE: Option<&FinalizeGeometry> = None;
+
+/// One row of [`HYDRO_SEQUENCE`]: the bracket of the named pairwise
+/// physics, closed by the named finalize kernel when there is one.
+macro_rules! hydro_bracket {
+    ($physics:ident) => {
+        |s, timer, work, variant, cfg| {
+            let (data, box_size) = (s.data.clone(), s.box_size);
+            let physics = $physics { data, box_size };
+            s.bracket(timer, work, variant, cfg, physics, NO_FINALIZE)
+        }
+    };
+    ($physics:ident, $finalize:ident) => {
+        |s, timer, work, variant, cfg| {
+            let (data, box_size) = (s.data.clone(), s.box_size);
+            let finalize = $finalize { data: data.clone() };
+            let physics = $physics { data, box_size };
+            s.bracket(timer, work, variant, cfg, physics, Some(&finalize))
+        }
+    };
+}
+
+/// The hydro kernel sequence in launch order: timer name → bracket.
+/// The corrector pass (the second *Acceleration* / *Energy* pair) opens
+/// at `upBarAcF`.
+const HYDRO_SEQUENCE: [(&str, HydroBracket); 7] = [
+    ("upGeo", hydro_bracket!(Geometry, FinalizeGeometry)),
+    ("upCor", hydro_bracket!(Corrections, FinalizeCorrections)),
+    ("upBarEx", hydro_bracket!(Extras, FinalizeEos)),
+    ("upBarAc", hydro_bracket!(Acceleration)),
+    ("upBarDu", hydro_bracket!(Energy)),
+    ("upBarAcF", hydro_bracket!(Acceleration)),
+    ("upBarDuF", hydro_bracket!(Energy)),
+];
+
+/// Runs the complete hydro kernel sequence for one time step under a
+/// per-timer [`StepPlan`] and returns the seven timer reports in launch
+/// order, leaving the outputs in the device buffers. This is the only
+/// hydro sequence: the untuned step ([`run_hydro_step`]) is a uniform
+/// plan through it.
+///
+/// A variant that persistently faults in a bracket is demoted along its
+/// fallback chain, and stays demoted for every later bracket of the step
+/// that planned the same variant — a known-broken variant is probed
+/// once, and under a uniform plan all seven brackets stay mutually
+/// consistent. Brackets that planned a different variant are untouched.
 pub fn run_hydro_step_planned(
     device: &Device,
     data: &DeviceParticles,
@@ -767,168 +505,115 @@ pub fn run_hydro_step_planned(
     policy: &LaunchPolicy,
 ) -> Result<Vec<TimerReport>, LaunchError> {
     data.clear_accumulators();
-    let n = data.n;
-    let mut timers = vec![planned_bracket(
+    let seq = Sequence {
         device,
-        works,
-        plan,
-        "upGeo",
-        Geometry {
-            data: data.clone(),
-            box_size,
-        },
-        Some(&FinalizeGeometry { data: data.clone() }),
-        n,
+        data,
+        box_size,
         telemetry,
         policy,
-    )?];
-    timers.push(planned_bracket(
-        device,
-        works,
-        plan,
-        "upCor",
-        Corrections {
-            data: data.clone(),
-            box_size,
-        },
-        Some(&FinalizeCorrections { data: data.clone() }),
-        n,
-        telemetry,
-        policy,
-    )?);
-    timers.push(planned_bracket(
-        device,
-        works,
-        plan,
-        "upBarEx",
-        Extras {
-            data: data.clone(),
-            box_size,
-        },
-        Some(&FinalizeEos { data: data.clone() }),
-        n,
-        telemetry,
-        policy,
-    )?);
-    timers.push(planned_bracket(
-        device,
-        works,
-        plan,
-        "upBarAc",
-        Acceleration {
-            data: data.clone(),
-            box_size,
-        },
-        Option::<&FinalizeGeometry>::None,
-        n,
-        telemetry,
-        policy,
-    )?);
-    timers.push(planned_bracket(
-        device,
-        works,
-        plan,
-        "upBarDu",
-        Energy {
-            data: data.clone(),
-            box_size,
-        },
-        Option::<&FinalizeGeometry>::None,
-        n,
-        telemetry,
-        policy,
-    )?);
-    // Corrector pass (see run_hydro_step_with_policy).
-    for c in 0..3 {
-        data.acc[c].fill_f32(0.0);
+    };
+    // Planned variant -> the variant it ran as earlier in this step.
+    let mut ran_as: HashMap<Variant, Variant> = HashMap::new();
+    let mut timers = Vec::with_capacity(HYDRO_SEQUENCE.len());
+    for (timer, bracket) in HYDRO_SEQUENCE {
+        if timer == "upBarAcF" {
+            // Corrector pass: CRK-HACC re-evaluates the momentum and
+            // energy derivatives after the half-step update. The state
+            // here is the same (the driver owns the half-step push), so
+            // clear and re-accumulate.
+            for c in 0..3 {
+                data.acc[c].fill_f32(0.0);
+            }
+            data.du_dt.fill_f32(0.0);
+            data.dt_min.fill_f32(f32::MAX);
+        }
+        let (planned, cfg) = plan.choice(timer);
+        let work = works.get(cfg.sg_size).ok_or_else(|| LaunchError::Config {
+            message: format!(
+                "timer {timer}: no work lists built for sub-group size {}",
+                cfg.sg_size
+            ),
+        })?;
+        let mut active = *ran_as.get(&planned).unwrap_or(&planned);
+        timers.push(bracket(&seq, timer, work, &mut active, cfg)?);
+        ran_as.insert(planned, active);
     }
-    data.du_dt.fill_f32(0.0);
-    data.dt_min.fill_f32(f32::MAX);
-    timers.push(planned_bracket(
-        device,
-        works,
-        plan,
-        "upBarAcF",
-        Acceleration {
-            data: data.clone(),
-            box_size,
-        },
-        Option::<&FinalizeGeometry>::None,
-        n,
-        telemetry,
-        policy,
-    )?);
-    timers.push(planned_bracket(
-        device,
-        works,
-        plan,
-        "upBarDuF",
-        Energy {
-            data: data.clone(),
-            box_size,
-        },
-        Option::<&FinalizeGeometry>::None,
-        n,
-        telemetry,
-        policy,
-    )?);
     Ok(timers)
 }
 
-/// Runs the short-range gravity kernel under a [`StepPlan`]'s
-/// [`GRAVITY_TIMER`] choice — the tuned counterpart of
-/// [`run_gravity_with_policy`].
-pub fn run_gravity_planned(
+/// [`run_hydro_step_planned`] with one (variant, config) for every
+/// bracket, one set of work lists and the default [`LaunchPolicy`].
+pub fn run_hydro_step(
     device: &Device,
     data: &DeviceParticles,
-    works: &WorkSet,
-    plan: &StepPlan,
+    work: &WorkLists,
+    variant: Variant,
+    box_size: f32,
+    cfg: LaunchConfig,
+    telemetry: &Recorder,
+) -> Result<Vec<TimerReport>, LaunchError> {
+    run_hydro_step_planned(
+        device,
+        data,
+        &WorkSet::single(cfg.sg_size, work.clone()),
+        &StepPlan::uniform(variant, cfg),
+        box_size,
+        telemetry,
+        &LaunchPolicy::default(),
+    )
+}
+
+/// Launches the short-range gravity kernel (its own timer, outside the
+/// five hydro hot spots) under the default [`LaunchPolicy`].
+pub fn run_gravity(
+    device: &Device,
+    data: &DeviceParticles,
+    work: &WorkLists,
+    variant: Variant,
     box_size: f32,
     params: GravityParams,
+    cfg: LaunchConfig,
+    telemetry: &Recorder,
+) -> Result<TimerReport, LaunchError> {
+    let policy = LaunchPolicy::default();
+    run_gravity_with_policy(
+        device, data, work, variant, box_size, params, cfg, telemetry, &policy,
+    )
+}
+
+/// [`run_gravity`] with an explicit retry/fallback policy: the
+/// [`GRAVITY_TIMER`] bracket, a sequence of one.
+#[allow(clippy::too_many_arguments)]
+pub fn run_gravity_with_policy(
+    device: &Device,
+    data: &DeviceParticles,
+    work: &WorkLists,
+    variant: Variant,
+    box_size: f32,
+    params: GravityParams,
+    cfg: LaunchConfig,
     telemetry: &Recorder,
     policy: &LaunchPolicy,
 ) -> Result<TimerReport, LaunchError> {
     for c in 0..3 {
         data.acc_grav[c].fill_f32(0.0);
     }
-    let (variant, cfg) = plan.choice(GRAVITY_TIMER);
-    if variant.needs_visa() && !device.toolchain.enable_visa {
-        return Err(LaunchError::Config {
-            message: format!(
-                "timer {GRAVITY_TIMER}: the vISA variant requires the SYCL(vISA) toolchain"
-            ),
-        });
-    }
-    let work = works.get(cfg.sg_size).ok_or_else(|| LaunchError::Config {
-        message: format!(
-            "timer {GRAVITY_TIMER}: no work lists built for sub-group size {}",
-            cfg.sg_size
-        ),
-    })?;
-    let _span = telemetry.span(GRAVITY_TIMER);
-    let mut active = variant;
-    let grav = launch_pair_resilient(
+    let seq = Sequence {
         device,
-        Gravity {
-            data: data.clone(),
-            box_size,
-            poly: params.poly,
-            r_cut2: params.r_cut2,
-            soft2: params.soft2,
-        },
-        work,
-        &mut active,
-        cfg,
+        data,
+        box_size,
+        telemetry,
         policy,
-        telemetry,
-    )?;
-    Ok(finish_bracket(
-        device,
-        telemetry,
-        active,
-        GRAVITY_TIMER,
-        vec![grav],
-    ))
+    };
+    let physics = Gravity {
+        data: data.clone(),
+        box_size,
+        poly: params.poly,
+        r_cut2: params.r_cut2,
+        soft2: params.soft2,
+    };
+    let mut active = variant;
+    seq.bracket(GRAVITY_TIMER, work, &mut active, cfg, physics, NO_FINALIZE)
 }
 
 #[cfg(test)]
@@ -1110,13 +795,12 @@ mod tests {
             allow_fallback: false,
             ..LaunchPolicy::default()
         };
-        let err = run_hydro_step_with_policy(
+        let err = run_hydro_step_planned(
             &dev,
             &data,
-            &work,
-            Variant::Select,
+            &WorkSet::single(32, work),
+            &StepPlan::uniform(Variant::Select, cfg),
             6.0,
-            cfg,
             &rec,
             &policy,
         )
@@ -1170,32 +854,53 @@ mod tests {
     }
 
     #[test]
-    fn uniform_plan_reproduces_the_untuned_step_exactly() {
-        let dev = Device::new(GpuArch::frontier(), Toolchain::sycl()).unwrap();
+    fn a_demotion_is_shared_by_the_brackets_that_planned_the_same_variant() {
+        // Select persistently faults; upGeo, upCor (and the rest of the
+        // uniform default) planned it, upBarAc planned Broadcast.
+        let (dev, inj) = faulty_device(FaultConfig {
+            persistent_variants: vec!["Select".to_string()],
+            ..FaultConfig::default()
+        });
         let cfg = LaunchConfig::defaults_for(&dev.arch)
             .with_sg_size(32)
             .deterministic();
-        let policy = LaunchPolicy::default();
+        let (data, work) = hydro_setup(32);
+        let mut plan = StepPlan::uniform(Variant::Select, cfg);
+        plan.set("upBarAc", Variant::Broadcast, cfg);
+        let rec = Recorder::new();
+        let timers = run_hydro_step_planned(
+            &dev,
+            &data,
+            &WorkSet::single(32, work),
+            &plan,
+            6.0,
+            &rec,
+            &LaunchPolicy::default(),
+        )
+        .expect("the fallback chain absorbs the persistent fault");
 
-        let (data_a, work_a) = hydro_setup(32);
-        let rec_a = Recorder::new();
-        run_hydro_step(&dev, &data_a, &work_a, Variant::Select, 6.0, cfg, &rec_a).unwrap();
-
-        let (data_b, work_b) = hydro_setup(32);
-        let rec_b = Recorder::new();
-        let plan = StepPlan::uniform(Variant::Select, cfg);
-        let works = WorkSet::single(32, work_b);
-        run_hydro_step_planned(&dev, &data_b, &works, &plan, 6.0, &rec_b, &policy).unwrap();
-
-        // Physics is bit-identical and the telemetry streams are
-        // structurally identical (same kinds/names/values in order).
-        assert_eq!(data_a.rho.to_u32_vec(), data_b.rho.to_u32_vec());
-        assert_eq!(data_a.du_dt.to_u32_vec(), data_b.du_dt.to_u32_vec());
-        let ea = rec_a.events();
-        let eb = rec_b.events();
-        assert_eq!(ea.len(), eb.len());
-        for (x, y) in ea.iter().zip(eb.iter()) {
-            assert_eq!((&x.kind, &x.name, x.value), (&y.kind, &y.name, y.value));
+        // The block is met once, at upGeo; every later bracket that
+        // planned Select starts from the demoted variant without
+        // re-probing, and the Broadcast bracket is untouched.
+        let events = rec.events();
+        assert_eq!(counter_total(&events, "launch.fallbacks"), 1.0);
+        let blocked: Vec<_> = events
+            .iter()
+            .filter_map(|e| e.fault.as_deref())
+            .filter(|f| f.kind == "persistent-variant")
+            .collect();
+        assert_eq!(blocked.len(), 1, "one persistent-variant fault event");
+        assert_eq!(blocked[0].kernel, "upGeo");
+        assert_eq!(inj.injected(), 1);
+        for t in &timers {
+            let want = if t.timer == "upBarAc" {
+                "Broadcast"
+            } else {
+                "Memory, 32-bit"
+            };
+            for p in &t.profiles {
+                assert_eq!(p.variant, want, "timer {}", t.timer);
+            }
         }
     }
 
@@ -1241,7 +946,12 @@ mod tests {
         let rec = Recorder::new();
         let timers =
             run_hydro_step_planned(&dev, &data, &works, &plan, 6.0, &rec, &policy).unwrap();
-        assert_eq!(timers.len(), 7);
+        // The launch-order table names exactly the seven paper timers.
+        let mut launched: Vec<&str> = timers.iter().map(|t| t.timer.as_str()).collect();
+        launched.sort_unstable();
+        let mut paper = HYDRO_TIMERS;
+        paper.sort_unstable();
+        assert_eq!(launched, paper);
         for t in &timers {
             let (want_variant, want_cfg) = plan.choice(&t.timer);
             assert_eq!(t.report.sg_size, want_cfg.sg_size, "timer {}", t.timer);

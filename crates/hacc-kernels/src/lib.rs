@@ -34,9 +34,9 @@ pub mod variant;
 pub mod worklist;
 
 pub use launch::{
-    launch_resilient, run_gravity, run_gravity_planned, run_gravity_with_policy, run_hydro_step,
-    run_hydro_step_planned, run_hydro_step_with_policy, GravityParams, LaunchPolicy, StepPlan,
-    TimerReport, WorkLists, WorkSet, GRAVITY_TIMER, HYDRO_TIMERS,
+    launch_resilient, run_gravity, run_gravity_with_policy, run_hydro_step, run_hydro_step_planned,
+    GravityParams, LaunchPolicy, StepPlan, TimerReport, WorkLists, WorkSet, GRAVITY_TIMER,
+    HYDRO_TIMERS,
 };
 pub use particles::{DeviceParticles, HostParticles, GAMMA};
 pub use subgrid::{Subgrid, SubgridParams};
@@ -119,12 +119,7 @@ mod tests {
     /// Runs the full hydro step on a device and compares every output
     /// field against the f64 reference pipeline.
     fn check_variant(arch: GpuArch, variant: Variant, sg_size: usize) {
-        let tc = if variant.needs_visa() {
-            Toolchain::sycl_visa()
-        } else {
-            Toolchain::sycl()
-        };
-        let device = Device::new(arch, tc).unwrap();
+        let device = Device::new(arch, variant.toolchain()).unwrap();
         let s = setup(sg_size, 42);
         let cfg = LaunchConfig::defaults_for(&device.arch)
             .with_sg_size(sg_size)

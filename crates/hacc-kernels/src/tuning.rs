@@ -1,14 +1,18 @@
 //! Kernel-layer glue for the runtime autotuner (DESIGN.md §4j).
 //!
 //! `hacc-tune` owns the persistent cache and the epsilon-greedy
-//! selector but carries the communication variant only as a string
-//! label (it sits below this crate in the dependency order). This
-//! module composes the full search space — **variant ×
-//! [`sycl_sim::tunable`] device knobs** — stamps the cache with
-//! arch/kernel digests, and converts cached winners into validated
-//! per-timer [`StepPlan`]s, falling back to the paper's hand-picked
-//! table (Appendix A) whenever a cache entry is cold, stale, or fails
-//! re-validation against the live architecture.
+//! selector but carries the communication variant only as a string id
+//! (it sits below this crate in the dependency order). This module
+//! composes the full search space — **variant × [`sycl_sim::tunable`]
+//! device knobs** — stamps the cache with arch/kernel digests, and
+//! converts cached winners into validated per-timer [`StepPlan`]s,
+//! falling back to the paper's hand-picked table (Appendix A) whenever
+//! a cache entry is cold, stale, or fails re-validation against the
+//! live architecture.
+//!
+//! The launch choice is written once, here: [`hand_picked_knobs`] is
+//! the workspace's only Appendix-A table and [`variant_candidates`] its
+//! only legal-variant list.
 
 use crate::launch::{StepPlan, TimerReport, GRAVITY_TIMER, HYDRO_TIMERS};
 use crate::variant::{Variant, ALL_VARIANTS};
@@ -16,7 +20,7 @@ use hacc_telemetry::Recorder;
 use hacc_tune::{
     digest_strs, Selection, SizeBand, TuneCache, TuneChoice, TuneError, TuneKey, Tuner,
 };
-use sycl_sim::{tunable, Device, GpuArch, GrfMode, LaunchBounds, LaunchConfig};
+use sycl_sim::{tunable, Device, GpuArch, GrfMode, LaunchConfig, TunablePoint};
 
 /// All timers the tuner plans: the seven hydro brackets plus gravity.
 pub fn tuned_timers() -> Vec<&'static str> {
@@ -60,13 +64,7 @@ pub fn hand_picked_knobs(arch: &GpuArch, variant: Variant) -> (usize, GrfMode) {
 /// and the baseline the autotuner must never lose to.
 pub fn hand_picked_choice(arch: &GpuArch, variant: Variant) -> TuneChoice {
     let (sg, grf) = hand_picked_knobs(arch, variant);
-    TuneChoice {
-        variant: variant.id().to_string(),
-        sg_size: sg,
-        wg_size: 128.max(sg),
-        grf,
-        bounds: LaunchBounds::Default,
-    }
+    TuneChoice::new(variant.id(), TunablePoint::classic(sg, grf))
 }
 
 /// Variants legal on `arch` under `toolchain_visa` (whether the build
@@ -88,19 +86,10 @@ pub fn search_space(arch: &GpuArch, full: bool, toolchain_visa: bool) -> Vec<Tun
     } else {
         tunable::enumerate_bounded(arch)
     };
-    let mut out = Vec::new();
-    for v in variant_candidates(arch, toolchain_visa) {
-        for p in &points {
-            out.push(TuneChoice {
-                variant: v.id().to_string(),
-                sg_size: p.sg_size,
-                wg_size: p.wg_size,
-                grf: p.grf,
-                bounds: p.bounds,
-            });
-        }
-    }
-    out
+    variant_candidates(arch, toolchain_visa)
+        .into_iter()
+        .flat_map(|v| points.iter().map(move |&p| TuneChoice::new(v.id(), p)))
+        .collect()
 }
 
 /// Digest of one architecture's tuning-relevant description, so a cache
@@ -132,21 +121,18 @@ pub fn kernel_digest() -> u64 {
 }
 
 /// Re-validates a cached or explored choice against the live build:
-/// the variant label must parse, vISA needs the vISA toolchain, and the
-/// device knobs must be legal on `arch`.
+/// the variant id must parse and be legal here (vISA needs both the
+/// hardware and the toolchain), and the device knobs must be legal on
+/// `arch`.
 pub fn validate_choice(
     arch: &GpuArch,
     toolchain_visa: bool,
     choice: &TuneChoice,
 ) -> Option<(Variant, TuneChoice)> {
     let variant = Variant::from_id(&choice.variant)?;
-    if variant.needs_visa() && !(arch.supports_visa && toolchain_visa) {
-        return None;
-    }
-    if !choice.device_knobs_valid(arch) {
-        return None;
-    }
-    Some((variant, choice.clone()))
+    let legal = variant_candidates(arch, toolchain_visa).contains(&variant)
+        && choice.knobs().is_valid(arch);
+    legal.then(|| (variant, choice.clone()))
 }
 
 /// The per-simulation tuned selector: wraps the [`Tuner`] with the
@@ -253,7 +239,7 @@ impl TunedSelector {
                 let c = hand_picked_choice(&self.arch, v);
                 (v, c)
             });
-        let mut plan = StepPlan::uniform(hand_variant, hand_choice.apply_to(base));
+        let mut plan = StepPlan::uniform(hand_variant, hand_choice.knobs().apply_to(base));
         for timer in tuned_timers() {
             let key = TuneKey::new(timer, self.arch.id, self.band);
             let picked = match self.tuner.select(&key, &self.space, telemetry) {
@@ -263,7 +249,7 @@ impl TunedSelector {
                 Selection::Cold => None,
             };
             if let Some((variant, choice)) = picked {
-                plan.set(timer, variant, choice.apply_to(base));
+                plan.set(timer, variant, choice.knobs().apply_to(base));
             }
         }
         plan
@@ -307,6 +293,7 @@ impl TunedSelector {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use sycl_sim::LaunchBounds;
 
     #[test]
     fn variant_ids_round_trip_and_pass_the_cache_charset() {
@@ -357,6 +344,16 @@ mod tests {
                 );
             }
         }
+    }
+
+    #[test]
+    fn bounded_space_respects_architecture() {
+        // Aurora: 5 variants × 2 sg × 2 grf = 20; Polaris: 4 × 1 × 1 = 4;
+        // Frontier: 4 × 2 × 1 = 8.
+        let size = |arch: GpuArch| search_space(&arch, false, arch.supports_visa).len();
+        assert_eq!(size(GpuArch::aurora()), 20);
+        assert_eq!(size(GpuArch::polaris()), 4);
+        assert_eq!(size(GpuArch::frontier()), 8);
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Kernel communication variants (paper §5.3–5.4).
 
 use serde::{Deserialize, Serialize};
-use sycl_sim::{Lanes, Sg};
+use sycl_sim::{Lanes, Sg, Toolchain};
 
 /// The five communication variants evaluated in Figures 9–11.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -71,6 +71,16 @@ impl Variant {
     /// Whether the variant requires inline vISA support.
     pub fn needs_visa(&self) -> bool {
         matches!(self, Variant::Visa)
+    }
+
+    /// The SYCL build that can launch this variant: inline vISA needs the
+    /// SYCL(vISA) toolchain, everything else the plain one.
+    pub fn toolchain(&self) -> Toolchain {
+        if self.needs_visa() {
+            Toolchain::sycl_visa()
+        } else {
+            Toolchain::sycl()
+        }
     }
 
     /// The next variant to try when this one persistently faults on an

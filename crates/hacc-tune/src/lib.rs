@@ -22,15 +22,15 @@
 //! * `tune.*` telemetry counters (trials, cache hits, exploration
 //!   picks) through the existing [`Recorder`] plane.
 //!
-//! The variant axis is carried as a string label so this crate stays
-//! below `hacc-kernels` in the dependency order; the kernel layer
-//! converts labels back to its `Variant` enum and re-validates every
+//! The variant axis is carried as a string id (`Variant::id`) so this
+//! crate stays below `hacc-kernels` in the dependency order; the kernel
+//! layer converts ids back to its `Variant` enum and re-validates every
 //! choice against the live architecture before trusting it.
 
 use hacc_telemetry::Recorder;
 use std::collections::BTreeMap;
 use std::fmt;
-use sycl_sim::{GpuArch, GrfMode, LaunchBounds, LaunchConfig};
+use sycl_sim::{GrfMode, LaunchBounds, TunablePoint};
 
 /// Cache schema version; bump on any format change.
 pub const SCHEMA_VERSION: u64 = 1;
@@ -112,11 +112,15 @@ impl SizeBand {
     }
 }
 
-/// One candidate launch configuration: the kernel-layer variant (as a
-/// label) plus the device-level knobs.
+/// One candidate launch configuration in the cache's wire form: the
+/// kernel-layer variant as its string *id* plus the device-level knobs.
+/// This crate sits below `hacc-kernels`, so it cannot name the typed
+/// `Variant`; the kernel layer parses the id back and re-validates it.
 #[derive(Clone, Debug, PartialEq, Eq, Hash)]
 pub struct TuneChoice {
-    /// Communication-variant label (e.g. `"Select"`, `"Broadcast"`).
+    /// Communication-variant id as `Variant::id` spells it (e.g.
+    /// `"select"`, `"broadcast"`) — the lowercase cache-charset form,
+    /// not the figure label (`"Select"`, `"Memory, 32-bit"`).
     pub variant: String,
     /// Sub-group size.
     pub sg_size: usize,
@@ -129,42 +133,34 @@ pub struct TuneChoice {
 }
 
 impl TuneChoice {
-    /// Compact display label, e.g. `Broadcast/sg16/wg128/large/default`.
-    pub fn label(&self) -> String {
-        let grf = match self.grf {
-            GrfMode::Default => "std",
-            GrfMode::Large => "large",
-        };
-        format!(
-            "{}/sg{}/wg{}/{}/{}",
-            self.variant,
-            self.sg_size,
-            self.wg_size,
-            grf,
-            self.bounds.label()
-        )
+    /// Pairs a variant id with a device-level point.
+    pub fn new(variant_id: &str, knobs: TunablePoint) -> Self {
+        Self {
+            variant: variant_id.to_string(),
+            sg_size: knobs.sg_size,
+            wg_size: knobs.wg_size,
+            grf: knobs.grf,
+            bounds: knobs.bounds,
+        }
     }
 
-    /// True when the device-level knobs are legal on `arch` — re-checked
-    /// before a persisted winner is trusted at launch time (the variant
-    /// axis is validated by the kernel layer, which owns the enum).
-    pub fn device_knobs_valid(&self, arch: &GpuArch) -> bool {
-        sycl_sim::TunablePoint {
+    /// The device-level knobs as a [`TunablePoint`] — validity on an
+    /// architecture ([`TunablePoint::is_valid`], re-checked before a
+    /// persisted winner is trusted; the variant axis is validated by
+    /// the kernel layer, which owns the enum) and the conversion to a
+    /// launch configuration ([`TunablePoint::apply_to`]) live there.
+    pub fn knobs(&self) -> TunablePoint {
+        TunablePoint {
             sg_size: self.sg_size,
             wg_size: self.wg_size,
             grf: self.grf,
             bounds: self.bounds,
         }
-        .is_valid(arch)
     }
 
-    /// Applies the device-level knobs to a base launch configuration,
-    /// keeping its execution and metering policies.
-    pub fn apply_to(&self, base: LaunchConfig) -> LaunchConfig {
-        base.with_sg_size(self.sg_size)
-            .with_grf(self.grf)
-            .with_bounds(self.bounds)
-            .with_wg_size(self.wg_size)
+    /// Compact display label, e.g. `broadcast/sg16/wg128/large/default`.
+    pub fn label(&self) -> String {
+        format!("{}/{}", self.variant, self.knobs().label())
     }
 }
 

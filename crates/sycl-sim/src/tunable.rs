@@ -22,6 +22,7 @@
 //! dispatch; the autotuner composes both.
 
 use crate::arch::{GpuArch, GrfMode};
+use crate::device::LaunchConfig;
 
 /// Per-work-item register cap, modeling `__launch_bounds__` (CUDA) /
 /// `amdgpu-waves-per-eu` (HIP) / `-ze-opt-large-register-file`'s inverse
@@ -95,6 +96,27 @@ pub struct TunablePoint {
 }
 
 impl TunablePoint {
+    /// The paper's classic point for a (sub-group, GRF) pair: CRK-HACC's
+    /// `HACC_CUDA_BLOCK_SIZE=128` work-group, widened to the sub-group
+    /// size should that ever be larger, with default launch bounds.
+    pub fn classic(sg_size: usize, grf: GrfMode) -> Self {
+        Self {
+            sg_size,
+            wg_size: 128.max(sg_size),
+            grf,
+            bounds: LaunchBounds::Default,
+        }
+    }
+
+    /// Applies the four knobs to a base launch configuration, keeping
+    /// its execution and metering policies.
+    pub fn apply_to(&self, base: LaunchConfig) -> LaunchConfig {
+        base.with_sg_size(self.sg_size)
+            .with_grf(self.grf)
+            .with_bounds(self.bounds)
+            .with_wg_size(self.wg_size)
+    }
+
     /// Compact display label, e.g. `sg16/wg128/large/cap96`.
     pub fn label(&self) -> String {
         let grf = match self.grf {
@@ -200,12 +222,7 @@ pub fn enumerate_bounded(arch: &GpuArch) -> Vec<TunablePoint> {
     let mut out = Vec::new();
     for &sg in arch.sg_sizes {
         for grf in grf_candidates(arch) {
-            out.push(TunablePoint {
-                sg_size: sg,
-                wg_size: 128.max(sg),
-                grf,
-                bounds: LaunchBounds::Default,
-            });
+            out.push(TunablePoint::classic(sg, grf));
         }
     }
     out

@@ -72,12 +72,7 @@ fn run_step(
     meter: MeterPolicy,
 ) -> (StepImage, usize) {
     let arch = GpuArch::aurora();
-    let tc = if variant.needs_visa() {
-        Toolchain::sycl_visa()
-    } else {
-        Toolchain::sycl()
-    };
-    let mut device = Device::new(arch.clone(), tc).unwrap();
+    let mut device = Device::new(arch.clone(), variant.toolchain()).unwrap();
     let injector = match faults {
         Some(cfg) => {
             let inj = Arc::new(FaultInjector::new(cfg));

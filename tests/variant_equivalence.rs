@@ -48,12 +48,7 @@ fn run_one(
     hp: &HostParticles,
     box_size: f64,
 ) -> (Vec<f32>, Vec<f32>, Vec<f32>) {
-    let tc = if variant.needs_visa() {
-        Toolchain::sycl_visa()
-    } else {
-        Toolchain::sycl()
-    };
-    let device = Device::new(arch, tc).unwrap();
+    let device = Device::new(arch, variant.toolchain()).unwrap();
     let cfg = LaunchConfig::defaults_for(&device.arch)
         .with_sg_size(sg_size)
         .deterministic();
