@@ -8,8 +8,7 @@
 //! winners, and compares the tuned application against the paper's
 //! hand-picked table (Appendix A). The output proves the autotuner's
 //! acceptance claim: the tuned per-kernel plan reaches at least the
-//! hand-picked performance portability of 0.96 on every architecture,
-//! under both the full and the sampled metering modes.
+//! hand-picked performance portability of 0.96 on every architecture.
 //!
 //! The sweep also replays the runtime tuner's epsilon-greedy loop
 //! against the measured table (pure exploration) to report how quickly
@@ -35,23 +34,17 @@ pub const PP_FLOOR: f64 = 0.96;
 /// the committed baseline (mirrors the perf gate's band).
 pub const BASELINE_TOLERANCE: f64 = 0.25;
 
-/// The metering modes every winner is evaluated under.
-pub const METER_MODES: [(&str, MeterPolicy); 2] = [
-    ("full", MeterPolicy::Full),
-    ("sampled", MeterPolicy::Sampled),
-];
-
-/// Measures every candidate of `space`: choice label → timer → seconds.
+/// Measures every candidate of `space` (metered — the cost model needs
+/// the counts): choice label → timer → seconds.
 fn measure_space(
     arch: &GpuArch,
     space: &[TuneChoice],
     problem: &BenchProblem,
-    meter: MeterPolicy,
 ) -> BTreeMap<String, BTreeMap<String, f64>> {
     let mut out = BTreeMap::new();
     for c in space {
         let variant = Variant::from_id(&c.variant).expect("search-space choices carry variant ids");
-        let launch = c.knobs().apply_to(base_launch(arch, meter));
+        let launch = c.knobs().apply_to(base_launch(arch, MeterPolicy::Full));
         let run = measure(arch, variant.toolchain(), variant, launch, problem, None);
         out.insert(c.label(), timer_seconds(&run));
     }
@@ -83,7 +76,7 @@ pub struct KernelWinner {
     pub grf: String,
     /// Launch-bounds label (`default` / `capNN`).
     pub bounds: String,
-    /// Modeled seconds under full metering.
+    /// Modeled seconds.
     pub modeled_seconds: f64,
     /// Seconds of the hand-picked application config for this kernel.
     pub hand_seconds: f64,
@@ -110,18 +103,18 @@ pub struct ArchReport {
     pub arch: String,
     /// System name (Aurora / Polaris / Frontier).
     pub system: String,
-    /// Search-space size (candidates measured per metering mode).
+    /// Search-space size (candidates measured).
     pub candidates: usize,
     /// Best uniform hand-picked variant (the paper's per-platform
-    /// specialization) by full-metering total.
+    /// specialization) by total modeled seconds.
     pub hand_variant: String,
-    /// Per-kernel winners, full-metering selected.
+    /// Per-kernel winners.
     pub winners: Vec<KernelWinner>,
-    /// Metering mode → tuned application efficiency vs the per-kernel
-    /// envelope of the hand-picked variant runs.
-    pub tuned_efficiency: BTreeMap<String, f64>,
-    /// Metering mode → hand-picked application efficiency.
-    pub hand_efficiency: BTreeMap<String, f64>,
+    /// Tuned application efficiency vs the per-kernel envelope of the
+    /// hand-picked variant runs.
+    pub tuned_efficiency: f64,
+    /// Hand-picked application efficiency.
+    pub hand_efficiency: f64,
     /// Epsilon-greedy replay convergence against the measured table.
     pub convergence: Convergence,
 }
@@ -157,10 +150,10 @@ pub struct AutotuneReport {
     pub trials: usize,
     /// Per-architecture results.
     pub archs: Vec<ArchReport>,
-    /// Metering mode → harmonic-mean PP of the tuned plan.
-    pub tuned_pp: BTreeMap<String, f64>,
-    /// Metering mode → harmonic-mean PP of the hand-picked table.
-    pub hand_pp: BTreeMap<String, f64>,
+    /// Harmonic-mean PP of the tuned plan.
+    pub tuned_pp: f64,
+    /// Harmonic-mean PP of the hand-picked table.
+    pub hand_pp: f64,
     /// The acceptance floor the tuned PP is gated against.
     pub pp_floor: f64,
     /// Winner movement across extra seeds (empty outside the soak).
@@ -184,9 +177,9 @@ fn harmonic_mean<I: IntoIterator<Item = f64>>(xs: I) -> f64 {
     }
 }
 
-/// The per-kernel winners (full metering) on one architecture: timer →
-/// (choice, seconds). Shared by the main sweep and the seed soak.
-fn full_winners(
+/// The per-kernel winners on one architecture: timer → (choice,
+/// seconds). Shared by the main sweep and the seed soak.
+fn kernel_winners(
     space: &[TuneChoice],
     table: &BTreeMap<String, BTreeMap<String, f64>>,
 ) -> BTreeMap<String, (TuneChoice, f64)> {
@@ -263,11 +256,7 @@ pub fn tune_arch(arch: &GpuArch, problem: &BenchProblem, full: bool, trials: usi
     let visa = arch.supports_visa;
     let space = search_space(arch, full, visa);
     let band = SizeBand::of(problem.particles.len());
-    let mut tables = BTreeMap::new();
-    for (name, meter) in METER_MODES {
-        tables.insert(name, measure_space(arch, &space, problem, meter));
-    }
-    let full_table = &tables["full"];
+    let table = &measure_space(arch, &space, problem);
 
     // The hand-picked application: the best uniform Appendix-A variant.
     let hand_choices: Vec<TuneChoice> = variant_candidates(arch, visa)
@@ -279,22 +268,22 @@ pub fn tune_arch(arch: &GpuArch, problem: &BenchProblem, full: bool, trials: usi
         .min_by(|a, b| {
             let ta: f64 = tuned_timers()
                 .iter()
-                .map(|t| seconds_of(full_table, &a.label(), t))
+                .map(|t| seconds_of(table, &a.label(), t))
                 .sum();
             let tb: f64 = tuned_timers()
                 .iter()
-                .map(|t| seconds_of(full_table, &b.label(), t))
+                .map(|t| seconds_of(table, &b.label(), t))
                 .sum();
             ta.total_cmp(&tb)
         })
         .expect("at least one hand-picked variant")
         .clone();
 
-    let winners = full_winners(&space, full_table);
+    let winners = kernel_winners(&space, table);
     let winner_rows: Vec<KernelWinner> = winners
         .iter()
         .map(|(timer, (choice, secs))| {
-            let hand = seconds_of(full_table, &hand_variant.label(), timer);
+            let hand = seconds_of(table, &hand_variant.label(), timer);
             let grf = match choice.grf {
                 GrfMode::Default => "std",
                 GrfMode::Large => "large",
@@ -314,44 +303,30 @@ pub fn tune_arch(arch: &GpuArch, problem: &BenchProblem, full: bool, trials: usi
         })
         .collect();
 
-    // Efficiencies per metering mode: the reference is the per-kernel
-    // lower envelope over the hand-picked variant runs (the Figures
-    // 9–11 "hypothetical application"), evaluated in the same mode.
-    let mut tuned_efficiency = BTreeMap::new();
-    let mut hand_efficiency = BTreeMap::new();
-    for (name, _) in METER_MODES {
-        let table = &tables[name];
-        let mut envelope = 0.0;
-        let mut hand_total = 0.0;
-        let mut tuned_total = 0.0;
-        for timer in tuned_timers() {
-            envelope += hand_choices
-                .iter()
-                .map(|c| seconds_of(table, &c.label(), timer))
-                .fold(f64::INFINITY, f64::min);
-            hand_total += seconds_of(table, &hand_variant.label(), timer);
-            // The winner is fixed from the full-metering table and
-            // re-evaluated in this mode — a metering mode that breaks
-            // the cost-model ranking shows up here.
-            let w = winners
-                .get(timer)
-                .map(|(c, _)| seconds_of(table, &c.label(), timer))
-                .unwrap_or(f64::INFINITY);
-            tuned_total += w;
-        }
-        tuned_efficiency.insert(name.to_string(), (envelope / tuned_total).min(1.0));
-        hand_efficiency.insert(name.to_string(), (envelope / hand_total).min(1.0));
+    // Efficiencies: the reference is the per-kernel lower envelope over
+    // the hand-picked variant runs (the Figures 9–11 "hypothetical
+    // application").
+    let mut envelope = 0.0;
+    let mut hand_total = 0.0;
+    let mut tuned_total = 0.0;
+    for timer in tuned_timers() {
+        envelope += hand_choices
+            .iter()
+            .map(|c| seconds_of(table, &c.label(), timer))
+            .fold(f64::INFINITY, f64::min);
+        hand_total += seconds_of(table, &hand_variant.label(), timer);
+        tuned_total += winners.get(timer).map_or(f64::INFINITY, |(_, s)| *s);
     }
 
-    let convergence = replay_convergence(arch, &space, full_table, &winners, band, trials);
+    let convergence = replay_convergence(arch, &space, table, &winners, band, trials);
     ArchReport {
         arch: arch.id.to_string(),
         system: arch.system.to_string(),
         candidates: space.len(),
         hand_variant: hand_variant.variant.clone(),
         winners: winner_rows,
-        tuned_efficiency,
-        hand_efficiency,
+        tuned_efficiency: (envelope / tuned_total).min(1.0),
+        hand_efficiency: (envelope / hand_total).min(1.0),
         convergence,
     }
 }
@@ -362,18 +337,8 @@ pub fn sweep(problem: &BenchProblem, full: bool, trials: usize) -> AutotuneRepor
         .iter()
         .map(|a| tune_arch(a, problem, full, trials))
         .collect();
-    let mut tuned_pp = BTreeMap::new();
-    let mut hand_pp = BTreeMap::new();
-    for (name, _) in METER_MODES {
-        tuned_pp.insert(
-            name.to_string(),
-            harmonic_mean(archs.iter().map(|a| a.tuned_efficiency[name])),
-        );
-        hand_pp.insert(
-            name.to_string(),
-            harmonic_mean(archs.iter().map(|a| a.hand_efficiency[name])),
-        );
-    }
+    let tuned_pp = harmonic_mean(archs.iter().map(|a| a.tuned_efficiency));
+    let hand_pp = harmonic_mean(archs.iter().map(|a| a.hand_efficiency));
     AutotuneReport {
         schema_version: hacc_telemetry::SCHEMA_VERSION,
         kernel_digest: format!("{:016x}", kernel_digest()),
@@ -387,17 +352,17 @@ pub fn sweep(problem: &BenchProblem, full: bool, trials: usize) -> AutotuneRepor
     }
 }
 
-/// Nightly-soak seed sensitivity: recompute the full-metering winners
-/// on extra workload seeds and report every (arch, kernel) whose winner
-/// moved, with the relative modeled-seconds change.
+/// Nightly-soak seed sensitivity: recompute the winners on extra
+/// workload seeds and report every (arch, kernel) whose winner moved,
+/// with the relative modeled-seconds change.
 pub fn seed_movers(report: &AutotuneReport, size: usize, seeds: &[u64]) -> Vec<Mover> {
     let mut movers = Vec::new();
     for &seed in seeds {
         let problem = workload(size, seed);
         for arch in GpuArch::all() {
             let space = search_space(&arch, report.full_space, arch.supports_visa);
-            let table = measure_space(&arch, &space, &problem, MeterPolicy::Full);
-            let winners = full_winners(&space, &table);
+            let table = measure_space(&arch, &space, &problem);
+            let winners = kernel_winners(&space, &table);
             let base = report
                 .archs
                 .iter()
@@ -426,23 +391,20 @@ pub fn seed_movers(report: &AutotuneReport, size: usize, seeds: &[u64]) -> Vec<M
 }
 
 /// The acceptance gate: tuned PP must reach the floor and never lose to
-/// the hand-picked table, in every metering mode. Returns the failures.
+/// the hand-picked table. Returns the failures.
 pub fn gate(report: &AutotuneReport) -> Vec<String> {
     let mut failures = Vec::new();
-    for (name, _) in METER_MODES {
-        let tuned = report.tuned_pp.get(name).copied().unwrap_or(0.0);
-        let hand = report.hand_pp.get(name).copied().unwrap_or(0.0);
-        if tuned < report.pp_floor {
-            failures.push(format!(
-                "tuned PP {tuned:.4} under {name} metering is below the floor {:.2}",
-                report.pp_floor
-            ));
-        }
-        if tuned + 1e-12 < hand {
-            failures.push(format!(
-                "tuned PP {tuned:.4} under {name} metering loses to the hand-picked {hand:.4}"
-            ));
-        }
+    let (tuned, hand) = (report.tuned_pp, report.hand_pp);
+    if tuned < report.pp_floor {
+        failures.push(format!(
+            "tuned PP {tuned:.4} is below the floor {:.2}",
+            report.pp_floor
+        ));
+    }
+    if tuned + 1e-12 < hand {
+        failures.push(format!(
+            "tuned PP {tuned:.4} loses to the hand-picked {hand:.4}"
+        ));
     }
     for a in &report.archs {
         for w in &a.winners {
@@ -489,20 +451,14 @@ pub fn render(report: &AutotuneReport) -> String {
             ),
         };
         out.push_str(&format!(
-            "  efficiency full {:.4} / sampled {:.4} (hand-picked {:.4} / {:.4}); replay {}\n",
-            a.tuned_efficiency["full"],
-            a.tuned_efficiency["sampled"],
-            a.hand_efficiency["full"],
-            a.hand_efficiency["sampled"],
-            conv
+            "  efficiency {:.4} (hand-picked {:.4}); replay {}\n",
+            a.tuned_efficiency, a.hand_efficiency, conv
         ));
     }
-    for (name, _) in METER_MODES {
-        out.push_str(&format!(
-            "PP ({name} metering): tuned {:.4}, hand-picked {:.4}, floor {:.2}\n",
-            report.tuned_pp[name], report.hand_pp[name], report.pp_floor
-        ));
-    }
+    out.push_str(&format!(
+        "PP: tuned {:.4}, hand-picked {:.4}, floor {:.2}\n",
+        report.tuned_pp, report.hand_pp, report.pp_floor
+    ));
     for m in report.movers.iter().take(3) {
         out.push_str(&format!(
             "mover: {}/{} seed {}: {} -> {} ({:+.2}%)\n",
@@ -529,9 +485,9 @@ mod tests {
         let arch = GpuArch::frontier();
         let rep = tune_arch(&arch, &problem, false, 8);
         assert_eq!(rep.winners.len(), tuned_timers().len());
-        // The winners are the per-space argmin, so under full metering
-        // the tuned plan reaches the hand-picked envelope exactly.
-        assert!(rep.tuned_efficiency["full"] >= 1.0 - 1e-12);
+        // The winners are the per-space argmin, so the tuned plan
+        // reaches the hand-picked envelope exactly.
+        assert!(rep.tuned_efficiency >= 1.0 - 1e-12);
         for w in &rep.winners {
             assert!(
                 w.modeled_seconds <= w.hand_seconds * (1.0 + 1e-9),
@@ -590,27 +546,21 @@ mod tests {
     }
 
     #[test]
-    fn gate_names_the_losing_mode_and_kernel() {
-        let mut tuned_pp = BTreeMap::new();
-        let mut hand_pp = BTreeMap::new();
-        tuned_pp.insert("full".to_string(), 0.90);
-        tuned_pp.insert("sampled".to_string(), 0.99);
-        hand_pp.insert("full".to_string(), 0.96);
-        hand_pp.insert("sampled".to_string(), 0.96);
+    fn gate_names_the_floor_and_the_hand_picked_loss() {
         let report = AutotuneReport {
             schema_version: hacc_telemetry::SCHEMA_VERSION,
             kernel_digest: format!("{:016x}", kernel_digest()),
             full_space: false,
             trials: 0,
             archs: Vec::new(),
-            tuned_pp,
-            hand_pp,
+            tuned_pp: 0.90,
+            hand_pp: 0.96,
             pp_floor: PP_FLOOR,
             movers: Vec::new(),
         };
         let failures = gate(&report);
         assert_eq!(failures.len(), 2, "{failures:?}");
-        assert!(failures[0].contains("full"));
+        assert!(failures[0].contains("floor"));
         assert!(failures[1].contains("hand-picked"));
     }
 }

@@ -19,7 +19,7 @@
 //! launch-bounds) candidate per architecture, winners per kernel,
 //! epsilon-greedy replay — and writes `BENCH_autotune.json` (or the
 //! `--json` path), exiting non-zero unless the tuned plan reaches the
-//! hand-picked PP floor of 0.96 under both metering modes; `--full`
+//! hand-picked PP floor of 0.96; `--full`
 //! searches the full space instead of the bounded per-push space,
 //! `--seeds N` with N > 1 additionally reports winners that move on
 //! N−1 extra workload seeds, and `PROPTEST_CASES` scales the replay
@@ -352,8 +352,7 @@ fn main() {
             .and_then(|v| v.parse().ok())
             .unwrap_or(64);
         eprintln!(
-            "[figures] autotune sweep: {size}³ baryons, {} space, {} replay trials, \
-             both metering modes…",
+            "[figures] autotune sweep: {size}³ baryons, {} space, {} replay trials…",
             if full_space { "full" } else { "bounded" },
             trials
         );

@@ -884,11 +884,12 @@ impl Simulation {
         self.launch.exec
     }
 
-    /// Sets the metering policy for every subsequent kernel launch: the
-    /// fully-metered reference interpreter, deterministic sampling with
-    /// extrapolated stats, or the unmetered fast path. All three produce
-    /// bit-identical trajectories; only instruction telemetry (and
-    /// speed) differs. Overrides the `HACC_METER` environment default.
+    /// Sets the metering policy for every subsequent kernel launch:
+    /// every op charged to the instruction-class meters, or no
+    /// bookkeeping at all. Both run the same data path and produce
+    /// bit-identical trajectories; only instruction telemetry (and the
+    /// cost of recording it) differs. Overrides the `HACC_METER`
+    /// environment default.
     pub fn set_meter_policy(&mut self, meter: sycl_sim::MeterPolicy) {
         self.launch.meter = meter;
     }

@@ -11,7 +11,7 @@ use crate::commit::{plan_commit, AtomicOp};
 use crate::cost::CostModel;
 use crate::exec::ExecutionPolicy;
 use crate::fault::{FaultInjector, LaunchError};
-use crate::meter::{InstrClass, LaunchStats, MeterMode, MeterPolicy, MeterSampler, StatsSource};
+use crate::meter::{InstrClass, LaunchStats, MeterPolicy};
 use crate::subgroup::{Sg, SgConfig};
 use crate::toolchain::Toolchain;
 use crate::tunable::LaunchBounds;
@@ -103,9 +103,8 @@ pub struct LaunchConfig {
     /// fan-out over a thread pool with deterministic atomic commit. Both
     /// produce bit-identical results.
     pub exec: ExecutionPolicy,
-    /// Metering policy: full reference interpretation, deterministic
-    /// sampling with extrapolated stats, or the unmetered fast path.
-    /// Every policy produces bit-identical buffer contents.
+    /// Metering policy: whether sub-group meters record. Bookkeeping
+    /// only — both policies produce bit-identical buffer contents.
     pub meter: MeterPolicy,
     /// Per-work-item register cap (`__launch_bounds__`-style occupancy
     /// trade). [`LaunchBounds::Default`] leaves the cost model exactly
@@ -206,9 +205,6 @@ pub struct LaunchReport {
     /// scheduling happens. Wall-clock-derived, so informational rather
     /// than part of the deterministic cost model.
     pub sched: Option<rayon::SchedStats>,
-    /// Provenance of `stats`: measured by the reference interpreter,
-    /// extrapolated from a sampled launch, or absent (fast mode).
-    pub stats_source: StatsSource,
 }
 
 /// A simulated GPU: architecture + toolchain, plus an optional seeded
@@ -222,11 +218,6 @@ pub struct Device {
     /// Deterministic fault injector; `None` (the default) makes `launch`
     /// infallible in practice and byte-identical to the pre-fault code.
     pub fault: Option<Arc<FaultInjector>>,
-    /// Sampling state for [`MeterPolicy::Sampled`]: per-kernel launch
-    /// ordinals and extrapolation bases, shared across device clones so
-    /// the launch *sequence* decides what is sampled, not which handle
-    /// issued it.
-    pub sampler: Arc<MeterSampler>,
 }
 
 impl Device {
@@ -251,7 +242,6 @@ impl Device {
             arch,
             toolchain,
             fault: None,
-            sampler: Arc::new(MeterSampler::default()),
         })
     }
 
@@ -302,21 +292,12 @@ impl Device {
                 return Err(err);
             }
         }
-        // Pick the meter mode. The sampler ordinal advances only for
-        // launches that actually execute (the fault check above already
-        // passed), so serial and parallel replays of one run sample
-        // identical launch sets.
-        let mode = match cfg.meter {
-            MeterPolicy::Full => MeterMode::Full,
-            MeterPolicy::Off => MeterMode::Off,
-            MeterPolicy::Sampled => self.sampler.decide(kernel.name()),
-        };
         let sg_cfg = SgConfig::for_arch(
             &self.arch,
             self.toolchain.fast_math,
             self.toolchain.enable_visa,
         )
-        .with_meter_mode(mode);
+        .with_meter(cfg.meter);
         let (stats, sched) = match cfg.exec {
             ExecutionPolicy::Serial => {
                 let mut acc = LaunchStats::default();
@@ -336,22 +317,6 @@ impl Device {
                 self.launch_parallel(kernel, n_subgroups, &cfg, sg_cfg, threads)?
             }
         };
-        let (stats, stats_source) = match (cfg.meter, mode) {
-            (MeterPolicy::Full, _) => (stats, StatsSource::Measured),
-            (MeterPolicy::Off, _) => (stats, StatsSource::Unmetered),
-            (MeterPolicy::Sampled, MeterMode::Full) => {
-                self.sampler.record(kernel.name(), &stats);
-                (stats, StatsSource::Measured)
-            }
-            (MeterPolicy::Sampled, MeterMode::Off) => {
-                match self.sampler.extrapolate(kernel.name(), stats.n_subgroups) {
-                    Some(est) => (est, StatsSource::Extrapolated),
-                    // Unreachable in practice (`decide` meters until a
-                    // basis exists), but degrade gracefully.
-                    None => (stats, StatsSource::Unmetered),
-                }
-            }
-        };
         let injected_faults = match &ordinal {
             Some((inj, ord)) => inj.corrupt(kernel.name(), *ord, &kernel.output_buffers()),
             None => 0,
@@ -367,7 +332,6 @@ impl Device {
             bounds: cfg.bounds,
             injected_faults,
             sched,
-            stats_source,
         })
     }
 
@@ -902,7 +866,6 @@ mod tests {
             (out.to_u32_vec(), report)
         };
         let (full_bits, full) = run(MeterPolicy::Full, ExecutionPolicy::Serial);
-        assert_eq!(full.stats_source, StatsSource::Measured);
         assert!(full.stats.total() > 0);
         for exec in [
             ExecutionPolicy::Serial,
@@ -911,37 +874,8 @@ mod tests {
         ] {
             let (fast_bits, fast) = run(MeterPolicy::Off, exec);
             assert_eq!(fast_bits, full_bits, "fast mode diverged under {exec:?}");
-            assert_eq!(fast.stats_source, StatsSource::Unmetered);
             assert_eq!(fast.stats.total(), 0, "fast mode must not meter");
             assert_eq!(fast.stats.n_subgroups, 37);
-        }
-    }
-
-    #[test]
-    fn sampled_metering_extrapolates_between_sampled_launches() {
-        use crate::meter::SAMPLE_PERIOD;
-        let dev = device();
-        let kernel = |sg: &mut Sg| {
-            let a = sg.from_fn_f32(|l| l as f32);
-            let b = sg.shuffle_xor(&a, 3);
-            let _ = &a * &b;
-        };
-        let cfg = LaunchConfig::defaults_for(&dev.arch)
-            .deterministic()
-            .with_meter(MeterPolicy::Sampled);
-        let full_cfg = LaunchConfig::defaults_for(&dev.arch).deterministic();
-        let reference = dev.launch(&kernel, 12, full_cfg).unwrap();
-        for i in 0..(2 * SAMPLE_PERIOD) {
-            let r = dev.launch(&kernel, 12, cfg).unwrap();
-            if i % SAMPLE_PERIOD == 0 {
-                assert_eq!(r.stats_source, StatsSource::Measured, "launch {i}");
-            } else {
-                assert_eq!(r.stats_source, StatsSource::Extrapolated, "launch {i}");
-            }
-            // This kernel's per-sub-group work is uniform, so the
-            // extrapolation is exact — stats match full metering bit for
-            // bit on every launch.
-            assert_eq!(r.stats, reference.stats, "launch {i}");
         }
     }
 

@@ -9,34 +9,27 @@
 //! number of live temporaries in the kernel source**, exactly as it does
 //! under a real compiler.
 //!
-//! ## Execution modes
+//! ## One data path
 //!
-//! Every data-producing operation has two code paths selected by the
-//! meter's [`MeterMode`](crate::meter::MeterMode):
+//! Every data-producing operation runs the same body whether or not the
+//! meter records: lanes are processed in `simd` block loops
+//! (`LANE_BLOCK`-wide batches dispatched to AVX2 where the host has it)
+//! writing into scratch buffers recycled through a pool, so the hot loop
+//! performs no per-instruction heap allocation. Metering
+//! ([`MeterPolicy`](crate::meter::MeterPolicy)) only decides whether the
+//! `charge`/`alloc_regs`/`free_regs`/`note_local_bytes` calls record —
+//! it never selects arithmetic, so an unmetered run cannot differ from a
+//! metered one in its results.
 //!
-//! * **Metered** (the reference interpreter): the original lane-by-lane
-//!   `iter().map().collect()` loops into heap-backed registers, kept
-//!   verbatim so instruction histograms, register pressure and the cost
-//!   model are bit-stable against all prior baselines.
-//! * **Fast** ([`MeterMode::Off`](crate::meter::MeterMode::Off)): no
-//!   bookkeeping; lanes are processed in `simd` block loops
-//!   (`LANE_BLOCK`-wide batches dispatched to AVX2 where the host has
-//!   it) writing into scratch buffers recycled through a pool, so the
-//!   hot loop performs no
-//!   per-instruction heap allocation. The pool hangs off the meter for
-//!   one-pointer-chase access in the per-op path, and is handed from
-//!   retired meters to new ones through a thread-local stash (see
-//!   [`SgMeter`]) so sub-groups after the first start warm. Profiling
-//!   drove this shape: `malloc`/`free` and `drop_in_place` of per-op
-//!   temporaries cost more than the arithmetic itself, a fixed-size
-//!   inline-array register file measured *slower* than recycling (the
-//!   256-byte values get memcpy'd through every operator return), and
-//!   per-op thread-local access measured slower than the meter-resident
-//!   pool.
-//!
-//! Both paths apply the same closures to the same values in the same
-//! lane order, so results are bit-identical — the equivalence suites
-//! assert exactly this.
+//! The pool hangs off the meter for one-pointer-chase access in the
+//! per-op path, and is handed from retired meters to new ones through a
+//! thread-local stash (see [`SgMeter`]) so sub-groups after the first
+//! start warm. Profiling drove this shape: `malloc`/`free` and
+//! `drop_in_place` of per-op temporaries cost more than the arithmetic
+//! itself, a fixed-size inline-array register file measured *slower*
+//! than recycling (the 256-byte values get memcpy'd through every
+//! operator return), and per-op thread-local access measured slower than
+//! the meter-resident pool.
 
 use crate::meter::{InstrClass, SgMeter};
 use crate::simd;
@@ -53,7 +46,7 @@ pub trait LaneScalar: Copy + Default + std::fmt::Debug + 'static {
     /// Register words occupied per work-item.
     const WORDS: u32;
 
-    /// The meter's scratch-buffer pool for this scalar type (fast-path
+    /// The meter's scratch-buffer pool for this scalar type (register
     /// storage recycling).
     #[doc(hidden)]
     fn pool(meter: &SgMeter) -> &RefCell<Vec<Box<[Self]>>>;
@@ -87,17 +80,7 @@ pub struct Lanes<T: LaneScalar> {
 }
 
 impl<T: LaneScalar> Lanes<T> {
-    /// Allocates from raw parts (used by the sub-group context).
-    #[inline]
-    pub(crate) fn from_vec(vals: Vec<T>, meter: Rc<SgMeter>) -> Self {
-        meter.alloc_regs(T::WORDS);
-        Self {
-            vals: vals.into_boxed_slice(),
-            meter,
-        }
-    }
-
-    /// Fast-path register allocation: reuses a scratch buffer from the
+    /// Register allocation: reuses a scratch buffer from the
     /// meter's pool when one of the right width is available (contents
     /// are uninitialized from the caller's perspective — every user
     /// overwrites all lanes).
@@ -117,13 +100,9 @@ impl<T: LaneScalar> Lanes<T> {
     /// the caller.
     #[inline]
     pub(crate) fn build(len: usize, meter: Rc<SgMeter>, f: impl Fn(usize) -> T) -> Self {
-        if meter.is_metered() {
-            Lanes::from_vec((0..len).map(f).collect(), meter)
-        } else {
-            let mut out = Lanes::alloc(len, meter);
-            simd::fill(&mut out.vals, f);
-            out
-        }
+        let mut out = Lanes::alloc(len, meter);
+        simd::fill(&mut out.vals, f);
+        out
     }
 
     /// Number of lanes (the sub-group size).
@@ -155,22 +134,15 @@ impl<T: LaneScalar> Lanes<T> {
         &self.meter
     }
 
-    /// Element-wise map (no charge — dual-path dispatch only).
+    /// Element-wise map (no charge).
     #[inline]
     pub(crate) fn apply_map<U: LaneScalar>(&self, f: impl Fn(T) -> U) -> Lanes<U> {
-        if self.meter.is_metered() {
-            Lanes::from_vec(
-                self.vals.iter().map(|&v| f(v)).collect(),
-                self.meter.clone(),
-            )
-        } else {
-            let mut out = Lanes::<U>::alloc(self.len(), self.meter.clone());
-            simd::map(&self.vals, &mut out.vals, f);
-            out
-        }
+        let mut out = Lanes::<U>::alloc(self.len(), self.meter.clone());
+        simd::map(&self.vals, &mut out.vals, f);
+        out
     }
 
-    /// Element-wise zip (no charge — dual-path dispatch only).
+    /// Element-wise zip (no charge).
     #[inline]
     pub(crate) fn apply_zip<U: LaneScalar, V: LaneScalar>(
         &self,
@@ -178,20 +150,9 @@ impl<T: LaneScalar> Lanes<T> {
         f: impl Fn(T, U) -> V,
     ) -> Lanes<V> {
         assert_eq!(self.len(), other.len(), "sub-group width mismatch");
-        if self.meter.is_metered() {
-            Lanes::from_vec(
-                self.vals
-                    .iter()
-                    .zip(other.vals.iter())
-                    .map(|(&a, &b)| f(a, b))
-                    .collect(),
-                self.meter.clone(),
-            )
-        } else {
-            let mut out = Lanes::<V>::alloc(self.len(), self.meter.clone());
-            simd::zip(&self.vals, &other.vals, &mut out.vals, f);
-            out
-        }
+        let mut out = Lanes::<V>::alloc(self.len(), self.meter.clone());
+        simd::zip(&self.vals, &other.vals, &mut out.vals, f);
+        out
     }
 
     /// Element-wise three-operand combine (no charge).
@@ -204,18 +165,9 @@ impl<T: LaneScalar> Lanes<T> {
     ) -> Lanes<W> {
         assert_eq!(self.len(), b.len(), "sub-group width mismatch");
         assert_eq!(self.len(), c.len(), "sub-group width mismatch");
-        if self.meter.is_metered() {
-            Lanes::from_vec(
-                (0..self.len())
-                    .map(|l| f(self.vals[l], b.vals[l], c.vals[l]))
-                    .collect(),
-                self.meter.clone(),
-            )
-        } else {
-            let mut out = Lanes::<W>::alloc(self.len(), self.meter.clone());
-            simd::zip3(&self.vals, &b.vals, &c.vals, &mut out.vals, f);
-            out
-        }
+        let mut out = Lanes::<W>::alloc(self.len(), self.meter.clone());
+        simd::zip3(&self.vals, &b.vals, &c.vals, &mut out.vals, f);
+        out
     }
 
     /// Element-wise map producing a new register, charging `class` once.
@@ -244,20 +196,11 @@ impl<T: LaneScalar> Lanes<T> {
     /// Gathers `self[src(l)]` per lane — the *functional* core of every
     /// shuffle; charging is done by the caller (the sub-group context)
     /// according to the communication mechanism used. Index-driven (no
-    /// materialized index vector) so shuffles allocate nothing on either
-    /// path beyond the output register.
+    /// materialized index vector) so shuffles allocate nothing beyond
+    /// the output register.
     #[inline]
     pub(crate) fn gather_map(&self, src: impl Fn(usize) -> usize) -> Lanes<T> {
-        if self.meter.is_metered() {
-            Lanes::from_vec(
-                (0..self.len()).map(|l| self.vals[src(l)]).collect(),
-                self.meter.clone(),
-            )
-        } else {
-            let mut out = Lanes::alloc(self.len(), self.meter.clone());
-            simd::fill(&mut out.vals, |l| self.vals[src(l)]);
-            out
-        }
+        Lanes::build(self.len(), self.meter.clone(), |l| self.vals[src(l)])
     }
 }
 
@@ -265,17 +208,12 @@ impl<T: LaneScalar> Drop for Lanes<T> {
     #[inline]
     fn drop(&mut self) {
         self.meter.free_regs(T::WORDS);
-        // Fast path: recycle the storage through the meter's pool. The
-        // metered path keeps the legacy allocate-per-op behavior so the
-        // reference interpreter is byte-for-byte what the baselines
-        // measured.
-        if !self.meter.is_metered() {
-            let vals = std::mem::take(&mut self.vals);
-            if !vals.is_empty() {
-                let mut pool = T::pool(&self.meter).borrow_mut();
-                if pool.len() < POOL_CAP {
-                    pool.push(vals);
-                }
+        // Recycle the storage through the meter's pool.
+        let vals = std::mem::take(&mut self.vals);
+        if !vals.is_empty() {
+            let mut pool = T::pool(&self.meter).borrow_mut();
+            if pool.len() < POOL_CAP {
+                pool.push(vals);
             }
         }
     }
@@ -286,13 +224,9 @@ impl<T: LaneScalar> Clone for Lanes<T> {
     #[inline]
     fn clone(&self) -> Self {
         self.meter.charge(InstrClass::Alu, 1);
-        if self.meter.is_metered() {
-            Lanes::from_vec(self.vals.to_vec(), self.meter.clone())
-        } else {
-            let mut out = Lanes::alloc(self.len(), self.meter.clone());
-            out.vals.copy_from_slice(&self.vals);
-            out
-        }
+        let mut out = Lanes::alloc(self.len(), self.meter.clone());
+        out.vals.copy_from_slice(&self.vals);
+        out
     }
 }
 
@@ -612,20 +546,20 @@ impl Lanes<bool> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::meter::MeterMode;
+    use crate::arch::GpuArch;
+    use crate::meter::MeterPolicy;
+    use crate::subgroup::{Sg, SgConfig};
 
-    fn meters() -> (Rc<SgMeter>, Rc<SgMeter>) {
-        (
-            Rc::new(SgMeter::new_with_mode(true, MeterMode::Full)),
-            Rc::new(SgMeter::new_with_mode(true, MeterMode::Off)),
-        )
+    const POLICIES: [MeterPolicy; 2] = [MeterPolicy::Full, MeterPolicy::Off];
+
+    fn meter(policy: MeterPolicy) -> Rc<SgMeter> {
+        Rc::new(SgMeter::new_with_mode(true, policy))
     }
 
-    /// Every dual-path op must produce bit-identical lanes in both modes.
+    /// Every op produces the directly computed lanes, metered or not.
     #[test]
-    fn fast_path_is_bit_identical_to_metered() {
-        let (full, fast) = meters();
-        for meter in [full, fast] {
+    fn ops_match_directly_computed_lanes_under_both_policies() {
+        for meter in POLICIES.map(meter) {
             let a = Lanes::<f32>::build(32, meter.clone(), |l| (l as f32).sin() * 3.0);
             let b = Lanes::<f32>::build(32, meter.clone(), |l| 1.0 + l as f32);
             let m = a.lt_scalar(0.0);
@@ -634,6 +568,7 @@ mod tests {
             let sel = a.select(&m, &b);
             let rs = b.rsqrt();
             let gathered = a.gather_map(|l| l ^ 5);
+            let copy = a.clone();
             // Golden values computed directly.
             for l in 0..32 {
                 let av = (l as f32).sin() * 3.0;
@@ -643,33 +578,35 @@ mod tests {
                 assert_eq!(sel.get(l), if av < 0.0 { av } else { bv });
                 assert_eq!(rs.get(l), 1.0 / bv.sqrt());
                 assert_eq!(gathered.get(l), ((l ^ 5) as f32).sin() * 3.0);
+                assert_eq!(copy.get(l), av);
             }
         }
     }
 
-    /// The fast path recycles lane storage through the meter pool instead
-    /// of allocating per op.
+    /// Lane storage is recycled through the meter pool instead of being
+    /// allocated per op.
     #[test]
     fn fast_path_recycles_scratch_buffers() {
-        let meter = Rc::new(SgMeter::new_with_mode(true, MeterMode::Off));
-        meter.scratch_f32.borrow_mut().clear();
-        {
-            let a = Lanes::<f32>::build(16, meter.clone(), |l| l as f32);
-            let _b = &a * 2.0;
-        } // both dropped into the pool
-        assert_eq!(meter.scratch_f32.borrow().len(), 2);
-        {
-            let a = Lanes::<f32>::build(16, meter.clone(), |l| l as f32);
-            let b = &a * 2.0;
-            // Both values came from the pool…
-            assert_eq!(meter.scratch_f32.borrow().len(), 0);
-            // …and reused storage carries no stale data.
-            for l in 0..16 {
-                assert_eq!(a.get(l), l as f32);
-                assert_eq!(b.get(l), 2.0 * l as f32);
+        for meter in POLICIES.map(meter) {
+            meter.scratch_f32.borrow_mut().clear();
+            {
+                let a = Lanes::<f32>::build(16, meter.clone(), |l| l as f32);
+                let _b = &a * 2.0;
+            } // both dropped into the pool
+            assert_eq!(meter.scratch_f32.borrow().len(), 2);
+            {
+                let a = Lanes::<f32>::build(16, meter.clone(), |l| l as f32);
+                let b = &a * 2.0;
+                // Both values came from the pool…
+                assert_eq!(meter.scratch_f32.borrow().len(), 0);
+                // …and reused storage carries no stale data.
+                for l in 0..16 {
+                    assert_eq!(a.get(l), l as f32);
+                    assert_eq!(b.get(l), 2.0 * l as f32);
+                }
             }
+            assert_eq!(meter.scratch_f32.borrow().len(), 2);
         }
-        assert_eq!(meter.scratch_f32.borrow().len(), 2);
     }
 
     /// Pool storage survives across meters (sub-groups) via the
@@ -677,29 +614,53 @@ mod tests {
     /// meter's pool, so sub-groups after the first start warm.
     #[test]
     fn scratch_pool_is_handed_across_subgroups() {
-        {
-            let first = Rc::new(SgMeter::new_with_mode(true, MeterMode::Off));
-            first.scratch_f32.borrow_mut().clear();
-            let _a = Lanes::<f32>::build(8, first.clone(), |l| l as f32);
-        } // meter dropped: its pooled buffer moves to the stash
-        let second = Rc::new(SgMeter::new_with_mode(true, MeterMode::Off));
-        assert!(
-            !second.scratch_f32.borrow().is_empty(),
-            "fresh fast-mode meter must inherit the retired meter's pool"
-        );
-        let a = Lanes::<f32>::build(8, second.clone(), |l| 2.0 * l as f32);
-        assert_eq!(a.get(7), 14.0);
+        for policy in POLICIES {
+            {
+                let first = meter(policy);
+                first.scratch_f32.borrow_mut().clear();
+                let _a = Lanes::<f32>::build(8, first.clone(), |l| l as f32);
+            } // meter dropped: its pooled buffer moves to the stash
+            let second = meter(policy);
+            assert!(
+                !second.scratch_f32.borrow().is_empty(),
+                "fresh {policy:?} meter must inherit the retired meter's pool"
+            );
+            let a = Lanes::<f32>::build(8, second.clone(), |l| 2.0 * l as f32);
+            assert_eq!(a.get(7), 14.0);
+        }
     }
 
-    /// The metered path must not recycle: its allocation behavior is the
-    /// reference the cost baselines were measured against.
+    /// Pooling is invisible to the bookkeeping: a fixed op sequence on a
+    /// metered sub-group reports the counts, register peak and
+    /// local-memory footprint the allocate-per-op interpreter reported,
+    /// on a cold pool and on a warm one.
     #[test]
-    fn metered_path_does_not_pool() {
-        let meter = Rc::new(SgMeter::new(true));
-        {
-            let a = Lanes::<f32>::build(16, meter.clone(), |l| l as f32);
-            let _b = &a * 2.0;
+    fn metered_counts_are_unchanged_by_pooling() {
+        let cfg = SgConfig::for_arch(&GpuArch::aurora(), true, true);
+        for pool in ["cold", "warm"] {
+            let sg = Sg::new(0, 16, cfg);
+            {
+                let a = sg.from_fn_f32(|l| 1.0 + l as f32);
+                let b = sg.splat_f32(2.0);
+                let idx = sg.lane_id().xor_scalar(3);
+                let c = a.fma(&b, &a.rsqrt());
+                let d = sg.local_exchange(&c, &idx);
+                let e = sg.shuffle_xor(&d, 1);
+                let m = e.lt(&c);
+                let _f = (&c / &e).select(&m, &d.clone());
+            }
+            let stats = sg.meter().snapshot();
+            let mut want = [0u64; crate::meter::N_CLASSES];
+            want[InstrClass::Alu as usize] = 7;
+            want[InstrClass::MathFast as usize] = 2;
+            want[InstrClass::LocalLoad as usize] = 1;
+            want[InstrClass::LocalStore as usize] = 1;
+            want[InstrClass::ShuffleIndirect as usize] = 1;
+            want[InstrClass::Barrier as usize] = 1;
+            assert_eq!(stats.counts, want, "{pool} pool");
+            assert_eq!(stats.peak_regs, 10, "{pool} pool");
+            assert_eq!(stats.local_bytes_per_sg, 64, "{pool} pool");
+            assert_eq!(sg.meter().live_regs(), 0);
         }
-        assert!(meter.scratch_f32.borrow().is_empty());
     }
 }

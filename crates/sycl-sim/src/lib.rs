@@ -45,10 +45,7 @@ pub use device::{Device, LaunchConfig, LaunchReport, SgKernel};
 pub use exec::ExecutionPolicy;
 pub use fault::{FaultConfig, FaultInjector, FaultKind, FaultRecord, LaunchError, RankLoss};
 pub use lanes::{LaneScalar, Lanes};
-pub use meter::{
-    InstrClass, LaunchStats, MeterMode, MeterPolicy, MeterSampler, SgMeter, StatsSource,
-    ALL_CLASSES, N_CLASSES, SAMPLE_PERIOD, SAMPLE_STEADY_ERROR,
-};
+pub use meter::{InstrClass, LaunchStats, MeterPolicy, SgMeter, ALL_CLASSES, N_CLASSES};
 pub use subgroup::{Sg, SgConfig};
 pub use taskgraph::{GraphError, ResourceId, RunError, RunStats, TaskGraph, TaskId};
 pub use toolchain::{Lang, Toolchain};

@@ -7,52 +7,60 @@
 //! derived from what the kernel actually *did*, not from declared numbers.
 
 use std::cell::{Cell, RefCell};
-use std::collections::HashMap;
-use std::sync::Mutex;
 
-/// Whether a sub-group's meter records anything.
+/// Per-launch metering policy: whether the sub-group meters of a
+/// [`crate::Device::launch`] record anything.
 ///
-/// Under [`MeterMode::Off`] — the *fast execution mode* — every charge,
-/// register-tracking and local-memory call on the [`SgMeter`] is a no-op,
-/// and the [`Lanes`](crate::lanes::Lanes) data paths switch from the
-/// lane-by-lane reference interpreter to SIMD-width block loops over
-/// pool-recycled register storage. The two modes execute the
-/// same operations in the same order on the same values, so results are
-/// bit-identical; only the bookkeeping (and therefore the speed) differs.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum MeterMode {
+/// Metering is bookkeeping on the one execution path. Under
+/// [`MeterPolicy::Off`] every charge, register-tracking and local-memory
+/// call on the [`SgMeter`] is a no-op; the [`Lanes`](crate::lanes::Lanes)
+/// operations themselves are the same code on the same values either way,
+/// so results are bit-identical and only the cost of the bookkeeping
+/// differs.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub enum MeterPolicy {
     /// Count every instruction, track register pressure and local memory.
+    #[default]
     Full,
-    /// Record nothing; run the vectorized fast path.
+    /// Record nothing. Launch reports carry zeroed instruction counts.
     Off,
 }
 
-/// Per-launch metering policy — how a [`crate::Device::launch`] picks the
-/// [`MeterMode`] its sub-groups run under.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum MeterPolicy {
-    /// Meter every sub-group of every launch (the reference interpreter).
-    #[default]
-    Full,
-    /// Meter one launch in [`SAMPLE_PERIOD`] per kernel name and
-    /// extrapolate the rest from the sampled per-sub-group averages, so
-    /// telemetry and the cost model keep working at near-fast speed.
-    Sampled,
-    /// Never meter: the fast execution mode. Launch reports carry zeroed
-    /// instruction counts.
-    Off,
+impl std::str::FromStr for MeterPolicy {
+    type Err = String;
+
+    /// The one spelling table (`HACC_METER`, `--meter`): `full` meters,
+    /// `off` (alias `fast`) does not; anything else is an error listing
+    /// the accepted set.
+    fn from_str(s: &str) -> Result<Self, String> {
+        match s {
+            "full" => Ok(MeterPolicy::Full),
+            "off" | "fast" => Ok(MeterPolicy::Off),
+            other => Err(format!(
+                "unknown metering policy `{other}` (accepted: full | off | fast)"
+            )),
+        }
+    }
 }
 
 impl MeterPolicy {
-    /// Policy selected by the environment: `HACC_METER=off|fast` disables
-    /// metering, `HACC_METER=sampled` samples, anything else (or unset)
-    /// meters fully. Lets CLI front-ends flip the whole process without
+    /// Policy selected by the `HACC_METER` environment variable (unset
+    /// meters fully). Lets CLI front-ends flip the whole process without
     /// threading a flag through every call, mirroring `HACC_EXEC`.
+    ///
+    /// # Panics
+    /// On a value [`MeterPolicy::from_str`](std::str::FromStr) rejects:
+    /// a mistyped `HACC_METER` must not silently run the other policy.
     pub fn from_env() -> Self {
-        match std::env::var("HACC_METER").ok().as_deref() {
-            Some("off") | Some("fast") => MeterPolicy::Off,
-            Some("sampled") => MeterPolicy::Sampled,
-            _ => MeterPolicy::Full,
+        Self::from_env_value(std::env::var("HACC_METER").ok().as_deref())
+            .unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    /// [`MeterPolicy::from_env`] on an already-read value (`None` = unset).
+    fn from_env_value(value: Option<&str>) -> Result<Self, String> {
+        match value {
+            None => Ok(MeterPolicy::Full),
+            Some(v) => v.parse().map_err(|e| format!("HACC_METER: {e}")),
         }
     }
 
@@ -60,22 +68,10 @@ impl MeterPolicy {
     pub fn label(&self) -> &'static str {
         match self {
             MeterPolicy::Full => "full",
-            MeterPolicy::Sampled => "sampled",
             MeterPolicy::Off => "off",
         }
     }
 }
-
-/// Under [`MeterPolicy::Sampled`], one launch in this many (per kernel
-/// name) runs fully metered; the others extrapolate from it.
-pub const SAMPLE_PERIOD: u64 = 8;
-
-/// Declared relative error bound of sampled-metering extrapolation for
-/// launches whose per-sub-group work matches the sampled launch's (the
-/// steady-state case: the same kernel over the same work lists). The
-/// extrapolation is exact up to integer rounding there; this bound is
-/// what the conservation tests assert against.
-pub const SAMPLE_STEADY_ERROR: f64 = 0.01;
 
 /// Classification of simulated device instructions.
 ///
@@ -166,7 +162,7 @@ impl InstrClass {
 }
 
 thread_local! {
-    /// Parked fast-mode scratch buffers, handed from a retiring meter to
+    /// Parked `Lanes` scratch buffers, handed from a retiring meter to
     /// the next one constructed on this thread. A launch creates one
     /// meter per sub-group, so routing the pools through this stash (two
     /// thread-local accesses per *sub-group*) lets every sub-group after
@@ -205,10 +201,8 @@ pub struct SgMeter {
     metered: bool,
     /// Fast-math code generation (affects how math ops are classified).
     pub fast_math: bool,
-    /// Fast-mode scratch-buffer pools for `Lanes` storage recycling,
-    /// seeded from this thread's [`ScratchStash`] and returned to it on
-    /// drop. Always empty on metered meters (the reference interpreter
-    /// must keep its original allocation behavior).
+    /// Scratch-buffer pools for `Lanes` storage recycling, seeded from
+    /// this thread's [`ScratchStash`] and returned to it on drop.
     pub(crate) scratch_f32: RefCell<Vec<Box<[f32]>>>,
     pub(crate) scratch_u32: RefCell<Vec<Box<[u32]>>>,
     pub(crate) scratch_bool: RefCell<Vec<Box<[bool]>>>,
@@ -217,35 +211,23 @@ pub struct SgMeter {
 impl SgMeter {
     /// A fresh, fully-metering meter.
     pub fn new(fast_math: bool) -> Self {
-        Self::new_with_mode(fast_math, MeterMode::Full)
+        Self::new_with_mode(fast_math, MeterPolicy::Full)
     }
 
-    /// A fresh meter in an explicit [`MeterMode`].
-    pub fn new_with_mode(fast_math: bool, mode: MeterMode) -> Self {
-        let metered = mode == MeterMode::Full;
-        let stash = if metered {
-            ScratchStash::empty()
-        } else {
-            SCRATCH_STASH.with(|s| std::mem::take(&mut *s.borrow_mut()))
-        };
+    /// A fresh meter under an explicit [`MeterPolicy`].
+    pub fn new_with_mode(fast_math: bool, policy: MeterPolicy) -> Self {
+        let stash = SCRATCH_STASH.with(|s| std::mem::take(&mut *s.borrow_mut()));
         Self {
             counts: Default::default(),
             live_regs: Cell::new(0),
             peak_regs: Cell::new(0),
             local_bytes: Cell::new(0),
-            metered,
+            metered: policy == MeterPolicy::Full,
             fast_math,
             scratch_f32: RefCell::new(stash.f32),
             scratch_u32: RefCell::new(stash.u32),
             scratch_bool: RefCell::new(stash.bool),
         }
-    }
-
-    /// True when this meter records charges (the reference interpreter);
-    /// false in the fast execution mode.
-    #[inline]
-    pub fn is_metered(&self) -> bool {
-        self.metered
     }
 
     /// Adds `n` occurrences of `class`.
@@ -325,12 +307,9 @@ impl SgMeter {
 }
 
 impl Drop for SgMeter {
-    /// Parks a fast-mode meter's scratch pools in the thread-local stash
-    /// so the next sub-group on this thread starts with warm buffers.
+    /// Parks the meter's scratch pools in the thread-local stash so the
+    /// next sub-group on this thread starts with warm buffers.
     fn drop(&mut self) {
-        if self.metered {
-            return;
-        }
         let pools = ScratchStash {
             f32: std::mem::take(&mut *self.scratch_f32.borrow_mut()),
             u32: std::mem::take(&mut *self.scratch_u32.borrow_mut()),
@@ -388,83 +367,6 @@ impl LaunchStats {
     }
 }
 
-/// Where a [`LaunchStats`] in a launch report came from.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum StatsSource {
-    /// Every sub-group was metered ([`MeterPolicy::Full`], or the sampled
-    /// launch of a [`MeterPolicy::Sampled`] window).
-    #[default]
-    Measured,
-    /// Scaled from the last sampled launch of the same kernel
-    /// ([`MeterPolicy::Sampled`], off-sample launch).
-    Extrapolated,
-    /// Nothing was metered ([`MeterPolicy::Off`]): counts are zero.
-    Unmetered,
-}
-
-/// Deterministic per-kernel launch sampler behind [`MeterPolicy::Sampled`].
-///
-/// Shared (`Arc`) across [`crate::Device`] clones so a simulation's launch
-/// sequence — not which handle issued it — decides which launches are
-/// sampled. Launch `SAMPLE_PERIOD·k` of each kernel name runs fully
-/// metered and becomes the *basis*; the launches between extrapolate their
-/// stats by scaling the basis to their own sub-group count. The decision
-/// depends only on the per-kernel launch ordinal, so serial and parallel
-/// replays of the same run sample — and therefore report — identically.
-#[derive(Debug, Default)]
-pub struct MeterSampler {
-    kernels: Mutex<HashMap<String, KernelSample>>,
-}
-
-#[derive(Debug, Default)]
-struct KernelSample {
-    launches: u64,
-    basis: Option<LaunchStats>,
-}
-
-impl MeterSampler {
-    /// Picks the meter mode for the next launch of `kernel`, advancing
-    /// the per-kernel ordinal.
-    pub(crate) fn decide(&self, kernel: &str) -> MeterMode {
-        let mut map = self.kernels.lock().expect("sampler lock poisoned");
-        let k = map.entry(kernel.to_string()).or_default();
-        let ord = k.launches;
-        k.launches += 1;
-        if ord.is_multiple_of(SAMPLE_PERIOD) || k.basis.is_none() {
-            MeterMode::Full
-        } else {
-            MeterMode::Off
-        }
-    }
-
-    /// Stores a fully-metered launch's stats as the extrapolation basis.
-    pub(crate) fn record(&self, kernel: &str, stats: &LaunchStats) {
-        let mut map = self.kernels.lock().expect("sampler lock poisoned");
-        map.entry(kernel.to_string()).or_default().basis = Some(*stats);
-    }
-
-    /// Extrapolates stats for an unmetered launch of `kernel` with
-    /// `n_subgroups` sub-group instances: counts scale proportionally to
-    /// the sub-group count (exact when per-sub-group work matches the
-    /// basis launch, the steady-state case); register peaks and local
-    /// footprints are per-sub-group maxima and carry over unscaled.
-    pub(crate) fn extrapolate(&self, kernel: &str, n_subgroups: u64) -> Option<LaunchStats> {
-        let map = self.kernels.lock().expect("sampler lock poisoned");
-        let basis = map.get(kernel)?.basis?;
-        let denom = basis.n_subgroups.max(1) as u128;
-        let mut counts = [0u64; N_CLASSES];
-        for (out, &c) in counts.iter_mut().zip(&basis.counts) {
-            *out = ((c as u128 * n_subgroups as u128) / denom) as u64;
-        }
-        Some(LaunchStats {
-            counts,
-            peak_regs: basis.peak_regs,
-            local_bytes_per_sg: basis.local_bytes_per_sg,
-            n_subgroups,
-        })
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -505,8 +407,7 @@ mod tests {
 
     #[test]
     fn fast_mode_records_nothing() {
-        let m = SgMeter::new_with_mode(true, MeterMode::Off);
-        assert!(!m.is_metered());
+        let m = SgMeter::new_with_mode(true, MeterPolicy::Off);
         m.charge(InstrClass::Alu, 5);
         m.charge_math(3);
         m.alloc_regs(7);
@@ -521,53 +422,33 @@ mod tests {
     }
 
     #[test]
-    fn sampler_meters_one_launch_per_period() {
-        let s = MeterSampler::default();
-        for round in 0..2u64 {
-            for i in 0..SAMPLE_PERIOD {
-                let mode = s.decide("k");
-                if i == 0 {
-                    assert_eq!(mode, MeterMode::Full, "round {round}");
-                    let mut basis = LaunchStats::default();
-                    basis.counts[0] = 120;
-                    basis.n_subgroups = 12;
-                    basis.peak_regs = 9;
-                    s.record("k", &basis);
-                } else {
-                    assert_eq!(mode, MeterMode::Off, "round {round} launch {i}");
-                }
-            }
-        }
-        // A different kernel name has its own ordinal stream.
-        assert_eq!(s.decide("other"), MeterMode::Full);
-    }
-
-    #[test]
-    fn extrapolation_scales_counts_by_subgroup_ratio() {
-        let s = MeterSampler::default();
-        let _ = s.decide("k");
-        let mut basis = LaunchStats::default();
-        basis.counts[0] = 100;
-        basis.counts[3] = 10;
-        basis.n_subgroups = 10;
-        basis.peak_regs = 17;
-        basis.local_bytes_per_sg = 64;
-        s.record("k", &basis);
-        let est = s.extrapolate("k", 25).unwrap();
-        assert_eq!(est.counts[0], 250);
-        assert_eq!(est.counts[3], 25);
-        assert_eq!(est.n_subgroups, 25);
-        assert_eq!(est.peak_regs, 17);
-        assert_eq!(est.local_bytes_per_sg, 64);
-        assert!(s.extrapolate("unknown", 4).is_none());
-    }
-
-    #[test]
     fn policy_labels() {
         assert_eq!(MeterPolicy::Full.label(), "full");
-        assert_eq!(MeterPolicy::Sampled.label(), "sampled");
         assert_eq!(MeterPolicy::Off.label(), "off");
         assert_eq!(MeterPolicy::default(), MeterPolicy::Full);
+    }
+
+    #[test]
+    fn policy_parses_once_and_loudly() {
+        assert_eq!("full".parse(), Ok(MeterPolicy::Full));
+        assert_eq!("off".parse(), Ok(MeterPolicy::Off));
+        assert_eq!("fast".parse(), Ok(MeterPolicy::Off));
+        assert_eq!(MeterPolicy::from_env_value(None), Ok(MeterPolicy::Full));
+        assert_eq!(
+            MeterPolicy::from_env_value(Some("off")),
+            Ok(MeterPolicy::Off)
+        );
+        // The removed policy (and any typo) names the variable and the
+        // accepted set instead of silently metering fully.
+        assert_eq!(
+            MeterPolicy::from_env_value(Some("sampled")),
+            Err(
+                "HACC_METER: unknown metering policy `sampled` (accepted: full | off | fast)"
+                    .to_string()
+            )
+        );
+        assert!(MeterPolicy::from_env_value(Some("Full")).is_err());
+        assert!(MeterPolicy::from_env_value(Some("")).is_err());
     }
 
     #[test]

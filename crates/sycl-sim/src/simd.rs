@@ -1,7 +1,7 @@
-//! Block-vectorized slice loops for the fast execution mode.
+//! Block-vectorized slice loops behind every `Lanes` operation.
 //!
-//! The fast path runs a sub-group's lanes as fixed-width chunks instead
-//! of interpreting one lane at a time: every loop here walks its slices
+//! A sub-group's lanes run as fixed-width chunks instead of being
+//! interpreted one lane at a time: every loop here walks its slices
 //! in [`LANE_BLOCK`]-element arrays (`chunks_exact` + `try_into`, the
 //! stable-Rust idiom for `std::simd`-style batches). The known trip
 //! count lets the compiler drop bounds checks and auto-vectorize the
@@ -17,9 +17,9 @@
 //! executes the *same* IEEE operations, so results are unchanged.
 //!
 //! Correctness contract: each helper applies `f` to the elements in
-//! ascending lane order, exactly like the metered reference
-//! interpreter's `iter().map(f)` loops — so fast-mode results are
-//! bit-identical to metered-mode results by construction.
+//! ascending lane order, exactly like a scalar `iter().map(f)` loop —
+//! the tests below compare against that loop, and the dispatched clone
+//! against the portable body.
 
 /// Elements per SIMD batch: eight 32-bit lanes (one AVX2 register).
 pub(crate) const LANE_BLOCK: usize = 8;

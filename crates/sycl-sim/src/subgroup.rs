@@ -16,7 +16,7 @@ use crate::arch::{GpuArch, ShuffleHw};
 use crate::buffer::Buffer;
 use crate::commit::{AtomicKind, AtomicOp};
 use crate::lanes::{LaneScalar, Lanes};
-use crate::meter::{InstrClass, MeterMode, SgMeter};
+use crate::meter::{InstrClass, MeterPolicy, SgMeter};
 use std::cell::RefCell;
 use std::rc::Rc;
 
@@ -36,15 +36,14 @@ pub struct SgConfig {
     pub visa_available: bool,
     /// Fast-math code generation.
     pub fast_math: bool,
-    /// Metering mode for sub-groups run under this configuration:
-    /// [`MeterMode::Full`] is the lane-by-lane reference interpreter,
-    /// [`MeterMode::Off`] the SIMD-block fast execution path.
-    pub meter_mode: MeterMode,
+    /// Whether sub-groups run under this configuration record
+    /// instruction counts, register pressure and local-memory use.
+    pub meter: MeterPolicy,
 }
 
 impl SgConfig {
     /// Derives the configuration for an architecture + flags (fully
-    /// metered; use [`SgConfig::with_meter_mode`] to opt out).
+    /// metered; use [`SgConfig::with_meter`] to opt out).
     pub fn for_arch(arch: &GpuArch, fast_math: bool, visa: bool) -> Self {
         Self {
             shuffle_hw: arch.shuffle,
@@ -53,13 +52,13 @@ impl SgConfig {
             native_float_add: arch.native_float_add,
             visa_available: visa && arch.supports_visa,
             fast_math,
-            meter_mode: MeterMode::Full,
+            meter: MeterPolicy::Full,
         }
     }
 
-    /// Returns the configuration with the given meter mode.
-    pub fn with_meter_mode(mut self, mode: MeterMode) -> Self {
-        self.meter_mode = mode;
+    /// Returns the configuration with the given metering policy.
+    pub fn with_meter(mut self, meter: MeterPolicy) -> Self {
+        self.meter = meter;
         self
     }
 }
@@ -86,7 +85,7 @@ impl Sg {
             size.is_power_of_two() && size >= 2,
             "sub-group size must be a power of two ≥ 2"
         );
-        let meter = Rc::new(SgMeter::new_with_mode(config.fast_math, config.meter_mode));
+        let meter = Rc::new(SgMeter::new_with_mode(config.fast_math, config.meter));
         Self {
             sg_id,
             size,

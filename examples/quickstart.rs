@@ -25,12 +25,12 @@
 //! threads. Both produce bit-identical trajectories (the engine commits
 //! atomics in a fixed order), so these are purely speed knobs.
 //!
-//! `--meter full|sampled|off` selects the metering policy (default:
-//! the `HACC_METER` environment variable, then `full`). `full` runs the
-//! metered reference interpreter, `sampled` meters one launch in eight
-//! per kernel and extrapolates the rest, `off` runs the SIMD fast path
-//! with no instruction telemetry. All three are bit-identical in the
-//! physics — metering is a telemetry/speed trade, not a determinism one.
+//! `--meter full|off` selects the metering policy (default: the
+//! `HACC_METER` environment variable, then `full`; `fast` is an alias
+//! of `off`). `full` charges every op to the instruction-class meters,
+//! `off` skips that bookkeeping and reports no instruction telemetry.
+//! Both run the same data path, so the physics is bit-identical —
+//! metering is a telemetry/speed trade, not a determinism one.
 //!
 //! `--ranks N` splits the box over N simulated MPI ranks (3D domain
 //! decomposition) and routes particle migration and ghost-zone halo
@@ -95,12 +95,11 @@ fn main() {
             }
             "--serial" => exec = crk_hacc::sycl::ExecutionPolicy::Serial,
             "--meter" => {
-                meter = match args.next().as_deref() {
-                    Some("full") => crk_hacc::sycl::MeterPolicy::Full,
-                    Some("sampled") => crk_hacc::sycl::MeterPolicy::Sampled,
-                    Some("off") | Some("fast") => crk_hacc::sycl::MeterPolicy::Off,
-                    other => panic!("--meter needs full|sampled|off, got {other:?}"),
-                };
+                meter = args
+                    .next()
+                    .expect("--meter needs a policy")
+                    .parse()
+                    .unwrap_or_else(|e| panic!("--meter: {e}"));
             }
             "--ranks" => {
                 let n: usize = args

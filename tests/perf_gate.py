@@ -33,8 +33,10 @@ split — so the numbers are bit-reproducible across machines and the
 gate can be tight without flaking. Host wall-clock never enters: the
 strong-scaling sweep (``BENCH_scaling.json``) is only checked for its
 bitwise-equivalence flags (every mode x thread row against the metered
-serial digest) and for the fast path not having regressed below the
-metered interpreter.
+serial digest) and for the unmetered run not being slower than the
+metered one beyond host noise (metering is bookkeeping on one data
+path, so switching it off can only remove work; the measured ratio is
+1.00-1.08x, hence the margin below).
 
 On any failure the gate prints a diff table sorted largest-|delta|
 first (metric, baseline, current, %delta) so the top regression is the
@@ -57,6 +59,12 @@ Regenerate the baselines after an intentional model change with:
 import argparse
 import json
 import sys
+
+
+# "Fast is not slower than metered", with room for host noise: both
+# modes run one data path, so the true ratio sits at ~1.0x and a
+# best-of-5 wall-clock reading lands a few percent either side of it.
+FAST_NOT_SLOWER = 0.9
 
 
 def load_json(path, what):
@@ -358,7 +366,7 @@ def write_tune_baseline(path, report, tolerance):
                    "cost-model or search-space changes.",
         "pinned": {k: report[k] for k in TUNE_PIN},
         "tolerance": tolerance,
-        "pp": report["tuned_pp"],
+        "pp": {"full": report["tuned_pp"]},
         "winners": reduce_tune(report),
     }
     with open(path, "w") as f:
@@ -418,12 +426,10 @@ def gate_tune(report, baseline, tolerance):
                     f"{w['choice']} ({w['modeled_seconds']:g} s) is slower "
                     f"than the hand-picked table ({w['hand_seconds']:g} s) "
                     f"— the cache would pin a suboptimal choice")
-    for mode in sorted(report["tuned_pp"]):
-        pp = report["tuned_pp"][mode]
-        if pp < report["pp_floor"]:
-            failures.append(
-                f"tuned PP {pp:.4f} under {mode} metering is below the "
-                f"floor {report['pp_floor']:.2f}")
+    if report["tuned_pp"] < report["pp_floor"]:
+        failures.append(
+            f"tuned PP {report['tuned_pp']:.4f} is below the floor "
+            f"{report['pp_floor']:.2f}")
 
     moved = [r for r in rows if isinstance(r[4], float) and r[4] != 0.0]
     if moved:
@@ -543,10 +549,10 @@ def main():
             print(f"scaling sweep: all {len(scaling['records'])} (mode, thread) "
                   "rows bit-identical (wall times not gated)")
         fast = scaling.get("fast_speedup")
-        if fast is not None and fast < 1.0:
+        if fast is not None and fast < FAST_NOT_SLOWER:
             failures.append(
-                f"fast execution mode slower than the metered interpreter: "
-                f"{fast:.2f}x")
+                f"unmetered run slower than the metered one: {fast:.2f}x "
+                f"(< {FAST_NOT_SLOWER}x)")
 
     if failures:
         print(f"\nPERF GATE: {len(failures)} violation(s)", file=sys.stderr)
