@@ -16,7 +16,7 @@ use hacc_core::{DeviceConfig, RecoveryPolicy, SimConfig, Simulation};
 use hacc_kernels::Variant;
 use hacc_telemetry::counter_total;
 use serde::Serialize;
-use sycl_sim::{FaultConfig, GpuArch, GrfMode, Lang};
+use sycl_sim::{ExecutionPolicy, FaultConfig, GpuArch, GrfMode, Lang};
 
 /// One point of the fault-rate sweep.
 #[derive(Clone, Debug, Serialize)]
@@ -51,7 +51,7 @@ fn smoke_sim() -> Simulation {
         grf: GrfMode::Default,
     };
     let mut sim = Simulation::new(SimConfig::smoke(), device_cfg, GpuArch::frontier());
-    sim.set_deterministic();
+    sim.set_execution_policy(ExecutionPolicy::Serial);
     sim
 }
 

@@ -173,25 +173,13 @@ pub struct Checkpoint {
 }
 
 impl Checkpoint {
-    /// Captures the baryon state of a running simulation.
+    /// Captures the baryon state of a running simulation — exactly the
+    /// host particles its in-situ hydro offload uploads.
     pub fn capture(sim: &Simulation) -> Self {
-        let a2 = sim.a * sim.a;
-        let mut hp = HostParticles::default();
-        for i in 0..sim.n_particles() {
-            if sim.species[i] != Species::Baryon {
-                continue;
-            }
-            hp.pos.push(sim.pos[i]);
-            hp.vel
-                .push([sim.mom[i][0] / a2, sim.mom[i][1] / a2, sim.mom[i][2] / a2]);
-            hp.mass.push(sim.mass[i]);
-            hp.h.push(sim.h[i]);
-            hp.u.push(sim.u_int[i].max(1e-12));
-        }
         Self {
             a: sim.a,
-            box_size: sim.config.box_spec.ng as f64,
-            particles: hp,
+            box_size: sim.box_size(),
+            particles: sim.host_particles(&sim.baryon_indices()),
         }
     }
 

@@ -239,22 +239,22 @@ mod tests {
     }
 
     #[test]
-    fn comm_layer_records_exchange_traffic() {
+    fn stepping_past_the_end_is_a_typed_error_that_changes_nothing() {
         let mut sim = smoke_sim(Variant::Select);
-        sim.enable_comm(8);
-        sim.step();
-        let stats = sim.comm_stats().unwrap();
-        assert!(stats.bytes > 0, "8 ranks must exchange halo traffic");
-        assert!(stats.exchanges >= 1);
-        let events = sim.telemetry.events();
-        let sent = hacc_telemetry::counter_total(&events, "comm.bytes_sent");
-        assert_eq!(sent, stats.bytes as f64, "counters reconcile with stats");
-        assert!(hacc_telemetry::counter_total(&events, "comm.ghosts") > 0.0);
-        // The physics must be untouched by the comm layer.
-        let mut plain = smoke_sim(Variant::Select);
-        plain.step();
-        assert_eq!(plain.pos, sim.pos);
-        assert_eq!(plain.mom, sim.mom);
+        sim.run();
+        let (digest, steps, events) = (sim.state_digest(), sim.step_count, sim.telemetry.len());
+        let err = sim.try_step().expect_err("the run is over");
+        let sycl_sim::LaunchError::Config { message } = &err else {
+            panic!("expected a Config error, got {err}");
+        };
+        let n_steps = sim.config.n_steps;
+        assert!(
+            message.contains(&format!("step {steps}")) && message.contains(&n_steps.to_string()),
+            "error must name the step and config.n_steps: {message}"
+        );
+        assert_eq!(sim.state_digest(), digest);
+        assert_eq!(sim.step_count, steps);
+        assert_eq!(sim.telemetry.len(), events, "a refused step emits nothing");
     }
 
     #[test]

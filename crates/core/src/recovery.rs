@@ -149,7 +149,7 @@ mod tests {
     use crate::config::{DeviceConfig, SimConfig};
     use hacc_kernels::Variant;
     use hacc_telemetry::counter_total;
-    use sycl_sim::{FaultConfig, GpuArch, GrfMode, Lang};
+    use sycl_sim::{ExecutionPolicy, FaultConfig, GpuArch, GrfMode, Lang};
 
     fn smoke() -> Simulation {
         let dc = DeviceConfig {
@@ -165,11 +165,11 @@ mod tests {
     #[test]
     fn guarded_run_without_faults_matches_plain_run() {
         let mut plain = smoke();
-        plain.set_deterministic();
+        plain.set_execution_policy(ExecutionPolicy::Serial);
         let plain_summary = plain.run();
 
         let mut guarded = smoke();
-        guarded.set_deterministic();
+        guarded.set_execution_policy(ExecutionPolicy::Serial);
         let summary = guarded
             .try_run_guarded(&RecoveryPolicy::default())
             .expect("fault-free guarded run must succeed");
@@ -188,7 +188,7 @@ mod tests {
     #[test]
     fn unrecoverable_failure_is_a_structured_error() {
         let mut sim = smoke();
-        sim.set_deterministic();
+        sim.set_execution_policy(ExecutionPolicy::Serial);
         // Permanently blocking the whole fallback chain makes every
         // launch fail: no amount of rollback can recover.
         sim.enable_fault_injection(FaultConfig {

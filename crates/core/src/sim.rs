@@ -23,22 +23,19 @@
 //! not affect the performance characteristics of the kernels).
 
 use crate::config::{DeviceConfig, SimConfig};
-use crate::rank::RankLayout;
 use crate::timers::{Timers, TimersSink};
-use hacc_comm::{Interconnect, ParticleBatch, Tag, Transport};
 use hacc_cosmo::{z_to_a, Friedmann, LinearPower};
 use hacc_kernels::{
     launch_resilient, run_gravity_with_policy, run_hydro_step_planned, DeviceParticles,
-    GravityParams, HostParticles, LaunchPolicy, StepPlan, Subgrid, SubgridParams, TunedSelector,
-    Variant, WorkLists, WorkSet, GRAVITY_TIMER,
+    GravityParams, HostParticles, LaunchPolicy, StepPlan, Subgrid, SubgridParams, TimerReport,
+    TunedSelector, Variant, WorkLists, WorkSet, GRAVITY_TIMER,
 };
 use hacc_mesh::{zeldovich_ics, ForceSplit, PmSolver, PolyShortRange};
 use hacc_telemetry::Recorder;
 use hacc_tree::{InteractionList, RcbTree};
 use std::sync::{Arc, Mutex};
 use sycl_sim::{
-    Device, FaultConfig, FaultInjector, GrfMode, LaunchConfig, LaunchError, ResourceId, RunError,
-    TaskGraph, Toolchain, TunablePoint,
+    Device, FaultConfig, FaultInjector, GrfMode, LaunchConfig, LaunchError, Toolchain, TunablePoint,
 };
 
 /// Particle species tags.
@@ -100,134 +97,10 @@ pub struct Simulation {
     poly: PolyShortRange,
     friedmann: Friedmann,
     grav_prefactor: f64,
-    comm: Option<CommLayer>,
-    /// When true, each step runs the host PM solve and the first
-    /// sub-cycle's gravity offload as a task graph instead of
-    /// back-to-back (see [`Simulation::set_async`]).
-    async_step: bool,
-    /// Runtime autotuner (see [`Simulation::set_tuning`] and the
-    /// `HACC_TUNE` environment default). Mutex-wrapped because the
-    /// hydro/gravity offloads take `&self` while selection and
-    /// observation mutate the tuner state.
+    /// Runtime autotuner (see [`Simulation::set_tuning`]). Mutex-wrapped
+    /// because the hydro/gravity offloads take `&self` while selection
+    /// and observation mutate the tuner state.
     tuning: Option<Mutex<TunedSelector>>,
-}
-
-/// Borrowed view of the fields the gravity offload reads, so the async
-/// step can launch it from a task while a disjoint `&mut` borrow
-/// drives the PM solver on another worker.
-struct GravityCtx<'a> {
-    device: &'a Device,
-    config: &'a SimConfig,
-    launch: LaunchConfig,
-    launch_policy: &'a LaunchPolicy,
-    variant: Variant,
-    poly: &'a PolyShortRange,
-    telemetry: &'a Recorder,
-    grav_prefactor: f64,
-    pos: &'a [[f64; 3]],
-    mass: &'a [f64],
-    tuning: Option<&'a Mutex<TunedSelector>>,
-}
-
-/// Short-range gravity offload against a borrowed [`GravityCtx`] —
-/// the body of [`Simulation::device_gravity`], callable from a task
-/// while the PM solver runs on another worker.
-fn device_gravity_with(ctx: &GravityCtx<'_>, idx: &[usize]) -> Result<Vec<[f64; 3]>, LaunchError> {
-    let pos: Vec<[f64; 3]> = idx.iter().map(|&i| ctx.pos[i]).collect();
-    Simulation::check_offload_positions(&pos)?;
-    // Tuned override: the validated cached winner for the gravity
-    // timer, when a tuner is attached (read-only peek — gravity does
-    // not explore; the cache is filled by the hydro path and the
-    // offline autotune sweep).
-    let (variant, launch) = match ctx.tuning {
-        Some(t) => t
-            .lock()
-            .unwrap()
-            .peek(GRAVITY_TIMER)
-            .map(|(v, c)| (v, c.knobs().apply_to(ctx.launch)))
-            .unwrap_or((ctx.variant, ctx.launch)),
-        None => (ctx.variant, ctx.launch),
-    };
-    let max_leaf = ctx
-        .config
-        .max_leaf
-        .unwrap_or(variant.preferred_leaf_capacity(launch.sg_size));
-    let tree = RcbTree::build(&pos, max_leaf);
-    let box_size = ctx.config.box_spec.ng as f64;
-    let list = InteractionList::build(&tree, box_size, ctx.config.r_cut_cells);
-    let work = WorkLists::build(&tree, &list, launch.sg_size);
-    let hp = HostParticles {
-        pos,
-        vel: vec![[0.0; 3]; idx.len()],
-        mass: idx
-            .iter()
-            .map(|&i| ctx.mass[i] * ctx.grav_prefactor)
-            .collect(),
-        h: vec![1.0; idx.len()],
-        u: vec![0.0; idx.len()],
-    }
-    .permuted(&tree.order);
-    let _span = ctx.telemetry.span("gravity");
-    let charge = |direction: &str, bytes: usize| {
-        let secs = bytes as f64 / (ctx.device.arch.host_link_gbps * 1e9);
-        ctx.telemetry
-            .counter(&format!("xfer.{direction}.bytes"), bytes as f64);
-        ctx.telemetry.timer("upXfer", secs);
-    };
-    // Upload: pos(3) + mass per particle; download: acc(3).
-    charge("h2d", idx.len() * 4 * 4);
-    let data = DeviceParticles::upload(&hp);
-    let params = GravityParams {
-        poly: std::array::from_fn(|i| ctx.poly.coeffs[i] as f32),
-        r_cut2: (ctx.config.r_cut_cells * ctx.config.r_cut_cells) as f32,
-        soft2: 1e-4,
-    };
-    let report = run_gravity_with_policy(
-        ctx.device,
-        &data,
-        &work,
-        variant,
-        box_size as f32,
-        params,
-        launch,
-        ctx.telemetry,
-        ctx.launch_policy,
-    )?;
-    if let Some(t) = ctx.tuning {
-        t.lock().unwrap().observe_step(
-            ctx.device,
-            std::slice::from_ref(&report),
-            Some(ctx.telemetry),
-        );
-    }
-    charge("d2h", idx.len() * 3 * 4);
-    // Scatter leaf-ordered results back to subset order.
-    let acc = data.download_vec3(&data.acc_grav);
-    let mut out = vec![[0.0f64; 3]; idx.len()];
-    for (slot, &pi) in tree.order.iter().enumerate() {
-        out[pi as usize] = [
-            acc[slot][0] as f64,
-            acc[slot][1] as f64,
-            acc[slot][2] as f64,
-        ];
-    }
-    Ok(out)
-}
-
-/// The optional rank-decomposition comm layer: when enabled, every
-/// step drives the production migration + halo-refresh traffic through
-/// an in-process [`Transport`] so exchange volume, per-link spans, and
-/// `comm.*` counters land in telemetry. The global particle state
-/// stays authoritative (decomposition-transparent physics); the fully
-/// distributed bit-exact engine is [`crate::MultiRankSim`].
-struct CommLayer {
-    layout: RankLayout,
-    transport: Transport,
-    /// Owner of each particle after the previous step, for migration
-    /// detection.
-    owner: Vec<usize>,
-    /// Ghost-zone depth in grid units.
-    ghost_width: f64,
 }
 
 /// Summary of a completed run.
@@ -243,9 +116,25 @@ pub struct RunSummary {
     pub timers: Vec<(String, f64, u64)>,
 }
 
+/// Leaf order → subset order: the offloads compute in the tree's leaf
+/// order, so slot `s` of a downloaded field belongs to subset particle
+/// `order[s]`.
+fn scatter<T: Clone + Default>(order: &[u32], leaf: impl Fn(usize) -> T) -> Vec<T> {
+    let mut out = vec![T::default(); order.len()];
+    for (slot, &pi) in order.iter().enumerate() {
+        out[pi as usize] = leaf(slot);
+    }
+    out
+}
+
 impl Simulation {
     /// Builds the simulation: Zel'dovich ICs for both species, PM solver,
-    /// short-range polynomial, device.
+    /// short-range polynomial, device. A function of its arguments plus
+    /// one documented environment default: the launch configuration's
+    /// metering policy starts from `HACC_METER`
+    /// ([`sycl_sim::MeterPolicy::from_env`]) until
+    /// [`Simulation::set_meter_policy`] overrides it. No tuner is
+    /// attached and the execution policy is the launch default.
     pub fn new(config: SimConfig, device_cfg: DeviceConfig, arch: sycl_sim::GpuArch) -> Self {
         config.validate().expect("invalid simulation configuration");
         let toolchain = {
@@ -324,38 +213,7 @@ impl Simulation {
         let telemetry = Recorder::new();
         telemetry.add_sink(Box::new(TimersSink::new(timers.clone())));
 
-        // Opt-in runtime autotuning: HACC_TUNE=1 loads the default
-        // tune-cache.json, any other non-zero value is a cache path.
-        // HACC_TUNE_EPSILON overrides the exploration rate.
-        let tuning = match std::env::var("HACC_TUNE") {
-            Ok(v) if !v.is_empty() && v != "0" => {
-                let path = if v == "1" {
-                    std::path::PathBuf::from(hacc_tune::CACHE_FILE)
-                } else {
-                    std::path::PathBuf::from(v)
-                };
-                let epsilon = std::env::var("HACC_TUNE_EPSILON")
-                    .ok()
-                    .and_then(|e| e.parse::<f64>().ok())
-                    .unwrap_or(0.05);
-                let n = 2 * config.box_spec.particles_per_species();
-                let (sel, err) = TunedSelector::from_cache_file(
-                    &arch,
-                    n,
-                    &path,
-                    epsilon,
-                    device.toolchain.enable_visa,
-                );
-                if err.is_some() {
-                    // A missing/stale/hostile cache is not fatal — the
-                    // tuner starts cold — but it must be observable.
-                    telemetry.counter("tune.cache_rejected", 1.0);
-                }
-                Some(Mutex::new(sel))
-            }
-            _ => None,
-        };
-        let mut sim = Self {
+        Self {
             config,
             device,
             launch,
@@ -372,21 +230,15 @@ impl Simulation {
             enable_hydro: true,
             subgrid: None,
             star_mass: vec![0.0; 2 * np3],
-            adaptive_sub_cycles: 0, // set below from config
+            adaptive_sub_cycles: sub_cycles,
             timers,
             telemetry,
             pm,
             poly,
             friedmann,
             grav_prefactor,
-            comm: None,
-            async_step: std::env::var("HACC_ASYNC")
-                .map(|v| v == "1")
-                .unwrap_or(false),
-            tuning,
-        };
-        sim.adaptive_sub_cycles = sub_cycles;
-        sim
+            tuning: None,
+        }
     }
 
     /// Total particle count (both species).
@@ -395,7 +247,7 @@ impl Simulation {
     }
 
     /// Indices of baryon particles.
-    fn baryon_indices(&self) -> Vec<usize> {
+    pub(crate) fn baryon_indices(&self) -> Vec<usize> {
         (0..self.n_particles())
             .filter(|&i| self.species[i] == Species::Baryon)
             .collect()
@@ -406,16 +258,22 @@ impl Simulation {
         1.0 / self.a - 1.0
     }
 
-    fn gravity_coupling(&self) -> f64 {
-        1.5 * self.config.cosmo.omega_m
+    /// Periodic box side in grid units.
+    pub(crate) fn box_size(&self) -> f64 {
+        self.config.box_spec.ng as f64
     }
 
-    /// Long-range PM accelerations for all particles (grid units, without
-    /// the 3/2 Ωₘ coupling).
-    fn pm_forces(&mut self) -> Vec<[f64; 3]> {
-        let mut out = Vec::new();
-        self.pm.accelerations(&self.pos, &self.mass, &mut out);
-        out
+    /// Half a long-range kick at the current positions: the host PM
+    /// solve (grid accelerations, without the 3/2 Ωₘ `coupling`)
+    /// applied with half of `kick_long`'s weight.
+    fn half_long_kick(&mut self, coupling: f64, kick_long: f64) {
+        let mut pm_force = Vec::new();
+        self.pm.accelerations(&self.pos, &self.mass, &mut pm_force);
+        for (m, f) in self.mom.iter_mut().zip(&pm_force) {
+            for c in 0..3 {
+                m[c] += 0.5 * coupling * f[c] * kick_long;
+            }
+        }
     }
 
     /// Charges host↔device transfer time for `bytes` moved over the
@@ -431,156 +289,126 @@ impl Simulation {
         self.telemetry.timer("upXfer", secs);
     }
 
-    /// Rejects non-finite positions before they reach the tree build —
-    /// silent corruption from an earlier launch in the same step must
-    /// surface as a recoverable error, not a panic inside RCB.
-    fn check_offload_positions(pos: &[[f64; 3]]) -> Result<(), LaunchError> {
+    /// The geometry every offload starts from: the RCB tree over a
+    /// subset's positions (leaf capacity from the config, else what
+    /// `variant` prefers at `sg_size`) and the leaf-pair interaction
+    /// list inside the short-range cutoff. Non-finite positions are
+    /// rejected first — silent corruption from an earlier launch in the
+    /// same step must surface as a recoverable error, not a panic
+    /// inside the tree build.
+    fn geometry(
+        &self,
+        pos: &[[f64; 3]],
+        variant: Variant,
+        sg_size: usize,
+    ) -> Result<(RcbTree, InteractionList), LaunchError> {
         if pos.iter().any(|p| p.iter().any(|c| !c.is_finite())) {
             return Err(LaunchError::Config {
                 message: "non-finite particle positions (corrupted state)".to_string(),
             });
         }
-        Ok(())
+        let max_leaf = self
+            .config
+            .max_leaf
+            .unwrap_or(variant.preferred_leaf_capacity(sg_size));
+        let tree = RcbTree::build(pos, max_leaf);
+        let list = InteractionList::build(&tree, self.box_size(), self.config.r_cut_cells);
+        Ok((tree, list))
+    }
+
+    /// The hydro-relevant fields of a particle subset as the kernels
+    /// consume them: peculiar velocities `mom / a²` and internal
+    /// energies floored at `1e-12`. This is what the in-situ hydro
+    /// offload uploads *and* what [`crate::Checkpoint::capture`] stores,
+    /// so a §7.2 standalone-kernel checkpoint is the offload's input by
+    /// construction.
+    pub(crate) fn host_particles(&self, idx: &[usize]) -> HostParticles {
+        let a2 = self.a * self.a;
+        HostParticles {
+            pos: idx.iter().map(|&i| self.pos[i]).collect(),
+            vel: idx.iter().map(|&i| self.mom[i].map(|m| m / a2)).collect(),
+            mass: idx.iter().map(|&i| self.mass[i]).collect(),
+            h: idx.iter().map(|&i| self.h[i]).collect(),
+            u: idx.iter().map(|&i| self.u_int[i].max(1e-12)).collect(),
+        }
     }
 
     /// Runs the offloaded short-range gravity for a particle subset,
     /// returning accelerations in the subset's order.
     fn device_gravity(&self, idx: &[usize]) -> Result<Vec<[f64; 3]>, LaunchError> {
-        device_gravity_with(&self.gravity_ctx(), idx)
-    }
-
-    /// Packs the borrowed view [`device_gravity_with`] needs, leaving
-    /// `pm` and `mom` free for a disjoint `&mut` borrow.
-    fn gravity_ctx(&self) -> GravityCtx<'_> {
-        GravityCtx {
-            device: &self.device,
-            config: &self.config,
-            launch: self.launch,
-            launch_policy: &self.launch_policy,
-            variant: self.variant,
-            poly: &self.poly,
-            telemetry: &self.telemetry,
-            grav_prefactor: self.grav_prefactor,
-            pos: &self.pos,
-            mass: &self.mass,
-            tuning: self.tuning.as_ref(),
+        // Tuned override: the validated cached winner for the gravity
+        // timer, when a tuner is attached (read-only peek — gravity does
+        // not explore; the cache is filled by the hydro path and the
+        // offline autotune sweep).
+        let (variant, launch) = self
+            .tuning
+            .as_ref()
+            .and_then(|t| t.lock().expect("tuner lock poisoned").peek(GRAVITY_TIMER))
+            .map(|(v, c)| (v, c.knobs().apply_to(self.launch)))
+            .unwrap_or((self.variant, self.launch));
+        let pos: Vec<[f64; 3]> = idx.iter().map(|&i| self.pos[i]).collect();
+        let (tree, list) = self.geometry(&pos, variant, launch.sg_size)?;
+        let work = WorkLists::build(&tree, &list, launch.sg_size);
+        let hp = HostParticles {
+            pos,
+            vel: vec![[0.0; 3]; idx.len()],
+            mass: idx
+                .iter()
+                .map(|&i| self.mass[i] * self.grav_prefactor)
+                .collect(),
+            h: vec![1.0; idx.len()],
+            u: vec![0.0; idx.len()],
         }
-    }
-
-    /// Runs the host PM solve and the first sub-cycle's gravity offload
-    /// as a two-node task graph ([`Simulation::set_async`]): the solver
-    /// writes only its own grids and force output, the offload reads
-    /// only positions and masses, so the graph has no edge between them
-    /// and the scheduler overlaps the host FFT work with the device
-    /// kernels — bit-identical to running them back-to-back.
-    #[allow(clippy::type_complexity)]
-    fn pm_overlap_gravity(
-        &mut self,
-        idx: &[usize],
-    ) -> Result<(Vec<[f64; 3]>, Vec<[f64; 3]>), LaunchError> {
-        let Self {
-            pm,
-            pos,
-            mass,
-            device,
-            config,
-            launch,
-            launch_policy,
-            variant,
-            poly,
-            telemetry,
-            grav_prefactor,
-            tuning,
-            ..
-        } = &mut *self;
-        let (pos, mass): (&[[f64; 3]], &[f64]) = (pos, mass);
-        let telemetry: &Recorder = telemetry;
-        let ctx = GravityCtx {
-            device,
-            config,
-            launch: *launch,
-            launch_policy,
-            variant: *variant,
-            poly,
-            telemetry,
-            grav_prefactor: *grav_prefactor,
-            pos,
-            mass,
-            tuning: tuning.as_ref(),
+        .permuted(&tree.order);
+        let _span = self.telemetry.span("gravity");
+        // Upload: pos(3) + mass per particle; download: acc(3).
+        self.charge_transfer("h2d", idx.len() * 4 * 4);
+        let data = DeviceParticles::upload(&hp);
+        let params = GravityParams {
+            poly: std::array::from_fn(|i| self.poly.coeffs[i] as f32),
+            r_cut2: (self.config.r_cut_cells * self.config.r_cut_cells) as f32,
+            soft2: 1e-4,
         };
-        let pm_out = Mutex::new(Vec::new());
-        let g_out = Mutex::new(None);
-        let mut graph: TaskGraph<'_, LaunchError> = TaskGraph::new();
-        {
-            let (pm_out, g_out) = (&pm_out, &g_out);
-            graph.add_task(
-                "host.pm",
-                &[ResourceId::named("sim.particles")],
-                &[ResourceId::named("sim.pm_force")],
-                move || {
-                    let mut out = Vec::new();
-                    pm.accelerations(pos, mass, &mut out);
-                    *pm_out.lock().unwrap() = out;
-                    Ok(())
-                },
-            );
-            graph.add_task(
-                "device.gravity",
-                &[ResourceId::named("sim.particles")],
-                &[ResourceId::named("sim.grav_acc")],
-                move || {
-                    *g_out.lock().unwrap() = Some(device_gravity_with(&ctx, idx)?);
-                    Ok(())
-                },
+        let report = run_gravity_with_policy(
+            &self.device,
+            &data,
+            &work,
+            variant,
+            self.box_size() as f32,
+            params,
+            launch,
+            &self.telemetry,
+            &self.launch_policy,
+        )?;
+        self.observe(std::slice::from_ref(&report));
+        self.charge_transfer("d2h", idx.len() * 3 * 4);
+        let acc = data.download_vec3(&data.acc_grav);
+        Ok(scatter(&tree.order, |slot| acc[slot].map(f64::from)))
+    }
+
+    /// Feeds a launch sequence's measured estimates back to the tuner,
+    /// when one is attached.
+    fn observe(&self, reports: &[TimerReport]) {
+        if let Some(t) = &self.tuning {
+            t.lock().expect("tuner lock poisoned").observe_step(
+                &self.device,
+                reports,
+                Some(&self.telemetry),
             );
         }
-        if let Err(e) = graph.run(0, None, Some(telemetry)) {
-            return Err(match e {
-                RunError::Task { error, .. } => error,
-                RunError::Watchdog { .. } => unreachable!("step graph runs without a watchdog"),
-            });
-        }
-        let pm_force = pm_out.into_inner().unwrap();
-        let g0 = g_out.into_inner().unwrap().expect("gravity task executed");
-        Ok((pm_force, g0))
     }
 
     /// Runs the offloaded CRK hydro kernels (plus the sub-grid kernel
     /// when enabled) for the baryons. Returns (acc, du_dt including
     /// cooling, new smoothing lengths, star-formation rate, device
     /// dt_min) in baryon-subset order, and records the timers.
-    #[allow(clippy::type_complexity)]
     fn device_hydro(
         &self,
         idx: &[usize],
     ) -> Result<(Vec<[f64; 3]>, Vec<f64>, Vec<f64>, Vec<f64>, f64), LaunchError> {
-        let pos: Vec<[f64; 3]> = idx.iter().map(|&i| self.pos[i]).collect();
-        Self::check_offload_positions(&pos)?;
-        let max_leaf = self
-            .config
-            .max_leaf
-            .unwrap_or(self.variant.preferred_leaf_capacity(self.launch.sg_size));
-        let tree = RcbTree::build(&pos, max_leaf);
-        let box_size = self.config.box_spec.ng as f64;
-        let list = InteractionList::build(&tree, box_size, self.config.r_cut_cells);
-        let a2 = self.a * self.a;
-        let hp = HostParticles {
-            pos,
-            vel: idx
-                .iter()
-                .map(|&i| {
-                    [
-                        self.mom[i][0] / a2,
-                        self.mom[i][1] / a2,
-                        self.mom[i][2] / a2,
-                    ]
-                })
-                .collect(),
-            mass: idx.iter().map(|&i| self.mass[i]).collect(),
-            h: idx.iter().map(|&i| self.h[i]).collect(),
-            u: idx.iter().map(|&i| self.u_int[i].max(1e-12)).collect(),
-        }
-        .permuted(&tree.order);
+        let hp = self.host_particles(idx);
+        let (tree, list) = self.geometry(&hp.pos, self.variant, self.launch.sg_size)?;
+        let hp = hp.permuted(&tree.order);
         let _span = self.telemetry.span("hydro");
         // Upload: pos(3)+vel(3)+mass+h+u.
         self.charge_transfer("h2d", idx.len() * 9 * 4);
@@ -603,17 +431,11 @@ impl Simulation {
             &data,
             &works,
             &plan,
-            box_size as f32,
+            self.box_size() as f32,
             &self.telemetry,
             &self.launch_policy,
         )?;
-        if let Some(t) = &self.tuning {
-            t.lock().expect("tuner lock poisoned").observe_step(
-                &self.device,
-                &reports,
-                Some(&self.telemetry),
-            );
-        }
+        self.observe(&reports);
 
         // Sub-grid pass (lane-parallel; adds its cooling rate and
         // tightens the shared dt_min).
@@ -648,28 +470,22 @@ impl Simulation {
         let vol = data.volume.to_f32_vec();
         let du = data.du_dt.to_f32_vec();
         let dt_min = data.dt_min.read_f32(0) as f64;
-        let mut acc_out = vec![[0.0f64; 3]; idx.len()];
-        let mut du_out = vec![0.0f64; idx.len()];
-        let mut h_out = vec![0.0f64; idx.len()];
-        let mut sf_out = vec![0.0f64; idx.len()];
-        let spacing = self.config.box_spec.ng as f64 / self.config.box_spec.np as f64;
+        let spacing = self.box_size() / self.config.box_spec.np as f64;
         let h0 = self.config.eta_smoothing * spacing;
-        for (slot, &pi) in tree.order.iter().enumerate() {
-            let pi = pi as usize;
-            acc_out[pi] = [
-                acc[slot][0] as f64,
-                acc[slot][1] as f64,
-                acc[slot][2] as f64,
-            ];
-            du_out[pi] = du[slot] as f64 + cool[slot] as f64;
-            sf_out[pi] = sf[slot] as f64;
+        let order = &tree.order;
+        Ok((
+            scatter(order, |slot| acc[slot].map(f64::from)),
+            scatter(order, |slot| du[slot] as f64 + cool[slot] as f64),
             // Adaptive smoothing: h = η V^{1/3}, clamped to keep the
             // kernel support inside the interaction cutoff.
-            let v = (vol[slot] as f64).max(1e-30);
-            let target = self.config.eta_smoothing * v.cbrt();
-            h_out[pi] = target.clamp(0.5 * h0, self.config.r_cut_cells / 2.0);
-        }
-        Ok((acc_out, du_out, h_out, sf_out, dt_min))
+            scatter(order, |slot| {
+                let v = (vol[slot] as f64).max(1e-30);
+                let target = self.config.eta_smoothing * v.cbrt();
+                target.clamp(0.5 * h0, self.config.r_cut_cells / 2.0)
+            }),
+            scatter(order, |slot| sf[slot] as f64),
+            dt_min,
+        ))
     }
 
     /// Advances one long (PM) step with short-range sub-cycles,
@@ -682,13 +498,25 @@ impl Simulation {
             .expect("kernel launch failed beyond the retry/fallback budget");
     }
 
-    /// Advances one long (PM) step with short-range sub-cycles.
+    /// Advances one long (PM) step with short-range sub-cycles: half a
+    /// long-range kick, then per sub-cycle the gravity kick on every
+    /// particle, the hydro kick on the baryons and the drift, then the
+    /// second half long-range kick at the new positions.
     ///
     /// Launch failures that survive the retry/fallback policy surface
     /// as the [`LaunchError`] of the offending kernel; the state is
     /// left partially advanced and should be restored from a
-    /// checkpoint before retrying.
+    /// checkpoint before retrying. Stepping past `config.n_steps` is
+    /// refused with a [`LaunchError::Config`] before anything changes.
     pub fn try_step(&mut self) -> Result<(), LaunchError> {
+        if self.step_count >= self.config.n_steps {
+            return Err(LaunchError::Config {
+                message: format!(
+                    "step {} is past the end of the run (config.n_steps = {})",
+                    self.step_count, self.config.n_steps
+                ),
+            });
+        }
         let _span = self.telemetry.span("step");
         let schedule = self.friedmann.step_schedule(
             z_to_a(self.config.z_init),
@@ -697,30 +525,15 @@ impl Simulation {
         );
         let a0 = schedule[self.step_count];
         let a1 = schedule[self.step_count + 1];
-        let coupling = self.gravity_coupling();
-
-        // Half long-range kick. The async step also launches the first
-        // sub-cycle's gravity offload here, overlapped with the PM
-        // solve — gravity reads only positions and masses, which the
-        // PM kick does not touch, so the result is bit-identical.
+        let coupling = 1.5 * self.config.cosmo.omega_m;
         let kick_long = self.friedmann.kick_factor(a0, a1);
-        let all: Vec<usize> = (0..self.n_particles()).collect();
-        let (pm_force, mut g_first) = if self.async_step {
-            let (pm_force, g0) = self.pm_overlap_gravity(&all)?;
-            (pm_force, Some(g0))
-        } else {
-            (self.pm_forces(), None)
-        };
-        for (m, f) in self.mom.iter_mut().zip(&pm_force) {
-            for c in 0..3 {
-                m[c] += 0.5 * coupling * f[c] * kick_long;
-            }
-        }
+        self.half_long_kick(coupling, kick_long);
 
         // Short-range sub-cycles, uniform in a. With sub-grid physics
         // enabled the count adapts to the cooling-tightened dt_min.
         let nc = self.adaptive_sub_cycles.max(self.config.sub_cycles);
         let mut dt_min_seen = f64::MAX;
+        let all: Vec<usize> = (0..self.n_particles()).collect();
         let baryons = self.baryon_indices();
         for s in 0..nc {
             let as0 = a0 + (a1 - a0) * s as f64 / nc as f64;
@@ -730,15 +543,11 @@ impl Simulation {
             let drift = self.friedmann.drift_factor(as0, as1);
             let dt_proper = self.friedmann.time_between(as0, as1);
 
-            // Short-range gravity on every particle (the async step
-            // already computed sub-cycle 0 overlapped with the PM solve).
-            let g_sr = match g_first.take() {
-                Some(g) => g,
-                None => self.device_gravity(&all)?,
-            };
-            for (i, g) in g_sr.iter().enumerate() {
+            // Short-range gravity on every particle.
+            let g_sr = self.device_gravity(&all)?;
+            for (m, g) in self.mom.iter_mut().zip(&g_sr) {
                 for c in 0..3 {
-                    self.mom[i][c] += coupling * g[c] * kick;
+                    m[c] += coupling * g[c] * kick;
                 }
             }
 
@@ -765,7 +574,7 @@ impl Simulation {
             }
 
             // Drift.
-            let ng = self.config.box_spec.ng as f64;
+            let ng = self.box_size();
             for (p, m) in self.pos.iter_mut().zip(&self.mom) {
                 for c in 0..3 {
                     p[c] = (p[c] + m[c] * drift).rem_euclid(ng);
@@ -784,16 +593,9 @@ impl Simulation {
                 needed.clamp(self.config.sub_cycles, 32.max(self.config.sub_cycles));
         }
 
-        // Second half long-range kick at the new positions.
-        let pm_force = self.pm_forces();
-        for (m, f) in self.mom.iter_mut().zip(&pm_force) {
-            for c in 0..3 {
-                m[c] += 0.5 * coupling * f[c] * kick_long;
-            }
-        }
+        self.half_long_kick(coupling, kick_long);
         self.a = a1;
         self.step_count += 1;
-        self.comm_refresh();
         Ok(())
     }
 
@@ -836,7 +638,7 @@ impl Simulation {
     /// RMS displacement of all particles from a reference position set.
     pub fn rms_displacement_from(&self, reference: &[[f64; 3]]) -> f64 {
         assert_eq!(reference.len(), self.n_particles());
-        let ng = self.config.box_spec.ng as f64;
+        let ng = self.box_size();
         let mut sum = 0.0;
         for (p, q) in self.pos.iter().zip(reference) {
             let d = hacc_tree::min_image(q, p, ng);
@@ -862,14 +664,6 @@ impl Simulation {
     /// Forces gravity-only mode (dark-matter tests).
     pub fn set_gravity_only(&mut self) {
         self.enable_hydro = false;
-    }
-
-    /// Forces single-threaded kernel launches (the serial reference path).
-    /// The parallel scheduler is bit-identical to it, so this is a speed
-    /// knob and an equivalence-testing baseline, not a determinism one —
-    /// every execution policy yields the same trajectory for a seed.
-    pub fn set_deterministic(&mut self) {
-        self.launch.exec = sycl_sim::ExecutionPolicy::Serial;
     }
 
     /// Sets the host-side execution policy for every subsequent kernel
@@ -899,25 +693,12 @@ impl Simulation {
         self.launch.meter
     }
 
-    /// Opts into the asynchronous task-graph step: the host PM solve
-    /// and the first sub-cycle's gravity offload run as a two-node
-    /// dependency graph instead of back-to-back. Both tasks read only
-    /// positions and masses and write disjoint outputs, so the overlap
-    /// is bit-identical to the barriered reference path. Overrides the
-    /// `HACC_ASYNC` environment default.
-    pub fn set_async(&mut self, on: bool) {
-        self.async_step = on;
-    }
-
-    /// Whether the asynchronous task-graph step is enabled.
-    pub fn is_async(&self) -> bool {
-        self.async_step
-    }
-
     /// Attaches a runtime autotuner: kernel launches use cached winners
     /// (with the selector's exploration rate) instead of the fixed
-    /// (variant, launch) pair, and feed measured estimates back.
-    /// Overrides the `HACC_TUNE` environment default.
+    /// (variant, launch) pair, and feed measured estimates back. The
+    /// only way a tuner gets in — the constructor reads no tuning
+    /// configuration, and `quickstart --tune PATH` calls this with a
+    /// `TunedSelector::from_cache_file`.
     pub fn set_tuning(&mut self, selector: TunedSelector) {
         self.tuning = Some(Mutex::new(selector));
     }
@@ -946,8 +727,7 @@ impl Simulation {
 
     /// FNV-1a digest of the full mutable particle state plus the scale
     /// factor — the bit-identity witness the equivalence tests compare
-    /// across execution policies, meter policies, and async/barriered
-    /// step modes.
+    /// across execution policies and meter policies.
     pub fn state_digest(&self) -> u64 {
         let mut hash = 0xcbf2_9ce4_8422_2325u64;
         let mut eat = |bits: u64| {
@@ -990,90 +770,6 @@ impl Simulation {
     /// log against telemetry counters).
     pub fn fault_injector(&self) -> Option<&Arc<FaultInjector>> {
         self.device.fault.as_ref()
-    }
-
-    /// Enables the rank-decomposition comm layer: partitions the box
-    /// over a 3D [`RankLayout`] and, from the next step on, drives the
-    /// production migration + halo-refresh traffic through an
-    /// in-process transport costed on this architecture's interconnect.
-    /// Telemetry gains `comm.bytes_sent`/`comm.bytes_recv` counters,
-    /// per-link spans, and `comm.link` timers; physics is unchanged
-    /// (the decomposition is transparent to the global state).
-    pub fn enable_comm(&mut self, ranks: usize) {
-        let layout = RankLayout::new(ranks, self.config.box_spec.ng);
-        let ghost_width = self.config.r_cut_cells.min(layout.min_domain_width());
-        let mut transport = Transport::new(ranks, Interconnect::for_arch(&self.device.arch));
-        transport.set_recorder(self.telemetry.clone());
-        let owner = self.pos.iter().map(|p| layout.rank_of(p)).collect();
-        self.comm = Some(CommLayer {
-            layout,
-            transport,
-            owner,
-            ghost_width,
-        });
-    }
-
-    /// Cumulative comm-layer transport statistics, when enabled.
-    pub fn comm_stats(&self) -> Option<hacc_comm::TransportStats> {
-        self.comm.as_ref().map(|c| c.transport.stats())
-    }
-
-    /// Drives one step's rank traffic: particles that crossed a domain
-    /// face migrate to their new owner, then every boundary particle is
-    /// posted as a halo refresh to the neighbors whose ghost zone holds
-    /// it. Runs after the drift so ownership reflects the new
-    /// positions.
-    fn comm_refresh(&mut self) {
-        let Some(comm) = self.comm.as_mut() else {
-            return;
-        };
-        let _span = self.telemetry.span("comm.refresh");
-        let mut migrate: std::collections::BTreeMap<(usize, usize), ParticleBatch> =
-            std::collections::BTreeMap::new();
-        let mut halo: std::collections::BTreeMap<(usize, usize), ParticleBatch> =
-            std::collections::BTreeMap::new();
-        let mut ghosts = 0u64;
-        for i in 0..self.pos.len() {
-            let new_owner = comm.layout.rank_of(&self.pos[i]);
-            let old_owner = comm.owner[i];
-            if new_owner != old_owner {
-                migrate.entry((old_owner, new_owner)).or_default().push(
-                    i as u64,
-                    self.pos[i],
-                    self.mom[i],
-                    self.mass[i],
-                    self.h[i],
-                    self.u_int[i],
-                );
-                comm.owner[i] = new_owner;
-            }
-            for dst in comm.layout.ghost_targets(&self.pos[i], comm.ghost_width) {
-                ghosts += 1;
-                halo.entry((new_owner, dst)).or_default().push(
-                    i as u64,
-                    self.pos[i],
-                    self.mom[i],
-                    self.mass[i],
-                    self.h[i],
-                    self.u_int[i],
-                );
-            }
-        }
-        for ((src, dst), batch) in migrate {
-            comm.transport.send(src, dst, Tag::Migrate, batch);
-        }
-        for ((src, dst), batch) in halo {
-            comm.transport.send(src, dst, Tag::Halo, batch);
-        }
-        self.telemetry.counter("comm.ghosts", ghosts as f64);
-        comm.transport
-            .exchange()
-            .expect("the comm layer runs without link-fault injection");
-        // The global state is authoritative; inboxes only feed the
-        // exchange-volume accounting, so drain them.
-        for rank in 0..comm.layout.ranks {
-            comm.transport.take_inbox(rank);
-        }
     }
 
     /// Total stellar mass formed so far.

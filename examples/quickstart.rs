@@ -32,29 +32,32 @@
 //! Both run the same data path, so the physics is bit-identical —
 //! metering is a telemetry/speed trade, not a determinism one.
 //!
-//! `--ranks N` splits the box over N simulated MPI ranks (3D domain
-//! decomposition) and routes particle migration and ghost-zone halo
-//! refresh through the modeled interconnect each step. The physics is
-//! bit-identical to the single-rank run — the flag adds comm telemetry
-//! (`comm.bytes_sent`, per-link spans) and an exchange summary line.
-//!
 //! `--tune PATH` attaches the runtime autotuner: kernel launches use
 //! the cached per-(kernel, arch, size-band) winners from `PATH` (cold
-//! start when missing or stale), explore alternatives at rate 5%
-//! (override with `HACC_TUNE_EPSILON`), and the updated cache is
-//! written back at the end of the run. `HACC_TUNE=1|PATH` does the same
-//! without the flag.
+//! start when missing or stale), explore alternatives at rate 5%, and
+//! the updated cache is written back at the end of the run.
 //!
-//! `--lose-rank R@S` (requires `--ranks N`, N ≥ 2) runs the distributed
-//! rank-loss drill instead: the multi-rank engine checkpoints every
-//! `--checkpoint-interval K` steps (default 2) with buddy replication,
-//! rank R dies at the start of step S, and the run recovers by rolling
-//! back to the last coordinated checkpoint — `--recovery respawn`
-//! (default) restores the full layout from the buddy mirror,
-//! `--recovery shrink` re-decomposes onto the survivors. The drill
-//! re-runs the same problem fault-free, compares final state digests
-//! bit-for-bit, and exits non-zero on any divergence — this is the CI
-//! resilience smoke gate.
+//! `--ranks N` runs the distributed drill instead of the single-rank
+//! simulation: the multi-rank engine (`MultiRankSim` — 3D domain
+//! decomposition, particle migration and ghost-zone halo refresh over
+//! the modeled interconnect, its own softened-gravity integrator, not
+//! the CRK-SPH kernels above) advances N ranks under coordinated
+//! checkpointing every `--checkpoint-interval K` steps (default 2) with
+//! buddy replication, prints the transport's `comm:` summary, re-runs
+//! the same problem on one rank, compares final state digests
+//! bit-for-bit, and exits non-zero on any divergence. `--telemetry` /
+//! `--trace` export the N-rank run's stream (`link.{src}->{dst}` spans,
+//! `comm.bytes_sent`/`comm.bytes_recv` counters, per-rank `phase.*`
+//! timers); `HACC_ASYNC=1` puts both runs on the task-graph schedule.
+//! The single-rank flags (`--fault-rate`, `--meter`, `--tune`, …) do
+//! not apply to the drill.
+//!
+//! `--lose-rank R@S` (requires `--ranks N`, N ≥ 2) adds a rank loss to
+//! the drill: rank R dies at the start of step S, and the run recovers
+//! by rolling back to the last coordinated checkpoint — `--recovery
+//! respawn` (default) restores the full layout from the buddy mirror,
+//! `--recovery shrink` re-decomposes onto the survivors. The digest
+//! gate is the same — this is the CI resilience smoke gate.
 
 use crk_hacc::core::{
     DeviceConfig, MultiRankProblem, MultiRankSim, RecoveryMode, RecoveryPolicy, ResilienceConfig,
@@ -62,7 +65,7 @@ use crk_hacc::core::{
 };
 use crk_hacc::kernels::Variant;
 use crk_hacc::sycl::{FaultConfig, GpuArch, GrfMode, Lang, RankLoss};
-use crk_hacc::telemetry::{chrome, counter_total, jsonl};
+use crk_hacc::telemetry::{chrome, counter_total, jsonl, Event, Recorder};
 
 fn main() {
     let mut telemetry_path: Option<String> = None;
@@ -152,19 +155,33 @@ fn main() {
             ),
         }
     }
-    if let Some((lost_rank, lost_step)) = lose_rank {
-        let n_ranks = ranks.expect("--lose-rank needs --ranks N (N >= 2)");
-        assert!(n_ranks >= 2, "--lose-rank needs --ranks N (N >= 2)");
-        assert!(lost_rank < n_ranks, "--lose-rank rank must be < --ranks");
+    let export = |events: Vec<Event>| {
+        if let Some(path) = &telemetry_path {
+            std::fs::write(path, jsonl::to_jsonl(&events)).expect("write telemetry");
+            println!("wrote {} JSONL telemetry events to {path}", events.len());
+        }
+        if let Some(path) = &trace_path {
+            std::fs::write(path, chrome::chrome_trace(&events)).expect("write trace");
+            println!("wrote Chrome trace to {path} (load in Perfetto or chrome://tracing)");
+        }
+    };
+    if let Some(n_ranks) = ranks {
+        if let Some((lost_rank, _)) = lose_rank {
+            assert!(n_ranks >= 2, "--lose-rank needs --ranks N (N >= 2)");
+            assert!(lost_rank < n_ranks, "--lose-rank rank must be < --ranks");
+        }
+        let recorder = Recorder::new();
         rank_loss_drill(
             n_ranks,
-            lost_rank,
-            lost_step,
+            lose_rank,
             checkpoint_interval,
             recovery_mode,
+            &recorder,
         );
+        export(recorder.events());
         return;
     }
+    assert!(lose_rank.is_none(), "--lose-rank needs --ranks N (N >= 2)");
 
     // The paper's test problem (§3.4.2), scaled down 64× per dimension:
     // 2 × 8³ particles, z = 200 → 50 in two long steps.
@@ -193,10 +210,6 @@ fn main() {
             "metering: {} (physics unchanged, telemetry reduced)",
             meter.label()
         );
-    }
-    if let Some(n) = ranks {
-        sim.enable_comm(n);
-        println!("domain decomposition: {n} simulated ranks, halo exchange per step");
     }
     if let Some(path) = &tune_path {
         let (sel, err) = crk_hacc::kernels::TunedSelector::from_cache_file(
@@ -273,14 +286,6 @@ fn main() {
     );
     println!("\n{}", sim.timers.render());
 
-    if let Some(stats) = sim.comm_stats() {
-        println!(
-            "comm: {} messages, {} wire bytes, {:.3e} modeled link seconds, \
-             {} retries over {} exchanges",
-            stats.messages, stats.bytes, stats.seconds, stats.retries, stats.exchanges
-        );
-    }
-
     if let Some(path) = &tune_path {
         sim.save_tuning(std::path::Path::new(path))
             .expect("write tune cache");
@@ -293,50 +298,51 @@ fn main() {
         );
     }
 
-    if let Some(path) = telemetry_path {
-        let events = sim.telemetry.events();
-        std::fs::write(&path, jsonl::to_jsonl(&events)).expect("write telemetry");
-        println!("wrote {} JSONL telemetry events to {path}", events.len());
-    }
-    if let Some(path) = trace_path {
-        std::fs::write(&path, chrome::chrome_trace(&sim.telemetry.events())).expect("write trace");
-        println!("wrote Chrome trace to {path} (load in Perfetto or chrome://tracing)");
-    }
+    export(sim.telemetry.events());
 }
 
-/// The distributed fault-tolerance drill behind `--lose-rank`: kill a
-/// rank mid-run, recover from the buddy-replicated checkpoint, and gate
-/// on bit-identity with the fault-free reference run.
+/// The distributed drill behind `--ranks N`: an N-rank run under
+/// coordinated checkpointing — with rank `lose.0` killed at step
+/// `lose.1` and recovered from the buddy-replicated checkpoint, when a
+/// loss is scheduled — gated on bit-identity with the same problem's
+/// fault-free 1-rank run.
 fn rank_loss_drill(
     ranks: usize,
-    lost_rank: usize,
-    lost_step: u64,
+    lose: Option<(usize, u64)>,
     interval: u64,
     mode: RecoveryMode,
+    recorder: &Recorder,
 ) {
     const N_PARTICLES: usize = 256;
-    let steps = lost_step + 3; // run a few steps past the failure
+    // Run a few steps past the failure (or just a few steps).
+    let steps = lose.map_or(4, |(_, lost_step)| lost_step + 3);
     let problem = || MultiRankProblem::small(N_PARTICLES, 42);
     let arch = GpuArch::frontier();
 
+    let loss = match lose {
+        Some((rank, step)) => format!("rank {rank} dies at step {step}"),
+        None => "no rank loss scheduled".to_string(),
+    };
     println!(
-        "rank-loss drill: {N_PARTICLES} particles over {ranks} ranks, {steps} steps, \
-         rank {lost_rank} dies at step {lost_step}, checkpoint every {interval} \
-         ({} recovery)",
+        "rank drill: {N_PARTICLES} particles over {ranks} ranks, {steps} steps, {loss}, \
+         checkpoint every {interval} ({} recovery)",
         mode.label()
     );
 
-    let mut reference = MultiRankSim::new(ranks, arch.clone(), problem());
-    reference.run(steps).expect("fault-free reference run");
+    let mut reference = MultiRankSim::new(1, arch.clone(), problem());
+    reference
+        .run(steps)
+        .expect("fault-free 1-rank reference run");
     let expected = reference.state_digest();
 
     let mut sim = MultiRankSim::new(ranks, arch, problem());
+    sim.set_recorder(recorder.clone());
     sim.enable_fault_injection(FaultConfig {
         seed: 42,
-        rank_loss: vec![RankLoss {
-            rank: lost_rank,
-            step: lost_step,
-        }],
+        rank_loss: lose
+            .into_iter()
+            .map(|(rank, step)| RankLoss { rank, step })
+            .collect(),
         ..Default::default()
     });
     let config = ResilienceConfig {
@@ -373,14 +379,20 @@ fn rank_loss_drill(
         report.rollback_steps,
         report.final_ranks
     );
+    let stats = sim.comm_stats();
+    println!(
+        "comm: {} messages, {} wire bytes, {:.3e} modeled link seconds, \
+         {} retries over {} exchanges",
+        stats.messages, stats.bytes, stats.seconds, stats.retries, stats.exchanges
+    );
 
     let digest = sim.state_digest();
     if digest == expected {
-        println!("digest {digest:016x} matches the fault-free run: bit-identical recovery");
+        println!("digest {digest:016x} matches the fault-free 1-rank run: bit-identical");
     } else {
         eprintln!(
-            "DIGEST MISMATCH: recovered {digest:016x} vs fault-free {expected:016x} — \
-             the recovery path diverged from the physics"
+            "DIGEST MISMATCH: {ranks}-rank {digest:016x} vs fault-free 1-rank {expected:016x} — \
+             decomposition or recovery diverged from the physics"
         );
         std::process::exit(1);
     }

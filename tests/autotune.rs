@@ -18,7 +18,7 @@ use crk_hacc::kernels::tuning::{
     arch_digest, hand_picked_choice, kernel_digest, tuned_timers, TunedSelector,
 };
 use crk_hacc::kernels::Variant;
-use crk_hacc::sycl::{GpuArch, GrfMode, Lang, LaunchBounds};
+use crk_hacc::sycl::{ExecutionPolicy, GpuArch, GrfMode, Lang, LaunchBounds};
 use crk_hacc::tune::{SizeBand, TuneCache, TuneChoice, TuneError, TuneKey, SCHEMA_VERSION};
 use proptest::prelude::*;
 
@@ -193,7 +193,7 @@ fn build_hand_picked() -> Simulation {
         grf: GrfMode::Default,
     };
     let mut sim = Simulation::new(config, device, GpuArch::frontier());
-    sim.set_deterministic();
+    sim.set_execution_policy(ExecutionPolicy::Serial);
     sim
 }
 

@@ -4,7 +4,7 @@
 
 use crk_hacc::core::{DeviceConfig, SimConfig, Simulation};
 use crk_hacc::kernels::Variant;
-use crk_hacc::sycl::{GpuArch, GrfMode, Lang};
+use crk_hacc::sycl::{ExecutionPolicy, GpuArch, GrfMode, Lang};
 
 fn build(seed: u64) -> Simulation {
     let mut config = SimConfig::smoke();
@@ -17,7 +17,7 @@ fn build(seed: u64) -> Simulation {
         grf: GrfMode::Default,
     };
     let mut sim = Simulation::new(config, device, GpuArch::polaris());
-    sim.set_deterministic();
+    sim.set_execution_policy(ExecutionPolicy::Serial);
     sim
 }
 

@@ -338,13 +338,13 @@ fn fast_mode_preserves_fault_schedules() {
     }
 }
 
-/// The async×barriered axis at the full-simulation level: the task-
-/// graph step (host PM solve overlapped with the first gravity
-/// offload) must land on the barriered reference bits for every
-/// combination of worker-thread count, metering policy, and fault
-/// schedule — and claim the identical fault schedule, since the device
-/// sees the same launches in the same order either way.
-mod async_axis {
+/// The full-simulation axis: the only Tier-1 check that crosses a whole
+/// `Simulation` (PM solve, both offloads, sub-cycling) with worker-
+/// thread count × metering policy × fault schedule. Every combination
+/// must land on the serial, fully metered reference bits — and claim
+/// the identical fault schedule, since the device sees the same
+/// launches in the same order either way.
+mod simulation_axis {
     use crk_hacc::core::{DeviceConfig, SimConfig, Simulation};
     use crk_hacc::kernels::Variant;
     use crk_hacc::sycl::{ExecutionPolicy, FaultConfig, GpuArch, GrfMode, Lang, MeterPolicy};
@@ -365,14 +365,8 @@ mod async_axis {
     }
 
     /// Digest and fault-log length after `STEPS` steps of one config.
-    fn run(
-        async_on: bool,
-        threads: usize,
-        meter: MeterPolicy,
-        faults: Option<FaultConfig>,
-    ) -> (u64, usize) {
+    fn run(threads: usize, meter: MeterPolicy, faults: Option<FaultConfig>) -> (u64, usize) {
         let mut sim = build();
-        sim.set_async(async_on);
         sim.set_execution_policy(if threads == 1 {
             ExecutionPolicy::Serial
         } else {
@@ -389,13 +383,13 @@ mod async_axis {
         (sim.state_digest(), log_len)
     }
 
-    /// Async ≡ barriered over fault schedules × thread counts × meter
-    /// policies. Metering is bookkeeping on the one data path, so Tier-1
-    /// runs a pairwise-covering subset — each thread count once per
-    /// fault schedule, alternating `Full`/`Off`, which still visits
-    /// every (threads, meter), (threads, faults) and (faults, meter)
-    /// pair — and the nightly run takes the full product.
-    fn assert_async_matches_barriered(full_product: bool) {
+    /// Every run ≡ the serial/`Full` reference over fault schedules ×
+    /// thread counts × meter policies. Metering is bookkeeping on the
+    /// one data path, so Tier-1 runs a pairwise-covering subset — each
+    /// thread count once per fault schedule, alternating `Full`/`Off`,
+    /// which still visits every (threads, meter), (threads, faults) and
+    /// (faults, meter) pair — and the nightly run takes the full product.
+    fn assert_matches_serial_reference(full_product: bool) {
         let faults = FaultConfig {
             seed: 0xFA_57,
             transient_rate: 0.2,
@@ -403,22 +397,22 @@ mod async_axis {
         };
         let meters = [MeterPolicy::Full, MeterPolicy::Off];
         for (fi, fault_config) in [None, Some(faults)].into_iter().enumerate() {
-            let (reference, ref_log) = run(false, 1, MeterPolicy::Full, fault_config.clone());
+            let (reference, ref_log) = run(1, MeterPolicy::Full, fault_config.clone());
             for (ti, threads) in super::THREADS.into_iter().enumerate() {
                 for (mi, meter) in meters.into_iter().enumerate() {
                     if !full_product && mi != (fi + ti) % 2 {
                         continue;
                     }
-                    let (digest, log_len) = run(true, threads, meter, fault_config.clone());
+                    let (digest, log_len) = run(threads, meter, fault_config.clone());
                     assert_eq!(
                         digest,
                         reference,
-                        "async diverged from barriered at {threads}t/{meter:?}/faults={}",
+                        "diverged from the serial reference at {threads}t/{meter:?}/faults={}",
                         fault_config.is_some()
                     );
                     assert_eq!(
                         log_len, ref_log,
-                        "async shifted the fault schedule at {threads}t/{meter:?}"
+                        "the fault schedule shifted at {threads}t/{meter:?}"
                     );
                 }
             }
@@ -426,26 +420,16 @@ mod async_axis {
     }
 
     #[test]
-    fn async_step_is_bit_identical_across_threads_meters_and_faults() {
-        assert_async_matches_barriered(false);
+    fn step_is_bit_identical_across_threads_meters_faults() {
+        assert_matches_serial_reference(false);
     }
 
     /// The full 2 faults × 4 threads × 2 meters product (nightly:
     /// `cargo test --release --test parallel_equivalence -- --ignored`).
     #[test]
     #[ignore = "full product; Tier-1 runs the pairwise-covering subset"]
-    fn async_step_full_product_is_bit_identical() {
-        assert_async_matches_barriered(true);
-    }
-
-    #[test]
-    fn hacc_async_env_default_is_overridable() {
-        let mut sim = build();
-        let env_default = sim.is_async();
-        sim.set_async(!env_default);
-        assert_eq!(sim.is_async(), !env_default);
-        sim.set_async(env_default);
-        assert_eq!(sim.is_async(), env_default);
+    fn step_full_product_is_bit_identical() {
+        assert_matches_serial_reference(true);
     }
 }
 

@@ -8,7 +8,7 @@ use crk_hacc::core::{
     DeviceConfig, FullCheckpoint, RecoveryPolicy, SimConfig, Simulation, Species,
 };
 use crk_hacc::kernels::Variant;
-use crk_hacc::sycl::{FaultConfig, GpuArch, GrfMode, Lang};
+use crk_hacc::sycl::{ExecutionPolicy, FaultConfig, GpuArch, GrfMode, Lang};
 use crk_hacc::telemetry::counter_total;
 
 fn smoke_sim() -> Simulation {
@@ -20,9 +20,9 @@ fn smoke_sim() -> Simulation {
         grf: GrfMode::Default,
     };
     let mut sim = Simulation::new(SimConfig::smoke(), device, GpuArch::frontier());
-    // Serial launches fix the atomic accumulation order, making whole
-    // trajectories bit-reproducible.
-    sim.set_deterministic();
+    // The serial reference scheduler (the parallel one lands on the
+    // same bits; this keeps the suite single-threaded).
+    sim.set_execution_policy(ExecutionPolicy::Serial);
     sim
 }
 
