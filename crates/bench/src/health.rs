@@ -144,7 +144,7 @@ pub fn collect_faulty(
             system: arch.system.to_string(),
             critical_paths: critical_paths(&rank_events),
             roofline,
-            metrics: reg.snapshot().metrics,
+            metrics: reg.snapshot(),
         });
     }
     HealthReport {

@@ -17,13 +17,13 @@
 //!   bit-for-bit. This is the rollback target of the recovery policy
 //!   (see [`crate::recovery`]).
 //!
-//! Both parsers treat their input as hostile: particle counts go
-//! through checked arithmetic and an allocation cap before any memory
-//! is reserved, so a corrupted or truncated header can never trigger an
-//! overflow or an absurd allocation.
+//! Both parsers treat their input as hostile and read it only through
+//! the bounded `crate::wire` reader: no read can panic, and particle
+//! counts pass its cap, checked multiply and presence test before any
+//! memory is reserved.
 
 use crate::sim::{Simulation, Species};
-use bytes::{Buf, BufMut, Bytes, BytesMut};
+use crate::wire::{Reader, Writer};
 use hacc_kernels::HostParticles;
 use std::fmt;
 
@@ -136,30 +136,24 @@ impl From<std::io::Error> for CheckpointError {
     }
 }
 
-/// Allocation cap: headers claiming more particles than this are
-/// rejected before any buffer is reserved (2²⁷ ≈ 134M particles is far
-/// beyond anything the simulated driver runs, yet only ~10 GiB — a
-/// hostile 32-bit count can claim 4 billion).
-pub(crate) const MAX_PARTICLES: usize = 1 << 27;
+/// Fixed header bytes of the HCK1 format: magic + count + a + box.
+const HCK1_HEADER_BYTES: usize = 4 + 4 + 8 + 8;
 
 /// Per-particle payload bytes of the HCK1 format (9 f64 fields).
 const HCK1_STRIDE: usize = 9 * 8;
+
+/// Fixed header bytes of the HCK2 format: HCK1's, + step + sub-cycles.
+const HCK2_HEADER_BYTES: usize = 4 + 4 + 8 + 8 + 8;
 
 /// Per-particle payload bytes of the HCK2 format (10 f64 fields plus a
 /// species byte).
 const HCK2_STRIDE: usize = 10 * 8 + 1;
 
-/// Checked `n × stride` for a header-claimed particle count: errors on
-/// multiplication overflow or a count beyond [`MAX_PARTICLES`].
-pub(crate) fn payload_bytes(n: usize, stride: usize) -> Result<usize, CheckpointError> {
-    if n > MAX_PARTICLES {
-        return Err(CheckpointError::TooLarge {
-            claimed: n,
-            cap: MAX_PARTICLES,
-        });
-    }
-    n.checked_mul(stride).ok_or(CheckpointError::SizeOverflow)
-}
+/// Largest `adaptive_sub_cycles` a restore accepts: far above anything
+/// a run produces (the step loop clamps at `32.max(config.sub_cycles)`,
+/// [`crate::RecoveryPolicy::max_sub_cycles`] defaults to 64), far below
+/// the `u64::MAX` that would make the next step loop forever.
+const MAX_RESTORED_SUB_CYCLES: usize = 1 << 16;
 
 /// A particle-state snapshot sufficient to drive the standalone kernels.
 #[derive(Clone, Debug, PartialEq)]
@@ -184,45 +178,31 @@ impl Checkpoint {
     }
 
     /// Serializes to a compact binary blob.
-    pub fn to_bytes(&self) -> Bytes {
-        let n = self.particles.len();
-        let mut buf = BytesMut::with_capacity(32 + n * 9 * 8);
-        buf.put_u32(MAGIC);
-        buf.put_u32(n as u32);
-        buf.put_f64(self.a);
-        buf.put_f64(self.box_size);
+    pub fn to_bytes(&self) -> Vec<u8> {
+        let hp = &self.particles;
+        let n = hp.len();
+        let mut w = Writer::new(MAGIC, HCK1_HEADER_BYTES + n * HCK1_STRIDE);
+        w.u32(n as u32);
+        w.f64(self.a);
+        w.f64(self.box_size);
         for i in 0..n {
-            for c in 0..3 {
-                buf.put_f64(self.particles.pos[i][c]);
-            }
-            for c in 0..3 {
-                buf.put_f64(self.particles.vel[i][c]);
-            }
-            buf.put_f64(self.particles.mass[i]);
-            buf.put_f64(self.particles.h[i]);
-            buf.put_f64(self.particles.u[i]);
+            w.vec3(hp.pos[i]);
+            w.vec3(hp.vel[i]);
+            w.f64(hp.mass[i]);
+            w.f64(hp.h[i]);
+            w.f64(hp.u[i]);
         }
-        buf.freeze()
+        w.finish()
     }
 
-    /// Deserializes a blob produced by [`Checkpoint::to_bytes`].
-    pub fn from_bytes(mut data: Bytes) -> Result<Self, CheckpointError> {
-        if data.remaining() < 24 {
-            return Err(CheckpointError::Truncated { what: "header" });
-        }
-        let magic = data.get_u32();
-        if magic != MAGIC {
-            return Err(CheckpointError::BadMagic {
-                found: magic,
-                expected: MAGIC,
-            });
-        }
-        let n = data.get_u32() as usize;
-        let a = data.get_f64();
-        let box_size = data.get_f64();
-        if data.remaining() < payload_bytes(n, HCK1_STRIDE)? {
-            return Err(CheckpointError::Truncated { what: "payload" });
-        }
+    /// Deserializes a blob produced by [`Checkpoint::to_bytes`],
+    /// treating the input as untrusted.
+    pub fn from_bytes(data: impl AsRef<[u8]>) -> Result<Self, CheckpointError> {
+        let mut r = Reader::open(data.as_ref(), MAGIC, HCK1_HEADER_BYTES)?;
+        let n = r.u32()? as usize;
+        let a = r.f64()?;
+        let box_size = r.f64()?;
+        let n = r.records(n, HCK1_STRIDE, "payload")?;
         let mut hp = HostParticles::default();
         hp.pos.reserve(n);
         hp.vel.reserve(n);
@@ -230,13 +210,11 @@ impl Checkpoint {
         hp.h.reserve(n);
         hp.u.reserve(n);
         for _ in 0..n {
-            hp.pos
-                .push([data.get_f64(), data.get_f64(), data.get_f64()]);
-            hp.vel
-                .push([data.get_f64(), data.get_f64(), data.get_f64()]);
-            hp.mass.push(data.get_f64());
-            hp.h.push(data.get_f64());
-            hp.u.push(data.get_f64());
+            hp.pos.push(r.vec3()?);
+            hp.vel.push(r.vec3()?);
+            hp.mass.push(r.f64()?);
+            hp.h.push(r.f64()?);
+            hp.u.push(r.f64()?);
         }
         hp.validate()
             .map_err(|detail| CheckpointError::Invalid { detail })?;
@@ -254,8 +232,7 @@ impl Checkpoint {
 
     /// Reads from a file.
     pub fn load(path: &std::path::Path) -> Result<Self, CheckpointError> {
-        let data = std::fs::read(path)?;
-        Self::from_bytes(Bytes::from(data))
+        Self::from_bytes(std::fs::read(path)?)
     }
 }
 
@@ -319,14 +296,35 @@ impl FullCheckpoint {
     }
 
     /// Restores the snapshot into a simulation built from the *same*
-    /// configuration. Errors if the particle count differs (a snapshot
-    /// cannot resize a simulation).
+    /// configuration. Errors — leaving the simulation untouched — if the
+    /// particle count differs (a snapshot cannot resize a simulation) or
+    /// a header field that steers the step loop is one no run of this
+    /// configuration could have written.
     pub fn restore_into(&self, sim: &mut Simulation) -> Result<(), CheckpointError> {
         if self.len() != sim.n_particles() {
             return Err(CheckpointError::SizeMismatch {
                 checkpoint: self.len(),
                 simulation: sim.n_particles(),
             });
+        }
+        let invalid = |detail| Err(CheckpointError::Invalid { detail });
+        if !(self.a.is_finite() && self.a > 0.0) {
+            return invalid(format!(
+                "scale factor a = {} is not a positive finite number",
+                self.a
+            ));
+        }
+        if self.step_count > sim.config.n_steps {
+            return invalid(format!(
+                "step_count {} exceeds the configuration's n_steps = {}",
+                self.step_count, sim.config.n_steps
+            ));
+        }
+        if self.adaptive_sub_cycles > MAX_RESTORED_SUB_CYCLES {
+            return invalid(format!(
+                "adaptive_sub_cycles {} exceeds the cap of {MAX_RESTORED_SUB_CYCLES}",
+                self.adaptive_sub_cycles
+            ));
         }
         sim.a = self.a;
         sim.step_count = self.step_count;
@@ -343,53 +341,38 @@ impl FullCheckpoint {
 
     /// Serializes to a compact binary blob. All floats are stored as
     /// their exact IEEE-754 bits — the round trip is lossless.
-    pub fn to_bytes(&self) -> Bytes {
+    pub fn to_bytes(&self) -> Vec<u8> {
         let n = self.len();
-        let mut buf = BytesMut::with_capacity(40 + n * HCK2_STRIDE);
-        buf.put_u32(MAGIC_FULL);
-        buf.put_u32(n as u32);
-        buf.put_f64(self.a);
-        buf.put_u64(self.step_count as u64);
-        buf.put_u64(self.adaptive_sub_cycles as u64);
+        let mut w = Writer::new(MAGIC_FULL, HCK2_HEADER_BYTES + n * HCK2_STRIDE);
+        w.u32(n as u32);
+        w.f64(self.a);
+        w.u64(self.step_count as u64);
+        w.u64(self.adaptive_sub_cycles as u64);
         for i in 0..n {
-            for c in 0..3 {
-                buf.put_f64(self.pos[i][c]);
-            }
-            for c in 0..3 {
-                buf.put_f64(self.mom[i][c]);
-            }
-            buf.put_f64(self.mass[i]);
-            buf.put_f64(self.u_int[i]);
-            buf.put_f64(self.h[i]);
-            buf.put_f64(self.star_mass[i]);
-            buf.put_u8(match self.species[i] {
+            w.vec3(self.pos[i]);
+            w.vec3(self.mom[i]);
+            w.f64(self.mass[i]);
+            w.f64(self.u_int[i]);
+            w.f64(self.h[i]);
+            w.f64(self.star_mass[i]);
+            w.u8(match self.species[i] {
                 Species::DarkMatter => 0,
                 Species::Baryon => 1,
             });
         }
-        buf.freeze()
+        w.finish()
     }
 
     /// Deserializes a blob produced by [`FullCheckpoint::to_bytes`],
-    /// treating the input as untrusted.
-    pub fn from_bytes(mut data: Bytes) -> Result<Self, CheckpointError> {
-        if data.remaining() < 32 {
-            return Err(CheckpointError::Truncated { what: "header" });
-        }
-        let magic = data.get_u32();
-        if magic != MAGIC_FULL {
-            return Err(CheckpointError::BadMagic {
-                found: magic,
-                expected: MAGIC_FULL,
-            });
-        }
-        let n = data.get_u32() as usize;
-        let a = data.get_f64();
-        let step_count = data.get_u64() as usize;
-        let adaptive_sub_cycles = data.get_u64() as usize;
-        if data.remaining() < payload_bytes(n, HCK2_STRIDE)? {
-            return Err(CheckpointError::Truncated { what: "payload" });
-        }
+    /// treating the input as untrusted. Header fields are carried
+    /// verbatim; [`FullCheckpoint::restore_into`] judges them.
+    pub fn from_bytes(data: impl AsRef<[u8]>) -> Result<Self, CheckpointError> {
+        let mut r = Reader::open(data.as_ref(), MAGIC_FULL, HCK2_HEADER_BYTES)?;
+        let n = r.u32()? as usize;
+        let a = r.f64()?;
+        let step_count = r.u64()? as usize;
+        let adaptive_sub_cycles = r.u64()? as usize;
+        let n = r.records(n, HCK2_STRIDE, "payload")?;
         let mut cp = Self {
             a,
             step_count,
@@ -403,32 +386,19 @@ impl FullCheckpoint {
             species: Vec::with_capacity(n),
         };
         for _ in 0..n {
-            cp.pos
-                .push([data.get_f64(), data.get_f64(), data.get_f64()]);
-            cp.mom
-                .push([data.get_f64(), data.get_f64(), data.get_f64()]);
-            cp.mass.push(data.get_f64());
-            cp.u_int.push(data.get_f64());
-            cp.h.push(data.get_f64());
-            cp.star_mass.push(data.get_f64());
-            cp.species.push(match data.get_u8() {
+            cp.pos.push(r.vec3()?);
+            cp.mom.push(r.vec3()?);
+            cp.mass.push(r.f64()?);
+            cp.u_int.push(r.f64()?);
+            cp.h.push(r.f64()?);
+            cp.star_mass.push(r.f64()?);
+            cp.species.push(match r.u8()? {
                 0 => Species::DarkMatter,
                 1 => Species::Baryon,
                 tag => return Err(CheckpointError::BadSpecies { tag }),
             });
         }
         Ok(cp)
-    }
-
-    /// Writes to a file.
-    pub fn save(&self, path: &std::path::Path) -> std::io::Result<()> {
-        std::fs::write(path, self.to_bytes())
-    }
-
-    /// Reads from a file.
-    pub fn load(path: &std::path::Path) -> Result<Self, CheckpointError> {
-        let data = std::fs::read(path)?;
-        Self::from_bytes(Bytes::from(data))
     }
 }
 
@@ -462,16 +432,15 @@ mod tests {
 
     #[test]
     fn rejects_bad_magic() {
-        let mut blob = BytesMut::from(&sample().to_bytes()[..]);
+        let mut blob = sample().to_bytes();
         blob[0] = 0;
-        assert!(Checkpoint::from_bytes(blob.freeze()).is_err());
+        assert!(Checkpoint::from_bytes(blob).is_err());
     }
 
     #[test]
     fn rejects_truncation() {
         let blob = sample().to_bytes();
-        let cut = blob.slice(0..blob.len() - 8);
-        assert!(Checkpoint::from_bytes(cut).is_err());
+        assert!(Checkpoint::from_bytes(&blob[..blob.len() - 8]).is_err());
     }
 
     #[test]
@@ -531,13 +500,25 @@ mod tests {
 
     #[test]
     fn full_checkpoint_rejects_bad_magic_and_species() {
-        let mut blob = BytesMut::from(&sample_full().to_bytes()[..]);
+        let mut blob = sample_full().to_bytes();
         blob[0] = 0x55;
-        assert!(FullCheckpoint::from_bytes(blob.freeze()).is_err());
-        let mut blob = BytesMut::from(&sample_full().to_bytes()[..]);
+        assert!(FullCheckpoint::from_bytes(blob).is_err());
+        let mut blob = sample_full().to_bytes();
         let last = blob.len() - 1; // species byte of the final particle
         blob[last] = 7;
-        assert!(FullCheckpoint::from_bytes(blob.freeze()).is_err());
+        assert!(FullCheckpoint::from_bytes(blob).is_err());
+    }
+
+    /// The wire bytes themselves, not just the round trip: a codec
+    /// change that moves either hash has changed the format.
+    #[test]
+    fn sample_blobs_are_byte_pinned() {
+        let hck1 = sample().to_bytes();
+        assert_eq!(hck1.len(), HCK1_HEADER_BYTES + 10 * HCK1_STRIDE);
+        assert_eq!(crate::wire::fnv1a(&hck1), 0x5c62_7457_7f3a_7ad1);
+        let hck2 = sample_full().to_bytes();
+        assert_eq!(hck2.len(), HCK2_HEADER_BYTES + 12 * HCK2_STRIDE);
+        assert_eq!(crate::wire::fnv1a(&hck2), 0xd5f2_8e8d_b5cc_5853);
     }
 
     #[test]
@@ -545,72 +526,75 @@ mod tests {
         // A header claiming u32::MAX particles must fail cleanly (no
         // overflow, no multi-gigabyte reserve) in both formats.
         for magic in [MAGIC, MAGIC_FULL] {
-            let mut buf = BytesMut::new();
-            buf.put_u32(magic);
-            buf.put_u32(u32::MAX);
-            buf.put_f64(0.01);
-            buf.put_u64(0);
-            buf.put_u64(0);
+            let mut w = Writer::new(magic, HCK2_HEADER_BYTES);
+            w.u32(u32::MAX);
+            w.f64(0.01);
+            w.u64(0);
+            w.u64(0);
             let err = if magic == MAGIC {
-                Checkpoint::from_bytes(buf.freeze()).unwrap_err()
+                Checkpoint::from_bytes(w.finish()).unwrap_err()
             } else {
-                FullCheckpoint::from_bytes(buf.freeze()).unwrap_err()
+                FullCheckpoint::from_bytes(w.finish()).unwrap_err()
             };
             assert!(
                 matches!(
                     err,
                     CheckpointError::TooLarge { claimed, cap }
-                        if claimed == u32::MAX as usize && cap == MAX_PARTICLES
+                        if claimed == u32::MAX as usize && cap == crate::wire::MAX_PARTICLES
                 ),
                 "unexpected error: {err}"
             );
         }
     }
 
-    mod hostile_blobs {
-        use super::*;
-        use proptest::prelude::*;
-
-        proptest! {
-            #![proptest_config(ProptestConfig::with_cases(128))]
-
-            /// Random truncations of a valid HCK1 blob never panic.
-            #[test]
-            fn truncated_hck1_never_panics(frac in 0.0f64..1.0) {
-                let blob = sample().to_bytes();
-                let cut = (blob.len() as f64 * frac) as usize;
-                let _ = Checkpoint::from_bytes(blob.slice(0..cut));
-            }
-
-            /// Random truncations of a valid HCK2 blob never panic.
-            #[test]
-            fn truncated_hck2_never_panics(frac in 0.0f64..1.0) {
-                let blob = sample_full().to_bytes();
-                let cut = (blob.len() as f64 * frac) as usize;
-                let _ = FullCheckpoint::from_bytes(blob.slice(0..cut));
-            }
-
-            /// Single-bit flips anywhere in a valid HCK1 blob either
-            /// parse (the flip hit a benign payload bit) or error —
-            /// never panic, never allocate absurdly.
-            #[test]
-            fn bit_flipped_hck1_never_panics(byte_frac in 0.0f64..1.0, bit in 0usize..8) {
-                let blob = sample().to_bytes();
-                let mut raw = BytesMut::from(&blob[..]);
-                let idx = ((raw.len() as f64 * byte_frac) as usize).min(raw.len() - 1);
-                raw[idx] ^= 1 << bit;
-                let _ = Checkpoint::from_bytes(raw.freeze());
-            }
-
-            /// Same for HCK2.
-            #[test]
-            fn bit_flipped_hck2_never_panics(byte_frac in 0.0f64..1.0, bit in 0usize..8) {
-                let blob = sample_full().to_bytes();
-                let mut raw = BytesMut::from(&blob[..]);
-                let idx = ((raw.len() as f64 * byte_frac) as usize).min(raw.len() - 1);
-                raw[idx] ^= 1 << bit;
-                let _ = FullCheckpoint::from_bytes(raw.freeze());
-            }
+    /// A header no run could have written must not steer the step loop:
+    /// `adaptive_sub_cycles = u64::MAX` used to restore `Ok` and make
+    /// the next `try_step` loop 2⁶⁴ − 1 times.
+    #[test]
+    fn restore_refuses_hostile_header_fields_and_changes_nothing() {
+        use crate::config::{DeviceConfig, SimConfig};
+        let arch = sycl_sim::GpuArch::frontier();
+        let mut sim = Simulation::new(
+            SimConfig::smoke(),
+            DeviceConfig::sycl_optimized(&arch),
+            arch,
+        );
+        let before = (sim.state_digest(), sim.step_count, sim.adaptive_sub_cycles);
+        let mut good = FullCheckpoint::capture(&sim);
+        good.pos[0][0] += 0.5; // a partial restore would show in the digest
+        let n_steps = sim.config.n_steps;
+        let hostile: [(&str, fn(&mut FullCheckpoint, usize)); 5] = [
+            ("adaptive_sub_cycles", |cp, _| {
+                cp.adaptive_sub_cycles = u64::MAX as usize
+            }),
+            ("adaptive_sub_cycles", |cp, _| {
+                cp.adaptive_sub_cycles = MAX_RESTORED_SUB_CYCLES + 1
+            }),
+            ("step_count", |cp, n_steps| cp.step_count = n_steps + 1),
+            ("scale factor", |cp, _| cp.a = f64::NAN),
+            ("scale factor", |cp, _| cp.a = 0.0),
+        ];
+        for (field, corrupt) in hostile {
+            let mut cp = good.clone();
+            corrupt(&mut cp, n_steps);
+            // Through the wire, as a hostile blob would arrive.
+            let cp = FullCheckpoint::from_bytes(cp.to_bytes()).unwrap();
+            let err = cp.restore_into(&mut sim).unwrap_err();
+            assert!(
+                matches!(&err, CheckpointError::Invalid { detail } if detail.contains(field)),
+                "{field}: {err}"
+            );
+            assert_eq!(
+                (sim.state_digest(), sim.step_count, sim.adaptive_sub_cycles),
+                before,
+                "a refused restore ({field}) must leave the simulation untouched"
+            );
         }
+        // The boundary values are fine: a finished run's snapshot, and
+        // the largest sub-cycle count the cap admits.
+        good.step_count = n_steps;
+        good.adaptive_sub_cycles = MAX_RESTORED_SUB_CYCLES;
+        good.restore_into(&mut sim).unwrap();
+        assert_ne!(sim.state_digest(), before.0);
     }
 }

@@ -16,14 +16,15 @@
 //! (see [`crate::resilience`]); this module owns the format, the buddy
 //! placement rule, and the hostile-input-hardened wire codec.
 //!
-//! Like `HCK1`/`HCK2`, the parser treats its input as untrusted:
-//! counts go through [`crate::checkpoint`]'s checked arithmetic and
-//! allocation cap before any buffer is reserved, and every failure is
-//! a typed [`CheckpointError`].
+//! Like `HCK1`/`HCK2`, the parser treats its input as untrusted and
+//! reads it only through the bounded `crate::wire` reader: rank and
+//! particle counts pass its cap, checked multiply and presence test
+//! before any buffer is reserved, and every failure is a typed
+//! [`CheckpointError`].
 
-use crate::checkpoint::{payload_bytes, CheckpointError};
+use crate::checkpoint::CheckpointError;
 use crate::rank::RankLayout;
-use bytes::{Buf, BufMut, Bytes, BytesMut};
+use crate::wire::{Reader, Writer};
 use hacc_comm::ParticleBatch;
 
 /// Magic tag of the multi-rank checkpoint format.
@@ -91,12 +92,6 @@ impl MultiRankCheckpoint {
         RankLayout::with_dims(self.dims, self.ng)
     }
 
-    /// Buddy assignment per rank under the snapshot's own layout.
-    pub fn buddies(&self) -> Vec<usize> {
-        let layout = self.layout();
-        (0..self.ranks()).map(|r| buddy_of(&layout, r)).collect()
-    }
-
     /// Serialized size in bytes (header plus every rank section).
     pub fn total_bytes(&self) -> u64 {
         HCK3_HEADER_BYTES as u64 + self.per_rank.iter().map(section_bytes).sum::<u64>()
@@ -106,67 +101,49 @@ impl MultiRankCheckpoint {
     /// rank ships its own section to its buddy (nothing moves in a
     /// single-rank layout, where rank and buddy coincide).
     pub fn mirror_bytes(&self) -> u64 {
-        let buddies = self.buddies();
+        let layout = self.layout();
         self.per_rank
             .iter()
             .enumerate()
-            .filter(|&(r, _)| buddies[r] != r)
+            .filter(|&(r, _)| buddy_of(&layout, r) != r)
             .map(|(_, s)| section_bytes(s))
             .sum()
     }
 
     /// Serializes to a compact binary blob. All floats are stored as
     /// their exact IEEE-754 bits — the round trip is lossless.
-    pub fn to_bytes(&self) -> Bytes {
-        let mut buf = BytesMut::with_capacity(self.total_bytes() as usize);
-        buf.put_u32(MAGIC_MULTI);
-        buf.put_u64(self.step);
-        buf.put_u64(self.ng as u64);
+    pub fn to_bytes(&self) -> Vec<u8> {
+        let mut w = Writer::new(MAGIC_MULTI, self.total_bytes() as usize);
+        w.u64(self.step);
+        w.u64(self.ng as u64);
         for d in self.dims {
-            buf.put_u64(d as u64);
+            w.u64(d as u64);
         }
-        buf.put_u64(self.ranks() as u64);
+        w.u64(self.ranks() as u64);
         for snap in &self.per_rank {
-            buf.put_u64(snap.len() as u64);
+            w.u64(snap.len() as u64);
             for k in 0..snap.len() {
-                buf.put_u64(snap.ids[k]);
-                for c in 0..3 {
-                    buf.put_f64(snap.pos[k][c]);
-                }
-                for c in 0..3 {
-                    buf.put_f64(snap.mom[k][c]);
-                }
-                buf.put_f64(snap.mass[k]);
-                buf.put_f64(snap.h[k]);
-                buf.put_f64(snap.u[k]);
+                w.u64(snap.ids[k]);
+                w.vec3(snap.pos[k]);
+                w.vec3(snap.mom[k]);
+                w.f64(snap.mass[k]);
+                w.f64(snap.h[k]);
+                w.f64(snap.u[k]);
             }
         }
-        buf.freeze()
+        w.finish()
     }
 
     /// Deserializes a blob produced by [`MultiRankCheckpoint::to_bytes`],
     /// treating the input as untrusted: counts are capped and
     /// checked-multiplied before any allocation, and the header's rank
     /// grid must be internally consistent.
-    pub fn from_bytes(mut data: Bytes) -> Result<Self, CheckpointError> {
-        if data.remaining() < HCK3_HEADER_BYTES {
-            return Err(CheckpointError::Truncated { what: "header" });
-        }
-        let magic = data.get_u32();
-        if magic != MAGIC_MULTI {
-            return Err(CheckpointError::BadMagic {
-                found: magic,
-                expected: MAGIC_MULTI,
-            });
-        }
-        let step = data.get_u64();
-        let ng = data.get_u64() as usize;
-        let dims = [
-            data.get_u64() as usize,
-            data.get_u64() as usize,
-            data.get_u64() as usize,
-        ];
-        let ranks = data.get_u64() as usize;
+    pub fn from_bytes(data: impl AsRef<[u8]>) -> Result<Self, CheckpointError> {
+        let mut r = Reader::open(data.as_ref(), MAGIC_MULTI, HCK3_HEADER_BYTES)?;
+        let step = r.u64()?;
+        let ng = r.u64()? as usize;
+        let dims = [r.u64()? as usize, r.u64()? as usize, r.u64()? as usize];
+        let ranks = r.u64()? as usize;
         if ranks == 0 {
             return Err(CheckpointError::Malformed {
                 detail: "rank count is zero".to_string(),
@@ -194,33 +171,20 @@ impl MultiRankCheckpoint {
                 ),
             });
         }
-        // A hostile rank count is bounded by the same cap as a particle
-        // count: each rank section is at least a header.
-        payload_bytes(ranks, HCK3_RANK_HEADER_BYTES)?;
+        // A hostile rank count is bounded like a particle count: each
+        // rank section is at least its count header, and that many
+        // headers must be present before the rank table is reserved.
+        let ranks = r.records(ranks, HCK3_RANK_HEADER_BYTES, "rank header")?;
         let mut per_rank = Vec::with_capacity(ranks);
         for _ in 0..ranks {
-            if data.remaining() < HCK3_RANK_HEADER_BYTES {
-                return Err(CheckpointError::Truncated {
-                    what: "rank header",
-                });
-            }
-            let n = data.get_u64() as usize;
-            if data.remaining() < payload_bytes(n, HCK3_STRIDE)? {
-                return Err(CheckpointError::Truncated {
-                    what: "rank payload",
-                });
-            }
+            // A section opens with one fixed-size record: its count.
+            r.records(1, HCK3_RANK_HEADER_BYTES, "rank header")?;
+            let n = r.u64()? as usize;
+            let n = r.records(n, HCK3_STRIDE, "rank payload")?;
             let mut snap = ParticleBatch::with_capacity(n);
             for _ in 0..n {
                 // Arguments evaluate left to right: the wire order.
-                snap.push(
-                    data.get_u64(),
-                    [data.get_f64(), data.get_f64(), data.get_f64()],
-                    [data.get_f64(), data.get_f64(), data.get_f64()],
-                    data.get_f64(),
-                    data.get_f64(),
-                    data.get_f64(),
-                );
+                snap.push(r.u64()?, r.vec3()?, r.vec3()?, r.f64()?, r.f64()?, r.f64()?);
             }
             per_rank.push(snap);
         }
@@ -230,17 +194,6 @@ impl MultiRankCheckpoint {
             dims,
             per_rank,
         })
-    }
-
-    /// Writes to a file.
-    pub fn save(&self, path: &std::path::Path) -> std::io::Result<()> {
-        std::fs::write(path, self.to_bytes())
-    }
-
-    /// Reads from a file.
-    pub fn load(path: &std::path::Path) -> Result<Self, CheckpointError> {
-        let data = std::fs::read(path)?;
-        Self::from_bytes(Bytes::from(data))
     }
 }
 
@@ -287,18 +240,26 @@ mod tests {
         }
     }
 
+    /// The wire bytes themselves, not just the round trip: a codec
+    /// change that moves this hash has changed the format.
+    #[test]
+    fn sample_blob_is_byte_pinned() {
+        let blob = sample().to_bytes();
+        assert_eq!(blob.len(), 4276);
+        assert_eq!(crate::wire::fnv1a(&blob), 0xcfb2_fd1b_4245_0348);
+    }
+
     #[test]
     fn rejects_bad_magic_and_truncation() {
         let blob = sample().to_bytes();
-        let mut raw = BytesMut::from(&blob[..]);
+        let mut raw = blob.clone();
         raw[0] = 0x55;
         assert!(matches!(
-            MultiRankCheckpoint::from_bytes(raw.freeze()).unwrap_err(),
+            MultiRankCheckpoint::from_bytes(raw).unwrap_err(),
             CheckpointError::BadMagic { .. }
         ));
-        let cut = blob.slice(0..blob.len() - 8);
         assert!(matches!(
-            MultiRankCheckpoint::from_bytes(cut).unwrap_err(),
+            MultiRankCheckpoint::from_bytes(&blob[..blob.len() - 8]).unwrap_err(),
             CheckpointError::Truncated { .. }
         ));
     }
@@ -313,17 +274,38 @@ mod tests {
 
     #[test]
     fn hostile_counts_are_rejected_before_allocating() {
-        let mut buf = BytesMut::new();
-        buf.put_u32(MAGIC_MULTI);
-        buf.put_u64(0); // step
-        buf.put_u64(16); // ng
+        let mut w = Writer::new(MAGIC_MULTI, HCK3_HEADER_BYTES + HCK3_RANK_HEADER_BYTES);
+        w.u64(0); // step
+        w.u64(16); // ng
         for d in [1u64, 1, 1] {
-            buf.put_u64(d);
+            w.u64(d);
         }
-        buf.put_u64(1); // ranks
-        buf.put_u64(u64::MAX); // hostile particle count
-        let err = MultiRankCheckpoint::from_bytes(buf.freeze()).unwrap_err();
+        w.u64(1); // ranks
+        w.u64(u64::MAX); // hostile particle count
+        let err = MultiRankCheckpoint::from_bytes(w.finish()).unwrap_err();
         assert!(matches!(err, CheckpointError::TooLarge { .. }), "{err}");
+    }
+
+    #[test]
+    fn hostile_rank_counts_are_rejected_before_allocating() {
+        // A self-consistent header (512³ = 2²⁷ ranks, exactly the cap)
+        // with no rank sections behind it: the rank table must not be
+        // reserved on the header's word alone.
+        let mut w = Writer::new(MAGIC_MULTI, HCK3_HEADER_BYTES + HCK3_RANK_HEADER_BYTES);
+        w.u64(0); // step
+        w.u64(512); // ng
+        for d in [512u64, 512, 512] {
+            w.u64(d);
+        }
+        w.u64(1 << 27); // ranks
+        w.u64(0); // one empty rank section, 2²⁷ − 1 missing
+        let err = MultiRankCheckpoint::from_bytes(w.finish()).unwrap_err();
+        assert_eq!(
+            err,
+            CheckpointError::Truncated {
+                what: "rank header"
+            }
+        );
     }
 
     #[test]

@@ -20,6 +20,7 @@ pub mod recovery;
 pub mod resilience;
 pub mod sim;
 pub mod timers;
+mod wire;
 
 pub use analysis::{density_moments, find_halos, mass_function, rms_velocity};
 pub use checkpoint::{Checkpoint, CheckpointError, FullCheckpoint};

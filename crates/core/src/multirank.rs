@@ -289,11 +289,6 @@ impl MultiRankSim {
         self.async_step = on;
     }
 
-    /// True when steps run on the task-graph executor.
-    pub fn is_async(&self) -> bool {
-        self.async_step
-    }
-
     /// Routes link faults through a seeded injector.
     pub fn enable_fault_injection(&mut self, config: FaultConfig) {
         self.fault_config = Some(config.clone());
@@ -895,16 +890,9 @@ impl MultiRankSim {
         }
     }
 
-    /// Restores every rank from a checkpoint taken under the *same*
-    /// decomposition (respawn recovery: the communicator keeps its
-    /// size). Queued messages from the abandoned timeline are purged.
-    pub fn restore(&mut self, ckpt: &MultiRankCheckpoint) -> Result<(), CheckpointError> {
-        if ckpt.ranks() != self.layout.ranks || ckpt.dims != self.layout.dims {
-            return Err(CheckpointError::SizeMismatch {
-                checkpoint: ckpt.ranks(),
-                simulation: self.layout.ranks,
-            });
-        }
+    /// What any restore needs whatever the decomposition: the same box
+    /// and the same particle population as this engine's problem.
+    fn check_restorable(&self, ckpt: &MultiRankCheckpoint) -> Result<(), CheckpointError> {
         if ckpt.ng != self.problem.ng {
             return Err(CheckpointError::Invalid {
                 detail: format!(
@@ -913,6 +901,30 @@ impl MultiRankSim {
                 ),
             });
         }
+        if ckpt.n_particles() != self.problem.n_particles {
+            return Err(CheckpointError::SizeMismatch {
+                checkpoint: ckpt.n_particles(),
+                simulation: self.problem.n_particles,
+            });
+        }
+        Ok(())
+    }
+
+    /// Restores every rank from a checkpoint taken under the *same*
+    /// decomposition (respawn recovery: the communicator keeps its
+    /// size). Queued messages from the abandoned timeline are purged.
+    pub fn restore(&mut self, ckpt: &MultiRankCheckpoint) -> Result<(), CheckpointError> {
+        if ckpt.ranks() != self.layout.ranks || ckpt.dims != self.layout.dims {
+            return Err(CheckpointError::Invalid {
+                detail: format!(
+                    "checkpoint rank grid {:?} ({} ranks) does not match the engine's {:?}",
+                    ckpt.dims,
+                    ckpt.ranks(),
+                    self.layout.dims
+                ),
+            });
+        }
+        self.check_restorable(ckpt)?;
         self.states = ckpt.per_rank.clone();
         self.step_count = ckpt.step;
         self.transport.purge();
@@ -930,14 +942,7 @@ impl MultiRankSim {
         ranks: usize,
         ckpt: &MultiRankCheckpoint,
     ) -> Result<(), CheckpointError> {
-        if ckpt.ng != self.problem.ng {
-            return Err(CheckpointError::Invalid {
-                detail: format!(
-                    "checkpoint box ng={} does not match the engine's ng={}",
-                    ckpt.ng, self.problem.ng
-                ),
-            });
-        }
+        self.check_restorable(ckpt)?;
         let layout = RankLayout::new(ranks, self.problem.ng);
         if self.problem.r_cut > layout.min_domain_width() + 1e-12 {
             return Err(CheckpointError::Invalid {
@@ -999,6 +1004,45 @@ mod tests {
         // With a 0.05 dt something should eventually cross a face.
         let moved: u64 = stats.iter().map(|s| s.migrated).sum();
         assert!(moved > 0, "no particle ever migrated in 4 steps");
+    }
+
+    #[test]
+    fn restore_names_a_rank_grid_mismatch_as_one() {
+        let mut eight = MultiRankSim::new(8, GpuArch::frontier(), problem());
+        let four = MultiRankSim::new(4, GpuArch::frontier(), problem()).checkpoint();
+        let before = eight.state_digest();
+        // Not `SizeMismatch`, whose message counts *particles*.
+        let expected = format!(
+            "checkpoint rank grid {:?} (4 ranks) does not match the engine's [2, 2, 2]",
+            four.dims
+        );
+        assert_eq!(
+            eight.restore(&four),
+            Err(CheckpointError::Invalid { detail: expected })
+        );
+        assert_eq!(eight.state_digest(), before);
+    }
+
+    #[test]
+    fn restores_count_particles() {
+        let mut sim = MultiRankSim::new(4, GpuArch::frontier(), problem());
+        let before = sim.state_digest();
+        // Same box, same rank grid — one particle short.
+        let mut short = sim.checkpoint();
+        let holder = short.per_rank.iter().position(|b| !b.is_empty()).unwrap();
+        let mut kept = ParticleBatch::new();
+        for k in 1..short.per_rank[holder].len() {
+            kept.push_from(&short.per_rank[holder], k);
+        }
+        short.per_rank[holder] = kept;
+        let mismatch = CheckpointError::SizeMismatch {
+            checkpoint: 255,
+            simulation: 256,
+        };
+        assert_eq!(sim.restore(&short), Err(mismatch.clone()));
+        assert_eq!(sim.restore_resized(2, &short), Err(mismatch));
+        assert_eq!(sim.layout.ranks, 4, "a refused resize keeps the layout");
+        assert_eq!(sim.state_digest(), before);
     }
 
     #[test]
@@ -1101,7 +1145,6 @@ mod tests {
             reference.run(3).unwrap();
             let mut tasked = MultiRankSim::new(ranks, GpuArch::frontier(), problem());
             tasked.set_async(true);
-            assert!(tasked.is_async());
             tasked.run(3).unwrap();
             assert_eq!(
                 tasked.state_digest(),

@@ -178,7 +178,7 @@ impl MultiRankSim {
             .map(|c| c.rank_loss.iter().map(|l| (l.rank, l.step)).collect())
             .unwrap_or_default();
         let mut applied: HashSet<(usize, u64)> = HashSet::new();
-        let mut ckpt = self.take_checkpoint();
+        let mut ckpt = self.checkpoint();
         let mut report = ResilienceReport {
             steps: Vec::with_capacity(steps as usize),
             checkpoints: 1,
@@ -195,7 +195,7 @@ impl MultiRankSim {
         while self.step_count() < end {
             let step = self.step_count();
             if step > ckpt.step && (step - start).is_multiple_of(interval) {
-                ckpt = self.take_checkpoint();
+                ckpt = self.checkpoint();
                 report.checkpoints += 1;
                 report.checkpoint_bytes += ckpt.mirror_bytes();
                 report.checkpoint_seconds += self.charge_checkpoint(&ckpt);
@@ -250,7 +250,7 @@ impl MultiRankSim {
                         // The old schedule's rank indices no longer
                         // name the same domains; checkpoints must also
                         // be retaken under the new layout.
-                        ckpt = self.take_checkpoint();
+                        ckpt = self.checkpoint();
                         report.checkpoints += 1;
                         report.checkpoint_bytes += ckpt.mirror_bytes();
                         report.checkpoint_seconds += self.charge_checkpoint(&ckpt);
@@ -269,11 +269,6 @@ impl MultiRankSim {
         }
         report.final_ranks = self.layout.ranks;
         Ok(report)
-    }
-
-    /// Captures a coordinated checkpoint and emits its telemetry.
-    fn take_checkpoint(&self) -> MultiRankCheckpoint {
-        self.checkpoint()
     }
 
     /// Charges the buddy-mirror traffic of one coordinated checkpoint

@@ -673,11 +673,6 @@ impl Simulation {
         self.launch.exec = exec;
     }
 
-    /// The execution policy in use.
-    pub fn execution_policy(&self) -> sycl_sim::ExecutionPolicy {
-        self.launch.exec
-    }
-
     /// Sets the metering policy for every subsequent kernel launch:
     /// every op charged to the instruction-class meters, or no
     /// bookkeeping at all. Both run the same data path and produce

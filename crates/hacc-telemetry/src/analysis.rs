@@ -183,24 +183,6 @@ fn finish_step(step: usize, mut ranks: Vec<RankAttribution>) -> StepCriticalPath
     }
 }
 
-/// Builds one [`RankAttribution`] from raw phase seconds (the same
-/// construction the event walk uses); fractions are filled in by the
-/// step-level pass.
-pub fn attribute_rank(
-    rank: usize,
-    migrate: f64,
-    interior: f64,
-    halo: f64,
-    boundary: f64,
-) -> RankAttribution {
-    attribution(rank, migrate, interior, halo, boundary)
-}
-
-/// Folds per-rank phase seconds for one step into its critical path.
-pub fn attribute_step(step: usize, ranks: Vec<RankAttribution>) -> StepCriticalPath {
-    finish_step(step, ranks)
-}
-
 /// Walks the span tree of a recorded event stream and extracts the
 /// critical path of every `step` span (see the module docs for the
 /// expected shape). Steps are numbered in encounter order.

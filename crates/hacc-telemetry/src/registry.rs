@@ -1,6 +1,6 @@
-//! Typed metrics registry: counters, gauges, and log-bucketed
-//! histograms with p50/p95/p99, fed either directly or by ingesting a
-//! recorded [`Event`] stream.
+//! Typed metrics registry: counters and log-bucketed histograms with
+//! p50/p95/p99, fed either directly or by ingesting a recorded
+//! [`Event`] stream.
 //!
 //! The registry is the aggregation side of the analysis plane: the
 //! emitting layers (scheduler, transport, multi-rank engine) keep
@@ -28,9 +28,6 @@ use crate::{Event, EventKind};
 pub enum MetricKind {
     /// Monotonic sum of increments (`sum` is the total).
     Counter,
-    /// Point-in-time level; `last` is the current value, `min`/`max`
-    /// the observed envelope.
-    Gauge,
     /// Log-bucketed distribution with quantile estimates.
     Histogram,
 }
@@ -51,25 +48,19 @@ fn bucket_of(v: f64) -> i32 {
 
 /// One registered metric: identity, running summary statistics, and
 /// (for histograms) the sparse log₂ bucket counts. Only the
-/// [`MetricSummary`] view is serialized; the raw buckets stay
+/// [`MetricSummary`] view leaves the registry; the raw buckets stay
 /// in-process.
-#[derive(Clone, Debug, PartialEq)]
-pub struct Metric {
-    /// Accumulation semantics.
-    pub kind: MetricKind,
-    /// Number of updates applied.
-    pub count: u64,
-    /// Sum of all values (for a counter, the total).
-    pub sum: f64,
-    /// Smallest value seen.
-    pub min: f64,
-    /// Largest value seen.
-    pub max: f64,
-    /// Most recent value.
-    pub last: f64,
+#[derive(Clone, Debug)]
+struct Metric {
+    kind: MetricKind,
+    count: u64,
+    sum: f64,
+    min: f64,
+    max: f64,
+    last: f64,
     /// Sparse log₂ buckets: exponent → observation count. Only
     /// populated for histograms.
-    pub buckets: BTreeMap<i32, u64>,
+    buckets: BTreeMap<i32, u64>,
 }
 
 impl Metric {
@@ -102,7 +93,7 @@ impl Metric {
     /// `q`-th observation and reports its geometric midpoint, clamped
     /// to the exact observed `[min, max]`. `None` when empty or not a
     /// histogram.
-    pub fn quantile(&self, q: f64) -> Option<f64> {
+    fn quantile(&self, q: f64) -> Option<f64> {
         if self.kind != MetricKind::Histogram || self.count == 0 {
             return None;
         }
@@ -124,7 +115,7 @@ impl Metric {
     }
 }
 
-/// One row of a [`MetricsSnapshot`]: a metric's name plus its summary.
+/// One row of [`Registry::snapshot`]: a metric's name plus its summary.
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
 pub struct MetricSummary {
     /// Metric name (dotted, e.g. `sched.queue_depth`).
@@ -147,20 +138,6 @@ pub struct MetricSummary {
     pub p95: Option<f64>,
     /// 99th-percentile estimate (histograms only).
     pub p99: Option<f64>,
-}
-
-/// Serializable snapshot of a whole registry, sorted by name.
-#[derive(Clone, Debug, Default, PartialEq, Serialize, Deserialize)]
-pub struct MetricsSnapshot {
-    /// One summary row per registered metric, name-sorted.
-    pub metrics: Vec<MetricSummary>,
-}
-
-impl MetricsSnapshot {
-    /// Looks up a row by name.
-    pub fn get(&self, name: &str) -> Option<&MetricSummary> {
-        self.metrics.iter().find(|m| m.name == name)
-    }
 }
 
 /// The typed metrics registry. Single-writer by design: analysis code
@@ -187,19 +164,9 @@ impl Registry {
         self.metric(name, MetricKind::Counter).update(v);
     }
 
-    /// Sets the named gauge to `v`.
-    pub fn set_gauge(&mut self, name: &str, v: f64) {
-        self.metric(name, MetricKind::Gauge).update(v);
-    }
-
     /// Records one observation into the named histogram.
     pub fn observe(&mut self, name: &str, v: f64) {
         self.metric(name, MetricKind::Histogram).update(v);
-    }
-
-    /// Direct access to a metric, if registered.
-    pub fn get(&self, name: &str) -> Option<&Metric> {
-        self.metrics.get(name)
     }
 
     /// Folds a recorded event stream into the registry.
@@ -235,36 +202,23 @@ impl Registry {
         }
     }
 
-    /// Number of registered metrics.
-    pub fn len(&self) -> usize {
-        self.metrics.len()
-    }
-
-    /// True when nothing has been registered.
-    pub fn is_empty(&self) -> bool {
-        self.metrics.is_empty()
-    }
-
-    /// Summary snapshot of every metric, sorted by name.
-    pub fn snapshot(&self) -> MetricsSnapshot {
-        MetricsSnapshot {
-            metrics: self
-                .metrics
-                .iter()
-                .map(|(name, m)| MetricSummary {
-                    name: name.clone(),
-                    kind: m.kind,
-                    count: m.count,
-                    sum: m.sum,
-                    min: if m.count == 0 { 0.0 } else { m.min },
-                    max: if m.count == 0 { 0.0 } else { m.max },
-                    last: m.last,
-                    p50: m.quantile(0.50),
-                    p95: m.quantile(0.95),
-                    p99: m.quantile(0.99),
-                })
-                .collect(),
-        }
+    /// One summary row per registered metric, sorted by name.
+    pub fn snapshot(&self) -> Vec<MetricSummary> {
+        self.metrics
+            .iter()
+            .map(|(name, m)| MetricSummary {
+                name: name.clone(),
+                kind: m.kind,
+                count: m.count,
+                sum: m.sum,
+                min: if m.count == 0 { 0.0 } else { m.min },
+                max: if m.count == 0 { 0.0 } else { m.max },
+                last: m.last,
+                p50: m.quantile(0.50),
+                p95: m.quantile(0.95),
+                p99: m.quantile(0.99),
+            })
+            .collect()
     }
 }
 
@@ -273,27 +227,31 @@ mod tests {
     use super::*;
     use crate::Recorder;
 
+    /// Looks up a snapshot row by name.
+    fn row<'a>(snap: &'a [MetricSummary], name: &str) -> &'a MetricSummary {
+        snap.iter()
+            .find(|m| m.name == name)
+            .unwrap_or_else(|| panic!("no metric named {name}"))
+    }
+
     #[test]
-    fn counter_gauge_histogram_semantics() {
+    fn counter_and_histogram_semantics() {
         let mut reg = Registry::new();
         reg.inc("bytes", 10.0);
         reg.inc("bytes", 32.0);
-        reg.set_gauge("depth", 4.0);
-        reg.set_gauge("depth", 2.0);
         for v in [1.0, 2.0, 4.0, 1024.0] {
             reg.observe("lat", v);
         }
         let snap = reg.snapshot();
-        let bytes = snap.get("bytes").unwrap();
+        assert_eq!(snap.len(), 2);
+        assert!(snap[0].name < snap[1].name, "rows are name-sorted");
+        let bytes = row(&snap, "bytes");
         assert_eq!(bytes.kind, MetricKind::Counter);
         assert_eq!(bytes.sum, 42.0);
         assert_eq!(bytes.count, 2);
+        assert_eq!(bytes.last, 32.0);
         assert!(bytes.p50.is_none(), "counters report no quantiles");
-        let depth = snap.get("depth").unwrap();
-        assert_eq!(depth.kind, MetricKind::Gauge);
-        assert_eq!(depth.last, 2.0);
-        assert_eq!(depth.max, 4.0);
-        let lat = snap.get("lat").unwrap();
+        let lat = row(&snap, "lat");
         assert_eq!(lat.kind, MetricKind::Histogram);
         assert_eq!(lat.count, 4);
         assert_eq!(lat.min, 1.0);
@@ -309,7 +267,7 @@ mod tests {
             reg.observe("v", 1.0);
         }
         reg.observe("v", 1.0e6);
-        let m = reg.get("v").unwrap();
+        let m = &reg.metrics["v"];
         assert!(
             m.quantile(0.50).unwrap() < 2.0,
             "median stays in the 1.0 octave"
@@ -328,7 +286,7 @@ mod tests {
         for i in 1..=1000 {
             reg.observe("u", i as f64 * 1e-6);
         }
-        let m = reg.get("u").unwrap();
+        let m = &reg.metrics["u"];
         // Exact p50 is 500.5e-6; one octave of slack either side.
         let p50 = m.quantile(0.5).unwrap();
         assert!(
@@ -345,7 +303,7 @@ mod tests {
         reg.observe("z", 0.0);
         reg.observe("z", -3.0);
         reg.observe("z", 8.0);
-        let m = reg.get("z").unwrap();
+        let m = &reg.metrics["z"];
         assert_eq!(m.count, 3);
         // The ≤0 bucket sorts first, so low quantiles land at its
         // 0.0 midpoint (within the observed [-3, 8] envelope).
@@ -363,12 +321,12 @@ mod tests {
         let mut reg = Registry::new();
         reg.ingest(&rec.events());
         let snap = reg.snapshot();
-        assert_eq!(snap.get("comm.bytes_sent").unwrap().sum, 128.0);
-        assert_eq!(snap.get("upGeo").unwrap().sum, 0.75);
-        assert_eq!(snap.get("upGeo").unwrap().count, 2);
-        let k = snap.get("kernel.CRKSPH::geometry.seconds").unwrap();
+        assert_eq!(row(&snap, "comm.bytes_sent").sum, 128.0);
+        assert_eq!(row(&snap, "upGeo").sum, 0.75);
+        assert_eq!(row(&snap, "upGeo").count, 2);
+        let k = row(&snap, "kernel.CRKSPH::geometry.seconds");
         assert_eq!(k.count, 1);
-        assert!(snap.get("kernel.CRKSPH::geometry.bytes").unwrap().sum > 0.0);
+        assert!(row(&snap, "kernel.CRKSPH::geometry.bytes").sum > 0.0);
     }
 
     #[test]

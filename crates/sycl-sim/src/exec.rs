@@ -34,28 +34,28 @@ impl ExecutionPolicy {
         ExecutionPolicy::Parallel { threads }
     }
 
-    /// True for the serial reference path.
-    pub fn is_serial(&self) -> bool {
-        matches!(self, ExecutionPolicy::Serial)
-    }
-
-    /// The explicit thread cap, if this policy is parallel with one.
-    pub fn thread_cap(&self) -> Option<usize> {
-        match self {
-            ExecutionPolicy::Serial => None,
-            ExecutionPolicy::Parallel { threads: 0 } => None,
-            ExecutionPolicy::Parallel { threads } => Some(*threads),
-        }
-    }
-
     /// Policy selected by the environment: `HACC_EXEC=serial` forces the
-    /// serial reference path, anything else (or unset) is [`Self::auto`]
-    /// (whose width `RAYON_NUM_THREADS` caps). Lets CLI front-ends flip
-    /// the whole process without threading a flag through every call.
+    /// serial reference path; `parallel`, `auto` or unset is
+    /// [`Self::auto`] (whose width `RAYON_NUM_THREADS` caps). Lets CLI
+    /// front-ends flip the whole process without threading a flag
+    /// through every call.
+    ///
+    /// # Panics
+    /// On any other value: a mistyped `HACC_EXEC=seral` must not
+    /// silently run the parallel scheduler.
     pub fn from_env() -> Self {
-        match std::env::var("HACC_EXEC").ok().as_deref() {
-            Some("serial") => ExecutionPolicy::Serial,
-            _ => ExecutionPolicy::auto(),
+        Self::from_env_value(std::env::var("HACC_EXEC").ok().as_deref())
+            .unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    /// [`Self::from_env`] on an already-read value (`None` = unset).
+    fn from_env_value(value: Option<&str>) -> Result<Self, String> {
+        match value {
+            Some("serial") => Ok(ExecutionPolicy::Serial),
+            None | Some("parallel" | "auto") => Ok(ExecutionPolicy::auto()),
+            Some(other) => Err(format!(
+                "HACC_EXEC: unknown execution policy `{other}` (accepted: serial | parallel | auto)"
+            )),
         }
     }
 
@@ -80,14 +80,30 @@ mod tests {
     use super::*;
 
     #[test]
-    fn labels_and_caps() {
+    fn labels() {
         assert_eq!(ExecutionPolicy::Serial.label(), "serial");
         assert_eq!(ExecutionPolicy::auto().label(), "parallel(auto)");
         assert_eq!(ExecutionPolicy::with_threads(4).label(), "parallel(4)");
-        assert_eq!(ExecutionPolicy::Serial.thread_cap(), None);
-        assert_eq!(ExecutionPolicy::auto().thread_cap(), None);
-        assert_eq!(ExecutionPolicy::with_threads(4).thread_cap(), Some(4));
-        assert!(ExecutionPolicy::Serial.is_serial());
-        assert!(!ExecutionPolicy::default().is_serial());
+        assert_eq!(ExecutionPolicy::default(), ExecutionPolicy::auto());
+    }
+
+    #[test]
+    fn env_values_are_a_closed_set() {
+        let parse = ExecutionPolicy::from_env_value;
+        assert_eq!(parse(Some("serial")), Ok(ExecutionPolicy::Serial));
+        for auto in [None, Some("parallel"), Some("auto")] {
+            assert_eq!(parse(auto), Ok(ExecutionPolicy::auto()));
+        }
+        // A typo names the variable and the accepted set instead of
+        // silently running the parallel scheduler.
+        assert_eq!(
+            parse(Some("seral")),
+            Err(
+                "HACC_EXEC: unknown execution policy `seral` (accepted: serial | parallel | auto)"
+                    .to_string()
+            )
+        );
+        assert!(parse(Some("Serial")).is_err());
+        assert!(parse(Some("")).is_err());
     }
 }

@@ -3,14 +3,14 @@
 //! Three contracts from DESIGN.md §4g:
 //!
 //! 1. The `HCK3` multi-rank checkpoint codec round-trips bit-exactly
-//!    and never panics on hostile input (truncations, bit flips).
+//!    and never panics on a hostile header (truncations and bit flips
+//!    of all three formats: `tests/hostile_checkpoints.rs`).
 //! 2. An 8-rank run that loses a rank mid-stream recovers — shrink or
 //!    respawn — and finishes on the *same bits* as the fault-free run,
 //!    for any loss step and any checkpoint interval.
 //! 3. Recovery composes with the transport's transient-fault retry
 //!    path without perturbing physics.
 
-use bytes::{BufMut, BytesMut};
 use hacc_core::{
     MultiRankCheckpoint, MultiRankProblem, MultiRankSim, RecoveryMode, ResilienceConfig,
 };
@@ -64,26 +64,6 @@ fn restoring_a_checkpoint_resumes_on_the_same_bits() {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// Random truncations of a valid HCK3 blob never panic.
-    #[test]
-    fn truncated_hck3_never_panics(frac in 0.0f64..1.0, ranks_pow in 0u32..4) {
-        let blob = checkpoint_for(1 << ranks_pow, 1).to_bytes();
-        let cut = (blob.len() as f64 * frac) as usize;
-        let _ = MultiRankCheckpoint::from_bytes(blob.slice(0..cut));
-    }
-
-    /// Single-bit flips anywhere in a valid HCK3 blob either parse
-    /// (the flip hit a benign payload bit) or error — never panic,
-    /// never allocate absurdly.
-    #[test]
-    fn bit_flipped_hck3_never_panics(byte_frac in 0.0f64..1.0, bit in 0usize..8) {
-        let blob = checkpoint_for(4, 1).to_bytes();
-        let mut raw = BytesMut::from(&blob[..]);
-        let idx = ((raw.len() as f64 * byte_frac) as usize).min(raw.len() - 1);
-        raw[idx] ^= 1 << bit;
-        let _ = MultiRankCheckpoint::from_bytes(raw.freeze());
-    }
-
     /// A hostile header with random counts and dims never panics.
     #[test]
     fn hostile_hck3_headers_never_panic(
@@ -95,16 +75,11 @@ proptest! {
         ranks in 0u64..u64::MAX,
         count in 1u64..u64::MAX,
     ) {
-        let mut buf = BytesMut::new();
-        buf.put_u32(0x4843_4B33);
-        buf.put_u64(step);
-        buf.put_u64(ng);
-        for d in [d0, d1, d2] {
-            buf.put_u64(d);
+        let mut buf = 0x4843_4B33u32.to_be_bytes().to_vec();
+        for word in [step, ng, d0, d1, d2, ranks, count] {
+            buf.extend_from_slice(&word.to_be_bytes());
         }
-        buf.put_u64(ranks);
-        buf.put_u64(count);
-        prop_assert!(MultiRankCheckpoint::from_bytes(buf.freeze()).is_err());
+        prop_assert!(MultiRankCheckpoint::from_bytes(buf).is_err());
     }
 }
 
