@@ -6,9 +6,12 @@
 //! cargo run --release -p hacc-bench --bin figures -- --size 12 fig12
 //! ```
 //!
-//! Valid targets: `table1 table2 fig2 fig9 fig10 fig11 fig12 fig13
-//! ablations cpu ranks fom profile validate faults scaling health
-//! resilience autotune all`.
+//! The accepted targets and flags are the rows of
+//! [`hacc_bench::TARGETS`] and [`hacc_bench::FLAGS`]; anything else
+//! exits 2 naming both sets. No target means `all`. Every number
+//! printed is the *modeled* clock: host wall-clock is measured in
+//! `benchmark/` only.
+//!
 //! `--size N` sets the workload side length (default 8, i.e. 8³
 //! baryons); `--json PATH` additionally writes the raw evaluation data
 //! as JSON. `faults` (not part of `all`) sweeps injected fault rates
@@ -23,17 +26,13 @@
 //! searches the full space instead of the bounded per-push space,
 //! `--seeds N` with N > 1 additionally reports winners that move on
 //! N−1 extra workload seeds, and `PROPTEST_CASES` scales the replay
-//! trial count (default 64). `scaling` (not part of `all`) runs the
-//! strong-scaling sweep over metering modes (metered × fast) and
-//! scheduler thread counts and writes `BENCH_scaling.json` (or the
-//! `--json` path); `--big` appends a 2×64³ two-species fast-mode row
-//! (`--big-size N` changes the per-species side length). `ranks` (not part of
-//! `all`) runs the weak/strong multi-rank sweep — 3D decomposition,
-//! halo exchange over each architecture's modeled interconnect,
-//! comm/compute overlap — over 1/2/4/8 ranks × architectures and
-//! writes `BENCH_ranks.json` (or the `--json` path); `--size N` sets
-//! its particle count to N³. `health` (not part of `all`) collects the
-//! cross-rank performance health report — per-step critical-path
+//! trial count (default 64). `ranks` (not part of `all`) runs the
+//! weak/strong multi-rank sweep — 3D decomposition, halo exchange over
+//! each architecture's modeled interconnect, comm/compute overlap —
+//! over 1/2/4/8 ranks × architectures and writes `BENCH_ranks.json`
+//! (or the `--json` path); `--size N` sets its particle count to N³.
+//! `health` (not part of `all`) collects the cross-rank performance
+//! health report — per-step critical-path
 //! attribution, a roofline point per kernel per architecture, and the
 //! full metrics registry — writing `BENCH_observe.json` plus a
 //! self-contained `BENCH_observe.html` dashboard; when
@@ -97,76 +96,42 @@ fn merge_events(groups: &[(GpuArch, Recorder)]) -> Vec<Event> {
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut size = 8usize;
-    let mut json_path: Option<String> = None;
-    let mut trace_path: Option<String> = None;
-    let mut telemetry_path: Option<String> = None;
-    let mut targets: Vec<String> = Vec::new();
-    let mut serial = false;
-    let mut with_async = false;
-    let mut slow_kernels: Vec<(String, f64)> = Vec::new();
-    let mut n_seeds = 2usize;
-    let mut big = false;
-    let mut big_size = 64usize;
-    let mut full_space = false;
-    let mut it = args.into_iter();
-    while let Some(a) = it.next() {
-        if a == "--size" {
-            size = it
-                .next()
-                .and_then(|v| v.parse().ok())
-                .expect("--size needs an integer");
-        } else if a == "--threads" {
-            let n: usize = it
-                .next()
-                .and_then(|v| v.parse().ok())
-                .expect("--threads needs a positive integer");
-            assert!(n > 0, "--threads needs a positive integer");
-            // The shim reads this at pool construction, so it caps every
-            // parallel launch and host-side rayon loop in the process.
-            std::env::set_var("RAYON_NUM_THREADS", n.to_string());
-        } else if a == "--serial" {
-            serial = true;
-        } else if a == "--async" {
-            with_async = true;
-        } else if a == "--full" {
-            full_space = true;
-        } else if a == "--big" {
-            big = true;
-        } else if a == "--big-size" {
-            big_size = it
-                .next()
-                .and_then(|v| v.parse().ok())
-                .expect("--big-size needs a positive integer");
-            assert!(big_size > 0, "--big-size needs a positive integer");
-        } else if a == "--json" {
-            json_path = Some(it.next().expect("--json needs a path"));
-        } else if a == "--trace" {
-            trace_path = Some(it.next().expect("--trace needs a path"));
-        } else if a == "--telemetry" {
-            telemetry_path = Some(it.next().expect("--telemetry needs a path"));
-        } else if a == "--seeds" {
-            n_seeds = it
-                .next()
-                .and_then(|v| v.parse().ok())
-                .expect("--seeds needs a positive integer");
-            assert!(n_seeds > 0, "--seeds needs a positive integer");
-        } else if a == "--slow" {
-            let spec = it.next().expect("--slow needs KERNEL:FACTOR");
-            let (kernel, factor) = spec
-                .split_once(':')
-                .and_then(|(k, f)| f.parse::<f64>().ok().map(|f| (k.to_string(), f)))
-                .expect("--slow needs KERNEL:FACTOR, e.g. upGeo:5.0");
-            slow_kernels.push((kernel, factor));
-        } else {
-            targets.push(a);
-        }
+    let inv = hacc_bench::Invocation::parse(std::env::args().skip(1)).unwrap_or_else(|msg| {
+        eprintln!("{msg}");
+        std::process::exit(2)
+    });
+    let given = |flag: &str| inv.values(flag).next().is_some();
+    let path = |flag: &str| inv.values(flag).last().map(str::to_string);
+    let count = |flag: &str, default: usize| -> usize {
+        let n = inv.values(flag).last().map_or(default, |v| {
+            v.parse()
+                .unwrap_or_else(|_| panic!("{flag} needs a positive integer"))
+        });
+        assert!(n > 0, "{flag} needs a positive integer");
+        n
+    };
+    let (size, n_seeds) = (count("--size", 8), count("--seeds", 2));
+    if given("--threads") {
+        // The shim reads this at pool construction, so it caps every
+        // parallel launch and host-side rayon loop in the process.
+        std::env::set_var("RAYON_NUM_THREADS", count("--threads", 1).to_string());
     }
-    if serial {
+    if given("--serial") {
         std::env::set_var("HACC_EXEC", "serial");
     }
-    if targets.iter().any(|t| t == "validate") {
+    let (with_async, full_space) = (given("--async"), given("--full"));
+    let slow_kernels: Vec<(String, f64)> = inv
+        .values("--slow")
+        .map(|spec| {
+            spec.split_once(':')
+                .and_then(|(k, f)| f.parse::<f64>().ok().map(|f| (k.to_string(), f)))
+                .expect("--slow needs KERNEL:FACTOR, e.g. upGeo:5.0")
+        })
+        .collect();
+    let (json_path, trace_path) = (path("--json"), path("--trace"));
+    let telemetry_path = path("--telemetry");
+    let want = |t: &str| inv.wants(t);
+    if want("validate") {
         let path = telemetry_path.expect("validate needs --telemetry PATH");
         let text = std::fs::read_to_string(&path).expect("read telemetry file");
         match jsonl::from_jsonl(&text) {
@@ -184,36 +149,7 @@ fn main() {
             }
         }
     }
-    if targets.iter().any(|t| t == "scaling") {
-        eprintln!(
-            "[figures] strong-scaling sweep: {size}³ baryons × (metered, fast) \
-             over thread counts…"
-        );
-        let problem = workload(size, 0xC0FFEE);
-        let mut sweep =
-            hacc_bench::scaling::sweep(&GpuArch::frontier(), &problem, &[1, 2, 4, 8], 5);
-        if big {
-            eprintln!(
-                "[figures] big fast-mode row: 2×{big_size}³ two-species particles, one step…"
-            );
-            let big_problem = hacc_bench::scaling::two_species(&workload(big_size, 0xC0FFEE));
-            sweep.big = Some(hacc_bench::scaling::big_row(
-                &GpuArch::frontier(),
-                &big_problem,
-            ));
-        }
-        println!("{}", hacc_bench::scaling::render(&sweep));
-        if sweep.records.iter().any(|r| !r.bit_identical) {
-            eprintln!("[figures] ERROR: a thread count diverged from the serial bits");
-            std::process::exit(1);
-        }
-        let path = json_path.unwrap_or_else(|| "BENCH_scaling.json".to_string());
-        std::fs::write(&path, hacc_bench::scaling::to_json(&sweep))
-            .expect("write scaling sweep JSON");
-        eprintln!("[figures] wrote scaling sweep to {path}");
-        return;
-    }
-    if targets.iter().any(|t| t == "ranks") {
+    if want("ranks") {
         let n = size * size * size;
         eprintln!(
             "[figures] multi-rank sweep: {n} particles (strong) / per rank (weak) \
@@ -260,7 +196,7 @@ fn main() {
         eprintln!("[figures] wrote rank sweep to {path}");
         return;
     }
-    if targets.iter().any(|t| t == "resilience") {
+    if want("resilience") {
         let n = size * size * size;
         let seeds: Vec<u64> = (0..n_seeds as u64).map(|k| 0xC0FFEE + k).collect();
         eprintln!(
@@ -287,7 +223,7 @@ fn main() {
         }
         return;
     }
-    if targets.iter().any(|t| t == "health") {
+    if want("health") {
         eprintln!(
             "[figures] health report: {size}³ particles over {} ranks × architectures…",
             hacc_bench::health::HEALTH_RANKS
@@ -346,7 +282,7 @@ fn main() {
         eprintln!("[figures] wrote health report to {path} and dashboard to {html_path}");
         return;
     }
-    if targets.iter().any(|t| t == "autotune") {
+    if want("autotune") {
         let trials: usize = std::env::var("PROPTEST_CASES")
             .ok()
             .and_then(|v| v.parse().ok())
@@ -386,7 +322,7 @@ fn main() {
         }
         return;
     }
-    if targets.iter().any(|t| t == "faults") {
+    if want("faults") {
         eprintln!("[figures] sweeping fault rates on the smoke problem…");
         let rates = [0.0, 0.02, 0.05, 0.1, 0.2, 0.5];
         let records = hacc_bench::faults::sweep(&rates, 0xFA_17);
@@ -398,12 +334,6 @@ fn main() {
         }
         return;
     }
-    if targets.is_empty() {
-        targets.push("all".to_string());
-    }
-    let all = targets.iter().any(|t| t == "all");
-    let want = |t: &str| all || targets.iter().any(|x| x == t);
-
     let root = find_workspace_root(Path::new(env!("CARGO_MANIFEST_DIR")))
         .expect("workspace root not found");
     let inventory = RepoInventory::measure(&root).expect("inventory measurement failed");
@@ -419,20 +349,8 @@ fn main() {
         println!("{}", hacc_core::fom::render_problems());
     }
     let need_profile = want("profile") || trace_path.is_some() || telemetry_path.is_some();
-    let need_workload = json_path.is_some()
-        || need_profile
-        || [
-            "fig2",
-            "fig9",
-            "fig10",
-            "fig11",
-            "fig12",
-            "fig13",
-            "ablations",
-            "cpu",
-        ]
-        .iter()
-        .any(|t| want(t));
+    let need_workload =
+        json_path.is_some() || need_profile || inv.targets.iter().any(|t| t.needs_workload);
     if !need_workload {
         return;
     }

@@ -73,7 +73,7 @@ pub fn sweep(rates: &[f64], seed: u64) -> Vec<FaultSweepRecord> {
                 rate,
                 completed,
                 steps: sim.step_count,
-                gpu_seconds: sim.timers.total_seconds(),
+                gpu_seconds: hacc_core::Timers::from_events(&events).total_seconds(),
                 faults_injected: counter_total(&events, "faults.injected"),
                 retries: counter_total(&events, "launch.retries"),
                 fallbacks: counter_total(&events, "launch.fallbacks"),

@@ -2,8 +2,8 @@
 //!
 //! Each `figN`/`tableN` function runs the necessary experiments and
 //! returns the rendered text plus (where useful) the raw numbers, so the
-//! `figures` binary, the criterion benches, and EXPERIMENTS.md all draw
-//! from the same code paths.
+//! `figures` binary, the repo benchmark and EXPERIMENTS.md all draw from
+//! the same code paths.
 
 use crate::experiments::{
     best_per_kernel, kernel_seconds, run_all_variants, total_seconds, ArchRun, BenchProblem,

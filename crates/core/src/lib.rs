@@ -85,11 +85,12 @@ mod tests {
         sim.step();
         assert!(sim.a > a0);
         assert_eq!(sim.step_count, 1);
+        let timers = sim.timers();
         for timer in hacc_kernels::HYDRO_TIMERS {
-            assert!(sim.timers.get(timer).calls > 0, "timer {timer} never fired");
-            assert!(sim.timers.get(timer).seconds > 0.0);
+            assert!(timers.get(timer).calls > 0, "timer {timer} never fired");
+            assert!(timers.get(timer).seconds > 0.0);
         }
-        assert!(sim.timers.get("upGrav").calls > 0);
+        assert!(timers.get("upGrav").calls > 0);
     }
 
     #[test]
@@ -134,8 +135,9 @@ mod tests {
         let mut sim = smoke_sim(Variant::Select);
         sim.set_gravity_only();
         sim.step();
-        assert_eq!(sim.timers.get("upGeo").calls, 0);
-        assert!(sim.timers.get("upGrav").calls > 0);
+        let timers = sim.timers();
+        assert_eq!(timers.get("upGeo").calls, 0);
+        assert!(timers.get("upGrav").calls > 0);
     }
 
     #[test]
@@ -193,7 +195,7 @@ mod tests {
         }
         sim.step();
         assert!(
-            sim.timers.get("upSub").calls > 0,
+            sim.timers().get("upSub").calls > 0,
             "sub-grid timer must fire"
         );
         assert!(sim.total_star_mass() > 0.0, "stars should form");
@@ -213,7 +215,7 @@ mod tests {
         // more calls to the adiabatic kernels".
         let mut adiabatic = smoke_sim(Variant::Select);
         adiabatic.step();
-        let adiabatic_calls = adiabatic.timers.get("upGeo").calls;
+        let adiabatic_calls = adiabatic.timers().get("upGeo").calls;
 
         let mut cooling = smoke_sim(Variant::Select);
         cooling.enable_subgrid(SubgridParams {
@@ -232,7 +234,7 @@ mod tests {
             cooling.adaptive_sub_cycles
         );
         cooling.step(); // now runs more sub-cycles
-        let cooling_calls = cooling.timers.get("upGeo").calls;
+        let cooling_calls = cooling.timers().get("upGeo").calls;
         assert!(
             cooling_calls > 2 * adiabatic_calls,
             "expected many more adiabatic kernel calls: {cooling_calls} vs {adiabatic_calls}"

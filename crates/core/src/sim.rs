@@ -23,7 +23,7 @@
 //! not affect the performance characteristics of the kernels).
 
 use crate::config::{DeviceConfig, SimConfig};
-use crate::timers::{Timers, TimersSink};
+use crate::timers::Timers;
 use hacc_cosmo::{z_to_a, Friedmann, LinearPower};
 use hacc_kernels::{
     launch_resilient, run_gravity_with_policy, run_hydro_step_planned, DeviceParticles,
@@ -83,15 +83,13 @@ pub struct Simulation {
     /// Stellar mass formed per particle (sub-grid bookkeeping).
     pub star_mass: Vec<f64>,
     /// Sub-cycles the *next* long step will use: the sub-grid cooling
-    /// criterion tightens `dt_min`, which "lead\\[s\\] to many more calls to
+    /// limit tightens `dt_min`, which "lead\\[s\\] to many more calls to
     /// the adiabatic kernels" (§3.1) — modeled by adapting this count
     /// from the device-measured time step.
     pub adaptive_sub_cycles: usize,
-    /// Accumulated simulated-device timers — fed by a [`TimersSink`]
-    /// subscribed to `telemetry`, kept for the classic HACC summary.
-    pub timers: Arc<Timers>,
     /// Structured telemetry stream: spans, counters, per-launch kernel
-    /// profiles, and the typed timer events behind `timers`.
+    /// profiles, and the typed timer events behind [`Simulation::timers`].
+    /// No sink is installed unless the caller adds one.
     pub telemetry: Recorder,
     pm: PmSolver,
     poly: PolyShortRange,
@@ -209,9 +207,6 @@ impl Simulation {
         let grav_prefactor = 1.0 / (4.0 * std::f64::consts::PI);
 
         let sub_cycles = config.sub_cycles;
-        let timers = Arc::new(Timers::new());
-        let telemetry = Recorder::new();
-        telemetry.add_sink(Box::new(TimersSink::new(timers.clone())));
 
         Self {
             config,
@@ -231,8 +226,7 @@ impl Simulation {
             subgrid: None,
             star_mass: vec![0.0; 2 * np3],
             adaptive_sub_cycles: sub_cycles,
-            timers,
-            telemetry,
+            telemetry: Recorder::new(),
             pm,
             poly,
             friedmann,
@@ -609,14 +603,20 @@ impl Simulation {
         self.summary()
     }
 
+    /// The accumulated simulated-device timers — the classic HACC
+    /// end-of-run table, folded from `telemetry`'s `Timer` events.
+    pub fn timers(&self) -> Timers {
+        Timers::from_events(&self.telemetry.events())
+    }
+
     /// Builds a summary without advancing.
     pub fn summary(&self) -> RunSummary {
+        let timers = self.timers();
         RunSummary {
             a_final: self.a,
             steps: self.step_count,
-            gpu_seconds: self.timers.total_seconds(),
-            timers: self
-                .timers
+            gpu_seconds: timers.total_seconds(),
+            timers: timers
                 .snapshot()
                 .into_iter()
                 .map(|(n, v)| (n, v.seconds, v.calls))

@@ -65,12 +65,6 @@ impl CosmoParams {
         1.0 - self.omega_m - self.omega_l - self.omega_r
     }
 
-    /// CDM-only density fraction Ω_c = Ωₘ − Ω_b.
-    #[inline]
-    pub fn omega_c(&self) -> f64 {
-        self.omega_m - self.omega_b
-    }
-
     /// Sanity-checks the parameter set, returning a description of the first
     /// violated constraint.
     pub fn validate(&self) -> Result<(), String> {

@@ -89,11 +89,6 @@ impl LinearPower {
         d * d * self.power_z0(k)
     }
 
-    /// Dimensionless power `Δ²(k, z) = k³ P(k, z) / 2π²`.
-    pub fn delta2(&self, k: f64, z: f64) -> f64 {
-        k * k * k * self.power(k, z) / (2.0 * PI * PI)
-    }
-
     /// RMS linear mass fluctuation in a top-hat sphere of radius `r` Mpc/h
     /// at z = 0 (so `sigma_r(8.0) == sigma8` after normalization).
     pub fn sigma_r(&self, r: f64) -> f64 {

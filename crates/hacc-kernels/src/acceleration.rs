@@ -6,7 +6,7 @@
 //! ```
 //!
 //! with Monaghan artificial viscosity `Π_ij` and the pair-antisymmetric
-//! corrected gradient `Ĝ_ij`. Also evaluates the CFL time-step criterion
+//! corrected gradient `Ĝ_ij`. Also evaluates the CFL time-step condition
 //! per particle and folds it into a global minimum with a floating-point
 //! `atomic_min` — the operation NVIDIA GPUs must emulate with a CAS loop
 //! (§5.1).
@@ -78,7 +78,7 @@ impl PairPhysics for Acceleration {
         bufs
     }
 
-    /// acc (3) + max|μ| for the CFL criterion.
+    /// acc (3) + max|μ| for the CFL condition.
     fn n_acc(&self) -> usize {
         4
     }

@@ -160,15 +160,6 @@ pub fn min_image_lanes(own: &Lanes<f32>, other: &Lanes<f32>, box_size: f32) -> L
     &d - &(&wraps * box_size)
 }
 
-/// Loads the standard position triplet at `slots`.
-pub fn load_pos(sg: &Sg, pos: &[Buffer; 3], slots: &Lanes<u32>) -> [Lanes<f32>; 3] {
-    [
-        sg.load_f32(&pos[0], slots),
-        sg.load_f32(&pos[1], slots),
-        sg.load_f32(&pos[2], slots),
-    ]
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

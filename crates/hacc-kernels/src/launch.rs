@@ -271,8 +271,7 @@ fn launch_pair_resilient<P: PairPhysics + Clone>(
 /// launch (tagged with timer bucket and variant), charges the bracket's
 /// merged cost-model estimate as a `Timer` event, and returns the
 /// combined report. The merged estimate — not the per-launch sum — is
-/// what the legacy `Timers` table accumulated, so sinks reproduce it
-/// bit-for-bit.
+/// the value every timer table is folded from (`timer_totals`).
 fn finish_bracket(
     device: &Device,
     telemetry: &Recorder,

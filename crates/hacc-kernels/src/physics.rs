@@ -22,7 +22,7 @@ use sycl_sim::{Lanes, Sg};
 pub const VISC_ALPHA: f32 = 1.0;
 /// Artificial-viscosity quadratic coefficient β.
 pub const VISC_BETA: f32 = 2.0;
-/// CFL safety factor for the time-step criterion.
+/// CFL safety factor for the time-step condition.
 pub const CFL: f32 = 0.25;
 /// Softening of the viscosity denominator, in units of h̄².
 pub const VISC_EPS: f32 = 0.01;
@@ -124,7 +124,7 @@ pub fn corrected_gradient_own(
 }
 
 /// Monaghan artificial viscosity Π_ij and the |μ| used by the CFL
-/// criterion. `v_ij = v_i − v_j` (owner minus partner); the pair is
+/// condition. `v_ij = v_i − v_j` (owner minus partner); the pair is
 /// approaching when `v_ij·η > 0` with our η convention.
 pub struct Viscosity {
     /// Π_ij (non-negative; zero for receding pairs).

@@ -34,7 +34,7 @@ pub struct SubgridParams {
     pub u_star: f32,
     /// Star-formation efficiency per unit time.
     pub sfr_efficiency: f32,
-    /// Safety factor of the cooling time-step criterion.
+    /// Safety factor of the cooling time-step limit.
     pub c_cool: f32,
 }
 
@@ -56,7 +56,7 @@ impl Default for SubgridParams {
 /// Writes the cooling rate into `cool_rate`, the star-formation mass
 /// rate into `sf_rate`, and folds the cooling time `C·u/|Λ|` into the
 /// global `dt_min` with the same floating-point atomic-min the CFL
-/// criterion uses (§5.1).
+/// condition uses (§5.1).
 pub struct Subgrid {
     /// The particle state.
     pub data: DeviceParticles,
@@ -120,7 +120,7 @@ impl SgKernel for Subgrid {
         let rate = (&m * p.sfr_efficiency).zero_unless(&eligible);
         sg.store_f32(&self.sf_rate, &slots, &rate, &valid);
 
-        // Cooling time-step criterion: dt = C·u/Λ (huge when not cooling),
+        // Cooling time-step limit: dt = C·u/Λ (huge when not cooling),
         // folded into the same dt_min the CFL uses.
         let lambda_safe = lambda.max(&sg.splat_f32(1e-30));
         let dt = &(&u_safe * p.c_cool) / &lambda_safe;

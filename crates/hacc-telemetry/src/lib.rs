@@ -15,8 +15,8 @@
 //!   launch: instruction-class histogram, register pressure, spills,
 //!   bytes moved, and the cost model's time estimate.
 //! * **Timers** — the classic CRK-HACC named accumulators (`upGeo`,
-//!   `upGrav`, …) as typed events, so the legacy
-//!   `Timers` table becomes just one sink over the stream.
+//!   `upGrav`, …) as typed events; [`timer_totals`] folds them into
+//!   the end-of-run table.
 //!
 //! Exporters live in [`chrome`] (Perfetto-loadable trace-event JSON),
 //! [`jsonl`] (versioned JSON Lines), and [`table`] (end-of-run text

@@ -564,12 +564,6 @@ impl Tuner {
         &self.cache
     }
 
-    /// Consumes the tuner, returning the (possibly updated) cache for
-    /// persistence.
-    pub fn into_cache(self) -> TuneCache {
-        self.cache
-    }
-
     /// Picks a configuration for `key` from `space`:
     ///
     /// * with probability epsilon (deterministic counter hash), an

@@ -30,13 +30,6 @@ impl Buffer {
         }
     }
 
-    /// A buffer initialized from u32 data (index lists etc.).
-    pub fn from_u32(src: &[u32]) -> Self {
-        Self {
-            data: Arc::new(src.iter().map(|&v| AtomicU32::new(v)).collect()),
-        }
-    }
-
     /// Number of 32-bit words.
     #[inline]
     pub fn len(&self) -> usize {

@@ -38,21 +38,18 @@ pub trait SgKernel: Sync {
 }
 
 /// Sizes the launch thread pool: the requested width (`0` = auto, meaning
-/// `RAYON_NUM_THREADS` or everything the host has) clamped to the host's
-/// available parallelism and to the number of work items, never below 1.
+/// `rayon::current_num_threads()` — an installed pool, `RAYON_NUM_THREADS`,
+/// or everything the host has) clamped to the host's available
+/// parallelism and to the number of work items, never below 1.
 ///
-/// The clamps are the oversubscription fix the scaling sweep motivated:
-/// asking for 8 workers on a 2-core host used to *spawn* 8 threads, whose
-/// contention made parallel(8) slower than parallel(2). Worker count also
-/// never exceeds the work-group count — extra threads could only idle at
-/// the dispatch barrier.
+/// The clamps are an oversubscription fix: asking for 8 workers on a
+/// 2-core host used to *spawn* 8 threads, whose contention made
+/// parallel(8) slower than parallel(2). Worker count also never exceeds
+/// the work-group count — extra threads could only idle at the dispatch
+/// barrier.
 pub(crate) fn effective_workers(requested: usize, available: usize, work_items: usize) -> usize {
     let requested = if requested == 0 {
-        std::env::var("RAYON_NUM_THREADS")
-            .ok()
-            .and_then(|s| s.parse::<usize>().ok())
-            .filter(|&n| n > 0)
-            .unwrap_or(available)
+        rayon::current_num_threads()
     } else {
         requested
     };
@@ -820,11 +817,11 @@ mod tests {
 
     #[test]
     fn pool_sizing_clamps_oversubscription_and_idle_threads() {
-        // The scaling sweep's regression: on a 2-core host, parallel(8)
-        // must not run slower than parallel(2). With the clamp both
-        // requests get the same 2-worker pool, so their modeled
-        // throughput is identical — oversubscription is impossible by
-        // construction (workers never exceed cores).
+        // On a 2-core host, parallel(8) must not run slower than
+        // parallel(2). With the clamp both requests get the same
+        // 2-worker pool, so their modeled throughput is identical —
+        // oversubscription is impossible by construction (workers never
+        // exceed cores).
         assert_eq!(effective_workers(8, 2, 1000), 2);
         assert_eq!(effective_workers(2, 2, 1000), 2);
         for req in [2usize, 4, 8, 64] {

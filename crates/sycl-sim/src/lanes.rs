@@ -352,15 +352,6 @@ impl Lanes<f32> {
         self.apply_zip(p, |v, e| v.powf(e))
     }
 
-    /// `x^p` with a scalar exponent, restricted domain — the
-    /// `sycl::native::powr`-style call used by the hardware-agnostic
-    /// optimizations (§5.1). Always charged as fast math.
-    #[inline]
-    pub fn powr_native(&self, p: f32) -> Lanes<f32> {
-        self.meter.charge(InstrClass::MathFast, 1);
-        self.apply_map(move |v| v.max(0.0).powf(p))
-    }
-
     /// Element-wise minimum.
     #[inline]
     pub fn min(&self, other: &Lanes<f32>) -> Lanes<f32> {
@@ -404,12 +395,6 @@ impl Lanes<f32> {
         self.meter.charge(InstrClass::Alu, 1);
         self.apply_zip(mask, |a, m| if m { a } else { 0.0 })
     }
-
-    /// Host-visible horizontal sum (diagnostic; not a device reduction —
-    /// use [`crate::subgroup::Sg::reduce_add`] inside kernels).
-    pub fn host_sum(&self) -> f32 {
-        self.vals.iter().sum()
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -429,12 +414,6 @@ impl Lanes<u32> {
         self.zip_into(other, InstrClass::Alu, |a, b| a.wrapping_add(b))
     }
 
-    /// `self * c`.
-    #[inline]
-    pub fn mul_scalar(&self, c: u32) -> Lanes<u32> {
-        self.map_into(InstrClass::Alu, move |a| a.wrapping_mul(c))
-    }
-
     /// `self % c` — the integer modulo CUDA code uses for warp-lane math,
     /// which the SYCL built-ins avoid (§5.1). Charged as `Div`.
     #[inline]
@@ -442,22 +421,10 @@ impl Lanes<u32> {
         self.map_into(InstrClass::Div, move |a| a % c)
     }
 
-    /// `self / c` (integer division; `Div`-class).
-    #[inline]
-    pub fn div_scalar(&self, c: u32) -> Lanes<u32> {
-        self.map_into(InstrClass::Div, move |a| a / c)
-    }
-
     /// `self ^ c`.
     #[inline]
     pub fn xor_scalar(&self, c: u32) -> Lanes<u32> {
         self.map_into(InstrClass::Alu, move |a| a ^ c)
-    }
-
-    /// `self & c`.
-    #[inline]
-    pub fn and_scalar(&self, c: u32) -> Lanes<u32> {
-        self.map_into(InstrClass::Alu, move |a| a & c)
     }
 
     /// Converts to f32 lanes.

@@ -167,15 +167,6 @@ impl Sg {
         })
     }
 
-    /// Gathered global load of u32.
-    pub fn load_u32(&self, buf: &Buffer, idx: &Lanes<u32>) -> Lanes<u32> {
-        self.meter.charge(InstrClass::GlobalLoad, 1);
-        let idx = idx.as_slice();
-        Lanes::build(self.size, self.meter.clone(), |l| {
-            buf.read_u32(idx[l] as usize)
-        })
-    }
-
     /// Masked scattered store `buf[idx[l]] = v[l]` where `mask[l]`.
     pub fn store_f32(&self, buf: &Buffer, idx: &Lanes<u32>, v: &Lanes<f32>, mask: &Lanes<bool>) {
         self.meter.charge(InstrClass::GlobalStore, 1);

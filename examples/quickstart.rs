@@ -284,7 +284,7 @@ fn main() {
         "total simulated GPU time (all offloaded kernels): {:.4e} s",
         summary.gpu_seconds
     );
-    println!("\n{}", sim.timers.render());
+    println!("\n{}", sim.timers().render());
 
     if let Some(path) = &tune_path {
         sim.save_tuning(std::path::Path::new(path))

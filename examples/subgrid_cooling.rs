@@ -32,8 +32,9 @@ fn run(label: &str, subgrid: Option<SubgridParams>) {
         }
     }
     let summary = sim.run();
-    let geo = sim.timers.get("upGeo");
-    let sub = sim.timers.get("upSub");
+    let timers = sim.timers();
+    let geo = timers.get("upGeo");
+    let sub = timers.get("upSub");
     println!(
         "{label:<22} adiabatic-kernel calls = {:<4} sub-grid calls = {:<4} \
          sub-cycles(final) = {:<3} stars formed = {:.3e}  GPU time = {:.3e} s",
