@@ -60,12 +60,6 @@ impl Aabb {
         }
     }
 
-    /// True if `p` lies inside (inclusive) the box.
-    #[inline]
-    pub fn contains(&self, p: &[f64; 3]) -> bool {
-        (0..3).all(|c| p[c] >= self.min[c] && p[c] <= self.max[c])
-    }
-
     /// Minimum squared distance between two boxes in a periodic domain of
     /// side `period` (same for all axes). Zero if they overlap (including
     /// through the periodic seam).
@@ -140,9 +134,6 @@ mod tests {
         let b = Aabb::from_points(pts.iter());
         assert_eq!(b.min, [0.0, -1.0, 0.0]);
         assert_eq!(b.max, [3.0, 1.0, 5.0]);
-        for p in &pts {
-            assert!(b.contains(p));
-        }
     }
 
     #[test]

@@ -7,7 +7,6 @@
 //! bounding boxes lie within the interaction cutoff, which is exactly the
 //! work list those kernels consume.
 
-use crate::aabb::Aabb;
 use crate::rcb::RcbTree;
 use rayon::prelude::*;
 
@@ -30,37 +29,47 @@ pub struct InteractionList {
 }
 
 impl InteractionList {
-    /// Builds the list by testing all leaf-box pairs against the cutoff.
-    ///
-    /// CRK-HACC prunes with the chaining mesh; at the leaf counts used per
-    /// rank (≈ thousands) the O(L²) sweep parallelized over leaves is
-    /// inexpensive and simpler to verify. Leaf boxes come from the tree.
+    /// Builds the list by walking the RCB tree once per leaf `a`, pruning
+    /// subtrees whose leaves all precede `a` or whose box is beyond the
+    /// cutoff. Equals testing all L² leaf-box pairs bit for bit, because
+    /// `min_dist_sq_periodic` is monotone under box containment (each
+    /// step is monotone under round-to-nearest). Precondition: node bounds
+    /// nest exactly, as [`RcbTree::check_invariants`] checks — true of any
+    /// [`RcbTree::build`] over finite positions. Pairs come out sorted.
     pub fn build(tree: &RcbTree, box_size: f64, cutoff: f64) -> Self {
         assert!(cutoff > 0.0 && box_size > 0.0);
-        let boxes: Vec<Aabb> = tree
-            .leaves
-            .iter()
-            .map(|&ni| tree.nodes[ni].bounds)
-            .collect();
+        let nodes = &tree.nodes;
+        // Leaf range [lo, hi] of every subtree: leaves are numbered
+        // left-to-right in DFS order and children follow their parent.
+        let mut range = vec![(0u32, 0u32); nodes.len()];
+        for (li, &ni) in tree.leaves.iter().enumerate() {
+            range[ni] = (li as u32, li as u32);
+        }
+        for ni in (0..nodes.len()).rev() {
+            if let Some((l, r)) = nodes[ni].children {
+                range[ni] = (range[l].0, range[r].1);
+            }
+        }
         let c2 = cutoff * cutoff;
-        let mut pairs: Vec<LeafPair> = (0..boxes.len())
+        let pairs: Vec<LeafPair> = (0..tree.n_leaves() as u32)
             .into_par_iter()
             .flat_map_iter(|a| {
-                let ba = boxes[a];
-                let boxes = &boxes;
-                (a..boxes.len()).filter_map(move |b| {
-                    if ba.min_dist_sq_periodic(&boxes[b], box_size) <= c2 {
-                        Some(LeafPair {
-                            a: a as u32,
-                            b: b as u32,
-                        })
-                    } else {
-                        None
+                let ba = nodes[tree.leaves[a as usize]].bounds;
+                let mut out = Vec::new();
+                let mut stack = vec![0usize];
+                while let Some(ni) = stack.pop() {
+                    let (lo, hi) = range[ni];
+                    if hi >= a && ba.min_dist_sq_periodic(&nodes[ni].bounds, box_size) <= c2 {
+                        match nodes[ni].children {
+                            Some((l, r)) => stack.extend([r, l]),
+                            None => out.push(LeafPair { a, b: lo }),
+                        }
                     }
-                })
+                }
+                out
             })
             .collect();
-        pairs.sort_unstable();
+        debug_assert!(pairs.windows(2).all(|w| w[0] < w[1]));
         Self { pairs, cutoff }
     }
 
@@ -115,10 +124,32 @@ impl InteractionList {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
+
+    /// The all-pairs sweep the pruned walk replaced: every leaf-box pair
+    /// `a ≤ b` tested against the cutoff. The oracle for `build`.
+    pub(crate) fn all_pairs_oracle(tree: &RcbTree, box_size: f64, cutoff: f64) -> InteractionList {
+        let boxes: Vec<_> = tree
+            .leaves
+            .iter()
+            .map(|&ni| tree.nodes[ni].bounds)
+            .collect();
+        let mut pairs = Vec::new();
+        for (a, ba) in boxes.iter().enumerate() {
+            for (b, bb) in boxes.iter().enumerate().skip(a) {
+                if ba.min_dist_sq_periodic(bb, box_size) <= cutoff * cutoff {
+                    pairs.push(LeafPair {
+                        a: a as u32,
+                        b: b as u32,
+                    });
+                }
+            }
+        }
+        InteractionList { pairs, cutoff }
+    }
 
     fn random_points(n: usize, box_size: f64, seed: u64) -> Vec<[f64; 3]> {
         let mut rng = StdRng::seed_from_u64(seed);

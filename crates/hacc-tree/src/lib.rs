@@ -74,6 +74,58 @@ mod proptests {
             prop_assert!(list.check_complete(&tree, &pts, 8.0).is_ok());
         }
 
+        /// The pruned tree walk emits exactly the all-pairs sweep's list,
+        /// including seam-straddling clusters, all-duplicate positions,
+        /// one particle per leaf, a single particle, a tiny cutoff and a
+        /// cutoff of half the box or more.
+        #[test]
+        fn walk_equals_all_pairs(
+            shape in 0usize..4,
+            raw in arb_points(1..150, 8.0),
+            cap in 0usize..16,
+            (scale, u) in (0usize..3, 0.0..1.0f64),
+        ) {
+            let pts: Vec<[f64; 3]> = match shape {
+                0 => raw,
+                1 => raw[..1].to_vec(),
+                2 => vec![raw[0]; raw.len()],
+                // Two thin clusters straddling the x seam.
+                _ => raw.iter()
+                    .map(|p| [if p[2] < 4.0 { p[0] / 16.0 } else { 8.0 - p[0] / 16.0 }, p[1], 4.0])
+                    .collect(),
+            };
+            let cutoff = [1e-9 + 1e-3 * u, 0.1 + 3.0 * u, 4.0 + 12.0 * u][scale];
+            let tree = RcbTree::build(&pts, cap.max(1));
+            prop_assert!(tree.check_invariants(&pts).is_ok());
+            let walk = InteractionList::build(&tree, 8.0, cutoff);
+            let oracle = interaction::tests::all_pairs_oracle(&tree, 8.0, cutoff);
+            prop_assert_eq!(walk.pairs, oracle.pairs);
+        }
+
+        /// The lemma the pruning rests on: shrinking `other` to any sub-box
+        /// never brings it closer, compared exactly.
+        #[test]
+        fn min_dist_is_monotone_under_containment(
+            corners in prop::collection::vec(-2.0..10.0f64, 12),
+            t in prop::collection::vec(0.0..1.0f64, 6),
+        ) {
+            // Stretched and clamped so a sub-box often shares a face.
+            let t: Vec<f64> = t.iter().map(|t| (1.4 * t - 0.2).clamp(0.0, 1.0)).collect();
+            let aabb = |c: &[f64]| Aabb {
+                min: [c[0].min(c[3]), c[1].min(c[4]), c[2].min(c[5])],
+                max: [c[0].max(c[3]), c[1].max(c[4]), c[2].max(c[5])],
+            };
+            let (a, other) = (aabb(&corners[..6]), aabb(&corners[6..]));
+            let at = |c: usize, t: f64| {
+                (other.min[c] + t * (other.max[c] - other.min[c])).min(other.max[c])
+            };
+            let sub = Aabb {
+                min: std::array::from_fn(|c| at(c, t[c].min(t[c + 3]))),
+                max: std::array::from_fn(|c| at(c, t[c].max(t[c + 3]))),
+            };
+            prop_assert!(a.min_dist_sq_periodic(&sub, 8.0) >= a.min_dist_sq_periodic(&other, 8.0));
+        }
+
         /// Union-find: union is commutative/idempotent on connectivity, and
         /// set sizes total the element count.
         #[test]

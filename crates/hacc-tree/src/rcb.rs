@@ -7,7 +7,6 @@
 //! and contiguous per-leaf index ranges in a permutation array.
 
 use crate::aabb::Aabb;
-use rayon::prelude::*;
 
 /// One node of the RCB tree.
 #[derive(Clone, Debug)]
@@ -121,12 +120,6 @@ impl RcbTree {
         }
     }
 
-    /// The root node.
-    #[inline]
-    pub fn root(&self) -> &RcbNode {
-        &self.nodes[0]
-    }
-
     /// Particle indices of a leaf (by position in [`RcbTree::leaves`]).
     pub fn leaf_particles(&self, leaf: usize) -> &[u32] {
         let n = &self.nodes[self.leaves[leaf]];
@@ -156,7 +149,7 @@ impl RcbTree {
         if !seen.iter().all(|&s| s) {
             return Err("some particle missing from order".into());
         }
-        // Leaf ranges tile [0, n) without overlap, and bounds contain points.
+        // Leaf ranges tile [0, n) without overlap.
         let mut covered = 0;
         for (li, &ni) in self.leaves.iter().enumerate() {
             let node = &self.nodes[ni];
@@ -170,35 +163,30 @@ impl RcbTree {
                 ));
             }
             covered = node.end;
-            for &pi in &self.order[node.start..node.end] {
-                if !node.bounds.contains(&positions[pi as usize]) {
-                    return Err(format!("leaf {li} bounds do not contain particle {pi}"));
-                }
-            }
         }
         if covered != positions.len() {
             return Err("leaf ranges do not cover all particles".into());
         }
-        Ok(())
-    }
-
-    /// Per-leaf centers of mass (unweighted centroids), computed in
-    /// parallel. Used for leaf-level force approximations and diagnostics.
-    pub fn leaf_centroids(&self, positions: &[[f64; 3]]) -> Vec<[f64; 3]> {
-        self.leaves
-            .par_iter()
-            .map(|&ni| {
-                let node = &self.nodes[ni];
-                let mut c = [0.0f64; 3];
-                for &pi in &self.order[node.start..node.end] {
-                    for a in 0..3 {
-                        c[a] += positions[pi as usize][a];
-                    }
+        // Bounds are exact: a leaf's box is the tight box of its particles,
+        // an interior node's the union of its children's. The pruned walk
+        // of `InteractionList::build` relies on this nesting.
+        for (ni, node) in self.nodes.iter().enumerate() {
+            let exact = match node.children {
+                Some((l, r)) => {
+                    let (l, r) = (&self.nodes[l].bounds, &self.nodes[r].bounds);
+                    Aabb::from_points([&l.min, &l.max, &r.min, &r.max])
                 }
-                let n = node.len() as f64;
-                [c[0] / n, c[1] / n, c[2] / n]
-            })
-            .collect()
+                None => Aabb::from_points(
+                    self.order[node.start..node.end]
+                        .iter()
+                        .map(|&pi| &positions[pi as usize]),
+                ),
+            };
+            if node.bounds != exact {
+                return Err(format!("node {ni} bounds are not exact"));
+            }
+        }
+        Ok(())
     }
 }
 
@@ -275,8 +263,8 @@ mod tests {
                 for child in [l, r] {
                     let cb = &tree.nodes[child].bounds;
                     for c in 0..3 {
-                        assert!(cb.min[c] >= node.bounds.min[c] - 1e-12);
-                        assert!(cb.max[c] <= node.bounds.max[c] + 1e-12);
+                        assert!(cb.min[c] >= node.bounds.min[c]);
+                        assert!(cb.max[c] <= node.bounds.max[c]);
                     }
                 }
             }
@@ -284,12 +272,15 @@ mod tests {
     }
 
     #[test]
-    fn centroids_lie_in_leaf_bounds() {
-        let pts = random_points(400, 5);
-        let tree = RcbTree::build(&pts, 20);
-        let cents = tree.leaf_centroids(&pts);
-        for (li, c) in cents.iter().enumerate() {
-            assert!(tree.nodes[tree.leaves[li]].bounds.contains(c));
-        }
+    fn inexact_bounds_are_rejected() {
+        let pts = random_points(300, 5);
+        let mut tree = RcbTree::build(&pts, 10);
+        tree.check_invariants(&pts).unwrap();
+        tree.nodes[0].bounds.max[0] += 1e-9;
+        assert!(tree.check_invariants(&pts).is_err(), "loose root box");
+        let mut tree = RcbTree::build(&pts, 10);
+        let leaf = *tree.leaves.last().unwrap();
+        tree.nodes[leaf].bounds.min[1] -= 1e-9;
+        assert!(tree.check_invariants(&pts).is_err(), "loose leaf box");
     }
 }
