@@ -87,7 +87,7 @@ pub struct KernelWinner {
 /// Convergence of the epsilon-greedy replay on one architecture.
 #[derive(Serialize, Clone, Debug)]
 pub struct Convergence {
-    /// Replay trials executed (`PROPTEST_CASES`-scaled).
+    /// Replay trials executed (`figures --trials N`).
     pub trials: usize,
     /// First trial after which every kernel's cached winner was within
     /// 5% of the offline optimum (`None` if never).

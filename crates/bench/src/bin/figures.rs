@@ -25,8 +25,8 @@
 //! hand-picked PP floor of 0.96; `--full`
 //! searches the full space instead of the bounded per-push space,
 //! `--seeds N` with N > 1 additionally reports winners that move on
-//! N−1 extra workload seeds, and `PROPTEST_CASES` scales the replay
-//! trial count (default 64). `ranks` (not part of `all`) runs the
+//! N−1 extra workload seeds, and `--trials N` sets the replay trial
+//! count (default 64). `ranks` (not part of `all`) runs the
 //! weak/strong multi-rank sweep — 3D decomposition, halo exchange over
 //! each architecture's modeled interconnect, comm/compute overlap —
 //! over 1/2/4/8 ranks × architectures and writes `BENCH_ranks.json`
@@ -46,13 +46,10 @@
 //! `BENCH_resilience.json` (or the `--json` path); `--seeds N` sets
 //! the number of loss-schedule seeds (default 2).
 //!
-//! Execution engine:
-//!
-//! * `--serial` forces the serial reference scheduler for every launch.
-//! * `--threads N` caps the parallel scheduler at N worker threads
-//!   (equivalent to setting `RAYON_NUM_THREADS=N`). Either way the
-//!   results are bit-identical — the engine commits atomics in a fixed
-//!   order — so these are purely speed knobs.
+//! Execution engine: every launch runs the auto-width parallel
+//! scheduler, whose pool `RAYON_NUM_THREADS` caps. The results are
+//! bit-identical at any width — the engine commits atomics in a fixed
+//! order — so the width is purely a speed knob.
 //!
 //! Observability:
 //!
@@ -111,14 +108,6 @@ fn main() {
         n
     };
     let (size, n_seeds) = (count("--size", 8), count("--seeds", 2));
-    if given("--threads") {
-        // The shim reads this at pool construction, so it caps every
-        // parallel launch and host-side rayon loop in the process.
-        std::env::set_var("RAYON_NUM_THREADS", count("--threads", 1).to_string());
-    }
-    if given("--serial") {
-        std::env::set_var("HACC_EXEC", "serial");
-    }
     let (with_async, full_space) = (given("--async"), given("--full"));
     let slow_kernels: Vec<(String, f64)> = inv
         .values("--slow")
@@ -283,10 +272,7 @@ fn main() {
         return;
     }
     if want("autotune") {
-        let trials: usize = std::env::var("PROPTEST_CASES")
-            .ok()
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(64);
+        let trials = count("--trials", 64);
         eprintln!(
             "[figures] autotune sweep: {size}³ baryons, {} space, {} replay trials…",
             if full_space { "full" } else { "bounded" },

@@ -51,11 +51,10 @@ pub const TARGETS: &[Target] = &[
 /// argument is (`None` for a switch).
 pub const FLAGS: &[(&str, Option<&str>)] = &[
     ("--size", Some("N")),
-    ("--threads", Some("N")),
-    ("--serial", None),
     ("--async", None),
     ("--full", None),
     ("--seeds", Some("N")),
+    ("--trials", Some("N")),
     ("--slow", Some("KERNEL:FACTOR")),
     ("--json", Some("PATH")),
     ("--trace", Some("PATH")),
@@ -184,7 +183,7 @@ mod tests {
         assert!(!inv.targets.iter().any(|t| t.needs_workload));
         assert_eq!(inv.values("--slow").collect::<Vec<_>>(), ["a:2", "b:3"]);
         assert_eq!(inv.values("--size").last(), Some("6"));
-        assert_eq!(inv.values("--serial").count(), 0);
-        assert_eq!(parse(&["--serial"]).unwrap().values("--serial").count(), 1);
+        assert_eq!(inv.values("--async").count(), 0);
+        assert_eq!(parse(&["--async"]).unwrap().values("--async").count(), 1);
     }
 }

@@ -21,8 +21,8 @@ use hacc_tree::{InteractionList, RcbTree};
 use std::collections::BTreeMap;
 use std::sync::Arc;
 use sycl_sim::{
-    Device, ExecutionPolicy, FaultConfig, FaultInjector, GpuArch, GrfMode, LaunchConfig,
-    MeterPolicy, Toolchain, TunablePoint,
+    Device, FaultConfig, FaultInjector, GpuArch, GrfMode, LaunchConfig, MeterPolicy, Toolchain,
+    TunablePoint,
 };
 
 /// A benchmark problem instance: baryon snapshot + interaction geometry.
@@ -111,13 +111,10 @@ impl VariantChoice {
 }
 
 /// The launch configuration every bench measurement starts from: the
-/// environment's execution policy (so `--serial` / `--threads` reach
-/// every sweep — a speed knob only, the bits do not depend on it) and
-/// the given metering mode.
+/// default (auto-width parallel) execution policy — a speed knob only,
+/// the bits do not depend on it — and the given metering mode.
 pub(crate) fn base_launch(arch: &GpuArch, meter: MeterPolicy) -> LaunchConfig {
-    LaunchConfig::defaults_for(arch)
-        .with_exec(ExecutionPolicy::from_env())
-        .with_meter(meter)
+    LaunchConfig::defaults_for(arch).with_meter(meter)
 }
 
 /// The set-up of one measured build: the device, and the problem's
@@ -326,6 +323,7 @@ pub fn total_seconds(timers: &BTreeMap<String, f64>) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use sycl_sim::ExecutionPolicy;
 
     fn tiny() -> BenchProblem {
         workload(8, 1)

@@ -228,7 +228,9 @@ fn unit(seed: u64, id: u64, channel: u64) -> f64 {
 impl MultiRankSim {
     /// Builds the engine: deterministic initial conditions (identical
     /// for every rank count), partitioned over a 3D [`RankLayout`],
-    /// with the architecture's interconnect behind the transport.
+    /// with the architecture's interconnect behind the transport. A
+    /// function of its arguments: the schedule starts barriered until
+    /// [`MultiRankSim::set_async`] switches it.
     pub fn new(ranks: usize, arch: GpuArch, problem: MultiRankProblem) -> Self {
         let layout = RankLayout::new(ranks, problem.ng);
         assert!(
@@ -272,17 +274,14 @@ impl MultiRankSim {
             fault_config: None,
             states,
             step_count: 0,
-            async_step: std::env::var("HACC_ASYNC")
-                .map(|v| v == "1")
-                .unwrap_or(false),
+            async_step: false,
             pair_seconds: PAIR_FLOPS / peak,
             particle_seconds: PARTICLE_FLOPS / peak,
         }
     }
 
     /// Switches between the barriered reference schedule and the
-    /// asynchronous task-graph schedule (also selectable at
-    /// construction with `HACC_ASYNC=1`). Both schedules produce
+    /// asynchronous task-graph schedule. Both schedules produce
     /// bit-identical particle state; only the modeled timeline and
     /// the `task.*` telemetry differ.
     pub fn set_async(&mut self, on: bool) {

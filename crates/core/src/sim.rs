@@ -127,12 +127,10 @@ fn scatter<T: Clone + Default>(order: &[u32], leaf: impl Fn(usize) -> T) -> Vec<
 
 impl Simulation {
     /// Builds the simulation: Zel'dovich ICs for both species, PM solver,
-    /// short-range polynomial, device. A function of its arguments plus
-    /// one documented environment default: the launch configuration's
-    /// metering policy starts from `HACC_METER`
-    /// ([`sycl_sim::MeterPolicy::from_env`]) until
-    /// [`Simulation::set_meter_policy`] overrides it. No tuner is
-    /// attached and the execution policy is the launch default.
+    /// short-range polynomial, device. A function of its arguments: the
+    /// launch starts from [`LaunchConfig::defaults_for`] (full metering,
+    /// the auto execution policy) and no tuner is attached; the setters
+    /// below change any of them.
     pub fn new(config: SimConfig, device_cfg: DeviceConfig, arch: sycl_sim::GpuArch) -> Self {
         config.validate().expect("invalid simulation configuration");
         let toolchain = {
@@ -150,9 +148,8 @@ impl Simulation {
         let sg_size = device_cfg
             .sg_size
             .unwrap_or_else(|| *arch.sg_sizes.last().expect("arch without sg sizes"));
-        let launch = TunablePoint::classic(sg_size, device_cfg.grf).apply_to(
-            LaunchConfig::defaults_for(&arch).with_meter(sycl_sim::MeterPolicy::from_env()),
-        );
+        let launch = TunablePoint::classic(sg_size, device_cfg.grf)
+            .apply_to(LaunchConfig::defaults_for(&arch));
 
         // Initial conditions: one Gaussian realization displaces both
         // species (baryons trace dark matter at z_init, as in adiabatic
@@ -677,15 +674,9 @@ impl Simulation {
     /// every op charged to the instruction-class meters, or no
     /// bookkeeping at all. Both run the same data path and produce
     /// bit-identical trajectories; only instruction telemetry (and the
-    /// cost of recording it) differs. Overrides the `HACC_METER`
-    /// environment default.
+    /// cost of recording it) differs.
     pub fn set_meter_policy(&mut self, meter: sycl_sim::MeterPolicy) {
         self.launch.meter = meter;
-    }
-
-    /// The metering policy in use.
-    pub fn meter_policy(&self) -> sycl_sim::MeterPolicy {
-        self.launch.meter
     }
 
     /// Attaches a runtime autotuner: kernel launches use cached winners

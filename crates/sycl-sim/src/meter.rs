@@ -29,9 +29,9 @@ pub enum MeterPolicy {
 impl std::str::FromStr for MeterPolicy {
     type Err = String;
 
-    /// The one spelling table (`HACC_METER`, `--meter`): `full` meters,
-    /// `off` (alias `fast`) does not; anything else is an error listing
-    /// the accepted set.
+    /// The one spelling table (`--meter`): `full` meters, `off` (alias
+    /// `fast`) does not; anything else is an error listing the accepted
+    /// set.
     fn from_str(s: &str) -> Result<Self, String> {
         match s {
             "full" => Ok(MeterPolicy::Full),
@@ -44,26 +44,6 @@ impl std::str::FromStr for MeterPolicy {
 }
 
 impl MeterPolicy {
-    /// Policy selected by the `HACC_METER` environment variable (unset
-    /// meters fully). Lets CLI front-ends flip the whole process without
-    /// threading a flag through every call, mirroring `HACC_EXEC`.
-    ///
-    /// # Panics
-    /// On a value [`MeterPolicy::from_str`](std::str::FromStr) rejects:
-    /// a mistyped `HACC_METER` must not silently run the other policy.
-    pub fn from_env() -> Self {
-        Self::from_env_value(std::env::var("HACC_METER").ok().as_deref())
-            .unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// [`MeterPolicy::from_env`] on an already-read value (`None` = unset).
-    fn from_env_value(value: Option<&str>) -> Result<Self, String> {
-        match value {
-            None => Ok(MeterPolicy::Full),
-            Some(v) => v.parse().map_err(|e| format!("HACC_METER: {e}")),
-        }
-    }
-
     /// Stable label for telemetry and benchmark output.
     pub fn label(&self) -> &'static str {
         match self {
@@ -433,22 +413,14 @@ mod tests {
         assert_eq!("full".parse(), Ok(MeterPolicy::Full));
         assert_eq!("off".parse(), Ok(MeterPolicy::Off));
         assert_eq!("fast".parse(), Ok(MeterPolicy::Off));
-        assert_eq!(MeterPolicy::from_env_value(None), Ok(MeterPolicy::Full));
+        // The removed policy (and any typo) names the accepted set instead
+        // of silently metering fully.
         assert_eq!(
-            MeterPolicy::from_env_value(Some("off")),
-            Ok(MeterPolicy::Off)
+            "sampled".parse::<MeterPolicy>(),
+            Err("unknown metering policy `sampled` (accepted: full | off | fast)".to_string())
         );
-        // The removed policy (and any typo) names the variable and the
-        // accepted set instead of silently metering fully.
-        assert_eq!(
-            MeterPolicy::from_env_value(Some("sampled")),
-            Err(
-                "HACC_METER: unknown metering policy `sampled` (accepted: full | off | fast)"
-                    .to_string()
-            )
-        );
-        assert!(MeterPolicy::from_env_value(Some("Full")).is_err());
-        assert!(MeterPolicy::from_env_value(Some("")).is_err());
+        assert!("Full".parse::<MeterPolicy>().is_err());
+        assert!("".parse::<MeterPolicy>().is_err());
     }
 
     #[test]

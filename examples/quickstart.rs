@@ -25,10 +25,10 @@
 //! threads. Both produce bit-identical trajectories (the engine commits
 //! atomics in a fixed order), so these are purely speed knobs.
 //!
-//! `--meter full|off` selects the metering policy (default: the
-//! `HACC_METER` environment variable, then `full`; `fast` is an alias
-//! of `off`). `full` charges every op to the instruction-class meters,
-//! `off` skips that bookkeeping and reports no instruction telemetry.
+//! `--meter full|off` selects the metering policy (default `full`;
+//! `fast` is an alias of `off`). `full` charges every op to the
+//! instruction-class meters, `off` skips that bookkeeping and reports
+//! no instruction telemetry.
 //! Both run the same data path, so the physics is bit-identical —
 //! metering is a telemetry/speed trade, not a determinism one.
 //!
@@ -41,14 +41,16 @@
 //! simulation: the multi-rank engine (`MultiRankSim` — 3D domain
 //! decomposition, particle migration and ghost-zone halo refresh over
 //! the modeled interconnect, its own softened-gravity integrator, not
-//! the CRK-SPH kernels above) advances N ranks under coordinated
-//! checkpointing every `--checkpoint-interval K` steps (default 2) with
-//! buddy replication, prints the transport's `comm:` summary, re-runs
-//! the same problem on one rank, compares final state digests
-//! bit-for-bit, and exits non-zero on any divergence. `--telemetry` /
-//! `--trace` export the N-rank run's stream (`link.{src}->{dst}` spans,
+//! the CRK-SPH kernels above) advances N ranks on the task-graph
+//! schedule under coordinated checkpointing every
+//! `--checkpoint-interval K` steps (default 2) with buddy replication,
+//! prints the transport's `comm:` summary, re-runs the same problem on
+//! one rank under the barriered schedule, compares final state digests
+//! bit-for-bit, and exits non-zero on any divergence — so every drill
+//! checks both schedules against each other. `--telemetry` / `--trace`
+//! export the N-rank run's stream (`link.{src}->{dst}` spans,
 //! `comm.bytes_sent`/`comm.bytes_recv` counters, per-rank `phase.*`
-//! timers); `HACC_ASYNC=1` puts both runs on the task-graph schedule.
+//! timers).
 //! The single-rank flags (`--fault-rate`, `--meter`, `--tune`, …) do
 //! not apply to the drill.
 //!
@@ -73,7 +75,7 @@ fn main() {
     let mut fault_rate = 0.0f64;
     let mut fault_seed = 7u64;
     let mut exec = crk_hacc::sycl::ExecutionPolicy::default();
-    let mut meter = crk_hacc::sycl::MeterPolicy::from_env();
+    let mut meter = crk_hacc::sycl::MeterPolicy::default();
     let mut ranks: Option<usize> = None;
     let mut lose_rank: Option<(usize, u64)> = None;
     let mut checkpoint_interval = 2u64;
@@ -301,11 +303,11 @@ fn main() {
     export(sim.telemetry.events());
 }
 
-/// The distributed drill behind `--ranks N`: an N-rank run under
-/// coordinated checkpointing — with rank `lose.0` killed at step
+/// The distributed drill behind `--ranks N`: an N-rank task-graph run
+/// under coordinated checkpointing — with rank `lose.0` killed at step
 /// `lose.1` and recovered from the buddy-replicated checkpoint, when a
 /// loss is scheduled — gated on bit-identity with the same problem's
-/// fault-free 1-rank run.
+/// fault-free, barriered 1-rank run.
 fn rank_loss_drill(
     ranks: usize,
     lose: Option<(usize, u64)>,
@@ -336,6 +338,7 @@ fn rank_loss_drill(
     let expected = reference.state_digest();
 
     let mut sim = MultiRankSim::new(ranks, arch, problem());
+    sim.set_async(true);
     sim.set_recorder(recorder.clone());
     sim.enable_fault_injection(FaultConfig {
         seed: 42,

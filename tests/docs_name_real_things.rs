@@ -1,7 +1,8 @@
 //! The documentation may only name things that exist (ROADMAP item 8's
 //! gate, first slice): every target and flag on a `figures` command
-//! line in the docs is a row of `hacc_bench::TARGETS` / `FLAGS`, and no
-//! doc mentions a harness that was deleted.
+//! line in the docs is a row of `hacc_bench::TARGETS` / `FLAGS`, no
+//! doc mentions a harness or environment switch that was deleted, and
+//! no crate reads its configuration from the process environment.
 //!
 //! A command line is recognised as `figures -- …` or `figures --flag …`.
 //! Inside a fenced block it runs to the end of the line; in prose it
@@ -20,9 +21,18 @@ const DOCS: [&str; 5] = [
     "crates/bench/src/bin/figures.rs",
 ];
 
-/// Retired harnesses and a dependency that never existed: host time is
-/// measured in `benchmark/` only.
-const RETIRED: [&str; 4] = ["cargo bench", "criterion", "BENCH_scaling", "crossbeam"];
+/// Retired harnesses and a dependency that never existed (host time is
+/// measured in `benchmark/` only), and retired environment switches
+/// (configuration is an argument: a setter or a command-line flag).
+const RETIRED: [&str; 7] = [
+    "cargo bench",
+    "criterion",
+    "BENCH_scaling",
+    "crossbeam",
+    "HACC_EXEC",
+    "HACC_METER",
+    "HACC_ASYNC",
+];
 
 fn read(rel: &str) -> String {
     let path = Path::new(env!("CARGO_MANIFEST_DIR")).join(rel);
@@ -118,12 +128,12 @@ fn every_figures_target_and_flag_in_the_docs_exists() {
 fn the_scanner_sees_fenced_inline_and_wrapped_command_lines() {
     let text = "prose `figures -- ranks --async\n  --json B.json` and the `figures` binary.\n\
                 ```bash\ncargo run --bin figures -- --size 6 fig9  # comment\n```\n\
-                `HACC_EXEC=serial figures\n--threads 2 <targets>`, see figures.rs";
+                `RAYON_NUM_THREADS=2 figures\n--size 6 <targets>`, see figures.rs";
     let lines = figures_command_lines(text);
     let expect: [&[&str]; 3] = [
         &["--", "ranks", "--async", "--json", "B.json"],
         &["--", "--size", "6", "fig9"],
-        &["--threads", "2", "<targets>"],
+        &["--size", "6", "<targets>"],
     ];
     assert_eq!(lines, expect);
 }
@@ -141,8 +151,52 @@ fn no_doc_mentions_a_retired_harness() {
     }
     assert!(
         hits.is_empty(),
-        "host wall-clock is measured in benchmark/ only; these passages \
-         describe harnesses that no longer exist:\n{}",
+        "these passages describe harnesses or environment switches that \
+         no longer exist:\n{}",
+        hits.join("\n")
+    );
+}
+
+/// Every `.rs` file under `dir`, recursively.
+fn rust_files(dir: &Path, out: &mut Vec<std::path::PathBuf>) {
+    for entry in std::fs::read_dir(dir).unwrap_or_else(|e| panic!("{}: {e}", dir.display())) {
+        let path = entry.expect("directory entry").path();
+        if path.is_dir() {
+            rust_files(&path, out);
+        } else if path.extension().is_some_and(|x| x == "rs") {
+            out.push(path);
+        }
+    }
+}
+
+#[test]
+fn no_crate_reads_the_process_environment() {
+    // `shims/` is exempt: it mimics upstream crates, and the rayon
+    // shim's `RAYON_NUM_THREADS` is that crate's own convention.
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let mut files = Vec::new();
+    rust_files(&root.join("examples"), &mut files);
+    for krate in std::fs::read_dir(root.join("crates")).expect("crates/") {
+        rust_files(&krate.expect("crate entry").path().join("src"), &mut files);
+    }
+    let mut hits = Vec::new();
+    for file in &files {
+        let text = std::fs::read_to_string(file).expect("read source");
+        for (n, line) in text.lines().enumerate() {
+            if ["env::var", "set_var", "remove_var"]
+                .iter()
+                .any(|w| line.contains(w))
+            {
+                let rel = file.strip_prefix(root).unwrap_or(file);
+                hits.push(format!("{}:{}: {}", rel.display(), n + 1, line.trim()));
+            }
+        }
+    }
+    assert!(files.len() > 50, "only {} sources scanned", files.len());
+    assert!(
+        hits.is_empty(),
+        "configuration is an argument (a setter or a flag), not the \
+         process environment:\n{}",
         hits.join("\n")
     );
 }

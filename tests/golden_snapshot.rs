@@ -76,8 +76,8 @@ impl Golden {
     }
 
     /// `pin_f64` for a quantity read off the device meters (modeled
-    /// time): an unmetered run — CI's `HACC_METER=off` leg — has none,
-    /// so it leaves the key unchecked and compares every other pin.
+    /// time): a run under [`MeterPolicy::Off`] has none, so it leaves
+    /// the key unchecked and compares every other pin.
     fn pin_metered_f64(&mut self, key: &str, value: f64, meter: MeterPolicy) {
         match meter {
             MeterPolicy::Full => self.pin_f64(key, value),
@@ -95,13 +95,13 @@ impl Golden {
         out
     }
 
-    /// Writes the golden file (regen mode) or compares every key of the
-    /// committed file against this run. `_human` keys are informational:
-    /// mismatches there are reported but only `_bits`/hash keys fail.
+    /// Writes the golden file (regen mode, metered runs only) or
+    /// compares every key of the committed file against this run.
+    /// `_human` keys are informational: mismatches there are reported
+    /// but only `_bits`/hash keys fail.
     fn check(&self, name: &str) {
         let path = golden_dir().join(name);
-        if std::env::var_os("GOLDEN_REGEN").is_some() {
-            assert_eq!(self.skipped, 0, "regenerate goldens from a metered run");
+        if std::env::var_os("GOLDEN_REGEN").is_some() && self.skipped == 0 {
             std::fs::create_dir_all(golden_dir()).unwrap();
             std::fs::write(&path, self.to_json()).unwrap();
             eprintln!("[golden] regenerated {}", path.display());
@@ -140,9 +140,16 @@ impl Golden {
 
 /// The quickstart configuration (examples/quickstart.rs): 2×8³ particles
 /// on simulated Frontier, two long steps. Pins the run summary, global
-/// conserved sums, and the FNV-1a hash of the full final checkpoint.
+/// conserved sums, and the FNV-1a hash of the full final checkpoint —
+/// under each metering policy, since metering is bookkeeping only.
 #[test]
 fn quickstart_run_matches_golden() {
+    for meter in [MeterPolicy::Full, MeterPolicy::Off] {
+        quickstart_run(meter).check("quickstart.json");
+    }
+}
+
+fn quickstart_run(meter: MeterPolicy) -> Golden {
     let config = SimConfig::smoke();
     let device = DeviceConfig {
         lang: Lang::Sycl,
@@ -152,12 +159,13 @@ fn quickstart_run_matches_golden() {
         grf: GrfMode::Default,
     };
     let mut sim = Simulation::new(config, device, GpuArch::frontier());
+    sim.set_meter_policy(meter);
     let summary = sim.run();
 
     let mut g = Golden::new();
     g.pin_str("steps", summary.steps.to_string());
     g.pin_f64("a_final", summary.a_final);
-    g.pin_metered_f64("gpu_seconds", summary.gpu_seconds, sim.meter_policy());
+    g.pin_metered_f64("gpu_seconds", summary.gpu_seconds, meter);
     g.pin_f64("total_mass", sim.mass.iter().sum::<f64>());
     g.pin_f64(
         "total_internal_energy",
@@ -174,7 +182,7 @@ fn quickstart_run_matches_golden() {
     let mut fnv = Fnv::new();
     fnv.eat(&FullCheckpoint::capture(&sim).to_bytes());
     g.pin_str("checkpoint_fnv", fnv.hex());
-    g.check("quickstart.json");
+    g
 }
 
 /// A reduced Sedov–Taylor blast (examples/sedov_blast.rs at 8³, 8
