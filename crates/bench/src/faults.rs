@@ -12,7 +12,7 @@
 //! simulated GPU seconds, so the JSON dump directly plots recovery
 //! overhead versus fault rate.
 
-use hacc_core::{DeviceConfig, RecoveryPolicy, SimConfig, Simulation};
+use hacc_core::{DeviceConfig, SimConfig, Simulation};
 use hacc_kernels::Variant;
 use hacc_telemetry::counter_total;
 use serde::Serialize;
@@ -67,7 +67,7 @@ pub fn sweep(rates: &[f64], seed: u64) -> Vec<FaultSweepRecord> {
                 corrupt_rate: rate,
                 ..Default::default()
             });
-            let completed = sim.try_run_guarded(&RecoveryPolicy::default()).is_ok();
+            let completed = sim.try_run_guarded().is_ok();
             let events = sim.telemetry.events();
             FaultSweepRecord {
                 rate,

@@ -126,7 +126,6 @@ fn run_config(
     let config = ResilienceConfig {
         checkpoint_interval: interval,
         mode: mode.unwrap_or(RecoveryMode::Respawn),
-        ..ResilienceConfig::default()
     };
     let outcome = sim.run_resilient(steps, &config);
     let digest = sim.state_digest();

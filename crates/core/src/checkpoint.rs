@@ -151,7 +151,7 @@ const HCK2_STRIDE: usize = 10 * 8 + 1;
 
 /// Largest `adaptive_sub_cycles` a restore accepts: far above anything
 /// a run produces (the step loop clamps at `32.max(config.sub_cycles)`,
-/// [`crate::RecoveryPolicy::max_sub_cycles`] defaults to 64), far below
+/// the guarded run's retry boost at 64), far below
 /// the `u64::MAX` that would make the next step loop forever.
 const MAX_RESTORED_SUB_CYCLES: usize = 1 << 16;
 

@@ -30,7 +30,7 @@ pub use fom::{fom, FomProblem};
 pub use guard::{GuardViolation, StepGuard};
 pub use multirank::{MultiRankProblem, MultiRankSim, RankStepStats, StepStats};
 pub use rank::{NodeMapping, RankLayout, UnknownArch};
-pub use recovery::{RecoveryError, RecoveryPolicy};
+pub use recovery::RecoveryError;
 pub use resilience::{
     RecoveryEvent, RecoveryMode, ResilienceConfig, ResilienceError, ResilienceReport,
 };

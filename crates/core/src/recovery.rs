@@ -17,30 +17,17 @@ use crate::guard::StepGuard;
 use crate::sim::{RunSummary, Simulation};
 use hacc_telemetry::FaultInfo;
 
-/// Rollback/retry policy for the guarded run loop.
-#[derive(Clone, Copy, Debug)]
-pub struct RecoveryPolicy {
-    /// Consecutive failed attempts at the same long step before giving
-    /// up.
-    pub max_attempts: u32,
-    /// Multiplier applied to the sub-cycle count on each retry (more
-    /// sub-cycles → smaller kicks → a rerun perturbed less by any
-    /// surviving corruption; the count is clamped at
-    /// [`RecoveryPolicy::max_sub_cycles`]).
-    pub sub_cycle_boost: usize,
-    /// Upper clamp for the boosted sub-cycle count.
-    pub max_sub_cycles: usize,
-}
+/// Consecutive failed attempts at the same long step before the guarded
+/// run gives up.
+const MAX_ATTEMPTS: u32 = 3;
 
-impl Default for RecoveryPolicy {
-    fn default() -> Self {
-        Self {
-            max_attempts: 3,
-            sub_cycle_boost: 2,
-            max_sub_cycles: 64,
-        }
-    }
-}
+/// Multiplier applied to the sub-cycle count on each retry: more
+/// sub-cycles → smaller kicks → a rerun perturbed less by any surviving
+/// corruption.
+const SUB_CYCLE_BOOST: usize = 2;
+
+/// Upper clamp for the boosted sub-cycle count.
+const MAX_SUB_CYCLES: usize = 64;
 
 /// Structured failure of a guarded run: the step that could not be
 /// completed and why.
@@ -48,7 +35,7 @@ impl Default for RecoveryPolicy {
 pub struct RecoveryError {
     /// Long-step index that kept failing.
     pub step: usize,
-    /// Attempts spent on that step (== the policy's `max_attempts`).
+    /// Attempts spent on that step (3 when the retry budget ran out).
     pub attempts: u32,
     /// Description of the final failure.
     pub detail: String,
@@ -75,16 +62,14 @@ impl Simulation {
     ///
     /// Each long step is followed by a [`StepGuard`] audit; a launch
     /// error or guard violation rolls the state back to the last good
-    /// [`FullCheckpoint`], boosts the sub-cycle count per `policy`, and
-    /// retries. Every rollback increments the `rollbacks` telemetry
-    /// counter and emits a `fault.rollback` event, so a completed run's
-    /// event stream fully accounts for its recovery history. With no
-    /// faults injected this takes exactly the same physics path as
-    /// [`Simulation::run`].
-    pub fn try_run_guarded(
-        &mut self,
-        policy: &RecoveryPolicy,
-    ) -> Result<RunSummary, RecoveryError> {
+    /// [`FullCheckpoint`], doubles the sub-cycle count (clamped at 64),
+    /// and retries, up to 3 attempts per step. Every rollback increments
+    /// the `rollbacks` telemetry counter and emits a `fault.rollback`
+    /// event, so a completed run's event stream fully accounts for its
+    /// recovery history. A run that gives up is left at the last good
+    /// step, not in the failed one's state. With no faults injected this
+    /// takes exactly the same physics path as [`Simulation::run`].
+    pub fn try_run_guarded(&mut self) -> Result<RunSummary, RecoveryError> {
         let span = self.telemetry.span("run");
         let guard = StepGuard::new(self);
         let mut good = FullCheckpoint::capture(self);
@@ -113,7 +98,13 @@ impl Simulation {
                         },
                         1.0,
                     );
-                    if attempts >= policy.max_attempts {
+                    good.restore_into(self).map_err(|e| RecoveryError {
+                        step,
+                        attempts,
+                        detail: format!("rollback failed: {e}"),
+                        checkpoint: Some(e),
+                    })?;
+                    if attempts >= MAX_ATTEMPTS {
                         return Err(RecoveryError {
                             step,
                             attempts,
@@ -121,20 +112,14 @@ impl Simulation {
                             checkpoint: None,
                         });
                     }
-                    good.restore_into(self).map_err(|e| RecoveryError {
-                        step,
-                        attempts,
-                        detail: format!("rollback failed: {e}"),
-                        checkpoint: Some(e),
-                    })?;
                     // Retry with tighter stepping. The fault injector's
                     // launch ordinals keep advancing across the retry,
                     // so a deterministic injector does not replay the
                     // identical fault schedule.
                     let base = self.adaptive_sub_cycles.max(self.config.sub_cycles);
                     self.adaptive_sub_cycles = base
-                        .saturating_mul(policy.sub_cycle_boost.saturating_pow(attempts))
-                        .min(policy.max_sub_cycles);
+                        .saturating_mul(SUB_CYCLE_BOOST.saturating_pow(attempts))
+                        .min(MAX_SUB_CYCLES);
                 }
             }
         }
@@ -171,7 +156,7 @@ mod tests {
         let mut guarded = smoke();
         guarded.set_execution_policy(ExecutionPolicy::Serial);
         let summary = guarded
-            .try_run_guarded(&RecoveryPolicy::default())
+            .try_run_guarded()
             .expect("fault-free guarded run must succeed");
         assert_eq!(summary.steps, plain_summary.steps);
         assert_eq!(summary.a_final, plain_summary.a_final);
@@ -200,15 +185,11 @@ mod tests {
             ],
             ..Default::default()
         });
-        let policy = RecoveryPolicy {
-            max_attempts: 2,
-            ..Default::default()
-        };
-        let err = sim.try_run_guarded(&policy).unwrap_err();
+        let err = sim.try_run_guarded().unwrap_err();
         assert_eq!(err.step, 0);
-        assert_eq!(err.attempts, 2);
+        assert_eq!(err.attempts, 3);
         assert!(!err.detail.is_empty());
         let events = sim.telemetry.events();
-        assert_eq!(counter_total(&events, "rollbacks"), 2.0);
+        assert_eq!(counter_total(&events, "rollbacks"), 3.0);
     }
 }

@@ -62,6 +62,10 @@ impl RecoveryMode {
     }
 }
 
+/// Recoveries a resilient run tolerates before it gives up: a guard
+/// against a schedule that kills ranks faster than replay can catch up.
+const MAX_RECOVERIES: usize = 8;
+
 /// Policy for the resilient run loop.
 #[derive(Clone, Copy, Debug)]
 pub struct ResilienceConfig {
@@ -70,9 +74,6 @@ pub struct ResilienceConfig {
     pub checkpoint_interval: u64,
     /// How to rebuild the communicator after a loss.
     pub mode: RecoveryMode,
-    /// Recoveries tolerated before the run gives up (a guard against a
-    /// schedule that kills ranks faster than replay can catch up).
-    pub max_recoveries: u32,
 }
 
 impl Default for ResilienceConfig {
@@ -80,7 +81,6 @@ impl Default for ResilienceConfig {
         Self {
             checkpoint_interval: 4,
             mode: RecoveryMode::Respawn,
-            max_recoveries: 8,
         }
     }
 }
@@ -230,13 +230,10 @@ impl MultiRankSim {
                     report.steps.push(stats);
                 }
                 Err(CommError::RankDead { .. }) => {
-                    if report.recoveries.len() as u32 >= config.max_recoveries {
+                    if report.recoveries.len() >= MAX_RECOVERIES {
                         return Err(ResilienceError {
                             step,
-                            detail: format!(
-                                "recovery budget of {} exhausted",
-                                config.max_recoveries
-                            ),
+                            detail: format!("recovery budget of {MAX_RECOVERIES} exhausted"),
                         });
                     }
                     let event = self
@@ -374,7 +371,7 @@ mod tests {
     use super::*;
     use crate::multirank::MultiRankProblem;
     use hacc_telemetry::{counter_total, Recorder};
-    use sycl_sim::{FaultConfig, GpuArch, RankLoss};
+    use sycl_sim::{FaultConfig, FaultKind, GpuArch, RankLoss};
 
     fn problem() -> MultiRankProblem {
         MultiRankProblem::small(256, 42)
@@ -413,7 +410,6 @@ mod tests {
         let config = ResilienceConfig {
             checkpoint_interval: 2,
             mode: RecoveryMode::Respawn,
-            ..ResilienceConfig::default()
         };
         let report = sim.run_resilient(5, &config).expect("must recover");
         assert_eq!(sim.state_digest(), clean, "recovered bits must match");
@@ -441,7 +437,6 @@ mod tests {
         let config = ResilienceConfig {
             checkpoint_interval: 2,
             mode: RecoveryMode::Shrink,
-            ..ResilienceConfig::default()
         };
         let report = sim.run_resilient(5, &config).expect("must recover");
         assert_eq!(report.final_ranks, 7, "one rank was absorbed");
@@ -467,7 +462,6 @@ mod tests {
         let config = ResilienceConfig {
             checkpoint_interval: 2,
             mode: RecoveryMode::Respawn,
-            ..ResilienceConfig::default()
         };
         let report = sim.run_resilient(4, &config).expect("must recover");
         let events = rec.events();
@@ -491,6 +485,36 @@ mod tests {
     }
 
     #[test]
+    fn each_scheduled_loss_is_applied_once() {
+        // Two ranks at one boundary, one entry duplicated, a later loss.
+        let clean = fault_free_digest(4, 6);
+        let mut sim = MultiRankSim::new(4, GpuArch::frontier(), problem());
+        sim.enable_fault_injection(FaultConfig {
+            rank_loss: vec![
+                RankLoss { rank: 3, step: 2 },
+                RankLoss { rank: 1, step: 2 },
+                RankLoss { rank: 3, step: 2 },
+                RankLoss { rank: 0, step: 5 },
+            ],
+            ..FaultConfig::default()
+        });
+        let config = ResilienceConfig {
+            checkpoint_interval: 2,
+            mode: RecoveryMode::Respawn,
+        };
+        let report = sim.run_resilient(6, &config).expect("must recover");
+        assert_eq!(sim.state_digest(), clean);
+        let lost: Vec<_> = report
+            .recoveries
+            .iter()
+            .map(|r| (r.detected_step, r.lost_ranks.clone()))
+            .collect();
+        assert_eq!(lost, vec![(2, vec![1, 3]), (5, vec![0])]);
+        let injector = sim.transport().injector().expect("injector attached");
+        assert_eq!(injector.injected_of(FaultKind::RankLost), 3);
+    }
+
+    #[test]
     fn losing_the_only_other_rank_at_every_step_exhausts_the_budget() {
         let mut sim = MultiRankSim::new(2, GpuArch::frontier(), problem());
         // Respawned ranks get killed again by later schedule entries.
@@ -503,9 +527,11 @@ mod tests {
         let config = ResilienceConfig {
             checkpoint_interval: 1,
             mode: RecoveryMode::Respawn,
-            max_recoveries: 3,
         };
-        let err = sim.run_resilient(8, &config).unwrap_err();
-        assert!(err.detail.contains("budget"), "{err}");
+        // Steps 0..8 each recover once; the ninth loss finds the budget
+        // of 8 spent.
+        let err = sim.run_resilient(16, &config).unwrap_err();
+        assert_eq!(err.step, 8);
+        assert!(err.detail.contains("budget of 8"), "{err}");
     }
 }

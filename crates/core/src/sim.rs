@@ -26,9 +26,9 @@ use crate::config::{DeviceConfig, SimConfig};
 use crate::timers::Timers;
 use hacc_cosmo::{z_to_a, Friedmann, LinearPower};
 use hacc_kernels::{
-    launch_resilient, run_gravity_with_policy, run_hydro_step_planned, DeviceParticles,
-    GravityParams, HostParticles, LaunchPolicy, StepPlan, Subgrid, SubgridParams, TimerReport,
-    TunedSelector, Variant, WorkLists, WorkSet, GRAVITY_TIMER,
+    launch_resilient, run_gravity, run_hydro_step_planned, DeviceParticles, GravityParams,
+    HostParticles, StepPlan, Subgrid, SubgridParams, TimerReport, TunedSelector, Variant,
+    WorkLists, WorkSet, GRAVITY_TIMER,
 };
 use hacc_mesh::{zeldovich_ics, ForceSplit, PmSolver, PolyShortRange};
 use hacc_telemetry::Recorder;
@@ -55,8 +55,6 @@ pub struct Simulation {
     pub device: Device,
     /// Launch configuration derived from the device config.
     pub launch: LaunchConfig,
-    /// Retry/fallback policy applied to every kernel launch.
-    pub launch_policy: LaunchPolicy,
     /// Kernel communication variant.
     pub variant: Variant,
     /// Comoving positions (grid units), both species.
@@ -209,7 +207,6 @@ impl Simulation {
             config,
             device,
             launch,
-            launch_policy: LaunchPolicy::default(),
             variant: device_cfg.variant,
             pos,
             mom,
@@ -360,7 +357,7 @@ impl Simulation {
             r_cut2: (self.config.r_cut_cells * self.config.r_cut_cells) as f32,
             soft2: 1e-4,
         };
-        let report = run_gravity_with_policy(
+        let report = run_gravity(
             &self.device,
             &data,
             &work,
@@ -369,7 +366,6 @@ impl Simulation {
             params,
             launch,
             &self.telemetry,
-            &self.launch_policy,
         )?;
         self.observe(std::slice::from_ref(&report));
         self.charge_transfer("d2h", idx.len() * 3 * 4);
@@ -424,7 +420,6 @@ impl Simulation {
             &plan,
             self.box_size() as f32,
             &self.telemetry,
-            &self.launch_policy,
         )?;
         self.observe(&reports);
 
@@ -440,7 +435,6 @@ impl Simulation {
                 &kernel,
                 kernel.n_instances(self.launch.sg_size),
                 self.launch,
-                &self.launch_policy,
                 &self.telemetry,
                 self.variant.label(),
             )?;
@@ -494,7 +488,7 @@ impl Simulation {
     /// particle, the hydro kick on the baryons and the drift, then the
     /// second half long-range kick at the new positions.
     ///
-    /// Launch failures that survive the retry/fallback policy surface
+    /// Launch failures that survive the retry/fallback budget surface
     /// as the [`LaunchError`] of the offending kernel; the state is
     /// left partially advanced and should be restored from a
     /// checkpoint before retrying. Stepping past `config.n_steps` is

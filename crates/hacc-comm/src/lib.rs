@@ -21,6 +21,6 @@ mod transport;
 
 pub use fabric::{Interconnect, Link};
 pub use transport::{
-    CommError, ExchangeReport, LinkTraffic, Message, ParticleBatch, RetryPolicy, Tag, Transport,
-    TransportStats, MESSAGE_HEADER_BYTES, PARTICLE_WIRE_BYTES,
+    CommError, ExchangeReport, LinkTraffic, Message, ParticleBatch, Tag, Transport, TransportStats,
+    MESSAGE_HEADER_BYTES, PARTICLE_WIRE_BYTES,
 };

@@ -28,7 +28,7 @@ use hacc_telemetry::{EventKind, FaultInfo, Recorder};
 use parking_lot::Mutex;
 use std::fmt;
 use std::sync::{PoisonError, RwLock, RwLockReadGuard};
-use sycl_sim::{FaultConfig, FaultInjector, LaunchError};
+use sycl_sim::{FaultConfig, FaultInjector, LaunchError, BACKOFF_BASE_S, MAX_RETRIES};
 
 /// What a message carries, selecting its fault-injection channel and
 /// telemetry labels.
@@ -175,8 +175,8 @@ pub struct Message {
 #[derive(Clone, Debug)]
 pub enum CommError {
     /// A link failure that survived the retry budget: the injector
-    /// returned a non-retryable verdict, or the retries ran out before
-    /// the deadline did.
+    /// returned a non-retryable verdict, or all [`MAX_RETRIES`] retries
+    /// faulted too.
     LinkFailed {
         /// Sending rank of the failed message.
         src: usize,
@@ -188,21 +188,6 @@ pub enum CommError {
         attempts: u32,
         /// The final injector verdict.
         last: LaunchError,
-    },
-    /// The retry backoff on one link exhausted the exchange deadline
-    /// before the message cleared — the distributed stand-in for a
-    /// barrier that would otherwise block forever.
-    Timeout {
-        /// Sending rank of the stuck message.
-        src: usize,
-        /// Receiving rank of the stuck message.
-        dst: usize,
-        /// Message class that was stuck.
-        tag: Tag,
-        /// The deadline that expired, in modeled seconds.
-        deadline_s: f64,
-        /// Modeled seconds of backoff accumulated when it expired.
-        waited_s: f64,
     },
     /// A peer rank is dead: a message addressed to it can never be
     /// delivered, no matter the retry budget. Carries the step at which
@@ -219,9 +204,7 @@ impl CommError {
     /// The `(src, dst)` pair of a link-scoped error, when one exists.
     pub fn link(&self) -> Option<(usize, usize)> {
         match self {
-            CommError::LinkFailed { src, dst, .. } | CommError::Timeout { src, dst, .. } => {
-                Some((*src, *dst))
-            }
+            CommError::LinkFailed { src, dst, .. } => Some((*src, *dst)),
             CommError::RankDead { .. } => None,
         }
     }
@@ -241,18 +224,6 @@ impl fmt::Display for CommError {
                 "link {src}->{dst} failed after {attempts} attempts ({}): {last}",
                 tag.label()
             ),
-            CommError::Timeout {
-                src,
-                dst,
-                tag,
-                deadline_s,
-                waited_s,
-            } => write!(
-                f,
-                "link {src}->{dst} ({}) timed out: waited {waited_s:.3e}s of the \
-                 {deadline_s:.3e}s exchange deadline",
-                tag.label()
-            ),
             CommError::RankDead { rank, step } => {
                 write!(f, "rank {rank} is dead (lost at step {step})")
             }
@@ -261,33 +232,6 @@ impl fmt::Display for CommError {
 }
 
 impl std::error::Error for CommError {}
-
-/// Bounded-retry policy for transient link faults, mirroring the launch
-/// layer's `LaunchPolicy`, plus the exchange deadline that converts a
-/// would-be-infinite barrier wait into a typed timeout.
-#[derive(Clone, Copy, Debug)]
-pub struct RetryPolicy {
-    /// Retries after the first attempt.
-    pub max_retries: u32,
-    /// Exponential backoff base in seconds (charged to `comm.retry`).
-    pub backoff_base_s: f64,
-    /// Modeled seconds of accumulated backoff on one message before the
-    /// exchange gives up with [`CommError::Timeout`]. The default is
-    /// generous relative to the µs-scale backoff base, so fault-free
-    /// and lightly-faulted runs never see it — it exists to bound the
-    /// barrier, not to race healthy retries.
-    pub deadline_s: f64,
-}
-
-impl Default for RetryPolicy {
-    fn default() -> Self {
-        Self {
-            max_retries: 3,
-            backoff_base_s: 1e-6,
-            deadline_s: 1.0,
-        }
-    }
-}
 
 /// Traffic over one directed link during an exchange.
 #[derive(Clone, Debug, Default)]
@@ -389,7 +333,6 @@ pub struct Transport {
     seqs: Vec<Mutex<u64>>,
     injector: Option<FaultInjector>,
     recorder: Option<Recorder>,
-    retry: RetryPolicy,
     /// Accounting slots: slot `src` is written only by whoever drains
     /// source `src`; the last slot belongs to the serial caller of
     /// [`Transport::exchange`] and [`Transport::allreduce_sum`].
@@ -438,7 +381,6 @@ impl Transport {
             seqs: (0..ranks).map(|_| Mutex::new(0)).collect(),
             injector: None,
             recorder: None,
-            retry: RetryPolicy::default(),
             slots: (0..=ranks).map(|_| Mutex::default()).collect(),
             dead: RwLock::new(vec![None; ranks]),
             reorder_seed: None,
@@ -479,11 +421,6 @@ impl Transport {
     /// events) into the given recorder.
     pub fn set_recorder(&mut self, recorder: Recorder) {
         self.recorder = Some(recorder);
-    }
-
-    /// Overrides the transient-fault retry budget.
-    pub fn set_retry_policy(&mut self, policy: RetryPolicy) {
-        self.retry = policy;
     }
 
     /// Cumulative statistics since construction: the accounting slots
@@ -537,12 +474,6 @@ impl Transport {
             .collect()
     }
 
-    /// The step at which `rank` died, if it is dead.
-    pub fn death_step(&self, rank: usize) -> Option<u64> {
-        assert!(rank < self.ranks, "rank out of range");
-        self.dead()[rank]
-    }
-
     /// Discards every queued message — outboxes and undelivered
     /// inboxes. Recovery calls this before replaying from a checkpoint
     /// so no message from the abandoned timeline leaks into the rerun.
@@ -592,8 +523,8 @@ impl Transport {
     /// Safe to call concurrently for **distinct** sources: each source
     /// owns its outbox, its sequence counter, its injector channels and
     /// its accounting slot, so flush tasks never race on an ordinal
-    /// stream or a sum. Dead-rank, timeout and link-failure semantics
-    /// are [`Transport::exchange`]'s — it is the same drain.
+    /// stream or a sum. Dead-rank and link-failure semantics are
+    /// [`Transport::exchange`]'s — it is the same drain.
     pub fn flush_source(&self, src: usize) -> Result<ExchangeReport, CommError> {
         assert!(src < self.ranks, "rank out of range");
         let report = self.drain_source(src)?;
@@ -670,57 +601,26 @@ impl Transport {
         inbox.insert(at, msg);
     }
 
-    /// Runs one message through the fault injector with bounded retry
-    /// under the exchange deadline; returns the number of transient
-    /// retries absorbed. Ordinals come from the source's own channel
-    /// (`<tag>.s<src>`): a source's ordinal stream is its program
-    /// order, whichever thread drains it and whenever.
+    /// Runs one message through the fault injector with up to
+    /// [`MAX_RETRIES`] retries; returns the number of transient retries
+    /// absorbed. Each retry charges its simulated backoff to the
+    /// `comm.retry` timer instead of sleeping. Ordinals come from the
+    /// source's own channel (`<tag>.s<src>`): a source's ordinal stream
+    /// is its program order, whichever thread drains it and whenever.
     fn clear_link(&self, src: usize, dst: usize, tag: Tag) -> Result<u64, CommError> {
         let Some(injector) = self.injector.as_ref() else {
             return Ok(0);
         };
         let kernel = &format!("{}.s{src}", tag.label());
         let mut attempts = 0u32;
-        let mut waited_s = 0.0f64;
         loop {
             let ordinal = injector.next_ordinal(kernel);
             attempts += 1;
             match injector.launch_fault(kernel, ordinal) {
                 None => return Ok(u64::from(attempts - 1)),
-                Some(err) if err.is_retryable() && attempts <= self.retry.max_retries => {
-                    let backoff =
-                        self.retry.backoff_base_s * f64::from(1u32 << (attempts - 1).min(16));
-                    if waited_s + backoff > self.retry.deadline_s {
-                        // The next backoff would sleep past the
-                        // deadline: a real barrier would still be
-                        // blocked, so surface it as a timeout instead
-                        // of waiting forever.
-                        if let Some(rec) = self.recorder.as_ref() {
-                            rec.fault(
-                                "fault.timeout",
-                                FaultInfo {
-                                    kind: "timeout".to_string(),
-                                    kernel: kernel.to_string(),
-                                    variant: String::new(),
-                                    detail: format!(
-                                        "link {src}->{dst} ({kernel}) exceeded the \
-                                         {:.3e}s exchange deadline after {attempts} attempts",
-                                        self.retry.deadline_s
-                                    ),
-                                },
-                                1.0,
-                            );
-                        }
-                        return Err(CommError::Timeout {
-                            src,
-                            dst,
-                            tag,
-                            deadline_s: self.retry.deadline_s,
-                            waited_s: waited_s + backoff,
-                        });
-                    }
-                    waited_s += backoff;
+                Some(err) if err.is_retryable() && attempts <= MAX_RETRIES => {
                     if let Some(rec) = self.recorder.as_ref() {
+                        let backoff = BACKOFF_BASE_S * f64::from(1u32 << (attempts - 1));
                         rec.timer("comm.retry", backoff);
                         rec.counter("comm.retries", 1.0);
                         rec.fault(
@@ -896,15 +796,8 @@ mod tests {
         let mut t = transport(2);
         t.enable_fault_injection(FaultConfig {
             seed: 11,
-            transient_rate: 0.4,
+            transient_rate: 0.1,
             ..FaultConfig::default()
-        });
-        // At a 40% rate the default 3-retry budget would plausibly
-        // exhaust within 50 sends; a deeper budget makes exhaustion
-        // astronomically unlikely so every exchange must succeed.
-        t.set_retry_policy(RetryPolicy {
-            max_retries: 12,
-            ..RetryPolicy::default()
         });
         let mut retries = 0;
         for _ in 0..50 {
@@ -915,7 +808,7 @@ mod tests {
         }
         assert!(
             retries > 0,
-            "a 40% rate over 50 sends must trip at least once"
+            "a 10% rate over 50 sends must trip at least once"
         );
         assert_eq!(t.stats().retries, retries);
     }
@@ -939,37 +832,45 @@ mod tests {
     }
 
     #[test]
-    fn exhausted_deadline_surfaces_as_timeout() {
+    fn exhausted_retries_surface_as_link_failed() {
         let mut t = transport(2);
         t.enable_fault_injection(FaultConfig {
             seed: 7,
             transient_rate: 1.0,
             ..FaultConfig::default()
         });
-        // Every attempt faults transiently; with a deadline shorter
-        // than the first backoff the link must time out rather than
-        // burn the whole retry budget.
-        t.set_retry_policy(RetryPolicy {
-            max_retries: 1000,
-            backoff_base_s: 1e-6,
-            deadline_s: 5e-7,
-        });
+        let rec = Recorder::new();
+        t.set_recorder(rec.clone());
+        // Every attempt faults transiently: the first attempt plus all
+        // MAX_RETRIES retries, then a typed failure naming the link.
         t.send(0, 1, Tag::Halo, batch(1));
         let err = t.exchange().unwrap_err();
         match err {
-            CommError::Timeout {
+            CommError::LinkFailed {
                 src,
                 dst,
                 tag,
-                deadline_s,
-                waited_s,
+                attempts,
+                ref last,
             } => {
                 assert_eq!((src, dst), (0, 1));
                 assert_eq!(tag, Tag::Halo);
-                assert!(waited_s > deadline_s);
+                assert_eq!(attempts, 4);
+                assert!(last.is_retryable(), "the budget ran out, not the kind");
             }
-            other => panic!("expected a timeout, got {other:?}"),
+            other => panic!("expected a link failure, got {other:?}"),
         }
+        let events = rec.events();
+        assert_eq!(hacc_telemetry::counter_total(&events, "comm.retries"), 3.0);
+        let waited: f64 = events
+            .iter()
+            .filter(|e| e.name == "comm.retry")
+            .map(|e| e.value)
+            .sum();
+        assert!(
+            (waited - 7e-6).abs() < 1e-15,
+            "backoff 1 + 2 + 4 µs: {waited}"
+        );
     }
 
     #[test]
@@ -977,7 +878,6 @@ mod tests {
         let t = transport(3);
         t.mark_dead(1, 4);
         assert_eq!(t.dead_ranks(), vec![1]);
-        assert_eq!(t.death_step(1), Some(4));
         t.send(0, 1, Tag::Halo, batch(1));
         let err = t.exchange().unwrap_err();
         assert!(
@@ -1085,12 +985,8 @@ mod tests {
             let mut t = transport(4);
             t.enable_fault_injection(FaultConfig {
                 seed: 21,
-                transient_rate: 0.3,
+                transient_rate: 0.1,
                 ..FaultConfig::default()
-            });
-            t.set_retry_policy(RetryPolicy {
-                max_retries: 12,
-                ..RetryPolicy::default()
             });
             let mut links = Vec::new();
             for round in 0..6 {
@@ -1181,26 +1077,28 @@ mod tests {
     }
 
     #[test]
-    fn flush_timeout_names_the_stalled_link() {
+    fn flush_link_failure_names_the_failed_link() {
         let mut t = transport(2);
         t.enable_fault_injection(FaultConfig {
             seed: 7,
             transient_rate: 1.0,
             ..FaultConfig::default()
         });
-        t.set_retry_policy(RetryPolicy {
-            max_retries: 1000,
-            backoff_base_s: 1e-6,
-            deadline_s: 5e-7,
-        });
         t.send(0, 1, Tag::Halo, batch(1));
         let err = t.flush_source(0).unwrap_err();
         match err {
-            CommError::Timeout { src, dst, tag, .. } => {
+            CommError::LinkFailed {
+                src,
+                dst,
+                tag,
+                attempts,
+                ..
+            } => {
                 assert_eq!((src, dst), (0, 1), "the error must name the link");
                 assert_eq!(tag, Tag::Halo);
+                assert_eq!(attempts, 4);
             }
-            other => panic!("expected a timeout, got {other:?}"),
+            other => panic!("expected a link failure, got {other:?}"),
         }
         assert!(err.to_string().contains("0->1"));
     }
@@ -1230,12 +1128,8 @@ mod tests {
             let mut t = transport(3);
             t.enable_fault_injection(FaultConfig {
                 seed: 21,
-                transient_rate: 0.4,
+                transient_rate: 0.1,
                 ..FaultConfig::default()
-            });
-            t.set_retry_policy(RetryPolicy {
-                max_retries: 12,
-                ..RetryPolicy::default()
             });
             for _ in 0..10 {
                 t.send(0, 2, Tag::Halo, batch(1));
@@ -1247,7 +1141,9 @@ mod tests {
             }
             t.stats().retries
         };
-        assert_eq!(run(0, 1), run(1, 0));
+        let (forward, backward) = (run(0, 1), run(1, 0));
+        assert!(forward > 0, "the fault schedule must actually fire");
+        assert_eq!(forward, backward);
     }
 
     #[test]

@@ -23,7 +23,9 @@ use hacc_telemetry::{FaultInfo, KernelProfile, Recorder};
 use hacc_tree::{InteractionList, RcbTree};
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::sync::Arc;
-use sycl_sim::{Device, LaunchConfig, LaunchError, LaunchReport, SgKernel};
+use sycl_sim::{
+    Device, LaunchConfig, LaunchError, LaunchReport, SgKernel, BACKOFF_BASE_S, MAX_RETRIES,
+};
 
 /// Work lists for one (tree, cutoff, sub-group size) combination.
 #[derive(Clone)]
@@ -73,29 +75,6 @@ fn merge(mut a: LaunchReport, b: LaunchReport) -> LaunchReport {
     a
 }
 
-/// Retry and fallback policy for resilient kernel launches.
-#[derive(Clone, Copy, Debug)]
-pub struct LaunchPolicy {
-    /// Maximum retries of one launch after a transient failure.
-    pub max_retries: u32,
-    /// Simulated seconds charged (to the `upRetry` timer) for the first
-    /// backoff; doubles per retry.
-    pub backoff_base_s: f64,
-    /// Whether a persistently faulting variant may fall back along
-    /// [`Variant::fallback`] instead of aborting the step.
-    pub allow_fallback: bool,
-}
-
-impl Default for LaunchPolicy {
-    fn default() -> Self {
-        Self {
-            max_retries: 3,
-            backoff_base_s: 1e-6,
-            allow_fallback: true,
-        }
-    }
-}
-
 fn fault_info(kind: &str, kernel: &str, variant: &str, detail: String) -> FaultInfo {
     FaultInfo {
         kind: kind.to_string(),
@@ -109,15 +88,15 @@ fn fault_info(kind: &str, kernel: &str, variant: &str, detail: String) -> FaultI
 /// failures. Every injected fault observed here (transient failure,
 /// device loss, silent corruption) is surfaced as a `faults.injected`
 /// counter increment plus a `Fault` telemetry event, so the counters
-/// reconcile one-to-one with the injector's log. Retries charge
-/// exponentially growing simulated seconds to the `upRetry` timer and
-/// count on `launch.retries`.
+/// reconcile one-to-one with the injector's log. Up to
+/// [`MAX_RETRIES`] retries charge exponentially growing simulated
+/// seconds (from [`BACKOFF_BASE_S`]) to the `upRetry` timer and count
+/// on `launch.retries`.
 pub fn launch_resilient<K: SgKernel>(
     device: &Device,
     kernel: &K,
     n_subgroups: usize,
     cfg: LaunchConfig,
-    policy: &LaunchPolicy,
     telemetry: &Recorder,
     variant_label: &str,
 ) -> Result<LaunchReport, LaunchError> {
@@ -162,12 +141,12 @@ pub fn launch_resilient<K: SgKernel>(
                     ),
                     1.0,
                 );
-                if attempt >= policy.max_retries {
+                if attempt >= MAX_RETRIES {
                     return Err(err);
                 }
                 // Simulated backoff: charge the retry budget to its own
                 // timer instead of sleeping.
-                telemetry.timer("upRetry", policy.backoff_base_s * f64::from(1 << attempt));
+                telemetry.timer("upRetry", BACKOFF_BASE_S * f64::from(1 << attempt));
                 telemetry.counter("launch.retries", 1.0);
                 telemetry.fault(
                     "fault.retry",
@@ -175,7 +154,7 @@ pub fn launch_resilient<K: SgKernel>(
                         "retry",
                         kernel.name(),
                         variant_label,
-                        format!("retry {} of {}", attempt + 1, policy.max_retries),
+                        format!("retry {} of {MAX_RETRIES}", attempt + 1),
                     ),
                     1.0,
                 );
@@ -207,7 +186,6 @@ fn launch_pair_resilient<P: PairPhysics + Clone>(
     work: &WorkLists,
     variant: &mut Variant,
     cfg: LaunchConfig,
-    policy: &LaunchPolicy,
     telemetry: &Recorder,
 ) -> Result<LaunchReport, LaunchError> {
     loop {
@@ -227,12 +205,7 @@ fn launch_pair_resilient<P: PairPhysics + Clone>(
                 ),
                 1.0,
             );
-            let next = if policy.allow_fallback {
-                variant.fallback()
-            } else {
-                None
-            };
-            match next {
+            match variant.fallback() {
                 Some(fb) => {
                     telemetry.counter("launch.fallbacks", 1.0);
                     telemetry.fault(
@@ -263,7 +236,7 @@ fn launch_pair_resilient<P: PairPhysics + Clone>(
             variant: *variant,
         };
         let n = kernel.n_instances();
-        return launch_resilient(device, &kernel, n, cfg, policy, telemetry, variant.label());
+        return launch_resilient(device, &kernel, n, cfg, telemetry, variant.label());
     }
 }
 
@@ -389,7 +362,6 @@ struct Sequence<'a> {
     data: &'a DeviceParticles,
     box_size: f32,
     telemetry: &'a Recorder,
-    policy: &'a LaunchPolicy,
 }
 
 impl Sequence<'_> {
@@ -415,13 +387,10 @@ impl Sequence<'_> {
             });
         }
         let Self {
-            device,
-            telemetry,
-            policy,
-            ..
+            device, telemetry, ..
         } = *self;
         let _span = telemetry.span(timer);
-        let main = launch_pair_resilient(device, physics, work, variant, cfg, policy, telemetry)?;
+        let main = launch_pair_resilient(device, physics, work, variant, cfg, telemetry)?;
         let mut launches = vec![main];
         if let Some(fin) = finalize {
             launches.push(launch_resilient(
@@ -429,7 +398,6 @@ impl Sequence<'_> {
                 fin,
                 lane_parallel_instances(self.data.n, cfg.sg_size),
                 cfg,
-                policy,
                 telemetry,
                 variant.label(),
             )?);
@@ -501,7 +469,6 @@ pub fn run_hydro_step_planned(
     plan: &StepPlan,
     box_size: f32,
     telemetry: &Recorder,
-    policy: &LaunchPolicy,
 ) -> Result<Vec<TimerReport>, LaunchError> {
     data.clear_accumulators();
     let seq = Sequence {
@@ -509,7 +476,6 @@ pub fn run_hydro_step_planned(
         data,
         box_size,
         telemetry,
-        policy,
     };
     // Planned variant -> the variant it ran as earlier in this step.
     let mut ran_as: HashMap<Variant, Variant> = HashMap::new();
@@ -541,7 +507,7 @@ pub fn run_hydro_step_planned(
 }
 
 /// [`run_hydro_step_planned`] with one (variant, config) for every
-/// bracket, one set of work lists and the default [`LaunchPolicy`].
+/// bracket and one set of work lists.
 pub fn run_hydro_step(
     device: &Device,
     data: &DeviceParticles,
@@ -558,12 +524,11 @@ pub fn run_hydro_step(
         &StepPlan::uniform(variant, cfg),
         box_size,
         telemetry,
-        &LaunchPolicy::default(),
     )
 }
 
-/// Launches the short-range gravity kernel (its own timer, outside the
-/// five hydro hot spots) under the default [`LaunchPolicy`].
+/// Launches the short-range gravity kernel: the [`GRAVITY_TIMER`]
+/// bracket (outside the seven hydro hot spots), a sequence of one.
 pub fn run_gravity(
     device: &Device,
     data: &DeviceParticles,
@@ -574,26 +539,6 @@ pub fn run_gravity(
     cfg: LaunchConfig,
     telemetry: &Recorder,
 ) -> Result<TimerReport, LaunchError> {
-    let policy = LaunchPolicy::default();
-    run_gravity_with_policy(
-        device, data, work, variant, box_size, params, cfg, telemetry, &policy,
-    )
-}
-
-/// [`run_gravity`] with an explicit retry/fallback policy: the
-/// [`GRAVITY_TIMER`] bracket, a sequence of one.
-#[allow(clippy::too_many_arguments)]
-pub fn run_gravity_with_policy(
-    device: &Device,
-    data: &DeviceParticles,
-    work: &WorkLists,
-    variant: Variant,
-    box_size: f32,
-    params: GravityParams,
-    cfg: LaunchConfig,
-    telemetry: &Recorder,
-    policy: &LaunchPolicy,
-) -> Result<TimerReport, LaunchError> {
     for c in 0..3 {
         data.acc_grav[c].fill_f32(0.0);
     }
@@ -602,7 +547,6 @@ pub fn run_gravity_with_policy(
         data,
         box_size,
         telemetry,
-        policy,
     };
     let physics = Gravity {
         data: data.clone(),
@@ -637,11 +581,9 @@ mod tests {
             let x = sg.splat_f32(2.0);
             let _ = x.rsqrt();
         };
-        let policy = LaunchPolicy::default();
-
         let rec = Recorder::new();
         let cfg = LaunchConfig::defaults_for(&dev.arch).with_threads(4);
-        launch_resilient(&dev, &kernel, 256, cfg, &policy, &rec, "Select").unwrap();
+        launch_resilient(&dev, &kernel, 256, cfg, &rec, "Select").unwrap();
         let events = rec.events();
         assert!(
             counter_total(&events, "sched.queue_depth") >= 1.0,
@@ -660,34 +602,29 @@ mod tests {
         // sched metrics at all.
         let rec2 = Recorder::new();
         let ser = LaunchConfig::defaults_for(&dev.arch).deterministic();
-        launch_resilient(&dev, &kernel, 256, ser, &policy, &rec2, "Select").unwrap();
+        launch_resilient(&dev, &kernel, 256, ser, &rec2, "Select").unwrap();
         assert!(rec2.events().iter().all(|e| !e.name.starts_with("sched.")));
     }
 
     #[test]
     fn transient_failures_are_retried_to_success() {
-        // Sweep seeds: at rate 0.5 with generous retries, every seed must
-        // eventually succeed, counters must reconcile with the injector's
+        // Sweep seeds: at rate 0.3 the fixed retry budget absorbs every
+        // seed's faults, counters must reconcile with the injector's
         // log, and at least one seed must actually exercise the retry path.
         let mut total_retries = 0.0;
         for seed in 0..16 {
             let (dev, inj) = faulty_device(FaultConfig {
                 seed,
-                transient_rate: 0.5,
+                transient_rate: 0.3,
                 ..FaultConfig::default()
             });
             let rec = Recorder::new();
-            let policy = LaunchPolicy {
-                max_retries: 16,
-                ..LaunchPolicy::default()
-            };
             let kernel = |sg: &mut Sg| {
                 let x = sg.splat_f32(2.0);
                 let _ = x.rsqrt();
             };
             let cfg = LaunchConfig::defaults_for(&dev.arch).deterministic();
-            let report =
-                launch_resilient(&dev, &kernel, 4, cfg, &policy, &rec, "Select").expect("recovers");
+            let report = launch_resilient(&dev, &kernel, 4, cfg, &rec, "Select").expect("recovers");
             assert_eq!(report.stats.n_subgroups, 4);
             let events = rec.events();
             let injected = counter_total(&events, "faults.injected");
@@ -698,7 +635,7 @@ mod tests {
         }
         assert!(
             total_retries >= 1.0,
-            "rate 0.5 over 16 seeds must fault at least once"
+            "rate 0.3 over 16 seeds must fault at least once"
         );
     }
 
@@ -709,19 +646,15 @@ mod tests {
             ..FaultConfig::default()
         });
         let rec = Recorder::new();
-        let policy = LaunchPolicy {
-            max_retries: 2,
-            ..LaunchPolicy::default()
-        };
         let kernel = |_: &mut Sg| {};
         let cfg = LaunchConfig::defaults_for(&dev.arch).deterministic();
-        let err = launch_resilient(&dev, &kernel, 1, cfg, &policy, &rec, "Select").unwrap_err();
+        let err = launch_resilient(&dev, &kernel, 1, cfg, &rec, "Select").unwrap_err();
         assert!(matches!(err, LaunchError::Transient { .. }));
-        // Initial attempt + 2 retries = 3 injected faults, 2 retries.
-        assert_eq!(inj.injected(), 3);
+        // Initial attempt + 3 retries = 4 injected faults, 3 retries.
+        assert_eq!(inj.injected(), 4);
         let events = rec.events();
-        assert_eq!(counter_total(&events, "faults.injected"), 3.0);
-        assert_eq!(counter_total(&events, "launch.retries"), 2.0);
+        assert_eq!(counter_total(&events, "faults.injected"), 4.0);
+        assert_eq!(counter_total(&events, "launch.retries"), 3.0);
     }
 
     fn hydro_setup(sg: usize) -> (DeviceParticles, WorkLists) {
@@ -780,9 +713,15 @@ mod tests {
     }
 
     #[test]
-    fn fallback_disabled_fails_with_a_structured_error() {
+    fn exhausted_fallback_chain_fails_with_a_structured_error() {
+        // Every variant on Select's chain is blocked: the walk ends at
+        // the last one, which names itself in the error.
         let (dev, _inj) = faulty_device(FaultConfig {
-            persistent_variants: vec!["Select".to_string()],
+            persistent_variants: vec![
+                "Select".to_string(),
+                "Memory, 32-bit".to_string(),
+                "Memory, Object".to_string(),
+            ],
             ..FaultConfig::default()
         });
         let rec = Recorder::new();
@@ -790,24 +729,11 @@ mod tests {
         let cfg = LaunchConfig::defaults_for(&dev.arch)
             .with_sg_size(32)
             .deterministic();
-        let policy = LaunchPolicy {
-            allow_fallback: false,
-            ..LaunchPolicy::default()
-        };
-        let err = run_hydro_step_planned(
-            &dev,
-            &data,
-            &WorkSet::single(32, work),
-            &StepPlan::uniform(Variant::Select, cfg),
-            6.0,
-            &rec,
-            &policy,
-        )
-        .unwrap_err();
+        let err = run_hydro_step(&dev, &data, &work, Variant::Select, 6.0, cfg, &rec).unwrap_err();
         match err {
             LaunchError::PersistentVariant { kernel, variant } => {
                 assert_eq!(kernel, "upGeo");
-                assert_eq!(variant, "Select");
+                assert_eq!(variant, "Memory, Object");
             }
             other => panic!("expected PersistentVariant, got {other:?}"),
         }
@@ -867,16 +793,9 @@ mod tests {
         let mut plan = StepPlan::uniform(Variant::Select, cfg);
         plan.set("upBarAc", Variant::Broadcast, cfg);
         let rec = Recorder::new();
-        let timers = run_hydro_step_planned(
-            &dev,
-            &data,
-            &WorkSet::single(32, work),
-            &plan,
-            6.0,
-            &rec,
-            &LaunchPolicy::default(),
-        )
-        .expect("the fallback chain absorbs the persistent fault");
+        let timers =
+            run_hydro_step_planned(&dev, &data, &WorkSet::single(32, work), &plan, 6.0, &rec)
+                .expect("the fallback chain absorbs the persistent fault");
 
         // The block is met once, at upGeo; every later bracket that
         // planned Select starts from the demoted variant without
@@ -909,7 +828,6 @@ mod tests {
         let base = LaunchConfig::defaults_for(&dev.arch)
             .with_sg_size(64)
             .deterministic();
-        let policy = LaunchPolicy::default();
         let pos: Vec<[f64; 3]> = (0..16)
             .map(|i| {
                 [
@@ -943,8 +861,7 @@ mod tests {
         );
         let works = WorkSet::build(&tree, &list, plan.sg_sizes());
         let rec = Recorder::new();
-        let timers =
-            run_hydro_step_planned(&dev, &data, &works, &plan, 6.0, &rec, &policy).unwrap();
+        let timers = run_hydro_step_planned(&dev, &data, &works, &plan, 6.0, &rec).unwrap();
         // The launch-order table names exactly the seven paper timers.
         let mut launched: Vec<&str> = timers.iter().map(|t| t.timer.as_str()).collect();
         launched.sort_unstable();
@@ -971,16 +888,8 @@ mod tests {
         let mut plan = StepPlan::uniform(Variant::Select, cfg);
         plan.set("upCor", Variant::Select, cfg.with_sg_size(64));
         let works = WorkSet::single(32, work);
-        let err = run_hydro_step_planned(
-            &dev,
-            &data,
-            &works,
-            &plan,
-            6.0,
-            &Recorder::new(),
-            &LaunchPolicy::default(),
-        )
-        .unwrap_err();
+        let err =
+            run_hydro_step_planned(&dev, &data, &works, &plan, 6.0, &Recorder::new()).unwrap_err();
         assert!(matches!(err, LaunchError::Config { .. }));
     }
 

@@ -34,9 +34,8 @@ pub mod variant;
 pub mod worklist;
 
 pub use launch::{
-    launch_resilient, run_gravity, run_gravity_with_policy, run_hydro_step, run_hydro_step_planned,
-    GravityParams, LaunchPolicy, StepPlan, TimerReport, WorkLists, WorkSet, GRAVITY_TIMER,
-    HYDRO_TIMERS,
+    launch_resilient, run_gravity, run_hydro_step, run_hydro_step_planned, GravityParams, StepPlan,
+    TimerReport, WorkLists, WorkSet, GRAVITY_TIMER, HYDRO_TIMERS,
 };
 pub use particles::{DeviceParticles, HostParticles, GAMMA};
 pub use subgrid::{Subgrid, SubgridParams};

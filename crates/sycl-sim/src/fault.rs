@@ -16,6 +16,14 @@ use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::fmt;
 
+/// Retries of one transient failure — a kernel launch or a message on
+/// a link — after the first attempt. One budget for both layers.
+pub const MAX_RETRIES: u32 = 3;
+
+/// Simulated seconds of the first retry's backoff; retry `k` (0-based)
+/// waits `BACKOFF_BASE_S · 2^k`, so an exhausted budget waits 7 µs.
+pub const BACKOFF_BASE_S: f64 = 1e-6;
+
 /// Typed launch failure, returned by [`crate::Device::launch`].
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum LaunchError {
@@ -134,8 +142,8 @@ pub struct FaultConfig {
     /// Scheduled rank deaths for the distributed engine: each entry
     /// kills one rank at one step boundary. Consumed by
     /// `MultiRankSim::run_resilient`, which marks the rank dead on the
-    /// transport; peers detect the loss when their exchange deadline
-    /// expires against the dead link.
+    /// transport; the first message a peer addresses to the dead rank
+    /// fails its drain at once with `CommError::RankDead`.
     pub rank_loss: Vec<RankLoss>,
 }
 
@@ -333,25 +341,10 @@ impl FaultInjector {
             .product()
     }
 
-    /// Ranks scheduled to die at the given step boundary, ascending.
-    /// Pure lookup — the engine applies each loss exactly once and
-    /// records it via [`FaultInjector::inject_rank_loss`]; a rollback
-    /// that replays past the same step must not re-kill the rank.
-    pub fn rank_losses_at(&self, step: u64) -> Vec<usize> {
-        let mut ranks: Vec<usize> = self
-            .config
-            .rank_loss
-            .iter()
-            .filter(|l| l.step == step)
-            .map(|l| l.rank)
-            .collect();
-        ranks.sort_unstable();
-        ranks.dedup();
-        ranks
-    }
-
     /// Records one applied rank loss in the injector log, so the
-    /// telemetry fault counters reconcile against the schedule.
+    /// telemetry fault counters reconcile against the schedule. The
+    /// engine applies each schedule entry once; a rollback that replays
+    /// past the same step does not re-kill the rank.
     pub fn inject_rank_loss(&self, rank: usize, step: u64) {
         self.record(
             FaultKind::RankLost,
@@ -518,20 +511,12 @@ mod tests {
     }
 
     #[test]
-    fn rank_loss_schedule_is_a_pure_lookup() {
+    fn rank_loss_is_recorded_per_injection() {
         let inj = FaultInjector::new(FaultConfig {
-            rank_loss: vec![
-                RankLoss { rank: 3, step: 2 },
-                RankLoss { rank: 1, step: 2 },
-                RankLoss { rank: 3, step: 2 },
-                RankLoss { rank: 0, step: 5 },
-            ],
+            rank_loss: vec![RankLoss { rank: 3, step: 2 }],
             ..FaultConfig::default()
         });
-        assert_eq!(inj.rank_losses_at(0), Vec::<usize>::new());
-        assert_eq!(inj.rank_losses_at(2), vec![1, 3]);
-        assert_eq!(inj.rank_losses_at(5), vec![0]);
-        assert_eq!(inj.injected(), 0, "lookups must not record");
+        assert_eq!(inj.injected(), 0, "a schedule alone records nothing");
         inj.inject_rank_loss(3, 2);
         assert_eq!(inj.injected_of(FaultKind::RankLost), 1);
         let rec = &inj.log()[0];

@@ -43,7 +43,10 @@ pub use buffer::Buffer;
 pub use cost::{issue_cycles, CostModel, TimeEstimate};
 pub use device::{Device, LaunchConfig, LaunchReport, SgKernel};
 pub use exec::ExecutionPolicy;
-pub use fault::{FaultConfig, FaultInjector, FaultKind, FaultRecord, LaunchError, RankLoss};
+pub use fault::{
+    FaultConfig, FaultInjector, FaultKind, FaultRecord, LaunchError, RankLoss, BACKOFF_BASE_S,
+    MAX_RETRIES,
+};
 pub use lanes::{LaneScalar, Lanes};
 pub use meter::{InstrClass, LaunchStats, MeterPolicy, SgMeter, ALL_CLASSES, N_CLASSES};
 pub use subgroup::{Sg, SgConfig};

@@ -62,8 +62,8 @@
 //! gate is the same — this is the CI resilience smoke gate.
 
 use crk_hacc::core::{
-    DeviceConfig, MultiRankProblem, MultiRankSim, RecoveryMode, RecoveryPolicy, ResilienceConfig,
-    SimConfig, Simulation,
+    DeviceConfig, MultiRankProblem, MultiRankSim, RecoveryMode, ResilienceConfig, SimConfig,
+    Simulation,
 };
 use crk_hacc::kernels::Variant;
 use crk_hacc::sycl::{FaultConfig, GpuArch, GrfMode, Lang, RankLoss};
@@ -243,7 +243,7 @@ fn main() {
             persistent_variants: vec![Variant::Select.label().to_string()],
             ..Default::default()
         });
-        match sim.try_run_guarded(&RecoveryPolicy::default()) {
+        match sim.try_run_guarded() {
             Ok(summary) => {
                 let events = sim.telemetry.events();
                 let injected = counter_total(&events, "faults.injected");
@@ -351,7 +351,6 @@ fn rank_loss_drill(
     let config = ResilienceConfig {
         checkpoint_interval: interval,
         mode,
-        ..Default::default()
     };
     let report = match sim.run_resilient(steps, &config) {
         Ok(report) => report,

@@ -22,9 +22,10 @@ const DOCS: [&str; 5] = [
 ];
 
 /// Retired harnesses and a dependency that never existed (host time is
-/// measured in `benchmark/` only), and retired environment switches
-/// (configuration is an argument: a setter or a command-line flag).
-const RETIRED: [&str; 7] = [
+/// measured in `benchmark/` only), retired environment switches
+/// (configuration is an argument: a setter or a command-line flag), and
+/// retired fault-handling knobs (the budgets are constants).
+const RETIRED: [&str; 14] = [
     "cargo bench",
     "criterion",
     "BENCH_scaling",
@@ -32,6 +33,13 @@ const RETIRED: [&str; 7] = [
     "HACC_EXEC",
     "HACC_METER",
     "HACC_ASYNC",
+    "LaunchPolicy",
+    "RetryPolicy",
+    "RecoveryPolicy",
+    "set_retry_policy",
+    "run_gravity_with_policy",
+    "deadline_s",
+    "max_recoveries",
 ];
 
 fn read(rel: &str) -> String {
@@ -151,7 +159,7 @@ fn no_doc_mentions_a_retired_harness() {
     }
     assert!(
         hits.is_empty(),
-        "these passages describe harnesses or environment switches that \
+        "these passages describe harnesses, environment switches or knobs that \
          no longer exist:\n{}",
         hits.join("\n")
     );

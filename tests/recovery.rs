@@ -4,9 +4,7 @@
 //! zero-rate bit-identity guarantee (an attached injector with all
 //! rates zero must change nothing).
 
-use crk_hacc::core::{
-    DeviceConfig, FullCheckpoint, RecoveryPolicy, SimConfig, Simulation, Species,
-};
+use crk_hacc::core::{DeviceConfig, FullCheckpoint, SimConfig, Simulation, Species};
 use crk_hacc::kernels::Variant;
 use crk_hacc::sycl::{ExecutionPolicy, FaultConfig, GpuArch, GrfMode, Lang};
 use crk_hacc::telemetry::counter_total;
@@ -87,7 +85,7 @@ fn faulty_run_recovers_and_reconciles() {
         ..Default::default()
     });
     let summary = sim
-        .try_run_guarded(&RecoveryPolicy::default())
+        .try_run_guarded()
         .expect("the fault drill must be recoverable");
     assert_eq!(summary.steps, sim.config.n_steps);
 
@@ -116,6 +114,56 @@ fn faulty_run_recovers_and_reconciles() {
         .filter(|&&s| s == Species::Baryon)
         .count();
     assert!(n_baryons > 0);
+}
+
+/// Runs one good step, breaks the simulation with `poison`, and checks
+/// that the guarded run gives up at step 1 holding the state it started
+/// that step from — its count, its bits and its sub-cycling — not the
+/// state of the step that kept failing.
+fn assert_gives_up_at_the_last_good_step(poison: impl FnOnce(&mut Simulation)) {
+    let mut sim = smoke_sim();
+    sim.step();
+    poison(&mut sim);
+    let good_digest = sim.state_digest();
+    let good_sub_cycles = sim.adaptive_sub_cycles;
+    let err = sim.try_run_guarded().unwrap_err();
+    assert_eq!(err.step, 1);
+    assert_eq!(err.attempts, 3);
+    assert_eq!(sim.step_count, err.step, "no step of the failed one counts");
+    assert_eq!(
+        sim.state_digest(),
+        good_digest,
+        "bits of the last good step"
+    );
+    assert_eq!(sim.adaptive_sub_cycles, good_sub_cycles, "no boost left");
+    let events = sim.telemetry.events();
+    assert_eq!(counter_total(&events, "rollbacks"), 3.0);
+}
+
+/// Every launch fails: the whole fallback chain is blocked.
+#[test]
+fn a_run_that_gives_up_on_launch_errors_keeps_the_last_good_step() {
+    assert_gives_up_at_the_last_good_step(|sim| {
+        sim.enable_fault_injection(FaultConfig {
+            persistent_variants: Variant::Select
+                .fallback_chain()
+                .iter()
+                .map(|v| v.label().to_string())
+                .collect(),
+            ..Default::default()
+        });
+    });
+}
+
+/// Every step completes and then fails the guard: a dark-matter
+/// particle's negative internal energy, which no kernel reads or
+/// rewrites, survives each rollback.
+#[test]
+fn a_run_that_gives_up_on_guard_violations_keeps_the_last_good_step() {
+    assert_gives_up_at_the_last_good_step(|sim| {
+        let dm = sim.species.iter().position(|&s| s == Species::DarkMatter);
+        sim.u_int[dm.expect("the smoke problem has dark matter")] = -1.0;
+    });
 }
 
 /// Attaching an injector with every rate zero must leave the physics

@@ -106,7 +106,6 @@ fn eight_rank_recovery_is_bit_identical_for_any_loss_step() {
             let config = ResilienceConfig {
                 checkpoint_interval: 2,
                 mode,
-                ..ResilienceConfig::default()
             };
             let report = sim
                 .run_resilient(steps, &config)
@@ -143,7 +142,6 @@ fn async_mode_recovers_from_rank_loss_onto_fault_free_bits() {
         let config = ResilienceConfig {
             checkpoint_interval: 2,
             mode,
-            ..ResilienceConfig::default()
         };
         let report = sim
             .run_resilient(steps, &config)
@@ -171,7 +169,6 @@ fn checkpoint_interval_does_not_change_the_bits() {
         let config = ResilienceConfig {
             checkpoint_interval: interval,
             mode: RecoveryMode::Respawn,
-            ..ResilienceConfig::default()
         };
         let report = sim.run_resilient(steps, &config).expect("must recover");
         assert!(
@@ -196,7 +193,6 @@ fn recovery_composes_with_transient_link_retries() {
     let config = ResilienceConfig {
         checkpoint_interval: 2,
         mode: RecoveryMode::Respawn,
-        ..ResilienceConfig::default()
     };
     sim.run_resilient(steps, &config)
         .expect("retries and recovery must compose");
