@@ -108,7 +108,7 @@ fn main() {
         n
     };
     let (size, n_seeds) = (count("--size", 8), count("--seeds", 2));
-    let (with_async, full_space) = (given("--async"), given("--full"));
+    let full_space = given("--full");
     let slow_kernels: Vec<(String, f64)> = inv
         .values("--slow")
         .map(|spec| {
@@ -142,43 +142,13 @@ fn main() {
         let n = size * size * size;
         eprintln!(
             "[figures] multi-rank sweep: {n} particles (strong) / per rank (weak) \
-             over 1/2/4/8 ranks × architectures{}…",
-            if with_async {
-                " × barriered/async step modes"
-            } else {
-                ""
-            }
+             over 1/2/4/8 ranks × architectures…"
         );
-        let sweep = hacc_bench::ranks::sweep_with(n, 4, 0xC0FFEE, with_async);
+        let sweep = hacc_bench::ranks::sweep(n, 4, 0xC0FFEE);
         println!("{}", hacc_bench::ranks::render(&sweep));
         if sweep.records.iter().any(|r| !r.bit_identical) {
             eprintln!("[figures] ERROR: a rank count diverged from the single-rank bits");
             std::process::exit(1);
-        }
-        if with_async {
-            // The async acceptance gate: at 8 ranks the task-graph
-            // step must spend a strictly smaller share of rank-time
-            // waiting on other ranks than the barriered step does.
-            let pairs = hacc_bench::ranks::wait_share_pairs(&sweep);
-            let mut gate_failed = false;
-            for (system, mode, barriered, async_share) in &pairs {
-                let verdict = if async_share < barriered {
-                    "ok"
-                } else {
-                    "FAIL"
-                };
-                eprintln!(
-                    "[figures] wait-share gate {system}/{mode} @ 8 ranks: \
-                     barriered {:.2}% -> async {:.2}% [{verdict}]",
-                    barriered * 100.0,
-                    async_share * 100.0
-                );
-                gate_failed |= async_share >= barriered;
-            }
-            if pairs.is_empty() || gate_failed {
-                eprintln!("[figures] ERROR: the async step did not cut the 8-rank wait share");
-                std::process::exit(1);
-            }
         }
         let path = json_path.unwrap_or_else(|| "BENCH_ranks.json".to_string());
         std::fs::write(&path, hacc_bench::ranks::to_json(&sweep)).expect("write rank sweep JSON");

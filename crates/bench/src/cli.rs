@@ -51,7 +51,6 @@ pub const TARGETS: &[Target] = &[
 /// argument is (`None` for a switch).
 pub const FLAGS: &[(&str, Option<&str>)] = &[
     ("--size", Some("N")),
-    ("--async", None),
     ("--full", None),
     ("--seeds", Some("N")),
     ("--trials", Some("N")),
@@ -146,7 +145,7 @@ mod tests {
 
     #[test]
     fn unknown_targets_and_flags_are_rejected_with_the_accepted_sets() {
-        for bad in ["scaling", "scalng", "--big", "--big-size"] {
+        for bad in ["scaling", "scalng", "--big", "--big-size", "--async"] {
             let err = parse(&["fig9", bad, "64"]).expect_err(bad);
             let kind = if bad.starts_with("--") {
                 "flag"
@@ -183,7 +182,7 @@ mod tests {
         assert!(!inv.targets.iter().any(|t| t.needs_workload));
         assert_eq!(inv.values("--slow").collect::<Vec<_>>(), ["a:2", "b:3"]);
         assert_eq!(inv.values("--size").last(), Some("6"));
-        assert_eq!(inv.values("--async").count(), 0);
-        assert_eq!(parse(&["--async"]).unwrap().values("--async").count(), 1);
+        assert_eq!(inv.values("--full").count(), 0);
+        assert_eq!(parse(&["--full"]).unwrap().values("--full").count(), 1);
     }
 }

@@ -32,9 +32,7 @@ pub struct RankRecord {
     pub arch: String,
     /// System name (Aurora, Polaris, Frontier).
     pub system: String,
-    /// `strong` or `weak` (barriered step), or `strong-async` /
-    /// `weak-async` (task-graph step) — distinct keys so the perf gate
-    /// baselines each mode separately.
+    /// `strong` or `weak`.
     pub mode: String,
     /// Rank count.
     pub ranks: usize,
@@ -52,9 +50,8 @@ pub struct RankRecord {
     /// Mean fraction of halo comm hidden behind interior compute.
     pub overlap_fraction: f64,
     /// Share of the run's rank-time spent waiting on other ranks:
-    /// Σ per-rank wait seconds / (ranks × node seconds). Barriered
-    /// steps count barrier idle time; async steps count in-step
-    /// message stalls (see `RankStepStats::wait_seconds`).
+    /// Σ per-rank wait seconds / (ranks × node seconds), counting
+    /// in-step message stalls (see `RankStepStats::wait_seconds`).
     pub wait_share: f64,
     /// Particle load imbalance at the end of the run (max/mean).
     pub imbalance: f64,
@@ -95,13 +92,12 @@ fn run_config(
     // Weak mode grows the box with the rank count so the particle
     // density — and hence the per-rank pair work — stays constant.
     let base = MultiRankProblem::small(n_particles, seed);
-    let problem = if mode.starts_with("weak") {
+    let problem = if mode == "weak" {
         base.with_ng((base.ng as f64 * (ranks as f64).cbrt()).round() as usize)
     } else {
         base
     };
     let mut sim = MultiRankSim::new(ranks, arch.clone(), problem);
-    sim.set_async(mode.ends_with("-async"));
     let stats = sim.run(steps).expect("fault-free sweep must complete");
 
     let mut per_rank_seconds = vec![0.0f64; ranks];
@@ -171,31 +167,18 @@ fn run_config(
     }
 }
 
-/// Sweeps both barriered modes over [`RANK_COUNTS`] × all three
-/// architectures.
+/// Sweeps both modes over [`RANK_COUNTS`] × all three architectures.
 ///
 /// `n_base` is the strong-mode particle count and the weak-mode
 /// per-rank count; `steps` steps are advanced per configuration.
 pub fn sweep(n_base: usize, steps: u64, seed: u64) -> RankSweep {
-    sweep_with(n_base, steps, seed, false)
-}
-
-/// [`sweep`], optionally adding the async task-graph rows
-/// (`strong-async` / `weak-async` modes) for the wait-share
-/// comparison the `figures -- ranks --async` gate enforces.
-pub fn sweep_with(n_base: usize, steps: u64, seed: u64, include_async: bool) -> RankSweep {
-    let modes: &[&str] = if include_async {
-        &["strong", "weak", "strong-async", "weak-async"]
-    } else {
-        &["strong", "weak"]
-    };
     let mut records = Vec::new();
     for arch in GpuArch::all() {
-        for &mode in modes {
+        for mode in ["strong", "weak"] {
             let mut rows: Vec<RankRecord> = RANK_COUNTS
                 .iter()
                 .map(|&ranks| {
-                    let n = if mode.starts_with("weak") {
+                    let n = if mode == "weak" {
                         n_base * ranks
                     } else {
                         n_base
@@ -287,34 +270,6 @@ pub fn to_json(sweep: &RankSweep) -> String {
     serde_json::to_string_pretty(sweep).expect("serialize rank sweep")
 }
 
-/// Pairs every async 8-rank row with its barriered counterpart:
-/// `(system, base mode, barriered wait share, async wait share)`.
-/// Empty when the sweep has no async rows. The `figures -- ranks
-/// --async` gate fails unless the async share is strictly lower in
-/// every pair.
-pub fn wait_share_pairs(sweep: &RankSweep) -> Vec<(String, String, f64, f64)> {
-    sweep
-        .records
-        .iter()
-        .filter(|r| r.mode.ends_with("-async") && r.ranks == 8)
-        .filter_map(|a| {
-            let base_mode = a.mode.trim_end_matches("-async");
-            sweep
-                .records
-                .iter()
-                .find(|b| b.system == a.system && b.mode == base_mode && b.ranks == 8)
-                .map(|b| {
-                    (
-                        a.system.clone(),
-                        base_mode.to_string(),
-                        b.wait_share,
-                        a.wait_share,
-                    )
-                })
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -355,25 +310,6 @@ mod tests {
             assert!(
                 t8 < t1,
                 "{system}: 8 ranks ({t8:.3e}s) must beat 1 rank ({t1:.3e}s)"
-            );
-        }
-    }
-
-    #[test]
-    fn async_rows_cut_the_eight_rank_wait_share() {
-        let sweep = sweep_with(256, 3, 4, true);
-        // 3 arch × 4 modes × 4 rank counts, every row still bit-identical
-        // to its single-rank (barriered) reference — the async rows prove
-        // the executor's determinism inside the bench itself.
-        assert_eq!(sweep.records.len(), 48);
-        assert!(sweep.records.iter().all(|r| r.bit_identical));
-        let pairs = wait_share_pairs(&sweep);
-        assert_eq!(pairs.len(), 6, "3 architectures × strong/weak");
-        for (system, mode, barriered, async_share) in pairs {
-            assert!(
-                async_share < barriered,
-                "{system}/{mode}: async wait share {async_share:.4} must be \
-                 strictly below the barriered share {barriered:.4}"
             );
         }
     }

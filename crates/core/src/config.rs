@@ -64,9 +64,6 @@ pub struct SimConfig {
     /// Leaf capacity of the RCB tree = half the sub-group size by default
     /// (None = derive from the launch configuration).
     pub max_leaf: Option<usize>,
-    /// Number of ranks the workload is normalized to (the paper's 8 MPI
-    /// ranks; execution is single-process — see `rank.rs`).
-    pub ranks: usize,
     /// Random seed for the initial conditions.
     pub seed: u64,
 }
@@ -88,7 +85,6 @@ impl SimConfig {
             eta_smoothing: 1.3,
             u_init: 1e-8,
             max_leaf: None,
-            ranks: 8,
             seed: 0xC0FFEE,
         }
     }
@@ -123,9 +119,6 @@ impl SimConfig {
                 self.r_cut_cells
             ));
         }
-        if self.ranks == 0 {
-            return Err("ranks must be positive".into());
-        }
         Ok(())
     }
 }
@@ -145,7 +138,6 @@ mod tests {
         let c = SimConfig::paper_test_problem(1);
         assert_eq!(c.box_spec.np, 512);
         assert_eq!(c.n_steps, 5);
-        assert_eq!(c.ranks, 8);
         assert_eq!(c.z_init, 200.0);
         assert_eq!(c.z_final, 50.0);
         c.validate().unwrap();

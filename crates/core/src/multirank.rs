@@ -3,20 +3,26 @@
 //! CRK-HACC's node-level structure — 8 ranks per node, each owning a
 //! rectangular subdomain plus an *overload* (ghost) zone one kernel
 //! support radius deep — reproduced over the in-process transport.
-//! Every step runs the production communication schedule:
+//! Every step is one task graph (DESIGN.md §4i) with five nodes per
+//! rank:
 //!
-//! 1. **migrate** — particles that drifted across a domain face are
-//!    shipped to their new owner;
-//! 2. **post** — each rank posts halo copies of its boundary particles
-//!    to every neighbor whose expanded domain reaches them;
-//! 3. **compute interior** — particles at least `r_cut` from every
-//!    face need no ghosts, so their forces run while the halo
-//!    exchange is in flight (this is the comm/compute overlap the
-//!    sweep measures);
-//! 4. **wait + compute boundary** — the exchange barrier delivers
-//!    ghosts and the remaining particles finish against them;
-//! 5. **kick/drift + allreduce** — local update, then a deterministic
-//!    global reduction for diagnostics.
+//! 1. **mig** — particles that drifted across a domain face are
+//!    posted to their new owner and the rank's wire is flushed;
+//! 2. **abs** — once every source has flushed, the rank absorbs its
+//!    immigrants;
+//! 3. **post** — the rank posts halo copies of its boundary particles
+//!    to every neighbor whose expanded domain reaches them, and
+//!    flushes;
+//! 4. **int** — particles at least `r_cut` from every face need no
+//!    ghosts, so their forces run while the halo wire is in flight
+//!    (the comm/compute overlap the sweep measures);
+//! 5. **bnd** — once the rank's 27-neighborhood has flushed its
+//!    halos, the remaining particles finish against the ghosts, and
+//!    everything kicks and drifts.
+//!
+//! A deterministic allreduce of diagnostics closes the step. No
+//! global join exists: a rank whose neighbors have flushed proceeds
+//! while others are still exchanging.
 //!
 //! Determinism is bit-exact by construction at *any* rank count and
 //! any thread count: rank state is kept sorted by global particle id,
@@ -40,7 +46,6 @@ use hacc_comm::{
 };
 use hacc_telemetry::Recorder;
 use hacc_tree::min_image;
-use rayon::prelude::*;
 use serde::Serialize;
 use std::collections::BTreeMap;
 use std::sync::Mutex;
@@ -120,9 +125,11 @@ pub struct RankStepStats {
     pub interior_seconds: f64,
     /// Modeled seconds of boundary compute.
     pub boundary_seconds: f64,
-    /// Modeled seconds of halo communication incident on this rank.
+    /// Modeled seconds from the migrate absorb until this rank's
+    /// ghosts are ready: its own halo flush and every sender's.
     pub halo_seconds: f64,
-    /// Modeled seconds of migration communication incident on this rank.
+    /// Modeled seconds until this rank may absorb its immigrants: its
+    /// own migrate flush or the slowest sender's, whichever ends later.
     pub migrate_seconds: f64,
     /// Wire bytes this rank sent (halo + migration).
     pub bytes_sent: u64,
@@ -131,20 +138,17 @@ pub struct RankStepStats {
     /// Modeled step wall-clock for this rank:
     /// `migrate + max(halo, interior) + boundary`.
     pub step_seconds: f64,
-    /// Idle seconds this rank's processor spends waiting on other
-    /// ranks. Under the barriered schedule this is barrier idle —
-    /// node seconds minus this rank's step, the time pinned at the
-    /// global join. Under the async schedule no such join exists (the
-    /// scheduler feeds an early-finishing rank its next ready task),
-    /// so this is the in-step message stall instead: idle before the
-    /// migrate absorb plus idle before boundary compute while ghosts
-    /// are still in flight.
+    /// In-step seconds this rank stalls on other ranks: idle before
+    /// the migrate absorb while slower senders flush, plus idle before
+    /// boundary compute while neighbors' ghosts are still in flight.
+    /// No global join exists (the scheduler feeds an early-finishing
+    /// rank its next ready task), so the end-of-step tail is not wait.
     pub wait_seconds: f64,
 }
 
 impl RankStepStats {
-    /// Prices the step on a schedule's timeline: the halo seconds
-    /// interior compute covers are overlap, and the critical path is
+    /// Prices the step's timeline: the halo seconds interior compute
+    /// covers are overlap, and the critical path is
     /// `migrate + max(halo, interior) + boundary`.
     fn set_timeline(&mut self, migrate: f64, halo: f64, bytes_sent: u64, wait: f64) {
         self.migrate_seconds = migrate;
@@ -187,8 +191,8 @@ pub struct StepStats {
     pub kinetic_energy: f64,
 }
 
-/// The distributed engine: `ranks` domains advancing concurrently on
-/// the rayon pool, communicating through the transport.
+/// The distributed engine: `ranks` domains advancing concurrently as
+/// task-graph nodes, communicating through the transport.
 pub struct MultiRankSim {
     /// Domain decomposition.
     pub layout: RankLayout,
@@ -203,9 +207,6 @@ pub struct MultiRankSim {
     /// Per-rank particle stores, each sorted by global id.
     states: Vec<ParticleBatch>,
     step_count: u64,
-    /// When true, [`Self::step`] runs on the task-graph executor
-    /// instead of the barriered reference schedule.
-    async_step: bool,
     /// Seconds per in-cutoff pair on this architecture.
     pair_seconds: f64,
     /// Seconds per particle per step outside the pair loop.
@@ -228,9 +229,7 @@ fn unit(seed: u64, id: u64, channel: u64) -> f64 {
 impl MultiRankSim {
     /// Builds the engine: deterministic initial conditions (identical
     /// for every rank count), partitioned over a 3D [`RankLayout`],
-    /// with the architecture's interconnect behind the transport. A
-    /// function of its arguments: the schedule starts barriered until
-    /// [`MultiRankSim::set_async`] switches it.
+    /// with the architecture's interconnect behind the transport.
     pub fn new(ranks: usize, arch: GpuArch, problem: MultiRankProblem) -> Self {
         let layout = RankLayout::new(ranks, problem.ng);
         assert!(
@@ -274,19 +273,15 @@ impl MultiRankSim {
             fault_config: None,
             states,
             step_count: 0,
-            async_step: false,
             pair_seconds: PAIR_FLOPS / peak,
             particle_seconds: PARTICLE_FLOPS / peak,
         }
     }
 
-    /// Switches between the barriered reference schedule and the
-    /// asynchronous task-graph schedule. Both schedules produce
-    /// bit-identical particle state; only the modeled timeline and
-    /// the `task.*` telemetry differ.
-    pub fn set_async(&mut self, on: bool) {
-        self.async_step = on;
-    }
+    /// No effect: the task graph is the engine's only step schedule.
+    /// Kept only because the repo benchmark still calls it; deleted
+    /// once ROADMAP item 1a drops those two calls.
+    pub fn set_async(&mut self, _on: bool) {}
 
     /// Routes link faults through a seeded injector.
     pub fn enable_fault_injection(&mut self, config: FaultConfig) {
@@ -373,22 +368,8 @@ impl MultiRankSim {
         hash
     }
 
-    /// Advances one step through the full communication schedule,
-    /// dispatching to the barriered reference schedule or the
-    /// asynchronous task-graph schedule per [`Self::set_async`].
-    pub fn step(&mut self) -> Result<StepStats, CommError> {
-        // Opened before any drain so every link span this step emits
-        // nests under it; closed when the method returns.
-        let _step_span = self.recorder.as_ref().map(|r| r.span("step"));
-        if self.async_step {
-            self.step_async()
-        } else {
-            self.step_barriered()
-        }
-    }
-
-    // ------ Phase bodies. Each exists once; a schedule decides only
-    // when a body runs and how the transport is drained around it.
+    // ------ Phase bodies. The step's task graph decides when each
+    // body runs and which source's wire is drained around it.
 
     /// Posts one batch per destination, ascending.
     fn post(&self, rank: usize, tag: Tag, outgoing: BTreeMap<usize, ParticleBatch>) {
@@ -474,8 +455,8 @@ impl MultiRankSim {
 
     /// Takes the delivered ghosts, finishes the boundary particles
     /// against owned + ghost neighbors, then kicks and drifts
-    /// everything. Returns the rank's schedule-independent accounting;
-    /// the schedule prices its timeline afterwards.
+    /// everything. Returns the rank's accounting; the step prices its
+    /// timeline afterwards.
     fn finish_boundary(
         &self,
         rank: usize,
@@ -563,78 +544,24 @@ impl MultiRankSim {
         pairs
     }
 
-    /// The barriered reference schedule described in the module docs:
-    /// every phase runs on all ranks, then drains at a global exchange
-    /// barrier.
-    fn step_barriered(&mut self) -> Result<StepStats, CommError> {
-        let ranks = self.layout.ranks;
-        let mut states = std::mem::take(&mut self.states);
-        let this = &*self;
-
-        let migrated: u64 = states
-            .par_iter_mut()
-            .zip(0..ranks)
-            .map(|(state, rank)| this.post_emigrants(rank, state))
-            .sum();
-        let migrate_report = this.transport.exchange()?;
-        states
-            .par_iter_mut()
-            .zip(0..ranks)
-            .for_each(|(state, rank)| this.absorb_immigrants(rank, state));
-
-        // Interior forces run while the halo exchange is notionally in
-        // flight.
-        let forces: Vec<InteriorForces> = states
-            .par_iter()
-            .zip(0..ranks)
-            .map(|(state, rank)| {
-                this.post_halos(rank, state);
-                this.interior_forces(rank, state)
-            })
-            .collect();
-        let halo_report = this.transport.exchange()?;
-
-        let mut per_rank: Vec<RankStepStats> = states
-            .par_iter_mut()
-            .zip(forces)
-            .zip(0..ranks)
-            .map(|((state, forces), rank)| this.finish_boundary(rank, state, forces))
-            .collect();
-
-        // Barriered timeline: a rank is busy for every link incident
-        // on it, and idles at the global join until the slowest rank
-        // arrives.
-        for r in &mut per_rank {
-            r.set_timeline(
-                migrate_report.rank_seconds(r.rank),
-                halo_report.rank_seconds(r.rank),
-                halo_report.rank_bytes_sent(r.rank) + migrate_report.rank_bytes_sent(r.rank),
-                0.0,
-            );
-        }
-        let node_seconds = per_rank.iter().map(|r| r.step_seconds).fold(0.0, f64::max);
-        for r in &mut per_rank {
-            r.wait_seconds = (node_seconds - r.step_seconds).max(0.0);
-        }
-        self.states = states;
-        Ok(self.emit_step_stats(per_rank, migrated))
-    }
-
-    /// The asynchronous task-graph schedule: the same phase bodies,
-    /// but per-rank migrate flushes, absorbs, halo posts, interior
-    /// compute, and boundary compute are task nodes scheduled as their
-    /// dependencies resolve — a rank whose 27-neighborhood has flushed
-    /// starts its boundary compute while other ranks are still
-    /// exchanging, and no global join exists anywhere in the step.
+    /// Advances one step on the task graph: per-rank migrate flushes,
+    /// absorbs, halo posts, interior compute and boundary compute are
+    /// task nodes scheduled as their dependencies resolve. A rank whose
+    /// 27-neighborhood has flushed starts its boundary compute while
+    /// other ranks are still exchanging; no global join exists anywhere
+    /// in the step.
     ///
-    /// Bit-identical to the barriered reference by construction: the
-    /// bodies are shared, [`Transport::flush_source`] is the drain the
-    /// exchange barrier runs per source, and tagged inbox takes sort
-    /// canonically — interleavings change nothing.
-    fn step_async(&mut self) -> Result<StepStats, CommError> {
+    /// Bit-identical at any worker count and any rank count: every
+    /// source's wire is drained by [`Transport::flush_source`] inside
+    /// that source's own task, and tagged inbox takes sort canonically,
+    /// so interleavings change nothing.
+    pub fn step(&mut self) -> Result<StepStats, CommError> {
         fn slots<T>(n: usize) -> Vec<Mutex<Option<T>>> {
             (0..n).map(|_| Mutex::new(None)).collect()
         }
+        // Opened before any drain so every link span this step emits
+        // nests under it; closed when the method returns.
+        let _step_span = self.recorder.as_ref().map(|r| r.span("step"));
         let ranks = self.layout.ranks;
         let states: Vec<Mutex<ParticleBatch>> = std::mem::take(&mut self.states)
             .into_iter()
@@ -754,7 +681,10 @@ impl MultiRankSim {
             }
         }
 
-        if let Err(e) = graph.run(0, None, this.recorder.as_ref()) {
+        let run = graph.run(0, None, this.recorder.as_ref());
+        // Comm telemetry in canonical order, not flush-completion order.
+        this.transport.publish_telemetry();
+        if let Err(e) = run {
             return Err(match e {
                 RunError::Task { error, .. } => error,
                 RunError::Watchdog { .. } => unreachable!("step graph runs without a watchdog"),
@@ -773,15 +703,14 @@ impl MultiRankSim {
             .map(|s| s.into_inner().unwrap().expect("post.r ran"))
             .collect();
 
-        // Modeled async timeline. Each source's flush costs its own
-        // wire seconds; a message is available once its sender's flush
+        // Modeled timeline. Each source's flush costs its own wire
+        // seconds; a message is available once its sender's flush
         // completes. So a rank may absorb at
         //   absorb_start_r = max(own flush, slowest migrate sender),
         // its halo flush completes at absorb_start_r + halo flush, and
         // its ghosts are ready once every halo sender's flush is done —
-        // maxes over the neighborhood instead of the barriered model's
-        // sums over every incident link, which is exactly the wait the
-        // task graph removes from the critical path.
+        // maxes over the neighborhood, not sums over every incident
+        // link.
         let sends_to = |rep: &ExchangeReport, r: usize| rep.links.iter().any(|l| l.dst == r);
         let mig_done: Vec<f64> = mig_rep.iter().map(|r| r.seconds).collect();
         let absorb_start: Vec<f64> = (0..ranks)
@@ -810,9 +739,7 @@ impl MultiRankSim {
             // waiting on slower migrate senders, plus idle before
             // boundary compute while neighbors' ghosts are still in
             // flight beyond this rank's own busy timeline (own wire
-            // exposure is exchange, not wait — matching the barriered
-            // attribution). The end-of-step tail is not wait here —
-            // the scheduler feeds the rank its next ready task.
+            // exposure is exchange, not wait).
             let own_busy_until = (absorb_start[rank] + r.interior_seconds).max(post_done[rank]);
             let wait = (absorb_start[rank] - mig_done[rank])
                 + (ghosts_from_others - own_busy_until).max(0.0);
@@ -831,7 +758,7 @@ impl MultiRankSim {
         Ok(self.emit_step_stats(per_rank, migrated))
     }
 
-    /// Shared step epilogue: deterministic diagnostics allreduce,
+    /// Step epilogue: deterministic diagnostics allreduce,
     /// node time, and the per-rank telemetry spans the analysis
     /// plane's critical-path pass consumes.
     fn emit_step_stats(&mut self, per_rank: Vec<RankStepStats>, migrated: u64) -> StepStats {
@@ -1071,7 +998,11 @@ mod tests {
         assert!((0.0..=1.0).contains(&stats.overlap_fraction));
         let ghosts: usize = stats.per_rank.iter().map(|r| r.ghosts).sum();
         assert!(ghosts > 0, "ghost zones must populate");
-        assert_eq!(sim.comm_stats().exchanges, 2, "migrate + halo barriers");
+        assert_eq!(
+            sim.comm_stats().exchanges,
+            16,
+            "one migrate and one halo flush per rank"
+        );
     }
 
     #[test]
@@ -1138,26 +1069,31 @@ mod tests {
     }
 
     #[test]
-    fn async_schedule_matches_barriered_bits() {
-        for ranks in [1, 2, 8] {
-            let mut reference = MultiRankSim::new(ranks, GpuArch::frontier(), problem());
-            reference.run(3).unwrap();
-            let mut tasked = MultiRankSim::new(ranks, GpuArch::frontier(), problem());
-            tasked.set_async(true);
-            tasked.run(3).unwrap();
-            assert_eq!(
-                tasked.state_digest(),
-                reference.state_digest(),
-                "{ranks}-rank async run diverged from the barriered bits"
-            );
-            assert_eq!(tasked.step_count(), 3);
-        }
+    fn set_async_has_no_effect() {
+        let mut single = MultiRankSim::new(1, GpuArch::frontier(), problem());
+        single.run(3).unwrap();
+        let runs: Vec<(u64, String)> = [false, true]
+            .into_iter()
+            .map(|on| {
+                let mut sim = MultiRankSim::new(8, GpuArch::frontier(), problem());
+                sim.set_async(on);
+                let stats = sim.run(3).unwrap();
+                // `{:?}` prints every f64 round-trip exact, so equal
+                // text is equal bits.
+                (sim.state_digest(), format!("{stats:?}"))
+            })
+            .collect();
+        assert_eq!(runs[0], runs[1], "set_async must not change a bit");
+        assert_eq!(
+            runs[0].0,
+            single.state_digest(),
+            "8-rank run diverged from the 1-rank bits"
+        );
     }
 
     #[test]
-    fn async_schedule_exports_task_telemetry() {
+    fn step_exports_task_telemetry() {
         let mut sim = MultiRankSim::new(4, GpuArch::aurora(), problem());
-        sim.set_async(true);
         let rec = Recorder::new();
         sim.set_recorder(rec.clone());
         let stats = sim.step().unwrap();
@@ -1178,31 +1114,10 @@ mod tests {
         let paths = hacc_telemetry::analysis::critical_paths(&events);
         assert_eq!(paths.len(), 1);
         assert!((paths[0].node_seconds - stats.node_seconds).abs() < 1e-12);
-        // Per-source flushes replace the two global barriers.
         assert_eq!(
             sim.comm_stats().exchanges,
             8,
             "one flush per rank per phase"
-        );
-    }
-
-    #[test]
-    fn async_wait_share_is_below_the_barriered_share() {
-        let run = |async_on: bool| {
-            let mut sim = MultiRankSim::new(8, GpuArch::frontier(), problem());
-            sim.set_async(async_on);
-            let stats = sim.run(3).unwrap();
-            let wait: f64 = stats
-                .iter()
-                .flat_map(|s| s.per_rank.iter().map(|r| r.wait_seconds))
-                .sum();
-            let node: f64 = stats.iter().map(|s| s.node_seconds * 8.0).sum();
-            wait / node
-        };
-        let (barriered, tasked) = (run(false), run(true));
-        assert!(
-            tasked < barriered,
-            "async wait share {tasked} must undercut barriered {barriered}"
         );
     }
 

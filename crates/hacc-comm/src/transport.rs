@@ -1,27 +1,31 @@
 //! Typed point-to-point transport with deterministic delivery.
 //!
-//! The in-process stand-in for MPI: ranks running concurrently on the
-//! rayon pool post [`ParticleBatch`] messages into per-source outboxes
-//! (each rank writes only its own, so posting is contention-free and
+//! The in-process stand-in for MPI: ranks running concurrently post
+//! [`ParticleBatch`] messages into per-source outboxes (each rank
+//! writes only its own, so posting is contention-free and
 //! each source's message order is its own sequential program order).
 //! Posted messages reach their inboxes through one drain per source:
 //! each message is costed on the [`Interconnect`], passed through the
 //! fault injector on that source's own channel (`<tag>.s<src>`), and
-//! delivered in the source's program order. [`Transport::exchange`]
-//! drains every source in ascending order on the calling thread (the
-//! step barrier); [`Transport::flush_source`] drains one, and may run
-//! concurrently for distinct sources. Either way a source's ordinals,
-//! sequence numbers and accounting are claimed only by whoever drains
-//! that source, so the fault schedule, every delivery order and every
-//! statistic are identical at any thread count and under either
-//! schedule. That is the message-ordering determinism rule: *rank code
-//! may post concurrently, but nothing a source owns is ever touched by
-//! two tasks, and consumers only observe `(src, seq)` order.*
+//! delivered in the source's program order. [`Transport::flush_source`]
+//! drains one source, and may run concurrently for distinct sources
+//! (the multi-rank step's flush tasks); [`Transport::exchange`] drains
+//! every source in ascending order on the calling thread. Either way a
+//! source's ordinals, sequence numbers and accounting are claimed only
+//! by whoever drains that source, so the fault schedule, every delivery
+//! order and every statistic are identical at any thread count and
+//! whichever drain delivers them. That is the message-ordering
+//! determinism rule: *rank code may post concurrently, but nothing a
+//! source owns is ever touched by two tasks, and consumers only observe
+//! `(src, seq)` order.*
 //!
 //! Accounting follows the same rule. [`TransportStats`] is kept in one
 //! slot per source plus one for the serial caller, each written only
 //! by its owner, and reduced in ascending slot order on read — no
-//! float is ever summed in completion order.
+//! float is ever summed in completion order. So does telemetry: each
+//! drain queues its events in its source's slot, and
+//! [`Transport::publish_telemetry`] emits the slots in drain-round
+//! order, so the event stream never follows completion order either.
 
 use crate::fabric::Interconnect;
 use hacc_telemetry::{EventKind, FaultInfo, Recorder};
@@ -171,7 +175,8 @@ pub struct Message {
     pub batch: ParticleBatch,
 }
 
-/// Typed failure of an exchange barrier.
+/// Typed failure of a drain ([`Transport::exchange`] or
+/// [`Transport::flush_source`]).
 #[derive(Clone, Debug)]
 pub enum CommError {
     /// A link failure that survived the retry budget: the injector
@@ -250,7 +255,8 @@ pub struct LinkTraffic {
     pub retries: u64,
 }
 
-/// Summary of one [`Transport::exchange`] barrier.
+/// Summary of one [`Transport::exchange`] or
+/// [`Transport::flush_source`].
 #[derive(Clone, Debug, Default)]
 pub struct ExchangeReport {
     /// Per-directed-link traffic, ascending `(src, dst)`.
@@ -288,25 +294,6 @@ impl ExchangeReport {
         self.seconds += seconds;
         self.retries += retries;
     }
-
-    /// Modeled comm seconds incident on one rank (messages it sent or
-    /// received — both ends are busy for the transfer).
-    pub fn rank_seconds(&self, rank: usize) -> f64 {
-        self.links
-            .iter()
-            .filter(|l| l.src == rank || l.dst == rank)
-            .map(|l| l.seconds)
-            .sum()
-    }
-
-    /// Wire bytes sent by one rank.
-    pub fn rank_bytes_sent(&self, rank: usize) -> u64 {
-        self.links
-            .iter()
-            .filter(|l| l.src == rank)
-            .map(|l| l.bytes)
-            .sum()
-    }
 }
 
 /// Cumulative transport statistics since construction.
@@ -320,9 +307,13 @@ pub struct TransportStats {
     pub seconds: f64,
     /// Transient retries absorbed.
     pub retries: u64,
-    /// Exchange barriers driven.
+    /// `exchange` and `flush_source` calls completed.
     pub exchanges: u64,
 }
+
+/// One telemetry emission a drain produced, held for
+/// [`Transport::publish_telemetry`].
+type Emit = Box<dyn FnOnce(&Recorder) + Send>;
 
 /// The in-process point-to-point transport for one set of ranks.
 pub struct Transport {
@@ -333,6 +324,11 @@ pub struct Transport {
     seqs: Vec<Mutex<u64>>,
     injector: Option<FaultInjector>,
     recorder: Option<Recorder>,
+    /// Telemetry slots, by the same rule as `slots`: slot `src` holds
+    /// one list of queued emissions per drain of source `src`, written
+    /// only by that drain and emitted by
+    /// [`Transport::publish_telemetry`].
+    pending: Vec<Mutex<Vec<Vec<Emit>>>>,
     /// Accounting slots: slot `src` is written only by whoever drains
     /// source `src`; the last slot belongs to the serial caller of
     /// [`Transport::exchange`] and [`Transport::allreduce_sum`].
@@ -381,6 +377,7 @@ impl Transport {
             seqs: (0..ranks).map(|_| Mutex::new(0)).collect(),
             injector: None,
             recorder: None,
+            pending: (0..ranks).map(|_| Mutex::default()).collect(),
             slots: (0..=ranks).map(|_| Mutex::default()).collect(),
             dead: RwLock::new(vec![None; ranks]),
             reorder_seed: None,
@@ -421,6 +418,45 @@ impl Transport {
     /// events) into the given recorder.
     pub fn set_recorder(&mut self, recorder: Recorder) {
         self.recorder = Some(recorder);
+    }
+
+    /// Queues one telemetry emission of source `src`'s current drain.
+    fn emit(&self, src: usize, f: impl FnOnce(&Recorder) + Send + 'static) {
+        if self.recorder.is_some() {
+            if let Some(drain) = self.pending[src].lock().last_mut() {
+                drain.push(Box::new(f));
+            }
+        }
+    }
+
+    /// Emits the telemetry the drains queued, drain round by drain
+    /// round: every source's first drain in ascending source order,
+    /// then every source's second, and so on. That is the order
+    /// [`Transport::exchange`] emits in, whatever order concurrent
+    /// [`Transport::flush_source`] calls completed in, so the event
+    /// stream — and every float folded over it — is schedule
+    /// independent. Call it from one thread once the flushes joined.
+    pub fn publish_telemetry(&self) {
+        let Some(rec) = self.recorder.as_ref() else {
+            return;
+        };
+        let mut queued: Vec<_> = self
+            .pending
+            .iter()
+            .map(|p| std::mem::take(&mut *p.lock()).into_iter())
+            .collect();
+        loop {
+            let mut drained = false;
+            for drains in &mut queued {
+                if let Some(drain) = drains.next() {
+                    drained = true;
+                    drain.into_iter().for_each(|f| f(rec));
+                }
+            }
+            if !drained {
+                break;
+            }
+        }
     }
 
     /// Cumulative statistics since construction: the accounting slots
@@ -495,7 +531,8 @@ impl Transport {
         self.outboxes[src].lock().push((dst, tag, batch));
     }
 
-    /// Drives every posted message to its inbox: the step barrier.
+    /// Drives every posted message to its inbox: a barrier over every
+    /// source.
     ///
     /// Must be called from one thread with no concurrent [`Self::send`]s
     /// in flight. Drains every source in ascending rank order, so
@@ -504,27 +541,31 @@ impl Transport {
     pub fn exchange(&self) -> Result<ExchangeReport, CommError> {
         let _span = self.recorder.as_ref().map(|r| r.span("comm.exchange"));
         let mut report = ExchangeReport::default();
-        for src in 0..self.ranks {
+        let drained = (0..self.ranks).try_for_each(|src| {
             let part = self.drain_source(src)?;
             report.links.extend(part.links);
             report.messages += part.messages;
             report.bytes += part.bytes;
             report.seconds += part.seconds;
             report.retries += part.retries;
-        }
+            Ok(())
+        });
+        self.publish_telemetry();
+        drained?;
         self.slots[self.ranks].lock().exchanges += 1;
         Ok(report)
     }
 
     /// Drains *one* source rank's outbox to the destination inboxes —
-    /// the barrier-free delivery primitive behind the async executor;
-    /// counts as one exchange.
+    /// the delivery primitive behind the multi-rank task graph; counts
+    /// as one exchange.
     ///
     /// Safe to call concurrently for **distinct** sources: each source
     /// owns its outbox, its sequence counter, its injector channels and
     /// its accounting slot, so flush tasks never race on an ordinal
     /// stream or a sum. Dead-rank and link-failure semantics are
-    /// [`Transport::exchange`]'s — it is the same drain.
+    /// [`Transport::exchange`]'s — it is the same drain. Its telemetry
+    /// waits for [`Transport::publish_telemetry`].
     pub fn flush_source(&self, src: usize) -> Result<ExchangeReport, CommError> {
         assert!(src < self.ranks, "rank out of range");
         let report = self.drain_source(src)?;
@@ -536,6 +577,9 @@ impl Transport {
     /// posted, in program order, and books the traffic to `src`'s
     /// accounting slot. Links in the report ascend by destination.
     fn drain_source(&self, src: usize) -> Result<ExchangeReport, CommError> {
+        if self.recorder.is_some() {
+            self.pending[src].lock().push(Vec::new());
+        }
         let posted = std::mem::take(&mut *self.outboxes[src].lock());
         let dead = self.dead();
         let mut report = ExchangeReport::default();
@@ -549,7 +593,7 @@ impl Transport {
             if let Some(step) = dead[dst] {
                 // A message to a dead peer is how survivors detect the
                 // loss: the matching receive never completes.
-                if let Some(rec) = self.recorder.as_ref() {
+                self.emit(src, move |rec| {
                     rec.fault(
                         "fault.rank_dead",
                         FaultInfo {
@@ -560,7 +604,7 @@ impl Transport {
                         },
                         1.0,
                     );
-                }
+                });
                 return Err(CommError::RankDead { rank: dst, step });
             }
             let retries = self.clear_link(src, dst, tag)?;
@@ -619,7 +663,8 @@ impl Transport {
             match injector.launch_fault(kernel, ordinal) {
                 None => return Ok(u64::from(attempts - 1)),
                 Some(err) if err.is_retryable() && attempts <= MAX_RETRIES => {
-                    if let Some(rec) = self.recorder.as_ref() {
+                    let kernel = kernel.to_string();
+                    self.emit(src, move |rec| {
                         let backoff = BACKOFF_BASE_S * f64::from(1u32 << (attempts - 1));
                         rec.timer("comm.retry", backoff);
                         rec.counter("comm.retries", 1.0);
@@ -627,13 +672,13 @@ impl Transport {
                             "fault.retry",
                             FaultInfo {
                                 kind: "retry".to_string(),
-                                kernel: kernel.to_string(),
+                                kernel,
                                 variant: String::new(),
                                 detail: format!("link {src}->{dst} attempt {attempts}"),
                             },
                             1.0,
                         );
-                    }
+                    });
                 }
                 Some(err) => {
                     return Err(CommError::LinkFailed {
@@ -653,35 +698,31 @@ impl Transport {
     /// plus the bandwidth-utilization fraction `n·β / (α + n·β)` so the
     /// analysis plane can tell latency-bound links from saturated ones.
     fn charge(&self, src: usize, dst: usize, bytes: u64, seconds: f64) {
-        if let Some(rec) = self.recorder.as_ref() {
-            let link = self.fabric.link(src, dst);
-            // One batched span per message: the transport is the
-            // highest-frequency emitter in the plane, and the batch
-            // path keeps its cost to one lock per delivery.
+        if self.recorder.is_none() {
+            return;
+        }
+        let link = self.fabric.link(src, dst);
+        let (alpha, beta, utilization) = (
+            link.alpha_seconds(),
+            link.beta_seconds(bytes),
+            link.utilization(bytes),
+        );
+        // One batched span per message: the transport is the
+        // highest-frequency emitter in the plane, and the batch path
+        // keeps its cost to one lock per delivery.
+        self.emit(src, move |rec| {
             rec.span_batch(
                 &format!("link.{src}->{dst}"),
                 &[
                     (EventKind::Counter, "comm.bytes_sent", bytes as f64),
                     (EventKind::Counter, "comm.bytes_recv", bytes as f64),
-                    (
-                        EventKind::Counter,
-                        "comm.link.alpha_s",
-                        link.alpha_seconds(),
-                    ),
-                    (
-                        EventKind::Counter,
-                        "comm.link.beta_s",
-                        link.beta_seconds(bytes),
-                    ),
-                    (
-                        EventKind::Counter,
-                        "comm.link.utilization",
-                        link.utilization(bytes),
-                    ),
+                    (EventKind::Counter, "comm.link.alpha_s", alpha),
+                    (EventKind::Counter, "comm.link.beta_s", beta),
+                    (EventKind::Counter, "comm.link.utilization", utilization),
                     (EventKind::Timer, "comm.link", seconds),
                 ],
             );
-        }
+        });
     }
 
     /// Drains a rank's inbox, sorted by `(src, seq)` — the only order
@@ -693,9 +734,8 @@ impl Transport {
     }
 
     /// Drains only the messages of one tag from a rank's inbox, sorted
-    /// by `(src, seq)`; other tags stay queued. The async path uses
-    /// this where the barriered path relied on phase barriers to keep
-    /// migrate and halo traffic from ever sharing an inbox: a fast
+    /// by `(src, seq)`; other tags stay queued. No phase barrier keeps
+    /// migrate and halo traffic apart in the multi-rank step: a fast
     /// neighbor's halos may arrive while this rank is still absorbing
     /// migrants, and must not be consumed as migrants.
     pub fn take_inbox_tagged(&self, rank: usize, tag: Tag) -> Vec<Message> {
@@ -785,9 +825,10 @@ mod tests {
             MESSAGE_HEADER_BYTES + 10 * PARTICLE_WIRE_BYTES
         );
         assert!(report.seconds > 0.0);
-        assert_eq!(report.rank_bytes_sent(0), report.bytes);
-        assert_eq!(report.rank_bytes_sent(1), 0);
-        assert!(report.rank_seconds(0) > 0.0);
+        assert_eq!(report.links.len(), 1);
+        let link = &report.links[0];
+        assert_eq!((link.src, link.dst, link.bytes), (0, 1, report.bytes));
+        assert_eq!(link.seconds, report.seconds);
         assert_eq!(t.stats().exchanges, 1);
     }
 
@@ -927,13 +968,39 @@ mod tests {
     }
 
     #[test]
+    fn flushed_telemetry_publishes_in_drain_round_order() {
+        let stream = |flush_order: [usize; 3]| {
+            let mut t = transport(3);
+            let rec = Recorder::new();
+            t.set_recorder(rec.clone());
+            for round in 0..2 {
+                for src in 0..3 {
+                    t.send(src, (src + 1) % 3, Tag::Halo, batch(1 + round + src));
+                }
+                for src in flush_order {
+                    t.flush_source(src).unwrap();
+                }
+            }
+            assert!(rec.is_empty(), "flushes queue their telemetry");
+            t.publish_telemetry();
+            rec.events()
+                .iter()
+                .map(|e| (e.name.clone(), e.value.to_bits()))
+                .collect::<Vec<_>>()
+        };
+        let canonical = stream([0, 1, 2]);
+        assert_eq!(canonical[0].0, "link.0->1", "round 0 opens with source 0");
+        assert_eq!(stream([2, 0, 1]), canonical);
+    }
+
+    #[test]
     fn flush_source_delivers_only_that_source() {
         let t = transport(4);
         t.send(1, 0, Tag::Halo, batch(2));
         t.send(2, 0, Tag::Halo, batch(3));
         let report = t.flush_source(1).unwrap();
         assert_eq!(report.messages, 1);
-        assert_eq!(report.rank_bytes_sent(1), report.bytes);
+        assert!(report.links.iter().all(|l| l.src == 1));
         let inbox = t.take_inbox(0);
         assert_eq!(inbox.len(), 1, "rank 2's post is still queued");
         assert_eq!(inbox[0].src, 1);

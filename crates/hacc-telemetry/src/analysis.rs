@@ -20,7 +20,7 @@
 //! step_r = migrate + interior + exposed + boundary
 //!        = migrate + max(halo, interior) + boundary
 //! node   = max over ranks of step_r
-//! wait_r = node − step_r          (idle at the step barrier)
+//! wait_r = node − step_r          (slack to the critical rank)
 //! ```
 //!
 //! so the four fractions partition `node` per rank; `wait` is reported
@@ -67,7 +67,7 @@ pub struct RankAttribution {
     pub frac_compute_boundary: f64,
     /// Fraction of node time in exposed exchange (migrate + exposed halo).
     pub frac_exchange: f64,
-    /// Fraction of node time idle at the barrier (1 − the others).
+    /// Fraction of node time in slack to the critical rank (1 − the others).
     pub frac_wait: f64,
 }
 

@@ -1,18 +1,16 @@
 //! Dependency-graph task executor: the asynchronous many-task runtime.
 //!
-//! Steps used to proceed through global joins — every kernel phase
-//! joined the pool, and the exchange barrier drained every outbox
-//! before any rank continued. This module replaces those barriers with
-//! a [`TaskGraph`]: each kernel launch, host phase (CIC deposit,
-//! Poisson/FFT sweeps), and per-rank exchange flush becomes a task
-//! node whose readiness is tracked per *resource* (buffer read/write
+//! Instead of global joins — every phase joining the pool, an exchange
+//! barrier draining every outbox before any rank continues — work is a
+//! [`TaskGraph`]: each per-rank phase and per-rank exchange flush is a
+//! task node whose readiness is tracked per *resource* (read/write
 //! sets), scheduled onto worker threads as its dependencies resolve.
 //!
 //! ## Canonical order and determinism
 //!
 //! A task's id is its insertion order — the **canonical order**, the
-//! same program order the barriered reference path executes in. Three
-//! rules make any interleaving bit-identical to that reference:
+//! program order a one-worker run executes in. Three rules make any
+//! interleaving bit-identical to that reference:
 //!
 //! 1. **Edges point backward.** A task may only depend on tasks
 //!    inserted before it ([`TaskGraph::add_dep`] rejects anything else
@@ -40,8 +38,9 @@
 //! which the watchdog converts into a typed [`RunError::Watchdog`]
 //! naming every unfinished task, once stragglers return.
 //!
-//! The scheduler exports `task.*` queue-depth/ready-latency/span
-//! telemetry through the metrics registry when given a recorder.
+//! Given a recorder, the scheduler exports the graph's shape as
+//! `task.*` counters and its host-measured queue depth, ready latency,
+//! busy and wall seconds as volatile `sched.task.*` counters.
 
 use hacc_telemetry::Recorder;
 use std::collections::HashMap;
@@ -50,7 +49,7 @@ use std::sync::{Condvar, Mutex};
 use std::time::{Duration, Instant};
 
 /// A task's id: its insertion index, which is also its canonical
-/// (program) order in the barriered reference schedule.
+/// (program) order — the order one worker runs the graph in.
 pub type TaskId = usize;
 
 /// An opaque resource a task reads or writes — a buffer, a rank's
@@ -114,8 +113,8 @@ impl std::error::Error for GraphError {}
 pub enum RunError<E> {
     /// A task body returned an error. When several tasks fail before
     /// the scheduler drains, the one earliest in canonical order is
-    /// reported — the same error the barriered reference path would
-    /// have surfaced first.
+    /// reported — the same error a one-worker run would have surfaced
+    /// first.
     Task {
         /// Canonical id of the failed task.
         id: TaskId,
@@ -340,8 +339,9 @@ impl<'env, E: Send + 'env> TaskGraph<'env, E> {
     /// unfinished, claiming stops and [`RunError::Watchdog`] names
     /// every task that never completed (the scheduler itself cannot
     /// deadlock — see the module docs — so a fired watchdog means a
-    /// task body stalled). With a recorder, `task.*` queue-depth,
-    /// ready-latency, and span telemetry is emitted on completion.
+    /// task body stalled). With a recorder, the `task.*` shape
+    /// counters and the volatile `sched.task.*` host measurements are
+    /// emitted on completion.
     pub fn run(
         self,
         threads: usize,
@@ -474,7 +474,7 @@ impl<'env, E: Send + 'env> TaskGraph<'env, E> {
                         }
                         Err(e) => {
                             // Keep the error earliest in canonical order:
-                            // the one the barriered reference would have
+                            // the one a one-worker run would have
                             // surfaced first among those that ran.
                             let mut slot = first_error.lock().unwrap();
                             let replace = match slot.as_ref() {
@@ -510,22 +510,29 @@ impl<'env, E: Send + 'env> TaskGraph<'env, E> {
                         "task.executed",
                         st.order.len() as f64,
                     ),
+                    // Host-measured and OS-scheduled, so `sched.*`:
+                    // volatile, never gated. Counters, not timers, so
+                    // they stay out of the modeled GPU-time totals.
                     (
                         hacc_telemetry::EventKind::Counter,
-                        "task.queue_depth.max",
+                        "sched.task.queue_depth.max",
                         st.max_queue_depth as f64,
                     ),
-                    // Counters, not timers: these are *measured host*
-                    // seconds (volatile wall-clock, like sched.*), so
-                    // they must stay out of the Timers report's modeled
-                    // GPU-time totals.
                     (
                         hacc_telemetry::EventKind::Counter,
-                        "task.ready_latency_s",
+                        "sched.task.ready_latency_s",
                         st.ready_latency_s,
                     ),
-                    (hacc_telemetry::EventKind::Counter, "task.busy_s", st.busy_s),
-                    (hacc_telemetry::EventKind::Counter, "task.wall_s", wall_s),
+                    (
+                        hacc_telemetry::EventKind::Counter,
+                        "sched.task.busy_s",
+                        st.busy_s,
+                    ),
+                    (
+                        hacc_telemetry::EventKind::Counter,
+                        "sched.task.wall_s",
+                        wall_s,
+                    ),
                 ],
             );
         }
@@ -684,5 +691,12 @@ mod tests {
         assert_eq!(hacc_telemetry::counter_total(&events, "task.nodes"), 2.0);
         assert_eq!(hacc_telemetry::counter_total(&events, "task.edges"), 1.0);
         assert_eq!(hacc_telemetry::counter_total(&events, "task.executed"), 2.0);
+        // Everything host-measured is volatile `sched.*`.
+        let names: Vec<&str> = events.iter().map(|e| e.name.as_str()).collect();
+        assert!(names.contains(&"sched.task.wall_s"));
+        let shape = ["task.graph", "task.nodes", "task.edges", "task.executed"];
+        for name in names.iter().filter(|n| n.starts_with("task.")) {
+            assert!(shape.contains(name), "{name} is host-measured, not shape");
+        }
     }
 }

@@ -41,13 +41,12 @@
 //! simulation: the multi-rank engine (`MultiRankSim` — 3D domain
 //! decomposition, particle migration and ghost-zone halo refresh over
 //! the modeled interconnect, its own softened-gravity integrator, not
-//! the CRK-SPH kernels above) advances N ranks on the task-graph
-//! schedule under coordinated checkpointing every
-//! `--checkpoint-interval K` steps (default 2) with buddy replication,
-//! prints the transport's `comm:` summary, re-runs the same problem on
-//! one rank under the barriered schedule, compares final state digests
-//! bit-for-bit, and exits non-zero on any divergence — so every drill
-//! checks both schedules against each other. `--telemetry` / `--trace`
+//! the CRK-SPH kernels above) advances N ranks on its task-graph step
+//! under coordinated checkpointing every `--checkpoint-interval K`
+//! steps (default 2) with buddy replication, prints the transport's
+//! `comm:` summary, re-runs the same problem on one rank, compares
+//! final state digests bit-for-bit, and exits non-zero on any
+//! divergence. `--telemetry` / `--trace`
 //! export the N-rank run's stream (`link.{src}->{dst}` spans,
 //! `comm.bytes_sent`/`comm.bytes_recv` counters, per-rank `phase.*`
 //! timers).
@@ -307,7 +306,7 @@ fn main() {
 /// under coordinated checkpointing — with rank `lose.0` killed at step
 /// `lose.1` and recovered from the buddy-replicated checkpoint, when a
 /// loss is scheduled — gated on bit-identity with the same problem's
-/// fault-free, barriered 1-rank run.
+/// fault-free 1-rank run.
 fn rank_loss_drill(
     ranks: usize,
     lose: Option<(usize, u64)>,
@@ -338,7 +337,6 @@ fn rank_loss_drill(
     let expected = reference.state_digest();
 
     let mut sim = MultiRankSim::new(ranks, arch, problem());
-    sim.set_async(true);
     sim.set_recorder(recorder.clone());
     sim.enable_fault_injection(FaultConfig {
         seed: 42,

@@ -23,9 +23,10 @@ const DOCS: [&str; 5] = [
 
 /// Retired harnesses and a dependency that never existed (host time is
 /// measured in `benchmark/` only), retired environment switches
-/// (configuration is an argument: a setter or a command-line flag), and
-/// retired fault-handling knobs (the budgets are constants).
-const RETIRED: [&str; 14] = [
+/// (configuration is an argument: a setter or a command-line flag),
+/// retired fault-handling knobs (the budgets are constants), and the
+/// retired second multi-rank schedule (the task graph is the step).
+const RETIRED: [&str; 17] = [
     "cargo bench",
     "criterion",
     "BENCH_scaling",
@@ -40,6 +41,9 @@ const RETIRED: [&str; 14] = [
     "run_gravity_with_policy",
     "deadline_s",
     "max_recoveries",
+    "step_barriered",
+    "sweep_with",
+    "wait_share_pairs",
 ];
 
 fn read(rel: &str) -> String {

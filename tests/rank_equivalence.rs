@@ -8,11 +8,11 @@
 //!    interior/boundary force passes must be a pure reorganization of
 //!    the arithmetic, not a perturbation of it.
 //! 2. **Thread invariance** — the 8-rank run is bit-identical at any
-//!    worker-thread count and under either step schedule. Ranks step
-//!    concurrently on the shared pool, but everything a source owns
-//!    (sequence numbers, fault ordinals, accounting) is claimed only by
-//!    whoever drains that source, so the schedule cannot leak into the
-//!    physics — or even into the comm counters.
+//!    worker-thread count. Ranks step concurrently as task-graph
+//!    nodes, but everything a source owns (sequence numbers, fault
+//!    ordinals, accounting) is claimed only by whoever drains that
+//!    source, so the interleaving cannot leak into the physics — or
+//!    even into the comm counters.
 
 use crk_hacc::core::{MultiRankProblem, MultiRankSim};
 use crk_hacc::sycl::{FaultConfig, GpuArch};
@@ -42,24 +42,12 @@ fn run_with_threads(
     threads: usize,
     faults: Option<FaultConfig>,
 ) -> (u64, crk_hacc::comm::TransportStats) {
-    run_mode(ranks, threads, faults, false)
-}
-
-/// Same, with the step mode explicit: `async_on` selects the task-graph
-/// executor over the barriered reference path.
-fn run_mode(
-    ranks: usize,
-    threads: usize,
-    faults: Option<FaultConfig>,
-    async_on: bool,
-) -> (u64, crk_hacc::comm::TransportStats) {
     let pool = rayon::ThreadPoolBuilder::new()
         .num_threads(threads)
         .build()
         .unwrap();
     pool.install(|| {
         let mut sim = MultiRankSim::new(ranks, GpuArch::frontier(), problem());
-        sim.set_async(async_on);
         if let Some(config) = faults {
             sim.enable_fault_injection(config);
         }
@@ -130,36 +118,29 @@ fn link_faults_retry_without_perturbing_the_bits() {
     }
 }
 
-/// The async×barriered axis: the task-graph step — per-rank exchanges
-/// flushed independently, interior force overlapped with the halo
-/// window — must land on the barriered reference bits at every rank
-/// count, worker-thread count, and fault schedule. Both schedules run
-/// the one per-source drain on the one set of fault channels and
-/// accounting slots, so the transport statistics agree field for field
-/// too — all but `exchanges`, which counts barriers vs per-source
-/// flushes.
+/// Every width, every fault schedule, one set of bits: the 1- and
+/// 8-rank runs land on the clean 1-rank digest at every worker-thread
+/// count, clean and under link faults, and each rank count's transport
+/// statistics agree field for field across thread counts — retries,
+/// fault ordinals and modeled link seconds included.
 #[test]
-fn async_mode_reproduces_barriered_bits_at_every_width() {
+fn n_rank_runs_reproduce_one_rank_bits_at_every_width() {
+    let (reference, _) = run_with_threads(1, THREADS[0], None);
     for fault_config in [None, Some(link_faults())] {
         for ranks in [1, 8] {
-            let (reference, barriered_stats) =
-                run_mode(ranks, THREADS[0], fault_config.clone(), false);
+            let (_, first_stats) = run_with_threads(ranks, THREADS[0], fault_config.clone());
             for &threads in &THREADS {
-                let (digest, stats) = run_mode(ranks, threads, fault_config.clone(), true);
+                let (digest, stats) = run_with_threads(ranks, threads, fault_config.clone());
                 assert_eq!(
                     digest,
                     reference,
-                    "async at {threads} threads diverged from barriered ({ranks} ranks, faults={})",
+                    "{ranks} ranks at {threads} threads diverged from 1 rank (faults={})",
                     fault_config.is_some()
                 );
                 assert_eq!(
-                    crk_hacc::comm::TransportStats {
-                        exchanges: barriered_stats.exchanges,
-                        ..stats
-                    },
-                    barriered_stats,
-                    "async transport stats differ from barriered at {threads} threads \
-                     ({ranks} ranks, faults={})",
+                    stats,
+                    first_stats,
+                    "transport stats moved at {threads} threads ({ranks} ranks, faults={})",
                     fault_config.is_some()
                 );
             }
@@ -170,16 +151,16 @@ fn async_mode_reproduces_barriered_bits_at_every_width() {
 /// Schedule-independence of the accounting is an every-run property,
 /// not a most-runs one: a float summed in flush *completion* order
 /// splits by 1 ulp about one run in six on two cores. Repeat the
-/// 8-rank async run 50× at each width, clean and faulted, against the
-/// first run's full statistics.
+/// 8-rank run 50× at each width, clean and faulted, against the first
+/// run's full statistics.
 #[test]
 fn async_transport_stats_repeat_bit_for_bit() {
     for fault_config in [None, Some(link_faults())] {
-        let first = run_mode(8, 2, fault_config.clone(), true);
+        let first = run_with_threads(8, 2, fault_config.clone());
         for threads in [2, 4, 8] {
             for rep in 0..50 {
                 assert_eq!(
-                    run_mode(8, threads, fault_config.clone(), true),
+                    run_with_threads(8, threads, fault_config.clone()),
                     first,
                     "repeat {rep} at {threads} threads split from the first run (faults={})",
                     fault_config.is_some()
@@ -189,26 +170,28 @@ fn async_transport_stats_repeat_bit_for_bit() {
     }
 }
 
-/// Under async the per-source flushes multiply the exchange count —
-/// one per (phase, source) instead of one per phase — without adding
-/// messages or bytes.
+/// Each source's wire is flushed on its own — one flush per (phase,
+/// source): migrate and halo, twice a step per rank.
 #[test]
 fn async_flushes_per_source_without_extra_traffic() {
-    let (_, barriered) = run_mode(8, 4, None, false);
-    let (_, async_stats) = run_mode(8, 4, None, true);
-    assert_eq!(async_stats.messages, barriered.messages);
-    assert_eq!(async_stats.bytes, barriered.bytes);
+    let (_, stats) = run_with_threads(8, 4, None);
+    assert!(stats.messages > 0 && stats.bytes > 0);
     assert_eq!(
-        async_stats.exchanges,
+        stats.exchanges,
         2 * 8 * STEPS,
-        "async must flush each of the 8 sources separately, twice a step"
+        "each of the 8 sources must flush separately, twice a step"
     );
-    assert_eq!(barriered.exchanges, 2 * STEPS);
 }
 
+/// Byte counters are thread invariant and count exactly the wire
+/// traffic the transport moved; and the whole event stream — comm
+/// spans, counters, retry timers and faults included, clean and under
+/// link faults — arrives in one order at any thread count, so every
+/// float folded over it is thread invariant too. Only the
+/// host-measured `sched.*` values and timestamps may differ.
 #[test]
 fn telemetry_counters_are_thread_invariant() {
-    let capture = |threads: usize| {
+    let capture = |threads: usize, faults: Option<FaultConfig>| {
         let pool = rayon::ThreadPoolBuilder::new()
             .num_threads(threads)
             .build()
@@ -217,52 +200,35 @@ fn telemetry_counters_are_thread_invariant() {
             let recorder = Recorder::new();
             let mut sim = MultiRankSim::new(8, GpuArch::frontier(), problem());
             sim.set_recorder(recorder.clone());
+            if let Some(config) = faults {
+                sim.enable_fault_injection(config);
+            }
             sim.run(STEPS).unwrap();
             let events = recorder.events();
+            let stream: Vec<(u64, u64, String, u64)> = events
+                .iter()
+                .filter(|e| !e.name.starts_with("sched."))
+                .map(|e| (e.id, e.parent, e.name.clone(), e.value.to_bits()))
+                .collect();
             (
                 counter_total(&events, "comm.bytes_sent"),
                 counter_total(&events, "comm.bytes_recv"),
+                sim.comm_stats().bytes,
+                stream,
             )
         })
     };
-    let reference = capture(THREADS[0]);
-    assert!(reference.0 > 0.0, "halo traffic must be counted");
-    assert_eq!(reference.0, reference.1, "every byte sent is received");
-    for &threads in &THREADS[1..] {
-        assert_eq!(capture(threads), reference, "{threads} threads diverged");
-    }
-}
-
-/// Byte-level telemetry is mode independent: the async step moves the
-/// same wire traffic the barriered step does, and its counters are
-/// thread invariant.
-#[test]
-fn async_telemetry_bytes_match_barriered() {
-    let capture = |threads: usize, async_on: bool| {
-        let pool = rayon::ThreadPoolBuilder::new()
-            .num_threads(threads)
-            .build()
-            .unwrap();
-        pool.install(|| {
-            let recorder = Recorder::new();
-            let mut sim = MultiRankSim::new(8, GpuArch::frontier(), problem());
-            sim.set_async(async_on);
-            sim.set_recorder(recorder.clone());
-            sim.run(STEPS).unwrap();
-            let events = recorder.events();
-            (
-                counter_total(&events, "comm.bytes_sent"),
-                counter_total(&events, "comm.bytes_recv"),
-            )
-        })
-    };
-    let barriered = capture(4, false);
-    assert!(barriered.0 > 0.0);
-    for &threads in &THREADS {
-        assert_eq!(
-            capture(threads, true),
-            barriered,
-            "async byte counters diverged at {threads} threads"
-        );
+    for faults in [None, Some(link_faults())] {
+        let reference = capture(THREADS[0], faults.clone());
+        assert!(reference.0 > 0.0, "halo traffic must be counted");
+        assert_eq!(reference.0, reference.1, "every byte sent is received");
+        assert_eq!(reference.0, reference.2 as f64, "counters match the wire");
+        for &threads in &THREADS[1..] {
+            assert!(
+                capture(threads, faults.clone()) == reference,
+                "{threads} threads diverged (faults={})",
+                faults.is_some()
+            );
+        }
     }
 }
