@@ -17,22 +17,19 @@
 //! seeds to surface winners that move with the realization.
 
 use crate::experiments::{base_launch, measure, timer_seconds, workload, BenchProblem};
+use crate::gate::{Gate, Values};
 use hacc_kernels::tuning::{
     arch_digest, hand_picked_choice, kernel_digest, search_space, tuned_timers, variant_candidates,
 };
 use hacc_kernels::Variant;
 use hacc_tune::{Selection, SizeBand, TuneCache, TuneChoice, TuneKey, Tuner};
-use serde::Serialize;
+use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use sycl_sim::{GpuArch, GrfMode, MeterPolicy};
 
 /// The acceptance floor: the tuned plan must reach at least the paper's
 /// hand-picked performance portability (§6.1).
 pub const PP_FLOOR: f64 = 0.96;
-
-/// Relative tolerance when the CI gate compares modeled seconds against
-/// the committed baseline (mirrors the perf gate's band).
-pub const BASELINE_TOLERANCE: f64 = 0.25;
 
 /// Measures every candidate of `space` (metered — the cost model needs
 /// the counts): choice label → timer → seconds.
@@ -60,7 +57,7 @@ fn seconds_of(table: &BTreeMap<String, BTreeMap<String, f64>>, choice: &str, tim
 }
 
 /// Per-kernel winner on one architecture.
-#[derive(Serialize, Clone, Debug)]
+#[derive(Serialize, Deserialize, Clone, Debug)]
 pub struct KernelWinner {
     /// Kernel timer name.
     pub kernel: String,
@@ -85,7 +82,7 @@ pub struct KernelWinner {
 }
 
 /// Convergence of the epsilon-greedy replay on one architecture.
-#[derive(Serialize, Clone, Debug)]
+#[derive(Serialize, Deserialize, Clone, Debug)]
 pub struct Convergence {
     /// Replay trials executed (`figures --trials N`).
     pub trials: usize,
@@ -97,7 +94,7 @@ pub struct Convergence {
 }
 
 /// One architecture's sweep result.
-#[derive(Serialize, Clone, Debug)]
+#[derive(Serialize, Deserialize, Clone, Debug)]
 pub struct ArchReport {
     /// Architecture id (`pvc` / `a100` / `mi250x`).
     pub arch: String,
@@ -120,7 +117,7 @@ pub struct ArchReport {
 }
 
 /// Winner movement across workload seeds (nightly soak).
-#[derive(Serialize, Clone, Debug)]
+#[derive(Serialize, Deserialize, Clone, Debug)]
 pub struct Mover {
     /// Architecture id.
     pub arch: String,
@@ -137,12 +134,14 @@ pub struct Mover {
 }
 
 /// The full autotune report (serialized to `BENCH_autotune.json`).
-#[derive(Serialize, Debug)]
+#[derive(Serialize, Deserialize, Debug)]
 pub struct AutotuneReport {
     /// Telemetry schema version (shared across BENCH dumps).
     pub schema_version: u32,
     /// Digest of the kernel/variant set tuned (cache invalidation key).
     pub kernel_digest: String,
+    /// Workload side length (`size³` baryons).
+    pub size: usize,
     /// Whether the full space (`--full`) or the bounded per-push space
     /// was searched.
     pub full_space: bool,
@@ -331,17 +330,20 @@ pub fn tune_arch(arch: &GpuArch, problem: &BenchProblem, full: bool, trials: usi
     }
 }
 
-/// Runs the sweep on all three architectures and assembles the report.
-pub fn sweep(problem: &BenchProblem, full: bool, trials: usize) -> AutotuneReport {
+/// Runs the sweep on all three architectures over the `size³` workload
+/// at figures' pinned seed and assembles the report.
+pub fn sweep(size: usize, full: bool, trials: usize) -> AutotuneReport {
+    let problem = workload(size, crate::cli::PINNED_SEED);
     let archs: Vec<ArchReport> = GpuArch::all()
         .iter()
-        .map(|a| tune_arch(a, problem, full, trials))
+        .map(|a| tune_arch(a, &problem, full, trials))
         .collect();
     let tuned_pp = harmonic_mean(archs.iter().map(|a| a.tuned_efficiency));
     let hand_pp = harmonic_mean(archs.iter().map(|a| a.hand_efficiency));
     AutotuneReport {
         schema_version: hacc_telemetry::SCHEMA_VERSION,
         kernel_digest: format!("{:016x}", kernel_digest()),
+        size,
         full_space: full,
         trials,
         archs,
@@ -419,6 +421,54 @@ pub fn gate(report: &AutotuneReport) -> Vec<String> {
     failures
 }
 
+/// The knobs a winner is pinned on, named by [`KNOBS`].
+fn knobs(w: &KernelWinner) -> [String; 5] {
+    let (sg, wg) = (w.sg_size.to_string(), w.wg_size.to_string());
+    [w.variant.clone(), sg, wg, w.grf.clone(), w.bounds.clone()]
+}
+
+const KNOBS: [&str; 5] = ["variant", "sg_size", "wg_size", "grf", "bounds"];
+
+/// A report's winners by `arch/kernel`.
+fn winners(r: &AutotuneReport) -> BTreeMap<String, &KernelWinner> {
+    let rows = r
+        .archs
+        .iter()
+        .flat_map(|a| a.winners.iter().map(move |w| (&a.arch, w)));
+    rows.map(|(arch, w)| (format!("{arch}/{}", w.kernel), w))
+        .collect()
+}
+
+/// Gates `report` against the committed `baseline` report: each
+/// winner's knobs exactly, its modeled seconds within the tolerance.
+pub fn against(report: &AutotuneReport, baseline: &AutotuneReport) -> Gate {
+    let config = |r: &AutotuneReport| format!("size {}, full_space {}", r.size, r.full_space);
+    Gate::pinned(config(report), config(baseline), |gate| {
+        let (r, b) = (report, baseline);
+        gate.header("schema_version", r.schema_version, b.schema_version);
+        gate.header("kernel_digest", &r.kernel_digest, &b.kernel_digest);
+        gate.header("pp_floor", r.pp_floor, b.pp_floor);
+        let (current, base) = (winners(report), winners(baseline));
+        for (p, b) in &base {
+            let Some(c) = current.get(p) else { continue };
+            for (knob, (was, now)) in KNOBS.iter().zip(knobs(b).into_iter().zip(knobs(c))) {
+                if was != now {
+                    gate.mismatches.push(format!(
+                        "{p}: winner knob {knob} moved {was} -> {now} — the committed tune baseline is stale"
+                    ));
+                }
+            }
+        }
+        let seconds = |winners: &BTreeMap<String, &KernelWinner>| -> Values {
+            let row = |(p, w): (&String, &&KernelWinner)| {
+                ((p.clone(), "modeled_seconds".into()), w.modeled_seconds)
+            };
+            winners.iter().map(row).collect()
+        };
+        gate.compare(&seconds(&current), &seconds(&base));
+    })
+}
+
 /// Renders the report for the terminal.
 pub fn render(report: &AutotuneReport) -> String {
     let mut out = String::from("== Autotune: per-kernel winners vs the hand-picked table ==\n");
@@ -466,11 +516,6 @@ pub fn render(report: &AutotuneReport) -> String {
         ));
     }
     out
-}
-
-/// Serializes the report to the `BENCH_autotune.json` layout.
-pub fn to_json(report: &AutotuneReport) -> String {
-    serde_json::to_string_pretty(report).expect("autotune report serializes")
 }
 
 #[cfg(test)]
@@ -550,6 +595,7 @@ mod tests {
         let report = AutotuneReport {
             schema_version: hacc_telemetry::SCHEMA_VERSION,
             kernel_digest: format!("{:016x}", kernel_digest()),
+            size: 8,
             full_space: false,
             trials: 0,
             archs: Vec::new(),

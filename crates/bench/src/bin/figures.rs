@@ -22,7 +22,8 @@
 //! launch-bounds) candidate per architecture, winners per kernel,
 //! epsilon-greedy replay — and writes `BENCH_autotune.json` (or the
 //! `--json` path), exiting non-zero unless the tuned plan reaches the
-//! hand-picked PP floor of 0.96; `--full`
+//! hand-picked PP floor of 0.96 and its winners match
+//! `tests/tune_baseline.json`; `--full`
 //! searches the full space instead of the bounded per-push space,
 //! `--seeds N` with N > 1 additionally reports winners that move on
 //! N−1 extra workload seeds, and `--trials N` sets the replay trial
@@ -30,14 +31,16 @@
 //! weak/strong multi-rank sweep — 3D decomposition, halo exchange over
 //! each architecture's modeled interconnect, comm/compute overlap —
 //! over 1/2/4/8 ranks × architectures and writes `BENCH_ranks.json`
-//! (or the `--json` path); `--size N` sets its particle count to N³.
+//! (or the `--json` path), exiting non-zero unless every row holds its
+//! 1-rank bits and `tests/perf_baseline.json`'s values; `--size N` sets
+//! its particle count to N³.
 //! `health` (not part of `all`) collects the cross-rank performance
 //! health report — per-step critical-path
 //! attribution, a roofline point per kernel per architecture, and the
 //! full metrics registry — writing `BENCH_observe.json` plus a
-//! self-contained `BENCH_observe.html` dashboard; when
-//! `tests/observe_baseline.json` exists the top metric regressions
-//! against it are printed and embedded in the dashboard. With
+//! self-contained `BENCH_observe.html` dashboard, and exits non-zero
+//! naming the kernel, (step, rank) or layer behind any metric that
+//! moved past ±25 % of `tests/observe_baseline.json`. With
 //! `--trace PATH` it also captures one instrumented multi-rank run as
 //! a Chrome trace with a separate process lane per rank. `resilience`
 //! (not part of `all`) sweeps checkpoint intervals × recovery modes ×
@@ -45,6 +48,11 @@
 //! recovered run against its fault-free reference, and writes
 //! `BENCH_resilience.json` (or the `--json` path); `--seeds N` sets
 //! the number of loss-schedule seeds (default 2).
+//!
+//! `ranks`, `health` and `autotune` write their report, then judge it
+//! against the committed `tests/*_baseline.json` — an accepted report,
+//! so accepting a change is copying the new one over it. At another
+//! configuration they print `not gated` and exit on their self-checks.
 //!
 //! Execution engine: every launch runs the auto-width parallel
 //! scheduler, whose pool `RAYON_NUM_THREADS` caps. The results are
@@ -60,10 +68,15 @@
 //! * `--telemetry PATH` writes the profile run's raw event stream as
 //!   versioned JSON Lines.
 //! * `validate --telemetry PATH` re-reads a JSONL dump and checks it
-//!   against the current schema (exits non-zero on mismatch).
+//!   against the current schema; `validate --trace PATH` checks that a
+//!   Chrome trace parses and holds events (both exit non-zero on a
+//!   mismatch).
 
+use hacc_bench::cli::{PINNED_SEED, PINNED_SIZE, PINNED_STEPS};
 use hacc_bench::experiments::{profile_run, workload, VariantChoice};
 use hacc_bench::figures::*;
+use hacc_bench::gate::{self, Gate};
+use hacc_bench::ranks::RankRecord;
 use hacc_kernels::Variant;
 use hacc_metrics::{find_workspace_root, RepoInventory};
 use hacc_telemetry::{chrome, jsonl, table, Event, Recorder};
@@ -92,6 +105,41 @@ fn merge_events(groups: &[(GpuArch, Recorder)]) -> Vec<Event> {
     out
 }
 
+/// Writes `report` as JSON to `path` (the `--json` value) or `default`,
+/// and returns the path written.
+fn write_json(path: Option<String>, default: &str, report: &impl serde::Serialize) -> String {
+    let path = path.unwrap_or_else(|| default.to_string());
+    let text = serde_json::to_string_pretty(report).expect("serialize report");
+    std::fs::write(&path, text).expect("write report JSON");
+    eprintln!("[figures] wrote {path}");
+    path
+}
+
+/// Prints each failure and exits 1 if there is any.
+fn exit_on(failures: &[String]) {
+    for f in failures {
+        eprintln!("[figures] ERROR: {f}");
+    }
+    if !failures.is_empty() {
+        std::process::exit(1);
+    }
+}
+
+/// Prints the verdict against the committed baseline, then exits 1 on
+/// any self-check failure, baseline violation or unreadable baseline.
+fn judge(what: &str, mut failures: Vec<String>, verdict: Result<Gate, String>) {
+    match verdict {
+        Ok(gate) => {
+            println!("{}", gate.render(what));
+            if !gate.passed() {
+                failures.push(format!("the {what} report violates its committed baseline"));
+            }
+        }
+        Err(e) => failures.push(format!("cannot read the {what} baseline {e}")),
+    }
+    exit_on(&failures);
+}
+
 fn main() {
     let inv = hacc_bench::Invocation::parse(std::env::args().skip(1)).unwrap_or_else(|msg| {
         eprintln!("{msg}");
@@ -107,7 +155,7 @@ fn main() {
         assert!(n > 0, "{flag} needs a positive integer");
         n
     };
-    let (size, n_seeds) = (count("--size", 8), count("--seeds", 2));
+    let (size, n_seeds) = (count("--size", PINNED_SIZE), count("--seeds", 2));
     let full_space = given("--full");
     let slow_kernels: Vec<(String, f64)> = inv
         .values("--slow")
@@ -121,22 +169,30 @@ fn main() {
     let telemetry_path = path("--telemetry");
     let want = |t: &str| inv.wants(t);
     if want("validate") {
-        let path = telemetry_path.expect("validate needs --telemetry PATH");
-        let text = std::fs::read_to_string(&path).expect("read telemetry file");
-        match jsonl::from_jsonl(&text) {
-            Ok(events) => {
-                println!(
+        assert!(
+            telemetry_path.is_some() || trace_path.is_some(),
+            "validate needs --telemetry PATH or --trace PATH"
+        );
+        let read = |path: &str| std::fs::read_to_string(path).expect("read file to validate");
+        let mut failures = Vec::new();
+        if let Some(path) = &telemetry_path {
+            match jsonl::from_jsonl(&read(path)) {
+                Ok(events) => println!(
                     "{path}: OK — {} events, schema v{}",
                     events.len(),
                     hacc_telemetry::SCHEMA_VERSION
-                );
-                return;
-            }
-            Err(e) => {
-                eprintln!("{path}: INVALID — {e:?}");
-                std::process::exit(1);
+                ),
+                Err(e) => failures.push(format!("{path}: INVALID — {e:?}")),
             }
         }
+        if let Some(path) = &trace_path {
+            match chrome::event_count(&read(path)) {
+                Ok(n) => println!("{path}: OK — Chrome trace with {n} events"),
+                Err(e) => failures.push(format!("{path}: INVALID — {e}")),
+            }
+        }
+        exit_on(&failures);
+        return;
     }
     if want("ranks") {
         let n = size * size * size;
@@ -144,20 +200,21 @@ fn main() {
             "[figures] multi-rank sweep: {n} particles (strong) / per rank (weak) \
              over 1/2/4/8 ranks × architectures…"
         );
-        let sweep = hacc_bench::ranks::sweep(n, 4, 0xC0FFEE);
+        let sweep = hacc_bench::ranks::sweep(n, PINNED_STEPS, PINNED_SEED);
         println!("{}", hacc_bench::ranks::render(&sweep));
-        if sweep.records.iter().any(|r| !r.bit_identical) {
-            eprintln!("[figures] ERROR: a rank count diverged from the single-rank bits");
-            std::process::exit(1);
-        }
-        let path = json_path.unwrap_or_else(|| "BENCH_ranks.json".to_string());
-        std::fs::write(&path, hacc_bench::ranks::to_json(&sweep)).expect("write rank sweep JSON");
-        eprintln!("[figures] wrote rank sweep to {path}");
+        write_json(json_path, "BENCH_ranks.json", &sweep);
+        let diverged = sweep.records.iter().filter(|r| !r.bit_identical);
+        let row =
+            |r: &RankRecord| format!("{}/{}/{} left the 1-rank bits", r.arch, r.mode, r.ranks);
+        let failures = diverged.map(row).collect();
+        let verdict =
+            gate::load("perf_baseline.json").map(|b| hacc_bench::ranks::against(&sweep, &b));
+        judge("ranks", failures, verdict);
         return;
     }
     if want("resilience") {
         let n = size * size * size;
-        let seeds: Vec<u64> = (0..n_seeds as u64).map(|k| 0xC0FFEE + k).collect();
+        let seeds: Vec<u64> = (0..n_seeds as u64).map(|k| PINNED_SEED + k).collect();
         eprintln!(
             "[figures] resilience sweep: {n} particles, {} seeds, checkpoint \
              intervals × shrink/respawn × rank-loss schedules over 1/2/4/8 ranks…",
@@ -165,21 +222,8 @@ fn main() {
         );
         let sweep = hacc_bench::resilience::sweep(n, 6, &seeds);
         println!("{}", hacc_bench::resilience::render(&sweep));
-        let path = json_path.unwrap_or_else(|| "BENCH_resilience.json".to_string());
-        std::fs::write(&path, hacc_bench::resilience::to_json(&sweep))
-            .expect("write resilience sweep JSON");
-        eprintln!("[figures] wrote resilience sweep to {path}");
-        if sweep
-            .records
-            .iter()
-            .any(|r| !r.completed || !r.digest_match)
-        {
-            eprintln!(
-                "[figures] ERROR: a recovered run failed or diverged from its \
-                 fault-free reference bits"
-            );
-            std::process::exit(1);
-        }
+        write_json(json_path, "BENCH_resilience.json", &sweep);
+        exit_on(&hacc_bench::resilience::gate(&sweep));
         return;
     }
     if want("health") {
@@ -189,25 +233,15 @@ fn main() {
         );
         // `--slow KERNEL:FACTOR` routes through the fault injector's
         // latency knob — the acceptance path for the explaining gate:
-        // slow one kernel, regenerate, and the gate must name it.
+        // slow one kernel, and the gate must name it.
         let fault = (!slow_kernels.is_empty()).then(|| sycl_sim::FaultConfig {
             slow_kernels: slow_kernels.clone(),
             ..Default::default()
         });
-        let report = hacc_bench::health::collect_faulty(size, 4, 0xC0FFEE, fault);
+        let report = hacc_bench::health::collect_faulty(size, PINNED_STEPS, PINNED_SEED, fault);
         println!("{}", hacc_bench::health::render(&report));
-        // Diff against the committed gate baseline when it exists, so
-        // the dashboard's regression table matches what the explaining
-        // perf gate would say.
-        let root = find_workspace_root(Path::new(env!("CARGO_MANIFEST_DIR")))
-            .expect("workspace root not found");
-        let baseline = std::fs::read_to_string(root.join("tests/observe_baseline.json"))
-            .ok()
-            .and_then(|text| hacc_bench::health::from_json(&text));
-        if let Some(base) = &baseline {
-            let deltas = hacc_bench::health::regressions(&report, base);
-            println!("{}", hacc_bench::health::render_regressions(&deltas, 10));
-        }
+        let verdict =
+            gate::load("observe_baseline.json").map(|b| hacc_bench::health::against(&report, &b));
         // `--trace` captures one instrumented multi-rank run and writes
         // it as a Chrome trace: each rank gets its own process lane, so
         // the per-rank phase timeline is readable in Perfetto.
@@ -216,29 +250,28 @@ fn main() {
             let mut sim = MultiRankSim::new(
                 hacc_bench::health::HEALTH_RANKS,
                 GpuArch::frontier(),
-                MultiRankProblem::small(size * size * size, 0xC0FFEE),
+                MultiRankProblem::small(size * size * size, PINNED_SEED),
             );
             let rec = Recorder::new();
             sim.set_recorder(rec.clone());
-            sim.run(4).expect("trace run must complete");
+            sim.run(PINNED_STEPS).expect("trace run must complete");
             let events = rec.events();
             std::fs::write(tp, chrome::chrome_trace_named(&[("frontier", &events)]))
                 .expect("write multi-rank Chrome trace");
             eprintln!("[figures] wrote multi-rank Chrome trace to {tp}");
         }
-        let path = json_path.unwrap_or_else(|| "BENCH_observe.json".to_string());
-        std::fs::write(&path, hacc_bench::health::to_json(&report))
-            .expect("write health report JSON");
+        let path = write_json(json_path, "BENCH_observe.json", &report);
         let html_path = path
             .strip_suffix(".json")
             .map(|p| format!("{p}.html"))
             .unwrap_or_else(|| format!("{path}.html"));
         std::fs::write(
             &html_path,
-            hacc_bench::health::dashboard(&report, baseline.as_ref()),
+            hacc_bench::health::dashboard(&report, verdict.as_ref().ok()),
         )
         .expect("write health dashboard");
-        eprintln!("[figures] wrote health report to {path} and dashboard to {html_path}");
+        eprintln!("[figures] wrote {html_path}");
+        judge("health", Vec::new(), verdict);
         return;
     }
     if want("autotune") {
@@ -248,8 +281,7 @@ fn main() {
             if full_space { "full" } else { "bounded" },
             trials
         );
-        let problem = workload(size, 0xC0FFEE);
-        let mut report = hacc_bench::autotune::sweep(&problem, full_space, trials);
+        let mut report = hacc_bench::autotune::sweep(size, full_space, trials);
         if n_seeds > 1 {
             let seeds: Vec<u64> = (1..n_seeds as u64).collect();
             eprintln!(
@@ -265,17 +297,10 @@ fn main() {
             }
         }
         println!("{}", hacc_bench::autotune::render(&report));
-        let path = json_path.unwrap_or_else(|| "BENCH_autotune.json".to_string());
-        std::fs::write(&path, hacc_bench::autotune::to_json(&report))
-            .expect("write autotune report JSON");
-        eprintln!("[figures] wrote autotune report to {path}");
-        let failures = hacc_bench::autotune::gate(&report);
-        if !failures.is_empty() {
-            for f in &failures {
-                eprintln!("[figures] ERROR: {f}");
-            }
-            std::process::exit(1);
-        }
+        write_json(json_path, "BENCH_autotune.json", &report);
+        let verdict =
+            gate::load("tune_baseline.json").map(|b| hacc_bench::autotune::against(&report, &b));
+        judge("autotune", hacc_bench::autotune::gate(&report), verdict);
         return;
     }
     if want("faults") {
@@ -283,11 +308,10 @@ fn main() {
         let rates = [0.0, 0.02, 0.05, 0.1, 0.2, 0.5];
         let records = hacc_bench::faults::sweep(&rates, 0xFA_17);
         println!("{}", hacc_bench::faults::render(&records));
-        if let Some(path) = json_path {
-            std::fs::write(&path, hacc_bench::faults::to_json(&records))
-                .expect("write fault sweep JSON");
-            eprintln!("[figures] wrote fault sweep to {path}");
+        if json_path.is_some() {
+            write_json(json_path, "", &records);
         }
+        exit_on(&hacc_bench::faults::gate(&records));
         return;
     }
     let root = find_workspace_root(Path::new(env!("CARGO_MANIFEST_DIR")))
@@ -311,7 +335,7 @@ fn main() {
         return;
     }
     eprintln!("[figures] building workload: {size}³ baryons, z = 200 snapshot…");
-    let problem = workload(size, 0xC0FFEE);
+    let problem = workload(size, PINNED_SEED);
 
     if want("fig2") {
         println!("{}", fig2(&problem));

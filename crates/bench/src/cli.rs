@@ -3,6 +3,14 @@
 //! `tests/docs_name_real_things.rs` holds the documentation to the same
 //! two tables, so a name is added or retired here and nowhere else.
 
+/// `figures`' default `--size`: with the next two constants and the
+/// bounded autotune space, the configuration `tests/*_baseline.json` pin.
+pub const PINNED_SIZE: usize = 8;
+/// Steps the `ranks` and `health` sweeps advance.
+pub const PINNED_STEPS: u64 = 4;
+/// Seed of every workload `figures` builds.
+pub const PINNED_SEED: u64 = 0xC0FFEE;
+
 /// One `figures` target.
 #[derive(Debug)]
 pub struct Target {

@@ -105,9 +105,14 @@ pub fn render(records: &[FaultSweepRecord]) -> String {
     out
 }
 
-/// Serializes the sweep as pretty JSON.
-pub fn to_json(records: &[FaultSweepRecord]) -> String {
-    serde_json::to_string_pretty(records).expect("serialize fault sweep")
+/// The sweep's self-gate: its 0.0-rate row must complete with no fault
+/// injected. Returns the failures.
+pub fn gate(records: &[FaultSweepRecord]) -> Vec<String> {
+    match records.iter().find(|r| r.rate == 0.0) {
+        Some(r) if r.completed && r.faults_injected == 0.0 => Vec::new(),
+        Some(r) => vec![format!("the 0.0-rate row is not clean: {r:?}")],
+        None => vec!["the sweep has no 0.0-rate row".to_string()],
+    }
 }
 
 #[cfg(test)]
@@ -142,7 +147,7 @@ mod tests {
     #[test]
     fn json_dump_round_trips_field_names() {
         let records = sweep(&[0.0], 3);
-        let text = to_json(&records);
+        let text = serde_json::to_string_pretty(&records).unwrap();
         for field in [
             "rate",
             "completed",

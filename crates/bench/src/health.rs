@@ -13,17 +13,18 @@
 //!   [`hacc_telemetry::analysis`] pass folds into per-step critical
 //!   paths with compute/exchange/wait attribution;
 //! * both event streams feed one [`Registry`] per architecture, whose
-//!   snapshot is the metric surface the explaining perf gate diffs.
+//!   snapshot is the metric surface [`against`] compares with the
+//!   committed `tests/observe_baseline.json`.
 //!
 //! The report serializes as `BENCH_observe.json`; [`dashboard`]
-//! renders the same data as a dependency-free single-file HTML page
-//! (inline SVG, no scripts), and [`regressions`] ranks metric movement
-//! against a baseline report for the gate and the nightly diff.
+//! renders the same data, and the gate's verdict, as a
+//! dependency-free single-file HTML page (inline SVG, no scripts).
 
 use crate::experiments::{measure, workload, VariantChoice};
+use crate::gate::{Gate, Values};
 use hacc_core::{MultiRankProblem, MultiRankSim};
 use hacc_kernels::Variant;
-use hacc_telemetry::analysis::{critical_paths, StepCriticalPath};
+use hacc_telemetry::analysis::{critical_paths, RankAttribution, StepCriticalPath};
 use hacc_telemetry::registry::{MetricSummary, Registry};
 use hacc_telemetry::roofline::{place_profiles, RooflinePoint};
 use hacc_telemetry::{KernelProfile, Recorder};
@@ -68,37 +69,16 @@ pub struct HealthReport {
     pub archs: Vec<ArchHealth>,
 }
 
-/// One metric's movement against a baseline report.
-#[derive(Clone, Debug, Serialize, Deserialize)]
-pub struct MetricDelta {
-    /// Architecture the metric belongs to.
-    pub arch: String,
-    /// Metric name.
-    pub name: String,
-    /// Baseline sum.
-    pub baseline: f64,
-    /// Current sum.
-    pub current: f64,
-    /// Percent change of the sum (positive = regression for
-    /// time/byte-like metrics).
-    pub pct: f64,
-}
-
 /// True for metrics carrying host wall-clock (scheduler busy/barrier
-/// times, queue depths under OS scheduling) — excluded from regression
-/// ranking because they are not reproducible across machines.
+/// times, queue depths under OS scheduling) — never gated, because
+/// they are not reproducible across machines.
 pub fn is_volatile(name: &str) -> bool {
     name.starts_with("sched.")
 }
 
-/// Collects the health report at the standard configuration.
-pub fn collect(size: usize, steps: u64, seed: u64) -> HealthReport {
-    collect_faulty(size, steps, seed, None)
-}
-
-/// [`collect`] with a fault configuration installed on the profile
-/// run's device. `FaultConfig::slow_kernels` manufactures a known
-/// kernel-level regression for gate acceptance tests.
+/// Collects the health report, with `fault` installed on the profile
+/// run's device when given. `FaultConfig::slow_kernels` manufactures a
+/// known kernel-level regression for gate acceptance tests.
 pub fn collect_faulty(
     size: usize,
     steps: u64,
@@ -157,56 +137,83 @@ pub fn collect_faulty(
     }
 }
 
-/// Ranks metric movement of `current` against `baseline`, largest
-/// increase first (ties broken by arch then name for stable output).
-/// Volatile wall-clock metrics and metrics absent from the baseline
-/// are skipped; so are sub-ppb changes.
-pub fn regressions(current: &HealthReport, baseline: &HealthReport) -> Vec<MetricDelta> {
-    let mut out = Vec::new();
-    for cur in &current.archs {
-        let Some(base) = baseline.archs.iter().find(|a| a.arch == cur.arch) else {
-            continue;
-        };
-        for m in &cur.metrics {
-            if is_volatile(&m.name) {
-                continue;
+/// The critical paths of architecture `arch` (none when it is absent).
+fn paths<'a>(r: &'a HealthReport, arch: &str) -> &'a [StepCriticalPath] {
+    let slice = r.archs.iter().find(|a| a.arch == arch);
+    slice.map_or(&[], |a| &a.critical_paths)
+}
+
+/// Names what moved behind a failing metric of architecture `arch`:
+/// the kernel, the (step, rank) that moved most for a phase, or the
+/// layer.
+fn explain(report: &HealthReport, baseline: &HealthReport, arch: &str, name: &str) -> String {
+    let phase: fn(&RankAttribution) -> f64 = match name {
+        "phase.migrate" => |a| a.migrate_seconds,
+        "phase.interior" => |a| a.interior_seconds,
+        "phase.halo" => |a| a.halo_seconds,
+        "phase.boundary" => |a| a.boundary_seconds,
+        _ => {
+            return match name.split_once('.') {
+                None => format!("kernel {name}"),
+                Some(("kernel", _)) => format!("kernel {}", name.split('.').nth(1).unwrap_or(name)),
+                Some(("comm", _)) => "transport layer (α–β link model)".to_string(),
+                Some(_) => "multi-rank engine accounting".to_string(),
             }
-            let Some(b) = base.metrics.iter().find(|x| x.name == m.name) else {
-                continue;
-            };
-            if b.sum == 0.0 {
-                continue;
-            }
-            let pct = (m.sum - b.sum) / b.sum * 100.0;
-            if pct.abs() > 1e-7 {
-                out.push(MetricDelta {
-                    arch: cur.arch.clone(),
-                    name: m.name.clone(),
-                    baseline: b.sum,
-                    current: m.sum,
-                    pct,
-                });
+        }
+    };
+    let mut best: Option<(f64, usize, usize, f64, f64)> = None;
+    for (sc, sb) in paths(report, arch).iter().zip(paths(baseline, arch)) {
+        for (rc, rb) in sc.per_rank.iter().zip(&sb.per_rank) {
+            let d = (phase(rc) - phase(rb)).abs();
+            if best.is_none_or(|b| d > b.0) {
+                best = Some((d, sc.step, rc.rank, phase(rb), phase(rc)));
             }
         }
     }
-    out.sort_by(|a, b| {
-        b.pct
-            .partial_cmp(&a.pct)
-            .unwrap_or(std::cmp::Ordering::Equal)
-            .then_with(|| a.arch.cmp(&b.arch))
-            .then_with(|| a.name.cmp(&b.name))
-    });
-    out
+    match best {
+        Some((d, step, rank, b, c)) if d > 0.0 => {
+            format!("largest mover: rank {rank} at step {step}, {b:.4e} s -> {c:.4e} s")
+        }
+        _ => "the phase moved uniformly across ranks".to_string(),
+    }
 }
 
-/// Serializes the report for `BENCH_observe.json`.
-pub fn to_json(report: &HealthReport) -> String {
-    serde_json::to_string_pretty(report).expect("serialize health report")
-}
-
-/// Re-reads a serialized report (baseline diffing).
-pub fn from_json(text: &str) -> Option<HealthReport> {
-    serde_json::from_str(text).ok()
+/// Gates `report` against the committed `baseline` report: the sum of
+/// every non-volatile registry metric per architecture, each failure
+/// naming what moved. A moved critical rank is a note.
+pub fn against(report: &HealthReport, baseline: &HealthReport) -> Gate {
+    let config = |r: &HealthReport| {
+        let (n, ranks, steps, seed) = (r.n_particles, r.ranks, r.steps, r.seed);
+        format!("n_particles {n}, ranks {ranks}, steps {steps}, seed {seed}")
+    };
+    Gate::pinned(config(report), config(baseline), |gate| {
+        gate.header("schema", report.schema, baseline.schema);
+        let sums = |r: &HealthReport| {
+            let mut sums = Values::new();
+            for a in &r.archs {
+                for m in a.metrics.iter().filter(|m| !is_volatile(&m.name)) {
+                    sums.insert((a.arch.clone(), m.name.clone()), m.sum);
+                }
+            }
+            sums
+        };
+        gate.compare(&sums(report), &sums(baseline));
+        for row in gate.rows.iter_mut().filter(|r| !r.ok()) {
+            row.why = explain(report, baseline, &row.place, &row.metric);
+        }
+        for a in &report.archs {
+            for (sc, sb) in a.critical_paths.iter().zip(paths(baseline, &a.arch)) {
+                if sc.critical_rank != sb.critical_rank {
+                    let (was, now) = (sb.critical_rank, sc.critical_rank);
+                    let note = format!(
+                        "{} step {}: critical rank moved {was} -> {now}",
+                        a.arch, sc.step
+                    );
+                    gate.notes.push(note);
+                }
+            }
+        }
+    })
 }
 
 /// Renders the report as a console summary.
@@ -246,24 +253,6 @@ pub fn render(report: &HealthReport) -> String {
                 p.bound
             ));
         }
-    }
-    out
-}
-
-/// Renders ranked metric deltas as a console table (the nightly diff).
-pub fn render_regressions(deltas: &[MetricDelta], top: usize) -> String {
-    if deltas.is_empty() {
-        return "no metric moved against the baseline\n".to_string();
-    }
-    let mut out = format!(
-        "{:<8} {:<32} {:>14} {:>14} {:>9}\n",
-        "arch", "metric", "baseline", "current", "delta"
-    );
-    for d in deltas.iter().take(top) {
-        out.push_str(&format!(
-            "{:<8} {:<32} {:>14.6e} {:>14.6e} {:>+8.2}%\n",
-            d.arch, d.name, d.baseline, d.current, d.pct
-        ));
     }
     out
 }
@@ -445,42 +434,22 @@ fn metrics_table(a: &ArchHealth) -> String {
     )
 }
 
-/// Renders the report (and, when a baseline is supplied, its top
-/// regressions) as one self-contained HTML page: inline SVG only, no
-/// scripts, no external assets.
-pub fn dashboard(report: &HealthReport, baseline: Option<&HealthReport>) -> String {
+/// Renders the report, and the gate's verdict on it when there is one,
+/// as one self-contained HTML page: inline SVG only, no scripts, no
+/// external assets.
+pub fn dashboard(report: &HealthReport, gate: Option<&Gate>) -> String {
     let mut body = format!(
         "<h1>Performance health</h1>\
          <p>{} particles over {} ranks, {} steps, seed {} — schema v{}</p>",
         report.n_particles, report.ranks, report.steps, report.seed, report.schema
     );
-    match baseline {
-        Some(base) => {
-            let deltas = regressions(report, base);
-            body.push_str("<h2>Top regressions vs baseline</h2>");
-            if deltas.is_empty() {
-                body.push_str("<p>no metric moved against the baseline</p>");
-            } else {
-                body.push_str(
-                    "<table><tr><th>arch</th><th>metric</th>\
-                     <th>baseline</th><th>current</th><th>&Delta;</th></tr>",
-                );
-                for d in deltas.iter().take(10) {
-                    body.push_str(&format!(
-                        "<tr><td>{}</td><td>{}</td><td>{:.6e}</td>\
-                         <td>{:.6e}</td><td>{:+.2}%</td></tr>",
-                        esc(&d.arch),
-                        esc(&d.name),
-                        d.baseline,
-                        d.current,
-                        d.pct
-                    ));
-                }
-                body.push_str("</table>");
-            }
-        }
-        None => body.push_str("<p><em>no baseline supplied — regression table omitted</em></p>"),
-    }
+    body.push_str(&match gate {
+        Some(g) => format!(
+            "<h2>Verdict vs baseline</h2><pre>{}</pre>",
+            esc(&g.render("health"))
+        ),
+        None => "<p><em>no baseline read — verdict omitted</em></p>".to_string(),
+    });
     for a in &report.archs {
         body.push_str(&format!(
             "<h2>{} ({})</h2><h3>Phase timeline per rank</h3>{}\
@@ -508,7 +477,7 @@ mod tests {
     use super::*;
 
     fn small_report() -> HealthReport {
-        collect(8, 2, 9)
+        collect_faulty(8, 2, 9, None)
     }
 
     #[test]
@@ -563,8 +532,8 @@ mod tests {
     #[test]
     fn json_roundtrip_preserves_the_report() {
         let report = small_report();
-        let text = to_json(&report);
-        let back = from_json(&text).expect("re-read own serialization");
+        let text = serde_json::to_string_pretty(&report).unwrap();
+        let back: HealthReport = serde_json::from_str(&text).expect("re-read own serialization");
         assert_eq!(back.schema, HEALTH_SCHEMA);
         assert_eq!(back.archs.len(), report.archs.len());
         for (b, r) in back.archs.iter().zip(&report.archs) {
@@ -577,7 +546,7 @@ mod tests {
 
     #[test]
     fn slowed_kernel_tops_the_regressions() {
-        let base = collect(8, 1, 9);
+        let base = collect_faulty(8, 1, 9, None);
         let slowed = collect_faulty(
             8,
             1,
@@ -587,23 +556,19 @@ mod tests {
                 ..FaultConfig::default()
             }),
         );
-        let deltas = regressions(&slowed, &base);
-        assert!(!deltas.is_empty(), "a 5x slowdown must register");
-        assert!(
-            deltas[0].name.contains("upGeo"),
-            "top regression must name the slowed kernel, got {} ({:+.1}%)",
-            deltas[0].name,
-            deltas[0].pct
-        );
-        assert!(deltas[0].pct > 300.0, "5x slowdown ⇒ ≈ +400%");
-        // No phantom movers: every reported delta traces to the knob.
-        for d in &deltas {
+        let gate = against(&slowed, &base);
+        assert!(!gate.passed(), "a 5x slowdown must fail the gate");
+        for arch in ["pvc", "a100", "mi250x"] {
+            let top = gate.rows.iter().find(|r| r.place == arch).unwrap();
             assert!(
-                d.name.contains("upGeo"),
-                "unexpected mover {} ({:+.2}%)",
-                d.name,
-                d.pct
+                top.metric.contains("upGeo") && top.why == "kernel upGeo",
+                "{arch}: top mover must name the slowed kernel, got {top:?}"
             );
+            assert!(top.delta() > 3.0, "5x slowdown ⇒ ≈ +400%");
+        }
+        // No phantom movers: every moved value traces to the knob.
+        for r in gate.rows.iter().filter(|r| r.delta() != 0.0) {
+            assert!(r.metric.contains("upGeo"), "unexpected mover {r:?}");
         }
     }
 
@@ -614,17 +579,16 @@ mod tests {
         assert!(html.starts_with("<!DOCTYPE html>"));
         assert!(html.contains("<svg"));
         assert!(html.contains("upGeo"));
-        assert!(html.contains("no baseline supplied"));
+        assert!(html.contains("no baseline read"));
         assert!(!html.contains("<script"), "dashboard must not need JS");
         assert!(!html.contains("http://") || html.contains("www.w3.org"));
 
-        let base = collect(8, 2, 10);
-        let with_base = dashboard(&report, Some(&base));
-        assert!(with_base.contains("Top regressions"));
+        let with_gate = dashboard(&report, Some(&against(&report, &report)));
+        assert!(with_gate.contains("health gate: no gateable metric moved"));
     }
 
     #[test]
-    fn volatile_metrics_never_rank() {
+    fn volatile_metrics_are_never_gated() {
         let report = small_report();
         let mut other = report.clone();
         for a in &mut other.archs {
@@ -634,9 +598,11 @@ mod tests {
                 }
             }
         }
+        let gate = against(&other, &report);
+        assert!(gate.passed(), "{}", gate.render("health"));
         assert!(
-            regressions(&other, &report).is_empty(),
-            "sched.* wall-clock noise must not rank as a regression"
+            gate.rows.iter().all(|r| !is_volatile(&r.metric)),
+            "sched.* wall-clock noise must never be gated"
         );
     }
 }

@@ -12,6 +12,7 @@ pub mod cpu_backend;
 pub mod experiments;
 pub mod faults;
 pub mod figures;
+pub mod gate;
 pub mod health;
 pub mod ranks;
 pub mod resilience;

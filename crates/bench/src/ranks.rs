@@ -18,15 +18,16 @@
 //! inside the sweep itself. The `figures -- ranks` target renders the
 //! tables and writes the raw records as `BENCH_ranks.json`.
 
+use crate::gate::{Gate, Values};
 use hacc_core::{MultiRankProblem, MultiRankSim};
-use serde::Serialize;
+use serde::{Deserialize, Serialize};
 use sycl_sim::GpuArch;
 
 /// Rank counts the sweep visits (the paper's node is the 8-rank point).
 pub const RANK_COUNTS: [usize; 4] = [1, 2, 4, 8];
 
 /// One measured configuration: (architecture, mode, rank count).
-#[derive(Clone, Debug, Serialize)]
+#[derive(Clone, Debug, Serialize, Deserialize)]
 pub struct RankRecord {
     /// Architecture id (`pvc`, `a100`, `mi250x`).
     pub arch: String,
@@ -68,7 +69,7 @@ pub struct RankRecord {
 }
 
 /// The full sweep result, serialized as `BENCH_ranks.json`.
-#[derive(Clone, Debug, Serialize)]
+#[derive(Clone, Debug, Serialize, Deserialize)]
 pub struct RankSweep {
     /// Particles in the strong problem (= particles per rank in weak).
     pub n_base: usize,
@@ -265,9 +266,30 @@ pub fn render(sweep: &RankSweep) -> String {
     out
 }
 
-/// Serializes the sweep for `BENCH_ranks.json`.
-pub fn to_json(sweep: &RankSweep) -> String {
-    serde_json::to_string_pretty(sweep).expect("serialize rank sweep")
+/// The modeled values gated per `arch/mode/ranks` row.
+fn gated(sweep: &RankSweep) -> Values {
+    let mut values = Values::new();
+    for r in &sweep.records {
+        let place = format!("{}/{}/{}", r.arch, r.mode, r.ranks);
+        for (metric, v) in [
+            ("node_seconds", r.node_seconds),
+            ("speedup", r.speedup),
+            ("overlap_fraction", r.overlap_fraction),
+            ("exchange_bytes", r.exchange_bytes as f64),
+        ] {
+            values.insert((place.clone(), metric.to_string()), v);
+        }
+    }
+    values
+}
+
+/// Gates `sweep` against the committed `baseline` sweep: node seconds,
+/// speedup, overlap and exchange bytes per row.
+pub fn against(sweep: &RankSweep, baseline: &RankSweep) -> Gate {
+    let config = |s: &RankSweep| format!("n_base {}, steps {}, seed {}", s.n_base, s.steps, s.seed);
+    Gate::pinned(config(sweep), config(baseline), |gate| {
+        gate.compare(&gated(sweep), &gated(baseline))
+    })
 }
 
 #[cfg(test)]
@@ -290,7 +312,7 @@ mod tests {
                 assert!((0.0..=1.0).contains(&r.overlap_fraction));
             }
         }
-        let text = to_json(&sweep);
+        let text = serde_json::to_string_pretty(&sweep).unwrap();
         let back: serde_json::Value = serde_json::from_str(&text).unwrap();
         assert_eq!(back["records"].as_array().unwrap().len(), 24);
         assert!(render(&sweep).contains("Multi-rank scaling"));

@@ -275,9 +275,23 @@ pub fn render(sweep: &ResilienceSweep) -> String {
     out
 }
 
-/// Serializes the sweep for `BENCH_resilience.json`.
-pub fn to_json(sweep: &ResilienceSweep) -> String {
-    serde_json::to_string_pretty(sweep).expect("serialize resilience sweep")
+/// The sweep's self-gate: every run completes on its fault-free
+/// reference bits, and rank loss was exercised — there are faulted rows
+/// and each recovered at least once. Returns the failures.
+pub fn gate(sweep: &ResilienceSweep) -> Vec<String> {
+    let faulted = || sweep.records.iter().filter(|r| r.mode != "none");
+    let diverged = sweep
+        .records
+        .iter()
+        .filter(|r| !r.completed || !r.digest_match);
+    let unrecovered = faulted().filter(|r| r.recoveries == 0);
+    let mut failures: Vec<String> = (diverged.chain(unrecovered))
+        .map(|r| format!("row did not recover onto its fault-free bits: {r:?}"))
+        .collect();
+    if faulted().next().is_none() {
+        failures.push("no row injected a rank loss".to_string());
+    }
+    failures
 }
 
 #[cfg(test)]
@@ -314,7 +328,7 @@ mod tests {
                 assert_eq!(r.final_ranks, r.ranks);
             }
         }
-        let text = to_json(&sweep);
+        let text = serde_json::to_string_pretty(&sweep).unwrap();
         let back: serde_json::Value = serde_json::from_str(&text).unwrap();
         assert_eq!(
             back["records"].as_array().unwrap().len(),

@@ -245,6 +245,17 @@ pub fn chrome_trace_named(groups: &[(&str, &[Event])]) -> String {
     doc.to_string()
 }
 
+/// Counts the events of a Chrome trace document. The error says why
+/// `text` is not a trace, or that it holds no event.
+pub fn event_count(text: &str) -> Result<usize, String> {
+    let doc = serde_json::parse_value(text).map_err(|e| e.to_string())?;
+    match doc.get("traceEvents").and_then(Value::as_array) {
+        Some(events) if !events.is_empty() => Ok(events.len()),
+        Some(_) => Err("`traceEvents` is empty".to_string()),
+        None => Err("no `traceEvents` array".to_string()),
+    }
+}
+
 fn process_meta(pid: u64, name: &str) -> Value {
     obj(vec![
         ("name", Value::String("process_name".to_string())),

@@ -7,26 +7,33 @@
 //! A command line is recognised as `figures -- …` or `figures --flag …`.
 //! Inside a fenced block it runs to the end of the line; in prose it
 //! must sit in inline code and runs to the closing backtick (it may
-//! wrap). `<placeholders>` are skipped.
+//! wrap). `<placeholders>` are skipped. Every command line of a CI
+//! workflow stands alone, as in a fenced block, once its `\`
+//! continuations are joined.
 
 use crk_hacc::bench::{FLAGS, TARGETS};
 use std::path::Path;
 
-/// Markdown files (and the binary's own header) held to the tables.
-const DOCS: [&str; 5] = [
+/// Markdown files, the binary's own header and the CI workflows held to
+/// the tables.
+const DOCS: [&str; 7] = [
     "README.md",
     "DESIGN.md",
     "EXPERIMENTS.md",
     ".claude/skills/verify/SKILL.md",
     "crates/bench/src/bin/figures.rs",
+    ".github/workflows/ci.yml",
+    ".github/workflows/nightly.yml",
 ];
 
 /// Retired harnesses and a dependency that never existed (host time is
 /// measured in `benchmark/` only), retired environment switches
 /// (configuration is an argument: a setter or a command-line flag),
-/// retired fault-handling knobs (the budgets are constants), and the
-/// retired second multi-rank schedule (the task graph is the step).
-const RETIRED: [&str; 17] = [
+/// retired fault-handling knobs (the budgets are constants), the
+/// retired second multi-rank schedule (the task graph is the step), and
+/// the retired second gate (each `figures` sweep judges itself against
+/// its committed report).
+const RETIRED: [&str; 20] = [
     "cargo bench",
     "criterion",
     "BENCH_scaling",
@@ -44,6 +51,9 @@ const RETIRED: [&str; 17] = [
     "step_barriered",
     "sweep_with",
     "wait_share_pairs",
+    "perf_gate.py",
+    "write-observe-baseline",
+    "write-tune-baseline",
 ];
 
 fn read(rel: &str) -> String {
@@ -55,9 +65,24 @@ fn read(rel: &str) -> String {
             .map_while(|l| l.strip_prefix("//!"))
             .collect::<Vec<_>>()
             .join("\n")
+    } else if rel.ends_with(".yml") {
+        workflow_commands(&text)
     } else {
         text
     }
+}
+
+/// A workflow's command lines, as one fenced block with each `\`
+/// continuation joined. Step names and comments are not commands, and
+/// a negated one (`! … figures -- scaling`) names a retired target on
+/// purpose.
+fn workflow_commands(text: &str) -> String {
+    let joined = text.replace("\\\n", " ");
+    let commands = joined.lines().filter(|l| {
+        let l = l.trim_start();
+        !(l.starts_with('#') || l.starts_with("- name:") || l.contains("\"! "))
+    });
+    format!("```\n{}\n```", commands.collect::<Vec<_>>().join("\n"))
 }
 
 /// Every `figures` command line in `text`, as its argument tokens.
@@ -148,6 +173,15 @@ fn the_scanner_sees_fenced_inline_and_wrapped_command_lines() {
         &["--size", "6", "<targets>"],
     ];
     assert_eq!(lines, expect);
+
+    let workflow = "      # `figures -- scaling` is retired\n\
+                    \x20     - name: Retired `figures -- scaling` target is rejected\n\
+                    \x20       run: \"! cargo run --bin figures -- scaling\"\n\
+                    \x20       run: |\n\
+                    \x20         cargo run --bin figures -- autotune --full \\\n\
+                    \x20           --json B.json > out.txt 2>&1\n";
+    let lines = figures_command_lines(&workflow_commands(workflow));
+    assert_eq!(lines, [["--", "autotune", "--full", "--json", "B.json"]]);
 }
 
 #[test]
