@@ -18,31 +18,46 @@ use crate::gravity::Gravity;
 use crate::pairkernel::{PairKernel, PairPhysics};
 use crate::particles::DeviceParticles;
 use crate::variant::Variant;
-use crate::worklist::{build_chunks, build_tiles, ChunkWork, Tile};
+use crate::worklist::{build_chunks, build_tiles, leaf_slots, ChunkWork, Tile};
 use hacc_telemetry::{FaultInfo, KernelProfile, Recorder};
-use hacc_tree::{InteractionList, RcbTree};
+use hacc_tree::{InteractionList, LeafPair, RcbTree};
 use std::collections::{BTreeMap, BTreeSet, HashMap};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 use sycl_sim::{
     Device, LaunchConfig, LaunchError, LaunchReport, SgKernel, BACKOFF_BASE_S, MAX_RETRIES,
 };
 
-/// Work lists for one (tree, cutoff, sub-group size) combination.
+/// Work lists for one (tree, cutoff, sub-group size) combination: the
+/// half-warp tiles, and what the Broadcast chunk list is built from on
+/// the first [`Self::chunks`] call — O(leaves + pairs) words. Clones
+/// share both lists.
 #[derive(Clone)]
 pub struct WorkLists {
     /// Half-warp tiles.
     pub tiles: Arc<Vec<Tile>>,
-    /// Broadcast chunks.
-    pub chunks: Arc<ChunkWork>,
+    leaves: Arc<[(u32, u32)]>,
+    pairs: Arc<[LeafPair]>,
+    sg_size: usize,
+    chunks: Arc<OnceLock<ChunkWork>>,
 }
 
 impl WorkLists {
-    /// Builds both work lists.
+    /// Builds the tile list; the chunk list waits for [`Self::chunks`].
     pub fn build(tree: &RcbTree, list: &InteractionList, sg_size: usize) -> Self {
         Self {
             tiles: Arc::new(build_tiles(tree, list, sg_size)),
-            chunks: Arc::new(build_chunks(tree, list, sg_size)),
+            leaves: leaf_slots(tree).into(),
+            pairs: list.pairs.as_slice().into(),
+            sg_size,
+            chunks: Arc::default(),
         }
+    }
+
+    /// The Broadcast chunk list, built by the first call. Only a
+    /// Broadcast launch calls it, and no fallback demotes to Broadcast.
+    pub fn chunks(&self) -> &ChunkWork {
+        self.chunks
+            .get_or_init(|| build_chunks(&self.leaves, &self.pairs, self.sg_size))
     }
 }
 
@@ -231,8 +246,7 @@ fn launch_pair_resilient<P: PairPhysics + Clone>(
         }
         let kernel = PairKernel {
             physics: physics.clone(),
-            tiles: work.tiles.clone(),
-            chunks: work.chunks.clone(),
+            work: work.clone(),
             variant: *variant,
         };
         let n = kernel.n_instances();
@@ -320,8 +334,8 @@ impl StepPlan {
 /// Work lists keyed by sub-group size, for plans that tune the
 /// sub-group size per kernel. All sizes share one tree (the tree is
 /// built once per step; re-partitioning per kernel is not a real
-/// option), so per-size lists only re-pack the same leaves into tiles
-/// and chunks.
+/// option), so per-size lists only re-pack the same leaves into tiles —
+/// and into chunks, once a Broadcast launch at that size asks for them.
 #[derive(Clone, Default)]
 pub struct WorkSet {
     by_sg: BTreeMap<usize, WorkLists>,
@@ -329,18 +343,13 @@ pub struct WorkSet {
 
 impl WorkSet {
     /// Builds work lists for every requested sub-group size.
-    pub fn build<I: IntoIterator<Item = usize>>(
-        tree: &RcbTree,
-        list: &InteractionList,
-        sg_sizes: I,
-    ) -> Self {
-        let mut by_sg = BTreeMap::new();
-        for sg in sg_sizes {
-            by_sg
-                .entry(sg)
-                .or_insert_with(|| WorkLists::build(tree, list, sg));
+    pub fn build(tree: &RcbTree, list: &InteractionList, sg_sizes: BTreeSet<usize>) -> Self {
+        let by_sg = sg_sizes
+            .into_iter()
+            .map(|sg| (sg, WorkLists::build(tree, list, sg)));
+        Self {
+            by_sg: by_sg.collect(),
         }
-        Self { by_sg }
     }
 
     /// Wraps an already-built list for a single sub-group size.
@@ -679,6 +688,30 @@ mod tests {
         let work = WorkLists::build(&tree, &list, sg);
         let data = DeviceParticles::upload(&hp.permuted(&tree.order));
         (data, work)
+    }
+
+    #[test]
+    fn only_a_broadcast_step_builds_the_chunk_list_once() {
+        let dev = Device::new(GpuArch::frontier(), Toolchain::sycl()).unwrap();
+        let cfg = LaunchConfig::defaults_for(&dev.arch)
+            .with_sg_size(32)
+            .deterministic();
+        let (data, work) = hydro_setup(32);
+        let step =
+            |variant| run_hydro_step(&dev, &data, &work, variant, 6.0, cfg, &Recorder::new());
+        step(Variant::Select).unwrap();
+        assert!(work.chunks.get().is_none(), "Select built the chunk list");
+        step(Variant::Broadcast).unwrap();
+        let built: *const ChunkWork = work.chunks.get().expect("Broadcast builds it");
+        step(Variant::Broadcast).unwrap();
+        assert!(
+            std::ptr::eq(work.chunks(), built),
+            "the chunk list was rebuilt"
+        );
+        assert!(
+            std::ptr::eq(work.clone().chunks(), built),
+            "clones share the chunk list"
+        );
     }
 
     #[test]

@@ -41,7 +41,7 @@ pub use particles::{DeviceParticles, HostParticles, GAMMA};
 pub use subgrid::{Subgrid, SubgridParams};
 pub use tuning::TunedSelector;
 pub use variant::{Variant, ALL_VARIANTS};
-pub use worklist::{build_chunks, build_tiles, Chunk, ChunkWork, Tile};
+pub use worklist::{build_chunks, build_tiles, leaf_slots, Chunk, ChunkWork, Tile};
 
 #[cfg(test)]
 mod tests {

@@ -16,9 +16,8 @@
 //!   "fewer atomic instructions" of §5.3.2).
 
 use crate::halfwarp::{chunk_slots, half_warp_loop, tile_slots};
+use crate::launch::WorkLists;
 use crate::variant::Variant;
-use crate::worklist::{ChunkWork, Tile};
-use std::sync::Arc;
 use sycl_sim::{Buffer, Lanes, Sg, SgKernel};
 
 /// Unroll factor of the broadcast j-loop.
@@ -87,10 +86,9 @@ pub trait PairPhysics: Sync {
 pub struct PairKernel<P: PairPhysics> {
     /// The kernel's physics definition.
     pub physics: P,
-    /// Half-warp tile list (used by Select/Memory/vISA variants).
-    pub tiles: Arc<Vec<Tile>>,
-    /// Chunk work list (used by the Broadcast variant).
-    pub chunks: Arc<ChunkWork>,
+    /// Work lists: the Select/Memory/vISA variants read the tiles, the
+    /// Broadcast variant the chunk list.
+    pub work: WorkLists,
     /// Communication variant.
     pub variant: Variant,
 }
@@ -99,14 +97,14 @@ impl<P: PairPhysics> PairKernel<P> {
     /// The number of sub-group instances to launch for this variant.
     pub fn n_instances(&self) -> usize {
         if self.variant.is_half_warp() {
-            self.tiles.len()
+            self.work.tiles.len()
         } else {
-            self.chunks.chunks.len()
+            self.work.chunks().chunks.len()
         }
     }
 
     fn run_half_warp(&self, sg: &mut Sg) {
-        let tile = self.tiles[sg.sg_id];
+        let tile = self.work.tiles[sg.sg_id];
         let ts = tile_slots(sg, &tile);
         let own = self.physics.load_exchange(sg, &ts.slots, &ts.valid_f);
         let own_extra = self.physics.load_own_extra(sg, &ts.slots);
@@ -122,7 +120,8 @@ impl<P: PairPhysics> PairKernel<P> {
     }
 
     fn run_broadcast(&self, sg: &mut Sg) {
-        let chunk = self.chunks.chunks[sg.sg_id];
+        let work = self.work.chunks();
+        let chunk = work.chunks[sg.sg_id];
         let cs = chunk_slots(sg, &chunk);
         let valid_f = cs.valid.to_f32();
         let own = self.physics.load_exchange(sg, &cs.slots, &valid_f);
@@ -130,7 +129,7 @@ impl<P: PairPhysics> PairKernel<P> {
         let mut acc: Vec<Lanes<f32>> = (0..self.physics.n_acc())
             .map(|_| sg.splat_f32(0.0))
             .collect();
-        let nbrs = &self.chunks.neighbors
+        let nbrs = &work.neighbors
             [chunk.nbr_offset as usize..(chunk.nbr_offset + chunk.nbr_count) as usize];
         for &(nstart, nlen) in nbrs {
             // Stage the neighbor chunk lane-wise (clamped; only valid

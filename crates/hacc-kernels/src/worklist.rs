@@ -11,7 +11,7 @@
 //! Particle indices refer to *leaf-ordered* storage (the RCB permutation
 //! is applied to the device buffers), so slots are contiguous.
 
-use hacc_tree::{InteractionList, RcbTree};
+use hacc_tree::{InteractionList, LeafPair, RcbTree};
 use rayon::prelude::*;
 
 /// One half-warp tile: `a_len ≤ h` slots starting at `a_start`, paired
@@ -46,7 +46,7 @@ pub struct Chunk {
 }
 
 /// Chunk-parallel work list for the Broadcast variant.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct ChunkWork {
     /// All chunks (one sub-group instance each).
     pub chunks: Vec<Chunk>,
@@ -54,124 +54,119 @@ pub struct ChunkWork {
     pub neighbors: Vec<(u32, u32)>,
 }
 
-/// Splits each leaf into chunks of at most `cap` slots.
-fn leaf_chunks(tree: &RcbTree, cap: usize) -> Vec<Vec<(u32, u32)>> {
-    (0..tree.n_leaves())
-        .map(|li| {
-            let node = &tree.nodes[tree.leaves[li]];
-            let mut out = Vec::new();
-            let mut s = node.start;
-            while s < node.end {
-                let len = (node.end - s).min(cap);
-                out.push((s as u32, len as u32));
-                s += len;
-            }
-            out
-        })
+/// Leaf pairs one parallel task expands into tiles.
+const PAIR_BLOCK: usize = 4096;
+
+/// Slot range `(start, end)` of every leaf, in leaf order.
+pub fn leaf_slots(tree: &RcbTree) -> Vec<(u32, u32)> {
+    tree.leaves
+        .iter()
+        .map(|&ni| (tree.nodes[ni].start as u32, tree.nodes[ni].end as u32))
         .collect()
+}
+
+/// A leaf's chunks as `(first slot, length)`: chunk `i` starts at
+/// `start + i·cap`, and every chunk but the last holds `cap` slots.
+fn leaf_chunks((start, end): (u32, u32), cap: u32) -> impl Iterator<Item = (u32, u32)> {
+    (start..end)
+        .step_by(cap as usize)
+        .map(move |first| (first, cap.min(end - first)))
 }
 
 /// Builds the half-warp tile list for sub-group size `sg_size`
 /// (`h = sg_size/2` slots per side).
 ///
-/// Leaf pairs expand to tiles independently, so the expansion fans out
-/// across threads; the order-preserving flatten keeps the tile list —
-/// and therefore the sub-group → tile assignment — identical to a serial
-/// build at any thread count.
+/// Contiguous blocks of leaf pairs expand to tiles in parallel, each
+/// into one `Vec`, and the blocks are concatenated in order into one
+/// pre-sized array — so the tile list, and therefore the sub-group →
+/// tile assignment, is identical to a serial build at any thread count.
 pub fn build_tiles(tree: &RcbTree, list: &InteractionList, sg_size: usize) -> Vec<Tile> {
     assert!(sg_size >= 2 && sg_size.is_multiple_of(2));
-    let h = sg_size / 2;
-    let chunks = leaf_chunks(tree, h);
-    list.pairs
-        .par_iter()
-        .flat_map_iter(|pair| {
-            let (la, lb) = (pair.a as usize, pair.b as usize);
-            let mut tiles = Vec::new();
-            if la == lb {
-                // Self pair: unordered chunk combinations, including ca == cb.
-                let cs = &chunks[la];
-                for i in 0..cs.len() {
-                    for j in i..cs.len() {
+    let h = (sg_size / 2) as u32;
+    let leaves = leaf_slots(tree);
+    let blocks: Vec<Vec<Tile>> = list
+        .pairs
+        .par_chunks(PAIR_BLOCK)
+        .map(|block| {
+            let mut tiles = Vec::with_capacity(block.len());
+            for pair in block {
+                let (la, lb) = (leaves[pair.a as usize], leaves[pair.b as usize]);
+                let self_pair = pair.a == pair.b;
+                for (i, (a_start, a_len)) in leaf_chunks(la, h).enumerate() {
+                    // Self pair: unordered chunk combinations, including i == j.
+                    let skip = if self_pair { i } else { 0 };
+                    for (j, (b_start, b_len)) in leaf_chunks(lb, h).enumerate().skip(skip) {
                         tiles.push(Tile {
-                            a_start: cs[i].0,
-                            a_len: cs[i].1,
-                            b_start: cs[j].0,
-                            b_len: cs[j].1,
-                            self_tile: i == j,
-                        });
-                    }
-                }
-            } else {
-                for &(astart, alen) in &chunks[la] {
-                    for &(bstart, blen) in &chunks[lb] {
-                        tiles.push(Tile {
-                            a_start: astart,
-                            a_len: alen,
-                            b_start: bstart,
-                            b_len: blen,
-                            self_tile: false,
+                            a_start,
+                            a_len,
+                            b_start,
+                            b_len,
+                            self_tile: self_pair && i == j,
                         });
                     }
                 }
             }
             tiles
         })
-        .collect()
+        .collect();
+    blocks.concat()
 }
 
 /// Builds the chunk-parallel work list for the Broadcast variant with
-/// chunk capacity `sg_size`.
+/// chunk capacity `sg_size`, from every leaf's slot range
+/// ([`leaf_slots`]) and the leaf pairs.
 ///
 /// Every chunk's neighbor list contains all chunks of all leaves that
-/// interact with the chunk's leaf (including its own leaf, and itself).
-pub fn build_chunks(tree: &RcbTree, list: &InteractionList, sg_size: usize) -> ChunkWork {
+/// interact with the chunk's leaf (including its own leaf, and itself),
+/// leaves in pair order.
+pub fn build_chunks(leaves: &[(u32, u32)], pairs: &[LeafPair], sg_size: usize) -> ChunkWork {
     assert!(sg_size >= 2);
-    let chunks_per_leaf = leaf_chunks(tree, sg_size);
-    // Adjacency: leaf -> interacting leaves (symmetric closure of pairs).
-    let n_leaves = tree.n_leaves();
-    let mut adj: Vec<Vec<u32>> = vec![Vec::new(); n_leaves];
-    for pair in &list.pairs {
-        adj[pair.a as usize].push(pair.b);
-        if pair.a != pair.b {
-            adj[pair.b as usize].push(pair.a);
-        }
+    let cap = sg_size as u32;
+    // CSR adjacency, leaf -> interacting leaves: the symmetric closure
+    // of the pairs, counted, prefix-summed, then filled in pair order.
+    let edges = || {
+        pairs
+            .iter()
+            .flat_map(|p| std::iter::once((p.a, p.b)).chain((p.a != p.b).then_some((p.b, p.a))))
+    };
+    let mut offset = vec![0usize; leaves.len() + 1];
+    for (from, _) in edges() {
+        offset[from as usize + 1] += 1;
     }
-    // Per-leaf neighbor vectors are independent: generate them in
-    // parallel, then assemble offsets serially in leaf order so the
-    // flattened layout matches a serial build exactly.
-    let leaf_neighbors: Vec<Vec<(u32, u32)>> = adj
-        .par_iter()
-        .map(|leaf_adj| {
-            let mut nbrs = Vec::new();
-            for &lnbr in leaf_adj {
-                for &(ns, nl) in &chunks_per_leaf[lnbr as usize] {
-                    nbrs.push((ns, nl));
-                }
+    for li in 0..leaves.len() {
+        offset[li + 1] += offset[li];
+    }
+    let (mut adj, mut fill) = (vec![0u32; offset[leaves.len()]], offset.clone());
+    for (from, to) in edges() {
+        adj[fill[from as usize]] = to;
+        fill[from as usize] += 1;
+    }
+    // A leaf's neighbor ranges are written once, for its first chunk;
+    // its further chunks copy them.
+    let (mut chunks, mut neighbors) = (Vec::new(), Vec::new());
+    for (li, &leaf) in leaves.iter().enumerate() {
+        let first = neighbors.len();
+        for &lnbr in &adj[offset[li]..offset[li + 1]] {
+            neighbors.extend(leaf_chunks(leaves[lnbr as usize], cap));
+        }
+        let count = neighbors.len() - first;
+        for (i, (start, len)) in leaf_chunks(leaf, cap).enumerate() {
+            if i > 0 {
+                neighbors.extend_from_within(first..first + count);
             }
-            nbrs
-        })
-        .collect();
-    let mut chunks = Vec::new();
-    let mut neighbors = Vec::new();
-    for (li, leaf_cs) in chunks_per_leaf.iter().enumerate() {
-        for &(start, len) in leaf_cs {
-            let nbr_offset = neighbors.len() as u32;
-            neighbors.extend_from_slice(&leaf_neighbors[li]);
-            let nbr_count = neighbors.len() as u32 - nbr_offset;
             chunks.push(Chunk {
                 start,
                 len,
-                nbr_offset,
-                nbr_count,
+                nbr_offset: (first + i * count) as u32,
+                nbr_count: count as u32,
             });
         }
     }
     ChunkWork { chunks, neighbors }
 }
 
-/// Verifies (O(n²), tests only) that every close particle pair is covered:
-/// by exactly one tile side for the half-warp list, and — for the chunk
-/// list — that particle `i`'s chunk has a neighbor entry containing `j`.
+/// Verifies (O(n²), tests only) that the half-warp tile list covers every
+/// close particle pair: each ordered pair `i → j` by exactly one tile side.
 pub fn check_tiles_cover(
     tiles: &[Tile],
     tree: &RcbTree,
@@ -186,17 +181,15 @@ pub fn check_tiles_cover(
     }
     let c2 = cutoff * cutoff;
     // Coverage counts per *ordered* (i, j): i must see j exactly once.
-    use std::collections::HashMap;
-    let mut cover: HashMap<(u32, u32), u32> = HashMap::new();
+    let mut cover = std::collections::HashMap::<(u32, u32), u32>::new();
     for t in tiles {
         for ia in t.a_start..t.a_start + t.a_len {
             for ib in t.b_start..t.b_start + t.b_len {
                 *cover.entry((ia, ib)).or_default() += 1;
+                // Within a self tile the loop itself enumerates every
+                // ordered combination.
                 if !t.self_tile {
                     *cover.entry((ib, ia)).or_default() += 1;
-                } else if ia != ib {
-                    // Within a self tile every ordered combination is
-                    // enumerated by the loop itself.
                 }
             }
         }
@@ -205,8 +198,7 @@ pub fn check_tiles_cover(
         for j in 0..positions.len() {
             let d2 = hacc_tree::dist_sq_periodic(&positions[i], &positions[j], box_size);
             if d2 <= c2 {
-                let key = (slot_of[i], slot_of[j]);
-                match cover.get(&key) {
+                match cover.get(&(slot_of[i], slot_of[j])) {
                     Some(&1) => {}
                     Some(&k) => return Err(format!("pair {i}->{j} covered {k} times")),
                     None => return Err(format!("pair {i}->{j} not covered")),
@@ -220,8 +212,158 @@ pub fn check_tiles_cover(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
+
+    /// Splits each leaf into chunks of at most `cap` slots, one `Vec`
+    /// per leaf — what both builders used to start from.
+    fn leaf_chunks_oracle(tree: &RcbTree, cap: usize) -> Vec<Vec<(u32, u32)>> {
+        (0..tree.n_leaves())
+            .map(|li| {
+                let node = &tree.nodes[tree.leaves[li]];
+                let mut out = Vec::new();
+                let mut s = node.start;
+                while s < node.end {
+                    let len = (node.end - s).min(cap);
+                    out.push((s as u32, len as u32));
+                    s += len;
+                }
+                out
+            })
+            .collect()
+    }
+
+    /// The tile builder the blocked one replaced: one `Vec` of tiles per
+    /// leaf pair, flattened in pair order. The oracle for `build_tiles`.
+    fn tiles_oracle(tree: &RcbTree, list: &InteractionList, sg_size: usize) -> Vec<Tile> {
+        let chunks = leaf_chunks_oracle(tree, sg_size / 2);
+        list.pairs
+            .iter()
+            .flat_map(|pair| {
+                let (la, lb) = (pair.a as usize, pair.b as usize);
+                let mut tiles = Vec::new();
+                if la == lb {
+                    let cs = &chunks[la];
+                    for i in 0..cs.len() {
+                        for j in i..cs.len() {
+                            tiles.push(Tile {
+                                a_start: cs[i].0,
+                                a_len: cs[i].1,
+                                b_start: cs[j].0,
+                                b_len: cs[j].1,
+                                self_tile: i == j,
+                            });
+                        }
+                    }
+                } else {
+                    for &(astart, alen) in &chunks[la] {
+                        for &(bstart, blen) in &chunks[lb] {
+                            tiles.push(Tile {
+                                a_start: astart,
+                                a_len: alen,
+                                b_start: bstart,
+                                b_len: blen,
+                                self_tile: false,
+                            });
+                        }
+                    }
+                }
+                tiles
+            })
+            .collect()
+    }
+
+    /// The chunk builder the CSR one replaced: a `Vec<Vec<u32>>`
+    /// adjacency and a neighbor `Vec` per leaf, copied once per chunk.
+    /// The oracle for `build_chunks`.
+    fn chunks_oracle(tree: &RcbTree, list: &InteractionList, sg_size: usize) -> ChunkWork {
+        let chunks_per_leaf = leaf_chunks_oracle(tree, sg_size);
+        let mut adj: Vec<Vec<u32>> = vec![Vec::new(); tree.n_leaves()];
+        for pair in &list.pairs {
+            adj[pair.a as usize].push(pair.b);
+            if pair.a != pair.b {
+                adj[pair.b as usize].push(pair.a);
+            }
+        }
+        let mut chunks = Vec::new();
+        let mut neighbors = Vec::new();
+        for (li, leaf_cs) in chunks_per_leaf.iter().enumerate() {
+            let leaf_neighbors: Vec<(u32, u32)> = adj[li]
+                .iter()
+                .flat_map(|&lnbr| chunks_per_leaf[lnbr as usize].iter().copied())
+                .collect();
+            for &(start, len) in leaf_cs {
+                let nbr_offset = neighbors.len() as u32;
+                neighbors.extend_from_slice(&leaf_neighbors);
+                chunks.push(Chunk {
+                    start,
+                    len,
+                    nbr_offset,
+                    nbr_count: neighbors.len() as u32 - nbr_offset,
+                });
+            }
+        }
+        ChunkWork { chunks, neighbors }
+    }
+
+    /// Both builders at pool widths 1 and 3 against their oracles.
+    fn assert_builders_match_oracles(pts: &[[f64; 3]], max_leaf: usize, cutoff: f64, sg: usize) {
+        let box_size = 10.0;
+        let tree = RcbTree::build(pts, max_leaf);
+        let list = InteractionList::build(&tree, box_size, cutoff);
+        let (tiles, chunks) = (
+            tiles_oracle(&tree, &list, sg),
+            chunks_oracle(&tree, &list, sg),
+        );
+        for threads in [1, 3] {
+            let pool = rayon::ThreadPoolBuilder::new()
+                .num_threads(threads)
+                .build()
+                .unwrap();
+            pool.install(|| {
+                assert_eq!(
+                    build_tiles(&tree, &list, sg),
+                    tiles,
+                    "tiles, {threads} threads"
+                );
+                let built = build_chunks(&leaf_slots(&tree), &list.pairs, sg);
+                assert_eq!(built, chunks, "chunks, {threads} threads");
+            });
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        /// Tiles and chunks equal the oracles bit for bit over
+        /// sub-group sizes 4..64, leaves of up to 4 × sg slots (so
+        /// multi-chunk leaves on both lists), one-leaf trees and self
+        /// pairs (every list has them).
+        #[test]
+        fn builders_equal_the_oracles(
+            n in 1usize..240,
+            sg_log2 in 2u32..7,
+            leaf_halves in 1usize..9,
+            cutoff in 0.1f64..4.0,
+            seed in 0u64..1 << 32,
+        ) {
+            let sg = 1 << sg_log2;
+            let pts = random_points(n, 10.0, seed);
+            assert_builders_match_oracles(&pts, leaf_halves * sg / 2, cutoff, sg);
+        }
+    }
+
+    #[test]
+    fn builders_equal_the_oracles_across_pair_blocks() {
+        let pts = random_points(1500, 10.0, 7);
+        let tree = RcbTree::build(&pts, 2);
+        let list = InteractionList::build(&tree, 10.0, 2.5);
+        assert!(list.len() > 2 * PAIR_BLOCK, "{} pairs", list.len());
+        assert_builders_match_oracles(&pts, 2, 2.5, 4);
+        // A single leaf holding every particle.
+        assert_builders_match_oracles(&pts[..200], 200, 2.5, 16);
+    }
 
     fn random_points(n: usize, box_size: f64, seed: u64) -> Vec<[f64; 3]> {
         let mut rng = StdRng::seed_from_u64(seed);
@@ -275,7 +417,7 @@ mod tests {
         let pts = random_points(200, 10.0, 4);
         let tree = RcbTree::build(&pts, 16);
         let list = InteractionList::build(&tree, 10.0, 2.0);
-        let work = build_chunks(&tree, &list, 32);
+        let work = build_chunks(&leaf_slots(&tree), &list.pairs, 32);
         for c in &work.chunks {
             let nbrs =
                 &work.neighbors[c.nbr_offset as usize..(c.nbr_offset + c.nbr_count) as usize];
@@ -293,7 +435,7 @@ mod tests {
         let pts = random_points(157, 10.0, 5);
         let tree = RcbTree::build(&pts, 16);
         let list = InteractionList::build(&tree, 10.0, 1.0);
-        let work = build_chunks(&tree, &list, 32);
+        let work = build_chunks(&leaf_slots(&tree), &list.pairs, 32);
         let mut covered = vec![false; pts.len()];
         for c in &work.chunks {
             for s in c.start..c.start + c.len {
@@ -311,7 +453,7 @@ mod tests {
         let tree = RcbTree::build(&pts, 8);
         let cutoff = 1.5;
         let list = InteractionList::build(&tree, box_size, cutoff);
-        let work = build_chunks(&tree, &list, 32);
+        let work = build_chunks(&leaf_slots(&tree), &list.pairs, 32);
         let mut slot_of = vec![0u32; pts.len()];
         for (slot, &pi) in tree.order.iter().enumerate() {
             slot_of[pi as usize] = slot as u32;

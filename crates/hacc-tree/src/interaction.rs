@@ -10,6 +10,9 @@
 use crate::rcb::RcbTree;
 use rayon::prelude::*;
 
+/// Leaves one parallel task walks the tree for.
+const LEAF_BLOCK: u32 = 256;
+
 /// A pair of leaves that must interact (`a == b` denotes a self pair).
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct LeafPair {
@@ -36,6 +39,10 @@ impl InteractionList {
     /// step is monotone under round-to-nearest). Precondition: node bounds
     /// nest exactly, as [`RcbTree::check_invariants`] checks — true of any
     /// [`RcbTree::build`] over finite positions. Pairs come out sorted.
+    ///
+    /// Contiguous blocks of leaves walk in parallel, each with one stack
+    /// and one output `Vec`; the blocks are concatenated in order into
+    /// one pre-sized list, the same at any thread count.
     pub fn build(tree: &RcbTree, box_size: f64, cutoff: f64) -> Self {
         assert!(cutoff > 0.0 && box_size > 0.0);
         let nodes = &tree.nodes;
@@ -51,24 +58,29 @@ impl InteractionList {
             }
         }
         let c2 = cutoff * cutoff;
-        let pairs: Vec<LeafPair> = (0..tree.n_leaves() as u32)
+        let n_leaves = tree.n_leaves() as u32;
+        let blocks: Vec<Vec<LeafPair>> = (0..n_leaves.div_ceil(LEAF_BLOCK))
             .into_par_iter()
-            .flat_map_iter(|a| {
-                let ba = nodes[tree.leaves[a as usize]].bounds;
+            .map(|block| {
                 let mut out = Vec::new();
-                let mut stack = vec![0usize];
-                while let Some(ni) = stack.pop() {
-                    let (lo, hi) = range[ni];
-                    if hi >= a && ba.min_dist_sq_periodic(&nodes[ni].bounds, box_size) <= c2 {
-                        match nodes[ni].children {
-                            Some((l, r)) => stack.extend([r, l]),
-                            None => out.push(LeafPair { a, b: lo }),
+                let mut stack = Vec::new();
+                for a in block * LEAF_BLOCK..n_leaves.min((block + 1) * LEAF_BLOCK) {
+                    let ba = nodes[tree.leaves[a as usize]].bounds;
+                    stack.push(0usize);
+                    while let Some(ni) = stack.pop() {
+                        let (lo, hi) = range[ni];
+                        if hi >= a && ba.min_dist_sq_periodic(&nodes[ni].bounds, box_size) <= c2 {
+                            match nodes[ni].children {
+                                Some((l, r)) => stack.extend([r, l]),
+                                None => out.push(LeafPair { a, b: lo }),
+                            }
                         }
                     }
                 }
                 out
             })
             .collect();
+        let pairs = blocks.concat();
         debug_assert!(pairs.windows(2).all(|w| w[0] < w[1]));
         Self { pairs, cutoff }
     }
@@ -148,6 +160,44 @@ pub(crate) mod tests {
                 }
             }
         }
+        InteractionList { pairs, cutoff }
+    }
+
+    /// The walk before blocks: one output `Vec` and one stack per leaf,
+    /// flattened in leaf order. The oracle for `build`'s block walk.
+    pub(crate) fn per_leaf_walk_oracle(
+        tree: &RcbTree,
+        box_size: f64,
+        cutoff: f64,
+    ) -> InteractionList {
+        let nodes = &tree.nodes;
+        let mut range = vec![(0u32, 0u32); nodes.len()];
+        for (li, &ni) in tree.leaves.iter().enumerate() {
+            range[ni] = (li as u32, li as u32);
+        }
+        for ni in (0..nodes.len()).rev() {
+            if let Some((l, r)) = nodes[ni].children {
+                range[ni] = (range[l].0, range[r].1);
+            }
+        }
+        let c2 = cutoff * cutoff;
+        let pairs = (0..tree.n_leaves() as u32)
+            .flat_map(|a| {
+                let ba = nodes[tree.leaves[a as usize]].bounds;
+                let mut out = Vec::new();
+                let mut stack = vec![0usize];
+                while let Some(ni) = stack.pop() {
+                    let (lo, hi) = range[ni];
+                    if hi >= a && ba.min_dist_sq_periodic(&nodes[ni].bounds, box_size) <= c2 {
+                        match nodes[ni].children {
+                            Some((l, r)) => stack.extend([r, l]),
+                            None => out.push(LeafPair { a, b: lo }),
+                        }
+                    }
+                }
+                out
+            })
+            .collect();
         InteractionList { pairs, cutoff }
     }
 

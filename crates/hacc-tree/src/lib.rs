@@ -102,6 +102,24 @@ mod proptests {
             prop_assert_eq!(walk.pairs, oracle.pairs);
         }
 
+        /// The block walk emits exactly the per-leaf walk's list at pool
+        /// widths 1 and 3, over trees of one leaf up to several leaf
+        /// blocks.
+        #[test]
+        fn block_walk_equals_the_per_leaf_oracle(
+            pts in arb_points(1..1200, 8.0),
+            cap in 1usize..12,
+            cutoff in 0.05..3.0f64,
+        ) {
+            let tree = RcbTree::build(&pts, cap);
+            let oracle = interaction::tests::per_leaf_walk_oracle(&tree, 8.0, cutoff);
+            for threads in [1, 3] {
+                let pool = rayon::ThreadPoolBuilder::new().num_threads(threads).build().unwrap();
+                let walk = pool.install(|| InteractionList::build(&tree, 8.0, cutoff));
+                prop_assert_eq!(&walk.pairs, &oracle.pairs);
+            }
+        }
+
         /// The lemma the pruning rests on: shrinking `other` to any sub-box
         /// never brings it closer, compared exactly.
         #[test]

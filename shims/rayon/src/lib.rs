@@ -2,13 +2,12 @@
 //!
 //! The workspace only needs data-parallel iteration with deterministic
 //! (order-preserving) results, so this shim materializes the item list
-//! and applies each combinator eagerly: every `map`/`for_each`/
-//! `flat_map_iter` pre-splits its items into blocks, workers claim the
-//! next unclaimed block from a shared cursor (so uneven per-item costs
-//! still balance across threads), and results are stitched back in
-//! input order. Semantics match rayon for the pure/associative closures
-//! used here; scheduling (work stealing, laziness) is intentionally
-//! simpler.
+//! and applies each combinator eagerly: every `map`/`for_each`/`filter`
+//! pre-splits its items into blocks, workers claim the next unclaimed
+//! block from a shared cursor (so uneven per-item costs still balance
+//! across threads), and results are stitched back in input order.
+//! Semantics match rayon for the pure/associative closures used here;
+//! scheduling (work stealing, laziness) is intentionally simpler.
 
 use std::cell::Cell;
 use std::fmt;
@@ -294,19 +293,6 @@ impl<T: Send> ParIter<T> {
         par_apply(self.items, f);
     }
 
-    /// Parallel map to an ordinary iterator per item, flattened in order.
-    pub fn flat_map_iter<U, I, F>(self, f: F) -> ParIter<U>
-    where
-        U: Send,
-        I: IntoIterator<Item = U>,
-        F: Fn(T) -> I + Sync + Send,
-    {
-        let nested = par_apply(self.items, |t| f(t).into_iter().collect::<Vec<U>>());
-        ParIter {
-            items: nested.into_iter().flatten().collect(),
-        }
-    }
-
     /// Parallel filter, preserving input order.
     pub fn filter<F: Fn(&T) -> bool + Sync + Send>(self, f: F) -> ParIter<T> {
         let kept = par_apply(self.items, |t| if f(&t) { Some(t) } else { None });
@@ -501,15 +487,6 @@ mod tests {
         v.par_chunks_mut(7)
             .for_each(|c| c.iter_mut().for_each(|x| *x += 1));
         assert!(v.iter().all(|&x| x == 1));
-    }
-
-    #[test]
-    fn flat_map_iter_flattens_in_order() {
-        let out: Vec<usize> = (0usize..5)
-            .into_par_iter()
-            .flat_map_iter(|i| 0..i)
-            .collect();
-        assert_eq!(out, vec![0, 0, 1, 0, 1, 2, 0, 1, 2, 3]);
     }
 
     #[test]
