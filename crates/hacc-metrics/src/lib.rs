@@ -10,10 +10,10 @@
 //! * [`divergence`] — code divergence as mean pairwise Jaccard distance
 //!   over per-platform source-line sets (Eqs. 2–3) and code convergence
 //!   (Figure 13),
-//! * [`cbi`] — a mini Code Base Investigator that measures SLOC and
-//!   extracts brace-balanced regions from this repository's real sources,
-//! * [`inventory`] — the mapping from repository units to the paper's
-//!   configuration sets (Table 2, Figure 13),
+//! * [`cbi`] — a mini Code Base Investigator that measures the SLOC a
+//!   build compiles and extracts brace-balanced regions from its sources,
+//! * [`inventory`] — the one rule, by crate and anchored region, mapping
+//!   files to the paper's configuration sets (Table 2, Figure 13),
 //! * [`render`] — text rendering of the paper's chart types.
 
 pub mod cbi;

@@ -27,17 +27,22 @@ const DOCS: [&str; 7] = [
 ];
 
 /// Retired harnesses and a dependency that never existed (host time is
-/// measured in `benchmark/` only), retired environment switches
+/// measured in `benchmark/` only), metrics modules and a source-marker
+/// scheme that never existed (the mini-CBI measures anchored regions of
+/// compiled code), retired environment switches
 /// (configuration is an argument: a setter or a command-line flag),
 /// retired fault-handling knobs (the budgets are constants), the
 /// retired second multi-rank schedule (the task graph is the step), and
 /// the retired second gate (each `figures` sweep judges itself against
 /// its committed report).
-const RETIRED: [&str; 20] = [
+const RETIRED: [&str; 23] = [
     "cargo bench",
     "criterion",
     "BENCH_scaling",
     "crossbeam",
+    "sloc_breakdown",
+    "hacc_metrics::navigation",
+    "guard markers",
     "HACC_EXEC",
     "HACC_METER",
     "HACC_ASYNC",

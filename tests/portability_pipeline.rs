@@ -2,8 +2,10 @@
 //! small workload must reproduce the paper's qualitative findings —
 //! the variant rankings per platform (§5.4), the configuration ordering
 //! of the cascade plot (§6.1), and the convergence structure of the
-//! navigation chart (§6.2).
+//! navigation chart (§6.2) — and the evaluation docs must quote the
+//! numbers the program prints.
 
+use hacc_bench::cli::{PINNED_SEED, PINNED_SIZE};
 use hacc_bench::experiments::{run_all_variants, total_seconds, workload};
 use hacc_bench::figures::{all_configs, fig12_records, portability_data};
 use hacc_metrics::{find_workspace_root, ConfigKind, Mechanism, RepoInventory};
@@ -119,4 +121,97 @@ fn navigation_chart_structure_matches_figure_13() {
             assert!(inv.convergence(c) > unified);
         }
     }
+}
+
+/// The part of `doc` under `heading`, up to the next `## ` heading.
+fn section<'a>(doc: &'a str, heading: &str) -> &'a str {
+    let start = doc
+        .find(heading)
+        .unwrap_or_else(|| panic!("no {heading:?} section"));
+    let body = &doc[start + heading.len()..];
+    &body[..body.find("\n## ").unwrap_or(body.len())]
+}
+
+/// The markdown table row of `text` whose first cell is `key`.
+fn row<'a>(text: &'a str, key: &str) -> Option<&'a str> {
+    text.lines()
+        .find(|l| l.split('|').nth(1).is_some_and(|c| c.trim() == key))
+}
+
+/// The last cell of a table row, bold markers dropped.
+fn last_cell(row: &str) -> String {
+    let cells: Vec<&str> = row.trim().trim_end_matches('|').split('|').collect();
+    cells[cells.len() - 1].trim().replace("**", "")
+}
+
+#[test]
+fn the_evaluation_docs_quote_the_program() {
+    let root = find_workspace_root(Path::new(env!("CARGO_MANIFEST_DIR"))).unwrap();
+    let read = |doc: &str| std::fs::read_to_string(root.join(doc)).unwrap();
+    let (experiments, readme) = (read("EXPERIMENTS.md"), read("README.md"));
+    let inv = RepoInventory::measure(&root).unwrap();
+    let records = fig12_records(&portability_data(&workload(PINNED_SIZE, PINNED_SEED)));
+    let pp = |name: &str| records.iter().find(|r| r.name == name).unwrap().pp();
+
+    // (doc, the text its table sits in, first cell, the cell the program
+    // prints at the doc's precision).
+    let mut cells: Vec<(&str, &str, String, String)> = Vec::new();
+    let fig12 = section(&experiments, "## Figure 12");
+    let fig13 = section(&experiments, "## Figure 13");
+    for (config, rec) in all_configs().into_iter().zip(&records) {
+        cells.push((
+            "EXPERIMENTS.md",
+            fig12,
+            rec.name.clone(),
+            format!("{:.3}", rec.pp()),
+        ));
+        let convergence = format!("{:.2}", inv.convergence(config));
+        cells.push(("EXPERIMENTS.md", fig13, rec.name.clone(), convergence));
+    }
+    let table2 = section(&experiments, "## Table 2");
+    for (label, _, pct) in inv.table2() {
+        let pct = if pct < 1.0 {
+            "< 1".to_string()
+        } else {
+            format!("{pct:.0}")
+        };
+        cells.push(("EXPERIMENTS.md", table2, label, pct));
+    }
+    let visa = format!(
+        "{:.3} at {:.2}",
+        pp("SYCL (Select + vISA)"),
+        inv.convergence(ConfigKind::SyclSelectPlusVisa)
+    );
+    let headline = [
+        ("PP(SYCL Select+vISA) = 0.96 at convergence ≈ 1", visa),
+        (
+            "PP(SYCL Select+Memory) = 0.91",
+            format!("{:.3}", pp("SYCL (Select + Memory)")),
+        ),
+        (
+            "PP(single-source local-memory SYCL) = 0.79",
+            format!("{:.3}", pp("SYCL (Memory)")),
+        ),
+    ];
+    for (key, value) in headline {
+        cells.push(("README.md", &readme, key.to_string(), value));
+    }
+
+    let stale: Vec<String> = cells
+        .iter()
+        .filter_map(|(doc, text, key, want)| match row(text, key) {
+            Some(line) if last_cell(line) == *want => None,
+            Some(line) => {
+                let head = &line.trim_end().trim_end_matches('|');
+                let head = &head[..head.rfind('|').unwrap()];
+                Some(format!("{doc}: {head}| {want} |"))
+            }
+            None => Some(format!("{doc}: missing row | {key} | … | {want} |")),
+        })
+        .collect();
+    assert!(
+        stale.is_empty(),
+        "the evaluation docs quote stale numbers; paste these rows:\n{}",
+        stale.join("\n")
+    );
 }
