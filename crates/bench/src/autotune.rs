@@ -1,28 +1,26 @@
 //! The offline autotune sweep behind `figures -- autotune` (DESIGN.md
-//! §4j).
+//! §4j) — the one place launch choices are tuned.
 //!
 //! For each architecture the sweep measures every candidate in the
 //! composed search space — communication variant × sub-group size ×
-//! work-group size × GRF mode × launch bounds — through the same
-//! cost-model metering the runtime tuner observes, picks the per-kernel
-//! winners, and compares the tuned application against the paper's
-//! hand-picked table (Appendix A). The output proves the autotuner's
-//! acceptance claim: the tuned per-kernel plan reaches at least the
-//! hand-picked performance portability of 0.96 on every architecture.
+//! work-group size × GRF mode × launch bounds — on the cost model,
+//! picks the per-kernel winners, and compares the tuned application
+//! against the paper's hand-picked table (Appendix A). The output
+//! proves the tuning claim: the tuned per-kernel plan reaches at least
+//! the hand-picked performance portability of 0.96 on every
+//! architecture. The winners are the table a `TunedSelector` reads a
+//! `StepPlan` from, and `run_hydro_step_planned` runs.
 //!
-//! The sweep also replays the runtime tuner's epsilon-greedy loop
-//! against the measured table (pure exploration) to report how quickly
-//! the persistent cache converges to the offline winners, and — for the
-//! nightly soak — re-runs the winner selection over extra workload
-//! seeds to surface winners that move with the realization.
+//! For the nightly soak it re-runs the winner selection over extra
+//! workload seeds to surface winners that move with the realization.
 
 use crate::experiments::{base_launch, measure, timer_seconds, workload, BenchProblem};
 use crate::gate::{Gate, Values};
 use hacc_kernels::tuning::{
-    arch_digest, hand_picked_choice, kernel_digest, search_space, tuned_timers, variant_candidates,
+    hand_picked_choice, kernel_digest, search_space, tuned_timers, variant_candidates,
 };
 use hacc_kernels::Variant;
-use hacc_tune::{Selection, SizeBand, TuneCache, TuneChoice, TuneKey, Tuner};
+use hacc_tune::TuneChoice;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use sycl_sim::{GpuArch, GrfMode, MeterPolicy};
@@ -81,18 +79,6 @@ pub struct KernelWinner {
     pub speedup: f64,
 }
 
-/// Convergence of the epsilon-greedy replay on one architecture.
-#[derive(Serialize, Deserialize, Clone, Debug)]
-pub struct Convergence {
-    /// Replay trials executed (`figures --trials N`).
-    pub trials: usize,
-    /// First trial after which every kernel's cached winner was within
-    /// 5% of the offline optimum (`None` if never).
-    pub converged_at: Option<usize>,
-    /// Fraction of kernels within 5% of the optimum after all trials.
-    pub within_5pct: f64,
-}
-
 /// One architecture's sweep result.
 #[derive(Serialize, Deserialize, Clone, Debug)]
 pub struct ArchReport {
@@ -112,8 +98,6 @@ pub struct ArchReport {
     pub tuned_efficiency: f64,
     /// Hand-picked application efficiency.
     pub hand_efficiency: f64,
-    /// Epsilon-greedy replay convergence against the measured table.
-    pub convergence: Convergence,
 }
 
 /// Winner movement across workload seeds (nightly soak).
@@ -145,8 +129,6 @@ pub struct AutotuneReport {
     /// Whether the full space (`--full`) or the bounded per-push space
     /// was searched.
     pub full_space: bool,
-    /// Replay trials per architecture.
-    pub trials: usize,
     /// Per-architecture results.
     pub archs: Vec<ArchReport>,
     /// Harmonic-mean PP of the tuned plan.
@@ -198,63 +180,10 @@ fn kernel_winners(
     winners
 }
 
-/// Replays the runtime tuner's select/observe loop against the measured
-/// table with pure exploration, reporting cache convergence.
-fn replay_convergence(
-    arch: &GpuArch,
-    space: &[TuneChoice],
-    table: &BTreeMap<String, BTreeMap<String, f64>>,
-    winners: &BTreeMap<String, (TuneChoice, f64)>,
-    band: SizeBand,
-    trials: usize,
-) -> Convergence {
-    let mut tuner = Tuner::new(
-        TuneCache::new(arch_digest(arch), kernel_digest()),
-        1.0, // pure exploration: the replay exists to cover the space
-    );
-    let timers = tuned_timers();
-    let close = |tuner: &Tuner, timer: &str| -> bool {
-        let Some((_, optimum)) = winners.get(timer) else {
-            return true;
-        };
-        tuner
-            .cache()
-            .lookup(&TuneKey::new(timer, arch.id, band))
-            .map(|e| e.modeled_seconds <= optimum * 1.05)
-            .unwrap_or(false)
-    };
-    let mut converged_at = None;
-    for step in 0..trials {
-        for timer in &timers {
-            let key = TuneKey::new(timer, arch.id, band);
-            let choice = match tuner.select(&key, space, None) {
-                Selection::Cached(c) | Selection::Explore(c) => c,
-                // Cold only on the very first select of a key; start
-                // from the hand-picked default like the runtime does.
-                Selection::Cold => hand_picked_choice(arch, Variant::Select),
-            };
-            let secs = seconds_of(table, &choice.label(), timer);
-            if secs.is_finite() {
-                tuner.observe(&key, &choice, secs, None);
-            }
-        }
-        if converged_at.is_none() && timers.iter().all(|t| close(&tuner, t)) {
-            converged_at = Some(step + 1);
-        }
-    }
-    let within = timers.iter().filter(|t| close(&tuner, t)).count();
-    Convergence {
-        trials,
-        converged_at,
-        within_5pct: within as f64 / timers.len() as f64,
-    }
-}
-
 /// Runs the sweep on one architecture.
-pub fn tune_arch(arch: &GpuArch, problem: &BenchProblem, full: bool, trials: usize) -> ArchReport {
+pub fn tune_arch(arch: &GpuArch, problem: &BenchProblem, full: bool) -> ArchReport {
     let visa = arch.supports_visa;
     let space = search_space(arch, full, visa);
-    let band = SizeBand::of(problem.particles.len());
     let table = &measure_space(arch, &space, problem);
 
     // The hand-picked application: the best uniform Appendix-A variant.
@@ -316,8 +245,6 @@ pub fn tune_arch(arch: &GpuArch, problem: &BenchProblem, full: bool, trials: usi
         hand_total += seconds_of(table, &hand_variant.label(), timer);
         tuned_total += winners.get(timer).map_or(f64::INFINITY, |(_, s)| *s);
     }
-
-    let convergence = replay_convergence(arch, &space, table, &winners, band, trials);
     ArchReport {
         arch: arch.id.to_string(),
         system: arch.system.to_string(),
@@ -326,17 +253,16 @@ pub fn tune_arch(arch: &GpuArch, problem: &BenchProblem, full: bool, trials: usi
         winners: winner_rows,
         tuned_efficiency: (envelope / tuned_total).min(1.0),
         hand_efficiency: (envelope / hand_total).min(1.0),
-        convergence,
     }
 }
 
 /// Runs the sweep on all three architectures over the `size³` workload
 /// at figures' pinned seed and assembles the report.
-pub fn sweep(size: usize, full: bool, trials: usize) -> AutotuneReport {
+pub fn sweep(size: usize, full: bool) -> AutotuneReport {
     let problem = workload(size, crate::cli::PINNED_SEED);
     let archs: Vec<ArchReport> = GpuArch::all()
         .iter()
-        .map(|a| tune_arch(a, &problem, full, trials))
+        .map(|a| tune_arch(a, &problem, full))
         .collect();
     let tuned_pp = harmonic_mean(archs.iter().map(|a| a.tuned_efficiency));
     let hand_pp = harmonic_mean(archs.iter().map(|a| a.hand_efficiency));
@@ -345,7 +271,6 @@ pub fn sweep(size: usize, full: bool, trials: usize) -> AutotuneReport {
         kernel_digest: format!("{:016x}", kernel_digest()),
         size,
         full_space: full,
-        trials,
         archs,
         tuned_pp,
         hand_pp,
@@ -473,13 +398,12 @@ pub fn against(report: &AutotuneReport, baseline: &AutotuneReport) -> Gate {
 pub fn render(report: &AutotuneReport) -> String {
     let mut out = String::from("== Autotune: per-kernel winners vs the hand-picked table ==\n");
     out.push_str(&format!(
-        "search space: {}; replay trials: {}\n",
+        "search space: {}\n",
         if report.full_space {
             "full"
         } else {
             "bounded (per-push)"
-        },
-        report.trials
+        }
     ));
     for a in &report.archs {
         out.push_str(&format!(
@@ -492,17 +416,9 @@ pub fn render(report: &AutotuneReport) -> String {
                 w.kernel, w.choice, w.modeled_seconds, w.speedup
             ));
         }
-        let conv = match a.convergence.converged_at {
-            Some(t) => format!("converged in {t} trials"),
-            None => format!(
-                "{:.0}% of kernels within 5% after {} trials",
-                a.convergence.within_5pct * 100.0,
-                a.convergence.trials
-            ),
-        };
         out.push_str(&format!(
-            "  efficiency {:.4} (hand-picked {:.4}); replay {}\n",
-            a.tuned_efficiency, a.hand_efficiency, conv
+            "  efficiency {:.4} (hand-picked {:.4})\n",
+            a.tuned_efficiency, a.hand_efficiency
         ));
     }
     out.push_str(&format!(
@@ -528,7 +444,7 @@ mod tests {
     fn bounded_sweep_on_frontier_reaches_the_envelope() {
         let problem = workload(8, 1);
         let arch = GpuArch::frontier();
-        let rep = tune_arch(&arch, &problem, false, 8);
+        let rep = tune_arch(&arch, &problem, false);
         assert_eq!(rep.winners.len(), tuned_timers().len());
         // The winners are the per-space argmin, so the tuned plan
         // reaches the hand-picked envelope exactly.
@@ -551,7 +467,7 @@ mod tests {
     fn per_kernel_winners_reproduce_the_paper_claims() {
         let problem = workload(6, 11);
         for arch in GpuArch::all() {
-            let rep = tune_arch(&arch, &problem, false, 8);
+            let rep = tune_arch(&arch, &problem, false);
             assert_eq!(rep.winners.len(), 8, "7 hydro timers + gravity");
             // Tuning per kernel never loses to the best uniform
             // hand-picked build.
@@ -597,7 +513,6 @@ mod tests {
             kernel_digest: format!("{:016x}", kernel_digest()),
             size: 8,
             full_space: false,
-            trials: 0,
             archs: Vec::new(),
             tuned_pp: 0.90,
             hand_pp: 0.96,

@@ -19,15 +19,13 @@
 //! with `--json PATH` it dumps the sweep records instead of the
 //! evaluation data. `autotune` (not part of `all`) runs the offline
 //! autotune sweep — every (variant × sub-group × work-group × GRF ×
-//! launch-bounds) candidate per architecture, winners per kernel,
-//! epsilon-greedy replay — and writes `BENCH_autotune.json` (or the
-//! `--json` path), exiting non-zero unless the tuned plan reaches the
-//! hand-picked PP floor of 0.96 and its winners match
-//! `tests/tune_baseline.json`; `--full`
-//! searches the full space instead of the bounded per-push space,
+//! launch-bounds) candidate per architecture, winners per kernel — and
+//! writes `BENCH_autotune.json` (or the `--json` path), exiting
+//! non-zero unless the tuned plan reaches the hand-picked PP floor of
+//! 0.96 and its winners match `tests/tune_baseline.json`; `--full`
+//! searches the full space instead of the bounded per-push space, and
 //! `--seeds N` with N > 1 additionally reports winners that move on
-//! N−1 extra workload seeds, and `--trials N` sets the replay trial
-//! count (default 64). `ranks` (not part of `all`) runs the
+//! N−1 extra workload seeds. `ranks` (not part of `all`) runs the
 //! weak/strong multi-rank sweep — 3D decomposition, halo exchange over
 //! each architecture's modeled interconnect, comm/compute overlap —
 //! over 1/2/4/8 ranks × architectures and writes `BENCH_ranks.json`
@@ -275,13 +273,11 @@ fn main() {
         return;
     }
     if want("autotune") {
-        let trials = count("--trials", 64);
         eprintln!(
-            "[figures] autotune sweep: {size}³ baryons, {} space, {} replay trials…",
-            if full_space { "full" } else { "bounded" },
-            trials
+            "[figures] autotune sweep: {size}³ baryons, {} space…",
+            if full_space { "full" } else { "bounded" }
         );
-        let mut report = hacc_bench::autotune::sweep(size, full_space, trials);
+        let mut report = hacc_bench::autotune::sweep(size, full_space);
         if n_seeds > 1 {
             let seeds: Vec<u64> = (1..n_seeds as u64).collect();
             eprintln!(

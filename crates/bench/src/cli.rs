@@ -61,7 +61,6 @@ pub const FLAGS: &[(&str, Option<&str>)] = &[
     ("--size", Some("N")),
     ("--full", None),
     ("--seeds", Some("N")),
-    ("--trials", Some("N")),
     ("--slow", Some("KERNEL:FACTOR")),
     ("--json", Some("PATH")),
     ("--trace", Some("PATH")),

@@ -73,7 +73,7 @@ pub fn workload(n_side: usize, seed: u64) -> BenchProblem {
 }
 
 /// One build to measure: variant + launch knobs — the workspace's one
-/// pairing of a typed [`Variant`] with launch knobs (the tuning cache's
+/// pairing of a typed [`Variant`] with launch knobs (the tuning table's
 /// `hacc_tune::TuneChoice` is its string-keyed wire form).
 #[derive(Clone, Copy, Debug)]
 pub struct VariantChoice {

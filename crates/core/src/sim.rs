@@ -26,14 +26,13 @@ use crate::config::{DeviceConfig, SimConfig};
 use crate::timers::Timers;
 use hacc_cosmo::{z_to_a, Friedmann, LinearPower};
 use hacc_kernels::{
-    launch_resilient, run_gravity, run_hydro_step_planned, DeviceParticles, GravityParams,
-    HostParticles, StepPlan, Subgrid, SubgridParams, TimerReport, TunedSelector, Variant,
-    WorkLists, WorkSet, GRAVITY_TIMER,
+    launch_resilient, run_gravity, run_hydro_step, DeviceParticles, GravityParams, HostParticles,
+    Subgrid, SubgridParams, Variant, WorkLists,
 };
 use hacc_mesh::{zeldovich_ics, ForceSplit, PmSolver, PolyShortRange};
 use hacc_telemetry::Recorder;
 use hacc_tree::{InteractionList, RcbTree};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use sycl_sim::{
     Device, FaultConfig, FaultInjector, GrfMode, LaunchConfig, LaunchError, Toolchain, TunablePoint,
 };
@@ -93,10 +92,6 @@ pub struct Simulation {
     poly: PolyShortRange,
     friedmann: Friedmann,
     grav_prefactor: f64,
-    /// Runtime autotuner (see [`Simulation::set_tuning`]). Mutex-wrapped
-    /// because the hydro/gravity offloads take `&self` while selection
-    /// and observation mutate the tuner state.
-    tuning: Option<Mutex<TunedSelector>>,
 }
 
 /// Summary of a completed run.
@@ -127,8 +122,7 @@ impl Simulation {
     /// Builds the simulation: Zel'dovich ICs for both species, PM solver,
     /// short-range polynomial, device. A function of its arguments: the
     /// launch starts from [`LaunchConfig::defaults_for`] (full metering,
-    /// the auto execution policy) and no tuner is attached; the setters
-    /// below change any of them.
+    /// the auto execution policy); the setters below change either.
     pub fn new(config: SimConfig, device_cfg: DeviceConfig, arch: sycl_sim::GpuArch) -> Self {
         config.validate().expect("invalid simulation configuration");
         let toolchain = {
@@ -225,7 +219,6 @@ impl Simulation {
             poly,
             friedmann,
             grav_prefactor,
-            tuning: None,
         }
     }
 
@@ -324,19 +317,9 @@ impl Simulation {
     /// Runs the offloaded short-range gravity for a particle subset,
     /// returning accelerations in the subset's order.
     fn device_gravity(&self, idx: &[usize]) -> Result<Vec<[f64; 3]>, LaunchError> {
-        // Tuned override: the validated cached winner for the gravity
-        // timer, when a tuner is attached (read-only peek — gravity does
-        // not explore; the cache is filled by the hydro path and the
-        // offline autotune sweep).
-        let (variant, launch) = self
-            .tuning
-            .as_ref()
-            .and_then(|t| t.lock().expect("tuner lock poisoned").peek(GRAVITY_TIMER))
-            .map(|(v, c)| (v, c.knobs().apply_to(self.launch)))
-            .unwrap_or((self.variant, self.launch));
         let pos: Vec<[f64; 3]> = idx.iter().map(|&i| self.pos[i]).collect();
-        let (tree, list) = self.geometry(&pos, variant, launch.sg_size)?;
-        let work = WorkLists::build(&tree, &list, launch.sg_size);
+        let (tree, list) = self.geometry(&pos, self.variant, self.launch.sg_size)?;
+        let work = WorkLists::build(&tree, &list, self.launch.sg_size);
         let hp = HostParticles {
             pos,
             vel: vec![[0.0; 3]; idx.len()],
@@ -357,32 +340,19 @@ impl Simulation {
             r_cut2: (self.config.r_cut_cells * self.config.r_cut_cells) as f32,
             soft2: 1e-4,
         };
-        let report = run_gravity(
+        run_gravity(
             &self.device,
             &data,
             &work,
-            variant,
+            self.variant,
             self.box_size() as f32,
             params,
-            launch,
+            self.launch,
             &self.telemetry,
         )?;
-        self.observe(std::slice::from_ref(&report));
         self.charge_transfer("d2h", idx.len() * 3 * 4);
         let acc = data.download_vec3(&data.acc_grav);
         Ok(scatter(&tree.order, |slot| acc[slot].map(f64::from)))
-    }
-
-    /// Feeds a launch sequence's measured estimates back to the tuner,
-    /// when one is attached.
-    fn observe(&self, reports: &[TimerReport]) {
-        if let Some(t) = &self.tuning {
-            t.lock().expect("tuner lock poisoned").observe_step(
-                &self.device,
-                reports,
-                Some(&self.telemetry),
-            );
-        }
     }
 
     /// Runs the offloaded CRK hydro kernels (plus the sub-grid kernel
@@ -400,28 +370,16 @@ impl Simulation {
         // Upload: pos(3)+vel(3)+mass+h+u.
         self.charge_transfer("h2d", idx.len() * 9 * 4);
         let data = DeviceParticles::upload(&hp);
-        // The tuner's per-timer plan (cached winners, epsilon
-        // exploration) when one is attached, else the uniform plan; one
-        // kernel sequence either way. Work lists cover every planned
-        // sub-group size, and a tuner gets the measured estimates back.
-        let plan = match &self.tuning {
-            Some(t) => t.lock().expect("tuner lock poisoned").plan(
-                self.variant,
-                self.launch,
-                Some(&self.telemetry),
-            ),
-            None => StepPlan::uniform(self.variant, self.launch),
-        };
-        let works = WorkSet::build(&tree, &list, plan.sg_sizes());
-        let reports = run_hydro_step_planned(
+        let work = WorkLists::build(&tree, &list, self.launch.sg_size);
+        run_hydro_step(
             &self.device,
             &data,
-            &works,
-            &plan,
+            &work,
+            self.variant,
             self.box_size() as f32,
+            self.launch,
             &self.telemetry,
         )?;
-        self.observe(&reports);
 
         // Sub-grid pass (lane-parallel; adds its cooling rate and
         // tightens the shared dt_min).
@@ -671,38 +629,6 @@ impl Simulation {
     /// cost of recording it) differs.
     pub fn set_meter_policy(&mut self, meter: sycl_sim::MeterPolicy) {
         self.launch.meter = meter;
-    }
-
-    /// Attaches a runtime autotuner: kernel launches use cached winners
-    /// (with the selector's exploration rate) instead of the fixed
-    /// (variant, launch) pair, and feed measured estimates back. The
-    /// only way a tuner gets in — the constructor reads no tuning
-    /// configuration, and `quickstart --tune PATH` calls this with a
-    /// `TunedSelector::from_cache_file`.
-    pub fn set_tuning(&mut self, selector: TunedSelector) {
-        self.tuning = Some(Mutex::new(selector));
-    }
-
-    /// Detaches the autotuner, returning it (with its updated cache)
-    /// for persistence.
-    pub fn take_tuning(&mut self) -> Option<TunedSelector> {
-        self.tuning
-            .take()
-            .map(|m| m.into_inner().expect("tuner lock poisoned"))
-    }
-
-    /// Whether a runtime autotuner is attached.
-    pub fn tuning_enabled(&self) -> bool {
-        self.tuning.is_some()
-    }
-
-    /// Writes the attached tuner's cache to `path` (no-op when no tuner
-    /// is attached).
-    pub fn save_tuning(&self, path: &std::path::Path) -> Result<(), hacc_tune::TuneError> {
-        match &self.tuning {
-            Some(t) => t.lock().expect("tuner lock poisoned").save(path),
-            None => Ok(()),
-        }
     }
 
     /// FNV-1a digest of the full mutable particle state plus the scale

@@ -1,26 +1,25 @@
-//! Kernel-layer glue for the runtime autotuner (DESIGN.md §4j).
+//! The Appendix-A launch table and its offline-tuned rows (DESIGN.md
+//! §4j).
 //!
-//! `hacc-tune` owns the persistent cache and the epsilon-greedy
-//! selector but carries the communication variant only as a string id
-//! (it sits below this crate in the dependency order). This module
-//! composes the full search space — **variant × [`sycl_sim::tunable`]
-//! device knobs** — stamps the cache with arch/kernel digests, and
-//! converts cached winners into validated per-timer [`StepPlan`]s,
-//! falling back to the paper's hand-picked table (Appendix A) whenever
-//! a cache entry is cold, stale, or fails re-validation against the
-//! live architecture.
+//! Tuning is offline: `figures -- autotune` measures every candidate of
+//! the composed search space — **variant × [`sycl_sim::tunable`]
+//! device knobs** — and keeps the per-(kernel, architecture, size band)
+//! winners in a [`TuneCache`]. [`TunedSelector::plan`] reads one row of
+//! that table as a validated per-timer [`StepPlan`], falling back to the
+//! paper's hand-picked table (Appendix A) wherever an entry is missing
+//! or fails re-validation against the live architecture, and
+//! [`crate::run_hydro_step_planned`] runs it. Nothing is learned at run
+//! time.
 //!
 //! The launch choice is written once, here: [`hand_picked_knobs`] is
 //! the workspace's only Appendix-A table and [`variant_candidates`] its
 //! only legal-variant list.
 
-use crate::launch::{StepPlan, TimerReport, GRAVITY_TIMER, HYDRO_TIMERS};
+use crate::launch::{StepPlan, GRAVITY_TIMER, HYDRO_TIMERS};
 use crate::variant::{Variant, ALL_VARIANTS};
 use hacc_telemetry::Recorder;
-use hacc_tune::{
-    digest_strs, Selection, SizeBand, TuneCache, TuneChoice, TuneError, TuneKey, Tuner,
-};
-use sycl_sim::{tunable, Device, GpuArch, GrfMode, LaunchConfig, TunablePoint};
+use hacc_tune::{digest_strs, SizeBand, TuneCache, TuneChoice, TuneKey, Tuner};
+use sycl_sim::{tunable, GpuArch, GrfMode, LaunchConfig, TunablePoint};
 
 /// All timers the tuner plans: the seven hydro brackets plus gravity.
 pub fn tuned_timers() -> Vec<&'static str> {
@@ -120,7 +119,7 @@ pub fn kernel_digest() -> u64 {
     digest_strs(parts)
 }
 
-/// Re-validates a cached or explored choice against the live build:
+/// Re-validates a table entry against the live build:
 /// the variant id must parse and be legal here (vISA needs both the
 /// hardware and the toolchain), and the device knobs must be legal on
 /// `arch`.
@@ -135,23 +134,21 @@ pub fn validate_choice(
     legal.then(|| (variant, choice.clone()))
 }
 
-/// The per-simulation tuned selector: wraps the [`Tuner`] with the
-/// composed search space for one (architecture, problem-size band) and
-/// builds validated [`StepPlan`]s.
+/// Reads the tuned table for one (architecture, problem-size band) as
+/// validated [`StepPlan`]s.
 #[derive(Clone, Debug)]
 pub struct TunedSelector {
     tuner: Tuner,
     arch: GpuArch,
     band: SizeBand,
     toolchain_visa: bool,
-    space: Vec<TuneChoice>,
 }
 
 impl TunedSelector {
-    /// Wraps a digest-checked cache. `epsilon` is the exploration rate
-    /// in `[0, 1]`; exploration draws from the bounded space (cheap
-    /// single-step experiments), while the nightly soak walks the full
-    /// space offline.
+    /// Wraps a table of winners. `epsilon` must be 0: a plan is a row of
+    /// the table, and nothing explores (the parameter outlives the
+    /// exploration only until its last caller is re-pointed, ROADMAP
+    /// item 12b).
     pub fn new(
         arch: &GpuArch,
         n_particles: usize,
@@ -159,70 +156,21 @@ impl TunedSelector {
         epsilon: f64,
         toolchain_visa: bool,
     ) -> Self {
+        assert!(epsilon == 0.0, "exploration is gone: epsilon must be 0");
         Self {
-            tuner: Tuner::new(cache, epsilon),
+            tuner: Tuner::new(cache),
             arch: arch.clone(),
             band: SizeBand::of(n_particles),
             toolchain_visa,
-            space: search_space(arch, false, toolchain_visa),
         }
     }
 
-    /// Loads `path`, validates schema and digests, and wraps the result;
-    /// any load failure (missing file, hostile bytes, stale digests)
-    /// starts from an empty stamped cache instead, returning the error
-    /// alongside so callers can log it.
-    pub fn from_cache_file(
-        arch: &GpuArch,
-        n_particles: usize,
-        path: &std::path::Path,
-        epsilon: f64,
-        toolchain_visa: bool,
-    ) -> (Self, Option<TuneError>) {
-        let want_arch = arch_digest(arch);
-        let want_kernel = kernel_digest();
-        let (cache, err) = match TuneCache::load(path) {
-            Ok(c) => match c.check_digests(want_arch, want_kernel) {
-                Ok(()) => (c, None),
-                Err(e) => (TuneCache::new(want_arch, want_kernel), Some(e)),
-            },
-            Err(e) => (TuneCache::new(want_arch, want_kernel), Some(e)),
-        };
-        (
-            Self::new(arch, n_particles, cache, epsilon, toolchain_visa),
-            err,
-        )
-    }
-
-    /// The problem-size band this selector tunes for.
-    pub fn band(&self) -> SizeBand {
-        self.band
-    }
-
-    /// The wrapped cache (for persistence or inspection).
-    pub fn cache(&self) -> &TuneCache {
-        self.tuner.cache()
-    }
-
-    /// Writes the cache to `path` in canonical form.
-    pub fn save(&self, path: &std::path::Path) -> Result<(), TuneError> {
-        self.tuner.cache().save(path)
-    }
-
-    /// Read-only look at the validated cached winner for a timer, if
-    /// any — used where a `&mut` selector is not available (e.g. the
-    /// gravity context snapshot).
-    pub fn peek(&self, timer: &str) -> Option<(Variant, TuneChoice)> {
-        let key = TuneKey::new(timer, self.arch.id, self.band);
-        let entry = self.tuner.cache().lookup(&key)?;
-        validate_choice(&self.arch, self.toolchain_visa, &entry.choice)
-    }
-
-    /// Builds the step plan for the next step: per timer, the cached
-    /// winner (or an exploration candidate at rate epsilon), re-validated
-    /// against the live architecture; anything cold or invalid falls
+    /// Builds a step plan: per timer, the table's winner, re-validated
+    /// against the live architecture; anything missing or invalid falls
     /// back to the hand-picked table for `default_variant`. `base`
-    /// supplies the execution and metering policies.
+    /// supplies the launch fields the knobs leave alone. Takes
+    /// `&mut self` only so that callers binding the selector `mut` (the
+    /// benchmark's `pp_sweep` probe) stay warning-free until item 12b.
     pub fn plan(
         &mut self,
         default_variant: Variant,
@@ -242,51 +190,14 @@ impl TunedSelector {
         let mut plan = StepPlan::uniform(hand_variant, hand_choice.knobs().apply_to(base));
         for timer in tuned_timers() {
             let key = TuneKey::new(timer, self.arch.id, self.band);
-            let picked = match self.tuner.select(&key, &self.space, telemetry) {
-                Selection::Cached(c) | Selection::Explore(c) => {
-                    validate_choice(&self.arch, self.toolchain_visa, &c)
-                }
-                Selection::Cold => None,
-            };
-            if let Some((variant, choice)) = picked {
+            let picked = self.tuner.select(&key, telemetry);
+            if let Some((variant, choice)) =
+                picked.and_then(|c| validate_choice(&self.arch, self.toolchain_visa, &c))
+            {
                 plan.set(timer, variant, choice.knobs().apply_to(base));
             }
         }
         plan
-    }
-
-    /// Feeds a completed step's timer reports back into the cache: each
-    /// bracket's merged cost-model estimate is recorded against the
-    /// choice that actually ran (which may be a fallback demotion of the
-    /// planned variant). Unmetered launches (zero estimate) are skipped —
-    /// a zero would otherwise win every comparison.
-    pub fn observe_step(
-        &mut self,
-        device: &Device,
-        timers: &[TimerReport],
-        telemetry: Option<&Recorder>,
-    ) {
-        for t in timers {
-            let Some(first) = t.profiles.first() else {
-                continue;
-            };
-            let Some(variant) = Variant::from_label(&first.variant) else {
-                continue;
-            };
-            let est = device.profile(&t.report).est_seconds;
-            if est <= 0.0 {
-                continue;
-            }
-            let choice = TuneChoice {
-                variant: variant.id().to_string(),
-                sg_size: t.report.sg_size,
-                wg_size: t.report.wg_size,
-                grf: t.report.grf,
-                bounds: t.report.bounds,
-            };
-            let key = TuneKey::new(&t.timer, self.arch.id, self.band);
-            self.tuner.observe(&key, &choice, est, telemetry);
-        }
     }
 }
 
@@ -299,7 +210,6 @@ mod tests {
     fn variant_ids_round_trip_and_pass_the_cache_charset() {
         for v in ALL_VARIANTS {
             assert_eq!(Variant::from_id(v.id()), Some(v));
-            assert_eq!(Variant::from_label(v.label()), Some(v));
             assert!(v.id().chars().all(|c| c.is_ascii_alphanumeric()));
         }
         assert_eq!(Variant::from_id("Memory, 32-bit"), None);
@@ -438,29 +348,8 @@ mod tests {
         let (v_cor, cfg_cor) = plan.choice("upCor");
         assert_eq!(v_cor, Variant::Select);
         assert_eq!(cfg_cor.sg_size, 64);
-        // peek sees the same winner without mutating the tuner.
-        assert!(sel.peek("upGeo").is_some());
-        assert!(sel.peek("upCor").is_none(), "invalid entries don't peek");
-        assert!(sel.peek("upGrav").is_none());
-    }
-
-    #[test]
-    fn stale_digests_start_a_fresh_cache() {
-        let arch = GpuArch::frontier();
-        let dir = std::env::temp_dir().join("hacc-tune-test-stale");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("tune-cache.json");
-        let mut stale = TuneCache::new(0xbad, 0xbad);
-        stale.record(
-            &TuneKey::new("upGeo", arch.id, SizeBand::Small),
-            &hand_picked_choice(&arch, Variant::Select),
-            1.0,
-        );
-        stale.save(&path).unwrap();
-        let (sel, err) = TunedSelector::from_cache_file(&arch, 512, &path, 0.0, false);
-        assert!(matches!(err, Some(TuneError::Digest { .. })));
-        assert!(sel.cache().entries.is_empty());
-        assert_eq!(sel.cache().arch_digest, arch_digest(&arch));
-        let _ = std::fs::remove_file(&path);
+        // No entry: the hand-picked table.
+        let (v_grav, cfg_grav) = plan.choice(GRAVITY_TIMER);
+        assert_eq!((v_grav, cfg_grav.sg_size), (Variant::Select, 64));
     }
 }

@@ -40,7 +40,7 @@ impl Variant {
     }
 
     /// Compact identifier (lowercase alphanumeric), used as the variant
-    /// axis in the tuning cache where the figure labels' punctuation
+    /// axis in the tuning table where the figure labels' punctuation
     /// would fight the hostile-input charset guard.
     pub fn id(&self) -> &'static str {
         match self {
@@ -55,11 +55,6 @@ impl Variant {
     /// Parses [`Variant::id`] output.
     pub fn from_id(s: &str) -> Option<Variant> {
         ALL_VARIANTS.into_iter().find(|v| v.id() == s)
-    }
-
-    /// Parses [`Variant::label`] output (the figure labels).
-    pub fn from_label(s: &str) -> Option<Variant> {
-        ALL_VARIANTS.into_iter().find(|v| v.label() == s)
     }
 
     /// Whether the variant uses the pair-parallel half-warp structure

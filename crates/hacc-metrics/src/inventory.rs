@@ -190,21 +190,36 @@ fn region_sloc_of(text: &str, anchors: &[&str]) -> Result<u32, String> {
     })
 }
 
-/// The host-common crates: `hacc-core` and the workspace crates (each in
-/// `crates/<name>`) its `[dependencies]` name, except the kernel crate and
+/// The workspace crates (each in `crates/<name>`) that a crate's
+/// `[dependencies]` name.
+fn workspace_deps(root: &Path, krate: &Path) -> Result<Vec<PathBuf>, String> {
+    let manifest = read(&krate.join("Cargo.toml"))?;
+    let deps = manifest.split("[dependencies]").nth(1).unwrap_or_default();
+    let names = deps.lines().take_while(|l| !l.starts_with('['));
+    let dirs = names.filter_map(|l| l.strip_suffix(".workspace = true"));
+    Ok(dirs
+        .map(|name| root.join("crates").join(name))
+        .filter(|dir| dir.is_dir())
+        .collect())
+}
+
+/// The host-common crates: `hacc-core` and every workspace crate it
+/// links, directly or through another, except the kernel crate and
 /// `sycl-sim`, the stand-in for the vendor runtime.
 fn host_crates(root: &Path) -> Result<Vec<PathBuf>, String> {
-    let manifest = read(&root.join("crates/core/Cargo.toml"))?;
-    let deps = manifest.split("[dependencies]").nth(1).unwrap_or_default();
-    let mut dirs = vec![root.join("crates/core")];
-    for line in deps.lines().take_while(|l| !l.starts_with('[')) {
-        match line.strip_suffix(".workspace = true") {
-            Some("hacc-kernels" | "sycl-sim") | None => {}
-            Some(name) => dirs.push(root.join("crates").join(name)),
+    let mut linked = vec![root.join("crates/core")];
+    let mut next = 0;
+    while let Some(krate) = linked.get(next).cloned() {
+        for dep in workspace_deps(root, &krate)? {
+            if !linked.contains(&dep) {
+                linked.push(dep);
+            }
         }
+        next += 1;
     }
-    dirs.retain(|dir| dir.is_dir());
-    Ok(dirs)
+    let device = ["hacc-kernels", "sycl-sim"].map(|c| root.join("crates").join(c));
+    linked.retain(|dir| !device.contains(dir));
+    Ok(linked)
 }
 
 /// The files each whole-file category counts: kernel body, host-common
@@ -415,27 +430,35 @@ mod tests {
             );
         }
 
-        // Host ∪ {kernel, device} is `hacc-core` plus the workspace crates
-        // its `[dependencies]` name: a new dependency is classified too.
+        // Host ∪ {kernel, device} is `hacc-core` plus every workspace
+        // crate it links, followed by package name through each crate's
+        // own manifest: a new dependency, direct or not, is classified too.
         let package = |dir: &PathBuf| {
             let manifest = read(&dir.join("Cargo.toml")).unwrap();
             let name = manifest.lines().find_map(|l| l.strip_prefix("name = \""));
             name.unwrap().trim_end_matches('"').to_string()
         };
-        let manifest = read(&root.join("crates/core/Cargo.toml")).unwrap();
-        let deps: Vec<&str> = manifest
-            .split("[dependencies]")
-            .nth(1)
-            .unwrap()
-            .lines()
-            .take_while(|l| !l.starts_with('['))
-            .filter_map(|l| l.strip_suffix(".workspace = true"))
-            .collect();
-        let mut named: Vec<String> = crates
-            .iter()
-            .map(package)
-            .filter(|p| p == "hacc-core" || deps.contains(&p.as_str()))
-            .collect();
+        let deps_of = |dir: &PathBuf| -> Vec<String> {
+            let manifest = read(&dir.join("Cargo.toml")).unwrap();
+            let deps = manifest.split("[dependencies]").nth(1).unwrap_or_default();
+            deps.lines()
+                .take_while(|l| !l.starts_with('['))
+                .filter_map(|l| l.strip_suffix(".workspace = true"))
+                .map(str::to_string)
+                .collect()
+        };
+        let by_name: std::collections::BTreeMap<String, &PathBuf> =
+            crates.iter().map(|dir| (package(dir), dir)).collect();
+        let mut named = vec!["hacc-core".to_string()];
+        let mut next = 0;
+        while next < named.len() {
+            for dep in deps_of(by_name[&named[next]]) {
+                if by_name.contains_key(&dep) && !named.contains(&dep) {
+                    named.push(dep);
+                }
+            }
+            next += 1;
+        }
         let mut linked: Vec<String> = host.iter().chain([&kernel, &device]).map(package).collect();
         named.sort();
         linked.sort();

@@ -1,26 +1,25 @@
 #![warn(missing_docs)]
 //! # hacc-tune
 //!
-//! Runtime autotuner for the launch-parameter space the cost model
+//! The tuning table for the launch-parameter space the cost model
 //! exposes (DESIGN.md §4j): **(variant, sub-group size, work-group
 //! size, GRF mode, launch bounds)** per **(kernel, architecture,
 //! problem-size band)**.
 //!
 //! The paper hand-picks these knobs per kernel per architecture
 //! (Appendix A); "Cross-Platform Performance Portability Using Highly
-//! Parametrized SYCL Kernels" shows the production answer is an
-//! automated search. This crate owns:
+//! Parametrized SYCL Kernels" searches them offline per device and
+//! picks a row at run time. The modeled clock is deterministic, so the
+//! offline sweep (`figures -- autotune`) finds the winners exactly, and
+//! nothing is learned while a simulation runs. This crate owns:
 //!
-//! * the **persistent cache** ([`TuneCache`]) — a versioned
-//!   `tune-cache.json` keyed by [`TuneKey`], hardened against hostile
-//!   input exactly like the checkpoint codecs (checked schema/digests,
-//!   entry caps, range-validated knobs; truncation and bit-flips parse
-//!   to errors, never panics);
-//! * the **online selector** ([`Tuner`]) — cache lookup with
-//!   deterministic epsilon-greedy exploration (a seeded counter hash,
-//!   never wall-clock randomness, so tuned runs stay reproducible);
-//! * `tune.*` telemetry counters (trials, cache hits, exploration
-//!   picks) through the existing [`Recorder`] plane.
+//! * the **table** ([`TuneCache`]) keyed by [`TuneKey`], with a
+//!   canonical JSON form whose parser is hardened against hostile input
+//!   like the checkpoint codecs (checked schema, entry caps,
+//!   range-validated knobs; truncation and bit-flips parse to errors,
+//!   never panics);
+//! * the **row reader** ([`Tuner::select`]) — a table lookup that
+//!   counts `tune.cache_hits` through the existing [`Recorder`] plane.
 //!
 //! The variant axis is carried as a string id (`Variant::id`) so this
 //! crate stays below `hacc-kernels` in the dependency order; the kernel
@@ -34,9 +33,6 @@ use sycl_sim::{GrfMode, LaunchBounds, TunablePoint};
 
 /// Cache schema version; bump on any format change.
 pub const SCHEMA_VERSION: u64 = 1;
-
-/// Default on-disk cache file name.
-pub const CACHE_FILE: &str = "tune-cache.json";
 
 /// Hard cap on cache entries — an alloc guard against hostile files.
 pub const MAX_ENTRIES: usize = 4096;
@@ -230,50 +226,34 @@ pub struct TuneEntry {
     pub trials: u64,
 }
 
-/// Errors from loading or validating a tuning cache.
+/// Errors from parsing a tuning table.
 #[derive(Clone, Debug, PartialEq)]
 pub enum TuneError {
-    /// File-system failure (message only; the path is the caller's).
-    Io(String),
     /// The text is not valid JSON or not the expected shape.
     Parse(String),
     /// Unsupported schema version.
     Schema {
-        /// The version the file declares, when readable.
+        /// The version the text declares, when readable.
         found: Option<u64>,
-    },
-    /// Digest mismatch: the cache was built for different code.
-    Digest {
-        /// Which digest disagreed (`"arch"` or `"kernel"`).
-        which: &'static str,
-        /// Expected value.
-        want: u64,
-        /// Value in the file.
-        found: u64,
     },
 }
 
 impl fmt::Display for TuneError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            TuneError::Io(m) => write!(f, "tune cache I/O: {m}"),
             TuneError::Parse(m) => write!(f, "tune cache rejected: {m}"),
             TuneError::Schema { found } => match found {
                 Some(v) => write!(f, "tune cache schema {v} != supported {SCHEMA_VERSION}"),
                 None => write!(f, "tune cache missing schema_version"),
             },
-            TuneError::Digest { which, want, found } => write!(
-                f,
-                "tune cache {which} digest {found:016x} != expected {want:016x} (stale cache)"
-            ),
         }
     }
 }
 
 impl std::error::Error for TuneError {}
 
-/// The persistent tuning cache: schema version + arch/kernel digests +
-/// per-key winners. Serialized as `tune-cache.json`.
+/// The tuning table: schema version + arch/kernel digests + per-key
+/// winners, with a canonical JSON form.
 #[derive(Clone, Debug, PartialEq, Default)]
 pub struct TuneCache {
     /// Digest of the architecture set the cache was tuned for.
@@ -385,10 +365,9 @@ impl TuneCache {
             return Err(TuneError::Parse("cache file over 8 MiB".to_string()));
         }
         let root = serde_json::parse_value(text).map_err(|e| TuneError::Parse(format!("{e:?}")))?;
-        let obj = root
-            .as_object()
-            .ok_or_else(|| TuneError::Parse("root is not an object".to_string()))?;
-        let _ = obj;
+        if root.as_object().is_none() {
+            return Err(TuneError::Parse("root is not an object".to_string()));
+        }
         let version = root.get("schema_version").and_then(|v| v.as_u64());
         if version != Some(SCHEMA_VERSION) {
             return Err(TuneError::Schema { found: version });
@@ -427,37 +406,6 @@ impl TuneCache {
             kernel_digest,
             entries,
         })
-    }
-
-    /// Checks the digests against the running build, rejecting caches
-    /// tuned for a different architecture or kernel set.
-    pub fn check_digests(&self, arch_digest: u64, kernel_digest: u64) -> Result<(), TuneError> {
-        if self.arch_digest != arch_digest {
-            return Err(TuneError::Digest {
-                which: "arch",
-                want: arch_digest,
-                found: self.arch_digest,
-            });
-        }
-        if self.kernel_digest != kernel_digest {
-            return Err(TuneError::Digest {
-                which: "kernel",
-                want: kernel_digest,
-                found: self.kernel_digest,
-            });
-        }
-        Ok(())
-    }
-
-    /// Loads and validates a cache file.
-    pub fn load(path: &std::path::Path) -> Result<Self, TuneError> {
-        let text = std::fs::read_to_string(path).map_err(|e| TuneError::Io(e.to_string()))?;
-        Self::from_json(&text)
-    }
-
-    /// Writes the canonical JSON form to `path`.
-    pub fn save(&self, path: &std::path::Path) -> Result<(), TuneError> {
-        std::fs::write(path, self.to_json()).map_err(|e| TuneError::Io(e.to_string()))
     }
 }
 
@@ -521,100 +469,27 @@ fn parse_entry(v: &serde::Value) -> Result<TuneEntry, String> {
     })
 }
 
-/// What [`Tuner::select`] decided for a launch.
-#[derive(Clone, Debug, PartialEq)]
-pub enum Selection {
-    /// Use the cached winner.
-    Cached(TuneChoice),
-    /// Exploration pick: try this candidate instead of the winner.
-    Explore(TuneChoice),
-    /// No cached winner and no exploration — the caller falls back to
-    /// the hand-picked table.
-    Cold,
-}
-
-/// The online selector: cache-backed choice with deterministic
-/// epsilon-greedy exploration.
-///
-/// Exploration is seeded by an internal call counter hashed with the
-/// key (FNV-1a), not by wall clock or OS randomness, so a tuned run is
-/// exactly reproducible: the same call sequence makes the same picks.
+/// The row reader: a lookup in the table of winners.
 #[derive(Clone, Debug)]
 pub struct Tuner {
     cache: TuneCache,
-    /// Exploration rate in thousandths (0 = pure exploitation).
-    epsilon_milli: u32,
-    step: u64,
 }
 
 impl Tuner {
-    /// Wraps a cache with an exploration rate in `[0, 1]` (values are
-    /// clamped; 0 disables exploration entirely).
-    pub fn new(cache: TuneCache, epsilon: f64) -> Self {
-        let epsilon_milli = (epsilon.clamp(0.0, 1.0) * 1000.0).round() as u32;
-        Self {
-            cache,
-            epsilon_milli,
-            step: 0,
-        }
+    /// Wraps a table of winners.
+    pub fn new(cache: TuneCache) -> Self {
+        Self { cache }
     }
 
-    /// The wrapped cache.
-    pub fn cache(&self) -> &TuneCache {
-        &self.cache
-    }
-
-    /// Picks a configuration for `key` from `space`:
-    ///
-    /// * with probability epsilon (deterministic counter hash), an
-    ///   exploration candidate from `space` (`tune.explore_picks`);
-    /// * otherwise the cached winner when one exists
-    ///   (`tune.cache_hits`);
-    /// * otherwise [`Selection::Cold`] — caller falls back to the
-    ///   hand-picked table.
-    pub fn select(
-        &mut self,
-        key: &TuneKey,
-        space: &[TuneChoice],
-        telemetry: Option<&Recorder>,
-    ) -> Selection {
-        self.step = self.step.wrapping_add(1);
-        if self.epsilon_milli > 0 && !space.is_empty() {
-            let mut seed = key.encode().into_bytes();
-            seed.extend_from_slice(&self.step.to_le_bytes());
-            let h = fnv1a(&seed);
-            if (h % 1000) < self.epsilon_milli as u64 {
-                let idx = ((h >> 16) % space.len() as u64) as usize;
-                if let Some(t) = telemetry {
-                    t.counter("tune.explore_picks", 1.0);
-                }
-                return Selection::Explore(space[idx].clone());
-            }
-        }
-        match self.cache.lookup(key) {
-            Some(e) => {
-                if let Some(t) = telemetry {
-                    t.counter("tune.cache_hits", 1.0);
-                }
-                Selection::Cached(e.choice.clone())
-            }
-            None => Selection::Cold,
-        }
-    }
-
-    /// Feeds a measured (modeled) launch time back into the cache and
-    /// emits `tune.trials`. Returns `true` when the winner changed.
-    pub fn observe(
-        &mut self,
-        key: &TuneKey,
-        choice: &TuneChoice,
-        modeled_seconds: f64,
-        telemetry: Option<&Recorder>,
-    ) -> bool {
+    /// The table's winner for `key` (`tune.cache_hits`), or `None` when
+    /// the table holds none — the caller falls back to the hand-picked
+    /// table.
+    pub fn select(&self, key: &TuneKey, telemetry: Option<&Recorder>) -> Option<TuneChoice> {
+        let entry = self.cache.lookup(key)?;
         if let Some(t) = telemetry {
-            t.counter("tune.trials", 1.0);
+            t.counter("tune.cache_hits", 1.0);
         }
-        self.cache.record(key, choice, modeled_seconds)
+        Some(entry.choice.clone())
     }
 }
 
@@ -672,23 +547,6 @@ mod tests {
     }
 
     #[test]
-    fn digest_checks_reject_stale_caches() {
-        let cache = TuneCache::new(1, 2);
-        assert!(cache.check_digests(1, 2).is_ok());
-        assert!(matches!(
-            cache.check_digests(9, 2),
-            Err(TuneError::Digest { which: "arch", .. })
-        ));
-        assert!(matches!(
-            cache.check_digests(1, 9),
-            Err(TuneError::Digest {
-                which: "kernel",
-                ..
-            })
-        ));
-    }
-
-    #[test]
     fn hostile_shapes_are_rejected_not_panicked() {
         for text in [
             "",
@@ -714,70 +572,21 @@ mod tests {
     }
 
     #[test]
-    fn epsilon_zero_never_explores_and_is_deterministic() {
-        let mut cache = TuneCache::new(0, 0);
-        cache.record(&key(), &choice("Broadcast", 16), 1.0);
-        let space = vec![choice("Select", 32), choice("Broadcast", 16)];
-        let mut a = Tuner::new(cache.clone(), 0.0);
-        let mut b = Tuner::new(cache, 0.0);
-        for _ in 0..256 {
-            let sa = a.select(&key(), &space, None);
-            assert_eq!(sa, b.select(&key(), &space, None));
-            assert!(matches!(sa, Selection::Cached(_)));
-        }
-    }
-
-    #[test]
-    fn exploration_fires_at_roughly_epsilon_and_replays_exactly() {
-        let mut cache = TuneCache::new(0, 0);
-        cache.record(&key(), &choice("Broadcast", 16), 1.0);
-        let space = vec![choice("Select", 32), choice("Broadcast", 16)];
-        let run = || {
-            let mut t = Tuner::new(
-                {
-                    let mut c = TuneCache::new(0, 0);
-                    c.record(&key(), &choice("Broadcast", 16), 1.0);
-                    c
-                },
-                0.1,
-            );
-            (0..2000)
-                .map(|_| t.select(&key(), &space, None))
-                .collect::<Vec<_>>()
-        };
-        let a = run();
-        let b = run();
-        // Bit-reproducible: the same call sequence makes the same picks.
-        assert_eq!(a, b);
-        let explored = a
-            .iter()
-            .filter(|s| matches!(s, Selection::Explore(_)))
-            .count();
-        // ~10% of 2000, with generous slack for the hash distribution.
-        assert!(
-            (100..400).contains(&explored),
-            "explored {explored}/2000 at epsilon 0.1"
-        );
-    }
-
-    #[test]
     fn telemetry_counters_track_tuner_activity() {
         let mut cache = TuneCache::new(0, 0);
         cache.record(&key(), &choice("Broadcast", 16), 1.0);
-        let mut t = Tuner::new(cache, 0.0);
+        let t = Tuner::new(cache);
         let rec = Recorder::new();
-        let space = vec![choice("Select", 32)];
         for _ in 0..5 {
-            let _ = t.select(&key(), &space, Some(&rec));
+            assert_eq!(t.select(&key(), Some(&rec)), Some(choice("Broadcast", 16)));
         }
-        t.observe(&key(), &choice("Select", 32), 2.0, Some(&rec));
+        assert_eq!(
+            t.select(&TuneKey::new("upCor", "pvc", SizeBand::Small), Some(&rec)),
+            None
+        );
         assert_eq!(
             hacc_telemetry::counter_total(&rec.events(), "tune.cache_hits"),
             5.0
-        );
-        assert_eq!(
-            hacc_telemetry::counter_total(&rec.events(), "tune.trials"),
-            1.0
         );
     }
 }

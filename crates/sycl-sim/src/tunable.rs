@@ -1,5 +1,5 @@
 //! Tunable launch-parameter enumeration — the search space of the
-//! runtime autotuner (DESIGN.md §4j).
+//! offline autotune sweep (DESIGN.md §4j).
 //!
 //! The paper picks (variant, sub-group size, GRF mode) per kernel per
 //! architecture by hand (Appendix A); "Cross-Platform Performance

@@ -32,11 +32,6 @@
 //! Both run the same data path, so the physics is bit-identical —
 //! metering is a telemetry/speed trade, not a determinism one.
 //!
-//! `--tune PATH` attaches the runtime autotuner: kernel launches use
-//! the cached per-(kernel, arch, size-band) winners from `PATH` (cold
-//! start when missing or stale), explore alternatives at rate 5%, and
-//! the updated cache is written back at the end of the run.
-//!
 //! `--ranks N` runs the distributed drill instead of the single-rank
 //! simulation: the multi-rank engine (`MultiRankSim` — 3D domain
 //! decomposition, particle migration and ghost-zone halo refresh over
@@ -50,7 +45,7 @@
 //! export the N-rank run's stream (`link.{src}->{dst}` spans,
 //! `comm.bytes_sent`/`comm.bytes_recv` counters, per-rank `phase.*`
 //! timers).
-//! The single-rank flags (`--fault-rate`, `--meter`, `--tune`, …) do
+//! The single-rank flags (`--fault-rate`, `--meter`, …) do
 //! not apply to the drill.
 //!
 //! `--lose-rank R@S` (requires `--ranks N`, N ≥ 2) adds a rank loss to
@@ -79,7 +74,6 @@ fn main() {
     let mut lose_rank: Option<(usize, u64)> = None;
     let mut checkpoint_interval = 2u64;
     let mut recovery_mode = RecoveryMode::Respawn;
-    let mut tune_path: Option<String> = None;
     let mut args = std::env::args().skip(1);
     while let Some(a) = args.next() {
         match a.as_str() {
@@ -148,11 +142,10 @@ fn main() {
                     other => panic!("--recovery needs shrink|respawn, got {other:?}"),
                 };
             }
-            "--tune" => tune_path = Some(args.next().expect("--tune needs a cache path")),
             other => panic!(
                 "unknown argument {other:?} (expected --telemetry/--trace/--fault-rate/\
                  --fault-seed/--serial/--threads/--meter/--ranks/--lose-rank/\
-                 --checkpoint-interval/--recovery/--tune)"
+                 --checkpoint-interval/--recovery)"
             ),
         }
     }
@@ -212,23 +205,6 @@ fn main() {
             meter.label()
         );
     }
-    if let Some(path) = &tune_path {
-        let (sel, err) = crk_hacc::kernels::TunedSelector::from_cache_file(
-            &sim.device.arch,
-            sim.n_particles(),
-            std::path::Path::new(path),
-            0.05,
-            sim.device.toolchain.enable_visa,
-        );
-        match err {
-            Some(e) => println!("autotune: starting cold ({e})"),
-            None => println!(
-                "autotune: loaded {} cached winner(s) from {path}",
-                sel.cache().entries.len()
-            ),
-        }
-        sim.set_tuning(sel);
-    }
     let initial_positions = sim.pos.clone();
     let summary = if fault_rate > 0.0 {
         // Fault drill: transient failures + silent corruption at the
@@ -286,18 +262,6 @@ fn main() {
         summary.gpu_seconds
     );
     println!("\n{}", sim.timers().render());
-
-    if let Some(path) = &tune_path {
-        sim.save_tuning(std::path::Path::new(path))
-            .expect("write tune cache");
-        let events = sim.telemetry.events();
-        println!(
-            "autotune: {} trials, {} cache hits, {} exploration picks; winners saved to {path}",
-            counter_total(&events, "tune.trials"),
-            counter_total(&events, "tune.cache_hits"),
-            counter_total(&events, "tune.explore_picks"),
-        );
-    }
 
     export(sim.telemetry.events());
 }

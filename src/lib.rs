@@ -20,8 +20,8 @@
 //! - [`telemetry`] — per-launch kernel telemetry: spans, counters, instruction-class
 //!   profiles, and Chrome-trace / JSON-Lines exporters
 //! - [`metrics`] — performance portability and code-divergence analysis
-//! - [`tune`] — the runtime autotuner's persistent, hostile-input-hardened
-//!   tuning cache and deterministic epsilon-greedy selector
+//! - [`tune`] — the offline-tuned launch table: per-(kernel, arch, size
+//!   band) winners with a hostile-input-hardened text form
 //! - [`bench`](mod@bench) — experiment machinery: workloads, sweeps, and
 //!   the cross-rank performance health report
 //! - [`syclomatic`] — the miniature CUDA→SYCL migration pipeline (§4)

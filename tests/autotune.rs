@@ -1,26 +1,42 @@
-//! Autotuner acceptance tests (DESIGN.md §4j).
+//! Tuned-plan acceptance tests (DESIGN.md §4j).
 //!
-//! Two contracts:
+//! Three contracts:
 //!
-//! 1. **Hostile-input hardening** — `tune-cache.json` is an on-disk
-//!    artifact that survives reboots, partial writes, and hand edits,
-//!    so `TuneCache::from_json` must treat every byte as adversarial:
-//!    truncations, bit-flips, forged headers, and out-of-range knobs
-//!    parse to errors, never panics, exactly like the checkpoint
-//!    codecs in `tests/resilience.rs`.
-//! 2. **Determinism** — the tuner is a launch-knob selector with no
-//!    physics surface. With exploration disabled and the cache pinning
-//!    the paper's hand-picked winners, a tuned run must be bit-identical
-//!    to the untuned hand-picked run.
+//! 1. **Hostile-input hardening** — `TuneCache::from_json` treats every
+//!    byte of a table's text as adversarial: truncations, bit-flips,
+//!    forged headers, and out-of-range knobs parse to errors, never
+//!    panics, exactly like the checkpoint codecs in `tests/resilience.rs`.
+//! 2. **What a plan changes** — at the kernel layer a plan drives (one
+//!    hydro step plus the gravity launch): work-group size, launch
+//!    bounds and Memory32-for-Select are cost-model knobs only, so a
+//!    plan that pins the hand-picked winners or changes only those is
+//!    bit-identical to the hand-picked launch. Sub-group size sets tile
+//!    order, which sets the f32 fold order of the deferred atomics
+//!    (DESIGN §4d), and Broadcast restructures its loops; a plan of the
+//!    committed winners runs those winners and lands near the
+//!    hand-picked launch, not on it. Every planned bracket runs under
+//!    the execution and metering policies of the plan's base launch.
 
-use crk_hacc::core::{DeviceConfig, SimConfig, Simulation};
+use crk_hacc::bench::autotune::{AutotuneReport, KernelWinner};
+use crk_hacc::bench::cli::{PINNED_SEED, PINNED_SIZE};
+use crk_hacc::bench::experiments::{workload, BenchProblem};
+use crk_hacc::bench::gate;
 use crk_hacc::kernels::tuning::{
     arch_digest, hand_picked_choice, kernel_digest, tuned_timers, TunedSelector,
 };
-use crk_hacc::kernels::Variant;
-use crk_hacc::sycl::{ExecutionPolicy, GpuArch, GrfMode, Lang, LaunchBounds};
+use crk_hacc::kernels::{
+    run_gravity, run_hydro_step_planned, DeviceParticles, GravityParams, StepPlan, Variant,
+    WorkSet, GRAVITY_TIMER,
+};
+use crk_hacc::sycl::{
+    Device, ExecutionPolicy, GpuArch, GrfMode, LaunchBounds, LaunchConfig, MeterPolicy,
+    TunablePoint,
+};
+use crk_hacc::telemetry::{counter_total, KernelProfile, Recorder};
+use crk_hacc::tree::{InteractionList, RcbTree};
 use crk_hacc::tune::{SizeBand, TuneCache, TuneChoice, TuneError, TuneKey, SCHEMA_VERSION};
 use proptest::prelude::*;
+use std::sync::OnceLock;
 
 /// A populated cache in canonical form: one winner per tuned timer,
 /// alternating variants/knobs so the serializer's branches (large GRF,
@@ -177,70 +193,270 @@ proptest! {
 }
 
 // ---------------------------------------------------------------------
-// Determinism: tuning with exploration off is bit-identical to the
-// hand-picked table when the cache pins the same winners.
+// What a plan changes.
 // ---------------------------------------------------------------------
 
-/// The untuned reference build: Frontier with the paper's hand-picked
-/// Select knobs (sub-group 64, standard GRF) fixed in the device config.
-fn build_hand_picked() -> Simulation {
-    let config = SimConfig::smoke();
-    let device = DeviceConfig {
-        lang: Lang::Sycl,
-        fast_math: None,
-        variant: Variant::Select,
-        sg_size: Some(64),
-        grf: GrfMode::Default,
+/// The pinned problem (512 particles) and its geometry at the leaf
+/// capacity of the hand-picked Frontier build (Select, sub-group 64):
+/// what a simulation's offload uploads, whatever plan it runs.
+struct Offload {
+    problem: BenchProblem,
+    tree: RcbTree,
+    list: InteractionList,
+}
+
+fn offload() -> &'static Offload {
+    static OFFLOAD: OnceLock<Offload> = OnceLock::new();
+    OFFLOAD.get_or_init(|| {
+        let problem = workload(PINNED_SIZE, PINNED_SEED);
+        let leaf = Variant::Select.preferred_leaf_capacity(64);
+        let tree = RcbTree::build(&problem.particles.pos, leaf);
+        let list = InteractionList::build(&tree, problem.box_size, problem.r_cut);
+        Offload {
+            problem,
+            tree,
+            list,
+        }
+    })
+}
+
+/// The base launch every plan below starts from: Frontier's defaults,
+/// serial and fully metered unless a test says otherwise.
+fn base() -> LaunchConfig {
+    LaunchConfig::defaults_for(&GpuArch::frontier()).with_exec(ExecutionPolicy::Serial)
+}
+
+/// The hand-picked launch: Select at its Appendix-A knobs.
+fn hand_picked_plan(base: LaunchConfig) -> StepPlan {
+    let knobs = hand_picked_choice(&GpuArch::frontier(), Variant::Select).knobs();
+    StepPlan::uniform(Variant::Select, knobs.apply_to(base))
+}
+
+/// The plan a table of `(timer, choice)` winners reads as on Frontier,
+/// through the row reader a tuned run uses.
+fn frontier_plan(winners: &[(String, TuneChoice)], base: LaunchConfig) -> StepPlan {
+    let arch = GpuArch::frontier();
+    let n = offload().problem.particles.pos.len();
+    let band = SizeBand::of(n);
+    let mut cache = TuneCache::new(arch_digest(&arch), kernel_digest());
+    for (timer, choice) in winners {
+        cache.record(&TuneKey::new(timer, arch.id, band), choice, 1e-6);
+    }
+    TunedSelector::new(&arch, n, cache, 0.0, false).plan(Variant::Select, base, None)
+}
+
+/// `tests/tune_baseline.json`'s Frontier winners, one per tuned timer.
+fn committed_frontier_winners() -> Vec<(String, TuneChoice)> {
+    let report: AutotuneReport =
+        gate::load("tune_baseline.json").expect("tests/tune_baseline.json");
+    let frontier = report.archs.iter().find(|a| a.arch == "mi250x");
+    let winners = &frontier.expect("Frontier row").winners;
+    let choice = |w: &KernelWinner| TuneChoice {
+        variant: w.variant.clone(),
+        sg_size: w.sg_size,
+        wg_size: w.wg_size,
+        grf: if w.grf == "large" {
+            GrfMode::Large
+        } else {
+            GrfMode::Default
+        },
+        bounds: LaunchBounds::from_label(&w.bounds).expect("bounds label"),
     };
-    let mut sim = Simulation::new(config, device, GpuArch::frontier());
-    sim.set_execution_policy(ExecutionPolicy::Serial);
-    sim
+    winners
+        .iter()
+        .map(|w| (w.kernel.clone(), choice(w)))
+        .collect()
+}
+
+/// One hydro step plus the gravity launch under `plan`: the device
+/// state it leaves and its telemetry.
+fn run_plan(plan: &StepPlan) -> (DeviceParticles, Recorder) {
+    let Offload {
+        problem,
+        tree,
+        list,
+    } = offload();
+    let device = Device::new(GpuArch::frontier(), Variant::Select.toolchain()).unwrap();
+    let works = WorkSet::build(tree, list, plan.sg_sizes());
+    let data = DeviceParticles::upload(&problem.particles.permuted(&tree.order));
+    let telemetry = Recorder::new();
+    let box_size = problem.box_size as f32;
+    run_hydro_step_planned(&device, &data, &works, plan, box_size, &telemetry).expect("hydro step");
+    let (variant, cfg) = plan.choice(GRAVITY_TIMER);
+    let params = GravityParams {
+        poly: problem.poly,
+        r_cut2: (problem.r_cut * problem.r_cut) as f32,
+        soft2: 1e-4,
+    };
+    let work = works.get(cfg.sg_size).expect("gravity's work lists");
+    run_gravity(
+        &device, &data, work, variant, box_size, params, cfg, &telemetry,
+    )
+    .expect("gravity launch");
+    (data, telemetry)
+}
+
+/// Every launch's kernel profile, in launch order.
+fn kernel_profiles(telemetry: &Recorder) -> Vec<KernelProfile> {
+    let events = telemetry.events().into_iter();
+    events.filter_map(|e| e.kernel.map(|p| *p)).collect()
 }
 
 #[test]
 fn epsilon_zero_tuning_on_pinned_winners_is_bit_identical_to_hand_picked() {
-    let arch = GpuArch::frontier();
-    let mut reference = build_hand_picked();
-    let mut tuned = build_hand_picked();
-
-    // Pin every timer's cached winner to the hand-picked choice, with a
-    // modeled time small enough that no observed estimate can replace
-    // it mid-run (the cache only swaps winners on strict improvement).
-    let n = tuned.n_particles();
-    let mut cache = TuneCache::new(arch_digest(&arch), kernel_digest());
-    let pinned = hand_picked_choice(&arch, Variant::Select);
-    for timer in tuned_timers() {
-        cache.record(
-            &TuneKey::new(timer, arch.id, SizeBand::of(n)),
-            &pinned,
-            1e-30,
-        );
-    }
-    tuned.set_tuning(TunedSelector::new(&arch, n, cache, 0.0, false));
-    assert!(tuned.tuning_enabled());
-    assert!(!reference.tuning_enabled());
-
-    // Both smoke-config PM steps, each with tuned sub-cycle launches.
-    for _ in 0..2 {
-        reference.step();
-        tuned.step();
-    }
-    assert_eq!(reference.pos, tuned.pos, "positions must match bitwise");
-    assert_eq!(reference.mom, tuned.mom, "momenta must match bitwise");
-    assert_eq!(reference.u_int, tuned.u_int, "energies must match bitwise");
+    let pinned = hand_picked_choice(&GpuArch::frontier(), Variant::Select);
+    let winners: Vec<(String, TuneChoice)> = tuned_timers()
+        .into_iter()
+        .map(|t| (t.to_string(), pinned.clone()))
+        .collect();
+    let (reference, _) = run_plan(&hand_picked_plan(base()));
+    let (tuned, _) = run_plan(&frontier_plan(&winners, base()));
+    assert_eq!(
+        reference.download_vec3(&reference.acc),
+        tuned.download_vec3(&tuned.acc),
+        "accelerations must match bitwise"
+    );
     assert_eq!(
         reference.state_digest(),
         tuned.state_digest(),
-        "tuned and hand-picked trajectories must share one digest"
+        "tuned and hand-picked launches must leave one device state"
     );
+}
 
-    // The run fed estimates back, but the pinned winners must survive:
-    // observation bumps trial counts, never the choice.
-    let selector = tuned.take_tuning().expect("tuner still attached");
-    for timer in tuned_timers() {
-        let key = TuneKey::new(timer, arch.id, SizeBand::of(n));
-        let entry = selector.cache().lookup(&key).expect("winner survives");
-        assert_eq!(entry.choice, pinned, "{timer} winner moved during the run");
-        assert!(entry.trials >= 1);
+#[test]
+fn work_group_size_launch_bounds_and_memory32_are_bit_neutral() {
+    let knobs = |wg_size, bounds| {
+        let grf = GrfMode::Default;
+        TunablePoint {
+            sg_size: 64,
+            wg_size,
+            grf,
+            bounds,
+        }
+        .apply_to(base())
+    };
+    // Every bracket moves off the hand-picked (Select, work-group 128,
+    // default bounds), at the hand-picked sub-group size.
+    let moves = [
+        (Variant::Select, knobs(256, LaunchBounds::Default)),
+        (Variant::Select, knobs(128, LaunchBounds::Capped(96))),
+        (Variant::Memory32, knobs(128, LaunchBounds::Default)),
+        (Variant::Memory32, knobs(256, LaunchBounds::Capped(96))),
+    ];
+    let mut plan = StepPlan::uniform(moves[0].0, moves[0].1);
+    for (timer, (variant, cfg)) in tuned_timers().into_iter().zip(moves.iter().cycle()) {
+        plan.set(timer, *variant, *cfg);
     }
+    let (tuned, telemetry) = run_plan(&plan);
+    for p in kernel_profiles(&telemetry) {
+        let (variant, cfg) = plan.choice(&p.timer);
+        assert_eq!(p.variant, variant.label(), "{}: variant", p.timer);
+        assert_eq!(
+            p.wg_size as usize, cfg.wg_size,
+            "{}: work-group size",
+            p.timer
+        );
+    }
+    let (reference, _) = run_plan(&hand_picked_plan(base()));
+    assert_eq!(reference.state_digest(), tuned.state_digest());
+}
+
+/// Largest |difference| between two runs' values of a field, as a
+/// fraction of the field's largest |value| in the first.
+fn worst_relative(a: &[[f32; 3]], b: &[[f32; 3]]) -> f64 {
+    let scale = a.iter().flatten().fold(0.0f32, |m, x| m.max(x.abs()));
+    let pairs = a.iter().flatten().zip(b.iter().flatten());
+    let worst = pairs.fold(0.0f32, |m, (x, y)| m.max((x - y).abs()));
+    f64::from(worst / scale)
+}
+
+/// Accelerations (hydro and gravity) of a plan of the committed winners
+/// stay within this fraction of the field's largest |value| under the
+/// hand-picked launch. The plan changes no physics, only the order of
+/// f32 sums: Broadcast's chunked loops fold each particle's neighbour
+/// contributions in another order, and one reordered f32 sum differs in
+/// its last bits. Measured against the field's largest value that is
+/// 1.8e-7 for hydro and 1.0e-5 for gravity, whose neighbour terms
+/// nearly cancel on the near-uniform z = 200 lattice, so the rounding
+/// of each term is large next to the net force. A bound of 1e-4 leaves
+/// 10× over the gravity figure, while a Broadcast kernel that skips one
+/// neighbour range per chunk moves the fields by 3.5× (hydro) and 12×
+/// (gravity) their largest value.
+const WINNER_PLAN_TOLERANCE: f64 = 1e-4;
+
+#[test]
+fn a_plan_of_the_committed_frontier_winners_runs_those_winners() {
+    let winners = committed_frontier_winners();
+    assert_eq!(winners.len(), tuned_timers().len(), "one winner per timer");
+    assert!(
+        winners
+            .iter()
+            .any(|(_, c)| c.variant != "select" || c.sg_size != 64),
+        "the committed winners must reach past the hand-picked Select build"
+    );
+    let (tuned, telemetry) = run_plan(&frontier_plan(&winners, base()));
+    let profiles = kernel_profiles(&telemetry);
+
+    // Each bracket ran the planned variant at the planned sub-group size.
+    for (timer, choice) in &winners {
+        let variant = Variant::from_id(&choice.variant).expect("variant id");
+        let ran: Vec<&KernelProfile> = profiles.iter().filter(|p| p.timer == *timer).collect();
+        assert!(!ran.is_empty(), "{timer} never ran");
+        for p in ran {
+            assert_eq!(p.variant, variant.label(), "{timer}: variant");
+            assert_eq!(
+                p.sg_size as usize, choice.sg_size,
+                "{timer}: sub-group size"
+            );
+        }
+    }
+
+    let (reference, _) = run_plan(&hand_picked_plan(base()));
+    let fields = [
+        ("acc", [&reference.acc, &tuned.acc]),
+        ("acc_grav", [&reference.acc_grav, &tuned.acc_grav]),
+    ];
+    for (name, [want, got]) in fields {
+        let (want, got) = (reference.download_vec3(want), tuned.download_vec3(got));
+        assert!(
+            got.iter().flatten().all(|x| x.is_finite()),
+            "{name}: not finite"
+        );
+        let worst = worst_relative(&want, &got);
+        assert!(
+            worst <= WINNER_PLAN_TOLERANCE,
+            "winner plan moved {name} by {worst:.3e} of its largest |value|"
+        );
+    }
+}
+
+#[test]
+fn every_planned_bracket_runs_under_the_base_policies() {
+    let table = committed_frontier_winners();
+    let mut digests = Vec::new();
+    for exec in [ExecutionPolicy::Serial, ExecutionPolicy::with_threads(2)] {
+        let base = base().with_exec(exec).with_meter(MeterPolicy::Off);
+        let (data, telemetry) = run_plan(&frontier_plan(&table, base));
+        let profiles = kernel_profiles(&telemetry);
+        assert!(profiles.iter().any(|p| p.timer == GRAVITY_TIMER));
+        for p in &profiles {
+            assert!(
+                p.instr.iter().all(|&c| c == 0),
+                "{}: metered under MeterPolicy::Off ({exec:?})",
+                p.timer
+            );
+        }
+        // Only parallel launches report scheduler samples.
+        let parallel = counter_total(&telemetry.events(), "sched.queue_depth") > 0.0;
+        assert_eq!(
+            parallel,
+            exec != ExecutionPolicy::Serial,
+            "{exec:?} not applied"
+        );
+        digests.push(data.state_digest());
+    }
+    assert_eq!(
+        digests[0], digests[1],
+        "serial and threaded plans must leave one device state"
+    );
 }

@@ -1,27 +1,30 @@
 //! The documentation may only name things that exist (ROADMAP item 8's
 //! gate, first slice): every target and flag on a `figures` command
-//! line in the docs is a row of `hacc_bench::TARGETS` / `FLAGS`, no
-//! doc mentions a harness or environment switch that was deleted, and
-//! no crate reads its configuration from the process environment.
+//! line in the docs is a row of `hacc_bench::TARGETS` / `FLAGS`, every
+//! flag on a `quickstart` command line is an arm of the example's
+//! argument `match`, no doc mentions a harness or environment switch
+//! that was deleted, and no crate reads its configuration from the
+//! process environment.
 //!
-//! A command line is recognised as `figures -- …` or `figures --flag …`.
-//! Inside a fenced block it runs to the end of the line; in prose it
-//! must sit in inline code and runs to the closing backtick (it may
-//! wrap). `<placeholders>` are skipped. Every command line of a CI
-//! workflow stands alone, as in a fenced block, once its `\`
-//! continuations are joined.
+//! A command line is recognised as `figures -- …` or `figures --flag …`
+//! (likewise `quickstart`). Inside a fenced block it runs to the end of
+//! the line, once its `\` continuations are joined; in prose it must
+//! sit in inline code and runs to the closing backtick (it may wrap).
+//! `<placeholders>` are skipped. Every command line of a CI workflow
+//! stands alone, as in a fenced block.
 
 use crk_hacc::bench::{FLAGS, TARGETS};
 use std::path::Path;
 
-/// Markdown files, the binary's own header and the CI workflows held to
-/// the tables.
-const DOCS: [&str; 7] = [
+/// Markdown files, the two programs' own headers and the CI workflows
+/// held to the tables.
+const DOCS: [&str; 8] = [
     "README.md",
     "DESIGN.md",
     "EXPERIMENTS.md",
     ".claude/skills/verify/SKILL.md",
     "crates/bench/src/bin/figures.rs",
+    "examples/quickstart.rs",
     ".github/workflows/ci.yml",
     ".github/workflows/nightly.yml",
 ];
@@ -34,8 +37,10 @@ const DOCS: [&str; 7] = [
 /// retired fault-handling knobs (the budgets are constants), the
 /// retired second multi-rank schedule (the task graph is the step), and
 /// the retired second gate (each `figures` sweep judges itself against
-/// its committed report).
-const RETIRED: [&str; 23] = [
+/// its committed report), and the retired runtime tuner and its
+/// exploration (tuning is offline; a plan is a row of the table, and
+/// `Simulation` takes none).
+const RETIRED: [&str; 32] = [
     "cargo bench",
     "criterion",
     "BENCH_scaling",
@@ -59,6 +64,15 @@ const RETIRED: [&str; 23] = [
     "perf_gate.py",
     "write-observe-baseline",
     "write-tune-baseline",
+    "set_tuning",
+    "take_tuning",
+    "save_tuning",
+    "tuning_enabled",
+    "from_cache_file",
+    "observe_step",
+    "tune-cache.json",
+    "explore_picks",
+    "set_plan",
 ];
 
 fn read(rel: &str) -> String {
@@ -77,26 +91,24 @@ fn read(rel: &str) -> String {
     }
 }
 
-/// A workflow's command lines, as one fenced block with each `\`
-/// continuation joined. Step names and comments are not commands, and
+/// A workflow's command lines, as one fenced block. Step names and comments are not commands, and
 /// a negated one (`! … figures -- scaling`) names a retired target on
 /// purpose.
 fn workflow_commands(text: &str) -> String {
-    let joined = text.replace("\\\n", " ");
-    let commands = joined.lines().filter(|l| {
+    let commands = text.lines().filter(|l| {
         let l = l.trim_start();
         !(l.starts_with('#') || l.starts_with("- name:") || l.contains("\"! "))
     });
     format!("```\n{}\n```", commands.collect::<Vec<_>>().join("\n"))
 }
 
-/// Every `figures` command line in `text`, as its argument tokens.
-fn figures_command_lines(text: &str) -> Vec<Vec<String>> {
-    // Fenced lines stand alone; everything between fences is one prose
-    // buffer, so inline code may wrap across lines.
+/// Every `program` command line in `text`, as its argument tokens.
+fn command_lines(text: &str, program: &str) -> Vec<Vec<String>> {
+    // Fenced lines stand alone once continuations are joined; everything
+    // between fences is one prose buffer, so inline code may wrap.
     let mut chunks: Vec<(bool, String)> = vec![(false, String::new())];
     let mut in_fence = false;
-    for line in text.lines() {
+    for line in text.replace("\\\n", " ").lines() {
         if line.trim_start().starts_with("```") {
             in_fence = !in_fence;
             chunks.push((false, String::new()));
@@ -111,8 +123,8 @@ fn figures_command_lines(text: &str) -> Vec<Vec<String>> {
     let mut out = Vec::new();
     for (fenced, chunk) in &chunks {
         let mut rest = chunk.as_str();
-        while let Some(at) = rest.find("figures") {
-            rest = &rest[at + "figures".len()..];
+        while let Some(at) = rest.find(program) {
+            rest = &rest[at + program.len()..];
             let args = rest.trim_start();
             if args.len() == rest.len() || !args.starts_with("--") {
                 continue; // "figures.rs", "the figures binary", …
@@ -135,7 +147,7 @@ fn every_figures_target_and_flag_in_the_docs_exists() {
     let mut unknown = Vec::new();
     let mut checked = 0;
     for doc in DOCS {
-        for args in figures_command_lines(&read(doc)) {
+        for args in command_lines(&read(doc), "figures") {
             let mut it = args.iter().skip_while(|t| *t == "--");
             while let Some(tok) = it.next() {
                 checked += 1;
@@ -171,7 +183,7 @@ fn the_scanner_sees_fenced_inline_and_wrapped_command_lines() {
     let text = "prose `figures -- ranks --async\n  --json B.json` and the `figures` binary.\n\
                 ```bash\ncargo run --bin figures -- --size 6 fig9  # comment\n```\n\
                 `RAYON_NUM_THREADS=2 figures\n--size 6 <targets>`, see figures.rs";
-    let lines = figures_command_lines(text);
+    let lines = command_lines(text, "figures");
     let expect: [&[&str]; 3] = [
         &["--", "ranks", "--async", "--json", "B.json"],
         &["--", "--size", "6", "fig9"],
@@ -185,8 +197,59 @@ fn the_scanner_sees_fenced_inline_and_wrapped_command_lines() {
                     \x20       run: |\n\
                     \x20         cargo run --bin figures -- autotune --full \\\n\
                     \x20           --json B.json > out.txt 2>&1\n";
-    let lines = figures_command_lines(&workflow_commands(workflow));
+    let lines = command_lines(&workflow_commands(workflow), "figures");
     assert_eq!(lines, [["--", "autotune", "--full", "--json", "B.json"]]);
+
+    let fenced = "```bash\ncargo run --example quickstart -- \\\n    --ranks 4 --meter off\n```\n\
+                  the quickstart's `quickstart --serial` run, see quickstart.rs";
+    let lines = command_lines(fenced, "quickstart");
+    let expect: [&[&str]; 2] = [&["--", "--ranks", "4", "--meter", "off"], &["--serial"]];
+    assert_eq!(lines, expect);
+}
+
+/// The flags `examples/quickstart.rs` accepts: the `"--flag" =>` arms of
+/// its argument `match`.
+fn quickstart_flags() -> Vec<String> {
+    let path = Path::new(env!("CARGO_MANIFEST_DIR")).join("examples/quickstart.rs");
+    let text = std::fs::read_to_string(path).expect("examples/quickstart.rs");
+    let arms = text.lines().filter_map(|l| {
+        let (flag, _) = l.trim_start().strip_prefix("\"--")?.split_once("\" =>")?;
+        Some(format!("--{flag}"))
+    });
+    arms.collect()
+}
+
+#[test]
+fn every_quickstart_flag_in_the_docs_is_an_arm_of_its_match() {
+    let arms = quickstart_flags();
+    assert!(
+        arms.len() >= 10,
+        "only {arms:?} found — arm scanner broken?"
+    );
+    let mut unknown = Vec::new();
+    let mut checked = 0;
+    for doc in DOCS {
+        for args in command_lines(&read(doc), "quickstart") {
+            for tok in args.iter().filter(|t| t.starts_with("--") && *t != "--") {
+                checked += 1;
+                if !arms.contains(tok) {
+                    unknown.push(format!("{doc}: flag `{tok}` in {args:?}"));
+                }
+            }
+        }
+    }
+    assert!(
+        unknown.is_empty(),
+        "the docs name quickstart flags that examples/quickstart.rs does not \
+         match on (accepted: {}):\n{}",
+        arms.join(" | "),
+        unknown.join("\n")
+    );
+    // The scan itself must keep finding the command lines it polices.
+    assert!(
+        checked >= 20,
+        "only {checked} flags found — scanner broken?"
+    );
 }
 
 #[test]
