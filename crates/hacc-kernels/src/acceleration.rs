@@ -32,12 +32,12 @@ pub(crate) const F_CS: usize = 13;
 pub(crate) const F_RHO: usize = 14;
 
 /// Loads the full hydro-force particle object (shared with *Energy*).
-pub(crate) fn load_force_fields(
+pub(crate) fn load_force_fields<'sg>(
     data: &DeviceParticles,
-    sg: &Sg,
-    slots: &Lanes<u32>,
-    valid_f: &Lanes<f32>,
-) -> Vec<Lanes<f32>> {
+    sg: &'sg Sg,
+    slots: &Lanes<'sg, u32>,
+    valid_f: &Lanes<'sg, f32>,
+) -> Vec<Lanes<'sg, f32>> {
     let m = sg.load_f32(&data.mass, slots);
     vec![
         &m * valid_f,
@@ -83,17 +83,22 @@ impl PairPhysics for Acceleration {
         4
     }
 
-    fn load_exchange(&self, sg: &Sg, slots: &Lanes<u32>, valid_f: &Lanes<f32>) -> Vec<Lanes<f32>> {
+    fn load_exchange<'sg>(
+        &self,
+        sg: &'sg Sg,
+        slots: &Lanes<'sg, u32>,
+        valid_f: &Lanes<'sg, f32>,
+    ) -> Vec<Lanes<'sg, f32>> {
         load_force_fields(&self.data, sg, slots, valid_f)
     }
 
-    fn interact(
+    fn interact<'sg>(
         &self,
-        sg: &Sg,
-        own: &[Lanes<f32>],
-        _own_extra: &[Lanes<f32>],
-        other: &[Lanes<f32>],
-        acc: &mut [Lanes<f32>],
+        sg: &'sg Sg,
+        own: &[Lanes<'sg, f32>],
+        _own_extra: &[Lanes<'sg, f32>],
+        other: &[Lanes<'sg, f32>],
+        acc: &mut [Lanes<'sg, f32>],
     ) {
         let g = pair_geometry(
             sg,

@@ -36,17 +36,22 @@ impl PairPhysics for Energy {
         1
     }
 
-    fn load_exchange(&self, sg: &Sg, slots: &Lanes<u32>, valid_f: &Lanes<f32>) -> Vec<Lanes<f32>> {
+    fn load_exchange<'sg>(
+        &self,
+        sg: &'sg Sg,
+        slots: &Lanes<'sg, u32>,
+        valid_f: &Lanes<'sg, f32>,
+    ) -> Vec<Lanes<'sg, f32>> {
         load_force_fields(&self.data, sg, slots, valid_f)
     }
 
-    fn interact(
+    fn interact<'sg>(
         &self,
-        sg: &Sg,
-        own: &[Lanes<f32>],
-        _own_extra: &[Lanes<f32>],
-        other: &[Lanes<f32>],
-        acc: &mut [Lanes<f32>],
+        sg: &'sg Sg,
+        own: &[Lanes<'sg, f32>],
+        _own_extra: &[Lanes<'sg, f32>],
+        other: &[Lanes<'sg, f32>],
+        acc: &mut [Lanes<'sg, f32>],
     ) {
         let g = pair_geometry(
             sg,

@@ -47,7 +47,12 @@ impl PairPhysics for Extras {
         4
     }
 
-    fn load_exchange(&self, sg: &Sg, slots: &Lanes<u32>, valid_f: &Lanes<f32>) -> Vec<Lanes<f32>> {
+    fn load_exchange<'sg>(
+        &self,
+        sg: &'sg Sg,
+        slots: &Lanes<'sg, u32>,
+        valid_f: &Lanes<'sg, f32>,
+    ) -> Vec<Lanes<'sg, f32>> {
         let m = sg.load_f32(&self.data.mass, slots);
         vec![
             &m * valid_f,
@@ -58,7 +63,7 @@ impl PairPhysics for Extras {
         ]
     }
 
-    fn load_own_extra(&self, sg: &Sg, slots: &Lanes<u32>) -> Vec<Lanes<f32>> {
+    fn load_own_extra<'sg>(&self, sg: &'sg Sg, slots: &Lanes<'sg, u32>) -> Vec<Lanes<'sg, f32>> {
         vec![
             sg.load_f32(&self.data.crk_a, slots),
             sg.load_f32(&self.data.crk_b[0], slots),
@@ -67,13 +72,13 @@ impl PairPhysics for Extras {
         ]
     }
 
-    fn interact(
+    fn interact<'sg>(
         &self,
-        sg: &Sg,
-        own: &[Lanes<f32>],
-        own_extra: &[Lanes<f32>],
-        other: &[Lanes<f32>],
-        acc: &mut [Lanes<f32>],
+        sg: &'sg Sg,
+        own: &[Lanes<'sg, f32>],
+        own_extra: &[Lanes<'sg, f32>],
+        other: &[Lanes<'sg, f32>],
+        acc: &mut [Lanes<'sg, f32>],
     ) {
         let g = pair_geometry(
             sg,

@@ -14,7 +14,7 @@ use crate::particles::{DeviceParticles, GAMMA};
 use sycl_sim::{Lanes, Sg, SgKernel};
 
 /// Lane→particle mapping for a lane-parallel kernel over `n` particles.
-fn particle_slots(sg: &Sg, n: usize) -> (Lanes<u32>, Lanes<bool>) {
+fn particle_slots<'sg>(sg: &'sg Sg, n: usize) -> (Lanes<'sg, u32>, Lanes<'sg, bool>) {
     let base = (sg.sg_id * sg.size) as u32;
     let raw = sg.lane_id().add_scalar(base);
     let last = sg.splat_u32((n - 1) as u32);

@@ -34,7 +34,12 @@ impl PairPhysics for Geometry {
         1
     }
 
-    fn load_exchange(&self, sg: &Sg, slots: &Lanes<u32>, valid_f: &Lanes<f32>) -> Vec<Lanes<f32>> {
+    fn load_exchange<'sg>(
+        &self,
+        sg: &'sg Sg,
+        slots: &Lanes<'sg, u32>,
+        valid_f: &Lanes<'sg, f32>,
+    ) -> Vec<Lanes<'sg, f32>> {
         vec![
             valid_f.clone(),
             sg.load_f32(&self.data.pos[0], slots),
@@ -44,13 +49,13 @@ impl PairPhysics for Geometry {
         ]
     }
 
-    fn interact(
+    fn interact<'sg>(
         &self,
-        sg: &Sg,
-        own: &[Lanes<f32>],
-        _own_extra: &[Lanes<f32>],
-        other: &[Lanes<f32>],
-        acc: &mut [Lanes<f32>],
+        sg: &'sg Sg,
+        own: &[Lanes<'sg, f32>],
+        _own_extra: &[Lanes<'sg, f32>],
+        other: &[Lanes<'sg, f32>],
+        acc: &mut [Lanes<'sg, f32>],
     ) {
         let g = pair_geometry(
             sg,

@@ -47,7 +47,12 @@ impl PairPhysics for Gravity {
         3
     }
 
-    fn load_exchange(&self, sg: &Sg, slots: &Lanes<u32>, valid_f: &Lanes<f32>) -> Vec<Lanes<f32>> {
+    fn load_exchange<'sg>(
+        &self,
+        sg: &'sg Sg,
+        slots: &Lanes<'sg, u32>,
+        valid_f: &Lanes<'sg, f32>,
+    ) -> Vec<Lanes<'sg, f32>> {
         let m = sg.load_f32(&self.data.mass, slots);
         vec![
             &m * valid_f,
@@ -57,13 +62,13 @@ impl PairPhysics for Gravity {
         ]
     }
 
-    fn interact(
+    fn interact<'sg>(
         &self,
-        sg: &Sg,
-        own: &[Lanes<f32>],
-        _own_extra: &[Lanes<f32>],
-        other: &[Lanes<f32>],
-        acc: &mut [Lanes<f32>],
+        sg: &'sg Sg,
+        own: &[Lanes<'sg, f32>],
+        _own_extra: &[Lanes<'sg, f32>],
+        other: &[Lanes<'sg, f32>],
+        acc: &mut [Lanes<'sg, f32>],
     ) {
         let ex = crate::halfwarp::min_image_lanes(&own[F_X], &other[F_X], self.box_size);
         let ey = crate::halfwarp::min_image_lanes(&own[F_X + 1], &other[F_X + 1], self.box_size);

@@ -14,22 +14,22 @@ use sycl_sim::{Buffer, Lanes, Sg};
 
 /// Slot assignment for a half-warp tile: lower lanes map to side A,
 /// upper lanes to side B (paper Figure 3).
-pub struct TileSlots {
+pub struct TileSlots<'sg> {
     /// Global (leaf-ordered) slot index per lane, clamped in-bounds for
     /// padding lanes.
-    pub slots: Lanes<u32>,
+    pub slots: Lanes<'sg, u32>,
     /// Validity of each lane's own slot.
-    pub valid: Lanes<bool>,
+    pub valid: Lanes<'sg, bool>,
     /// Validity as 1.0/0.0, exchanged alongside data so partners can
     /// neutralize padding contributions.
-    pub valid_f: Lanes<f32>,
+    pub valid_f: Lanes<'sg, f32>,
     /// Lanes allowed to write results (valid, and lower-half-only for
     /// self tiles to avoid double counting).
-    pub write_mask: Lanes<bool>,
+    pub write_mask: Lanes<'sg, bool>,
 }
 
 /// Computes the lane→slot mapping for a tile.
-pub fn tile_slots(sg: &Sg, tile: &Tile) -> TileSlots {
+pub fn tile_slots<'sg>(sg: &'sg Sg, tile: &Tile) -> TileSlots<'sg> {
     let h = (sg.size / 2) as u32;
     let lane = sg.lane_id();
     let is_lower = lane.lt_scalar(h);
@@ -63,18 +63,18 @@ pub fn tile_slots(sg: &Sg, tile: &Tile) -> TileSlots {
 }
 
 /// `min(x, hi)` per lane.
-fn clamp_max(x: &Lanes<u32>, hi: &Lanes<u32>) -> Lanes<u32> {
+fn clamp_max<'sg>(x: &Lanes<'sg, u32>, hi: &Lanes<'sg, u32>) -> Lanes<'sg, u32> {
     x.min(hi)
 }
 
 /// Executes the half-warp interaction loop: `interact` is called `h`
 /// times, once per exchange step, receiving the partner's fields in the
 /// same order as `own_fields`.
-pub fn half_warp_loop(
-    sg: &Sg,
+pub fn half_warp_loop<'sg>(
+    sg: &'sg Sg,
     variant: Variant,
-    own_fields: &[&Lanes<f32>],
-    mut interact: impl FnMut(&Sg, &[Lanes<f32>]),
+    own_fields: &[&Lanes<'sg, f32>],
+    mut interact: impl FnMut(&'sg Sg, &[Lanes<'sg, f32>]),
 ) {
     debug_assert!(variant.is_half_warp());
     let h = sg.size / 2;
@@ -86,18 +86,18 @@ pub fn half_warp_loop(
 
 /// Slot assignment for a broadcast-variant chunk: each lane owns one slot
 /// of the chunk (full sub-group width).
-pub struct ChunkSlots {
+pub struct ChunkSlots<'sg> {
     /// Global slot per lane (clamped).
-    pub slots: Lanes<u32>,
+    pub slots: Lanes<'sg, u32>,
     /// Validity of the lane's own slot.
-    pub valid: Lanes<bool>,
+    pub valid: Lanes<'sg, bool>,
     /// Write mask (same as `valid` — each particle lives in exactly one
     /// chunk, so broadcast kernels write without atomics).
-    pub write_mask: Lanes<bool>,
+    pub write_mask: Lanes<'sg, bool>,
 }
 
 /// Computes the lane→slot mapping for a chunk.
-pub fn chunk_slots(sg: &Sg, chunk: &Chunk) -> ChunkSlots {
+pub fn chunk_slots<'sg>(sg: &'sg Sg, chunk: &Chunk) -> ChunkSlots<'sg> {
     let lane = sg.lane_id();
     let raw = lane.add_scalar(chunk.start);
     let last = sg.splat_u32(chunk.start + chunk.len - 1);
@@ -117,12 +117,12 @@ pub fn chunk_slots(sg: &Sg, chunk: &Chunk) -> ChunkSlots {
 /// The j-loop bound is known on the host, so no validity flag needs to be
 /// exchanged — but every lane redundantly evaluates every interaction
 /// (the paper's "redundantly compute intermediate values", §5.3.2).
-pub fn broadcast_loop(
-    sg: &Sg,
+pub fn broadcast_loop<'sg>(
+    sg: &'sg Sg,
     nbr_start: u32,
     nbr_len: u32,
-    load: impl Fn(&Sg, &Lanes<u32>) -> Vec<Lanes<f32>>,
-    mut interact: impl FnMut(&Sg, &[Lanes<f32>]),
+    load: impl Fn(&'sg Sg, &Lanes<'sg, u32>) -> Vec<Lanes<'sg, f32>>,
+    mut interact: impl FnMut(&'sg Sg, &[Lanes<'sg, f32>]),
 ) {
     let lane = sg.lane_id();
     let raw = lane.add_scalar(nbr_start);
@@ -154,7 +154,11 @@ pub fn accumulate(
 }
 
 /// Minimum-image displacement component `other − own` in a periodic box.
-pub fn min_image_lanes(own: &Lanes<f32>, other: &Lanes<f32>, box_size: f32) -> Lanes<f32> {
+pub fn min_image_lanes<'sg>(
+    own: &Lanes<'sg, f32>,
+    other: &Lanes<'sg, f32>,
+    box_size: f32,
+) -> Lanes<'sg, f32> {
     let d = other - own;
     let wraps = (&d / box_size).round();
     &d - &(&wraps * box_size)

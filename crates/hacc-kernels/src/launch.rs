@@ -336,6 +336,15 @@ impl StepPlan {
 /// built once per step; re-partitioning per kernel is not a real
 /// option), so per-size lists only re-pack the same leaves into tiles —
 /// and into chunks, once a Broadcast launch at that size asks for them.
+///
+/// **Known gap.** The shared tree keeps the leaf capacity it was built
+/// with, which callers take from the plan's default variant
+/// ([`Variant::preferred_leaf_capacity`]). The autotune sweep costs
+/// every candidate on a tree built at *that candidate's* preferred
+/// capacity (`bench::experiments::prepare`), so a plan that puts the
+/// tuned Broadcast winners (leaf capacity `S`) beside a Select default
+/// (`S/2`) runs those brackets on a tree other than the one whose
+/// modeled seconds the tuning table holds (ROADMAP item 12b).
 #[derive(Clone, Default)]
 pub struct WorkSet {
     by_sg: BTreeMap<usize, WorkLists>,

@@ -41,23 +41,28 @@ pub trait PairPhysics: Sync {
     /// Loads the fields every interaction partner must see. Field 0 must
     /// be the validity/weight channel (zero for padding lanes) so partner
     /// contributions from padding are neutralized.
-    fn load_exchange(&self, sg: &Sg, slots: &Lanes<u32>, valid_f: &Lanes<f32>) -> Vec<Lanes<f32>>;
+    fn load_exchange<'sg>(
+        &self,
+        sg: &'sg Sg,
+        slots: &Lanes<'sg, u32>,
+        valid_f: &Lanes<'sg, f32>,
+    ) -> Vec<Lanes<'sg, f32>>;
 
     /// Loads owner-only fields that are *not* exchanged (e.g. the owner's
     /// CRK coefficients in *Extras*).
-    fn load_own_extra(&self, _sg: &Sg, _slots: &Lanes<u32>) -> Vec<Lanes<f32>> {
+    fn load_own_extra<'sg>(&self, _sg: &'sg Sg, _slots: &Lanes<'sg, u32>) -> Vec<Lanes<'sg, f32>> {
         Vec::new()
     }
 
     /// One interaction: owner fields vs one partner's fields, updating the
     /// accumulators.
-    fn interact(
+    fn interact<'sg>(
         &self,
-        sg: &Sg,
-        own: &[Lanes<f32>],
-        own_extra: &[Lanes<f32>],
-        other: &[Lanes<f32>],
-        acc: &mut [Lanes<f32>],
+        sg: &'sg Sg,
+        own: &[Lanes<'sg, f32>],
+        own_extra: &[Lanes<'sg, f32>],
+        other: &[Lanes<'sg, f32>],
+        acc: &mut [Lanes<'sg, f32>],
     );
 
     /// Writes the accumulated results for the owner lanes. `atomic` is

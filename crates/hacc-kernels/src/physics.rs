@@ -28,30 +28,30 @@ pub const CFL: f32 = 0.25;
 pub const VISC_EPS: f32 = 0.01;
 
 /// Pair geometry computed once per interaction instance.
-pub struct PairGeom {
+pub struct PairGeom<'sg> {
     /// Displacement `x_j − x_i`, minimum image.
-    pub eta: [Lanes<f32>; 3],
+    pub eta: [Lanes<'sg, f32>; 3],
     /// Squared distance.
-    pub r2: Lanes<f32>,
+    pub r2: Lanes<'sg, f32>,
     /// Symmetrized smoothing length.
-    pub hbar: Lanes<f32>,
+    pub hbar: Lanes<'sg, f32>,
     /// Kernel value `W(r, h̄)`.
-    pub w: Lanes<f32>,
+    pub w: Lanes<'sg, f32>,
     /// `W′(r, h̄)/r`, with the `r → 0` singularity masked to zero (the
     /// self-interaction term carries no force).
-    pub dw_over_r: Lanes<f32>,
+    pub dw_over_r: Lanes<'sg, f32>,
 }
 
 /// Builds the pair geometry from own/other positions and smoothing
 /// lengths.
-pub fn pair_geometry(
-    sg: &Sg,
-    own_pos: [&Lanes<f32>; 3],
-    own_h: &Lanes<f32>,
-    other_pos: [&Lanes<f32>; 3],
-    other_h: &Lanes<f32>,
+pub fn pair_geometry<'sg>(
+    sg: &'sg Sg,
+    own_pos: [&Lanes<'sg, f32>; 3],
+    own_h: &Lanes<'sg, f32>,
+    other_pos: [&Lanes<'sg, f32>; 3],
+    other_h: &Lanes<'sg, f32>,
     box_size: f32,
-) -> PairGeom {
+) -> PairGeom<'sg> {
     let ex = min_image_lanes(own_pos[0], other_pos[0], box_size);
     let ey = min_image_lanes(own_pos[1], other_pos[1], box_size);
     let ez = min_image_lanes(own_pos[2], other_pos[2], box_size);
@@ -78,20 +78,20 @@ pub fn pair_geometry(
 }
 
 /// `B·η` for a correction vector.
-pub fn b_dot_eta(b: [&Lanes<f32>; 3], eta: &[Lanes<f32>; 3]) -> Lanes<f32> {
+pub fn b_dot_eta<'sg>(b: [&Lanes<'sg, f32>; 3], eta: &[Lanes<'sg, f32>; 3]) -> Lanes<'sg, f32> {
     &(&(b[0] * &eta[0]) + &(b[1] * &eta[1])) + &(b[2] * &eta[2])
 }
 
 /// The pair-antisymmetric corrected gradient Ĝ_ij (three components).
 ///
 /// `a_i, b_i` are the owner's CRK coefficients, `a_j, b_j` the partner's.
-pub fn corrected_gradient(
-    g: &PairGeom,
-    a_i: &Lanes<f32>,
-    b_i: [&Lanes<f32>; 3],
-    a_j: &Lanes<f32>,
-    b_j: [&Lanes<f32>; 3],
-) -> [Lanes<f32>; 3] {
+pub fn corrected_gradient<'sg>(
+    g: &PairGeom<'sg>,
+    a_i: &Lanes<'sg, f32>,
+    b_i: [&Lanes<'sg, f32>; 3],
+    a_j: &Lanes<'sg, f32>,
+    b_j: [&Lanes<'sg, f32>; 3],
+) -> [Lanes<'sg, f32>; 3] {
     let bi_eta = b_dot_eta(b_i, &g.eta);
     let bj_eta = b_dot_eta(b_j, &g.eta);
     // bracket = A_i(1 + B_i·η) + A_j(1 − B_j·η)
@@ -105,7 +105,11 @@ pub fn corrected_gradient(
 
 /// The owner-corrected kernel value `W^R = A_i (1 + B_i·η) W` used by the
 /// density sums of *Extras*.
-pub fn corrected_kernel(g: &PairGeom, a_i: &Lanes<f32>, b_i: [&Lanes<f32>; 3]) -> Lanes<f32> {
+pub fn corrected_kernel<'sg>(
+    g: &PairGeom<'sg>,
+    a_i: &Lanes<'sg, f32>,
+    b_i: [&Lanes<'sg, f32>; 3],
+) -> Lanes<'sg, f32> {
     let bi_eta = b_dot_eta(b_i, &g.eta);
     &(a_i * &(&bi_eta + 1.0)) * &g.w
 }
@@ -113,11 +117,11 @@ pub fn corrected_kernel(g: &PairGeom, a_i: &Lanes<f32>, b_i: [&Lanes<f32>; 3]) -
 /// The owner-corrected kernel gradient `∇ᵢW^R` (not antisymmetrized) used
 /// by the gradient estimators of *Extras*:
 /// `∇ᵢW^R = −A_i B_i W − A_i (1 + B_i·η)(W′/r) η`.
-pub fn corrected_gradient_own(
-    g: &PairGeom,
-    a_i: &Lanes<f32>,
-    b_i: [&Lanes<f32>; 3],
-) -> [Lanes<f32>; 3] {
+pub fn corrected_gradient_own<'sg>(
+    g: &PairGeom<'sg>,
+    a_i: &Lanes<'sg, f32>,
+    b_i: [&Lanes<'sg, f32>; 3],
+) -> [Lanes<'sg, f32>; 3] {
     let bi_eta = b_dot_eta(b_i, &g.eta);
     let radial = &(&(a_i * &(&bi_eta + 1.0)) * &g.dw_over_r) * -1.0;
     std::array::from_fn(|c| &(&radial * &g.eta[c]) - &(&(a_i * b_i[c]) * &g.w))
@@ -126,25 +130,25 @@ pub fn corrected_gradient_own(
 /// Monaghan artificial viscosity Π_ij and the |μ| used by the CFL
 /// condition. `v_ij = v_i − v_j` (owner minus partner); the pair is
 /// approaching when `v_ij·η > 0` with our η convention.
-pub struct Viscosity {
+pub struct Viscosity<'sg> {
     /// Π_ij (non-negative; zero for receding pairs).
-    pub pi: Lanes<f32>,
+    pub pi: Lanes<'sg, f32>,
     /// |μ_ij| (the signal-velocity measure for the time step).
-    pub mu_abs: Lanes<f32>,
+    pub mu_abs: Lanes<'sg, f32>,
 }
 
 /// Computes the artificial viscosity for a pair.
 #[allow(clippy::too_many_arguments)]
-pub fn viscosity(
-    sg: &Sg,
-    g: &PairGeom,
-    own_vel: [&Lanes<f32>; 3],
-    other_vel: [&Lanes<f32>; 3],
-    own_cs: &Lanes<f32>,
-    other_cs: &Lanes<f32>,
-    own_rho: &Lanes<f32>,
-    other_rho: &Lanes<f32>,
-) -> Viscosity {
+pub fn viscosity<'sg>(
+    sg: &'sg Sg,
+    g: &PairGeom<'sg>,
+    own_vel: [&Lanes<'sg, f32>; 3],
+    other_vel: [&Lanes<'sg, f32>; 3],
+    own_cs: &Lanes<'sg, f32>,
+    other_cs: &Lanes<'sg, f32>,
+    own_rho: &Lanes<'sg, f32>,
+    other_rho: &Lanes<'sg, f32>,
+) -> Viscosity<'sg> {
     let vx = own_vel[0] - other_vel[0];
     let vy = own_vel[1] - other_vel[1];
     let vz = own_vel[2] - other_vel[2];
@@ -172,7 +176,7 @@ mod tests {
         Sg::new(0, 32, SgConfig::for_arch(&GpuArch::frontier(), true, false))
     }
 
-    fn splat3(s: &Sg, v: [f32; 3]) -> [Lanes<f32>; 3] {
+    fn splat3<'sg>(s: &'sg Sg, v: [f32; 3]) -> [Lanes<'sg, f32>; 3] {
         [s.splat_f32(v[0]), s.splat_f32(v[1]), s.splat_f32(v[2])]
     }
 

@@ -55,7 +55,7 @@ pub fn dw_dr_scalar(r: f64, h: f64) -> f64 {
 ///
 /// Branch-free (both polynomial pieces evaluated and blended with
 /// predicated selects), as GPU kernels are compiled.
-pub fn w_lanes(sg: &Sg, r: &Lanes<f32>, h: &Lanes<f32>) -> Lanes<f32> {
+pub fn w_lanes<'sg>(sg: &'sg Sg, r: &Lanes<'sg, f32>, h: &Lanes<'sg, f32>) -> Lanes<'sg, f32> {
     let q = r / h;
     let h3 = &(h * h) * h;
     let s = &sg.splat_f32(SIGMA_3D as f32) / &h3;
@@ -72,7 +72,7 @@ pub fn w_lanes(sg: &Sg, r: &Lanes<f32>, h: &Lanes<f32>) -> Lanes<f32> {
 }
 
 /// Device kernel derivative `dW/dr` per lane (branch-free).
-pub fn dw_dr_lanes(sg: &Sg, r: &Lanes<f32>, h: &Lanes<f32>) -> Lanes<f32> {
+pub fn dw_dr_lanes<'sg>(sg: &'sg Sg, r: &Lanes<'sg, f32>, h: &Lanes<'sg, f32>) -> Lanes<'sg, f32> {
     let q = r / h;
     let h2 = h * h;
     let h4 = &h2 * &h2;

@@ -171,6 +171,12 @@ impl TunedSelector {
     /// supplies the launch fields the knobs leave alone. Takes
     /// `&mut self` only so that callers binding the selector `mut` (the
     /// benchmark's `pp_sweep` probe) stay warning-free until item 12b.
+    ///
+    /// The table's seconds were costed per candidate on a tree built at
+    /// the candidate variant's preferred leaf capacity; a plan runs all
+    /// its brackets on one tree (see [`WorkSet`](crate::launch::WorkSet)),
+    /// so a winner whose variant differs from the tree's does not run
+    /// the configuration the table measured.
     pub fn plan(
         &mut self,
         default_variant: Variant,

@@ -128,7 +128,12 @@ impl Variant {
     ///
     /// Panics if called on [`Variant::Broadcast`], which does not use
     /// half-warp exchanges.
-    pub fn exchange(&self, sg: &Sg, fields: &[&Lanes<f32>], step: usize) -> Vec<Lanes<f32>> {
+    pub fn exchange<'sg>(
+        &self,
+        sg: &'sg Sg,
+        fields: &[&Lanes<'sg, f32>],
+        step: usize,
+    ) -> Vec<Lanes<'sg, f32>> {
         let h = sg.size / 2;
         debug_assert!(step < h);
         match self {

@@ -6,7 +6,9 @@
 //! allocation/drop), are the inputs to the cost model — performance is
 //! derived from what the kernel actually *did*, not from declared numbers.
 
-use std::cell::{Cell, RefCell};
+use crate::lanes::MAX_SG_SIZE;
+use crate::simd::{Reg, LANE_BLOCK};
+use std::cell::Cell;
 
 /// Per-launch metering policy: whether the sub-group meters of a
 /// [`crate::Device::launch`] record anything.
@@ -141,38 +143,77 @@ impl InstrClass {
     }
 }
 
-thread_local! {
-    /// Parked `Lanes` scratch buffers, handed from a retiring meter to
-    /// the next one constructed on this thread. A launch creates one
-    /// meter per sub-group, so routing the pools through this stash (two
-    /// thread-local accesses per *sub-group*) lets every sub-group after
-    /// the first start with warm buffers while keeping the per-*op*
-    /// pool access a plain field load on the meter.
-    static SCRATCH_STASH: RefCell<ScratchStash> = const { RefCell::new(ScratchStash::empty()) };
+/// Registers a pool holds per scalar type: more than a kernel keeps
+/// live, and at most 36 KiB per worker thread.
+const POOL_CAP: usize = 64;
+
+/// A fixed stack of free registers of one scalar type. Every register is
+/// [`MAX_SG_SIZE`] lanes wide, so any pooled register serves any
+/// sub-group, and the `Cell` slots need no borrow flag.
+#[doc(hidden)]
+pub struct RegPool<T> {
+    slots: [Cell<Option<Box<Reg<T>>>>; POOL_CAP],
+    len: Cell<usize>,
 }
 
-/// The parked pools (one per lane scalar type) of a retired meter.
-#[derive(Debug, Default)]
-struct ScratchStash {
-    f32: Vec<Box<[f32]>>,
-    u32: Vec<Box<[u32]>>,
-    bool: Vec<Box<[bool]>>,
-}
-
-impl ScratchStash {
+impl<T: Copy + Default> RegPool<T> {
     const fn empty() -> Self {
         Self {
-            f32: Vec::new(),
-            u32: Vec::new(),
-            bool: Vec::new(),
+            slots: [const { Cell::new(None) }; POOL_CAP],
+            len: Cell::new(0),
         }
     }
+
+    /// Takes a free register, or allocates one when the pool is empty.
+    #[inline]
+    pub(crate) fn pop(&self) -> Box<Reg<T>> {
+        let len = self.len.get();
+        let top = len.checked_sub(1).and_then(|top| self.slots.get(top));
+        if let Some(reg) = top.and_then(Cell::take) {
+            self.len.set(len - 1);
+            return reg;
+        }
+        Box::new([[T::default(); LANE_BLOCK]; MAX_SG_SIZE / LANE_BLOCK])
+    }
+
+    /// Returns a register to the pool (freed instead when it is full).
+    #[inline]
+    pub(crate) fn push(&self, reg: Box<Reg<T>>) {
+        let len = self.len.get();
+        if let Some(slot) = self.slots.get(len) {
+            slot.set(Some(reg));
+            self.len.set(len + 1);
+        }
+    }
+}
+
+/// The register pools of one meter, one per lane scalar type.
+pub(crate) struct Pools {
+    pub(crate) f32: RegPool<f32>,
+    pub(crate) u32: RegPool<u32>,
+    pub(crate) bool: RegPool<bool>,
+}
+
+impl Pools {
+    const fn empty() -> Self {
+        Self {
+            f32: RegPool::empty(),
+            u32: RegPool::empty(),
+            bool: RegPool::empty(),
+        }
+    }
+}
+
+thread_local! {
+    /// The register pools of the last meter retired on this thread,
+    /// handed to the next one: two thread-local accesses per sub-group,
+    /// none per op, and every sub-group after the first starts warm.
+    static REG_STASH: Cell<Pools> = const { Cell::new(Pools::empty()) };
 }
 
 /// Per-sub-group meter. Single-threaded (`Cell`) because one sub-group
 /// executes on one host thread; results are merged into a
 /// [`LaunchStats`] after the sub-group finishes.
-#[derive(Debug)]
 pub struct SgMeter {
     counts: [Cell<u64>; N_CLASSES],
     live_regs: Cell<u32>,
@@ -181,22 +222,13 @@ pub struct SgMeter {
     metered: bool,
     /// Fast-math code generation (affects how math ops are classified).
     pub fast_math: bool,
-    /// Scratch-buffer pools for `Lanes` storage recycling, seeded from
-    /// this thread's [`ScratchStash`] and returned to it on drop.
-    pub(crate) scratch_f32: RefCell<Vec<Box<[f32]>>>,
-    pub(crate) scratch_u32: RefCell<Vec<Box<[u32]>>>,
-    pub(crate) scratch_bool: RefCell<Vec<Box<[bool]>>>,
+    /// `Lanes` storage, taken from and returned to this thread's stash.
+    pub(crate) pools: Pools,
 }
 
 impl SgMeter {
-    /// A fresh, fully-metering meter.
-    pub fn new(fast_math: bool) -> Self {
-        Self::new_with_mode(fast_math, MeterPolicy::Full)
-    }
-
     /// A fresh meter under an explicit [`MeterPolicy`].
     pub fn new_with_mode(fast_math: bool, policy: MeterPolicy) -> Self {
-        let stash = SCRATCH_STASH.with(|s| std::mem::take(&mut *s.borrow_mut()));
         Self {
             counts: Default::default(),
             live_regs: Cell::new(0),
@@ -204,9 +236,7 @@ impl SgMeter {
             local_bytes: Cell::new(0),
             metered: policy == MeterPolicy::Full,
             fast_math,
-            scratch_f32: RefCell::new(stash.f32),
-            scratch_u32: RefCell::new(stash.u32),
-            scratch_bool: RefCell::new(stash.bool),
+            pools: REG_STASH.with(|s| s.replace(Pools::empty())),
         }
     }
 
@@ -287,27 +317,11 @@ impl SgMeter {
 }
 
 impl Drop for SgMeter {
-    /// Parks the meter's scratch pools in the thread-local stash so the
-    /// next sub-group on this thread starts with warm buffers.
+    /// Parks the meter's register pools in the thread-local stash so the
+    /// next sub-group on this thread starts with warm registers.
     fn drop(&mut self) {
-        let pools = ScratchStash {
-            f32: std::mem::take(&mut *self.scratch_f32.borrow_mut()),
-            u32: std::mem::take(&mut *self.scratch_u32.borrow_mut()),
-            bool: std::mem::take(&mut *self.scratch_bool.borrow_mut()),
-        };
-        if pools.f32.is_empty() && pools.u32.is_empty() && pools.bool.is_empty() {
-            return;
-        }
-        SCRATCH_STASH.with(|s| {
-            let mut stash = s.borrow_mut();
-            // Keep whichever generation holds more warm buffers; in the
-            // common one-meter-at-a-time case the stash is empty here.
-            if pools.f32.len() + pools.u32.len() + pools.bool.len()
-                >= stash.f32.len() + stash.u32.len() + stash.bool.len()
-            {
-                *stash = pools;
-            }
-        });
+        let pools = std::mem::replace(&mut self.pools, Pools::empty());
+        REG_STASH.with(|s| s.set(pools));
     }
 }
 
@@ -351,9 +365,32 @@ impl LaunchStats {
 mod tests {
     use super::*;
 
+    /// Pool helpers for the register-layer tests of this crate.
+    impl<T: Copy + Default> RegPool<T> {
+        /// Free registers held.
+        pub(crate) fn len(&self) -> usize {
+            self.len.get()
+        }
+
+        /// Frees every pooled register.
+        pub(crate) fn clear(&self) {
+            while self.len() > 0 {
+                drop(self.pop());
+            }
+        }
+
+        /// Refills the pool with registers holding `v` in every lane.
+        pub(crate) fn poison(&self, v: T) {
+            self.clear();
+            for _ in 0..POOL_CAP {
+                self.push(Box::new([[v; LANE_BLOCK]; MAX_SG_SIZE / LANE_BLOCK]));
+            }
+        }
+    }
+
     #[test]
     fn charging_accumulates() {
-        let m = SgMeter::new(true);
+        let m = SgMeter::new_with_mode(true, MeterPolicy::Full);
         m.charge(InstrClass::Alu, 3);
         m.charge(InstrClass::Alu, 2);
         m.charge(InstrClass::Barrier, 1);
@@ -365,18 +402,18 @@ mod tests {
 
     #[test]
     fn math_mode_selects_class() {
-        let fast = SgMeter::new(true);
+        let fast = SgMeter::new_with_mode(true, MeterPolicy::Full);
         fast.charge_math(4);
         assert_eq!(fast.snapshot().count(InstrClass::MathFast), 4);
         assert_eq!(fast.snapshot().count(InstrClass::MathPrecise), 0);
-        let precise = SgMeter::new(false);
+        let precise = SgMeter::new_with_mode(false, MeterPolicy::Full);
         precise.charge_math(4);
         assert_eq!(precise.snapshot().count(InstrClass::MathPrecise), 4);
     }
 
     #[test]
     fn register_peak_tracking() {
-        let m = SgMeter::new(true);
+        let m = SgMeter::new_with_mode(true, MeterPolicy::Full);
         m.alloc_regs(3);
         m.alloc_regs(5); // live 8
         m.free_regs(3); // live 5
@@ -426,13 +463,13 @@ mod tests {
     #[test]
     fn stats_merge() {
         let a = {
-            let m = SgMeter::new(true);
+            let m = SgMeter::new_with_mode(true, MeterPolicy::Full);
             m.charge(InstrClass::Alu, 10);
             m.alloc_regs(4);
             m.snapshot()
         };
         let b = {
-            let m = SgMeter::new(true);
+            let m = SgMeter::new_with_mode(true, MeterPolicy::Full);
             m.charge(InstrClass::Alu, 7);
             m.charge(InstrClass::Div, 1);
             m.alloc_regs(9);

@@ -1,12 +1,20 @@
-//! Block-vectorized slice loops behind every `Lanes` operation.
+//! Block-vectorized loops over fixed-width registers, behind every
+//! `Lanes` operation.
 //!
-//! A sub-group's lanes run as fixed-width chunks instead of being
-//! interpreted one lane at a time: every loop here walks its slices
-//! in [`LANE_BLOCK`]-element arrays (`chunks_exact` + `try_into`, the
-//! stable-Rust idiom for `std::simd`-style batches). The known trip
-//! count lets the compiler drop bounds checks and auto-vectorize the
-//! body to f32x8/u32x8 machine SIMD; the remainder loop only runs for
-//! sub-group sizes below the block width (2 and 4).
+//! A register ([`Reg`]) is [`MAX_SG_SIZE`] lanes stored as
+//! [`LANE_BLOCK`]-wide arrays, whatever the sub-group's size `n`. Every
+//! loop here runs the first `ceil(n / LANE_BLOCK)` blocks of its
+//! operands: the trip count of the inner loop is a constant and the
+//! operands are fixed-size arrays, so the body compiles to f32x8/u32x8
+//! machine SIMD with no bounds, remainder or alias checks.
+//!
+//! **Padding lanes.** Lanes `n..` of a register hold whatever the
+//! previous user of the pooled storage left there. The pure
+//! [`map`]/[`zip`]/[`zip3`] loops compute on them when `n` is not a
+//! multiple of the block width (sub-groups of 2 and 4, which only tests
+//! use): the closures are pure and cannot panic on any input, and no
+//! reader sees lanes past `n`. [`fill`] runs closures that load, gather
+//! or index with side effects, so it touches exactly lanes `0..n`.
 //!
 //! On x86-64 each helper dispatches once per call to an
 //! AVX2-compiled clone of the same loop (`#[target_feature]` +
@@ -16,13 +24,21 @@
 //! clone runs full eight-lane batches with inline rounding. The clone
 //! executes the *same* IEEE operations, so results are unchanged.
 //!
-//! Correctness contract: each helper applies `f` to the elements in
-//! ascending lane order, exactly like a scalar `iter().map(f)` loop —
+//! Correctness contract: lane `l < n` of the output is `f` applied to
+//! lane `l` of the inputs, exactly like a scalar `iter().map(f)` loop —
 //! the tests below compare against that loop, and the dispatched clone
 //! against the portable body.
 
+use crate::lanes::MAX_SG_SIZE;
+
 /// Elements per SIMD batch: eight 32-bit lanes (one AVX2 register).
 pub(crate) const LANE_BLOCK: usize = 8;
+
+/// Blocks per register.
+const BLOCKS: usize = MAX_SG_SIZE / LANE_BLOCK;
+
+/// One register's storage: [`MAX_SG_SIZE`] lanes in eight-lane blocks.
+pub(crate) type Reg<T> = [[T; LANE_BLOCK]; BLOCKS];
 
 /// Host AVX2 capability (std caches the CPUID probe behind an atomic).
 #[cfg(target_arch = "x86_64")]
@@ -58,109 +74,74 @@ macro_rules! avx2_dispatch {
 }
 
 avx2_dispatch!(map, map_avx2, map_body, <T, U>,
-    (src: &[T], dst: &mut [U]), f: Fn(T) -> U);
+    (n: usize, src: &Reg<T>, dst: &mut Reg<U>), f: Fn(T) -> U);
 avx2_dispatch!(zip, zip_avx2, zip_body, <T, U, V>,
-    (a: &[T], b: &[U], dst: &mut [V]), f: Fn(T, U) -> V);
+    (n: usize, a: &Reg<T>, b: &Reg<U>, dst: &mut Reg<V>), f: Fn(T, U) -> V);
 avx2_dispatch!(zip3, zip3_avx2, zip3_body, <T, U, V, W>,
-    (a: &[T], b: &[U], c: &[V], dst: &mut [W]), f: Fn(T, U, V) -> W);
+    (n: usize, a: &Reg<T>, b: &Reg<U>, c: &Reg<V>, dst: &mut Reg<W>), f: Fn(T, U, V) -> W);
 avx2_dispatch!(fill, fill_avx2, fill_body, <T>,
-    (dst: &mut [T]), f: Fn(usize) -> T);
+    (n: usize, dst: &mut Reg<T>), f: Fn(usize) -> T);
 
-/// `dst[i] = f(src[i])` in blocked lane order.
+/// `dst[i] = f(src[i])` over the blocks that hold lanes `0..n`.
 #[inline(always)]
-fn map_body<T: Copy, U: Copy>(src: &[T], dst: &mut [U], f: impl Fn(T) -> U) {
-    debug_assert_eq!(src.len(), dst.len());
-    let mut s = src.chunks_exact(LANE_BLOCK);
-    let mut d = dst.chunks_exact_mut(LANE_BLOCK);
-    for (sc, dc) in (&mut s).zip(&mut d) {
-        let sc: &[T; LANE_BLOCK] = sc.try_into().expect("exact chunk");
-        let dc: &mut [U; LANE_BLOCK] = dc.try_into().expect("exact chunk");
+fn map_body<T: Copy, U: Copy>(n: usize, src: &Reg<T>, dst: &mut Reg<U>, f: impl Fn(T) -> U) {
+    for (s, d) in src.iter().zip(dst.iter_mut()).take(n.div_ceil(LANE_BLOCK)) {
         for i in 0..LANE_BLOCK {
-            dc[i] = f(sc[i]);
+            d[i] = f(s[i]);
         }
-    }
-    for (sv, dv) in s.remainder().iter().zip(d.into_remainder()) {
-        *dv = f(*sv);
     }
 }
 
-/// `dst[i] = f(a[i], b[i])` in blocked lane order.
+/// `dst[i] = f(a[i], b[i])` over the blocks that hold lanes `0..n`.
 #[inline(always)]
-fn zip_body<T: Copy, U: Copy, V: Copy>(a: &[T], b: &[U], dst: &mut [V], f: impl Fn(T, U) -> V) {
-    debug_assert_eq!(a.len(), b.len());
-    debug_assert_eq!(a.len(), dst.len());
-    let mut ac = a.chunks_exact(LANE_BLOCK);
-    let mut bc = b.chunks_exact(LANE_BLOCK);
-    let mut dc = dst.chunks_exact_mut(LANE_BLOCK);
-    for ((av, bv), dv) in (&mut ac).zip(&mut bc).zip(&mut dc) {
-        let av: &[T; LANE_BLOCK] = av.try_into().expect("exact chunk");
-        let bv: &[U; LANE_BLOCK] = bv.try_into().expect("exact chunk");
-        let dv: &mut [V; LANE_BLOCK] = dv.try_into().expect("exact chunk");
+fn zip_body<T: Copy, U: Copy, V: Copy>(
+    n: usize,
+    a: &Reg<T>,
+    b: &Reg<U>,
+    dst: &mut Reg<V>,
+    f: impl Fn(T, U) -> V,
+) {
+    let blocks = a.iter().zip(b).zip(dst.iter_mut());
+    for ((a, b), d) in blocks.take(n.div_ceil(LANE_BLOCK)) {
         for i in 0..LANE_BLOCK {
-            dv[i] = f(av[i], bv[i]);
+            d[i] = f(a[i], b[i]);
         }
-    }
-    for ((av, bv), dv) in ac
-        .remainder()
-        .iter()
-        .zip(bc.remainder())
-        .zip(dc.into_remainder())
-    {
-        *dv = f(*av, *bv);
     }
 }
 
-/// `dst[i] = f(a[i], b[i], c[i])` in blocked lane order.
+/// `dst[i] = f(a[i], b[i], c[i])` over the blocks that hold lanes `0..n`.
 #[inline(always)]
 fn zip3_body<T: Copy, U: Copy, V: Copy, W: Copy>(
-    a: &[T],
-    b: &[U],
-    c: &[V],
-    dst: &mut [W],
+    n: usize,
+    a: &Reg<T>,
+    b: &Reg<U>,
+    c: &Reg<V>,
+    dst: &mut Reg<W>,
     f: impl Fn(T, U, V) -> W,
 ) {
-    debug_assert_eq!(a.len(), b.len());
-    debug_assert_eq!(a.len(), c.len());
-    debug_assert_eq!(a.len(), dst.len());
-    let mut ac = a.chunks_exact(LANE_BLOCK);
-    let mut bc = b.chunks_exact(LANE_BLOCK);
-    let mut cc = c.chunks_exact(LANE_BLOCK);
-    let mut dc = dst.chunks_exact_mut(LANE_BLOCK);
-    for (((av, bv), cv), dv) in (&mut ac).zip(&mut bc).zip(&mut cc).zip(&mut dc) {
-        let av: &[T; LANE_BLOCK] = av.try_into().expect("exact chunk");
-        let bv: &[U; LANE_BLOCK] = bv.try_into().expect("exact chunk");
-        let cv: &[V; LANE_BLOCK] = cv.try_into().expect("exact chunk");
-        let dv: &mut [W; LANE_BLOCK] = dv.try_into().expect("exact chunk");
+    let blocks = a.iter().zip(b).zip(c).zip(dst.iter_mut());
+    for (((a, b), c), d) in blocks.take(n.div_ceil(LANE_BLOCK)) {
         for i in 0..LANE_BLOCK {
-            dv[i] = f(av[i], bv[i], cv[i]);
+            d[i] = f(a[i], b[i], c[i]);
         }
-    }
-    for (((av, bv), cv), dv) in ac
-        .remainder()
-        .iter()
-        .zip(bc.remainder())
-        .zip(cc.remainder())
-        .zip(dc.into_remainder())
-    {
-        *dv = f(*av, *bv, *cv);
     }
 }
 
-/// `dst[l] = f(l)` in blocked lane order — splats, lane ids, gathers and
-/// global loads all reduce to an index-driven fill.
+/// `dst[l] = f(l)` for exactly `l < n`, in ascending lane order —
+/// splats, lane ids, gathers and global loads all reduce to an
+/// index-driven fill.
 #[inline(always)]
-fn fill_body<T: Copy>(dst: &mut [T], f: impl Fn(usize) -> T) {
-    let mut base = 0usize;
-    let mut dc = dst.chunks_exact_mut(LANE_BLOCK);
-    for dv in &mut dc {
-        let dv: &mut [T; LANE_BLOCK] = dv.try_into().expect("exact chunk");
+fn fill_body<T: Copy>(n: usize, dst: &mut Reg<T>, f: impl Fn(usize) -> T) {
+    let full = n / LANE_BLOCK;
+    for (b, d) in dst.iter_mut().enumerate().take(full) {
         for i in 0..LANE_BLOCK {
-            dv[i] = f(base + i);
+            d[i] = f(b * LANE_BLOCK + i);
         }
-        base += LANE_BLOCK;
     }
-    for (i, dv) in dc.into_remainder().iter_mut().enumerate() {
-        *dv = f(base + i);
+    if let Some(d) = dst.get_mut(full) {
+        for (i, d) in d.iter_mut().enumerate().take(n % LANE_BLOCK) {
+            *d = f(full * LANE_BLOCK + i);
+        }
     }
 }
 
@@ -168,62 +149,79 @@ fn fill_body<T: Copy>(dst: &mut [T], f: impl Fn(usize) -> T) {
 mod tests {
     use super::*;
 
-    // Sub-group sizes are powers of two, but the helpers are checked at
-    // odd lengths too so remainder handling is covered independently.
-    const LENS: [usize; 6] = [2, 4, 8, 16, 64, 19];
+    /// Every sub-group size the device accepts.
+    const LENS: [usize; 6] = [2, 4, 8, 16, 32, 64];
+
+    fn reg<T: Copy>(f: impl Fn(usize) -> T) -> Reg<T> {
+        std::array::from_fn(|b| std::array::from_fn(|i| f(b * LANE_BLOCK + i)))
+    }
+
+    fn lanes<T: Copy>(r: &Reg<T>, n: usize) -> &[T] {
+        &r.as_flattened()[..n]
+    }
 
     #[test]
     fn map_matches_scalar_reference() {
         for n in LENS {
-            let src: Vec<f32> = (0..n).map(|i| i as f32 * 1.25 - 3.0).collect();
-            let mut dst = vec![0.0f32; n];
-            map(&src, &mut dst, |v| v * v + 1.0);
-            let want: Vec<f32> = src.iter().map(|&v| v * v + 1.0).collect();
-            assert_eq!(dst, want, "len {n}");
+            let src = reg(|i| i as f32 * 1.25 - 3.0);
+            let mut dst = reg(|_| f32::NAN);
+            map(n, &src, &mut dst, |v| v * v + 1.0);
+            let want: Vec<f32> = lanes(&src, n).iter().map(|&v| v * v + 1.0).collect();
+            assert_eq!(lanes(&dst, n), want, "len {n}");
         }
     }
 
     #[test]
     fn zip_and_zip3_match_scalar_reference() {
         for n in LENS {
-            let a: Vec<f32> = (0..n).map(|i| i as f32).collect();
-            let b: Vec<f32> = (0..n).map(|i| (i * i) as f32 * 0.5).collect();
-            let c: Vec<f32> = (0..n).map(|i| 1.0 - i as f32).collect();
-            let mut d2 = vec![0.0f32; n];
-            zip(&a, &b, &mut d2, |x, y| x - y);
-            assert!(
-                d2.iter().enumerate().all(|(i, &v)| v == a[i] - b[i]),
-                "len {n}"
-            );
-            let mut d3 = vec![0.0f32; n];
-            zip3(&a, &b, &c, &mut d3, |x, y, z| x * y + z);
-            assert!(
-                d3.iter().enumerate().all(|(i, &v)| v == a[i] * b[i] + c[i]),
-                "len {n}"
-            );
+            let a = reg(|i| i as f32);
+            let b = reg(|i| (i * i) as f32 * 0.5);
+            let c = reg(|i| 1.0 - i as f32);
+            let mut d2 = reg(|_| f32::NAN);
+            zip(n, &a, &b, &mut d2, |x, y| x - y);
+            let mut d3 = reg(|_| f32::NAN);
+            zip3(n, &a, &b, &c, &mut d3, |x, y, z| x * y + z);
+            let (a, b, c) = (a.as_flattened(), b.as_flattened(), c.as_flattened());
+            for i in 0..n {
+                assert_eq!(lanes(&d2, n)[i], a[i] - b[i], "len {n}");
+                assert_eq!(lanes(&d3, n)[i], a[i] * b[i] + c[i], "len {n}");
+            }
         }
     }
 
+    /// A fill calls its closure for exactly the lanes `0..n`, once each,
+    /// in ascending order, and leaves every padding lane as it was.
     #[test]
-    fn fill_visits_every_index_once() {
+    fn fill_visits_exactly_the_live_lanes_in_order() {
         for n in LENS {
-            let mut dst = vec![0u32; n];
-            fill(&mut dst, |l| (l * 3 + 1) as u32);
+            let mut dst = reg(|_| u32::MAX);
+            let visited = std::cell::RefCell::new(Vec::new());
+            fill(n, &mut dst, |l| {
+                visited.borrow_mut().push(l);
+                (l * 3 + 1) as u32
+            });
+            assert_eq!(*visited.borrow(), (0..n).collect::<Vec<_>>(), "len {n}");
+            let flat = dst.as_flattened();
             assert!(
-                dst.iter()
+                flat[..n]
+                    .iter()
                     .enumerate()
                     .all(|(i, &v)| v == (i * 3 + 1) as u32),
                 "len {n}"
             );
+            assert!(flat[n..].iter().all(|&v| v == u32::MAX), "len {n}");
         }
     }
 
     #[test]
     fn mixed_types_work() {
-        let src: Vec<u32> = (0..16).collect();
-        let mut dst = vec![false; 16];
-        map(&src, &mut dst, |v| v % 2 == 0);
-        assert!(dst.iter().enumerate().all(|(i, &b)| b == (i % 2 == 0)));
+        let src = reg(|i| i as u32);
+        let mut dst = reg(|_| true);
+        map(16, &src, &mut dst, |v| v % 2 == 0);
+        assert!(lanes(&dst, 16)
+            .iter()
+            .enumerate()
+            .all(|(i, &b)| b == (i % 2 == 0)));
     }
 
     /// The AVX2 clone must agree with the portable loop bit-for-bit on
@@ -231,7 +229,7 @@ mod tests {
     /// inline rounding), including halfway and near-halfway cases.
     #[test]
     fn dispatch_matches_portable_body_exactly() {
-        let tricky: Vec<f32> = vec![
+        let tricky: [f32; 16] = [
             0.5,
             -0.5,
             1.5,
@@ -249,13 +247,20 @@ mod tests {
             -1.25,
             7.75,
         ];
-        let mut dispatched = vec![0.0f32; tricky.len()];
-        map(&tricky, &mut dispatched, f32::round);
-        let mut portable = vec![0.0f32; tricky.len()];
-        map_body(&tricky, &mut portable, f32::round);
-        for (i, (&d, &p)) in dispatched.iter().zip(&portable).enumerate() {
-            assert_eq!(d.to_bits(), p.to_bits(), "round diverged at {}", tricky[i]);
-            assert_eq!(d.to_bits(), tricky[i].round().to_bits());
+        let src = reg(|i| tricky[i % tricky.len()]);
+        let mut dispatched = reg(|_| 0.0f32);
+        map(MAX_SG_SIZE, &src, &mut dispatched, f32::round);
+        let mut portable = reg(|_| 0.0f32);
+        map_body(MAX_SG_SIZE, &src, &mut portable, f32::round);
+        let src = src.as_flattened();
+        for (i, (&d, &p)) in dispatched
+            .as_flattened()
+            .iter()
+            .zip(portable.as_flattened())
+            .enumerate()
+        {
+            assert_eq!(d.to_bits(), p.to_bits(), "round diverged at {}", src[i]);
+            assert_eq!(d.to_bits(), src[i].round().to_bits());
         }
     }
 }

@@ -15,10 +15,9 @@
 use crate::arch::{GpuArch, ShuffleHw};
 use crate::buffer::Buffer;
 use crate::commit::{AtomicKind, AtomicOp};
-use crate::lanes::{LaneScalar, Lanes};
+use crate::lanes::{LaneScalar, Lanes, MAX_SG_SIZE};
 use crate::meter::{InstrClass, MeterPolicy, SgMeter};
 use std::cell::RefCell;
-use std::rc::Rc;
 
 /// Immutable per-launch configuration visible to the sub-group.
 #[derive(Clone, Copy, Debug)]
@@ -70,7 +69,7 @@ pub struct Sg {
     /// Sub-group size (work-items).
     pub size: usize,
     config: SgConfig,
-    meter: Rc<SgMeter>,
+    meter: SgMeter,
     /// When true, atomic RMWs are logged to `pending` instead of being
     /// applied — the deterministic-commit mode used by parallel launches.
     defer_atomics: bool,
@@ -82,15 +81,14 @@ impl Sg {
     /// launches and by kernel unit tests that exercise ops directly).
     pub fn new(sg_id: usize, size: usize, config: SgConfig) -> Self {
         assert!(
-            size.is_power_of_two() && size >= 2,
-            "sub-group size must be a power of two ≥ 2"
+            size.is_power_of_two() && (2..=MAX_SG_SIZE).contains(&size),
+            "sub-group size must be a power of two in 2..={MAX_SG_SIZE}"
         );
-        let meter = Rc::new(SgMeter::new_with_mode(config.fast_math, config.meter));
         Self {
             sg_id,
             size,
             config,
-            meter,
+            meter: SgMeter::new_with_mode(config.fast_math, config.meter),
             defer_atomics: false,
             pending: RefCell::new(Vec::new()),
         }
@@ -112,7 +110,7 @@ impl Sg {
     }
 
     /// The meter, for snapshotting after the kernel body returns.
-    pub(crate) fn meter(&self) -> &Rc<SgMeter> {
+    pub(crate) fn meter(&self) -> &SgMeter {
         &self.meter
     }
 
@@ -125,46 +123,44 @@ impl Sg {
 
     /// Broadcast an immediate into all lanes (free: encoded in the
     /// instruction stream, but materializing the register costs a mov).
-    pub fn splat_f32(&self, v: f32) -> Lanes<f32> {
+    pub fn splat_f32(&self, v: f32) -> Lanes<'_, f32> {
         self.meter.charge(InstrClass::Alu, 1);
-        Lanes::build(self.size, self.meter.clone(), |_| v)
+        Lanes::build(self.size, &self.meter, |_| v)
     }
 
     /// Splat for u32.
-    pub fn splat_u32(&self, v: u32) -> Lanes<u32> {
+    pub fn splat_u32(&self, v: u32) -> Lanes<'_, u32> {
         self.meter.charge(InstrClass::Alu, 1);
-        Lanes::build(self.size, self.meter.clone(), |_| v)
+        Lanes::build(self.size, &self.meter, |_| v)
     }
 
     /// Splat for bool.
-    pub fn splat_bool(&self, v: bool) -> Lanes<bool> {
+    pub fn splat_bool(&self, v: bool) -> Lanes<'_, bool> {
         self.meter.charge(InstrClass::Alu, 1);
-        Lanes::build(self.size, self.meter.clone(), |_| v)
+        Lanes::build(self.size, &self.meter, |_| v)
     }
 
     /// Lane index vector `0, 1, …, S−1` — the SYCL
     /// `sub_group::get_local_id()` built-in, free on hardware with lane-ID
     /// registers (§5.1).
-    pub fn lane_id(&self) -> Lanes<u32> {
-        Lanes::build(self.size, self.meter.clone(), |l| l as u32)
+    pub fn lane_id(&self) -> Lanes<'_, u32> {
+        Lanes::build(self.size, &self.meter, |l| l as u32)
     }
 
     /// Lanes built from an explicit per-lane function (models data already
     /// staged in registers by the launch machinery; charges one mov).
-    pub fn from_fn_f32(&self, f: impl Fn(usize) -> f32) -> Lanes<f32> {
+    pub fn from_fn_f32(&self, f: impl Fn(usize) -> f32) -> Lanes<'_, f32> {
         self.meter.charge(InstrClass::Alu, 1);
-        Lanes::build(self.size, self.meter.clone(), f)
+        Lanes::build(self.size, &self.meter, f)
     }
 
     // -- global memory ------------------------------------------------------
 
     /// Gathered global load `buf[idx[l]]` per lane.
-    pub fn load_f32(&self, buf: &Buffer, idx: &Lanes<u32>) -> Lanes<f32> {
+    pub fn load_f32(&self, buf: &Buffer, idx: &Lanes<u32>) -> Lanes<'_, f32> {
         self.meter.charge(InstrClass::GlobalLoad, 1);
-        let idx = idx.as_slice();
-        Lanes::build(self.size, self.meter.clone(), |l| {
-            buf.read_f32(idx[l] as usize)
-        })
+        let idx = idx.padded();
+        Lanes::build(self.size, &self.meter, |l| buf.read_f32(idx[l] as usize))
     }
 
     /// Masked scattered store `buf[idx[l]] = v[l]` where `mask[l]`.
@@ -256,6 +252,19 @@ impl Sg {
 
     // -- cross-lane communication --------------------------------------------
 
+    /// `x[src(l)]` per lane: every shuffle's data path (callers charge
+    /// by mechanism). Lanes and sources are below the sub-group size;
+    /// masking them into the register drops every bounds check.
+    fn gather<T: LaneScalar>(&self, x: &Lanes<T>, src: impl Fn(usize) -> usize) -> Lanes<'_, T> {
+        const MASK: usize = MAX_SG_SIZE - 1;
+        let vals = x.padded();
+        Lanes::build(self.size, &self.meter, |l| {
+            let s = src(l & MASK);
+            debug_assert!(s < self.size, "gather source lane {s} out of range");
+            vals[s & MASK]
+        })
+    }
+
     fn shuffle_class(&self) -> InstrClass {
         match self.config.shuffle_hw {
             ShuffleHw::IndirectRegister => InstrClass::ShuffleIndirect,
@@ -266,25 +275,25 @@ impl Sg {
     /// `sycl::select_from_group` with a lane-varying source index —
     /// `out[l] = x[src[l]]`. On Intel this compiles to indirect register
     /// access (1 cycle per element); on NVIDIA/AMD to one cross-lane op.
-    pub fn select_from_group<T: LaneScalar>(&self, x: &Lanes<T>, src: &Lanes<u32>) -> Lanes<T> {
+    pub fn select_from_group<T: LaneScalar>(&self, x: &Lanes<T>, src: &Lanes<u32>) -> Lanes<'_, T> {
         self.meter.charge(self.shuffle_class(), 1);
-        let srcs = src.as_slice();
+        let srcs = src.padded();
         let wrap = self.size - 1;
-        x.gather_map(|l| (srcs[l] as usize) & wrap)
+        self.gather(x, |l| (srcs[l] as usize) & wrap)
     }
 
     /// XOR-pattern shuffle `out[l] = x[l ^ mask]` — the half-warp exchange
     /// of Figure 4. Compiled through `select_from_group`, so it carries
     /// the same cost class.
-    pub fn shuffle_xor<T: LaneScalar>(&self, x: &Lanes<T>, mask: usize) -> Lanes<T> {
+    pub fn shuffle_xor<T: LaneScalar>(&self, x: &Lanes<T>, mask: usize) -> Lanes<'_, T> {
         assert!(mask < self.size, "xor mask out of range");
         self.meter.charge(self.shuffle_class(), 1);
-        x.gather_map(|l| l ^ mask)
+        self.gather(x, |l| l ^ mask)
     }
 
     /// Broadcast from a compile-time-known lane. On Intel this is register
     /// regioning (Figure 6, nearly free); elsewhere one cross-lane op.
-    pub fn broadcast<T: LaneScalar>(&self, x: &Lanes<T>, lane: usize) -> Lanes<T> {
+    pub fn broadcast<T: LaneScalar>(&self, x: &Lanes<T>, lane: usize) -> Lanes<'_, T> {
         assert!(lane < self.size, "broadcast lane out of range");
         let class = if self.config.regioned_broadcast {
             InstrClass::ShuffleRegioned
@@ -292,20 +301,20 @@ impl Sg {
             InstrClass::ShuffleDedicated
         };
         self.meter.charge(class, 1);
-        x.gather_map(|_| lane)
+        self.gather(x, |_| lane)
     }
 
     /// Exchange through work-group local memory: write, barrier, read
     /// (§5.3.1). `src[l]` is the lane whose value lane `l` receives.
     /// Functionally identical to [`Sg::select_from_group`].
-    pub fn local_exchange<T: LaneScalar>(&self, x: &Lanes<T>, src: &Lanes<u32>) -> Lanes<T> {
+    pub fn local_exchange<T: LaneScalar>(&self, x: &Lanes<T>, src: &Lanes<u32>) -> Lanes<'_, T> {
         self.meter.charge(InstrClass::LocalStore, 1);
         self.meter.charge(InstrClass::Barrier, 1);
         self.meter.charge(InstrClass::LocalLoad, 1);
         self.meter.note_local_bytes((self.size * 4) as u32);
-        let srcs = src.as_slice();
+        let srcs = src.padded();
         let wrap = self.size - 1;
-        x.gather_map(|l| (srcs[l] as usize) & wrap)
+        self.gather(x, |l| (srcs[l] as usize) & wrap)
     }
 
     /// Exchange a composite object (given as its 32-bit fields) through a
@@ -316,18 +325,18 @@ impl Sg {
         &self,
         fields: &[&Lanes<f32>],
         src: &Lanes<u32>,
-    ) -> Vec<Lanes<f32>> {
+    ) -> Vec<Lanes<'_, f32>> {
         let words = fields.len() as u64;
         self.meter.charge(InstrClass::LocalStore, words);
         self.meter.charge(InstrClass::Barrier, 1);
         self.meter.charge(InstrClass::LocalLoad, words);
         self.meter
             .note_local_bytes((self.size * 4 * fields.len()) as u32);
-        let srcs = src.as_slice();
+        let srcs = src.padded();
         let wrap = self.size - 1;
         fields
             .iter()
-            .map(|f| f.gather_map(|l| (srcs[l] as usize) & wrap))
+            .map(|f| self.gather(f, |l| (srcs[l] as usize) & wrap))
             .collect()
     }
 
@@ -338,7 +347,7 @@ impl Sg {
     /// instructions when the step is known at compile time.
     ///
     /// Panics when the toolchain/architecture does not provide vISA.
-    pub fn visa_butterfly<T: LaneScalar>(&self, x: &Lanes<T>, step: usize) -> Lanes<T> {
+    pub fn visa_butterfly<T: LaneScalar>(&self, x: &Lanes<T>, step: usize) -> Lanes<'_, T> {
         assert!(
             self.config.visa_available,
             "inline vISA is only available with the SYCL(vISA) toolchain on Intel GPUs"
@@ -346,7 +355,7 @@ impl Sg {
         let h = self.size / 2;
         assert!(step < h, "butterfly step out of range");
         self.meter.charge(InstrClass::ShuffleVisa, 1);
-        x.gather_map(|l| {
+        self.gather(x, |l| {
             if l < h {
                 h + (l + step) % h
             } else {
@@ -359,7 +368,7 @@ impl Sg {
     /// the optimized code uses instead of a hand-rolled shuffle network.
     /// The compiler lowers it to log₂(S) cross-lane steps with hardware-
     /// appropriate instructions; the result is broadcast to all lanes.
-    pub fn reduce_add(&self, x: &Lanes<f32>) -> Lanes<f32> {
+    pub fn reduce_add(&self, x: &Lanes<f32>) -> Lanes<'_, f32> {
         let steps = self.size.trailing_zeros() as u64;
         // The group algorithm conveys the pattern to the compiler, which
         // avoids the indirect-access path even on Intel (it can use
@@ -371,12 +380,12 @@ impl Sg {
         self.meter.charge(class, steps);
         self.meter.charge(InstrClass::Alu, steps);
         let sum: f32 = x.as_slice().iter().sum();
-        Lanes::build(self.size, self.meter.clone(), |_| sum)
+        Lanes::build(self.size, &self.meter, |_| sum)
     }
 
     /// A hand-rolled shuffle-network reduction (the pre-optimization form
     /// that the migrated CUDA code used): log₂(S) `shuffle_xor` + add.
-    pub fn shuffle_reduce_add(&self, x: &Lanes<f32>) -> Lanes<f32> {
+    pub fn shuffle_reduce_add<'sg>(&'sg self, x: &Lanes<'sg, f32>) -> Lanes<'sg, f32> {
         let mut acc = x.clone();
         let mut mask = self.size / 2;
         while mask > 0 {
@@ -396,6 +405,144 @@ mod tests {
 
     fn sg(arch: &GpuArch, size: usize) -> Sg {
         Sg::new(0, size, SgConfig::for_arch(arch, true, arch.supports_visa))
+    }
+
+    /// A sub-group whose pools hold only poisoned registers (NaN,
+    /// `u32::MAX` and `true` in every lane), so a read past lane `n`
+    /// shows up as a NaN, an out-of-bounds buffer index or a stray set
+    /// lane.
+    fn poisoned(size: usize) -> Sg {
+        let s = sg(&GpuArch::aurora(), size);
+        s.meter().pools.f32.poison(f32::NAN);
+        s.meter().pools.u32.poison(u32::MAX);
+        s.meter().pools.bool.poison(true);
+        s
+    }
+
+    fn assert_lanes<T: LaneScalar + PartialEq>(x: &Lanes<T>, want: impl Fn(usize) -> T, op: &str) {
+        let want: Vec<T> = (0..x.len()).map(want).collect();
+        assert_eq!(x.as_slice(), want, "{op} at sub-group size {}", x.len());
+    }
+
+    /// At every sub-group size, every op class equals a scalar per-lane
+    /// reference on registers whose padding lanes are poisoned, and no
+    /// padding lane reaches a reader: inspection, ballots, reductions,
+    /// `Debug`, gather sources, loads, stores and atomics. Runs with
+    /// overflow checks in the test profile, so a padding-lane closure
+    /// that could panic would fail here.
+    #[test]
+    fn every_op_matches_a_scalar_reference_past_poisoned_padding() {
+        for n in [2, 4, 8, 16, 32, 64] {
+            let h = n / 2;
+            let s = poisoned(n);
+            let av = |l: usize| l as f32 * 0.75 - 2.0;
+            let bv = |l: usize| 1.0 + l as f32;
+            let a = s.from_fn_f32(av);
+            let b = s.from_fn_f32(bv);
+            let c = s.splat_f32(0.5);
+            let id = s.lane_id();
+            assert_eq!(a.len(), n);
+            // fill, map, zip, zip3
+            assert_lanes(&a, av, "fill");
+            assert_lanes(&id, |l| l as u32, "lane_id");
+            assert_lanes(&-&a, |l| -av(l), "map");
+            assert_lanes(
+                &id.add_scalar(7).mod_scalar(3),
+                |l| (l as u32 + 7) % 3,
+                "u32 map",
+            );
+            assert_lanes(&id.add(&id).to_f32(), |l| (2 * l) as f32, "u32 zip");
+            assert_lanes(&(&a + &b), |l| av(l) + bv(l), "zip");
+            assert_lanes(&a.fma(&b, &c), |l| av(l) * bv(l) + 0.5, "zip3");
+            let lower = id.lt_scalar(h as u32);
+            assert_lanes(&lower, |l| l < h, "compare");
+            assert_lanes(
+                &a.select(&lower, &b),
+                |l| if l < h { av(l) } else { bv(l) },
+                "select",
+            );
+            // gathers
+            let src = id.xor_scalar(1);
+            assert_lanes(
+                &s.select_from_group(&a, &src),
+                |l| av(l ^ 1),
+                "select_from_group",
+            );
+            assert_lanes(&s.local_exchange(&a, &src), |l| av(l ^ 1), "local_exchange");
+            assert_lanes(&s.shuffle_xor(&a, h), |l| av(l ^ h), "shuffle_xor");
+            assert_lanes(&s.broadcast(&a, n - 1), |_| av(n - 1), "broadcast");
+            let object = s.local_exchange_object(&[&a, &b], &src);
+            assert_lanes(&object[1], |l| bv(l ^ 1), "local_exchange_object");
+            for step in 0..h {
+                let partner = |l: usize| {
+                    if l < h {
+                        h + (l + step) % h
+                    } else {
+                        (l - h + h - step) % h
+                    }
+                };
+                assert_lanes(
+                    &s.visa_butterfly(&a, step),
+                    |l| av(partner(l)),
+                    "visa_butterfly",
+                );
+            }
+            // readers of the poisoned padding of fills
+            let ones = s.splat_f32(1.0);
+            assert_lanes(&s.reduce_add(&ones), |_| n as f32, "reduce_add");
+            assert_eq!(format!("{ones:?}"), format!("Lanes({:?})", vec![1.0f32; n]));
+            let none = s.splat_bool(false);
+            assert!(
+                !none.any() && !none.all() && none.count() == 0,
+                "ballot at {n}"
+            );
+            let all = s.splat_bool(true);
+            assert!(
+                all.any() && all.all() && all.count() == n as u64,
+                "ballot at {n}"
+            );
+            // memory: a padding index (u32::MAX) would be out of bounds
+            let buf = Buffer::from_f32(&(0..n).map(bv).collect::<Vec<_>>());
+            assert_lanes(&s.load_f32(&buf, &id), bv, "load");
+            let out = Buffer::zeros(n);
+            s.store_f32(&out, &id, &a, &all);
+            assert_eq!(
+                out.to_f32_vec(),
+                (0..n).map(av).collect::<Vec<_>>(),
+                "store at {n}"
+            );
+            s.atomic_add(&out, &id, &b, &all);
+            s.atomic_min(&out, &id, &c, &all);
+            s.atomic_max(&out, &id, &ones, &lower);
+            let want: Vec<f32> = (0..n)
+                .map(|l| {
+                    let m = (av(l) + bv(l)).min(0.5);
+                    if l < h {
+                        m.max(1.0)
+                    } else {
+                        m
+                    }
+                })
+                .collect();
+            assert_eq!(out.to_f32_vec(), want, "atomics at {n}");
+        }
+    }
+
+    /// Every architecture's sub-group sizes fit the register width.
+    #[test]
+    fn every_arch_sub_group_fits_a_register() {
+        for arch in GpuArch::all_with_cpu() {
+            for &size in arch.sg_sizes {
+                assert!(size <= MAX_SG_SIZE, "{} sub-group {size}", arch.gpu_name);
+                let _ = Sg::new(0, size, SgConfig::for_arch(&arch, true, false));
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "sub-group size must be a power of two in 2..=64")]
+    fn sub_groups_wider_than_a_register_are_rejected() {
+        let _ = sg(&GpuArch::frontier(), 2 * MAX_SG_SIZE);
     }
 
     #[test]
