@@ -61,7 +61,8 @@ pub struct RankRecord {
     /// Strong mode: speedup vs the 1-rank row. Weak mode: parallel
     /// efficiency vs the 1-rank row (ideal 1.0).
     pub speedup: f64,
-    /// FNV-1a digest of the final particle state (hex).
+    /// Digest of the final particle state (hex; see
+    /// `MultiRankSim::state_digest`).
     pub digest: String,
     /// Whether the digest matches a 1-rank run of the same problem
     /// bit-for-bit (the decomposition-invariance contract).

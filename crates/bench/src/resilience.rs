@@ -41,7 +41,8 @@ pub struct ResilienceRecord {
     pub loss_step: i64,
     /// Whether the run completed all steps.
     pub completed: bool,
-    /// FNV-1a digest of the final particle state (hex).
+    /// Digest of the final particle state (hex; see
+    /// `MultiRankSim::state_digest`).
     pub digest: String,
     /// Whether the digest matches the fault-free reference bit-for-bit.
     pub digest_match: bool,

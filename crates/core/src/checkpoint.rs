@@ -1,42 +1,33 @@
-//! Checkpointing of particle state.
+//! Checkpointing of the full simulation state (`HCK2`).
 //!
-//! The paper's retrospective (§7.2) highlights how extracting the hot
-//! kernels into standalone applications *driven by checkpoint files*
-//! accelerated optimization work. This module provides the same
-//! workflow: a compact binary snapshot of the hydro-relevant particle
-//! state that the bench harness can replay into any single kernel
-//! without running the full simulation.
+//! [`FullCheckpoint`] is a bit-exact snapshot of everything the time
+//! stepper owns — both species, momenta, scale factor, sub-cycle state —
+//! sufficient to restart a run mid-stream and reproduce it bit for bit.
+//! It is the rollback target of the recovery policy (see
+//! [`crate::recovery`]) and, through [`FullCheckpoint::baryons`], the
+//! input of the paper's §7.2 workflow: hot kernels extracted into
+//! standalone applications *driven by checkpoint files*, replayed
+//! without running the simulation.
 //!
-//! Two formats live here:
-//!
-//! * `HCK1` ([`Checkpoint`]) — the baryon-only kernel-replay snapshot
-//!   described above.
-//! * `HCK2` ([`FullCheckpoint`]) — a bit-exact snapshot of the *entire*
-//!   driver state (both species, momenta, scale factor, sub-cycle
-//!   state), sufficient to restart a run mid-stream and reproduce it
-//!   bit-for-bit. This is the rollback target of the recovery policy
-//!   (see [`crate::recovery`]).
-//!
-//! Both parsers treat their input as hostile and read it only through
-//! the bounded `crate::wire` reader: no read can panic, and particle
-//! counts pass its cap, checked multiply and presence test before any
-//! memory is reserved.
+//! The parser treats its input as hostile and reads it only through the
+//! bounded `crate::wire` reader: no read can panic, and particle counts
+//! pass its cap, checked multiply and presence test before any memory
+//! is reserved. [`FullCheckpoint::restore_into`] then refuses any field
+//! the next step could not run on.
 
-use crate::sim::{Simulation, Species};
+use crate::guard::StepGuard;
+use crate::sim::{ParticleState, Simulation, Species};
 use crate::wire::{Reader, Writer};
 use hacc_kernels::HostParticles;
 use std::fmt;
 
-/// Magic tag of the checkpoint format.
-const MAGIC: u32 = 0x4843_4B31; // "HCK1"
-
 /// Magic tag of the full-state checkpoint format.
 const MAGIC_FULL: u32 = 0x4843_4B32; // "HCK2"
 
-/// Typed failure of a checkpoint parse, load, or restore. Shared by
-/// every checkpoint format in the workspace (`HCK1`, `HCK2`, and the
-/// multi-rank `HCK3` of [`crate::distckpt`]), so callers can match on
-/// the failure class instead of grepping strings.
+/// Typed failure of a checkpoint parse or restore. Shared by both
+/// checkpoint formats in the workspace (`HCK2`, and the multi-rank
+/// `HCK3` of [`crate::distckpt`]), so callers can match on the failure
+/// class instead of grepping strings.
 #[derive(Clone, Debug, PartialEq)]
 pub enum CheckpointError {
     /// The blob ended before the named region was complete.
@@ -84,11 +75,6 @@ pub enum CheckpointError {
         /// Particles in the restore target.
         simulation: usize,
     },
-    /// Reading or writing the checkpoint file failed.
-    Io {
-        /// The OS error, stringified (keeps the enum `Clone`).
-        detail: String,
-    },
 }
 
 impl fmt::Display for CheckpointError {
@@ -121,28 +107,14 @@ impl fmt::Display for CheckpointError {
                 f,
                 "checkpoint has {checkpoint} particles but the simulation has {simulation}"
             ),
-            CheckpointError::Io { detail } => write!(f, "checkpoint io error: {detail}"),
         }
     }
 }
 
 impl std::error::Error for CheckpointError {}
 
-impl From<std::io::Error> for CheckpointError {
-    fn from(e: std::io::Error) -> Self {
-        CheckpointError::Io {
-            detail: e.to_string(),
-        }
-    }
-}
-
-/// Fixed header bytes of the HCK1 format: magic + count + a + box.
-const HCK1_HEADER_BYTES: usize = 4 + 4 + 8 + 8;
-
-/// Per-particle payload bytes of the HCK1 format (9 f64 fields).
-const HCK1_STRIDE: usize = 9 * 8;
-
-/// Fixed header bytes of the HCK2 format: HCK1's, + step + sub-cycles.
+/// Fixed header bytes of the HCK2 format: magic + count + a + step +
+/// sub-cycles.
 const HCK2_HEADER_BYTES: usize = 4 + 4 + 8 + 8 + 8;
 
 /// Per-particle payload bytes of the HCK2 format (10 f64 fields plus a
@@ -155,95 +127,10 @@ const HCK2_STRIDE: usize = 10 * 8 + 1;
 /// the `u64::MAX` that would make the next step loop forever.
 const MAX_RESTORED_SUB_CYCLES: usize = 1 << 16;
 
-/// A particle-state snapshot sufficient to drive the standalone kernels.
-#[derive(Clone, Debug, PartialEq)]
-pub struct Checkpoint {
-    /// Scale factor at capture time.
-    pub a: f64,
-    /// Periodic box side in grid units.
-    pub box_size: f64,
-    /// Baryon particle fields.
-    pub particles: HostParticles,
-}
-
-impl Checkpoint {
-    /// Captures the baryon state of a running simulation — exactly the
-    /// host particles its in-situ hydro offload uploads.
-    pub fn capture(sim: &Simulation) -> Self {
-        Self {
-            a: sim.a,
-            box_size: sim.box_size(),
-            particles: sim.host_particles(&sim.baryon_indices()),
-        }
-    }
-
-    /// Serializes to a compact binary blob.
-    pub fn to_bytes(&self) -> Vec<u8> {
-        let hp = &self.particles;
-        let n = hp.len();
-        let mut w = Writer::new(MAGIC, HCK1_HEADER_BYTES + n * HCK1_STRIDE);
-        w.u32(n as u32);
-        w.f64(self.a);
-        w.f64(self.box_size);
-        for i in 0..n {
-            w.vec3(hp.pos[i]);
-            w.vec3(hp.vel[i]);
-            w.f64(hp.mass[i]);
-            w.f64(hp.h[i]);
-            w.f64(hp.u[i]);
-        }
-        w.finish()
-    }
-
-    /// Deserializes a blob produced by [`Checkpoint::to_bytes`],
-    /// treating the input as untrusted.
-    pub fn from_bytes(data: impl AsRef<[u8]>) -> Result<Self, CheckpointError> {
-        let mut r = Reader::open(data.as_ref(), MAGIC, HCK1_HEADER_BYTES)?;
-        let n = r.u32()? as usize;
-        let a = r.f64()?;
-        let box_size = r.f64()?;
-        let n = r.records(n, HCK1_STRIDE, "payload")?;
-        let mut hp = HostParticles::default();
-        hp.pos.reserve(n);
-        hp.vel.reserve(n);
-        hp.mass.reserve(n);
-        hp.h.reserve(n);
-        hp.u.reserve(n);
-        for _ in 0..n {
-            hp.pos.push(r.vec3()?);
-            hp.vel.push(r.vec3()?);
-            hp.mass.push(r.f64()?);
-            hp.h.push(r.f64()?);
-            hp.u.push(r.f64()?);
-        }
-        hp.validate()
-            .map_err(|detail| CheckpointError::Invalid { detail })?;
-        Ok(Self {
-            a,
-            box_size,
-            particles: hp,
-        })
-    }
-
-    /// Writes to a file.
-    pub fn save(&self, path: &std::path::Path) -> std::io::Result<()> {
-        std::fs::write(path, self.to_bytes())
-    }
-
-    /// Reads from a file.
-    pub fn load(path: &std::path::Path) -> Result<Self, CheckpointError> {
-        Self::from_bytes(std::fs::read(path)?)
-    }
-}
-
-/// A bit-exact snapshot of the full driver state (`HCK2`).
-///
-/// Unlike [`Checkpoint`], which keeps only the baryon fields a
-/// standalone kernel needs (and converts momenta to velocities with a
-/// lossy divide), this captures every f64 the time stepper owns for
-/// *both* species, verbatim. Restoring it and re-running produces a
-/// bit-identical trajectory, which makes it the rollback target for
-/// checkpoint-based recovery.
+/// A bit-exact snapshot of the full simulation state (`HCK2`): every f64
+/// the time stepper owns for *both* species, verbatim. Restoring it and
+/// re-running produces a bit-identical trajectory, which makes it the
+/// rollback target for checkpoint-based recovery.
 #[derive(Clone, Debug, PartialEq)]
 pub struct FullCheckpoint {
     /// Scale factor at capture time.
@@ -295,11 +182,40 @@ impl FullCheckpoint {
         self.pos.is_empty()
     }
 
+    /// Borrows the per-particle state, as [`Simulation`] lends its own.
+    fn state(&self) -> ParticleState<'_> {
+        ParticleState {
+            a: self.a,
+            pos: &self.pos,
+            mom: &self.mom,
+            mass: &self.mass,
+            u_int: &self.u_int,
+            h: &self.h,
+            star_mass: &self.star_mass,
+            species: &self.species,
+        }
+    }
+
+    /// The baryons exactly as the simulation's hydro offload would
+    /// upload them from this state — the input of a §7.2 standalone
+    /// kernel replay. Errors, naming the particle's snapshot index, if
+    /// any particle of either species fails [`HostParticles::validate`].
+    pub fn baryons(&self) -> Result<HostParticles, CheckpointError> {
+        let state = self.state();
+        let all: Vec<usize> = (0..self.len()).collect();
+        state
+            .host_particles(&all)
+            .validate()
+            .map_err(|detail| CheckpointError::Invalid { detail })?;
+        Ok(state.host_particles(&state.baryon_indices()))
+    }
+
     /// Restores the snapshot into a simulation built from the *same*
     /// configuration. Errors — leaving the simulation untouched — if the
-    /// particle count differs (a snapshot cannot resize a simulation) or
-    /// a header field that steers the step loop is one no run of this
-    /// configuration could have written.
+    /// particle count differs (a snapshot cannot resize a simulation), a
+    /// header field that steers the step loop is one no run of this
+    /// configuration could have written, or a particle field breaks a
+    /// [`StepGuard`] rule (the next step could not run on it).
     pub fn restore_into(&self, sim: &mut Simulation) -> Result<(), CheckpointError> {
         if self.len() != sim.n_particles() {
             return Err(CheckpointError::SizeMismatch {
@@ -326,6 +242,17 @@ impl FullCheckpoint {
                 self.adaptive_sub_cycles
             ));
         }
+        if let Err(v) = StepGuard::new(sim).check_particles(&self.state()) {
+            return invalid(v.detail);
+        }
+        self.rewind(sim);
+        Ok(())
+    }
+
+    /// Copies the snapshot over `sim` without judging it: the rollback
+    /// of a guarded run to its own capture of the same simulation, which
+    /// must land even on a start state the guard refuses.
+    pub(crate) fn rewind(&self, sim: &mut Simulation) {
         sim.a = self.a;
         sim.step_count = self.step_count;
         sim.adaptive_sub_cycles = self.adaptive_sub_cycles;
@@ -336,7 +263,6 @@ impl FullCheckpoint {
         sim.h.copy_from_slice(&self.h);
         sim.star_mass.copy_from_slice(&self.star_mass);
         sim.species.copy_from_slice(&self.species);
-        Ok(())
     }
 
     /// Serializes to a compact binary blob. All floats are stored as
@@ -406,55 +332,6 @@ impl FullCheckpoint {
 mod tests {
     use super::*;
 
-    fn sample() -> Checkpoint {
-        let mut hp = HostParticles::default();
-        for i in 0..10 {
-            hp.pos.push([i as f64, 2.0 * i as f64, 0.5]);
-            hp.vel.push([0.1, -0.2, 0.3 * i as f64]);
-            hp.mass.push(1.5);
-            hp.h.push(1.0);
-            hp.u.push(0.01 * i as f64 + 1e-12);
-        }
-        Checkpoint {
-            a: 0.01,
-            box_size: 16.0,
-            particles: hp,
-        }
-    }
-
-    #[test]
-    fn round_trip() {
-        let cp = sample();
-        let blob = cp.to_bytes();
-        let back = Checkpoint::from_bytes(blob).unwrap();
-        assert_eq!(cp, back);
-    }
-
-    #[test]
-    fn rejects_bad_magic() {
-        let mut blob = sample().to_bytes();
-        blob[0] = 0;
-        assert!(Checkpoint::from_bytes(blob).is_err());
-    }
-
-    #[test]
-    fn rejects_truncation() {
-        let blob = sample().to_bytes();
-        assert!(Checkpoint::from_bytes(&blob[..blob.len() - 8]).is_err());
-    }
-
-    #[test]
-    fn file_round_trip() {
-        let cp = sample();
-        let dir = std::env::temp_dir().join("hacc_ckpt_test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("test.ckpt");
-        cp.save(&path).unwrap();
-        let back = Checkpoint::load(&path).unwrap();
-        assert_eq!(cp, back);
-        std::fs::remove_file(&path).ok();
-    }
-
     fn sample_full() -> FullCheckpoint {
         let n = 12;
         FullCheckpoint {
@@ -510,12 +387,9 @@ mod tests {
     }
 
     /// The wire bytes themselves, not just the round trip: a codec
-    /// change that moves either hash has changed the format.
+    /// change that moves the hash has changed the format.
     #[test]
     fn sample_blobs_are_byte_pinned() {
-        let hck1 = sample().to_bytes();
-        assert_eq!(hck1.len(), HCK1_HEADER_BYTES + 10 * HCK1_STRIDE);
-        assert_eq!(crate::wire::fnv1a(&hck1), 0x5c62_7457_7f3a_7ad1);
         let hck2 = sample_full().to_bytes();
         assert_eq!(hck2.len(), HCK2_HEADER_BYTES + 12 * HCK2_STRIDE);
         assert_eq!(crate::wire::fnv1a(&hck2), 0xd5f2_8e8d_b5cc_5853);
@@ -524,27 +398,21 @@ mod tests {
     #[test]
     fn hostile_particle_counts_are_rejected_before_allocating() {
         // A header claiming u32::MAX particles must fail cleanly (no
-        // overflow, no multi-gigabyte reserve) in both formats.
-        for magic in [MAGIC, MAGIC_FULL] {
-            let mut w = Writer::new(magic, HCK2_HEADER_BYTES);
-            w.u32(u32::MAX);
-            w.f64(0.01);
-            w.u64(0);
-            w.u64(0);
-            let err = if magic == MAGIC {
-                Checkpoint::from_bytes(w.finish()).unwrap_err()
-            } else {
-                FullCheckpoint::from_bytes(w.finish()).unwrap_err()
-            };
-            assert!(
-                matches!(
-                    err,
-                    CheckpointError::TooLarge { claimed, cap }
-                        if claimed == u32::MAX as usize && cap == crate::wire::MAX_PARTICLES
-                ),
-                "unexpected error: {err}"
-            );
-        }
+        // overflow, no multi-gigabyte reserve).
+        let mut w = Writer::new(MAGIC_FULL, HCK2_HEADER_BYTES);
+        w.u32(u32::MAX);
+        w.f64(0.01);
+        w.u64(0);
+        w.u64(0);
+        let err = FullCheckpoint::from_bytes(w.finish()).unwrap_err();
+        assert!(
+            matches!(
+                err,
+                CheckpointError::TooLarge { claimed, cap }
+                    if claimed == u32::MAX as usize && cap == crate::wire::MAX_PARTICLES
+            ),
+            "unexpected error: {err}"
+        );
     }
 
     /// A header no run could have written must not steer the step loop:

@@ -16,7 +16,7 @@
 //! (see [`crate::resilience`]); this module owns the format, the buddy
 //! placement rule, and the hostile-input-hardened wire codec.
 //!
-//! Like `HCK1`/`HCK2`, the parser treats its input as untrusted and
+//! Like `HCK2`'s, the parser treats its input as untrusted and
 //! reads it only through the bounded `crate::wire` reader: rank and
 //! particle counts pass its cap, checked multiply and presence test
 //! before any buffer is reserved, and every failure is a typed

@@ -2,15 +2,16 @@
 //!
 //! After every long step the driver can cheaply audit the invariants
 //! the physics guarantees: every field finite, positions inside the
-//! periodic box, internal energies non-negative, smoothing lengths
-//! inside the adaptive clamp range, and total particle mass conserved
-//! *exactly* (the mass vector is never mutated by the stepper, so the
-//! deterministic left-to-right sum must reproduce bit-for-bit). A
+//! periodic box, internal energies and masses non-negative, smoothing
+//! lengths inside the adaptive clamp range, and total particle mass
+//! conserved *exactly* (the mass vector is never mutated by the stepper,
+//! so the deterministic left-to-right sum must reproduce bit-for-bit). A
 //! violation is the signature of silent data corruption — an injected
 //! bit flip or NaN that slipped past the launch layer — and triggers
-//! the checkpoint rollback in [`crate::recovery`].
+//! the checkpoint rollback in [`crate::recovery`]. The per-particle
+//! rules also gate [`crate::FullCheckpoint::restore_into`].
 
-use crate::sim::Simulation;
+use crate::sim::{ParticleState, Simulation};
 
 /// A failed invariant: which field broke and how.
 #[derive(Clone, Debug, PartialEq)]
@@ -67,62 +68,72 @@ impl StepGuard {
 
     /// Checks every invariant, returning the first violation found.
     pub fn check(&self, sim: &Simulation) -> Result<(), GuardViolation> {
-        let fail = |field: &str, detail: String| {
-            Err(GuardViolation {
-                field: field.to_string(),
-                detail,
-            })
-        };
-        for (i, p) in sim.pos.iter().enumerate() {
+        self.check_particles(&sim.state())?;
+        let mass: f64 = sim.mass.iter().sum();
+        if mass.to_bits() == self.mass0.to_bits() {
+            return Ok(());
+        }
+        let mass0 = self.mass0;
+        violation(
+            "mass",
+            format!("total mass {mass:e} != captured {mass0:e} (must match exactly)"),
+        )
+    }
+
+    /// The per-particle rules alone: what every state of a healthy run
+    /// satisfies, whether the stepper or a restored snapshot produced
+    /// it. Each violation names its field and index.
+    pub(crate) fn check_particles(&self, state: &ParticleState) -> Result<(), GuardViolation> {
+        for (i, p) in state.pos.iter().enumerate() {
             for c in 0..3 {
                 if !p[c].is_finite() {
-                    return fail("pos", format!("pos[{i}][{c}] = {}", p[c]));
+                    return violation("pos", format!("pos[{i}][{c}] = {}", p[c]));
                 }
                 if !(0.0..self.ng).contains(&p[c]) {
-                    return fail(
+                    return violation(
                         "pos",
                         format!("pos[{i}][{c}] = {} outside [0, {})", p[c], self.ng),
                     );
                 }
             }
         }
-        for (i, m) in sim.mom.iter().enumerate() {
+        for (i, m) in state.mom.iter().enumerate() {
             for c in 0..3 {
                 if !m[c].is_finite() {
-                    return fail("mom", format!("mom[{i}][{c}] = {}", m[c]));
+                    return violation("mom", format!("mom[{i}][{c}] = {}", m[c]));
                 }
             }
         }
-        for (i, &u) in sim.u_int.iter().enumerate() {
+        for (i, &u) in state.u_int.iter().enumerate() {
             if !u.is_finite() || u < 0.0 {
-                return fail("u_int", format!("u_int[{i}] = {u}"));
+                return violation("u_int", format!("u_int[{i}] = {u}"));
             }
         }
-        for (i, &h) in sim.h.iter().enumerate() {
+        for (i, &h) in state.h.iter().enumerate() {
             if !h.is_finite() || !(self.h_min..=self.h_max).contains(&h) {
-                return fail(
+                return violation(
                     "h",
                     format!("h[{i}] = {h} outside [{}, {}]", self.h_min, self.h_max),
                 );
             }
         }
-        for (i, &s) in sim.star_mass.iter().enumerate() {
-            if !s.is_finite() || s < 0.0 {
-                return fail("star_mass", format!("star_mass[{i}] = {s}"));
+        for (field, values) in [("star_mass", state.star_mass), ("mass", state.mass)] {
+            for (i, &v) in values.iter().enumerate() {
+                if !v.is_finite() || v < 0.0 {
+                    return violation(field, format!("{field}[{i}] = {v}"));
+                }
             }
-        }
-        let mass: f64 = sim.mass.iter().sum();
-        if mass.to_bits() != self.mass0.to_bits() {
-            return fail(
-                "mass",
-                format!(
-                    "total mass {mass:e} != captured {:e} (must match exactly)",
-                    self.mass0
-                ),
-            );
         }
         Ok(())
     }
+}
+
+/// A failed check of `field`.
+fn violation(field: &str, detail: String) -> Result<(), GuardViolation> {
+    Err(GuardViolation {
+        field: field.to_string(),
+        detail,
+    })
 }
 
 #[cfg(test)]

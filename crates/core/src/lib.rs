@@ -23,7 +23,7 @@ pub mod timers;
 mod wire;
 
 pub use analysis::{density_moments, find_halos, mass_function, rms_velocity};
-pub use checkpoint::{Checkpoint, CheckpointError, FullCheckpoint};
+pub use checkpoint::{CheckpointError, FullCheckpoint};
 pub use config::{DeviceConfig, SimConfig};
 pub use distckpt::{buddy_of, MultiRankCheckpoint};
 pub use fom::{fom, FomProblem};
@@ -260,16 +260,25 @@ mod tests {
         assert_eq!(sim.telemetry.len(), events, "a refused step emits nothing");
     }
 
+    /// The §7.2 replay input is the hydro offload's input, bit for bit:
+    /// an HCK2 capture's baryon view equals what the offload uploads.
+    /// After a step, so `a ≠ a₀` and the `mom / a²` divide is exercised.
     #[test]
-    fn checkpoint_captures_baryons() {
+    fn checkpoint_baryons_are_the_offload_input() {
         let mut sim = smoke_sim(Variant::Select);
+        let a0 = sim.a;
         sim.step();
-        let cp = Checkpoint::capture(&sim);
-        let np3 = sim.config.box_spec.particles_per_species();
-        assert_eq!(cp.particles.len(), np3);
-        cp.particles.validate().unwrap();
-        let blob = cp.to_bytes();
-        let back = Checkpoint::from_bytes(blob).unwrap();
-        assert_eq!(cp, back);
+        assert_ne!(sim.a, a0);
+        let view = FullCheckpoint::capture(&sim).baryons().unwrap();
+        let offload = sim.host_particles(&sim.state().baryon_indices());
+        assert_eq!(view.len(), sim.config.box_spec.particles_per_species());
+        let bits3 =
+            |v: &[[f64; 3]]| -> Vec<[u64; 3]> { v.iter().map(|x| x.map(f64::to_bits)).collect() };
+        let bits = |v: &[f64]| -> Vec<u64> { v.iter().map(|x| x.to_bits()).collect() };
+        assert_eq!(bits3(&view.pos), bits3(&offload.pos), "pos");
+        assert_eq!(bits3(&view.vel), bits3(&offload.vel), "vel");
+        assert_eq!(bits(&view.mass), bits(&offload.mass), "mass");
+        assert_eq!(bits(&view.h), bits(&offload.h), "h");
+        assert_eq!(bits(&view.u), bits(&offload.u), "u");
     }
 }

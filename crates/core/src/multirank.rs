@@ -338,9 +338,10 @@ impl MultiRankSim {
         self.states.iter().map(ParticleBatch::len).collect()
     }
 
-    /// FNV-1a digest over the full particle state in ascending-id
-    /// order — decomposition-invariant, so any rank count must produce
-    /// the same value after the same number of steps.
+    /// Digest over the full particle state in ascending-id order —
+    /// decomposition-invariant, so any rank count must produce the same
+    /// value after the same number of steps. FNV-1a in shape, with
+    /// multiplier `0x1000_0000_01b3`, not the FNV-64 prime.
     pub fn state_digest(&self) -> u64 {
         let mut refs: Vec<(&ParticleBatch, usize)> = Vec::new();
         for s in &self.states {

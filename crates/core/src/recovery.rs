@@ -12,7 +12,7 @@
 //! the time stepping, and retry — giving up with a structured error
 //! after a bounded number of attempts.
 
-use crate::checkpoint::{CheckpointError, FullCheckpoint};
+use crate::checkpoint::FullCheckpoint;
 use crate::guard::StepGuard;
 use crate::sim::{RunSummary, Simulation};
 use hacc_telemetry::FaultInfo;
@@ -39,10 +39,6 @@ pub struct RecoveryError {
     pub attempts: u32,
     /// Description of the final failure.
     pub detail: String,
-    /// When the failure was the rollback itself (the checkpoint could
-    /// not be restored), the typed checkpoint error — `None` for
-    /// launch/guard failures that simply exhausted the retry budget.
-    pub checkpoint: Option<CheckpointError>,
 }
 
 impl std::fmt::Display for RecoveryError {
@@ -98,18 +94,12 @@ impl Simulation {
                         },
                         1.0,
                     );
-                    good.restore_into(self).map_err(|e| RecoveryError {
-                        step,
-                        attempts,
-                        detail: format!("rollback failed: {e}"),
-                        checkpoint: Some(e),
-                    })?;
+                    good.rewind(self);
                     if attempts >= MAX_ATTEMPTS {
                         return Err(RecoveryError {
                             step,
                             attempts,
                             detail,
-                            checkpoint: None,
                         });
                     }
                     // Retry with tighter stepping. The fault injector's

@@ -46,6 +46,45 @@ pub enum Species {
     Baryon,
 }
 
+/// The per-particle state a [`Simulation`] owns, borrowed from one or
+/// from an HCK2 [`crate::FullCheckpoint`]: what the [`crate::StepGuard`]
+/// audits and what the hydro offload converts into kernel input.
+pub(crate) struct ParticleState<'a> {
+    pub(crate) a: f64,
+    pub(crate) pos: &'a [[f64; 3]],
+    pub(crate) mom: &'a [[f64; 3]],
+    pub(crate) mass: &'a [f64],
+    pub(crate) u_int: &'a [f64],
+    pub(crate) h: &'a [f64],
+    pub(crate) star_mass: &'a [f64],
+    pub(crate) species: &'a [Species],
+}
+
+impl ParticleState<'_> {
+    /// Indices of baryon particles.
+    pub(crate) fn baryon_indices(&self) -> Vec<usize> {
+        (0..self.species.len())
+            .filter(|&i| self.species[i] == Species::Baryon)
+            .collect()
+    }
+
+    /// The hydro-relevant fields of a particle subset as the kernels
+    /// consume them: peculiar velocities `mom / a²` and internal
+    /// energies floored at `1e-12`. The in-situ hydro offload uploads
+    /// this and [`crate::FullCheckpoint::baryons`] returns it, so a §7.2
+    /// standalone-kernel replay is the offload's input by construction.
+    pub(crate) fn host_particles(&self, idx: &[usize]) -> HostParticles {
+        let a2 = self.a * self.a;
+        HostParticles {
+            pos: idx.iter().map(|&i| self.pos[i]).collect(),
+            vel: idx.iter().map(|&i| self.mom[i].map(|m| m / a2)).collect(),
+            mass: idx.iter().map(|&i| self.mass[i]).collect(),
+            h: idx.iter().map(|&i| self.h[i]).collect(),
+            u: idx.iter().map(|&i| self.u_int[i].max(1e-12)).collect(),
+        }
+    }
+}
+
 /// The running simulation.
 pub struct Simulation {
     /// Configuration.
@@ -227,11 +266,18 @@ impl Simulation {
         self.pos.len()
     }
 
-    /// Indices of baryon particles.
-    pub(crate) fn baryon_indices(&self) -> Vec<usize> {
-        (0..self.n_particles())
-            .filter(|&i| self.species[i] == Species::Baryon)
-            .collect()
+    /// Borrows the per-particle state.
+    pub(crate) fn state(&self) -> ParticleState<'_> {
+        ParticleState {
+            a: self.a,
+            pos: &self.pos,
+            mom: &self.mom,
+            mass: &self.mass,
+            u_int: &self.u_int,
+            h: &self.h,
+            star_mass: &self.star_mass,
+            species: &self.species,
+        }
     }
 
     /// Current redshift.
@@ -298,20 +344,9 @@ impl Simulation {
     }
 
     /// The hydro-relevant fields of a particle subset as the kernels
-    /// consume them: peculiar velocities `mom / a²` and internal
-    /// energies floored at `1e-12`. This is what the in-situ hydro
-    /// offload uploads *and* what [`crate::Checkpoint::capture`] stores,
-    /// so a §7.2 standalone-kernel checkpoint is the offload's input by
-    /// construction.
+    /// consume them (see [`ParticleState::host_particles`]).
     pub(crate) fn host_particles(&self, idx: &[usize]) -> HostParticles {
-        let a2 = self.a * self.a;
-        HostParticles {
-            pos: idx.iter().map(|&i| self.pos[i]).collect(),
-            vel: idx.iter().map(|&i| self.mom[i].map(|m| m / a2)).collect(),
-            mass: idx.iter().map(|&i| self.mass[i]).collect(),
-            h: idx.iter().map(|&i| self.h[i]).collect(),
-            u: idx.iter().map(|&i| self.u_int[i].max(1e-12)).collect(),
-        }
+        self.state().host_particles(idx)
     }
 
     /// Runs the offloaded short-range gravity for a particle subset,
@@ -477,7 +512,7 @@ impl Simulation {
         let nc = self.adaptive_sub_cycles.max(self.config.sub_cycles);
         let mut dt_min_seen = f64::MAX;
         let all: Vec<usize> = (0..self.n_particles()).collect();
-        let baryons = self.baryon_indices();
+        let baryons = self.state().baryon_indices();
         for s in 0..nc {
             let as0 = a0 + (a1 - a0) * s as f64 / nc as f64;
             let as1 = a0 + (a1 - a0) * (s + 1) as f64 / nc as f64;

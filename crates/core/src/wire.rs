@@ -1,4 +1,4 @@
-//! The one bounded wire cursor behind `HCK1`, `HCK2` and `HCK3`.
+//! The one bounded wire cursor behind `HCK2` and `HCK3`.
 //!
 //! Every checkpoint format is big-endian words behind a 4-byte magic: a
 //! fixed header, then runs of fixed-stride records whose count a header

@@ -265,9 +265,10 @@ impl DeviceParticles {
         out
     }
 
-    /// FNV-1a hash over the raw bit patterns of every device buffer (in
+    /// Hash over the raw bit patterns of every device buffer (in
     /// [`Self::all_buffers`] order). Two states hash equal iff every
-    /// field is bit-identical.
+    /// field is bit-identical. FNV-1a in shape, but its multiplier is
+    /// `0x1000_0000_01b3`, not the FNV-64 prime `0x100_0000_01b3`.
     pub fn state_digest(&self) -> u64 {
         let mut hash = 0xcbf2_9ce4_8422_2325u64;
         let mut eat = |word: u64| {

@@ -31,22 +31,23 @@ pub enum MeterPolicy {
 impl std::str::FromStr for MeterPolicy {
     type Err = String;
 
-    /// The one spelling table (`--meter`): `full` meters, `off` (alias
-    /// `fast`) does not; anything else is an error listing the accepted
-    /// set.
+    /// The inverse of [`MeterPolicy::label`] (`--meter`): anything else
+    /// is an error listing the accepted set.
     fn from_str(s: &str) -> Result<Self, String> {
-        match s {
-            "full" => Ok(MeterPolicy::Full),
-            "off" | "fast" => Ok(MeterPolicy::Off),
-            other => Err(format!(
-                "unknown metering policy `{other}` (accepted: full | off | fast)"
-            )),
-        }
+        let all = [MeterPolicy::Full, MeterPolicy::Off];
+        all.into_iter().find(|p| p.label() == s).ok_or_else(|| {
+            let accepted: Vec<_> = all.iter().map(MeterPolicy::label).collect();
+            format!(
+                "unknown metering policy `{s}` (accepted: {})",
+                accepted.join(" | ")
+            )
+        })
     }
 }
 
 impl MeterPolicy {
-    /// Stable label for telemetry and benchmark output.
+    /// Stable label for telemetry, benchmark output and `--meter`: the
+    /// one spelling of each policy.
     pub fn label(&self) -> &'static str {
         match self {
             MeterPolicy::Full => "full",
@@ -449,13 +450,16 @@ mod tests {
     fn policy_parses_once_and_loudly() {
         assert_eq!("full".parse(), Ok(MeterPolicy::Full));
         assert_eq!("off".parse(), Ok(MeterPolicy::Off));
-        assert_eq!("fast".parse(), Ok(MeterPolicy::Off));
-        // The removed policy (and any typo) names the accepted set instead
-        // of silently metering fully.
+        for p in [MeterPolicy::Full, MeterPolicy::Off] {
+            assert_eq!(p.label().parse(), Ok(p));
+        }
+        // The removed policy and alias (and any typo) name the accepted
+        // set instead of silently metering fully.
         assert_eq!(
             "sampled".parse::<MeterPolicy>(),
-            Err("unknown metering policy `sampled` (accepted: full | off | fast)".to_string())
+            Err("unknown metering policy `sampled` (accepted: full | off)".to_string())
         );
+        assert!("fast".parse::<MeterPolicy>().is_err());
         assert!("Full".parse::<MeterPolicy>().is_err());
         assert!("".parse::<MeterPolicy>().is_err());
     }

@@ -59,7 +59,9 @@ pub type TaskId = usize;
 pub struct ResourceId(u64);
 
 impl ResourceId {
-    /// A resource named by a string (FNV-1a of the bytes).
+    /// A resource named by a string: an FNV-1a-shaped hash of the bytes
+    /// whose multiplier is `0x1000_0000_01b3`, not the FNV-64 prime
+    /// `0x100_0000_01b3`.
     pub fn named(name: &str) -> Self {
         let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
         for b in name.as_bytes() {

@@ -25,10 +25,9 @@
 //! threads. Both produce bit-identical trajectories (the engine commits
 //! atomics in a fixed order), so these are purely speed knobs.
 //!
-//! `--meter full|off` selects the metering policy (default `full`;
-//! `fast` is an alias of `off`). `full` charges every op to the
-//! instruction-class meters, `off` skips that bookkeeping and reports
-//! no instruction telemetry.
+//! `--meter full|off` selects the metering policy (default `full`).
+//! `full` charges every op to the instruction-class meters, `off`
+//! skips that bookkeeping and reports no instruction telemetry.
 //! Both run the same data path, so the physics is bit-identical —
 //! metering is a telemetry/speed trade, not a determinism one.
 //!

@@ -37,10 +37,11 @@ const DOCS: [&str; 8] = [
 /// retired fault-handling knobs (the budgets are constants), the
 /// retired second multi-rank schedule (the task graph is the step), and
 /// the retired second gate (each `figures` sweep judges itself against
-/// its committed report), and the retired runtime tuner and its
+/// its committed report), the retired runtime tuner and its
 /// exploration (tuning is offline; a plan is a row of the table, and
-/// `Simulation` takes none).
-const RETIRED: [&str; 32] = [
+/// `Simulation` takes none), and the retired kernel-replay checkpoint
+/// format (the §7.2 replay reads an `HCK2` capture).
+const RETIRED: [&str; 33] = [
     "cargo bench",
     "criterion",
     "BENCH_scaling",
@@ -73,6 +74,7 @@ const RETIRED: [&str; 32] = [
     "tune-cache.json",
     "explore_picks",
     "set_plan",
+    "HCK1",
 ];
 
 fn read(rel: &str) -> String {

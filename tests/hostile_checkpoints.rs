@@ -1,18 +1,22 @@
-//! One hostile-input battery over the three checkpoint formats.
+//! One hostile-input battery over the two checkpoint formats.
 //!
-//! `HCK1`, `HCK2` and `HCK3` are three record layouts over one bounded
-//! reader (`hacc_core`'s private `wire` module, DESIGN.md §4b), whose
-//! contract is that no read can panic and no count is believed before
-//! the bytes behind it are seen. This file holds that contract to every
-//! format at once: each test walks [`formats`] and feeds the public
-//! `from_bytes` truncations, bit flips and garbage. Exact error variants
-//! for hand-built hostile headers are asserted next to each codec
-//! (`checkpoint.rs`, `distckpt.rs`, `wire.rs` unit tests) and in
+//! `HCK2` and `HCK3` are two record layouts over one bounded reader
+//! (`hacc_core`'s private `wire` module, DESIGN.md §4b), whose contract
+//! is that no read can panic and no count is believed before the bytes
+//! behind it are seen. This file holds that contract to both formats at
+//! once: each test walks [`formats`] and feeds the public `from_bytes`
+//! truncations, bit flips and garbage. Well-formed bytes can still carry
+//! field values no step can run on; the last test holds `HCK2`'s restore
+//! and baryon view to refusing them. Exact error variants for hand-built
+//! hostile headers are asserted next to each codec (`checkpoint.rs`,
+//! `distckpt.rs`, `wire.rs` unit tests) and in
 //! `tests/resilience.rs::hostile_hck3_headers_never_panic`.
 
 use hacc_comm::ParticleBatch;
-use hacc_core::{Checkpoint, CheckpointError, FullCheckpoint, MultiRankCheckpoint, Species};
-use hacc_kernels::HostParticles;
+use hacc_core::{
+    CheckpointError, DeviceConfig, FullCheckpoint, MultiRankCheckpoint, SimConfig, Simulation,
+    Species,
+};
 use proptest::prelude::*;
 
 /// One format under test: a valid blob, where its fixed header ends,
@@ -24,20 +28,7 @@ struct Format {
     parse: fn(&[u8]) -> Result<(), CheckpointError>,
 }
 
-fn formats() -> [Format; 3] {
-    let mut particles = HostParticles::default();
-    for i in 0..10 {
-        particles.pos.push([i as f64, 2.0 * i as f64, 0.5]);
-        particles.vel.push([0.1, -0.2, 0.3 * i as f64]);
-        particles.mass.push(1.5);
-        particles.h.push(1.0);
-        particles.u.push(0.01 * i as f64 + 1e-12);
-    }
-    let hck1 = Checkpoint {
-        a: 0.01,
-        box_size: 16.0,
-        particles,
-    };
+fn formats() -> [Format; 2] {
     let n = 12;
     let hck2 = FullCheckpoint {
         a: 0.015,
@@ -71,12 +62,6 @@ fn formats() -> [Format; 3] {
             .collect(),
     };
     [
-        Format {
-            name: "HCK1",
-            header_bytes: 24,
-            blob: hck1.to_bytes(),
-            parse: |b| Checkpoint::from_bytes(b).map(drop),
-        },
         Format {
             name: "HCK2",
             header_bytes: 32,
@@ -156,4 +141,45 @@ proptest! {
             let _ = (f.parse)(&blob);
         }
     }
+}
+
+/// Well-formed bytes carrying a field no step can run on — `h = 0` on a
+/// baryon, `mass = −1` on a dark-matter particle, either of which the
+/// next step's particle upload would panic on — parse, but are refused
+/// by the restore with a typed `Invalid` naming the field and the
+/// index, leaving the simulation untouched, and by the baryon view of
+/// the §7.2 replay.
+#[test]
+fn hostile_field_values_are_refused_not_stepped_on() {
+    let arch = sycl_sim::GpuArch::frontier();
+    let device = DeviceConfig::sycl_optimized(&arch);
+    let mut sim = Simulation::new(SimConfig::smoke(), device, arch);
+    let before = sim.state_digest();
+    let good = FullCheckpoint::capture(&sim);
+    let first = |species| good.species.iter().position(|&s| s == species).unwrap();
+    let cases: [(&str, usize, fn(&mut FullCheckpoint, usize)); 2] = [
+        ("h", first(Species::Baryon), |cp, i| cp.h[i] = 0.0),
+        ("mass", first(Species::DarkMatter), |cp, i| {
+            cp.mass[i] = -1.0
+        }),
+    ];
+    for (field, i, corrupt) in cases {
+        let mut cp = good.clone();
+        corrupt(&mut cp, i);
+        let cp = FullCheckpoint::from_bytes(cp.to_bytes()).expect("well-formed bytes parse");
+        let err = cp.restore_into(&mut sim).unwrap_err();
+        let named = format!("{field}[{i}]");
+        assert!(
+            matches!(&err, CheckpointError::Invalid { detail } if detail.contains(&named)),
+            "{named}: {err}"
+        );
+        assert_eq!(sim.state_digest(), before, "{named}: a refused restore");
+        let err = cp.baryons().unwrap_err();
+        assert!(
+            matches!(&err, CheckpointError::Invalid { detail } if detail.contains(&format!("particle {i} "))),
+            "{named}: baryon view: {err}"
+        );
+    }
+    good.restore_into(&mut sim).unwrap();
+    good.baryons().unwrap();
 }
