@@ -12,12 +12,11 @@
 use hacc_cosmo::LinearPower;
 use hacc_kernels::tuning::{hand_picked_knobs, variant_candidates};
 use hacc_kernels::{
-    run_gravity, run_hydro_step, DeviceParticles, GravityParams, HostParticles, TimerReport,
-    Variant, WorkLists,
+    run_gravity, run_hydro_step, DeviceParticles, GravityParams, HostParticles, Offload,
+    TimerReport, Variant,
 };
 use hacc_mesh::{zeldovich_ics, ForceSplit, PolyShortRange};
 use hacc_telemetry::Recorder;
-use hacc_tree::{InteractionList, RcbTree};
 use std::collections::BTreeMap;
 use std::sync::Arc;
 use sycl_sim::{
@@ -118,7 +117,7 @@ pub(crate) fn base_launch(arch: &GpuArch, meter: MeterPolicy) -> LaunchConfig {
 }
 
 /// The set-up of one measured build: the device, and the problem's
-/// geometry at the variant's preferred leaf granularity for one
+/// [`Offload`] at the variant's preferred leaf granularity for one
 /// sub-group size. Built once; every run uploads a fresh particle
 /// state, so repeated runs see bit-identical inputs.
 pub(crate) struct Prepared {
@@ -126,9 +125,7 @@ pub(crate) struct Prepared {
     pub device: Device,
     /// Communication variant the geometry was built for.
     pub variant: Variant,
-    work: WorkLists,
-    ordered: HostParticles,
-    box_size: f32,
+    offload: Offload,
     gravity: GravityParams,
 }
 
@@ -147,17 +144,18 @@ pub(crate) fn prepare(
     if let Some(cfg) = fault {
         device = device.with_fault_injector(Arc::new(FaultInjector::new(cfg)));
     }
-    let tree = RcbTree::build(
-        &problem.particles.pos,
+    let offload = Offload::new(
+        &problem.particles,
+        problem.box_size,
+        problem.r_cut,
         variant.preferred_leaf_capacity(sg_size),
-    );
-    let list = InteractionList::build(&tree, problem.box_size, problem.r_cut);
+        sg_size,
+    )
+    .expect("the benchmark problem is a valid offload");
     Prepared {
         device,
         variant,
-        work: WorkLists::build(&tree, &list, sg_size),
-        ordered: problem.particles.permuted(&tree.order),
-        box_size: problem.box_size as f32,
+        offload,
         gravity: GravityParams {
             poly: problem.poly,
             r_cut2: (problem.r_cut * problem.r_cut) as f32,
@@ -169,7 +167,7 @@ pub(crate) fn prepare(
 impl Prepared {
     /// A fresh device copy of the leaf-ordered particles.
     pub fn upload(&self) -> DeviceParticles {
-        DeviceParticles::upload(&self.ordered)
+        self.offload.upload()
     }
 
     /// The seven-timer hydro sequence on `data`. Panics when a launch
@@ -184,9 +182,9 @@ impl Prepared {
         run_hydro_step(
             &self.device,
             data,
-            &self.work,
+            &self.offload.work,
             self.variant,
-            self.box_size,
+            self.offload.box_size as f32,
             launch,
             telemetry,
         )
@@ -204,9 +202,9 @@ impl Prepared {
         run_gravity(
             &self.device,
             data,
-            &self.work,
+            &self.offload.work,
             self.variant,
-            self.box_size,
+            self.offload.box_size as f32,
             self.gravity,
             launch,
             telemetry,
@@ -473,7 +471,7 @@ mod tests {
                     &p,
                     None,
                 );
-                let launch = choice.launch(&arch).deterministic();
+                let launch = choice.launch(&arch).with_exec(ExecutionPolicy::Serial);
                 let reports = prepared.hydro(&prepared.upload(), launch, &Recorder::new());
                 assert_eq!(reports.len(), 7, "{what}");
                 assert_eq!(reports[0].report.sg_size, choice.sg_size, "{what}");

@@ -270,7 +270,8 @@ mod tests {
         sim.step();
         assert_ne!(sim.a, a0);
         let view = FullCheckpoint::capture(&sim).baryons().unwrap();
-        let offload = sim.host_particles(&sim.state().baryon_indices());
+        let state = sim.state();
+        let offload = state.host_particles(&state.baryon_indices());
         assert_eq!(view.len(), sim.config.box_spec.particles_per_species());
         let bits3 =
             |v: &[[f64; 3]]| -> Vec<[u64; 3]> { v.iter().map(|x| x.map(f64::to_bits)).collect() };

@@ -26,12 +26,11 @@ use crate::config::{DeviceConfig, SimConfig};
 use crate::timers::Timers;
 use hacc_cosmo::{z_to_a, Friedmann, LinearPower};
 use hacc_kernels::{
-    launch_resilient, run_gravity, run_hydro_step, DeviceParticles, GravityParams, HostParticles,
-    Subgrid, SubgridParams, Variant, WorkLists,
+    launch_resilient, run_gravity, run_hydro_step, GravityParams, HostParticles, Offload, Subgrid,
+    SubgridParams, Variant,
 };
 use hacc_mesh::{zeldovich_ics, ForceSplit, PmSolver, PolyShortRange};
 use hacc_telemetry::Recorder;
-use hacc_tree::{InteractionList, RcbTree};
 use std::sync::Arc;
 use sycl_sim::{
     Device, FaultConfig, FaultInjector, GrfMode, LaunchConfig, LaunchError, Toolchain, TunablePoint,
@@ -144,17 +143,6 @@ pub struct RunSummary {
     pub gpu_seconds: f64,
     /// Per-timer (name, seconds, calls).
     pub timers: Vec<(String, f64, u64)>,
-}
-
-/// Leaf order → subset order: the offloads compute in the tree's leaf
-/// order, so slot `s` of a downloaded field belongs to subset particle
-/// `order[s]`.
-fn scatter<T: Clone + Default>(order: &[u32], leaf: impl Fn(usize) -> T) -> Vec<T> {
-    let mut out = vec![T::default(); order.len()];
-    for (slot, &pi) in order.iter().enumerate() {
-        out[pi as usize] = leaf(slot);
-    }
-    out
 }
 
 impl Simulation {
@@ -316,47 +304,26 @@ impl Simulation {
         self.telemetry.timer("upXfer", secs);
     }
 
-    /// The geometry every offload starts from: the RCB tree over a
-    /// subset's positions (leaf capacity from the config, else what
-    /// `variant` prefers at `sg_size`) and the leaf-pair interaction
-    /// list inside the short-range cutoff. Non-finite positions are
-    /// rejected first — silent corruption from an earlier launch in the
-    /// same step must surface as a recoverable error, not a panic
-    /// inside the tree build.
-    fn geometry(
-        &self,
-        pos: &[[f64; 3]],
-        variant: Variant,
-        sg_size: usize,
-    ) -> Result<(RcbTree, InteractionList), LaunchError> {
-        if pos.iter().any(|p| p.iter().any(|c| !c.is_finite())) {
-            return Err(LaunchError::Config {
-                message: "non-finite particle positions (corrupted state)".to_string(),
-            });
-        }
-        let max_leaf = self
+    /// The [`Offload`] of a particle subset at this simulation's launch:
+    /// leaf capacity from the config, else what the variant prefers at
+    /// the launch's sub-group size, and the short-range cutoff. A subset
+    /// that fails validation — say, positions a corrupted launch earlier
+    /// in the step left non-finite — is a recoverable error, not a panic.
+    fn offload(&self, subset: &HostParticles) -> Result<Offload, LaunchError> {
+        let sg_size = self.launch.sg_size;
+        let leaf_capacity = self
             .config
             .max_leaf
-            .unwrap_or(variant.preferred_leaf_capacity(sg_size));
-        let tree = RcbTree::build(pos, max_leaf);
-        let list = InteractionList::build(&tree, self.box_size(), self.config.r_cut_cells);
-        Ok((tree, list))
-    }
-
-    /// The hydro-relevant fields of a particle subset as the kernels
-    /// consume them (see [`ParticleState::host_particles`]).
-    pub(crate) fn host_particles(&self, idx: &[usize]) -> HostParticles {
-        self.state().host_particles(idx)
+            .unwrap_or(self.variant.preferred_leaf_capacity(sg_size));
+        let cutoff = self.config.r_cut_cells;
+        Offload::new(subset, self.box_size(), cutoff, leaf_capacity, sg_size)
     }
 
     /// Runs the offloaded short-range gravity for a particle subset,
     /// returning accelerations in the subset's order.
     fn device_gravity(&self, idx: &[usize]) -> Result<Vec<[f64; 3]>, LaunchError> {
-        let pos: Vec<[f64; 3]> = idx.iter().map(|&i| self.pos[i]).collect();
-        let (tree, list) = self.geometry(&pos, self.variant, self.launch.sg_size)?;
-        let work = WorkLists::build(&tree, &list, self.launch.sg_size);
-        let hp = HostParticles {
-            pos,
+        let offload = self.offload(&HostParticles {
+            pos: idx.iter().map(|&i| self.pos[i]).collect(),
             vel: vec![[0.0; 3]; idx.len()],
             mass: idx
                 .iter()
@@ -364,12 +331,11 @@ impl Simulation {
                 .collect(),
             h: vec![1.0; idx.len()],
             u: vec![0.0; idx.len()],
-        }
-        .permuted(&tree.order);
+        })?;
         let _span = self.telemetry.span("gravity");
         // Upload: pos(3) + mass per particle; download: acc(3).
         self.charge_transfer("h2d", idx.len() * 4 * 4);
-        let data = DeviceParticles::upload(&hp);
+        let data = offload.upload();
         let params = GravityParams {
             poly: std::array::from_fn(|i| self.poly.coeffs[i] as f32),
             r_cut2: (self.config.r_cut_cells * self.config.r_cut_cells) as f32,
@@ -378,7 +344,7 @@ impl Simulation {
         run_gravity(
             &self.device,
             &data,
-            &work,
+            &offload.work,
             self.variant,
             self.box_size() as f32,
             params,
@@ -387,7 +353,7 @@ impl Simulation {
         )?;
         self.charge_transfer("d2h", idx.len() * 3 * 4);
         let acc = data.download_vec3(&data.acc_grav);
-        Ok(scatter(&tree.order, |slot| acc[slot].map(f64::from)))
+        Ok(offload.scatter(|slot| acc[slot].map(f64::from)))
     }
 
     /// Runs the offloaded CRK hydro kernels (plus the sub-grid kernel
@@ -398,18 +364,15 @@ impl Simulation {
         &self,
         idx: &[usize],
     ) -> Result<(Vec<[f64; 3]>, Vec<f64>, Vec<f64>, Vec<f64>, f64), LaunchError> {
-        let hp = self.host_particles(idx);
-        let (tree, list) = self.geometry(&hp.pos, self.variant, self.launch.sg_size)?;
-        let hp = hp.permuted(&tree.order);
+        let offload = self.offload(&self.state().host_particles(idx))?;
         let _span = self.telemetry.span("hydro");
         // Upload: pos(3)+vel(3)+mass+h+u.
         self.charge_transfer("h2d", idx.len() * 9 * 4);
-        let data = DeviceParticles::upload(&hp);
-        let work = WorkLists::build(&tree, &list, self.launch.sg_size);
+        let data = offload.upload();
         run_hydro_step(
             &self.device,
             &data,
-            &work,
+            &offload.work,
             self.variant,
             self.box_size() as f32,
             self.launch,
@@ -450,18 +413,17 @@ impl Simulation {
         let dt_min = data.dt_min.read_f32(0) as f64;
         let spacing = self.box_size() / self.config.box_spec.np as f64;
         let h0 = self.config.eta_smoothing * spacing;
-        let order = &tree.order;
         Ok((
-            scatter(order, |slot| acc[slot].map(f64::from)),
-            scatter(order, |slot| du[slot] as f64 + cool[slot] as f64),
+            offload.scatter(|slot| acc[slot].map(f64::from)),
+            offload.scatter(|slot| du[slot] as f64 + cool[slot] as f64),
             // Adaptive smoothing: h = η V^{1/3}, clamped to keep the
             // kernel support inside the interaction cutoff.
-            scatter(order, |slot| {
+            offload.scatter(|slot| {
                 let v = (vol[slot] as f64).max(1e-30);
                 let target = self.config.eta_smoothing * v.cbrt();
                 target.clamp(0.5 * h0, self.config.r_cut_cells / 2.0)
             }),
-            scatter(order, |slot| sf[slot] as f64),
+            offload.scatter(|slot| sf[slot] as f64),
             dt_min,
         ))
     }

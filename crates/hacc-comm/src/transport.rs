@@ -338,21 +338,6 @@ pub struct Transport {
     /// Per-rank death step: `Some(step)` once a rank has been lost.
     /// Written between steps, read (shared) for the length of a drain.
     dead: RwLock<Vec<Option<u64>>>,
-    /// Adversarial delivery-order injection (test surface): when set,
-    /// each delivery lands at a seed-derived position in its inbox
-    /// instead of at the tail, modeling messages arriving in
-    /// non-`(src, seq)` order. Consumers must still observe canonical
-    /// order — [`Transport::take_inbox`] re-sorts — so physics must be
-    /// invariant to this knob.
-    reorder_seed: Option<u64>,
-}
-
-/// splitmix64, for the reorder-injection placement hash.
-fn mix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    x ^ (x >> 31)
 }
 
 impl fmt::Debug for Transport {
@@ -380,17 +365,7 @@ impl Transport {
             pending: (0..ranks).map(|_| Mutex::default()).collect(),
             slots: (0..=ranks).map(|_| Mutex::default()).collect(),
             dead: RwLock::new(vec![None; ranks]),
-            reorder_seed: None,
         }
-    }
-
-    /// Enables (or disables, with `None`) adversarial delivery-order
-    /// injection: subsequent deliveries land at seed-derived inbox
-    /// positions instead of the tail, so consumers see arrivals in
-    /// non-`(src, seq)` order. [`Transport::take_inbox`] still hands
-    /// rank code the canonical order — this knob exists to prove that.
-    pub fn set_reorder_injection(&mut self, seed: Option<u64>) {
-        self.reorder_seed = seed;
     }
 
     /// Number of ranks in the communicator.
@@ -630,19 +605,9 @@ impl Transport {
         Ok(report)
     }
 
-    /// Places one message into its destination inbox — at the tail, or
-    /// at a seed-derived position when reorder injection is on.
+    /// Appends one message to its destination inbox, in arrival order.
     fn deliver(&self, msg: Message) {
-        let mut inbox = self.inboxes[msg.dst].lock();
-        let at = match self.reorder_seed {
-            Some(seed) => {
-                let key =
-                    mix64(seed ^ mix64((msg.dst as u64) << 32 ^ (msg.src as u64) << 16 ^ msg.seq));
-                (key as usize) % (inbox.len() + 1)
-            }
-            None => inbox.len(),
-        };
-        inbox.insert(at, msg);
+        self.inboxes[msg.dst].lock().push(msg);
     }
 
     /// Runs one message through the fault injector with up to
@@ -725,16 +690,10 @@ impl Transport {
         });
     }
 
-    /// Drains a rank's inbox, sorted by `(src, seq)` — the only order
-    /// rank code is allowed to observe.
-    pub fn take_inbox(&self, rank: usize) -> Vec<Message> {
-        let mut msgs = std::mem::take(&mut *self.inboxes[rank].lock());
-        msgs.sort_by_key(|m| (m.src, m.seq));
-        msgs
-    }
-
-    /// Drains only the messages of one tag from a rank's inbox, sorted
-    /// by `(src, seq)`; other tags stay queued. No phase barrier keeps
+    /// Drains the messages of one tag from a rank's inbox, sorted by
+    /// `(src, seq)` — the only order rank code is allowed to observe,
+    /// whatever order the flushes delivered in. Other tags stay
+    /// queued: no phase barrier keeps
     /// migrate and halo traffic apart in the multi-rank step: a fast
     /// neighbor's halos may arrive while this rank is still absorbing
     /// migrants, and must not be consumed as migrants.
@@ -753,18 +712,6 @@ impl Transport {
         drop(inbox);
         taken.sort_by_key(|m| (m.src, m.seq));
         taken
-    }
-
-    /// The raw arrival order of a rank's queued inbox — `(src, seq)`
-    /// per message, *without* the canonical sort. Test surface for the
-    /// reorder-injection knob: asserts deliveries really did arrive
-    /// out of order before `take_inbox` restored canonical order.
-    pub fn arrival_order(&self, rank: usize) -> Vec<(usize, u64)> {
-        self.inboxes[rank]
-            .lock()
-            .iter()
-            .map(|m| (m.src, m.seq))
-            .collect()
     }
 
     /// Global reduction: sums one contribution per rank in ascending
@@ -803,16 +750,19 @@ mod tests {
         let t = transport(4);
         t.send(2, 0, Tag::Halo, batch(1));
         t.send(1, 0, Tag::Halo, batch(2));
-        t.send(1, 0, Tag::Migrate, batch(3));
+        t.send(1, 0, Tag::Halo, batch(3));
         let report = t.exchange().unwrap();
         assert_eq!(report.messages, 3);
-        let inbox = t.take_inbox(0);
+        let inbox = t.take_inbox_tagged(0, Tag::Halo);
         let order: Vec<(usize, u64, usize)> = inbox
             .iter()
             .map(|m| (m.src, m.seq, m.batch.len()))
             .collect();
         assert_eq!(order, vec![(1, 0, 2), (1, 1, 3), (2, 0, 1)]);
-        assert!(t.take_inbox(0).is_empty(), "inbox drained");
+        assert!(
+            t.take_inbox_tagged(0, Tag::Halo).is_empty(),
+            "inbox drained"
+        );
     }
 
     #[test]
@@ -845,7 +795,7 @@ mod tests {
             t.send(0, 1, Tag::Halo, batch(1));
             let report = t.exchange().unwrap();
             retries += report.retries;
-            assert_eq!(t.take_inbox(1).len(), 1);
+            assert_eq!(t.take_inbox_tagged(1, Tag::Halo).len(), 1);
         }
         assert!(
             retries > 0,
@@ -932,7 +882,7 @@ mod tests {
         assert!(t.dead_ranks().is_empty());
         t.send(0, 1, Tag::Halo, batch(1));
         t.exchange().unwrap();
-        assert_eq!(t.take_inbox(1).len(), 1);
+        assert_eq!(t.take_inbox_tagged(1, Tag::Halo).len(), 1);
     }
 
     #[test]
@@ -944,7 +894,7 @@ mod tests {
         t.send(2, 0, Tag::Halo, batch(3));
         let report = t.exchange().unwrap();
         assert_eq!(report.messages, 1, "only the live sender delivers");
-        let inbox = t.take_inbox(0);
+        let inbox = t.take_inbox_tagged(0, Tag::Halo);
         assert_eq!(inbox.len(), 1);
         assert_eq!(inbox[0].src, 2);
     }
@@ -958,7 +908,12 @@ mod tests {
         t.purge();
         let report = t.exchange().unwrap();
         assert_eq!(report.messages, 0, "outboxes were purged");
-        assert!(t.take_inbox(1).is_empty(), "inboxes were purged");
+        for tag in [Tag::Halo, Tag::Migrate] {
+            assert!(
+                t.take_inbox_tagged(1, tag).is_empty(),
+                "inboxes were purged"
+            );
+        }
     }
 
     #[test]
@@ -1001,12 +956,12 @@ mod tests {
         let report = t.flush_source(1).unwrap();
         assert_eq!(report.messages, 1);
         assert!(report.links.iter().all(|l| l.src == 1));
-        let inbox = t.take_inbox(0);
+        let inbox = t.take_inbox_tagged(0, Tag::Halo);
         assert_eq!(inbox.len(), 1, "rank 2's post is still queued");
         assert_eq!(inbox[0].src, 1);
         // The remaining source flushes independently.
         t.flush_source(2).unwrap();
-        assert_eq!(t.take_inbox(0).len(), 1);
+        assert_eq!(t.take_inbox_tagged(0, Tag::Halo).len(), 1);
         // An empty flush is a no-op that still counts as an exchange.
         assert_eq!(t.flush_source(3).unwrap().messages, 0);
     }
@@ -1035,8 +990,9 @@ mod tests {
                 t.flush_source(3).unwrap();
                 t.flush_source(1).unwrap();
             }
-            t.take_inbox(0)
-                .iter()
+            [Tag::Migrate, Tag::Halo]
+                .into_iter()
+                .flat_map(|tag| t.take_inbox_tagged(0, tag))
                 .map(|m| (m.src, m.seq, m.batch.len()))
                 .collect::<Vec<_>>()
         };
@@ -1076,8 +1032,9 @@ mod tests {
             }
             let inboxes: Vec<Vec<_>> = (0..4)
                 .map(|rank| {
-                    t.take_inbox(rank)
+                    [Tag::Halo, Tag::Migrate]
                         .into_iter()
+                        .flat_map(|tag| t.take_inbox_tagged(rank, tag))
                         .map(|m| (m.src, m.seq, m.tag, m.batch))
                         .collect()
                 })
@@ -1093,22 +1050,19 @@ mod tests {
 
     #[test]
     fn reordered_arrivals_are_consumed_in_canonical_order() {
-        let mut t = transport(4);
-        t.set_reorder_injection(Some(0xD15C0));
+        // The task graph flushes sources in whatever order their tasks
+        // run; flushing in descending order delivers every source's
+        // messages ahead of a lower source's.
+        let t = transport(4);
         for k in 1..4 {
             t.send(k, 0, Tag::Halo, batch(k));
             t.send(k, 0, Tag::Halo, batch(k + 3));
         }
-        t.exchange().unwrap();
-        let arrival = t.arrival_order(0);
-        let mut canonical = arrival.clone();
-        canonical.sort();
-        assert_ne!(
-            arrival, canonical,
-            "the reorder knob must actually scramble arrival order"
-        );
+        for src in (0..4).rev() {
+            t.flush_source(src).unwrap();
+        }
         let consumed: Vec<(usize, u64, usize)> = t
-            .take_inbox(0)
+            .take_inbox_tagged(0, Tag::Halo)
             .iter()
             .map(|m| (m.src, m.seq, m.batch.len()))
             .collect();
@@ -1140,7 +1094,8 @@ mod tests {
         let halos = t.take_inbox_tagged(0, Tag::Halo);
         assert_eq!(halos.len(), 1);
         assert_eq!(halos[0].src, 2);
-        assert!(t.take_inbox(0).is_empty());
+        assert!(t.take_inbox_tagged(0, Tag::Migrate).is_empty());
+        assert!(t.take_inbox_tagged(0, Tag::Halo).is_empty());
     }
 
     #[test]
@@ -1203,7 +1158,7 @@ mod tests {
                 t.send(1, 2, Tag::Halo, batch(1));
                 let a = t.flush_source(first).unwrap();
                 let b = t.flush_source(second).unwrap();
-                t.take_inbox(2);
+                t.take_inbox_tagged(2, Tag::Halo);
                 assert_eq!(a.messages + b.messages, 2);
             }
             t.stats().retries

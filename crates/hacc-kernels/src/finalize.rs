@@ -148,7 +148,7 @@ impl SgKernel for FinalizeEos {
 mod tests {
     use super::*;
     use crate::particles::HostParticles;
-    use sycl_sim::{Device, GpuArch, LaunchConfig, Toolchain};
+    use sycl_sim::{Device, ExecutionPolicy, GpuArch, LaunchConfig, Toolchain};
 
     fn upload(n: usize) -> DeviceParticles {
         let hp = HostParticles {
@@ -165,7 +165,7 @@ mod tests {
         let dev = Device::new(GpuArch::frontier(), Toolchain::sycl()).unwrap();
         let cfg = LaunchConfig::defaults_for(&dev.arch)
             .with_sg_size(32)
-            .deterministic();
+            .with_exec(ExecutionPolicy::Serial);
         struct Wrap<'a>(&'a dyn SgKernel);
         impl sycl_sim::SgKernel for Wrap<'_> {
             fn name(&self) -> &str {

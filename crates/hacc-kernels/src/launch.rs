@@ -295,8 +295,9 @@ pub const HYDRO_TIMERS: [&str; 7] = [
 pub const GRAVITY_TIMER: &str = "upGrav";
 
 /// A per-timer launch plan: which (variant, launch config) each kernel
-/// bracket runs with. The untuned step is the uniform plan; the
-/// autotuner overrides timers from cached winners.
+/// bracket runs with. The untuned step is the uniform plan; a row of
+/// an offline tuning table ([`crate::TunedSelector::plan`]) overrides
+/// the timers it has winners for.
 #[derive(Clone, Debug)]
 pub struct StepPlan {
     default: (Variant, LaunchConfig),
@@ -340,11 +341,12 @@ impl StepPlan {
 /// **Known gap.** The shared tree keeps the leaf capacity it was built
 /// with, which callers take from the plan's default variant
 /// ([`Variant::preferred_leaf_capacity`]). The autotune sweep costs
-/// every candidate on a tree built at *that candidate's* preferred
-/// capacity (`bench::experiments::prepare`), so a plan that puts the
-/// tuned Broadcast winners (leaf capacity `S`) beside a Select default
-/// (`S/2`) runs those brackets on a tree other than the one whose
-/// modeled seconds the tuning table holds (ROADMAP item 12b).
+/// every candidate on an [`crate::Offload`] built at *that candidate's*
+/// preferred capacity, so a plan that puts the tuned Broadcast winners
+/// (leaf capacity `S`) beside a Select default (`S/2`) runs those
+/// brackets on a tree other than the one whose modeled seconds the
+/// tuning table holds. One offload per leaf capacity closes the gap
+/// (ROADMAP item 12b).
 #[derive(Clone, Default)]
 pub struct WorkSet {
     by_sg: BTreeMap<usize, WorkLists>,
@@ -580,9 +582,10 @@ pub fn run_gravity(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{HostParticles, Offload};
     use hacc_telemetry::{counter_total, EventKind};
     use std::sync::Arc as StdArc;
-    use sycl_sim::{FaultConfig, FaultInjector, GpuArch, Sg, Toolchain};
+    use sycl_sim::{ExecutionPolicy, FaultConfig, FaultInjector, GpuArch, Sg, Toolchain};
 
     fn faulty_device(cfg: FaultConfig) -> (Device, StdArc<FaultInjector>) {
         let inj = StdArc::new(FaultInjector::new(cfg));
@@ -619,7 +622,7 @@ mod tests {
         // The serial reference path has no scheduler and must emit no
         // sched metrics at all.
         let rec2 = Recorder::new();
-        let ser = LaunchConfig::defaults_for(&dev.arch).deterministic();
+        let ser = LaunchConfig::defaults_for(&dev.arch).with_exec(ExecutionPolicy::Serial);
         launch_resilient(&dev, &kernel, 256, ser, &rec2, "Select").unwrap();
         assert!(rec2.events().iter().all(|e| !e.name.starts_with("sched.")));
     }
@@ -641,7 +644,7 @@ mod tests {
                 let x = sg.splat_f32(2.0);
                 let _ = x.rsqrt();
             };
-            let cfg = LaunchConfig::defaults_for(&dev.arch).deterministic();
+            let cfg = LaunchConfig::defaults_for(&dev.arch).with_exec(ExecutionPolicy::Serial);
             let report = launch_resilient(&dev, &kernel, 4, cfg, &rec, "Select").expect("recovers");
             assert_eq!(report.stats.n_subgroups, 4);
             let events = rec.events();
@@ -665,7 +668,7 @@ mod tests {
         });
         let rec = Recorder::new();
         let kernel = |_: &mut Sg| {};
-        let cfg = LaunchConfig::defaults_for(&dev.arch).deterministic();
+        let cfg = LaunchConfig::defaults_for(&dev.arch).with_exec(ExecutionPolicy::Serial);
         let err = launch_resilient(&dev, &kernel, 1, cfg, &rec, "Select").unwrap_err();
         assert!(matches!(err, LaunchError::Transient { .. }));
         // Initial attempt + 3 retries = 4 injected faults, 3 retries.
@@ -675,28 +678,24 @@ mod tests {
         assert_eq!(counter_total(&events, "launch.retries"), 3.0);
     }
 
-    fn hydro_setup(sg: usize) -> (DeviceParticles, WorkLists) {
-        let pos: Vec<[f64; 3]> = (0..16)
-            .map(|i| {
-                [
-                    1.0 + (i % 4) as f64,
-                    1.0 + ((i / 4) % 4) as f64,
-                    1.0 + (i / 16) as f64,
-                ]
-            })
-            .collect();
-        let hp = crate::particles::HostParticles {
-            pos: pos.clone(),
+    /// Sixteen particles on a 4 × 4 plane, offloaded at leaf capacity
+    /// `sg / 2`.
+    fn plane(sg: usize) -> Offload {
+        let hp = HostParticles {
+            pos: (0..16)
+                .map(|i| [1.0 + (i % 4) as f64, 1.0 + (i / 4) as f64, 1.0])
+                .collect(),
             vel: vec![[0.1, 0.0, 0.0]; 16],
             mass: vec![1.0; 16],
             h: vec![1.2; 16],
             u: vec![1.0; 16],
         };
-        let tree = RcbTree::build(&hp.pos, sg / 2);
-        let list = InteractionList::build(&tree, 6.0, 2.5);
-        let work = WorkLists::build(&tree, &list, sg);
-        let data = DeviceParticles::upload(&hp.permuted(&tree.order));
-        (data, work)
+        Offload::new(&hp, 6.0, 2.5, sg / 2, sg).unwrap()
+    }
+
+    fn hydro_setup(sg: usize) -> (DeviceParticles, WorkLists) {
+        let offload = plane(sg);
+        (offload.upload(), offload.work)
     }
 
     #[test]
@@ -704,7 +703,7 @@ mod tests {
         let dev = Device::new(GpuArch::frontier(), Toolchain::sycl()).unwrap();
         let cfg = LaunchConfig::defaults_for(&dev.arch)
             .with_sg_size(32)
-            .deterministic();
+            .with_exec(ExecutionPolicy::Serial);
         let (data, work) = hydro_setup(32);
         let step =
             |variant| run_hydro_step(&dev, &data, &work, variant, 6.0, cfg, &Recorder::new());
@@ -733,7 +732,7 @@ mod tests {
         let (data, work) = hydro_setup(32);
         let cfg = LaunchConfig::defaults_for(&dev.arch)
             .with_sg_size(32)
-            .deterministic();
+            .with_exec(ExecutionPolicy::Serial);
         let timers = run_hydro_step(&dev, &data, &work, Variant::Select, 6.0, cfg, &rec)
             .expect("fallback chain absorbs the persistent fault");
         assert_eq!(timers.len(), 7);
@@ -770,7 +769,7 @@ mod tests {
         let (data, work) = hydro_setup(32);
         let cfg = LaunchConfig::defaults_for(&dev.arch)
             .with_sg_size(32)
-            .deterministic();
+            .with_exec(ExecutionPolicy::Serial);
         let err = run_hydro_step(&dev, &data, &work, Variant::Select, 6.0, cfg, &rec).unwrap_err();
         match err {
             LaunchError::PersistentVariant { kernel, variant } => {
@@ -787,7 +786,7 @@ mod tests {
         let plain = Device::new(GpuArch::frontier(), Toolchain::sycl()).unwrap();
         let cfg = LaunchConfig::defaults_for(&dev.arch)
             .with_sg_size(32)
-            .deterministic();
+            .with_exec(ExecutionPolicy::Serial);
         let rec_faulty = Recorder::new();
         let rec_plain = Recorder::new();
         let (data, work) = hydro_setup(32);
@@ -830,7 +829,7 @@ mod tests {
         });
         let cfg = LaunchConfig::defaults_for(&dev.arch)
             .with_sg_size(32)
-            .deterministic();
+            .with_exec(ExecutionPolicy::Serial);
         let (data, work) = hydro_setup(32);
         let mut plan = StepPlan::uniform(Variant::Select, cfg);
         plan.set("upBarAc", Variant::Broadcast, cfg);
@@ -869,26 +868,9 @@ mod tests {
         let dev = Device::new(GpuArch::frontier(), Toolchain::sycl()).unwrap();
         let base = LaunchConfig::defaults_for(&dev.arch)
             .with_sg_size(64)
-            .deterministic();
-        let pos: Vec<[f64; 3]> = (0..16)
-            .map(|i| {
-                [
-                    1.0 + (i % 4) as f64,
-                    1.0 + ((i / 4) % 4) as f64,
-                    1.0 + (i / 16) as f64,
-                ]
-            })
-            .collect();
-        let hp = crate::particles::HostParticles {
-            pos: pos.clone(),
-            vel: vec![[0.1, 0.0, 0.0]; 16],
-            mass: vec![1.0; 16],
-            h: vec![1.2; 16],
-            u: vec![1.0; 16],
-        };
-        let tree = RcbTree::build(&hp.pos, 32);
-        let list = InteractionList::build(&tree, 6.0, 2.5);
-        let data = DeviceParticles::upload(&hp.permuted(&tree.order));
+            .with_exec(ExecutionPolicy::Serial);
+        let offload = plane(64);
+        let data = offload.upload();
 
         let mut plan = StepPlan::uniform(Variant::Select, base);
         plan.set(
@@ -901,7 +883,7 @@ mod tests {
             plan.sg_sizes().into_iter().collect::<Vec<_>>(),
             vec![32, 64]
         );
-        let works = WorkSet::build(&tree, &list, plan.sg_sizes());
+        let works = WorkSet::build(&offload.tree, &offload.list, plan.sg_sizes());
         let rec = Recorder::new();
         let timers = run_hydro_step_planned(&dev, &data, &works, &plan, 6.0, &rec).unwrap();
         // The launch-order table names exactly the seven paper timers.
@@ -925,7 +907,7 @@ mod tests {
         let dev = Device::new(GpuArch::frontier(), Toolchain::sycl()).unwrap();
         let cfg = LaunchConfig::defaults_for(&dev.arch)
             .with_sg_size(32)
-            .deterministic();
+            .with_exec(ExecutionPolicy::Serial);
         let (data, work) = hydro_setup(32);
         let mut plan = StepPlan::uniform(Variant::Select, cfg);
         plan.set("upCor", Variant::Select, cfg.with_sg_size(64));
@@ -946,7 +928,7 @@ mod tests {
         let (data, work) = hydro_setup(32);
         let cfg = LaunchConfig::defaults_for(&dev.arch)
             .with_sg_size(32)
-            .deterministic();
+            .with_exec(ExecutionPolicy::Serial);
         run_hydro_step(&dev, &data, &work, Variant::Select, 6.0, cfg, &rec).unwrap();
         let events = rec.events();
         let injected = counter_total(&events, "faults.injected");

@@ -23,6 +23,7 @@ pub mod geometry;
 pub mod gravity;
 pub mod halfwarp;
 pub mod launch;
+pub mod offload;
 pub mod pairkernel;
 pub mod particles;
 pub mod physics;
@@ -37,6 +38,7 @@ pub use launch::{
     launch_resilient, run_gravity, run_hydro_step, run_hydro_step_planned, GravityParams, StepPlan,
     TimerReport, WorkLists, WorkSet, GRAVITY_TIMER, HYDRO_TIMERS,
 };
+pub use offload::Offload;
 pub use particles::{DeviceParticles, HostParticles, GAMMA};
 pub use subgrid::{Subgrid, SubgridParams};
 pub use tuning::TunedSelector;
@@ -47,10 +49,9 @@ pub use worklist::{build_chunks, build_tiles, leaf_slots, Chunk, ChunkWork, Tile
 mod tests {
     use super::*;
     use hacc_telemetry::Recorder;
-    use hacc_tree::{InteractionList, RcbTree};
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
-    use sycl_sim::{Device, GpuArch, LaunchConfig, Toolchain};
+    use sycl_sim::{Device, ExecutionPolicy, GpuArch, LaunchConfig, Toolchain};
 
     /// A small jittered-lattice gas in a periodic box.
     fn sample(n_side: usize, box_size: f64, seed: u64) -> HostParticles {
@@ -80,29 +81,43 @@ mod tests {
         hp
     }
 
-    struct Setup {
-        ordered: HostParticles,
-        data: DeviceParticles,
-        work: WorkLists,
-        box_size: f64,
-    }
-
-    fn setup(variant_sg: usize, seed: u64) -> Setup {
+    /// The offload of a jittered 6³ gas at leaf capacity `sg / 2`, and
+    /// a fresh device copy of it.
+    fn setup(sg: usize, seed: u64) -> (Offload, DeviceParticles) {
         let box_size = 6.0;
-        let hp = sample(6, box_size, seed);
-        let tree = RcbTree::build(&hp.pos, variant_sg / 2);
         // Cutoff must cover the kernel support 2·h̄_max.
         let cutoff = 2.0 * 1.2 * (box_size / 6.0) + 1e-9;
-        let list = InteractionList::build(&tree, box_size, cutoff);
-        let work = WorkLists::build(&tree, &list, variant_sg);
-        let ordered = hp.permuted(&tree.order);
-        let data = DeviceParticles::upload(&ordered);
-        Setup {
-            ordered,
-            data,
-            work,
+        let hp = sample(6, box_size, seed);
+        let offload = Offload::new(&hp, box_size, cutoff, sg / 2, sg).unwrap();
+        let data = offload.upload();
+        (offload, data)
+    }
+
+    fn serial(device: &Device, sg: usize) -> LaunchConfig {
+        let cfg = LaunchConfig::defaults_for(&device.arch).with_sg_size(sg);
+        cfg.with_exec(ExecutionPolicy::Serial)
+    }
+
+    /// One serial hydro step of `variant` on `setup(sg, seed)`: the
+    /// offload, the device state it leaves, and the timer reports.
+    fn hydro(
+        device: &Device,
+        variant: Variant,
+        sg: usize,
+        seed: u64,
+    ) -> (Offload, DeviceParticles, Vec<TimerReport>) {
+        let (s, data) = setup(sg, seed);
+        let (box_size, cfg) = (s.box_size as f32, serial(device, sg));
+        let timers = run_hydro_step(
+            device,
+            &data,
+            &s.work,
+            variant,
             box_size,
-        }
+            cfg,
+            &Recorder::new(),
+        );
+        (s, data, timers.unwrap())
     }
 
     fn assert_close(name: &str, got: &[f32], want: &[f64], rel: f64) {
@@ -119,37 +134,24 @@ mod tests {
     /// field against the f64 reference pipeline.
     fn check_variant(arch: GpuArch, variant: Variant, sg_size: usize) {
         let device = Device::new(arch, variant.toolchain()).unwrap();
-        let s = setup(sg_size, 42);
-        let cfg = LaunchConfig::defaults_for(&device.arch)
-            .with_sg_size(sg_size)
-            .deterministic();
-        let timers = run_hydro_step(
-            &device,
-            &s.data,
-            &s.work,
-            variant,
-            s.box_size as f32,
-            cfg,
-            &Recorder::new(),
-        )
-        .unwrap();
+        let (s, data, timers) = hydro(&device, variant, sg_size, 42);
         assert_eq!(timers.len(), 7);
 
-        let r = reference::full_pipeline(&s.ordered, s.box_size);
-        assert_close("volume", &s.data.volume.to_f32_vec(), &r.volume, 2e-4);
-        assert_close("crk_a", &s.data.crk_a.to_f32_vec(), &r.crk_a, 5e-4);
+        let r = reference::full_pipeline(&s.particles, s.box_size);
+        assert_close("volume", &data.volume.to_f32_vec(), &r.volume, 2e-4);
+        assert_close("crk_a", &data.crk_a.to_f32_vec(), &r.crk_a, 5e-4);
         for c in 0..3 {
             let want: Vec<f64> = r.crk_b.iter().map(|b| b[c]).collect();
-            assert_close("crk_b", &s.data.crk_b[c].to_f32_vec(), &want, 2e-3);
+            assert_close("crk_b", &data.crk_b[c].to_f32_vec(), &want, 2e-3);
         }
-        assert_close("rho", &s.data.rho.to_f32_vec(), &r.rho, 5e-4);
-        assert_close("pressure", &s.data.pressure.to_f32_vec(), &r.pressure, 5e-4);
+        assert_close("rho", &data.rho.to_f32_vec(), &r.rho, 5e-4);
+        assert_close("pressure", &data.pressure.to_f32_vec(), &r.pressure, 5e-4);
         for c in 0..3 {
             let want: Vec<f64> = r.acc.iter().map(|a| a[c]).collect();
-            assert_close("acc", &s.data.acc[c].to_f32_vec(), &want, 5e-3);
+            assert_close("acc", &data.acc[c].to_f32_vec(), &want, 5e-3);
         }
-        assert_close("du_dt", &s.data.du_dt.to_f32_vec(), &r.du_dt, 5e-3);
-        let dt = s.data.dt_min.read_f32(0) as f64;
+        assert_close("du_dt", &data.du_dt.to_f32_vec(), &r.du_dt, 5e-3);
+        let dt = data.dt_min.read_f32(0) as f64;
         assert!(
             (dt / r.dt_min - 1.0).abs() < 1e-3,
             "dt {dt} vs {}",
@@ -192,23 +194,10 @@ mod tests {
     #[test]
     fn variants_agree_pairwise() {
         let device = Device::new(GpuArch::aurora(), Toolchain::sycl_visa()).unwrap();
-        let cfg = LaunchConfig::defaults_for(&device.arch)
-            .with_sg_size(32)
-            .deterministic();
         let mut results: Vec<(Variant, Vec<f32>)> = Vec::new();
         for variant in ALL_VARIANTS {
-            let s = setup(32, 7);
-            run_hydro_step(
-                &device,
-                &s.data,
-                &s.work,
-                variant,
-                s.box_size as f32,
-                cfg,
-                &Recorder::new(),
-            )
-            .unwrap();
-            results.push((variant, s.data.acc[0].to_f32_vec()));
+            let (_, data, _) = hydro(&device, variant, 32, 7);
+            results.push((variant, data.acc[0].to_f32_vec()));
         }
         let (v0, base) = &results[0];
         let scale = base.iter().fold(0.0f32, |m, v| m.max(v.abs())).max(1e-30);
@@ -228,10 +217,8 @@ mod tests {
     #[test]
     fn gravity_matches_reference() {
         let device = Device::new(GpuArch::frontier(), Toolchain::sycl()).unwrap();
-        let s = setup(64, 11);
-        let cfg = LaunchConfig::defaults_for(&device.arch)
-            .with_sg_size(64)
-            .deterministic();
+        let (s, data) = setup(64, 11);
+        let cfg = serial(&device, 64);
         let poly = [0.02f32, -0.01, 0.002, -0.0001, 0.0, 0.0];
         let params = GravityParams {
             poly,
@@ -240,7 +227,7 @@ mod tests {
         };
         run_gravity(
             &device,
-            &s.data,
+            &data,
             &s.work,
             Variant::Select,
             s.box_size as f32,
@@ -250,10 +237,10 @@ mod tests {
         )
         .unwrap();
         let polyd: [f64; 6] = std::array::from_fn(|i| poly[i] as f64);
-        let want = reference::gravity(&s.ordered, &polyd, 4.0, 1e-4, s.box_size);
+        let want = reference::gravity(&s.particles, &polyd, 4.0, 1e-4, s.box_size);
         for c in 0..3 {
             let w: Vec<f64> = want.iter().map(|a| a[c]).collect();
-            assert_close("grav", &s.data.acc_grav[c].to_f32_vec(), &w, 5e-3);
+            assert_close("grav", &data.acc_grav[c].to_f32_vec(), &w, 5e-3);
         }
     }
 
@@ -263,31 +250,8 @@ mod tests {
     #[test]
     fn register_pressure_ordering() {
         let device = Device::new(GpuArch::frontier(), Toolchain::sycl()).unwrap();
-        let cfg = LaunchConfig::defaults_for(&device.arch)
-            .with_sg_size(32)
-            .deterministic();
-        let s = setup(32, 13);
-        let select = run_hydro_step(
-            &device,
-            &s.data,
-            &s.work,
-            Variant::Select,
-            s.box_size as f32,
-            cfg,
-            &Recorder::new(),
-        )
-        .unwrap();
-        let s2 = setup(32, 13);
-        let broadcast = run_hydro_step(
-            &device,
-            &s2.data,
-            &s2.work,
-            Variant::Broadcast,
-            s2.box_size as f32,
-            cfg,
-            &Recorder::new(),
-        )
-        .unwrap();
+        let (_, _, select) = hydro(&device, Variant::Select, 32, 13);
+        let (_, _, broadcast) = hydro(&device, Variant::Broadcast, 32, 13);
         let regs = |t: &[TimerReport], name: &str| {
             t.iter()
                 .find(|r| r.timer == name)
@@ -315,31 +279,8 @@ mod tests {
     fn atomic_counts_match_paper_structure() {
         use sycl_sim::InstrClass;
         let device = Device::new(GpuArch::frontier(), Toolchain::sycl()).unwrap();
-        let cfg = LaunchConfig::defaults_for(&device.arch)
-            .with_sg_size(32)
-            .deterministic();
-        let s = setup(32, 17);
-        let select = run_hydro_step(
-            &device,
-            &s.data,
-            &s.work,
-            Variant::Select,
-            s.box_size as f32,
-            cfg,
-            &Recorder::new(),
-        )
-        .unwrap();
-        let s2 = setup(32, 17);
-        let broadcast = run_hydro_step(
-            &device,
-            &s2.data,
-            &s2.work,
-            Variant::Broadcast,
-            s2.box_size as f32,
-            cfg,
-            &Recorder::new(),
-        )
-        .unwrap();
+        let (_, _, select) = hydro(&device, Variant::Select, 32, 17);
+        let (_, _, broadcast) = hydro(&device, Variant::Broadcast, 32, 17);
         let atomics = |t: &[TimerReport], name: &str| {
             let r = &t.iter().find(|r| r.timer == name).unwrap().report.stats;
             r.count(InstrClass::AtomicNative) + r.count(InstrClass::AtomicCas)

@@ -38,18 +38,26 @@ impl HostParticles {
         self.pos.is_empty()
     }
 
-    /// Checks that all fields have matching lengths and finite values.
+    /// Checks that all fields have matching lengths, positions are
+    /// finite, `h > 0` and `mass ≥ 0` (a NaN `h` or mass passes, for the
+    /// step guard to catch); the error names the particle and the field.
     pub fn validate(&self) -> Result<(), String> {
         let n = self.pos.len();
         if self.vel.len() != n || self.mass.len() != n || self.h.len() != n || self.u.len() != n {
             return Err("particle field lengths differ".into());
         }
         for i in 0..n {
-            if self.h[i] <= 0.0 {
-                return Err(format!("particle {i} has non-positive smoothing length"));
+            let (pos, h, mass) = (self.pos[i], self.h[i], self.mass[i]);
+            if pos.iter().any(|c| !c.is_finite()) {
+                return Err(format!("particle {i} has a non-finite pos = {pos:?}"));
             }
-            if self.mass[i] < 0.0 {
-                return Err(format!("particle {i} has negative mass"));
+            if h <= 0.0 {
+                return Err(format!(
+                    "particle {i} has a non-positive smoothing length h = {h}"
+                ));
+            }
+            if mass < 0.0 {
+                return Err(format!("particle {i} has a negative mass = {mass}"));
             }
         }
         Ok(())
@@ -66,20 +74,6 @@ impl HostParticles {
             mass: order.iter().map(|i| self.mass[g(i)]).collect(),
             h: order.iter().map(|i| self.h[g(i)]).collect(),
             u: order.iter().map(|i| self.u[g(i)]).collect(),
-        }
-    }
-
-    /// Gathers an arbitrary subset (indices need not be unique or
-    /// sorted, and may be fewer than `len()`) — the per-rank slice of a
-    /// domain decomposition.
-    pub fn select(&self, indices: &[u32]) -> HostParticles {
-        let g = |i: &u32| *i as usize;
-        HostParticles {
-            pos: indices.iter().map(|i| self.pos[g(i)]).collect(),
-            vel: indices.iter().map(|i| self.vel[g(i)]).collect(),
-            mass: indices.iter().map(|i| self.mass[g(i)]).collect(),
-            h: indices.iter().map(|i| self.h[g(i)]).collect(),
-            u: indices.iter().map(|i| self.u[g(i)]).collect(),
         }
     }
 }
@@ -334,12 +328,18 @@ mod tests {
 
     #[test]
     fn validation_catches_bad_fields() {
-        let mut hp = sample(3);
-        hp.h[1] = 0.0;
-        assert!(hp.validate().is_err());
-        let mut hp = sample(3);
-        hp.mass.pop();
-        assert!(hp.validate().is_err());
+        let edited = |edit: fn(&mut HostParticles)| {
+            let mut hp = sample(3);
+            edit(&mut hp);
+            hp.validate()
+        };
+        let err = edited(|hp| hp.h[1] = 0.0).unwrap_err();
+        assert!(err.contains("particle 1 has a non-positive smoothing length h = 0"));
+        let err = edited(|hp| hp.pos[2][1] = f64::NAN).unwrap_err();
+        assert!(err.contains("particle 2 has a non-finite pos"));
+        assert!(edited(|hp| hp.mass.truncate(2)).is_err());
+        // NaN smoothing lengths and masses are the step guard's to catch.
+        assert!(edited(|hp| (hp.h[0], hp.mass[1]) = (f64::NAN, f64::NAN)).is_ok());
     }
 
     #[test]

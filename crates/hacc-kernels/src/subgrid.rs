@@ -158,7 +158,7 @@ pub fn reference(
 mod tests {
     use super::*;
     use crate::particles::HostParticles;
-    use sycl_sim::{Device, GpuArch, LaunchConfig, Toolchain};
+    use sycl_sim::{Device, ExecutionPolicy, GpuArch, LaunchConfig, Toolchain};
 
     fn particles(n: usize) -> (DeviceParticles, Vec<f64>, Vec<f64>, Vec<f64>) {
         let hp = HostParticles {
@@ -182,7 +182,7 @@ mod tests {
         let dev = Device::new(GpuArch::frontier(), Toolchain::sycl()).unwrap();
         let cfg = LaunchConfig::defaults_for(&dev.arch)
             .with_sg_size(32)
-            .deterministic();
+            .with_exec(ExecutionPolicy::Serial);
         struct Wrap<'a>(&'a Subgrid);
         impl SgKernel for Wrap<'_> {
             fn name(&self) -> &str {
@@ -275,7 +275,7 @@ mod tests {
         let dev = Device::new(GpuArch::frontier(), Toolchain::sycl()).unwrap();
         let cfg = LaunchConfig::defaults_for(&dev.arch)
             .with_sg_size(32)
-            .deterministic();
+            .with_exec(ExecutionPolicy::Serial);
         struct Wrap<'a>(&'a Subgrid);
         impl SgKernel for Wrap<'_> {
             fn name(&self) -> &str {

@@ -2,64 +2,57 @@
 //! particle sets, extreme smoothing lengths, colocated particles, and
 //! minimal work lists must neither crash nor poison results with NaNs.
 
-use hacc_kernels::{reference, run_hydro_step, DeviceParticles, HostParticles, Variant, WorkLists};
+use hacc_kernels::{reference, run_hydro_step, DeviceParticles, HostParticles, Offload, Variant};
 use hacc_telemetry::Recorder;
-use hacc_tree::{InteractionList, RcbTree};
-use sycl_sim::{Device, GpuArch, LaunchConfig, Toolchain};
+use sycl_sim::{Device, ExecutionPolicy, GpuArch, LaunchConfig, LaunchError, Toolchain};
 
-fn run(hp: &HostParticles, box_size: f64, variant: Variant, sg: usize) -> DeviceParticles {
-    let device = Device::new(GpuArch::frontier(), Toolchain::sycl()).unwrap();
-    let cfg = LaunchConfig::defaults_for(&device.arch)
-        .with_sg_size(sg)
-        .deterministic();
-    let tree = RcbTree::build(&hp.pos, variant.preferred_leaf_capacity(sg));
-    let h_max = hp.h.iter().cloned().fold(0.0, f64::max);
-    let cutoff = (2.0 * h_max + 1e-9).min(box_size * 0.49);
-    let list = InteractionList::build(&tree, box_size, cutoff);
-    let work = WorkLists::build(&tree, &list, sg);
-    let data = DeviceParticles::upload(&hp.permuted(&tree.order));
-    run_hydro_step(
-        &device,
-        &data,
-        &work,
-        variant,
-        box_size as f32,
-        cfg,
-        &Recorder::new(),
-    )
-    .expect("fault-free hydro step must succeed");
-    data
+fn frontier() -> Device {
+    Device::new(GpuArch::frontier(), Toolchain::sycl()).unwrap()
 }
 
-/// Like [`run`] but on Aurora with the vISA toolchain, so variants that
-/// need inline vISA can run too.
-fn run_visa_capable(
+/// Aurora with the vISA toolchain, so variants that need inline vISA
+/// can run too.
+fn aurora_visa() -> Device {
+    Device::new(GpuArch::aurora(), Toolchain::sycl_visa()).unwrap()
+}
+
+/// The offload of `hp` at `variant`'s leaf capacity, with a cutoff
+/// covering the widest kernel support.
+fn offload(
     hp: &HostParticles,
     box_size: f64,
     variant: Variant,
     sg: usize,
-) -> DeviceParticles {
-    let device = Device::new(GpuArch::aurora(), Toolchain::sycl_visa()).unwrap();
-    let cfg = LaunchConfig::defaults_for(&device.arch)
-        .with_sg_size(sg)
-        .deterministic();
-    let tree = RcbTree::build(&hp.pos, variant.preferred_leaf_capacity(sg));
+) -> Result<Offload, LaunchError> {
     let h_max = hp.h.iter().cloned().fold(0.0, f64::max);
     let cutoff = (2.0 * h_max + 1e-9).min(box_size * 0.49);
-    let list = InteractionList::build(&tree, box_size, cutoff);
-    let work = WorkLists::build(&tree, &list, sg);
-    let data = DeviceParticles::upload(&hp.permuted(&tree.order));
+    let leaf_capacity = variant.preferred_leaf_capacity(sg);
+    Offload::new(hp, box_size, cutoff, leaf_capacity, sg)
+}
+
+/// One serial hydro step of `variant` on `device`: the offload and the
+/// device state the step leaves.
+fn run(
+    device: &Device,
+    hp: &HostParticles,
+    box_size: f64,
+    variant: Variant,
+    sg: usize,
+) -> (Offload, DeviceParticles) {
+    let offload = offload(hp, box_size, variant, sg).expect("a valid offload");
+    let cfg = LaunchConfig::defaults_for(&device.arch).with_sg_size(sg);
+    let (cfg, data) = (cfg.with_exec(ExecutionPolicy::Serial), offload.upload());
     run_hydro_step(
-        &device,
+        device,
         &data,
-        &work,
+        &offload.work,
         variant,
         box_size as f32,
         cfg,
         &Recorder::new(),
     )
     .expect("fault-free hydro step must succeed");
-    data
+    (offload, data)
 }
 
 fn assert_all_finite(data: &DeviceParticles) {
@@ -91,7 +84,7 @@ fn single_particle_runs() {
         u: vec![0.5],
     };
     for variant in [Variant::Select, Variant::Broadcast] {
-        let data = run(&hp, 10.0, variant, 32);
+        let (_, data) = run(&frontier(), &hp, 10.0, variant, 32);
         assert_all_finite(&data);
         // A lone particle sees only its self term: V = 1/W(0,h).
         let want = 1.0 / hacc_kernels::sphkernel::w_scalar(0.0, 1.0);
@@ -115,7 +108,7 @@ fn colocated_particles_produce_finite_results() {
         u: vec![1.0; 3],
     };
     for variant in [Variant::Select, Variant::MemoryObject, Variant::Broadcast] {
-        let data = run(&hp, 10.0, variant, 32);
+        let (_, data) = run(&frontier(), &hp, 10.0, variant, 32);
         assert_all_finite(&data);
     }
 }
@@ -129,7 +122,7 @@ fn tiny_smoothing_lengths_do_not_explode() {
         h: vec![1e-3; 8], // kernels see almost no neighbors
         u: vec![1.0; 8],
     };
-    let data = run(&hp, 8.0, Variant::Select, 32);
+    let (_, data) = run(&frontier(), &hp, 8.0, Variant::Select, 32);
     assert_all_finite(&data);
     // Isolated particles: A falls back to plain SPH (B = 0).
     for i in 0..8 {
@@ -153,12 +146,9 @@ fn two_particle_system_matches_reference_under_all_variants() {
         Variant::MemoryObject,
         Variant::Broadcast,
     ] {
-        let data = run(&hp, 10.0, variant, 32);
-        // Scatter back: tree order of 2 particles.
-        let tree = RcbTree::build(&hp.pos, variant.preferred_leaf_capacity(32));
-        for (slot, &pi) in tree.order.iter().enumerate() {
-            let pi = pi as usize;
-            let got = data.rho.read_f32(slot) as f64;
+        let (offload, data) = run(&frontier(), &hp, 10.0, variant, 32);
+        let rho = offload.scatter(|slot| data.rho.read_f32(slot) as f64);
+        for (pi, got) in rho.into_iter().enumerate() {
             assert!(
                 (got / r.rho[pi] - 1.0).abs() < 1e-4,
                 "{variant:?}: rho[{pi}] {got} vs {}",
@@ -189,34 +179,40 @@ fn coincident_particles_finite_under_every_fallback_chain_variant() {
     let chain = Variant::Visa.fallback_chain();
     assert_eq!(chain.len(), 4, "deepest chain covers four variants");
     for variant in chain {
-        let data = run_visa_capable(&hp, 10.0, variant, 32);
+        let (_, data) = run(&aurora_visa(), &hp, 10.0, variant, 32);
         assert_all_finite(&data);
     }
     // The Broadcast chain's head too (its tail repeats the above).
-    let data = run(&hp, 10.0, Variant::Broadcast, 32);
+    let (_, data) = run(&frontier(), &hp, 10.0, Variant::Broadcast, 32);
     assert_all_finite(&data);
 }
 
 #[test]
 fn zero_smoothing_length_is_rejected_before_launch() {
-    // h = 0 would divide by zero inside every kernel; the upload guard
+    // h = 0 would divide by zero inside every kernel; the offload
     // (HostParticles::validate) must refuse it for each chain variant's
-    // leaf capacity rather than let the kernels poison device state.
+    // leaf capacity, naming the particle, rather than let the kernels
+    // poison device state.
+    let hp = HostParticles {
+        pos: vec![[1.0, 1.0, 1.0], [2.0, 1.0, 1.0]],
+        vel: vec![[0.0; 3]; 2],
+        mass: vec![1.0; 2],
+        h: vec![1.0, 0.0],
+        u: vec![1.0; 2],
+    };
+    let named = "particle 1 has a non-positive smoothing length h = 0";
     for variant in Variant::Visa.fallback_chain() {
-        let hp = HostParticles {
-            pos: vec![[1.0, 1.0, 1.0], [2.0, 1.0, 1.0]],
-            vel: vec![[0.0; 3]; 2],
-            mass: vec![1.0; 2],
-            h: vec![0.0, 1.0],
-            u: vec![1.0; 2],
-        };
-        let tree = RcbTree::build(&hp.pos, variant.preferred_leaf_capacity(32));
-        let ordered = hp.permuted(&tree.order);
+        let err = offload(&hp, 4.0, variant, 32).err();
+        let typed =
+            matches!(&err, Some(LaunchError::Config { message }) if message.contains(named));
         assert!(
-            ordered.validate().is_err(),
-            "{variant:?}: zero smoothing length must be rejected"
+            typed,
+            "{variant:?}: want a Config error naming `{named}`, got {err:?}"
         );
     }
+    // No particles, no tree: the same typed error.
+    let empty = offload(&HostParticles::default(), 4.0, Variant::Select, 32);
+    assert!(matches!(empty, Err(LaunchError::Config { .. })));
 }
 
 #[test]
@@ -231,7 +227,7 @@ fn near_zero_smoothing_length_stays_finite_under_chain_variants() {
         u: vec![1.0; 4],
     };
     for variant in Variant::Visa.fallback_chain() {
-        let data = run_visa_capable(&hp, 8.0, variant, 32);
+        let (_, data) = run(&aurora_visa(), &hp, 8.0, variant, 32);
         assert_all_finite(&data);
     }
 }
@@ -246,13 +242,11 @@ fn sub_group_sixty_four_handles_small_problems() {
         h: vec![0.8; 5],
         u: vec![1.0; 5],
     };
-    let data = run(&hp, 8.0, Variant::Select, 64);
+    let (offload, data) = run(&frontier(), &hp, 8.0, Variant::Select, 64);
     assert_all_finite(&data);
     let r = reference::full_pipeline(&hp, 8.0);
-    let tree = RcbTree::build(&hp.pos, 32);
-    for (slot, &pi) in tree.order.iter().enumerate() {
-        let got = data.volume.read_f32(slot) as f64;
-        let want = r.volume[pi as usize];
+    let volume = offload.scatter(|slot| data.volume.read_f32(slot) as f64);
+    for (pi, (got, want)) in volume.into_iter().zip(r.volume).enumerate() {
         assert!((got / want - 1.0).abs() < 1e-4, "V[{pi}] {got} vs {want}");
     }
 }

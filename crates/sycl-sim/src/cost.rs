@@ -173,6 +173,7 @@ impl CostModel {
 mod tests {
     use super::*;
     use crate::device::{Device, LaunchConfig};
+    use crate::exec::ExecutionPolicy;
     use crate::subgroup::Sg;
     use crate::toolchain::Toolchain;
 
@@ -317,7 +318,7 @@ mod tests {
             }
         };
         let dev = Device::new(GpuArch::frontier(), Toolchain::sycl()).unwrap();
-        let base = LaunchConfig::defaults_for(&dev.arch).deterministic();
+        let base = LaunchConfig::defaults_for(&dev.arch).with_exec(ExecutionPolicy::Serial);
         let model = CostModel::new(GpuArch::frontier());
         let free = model.estimate(&dev.launch(&kernel, 4, base).unwrap());
         let capped = model.estimate(

@@ -167,13 +167,6 @@ impl LaunchConfig {
         self.wg_size = wg;
         self
     }
-
-    /// Forces the serial reference path (bit-identical to parallel, but
-    /// single-threaded — useful as the baseline in equivalence tests).
-    pub fn deterministic(mut self) -> Self {
-        self.exec = ExecutionPolicy::Serial;
-        self
-    }
 }
 
 /// Metered results of one kernel launch.
@@ -580,7 +573,9 @@ mod tests {
         };
         let cfg = LaunchConfig::defaults_for(&dev.arch);
         let par = dev.launch(&kernel, 25, cfg).unwrap();
-        let ser = dev.launch(&kernel, 25, cfg.deterministic()).unwrap();
+        let ser = dev
+            .launch(&kernel, 25, cfg.with_exec(ExecutionPolicy::Serial))
+            .unwrap();
         assert_eq!(par.stats, ser.stats);
     }
 
@@ -678,7 +673,7 @@ mod tests {
             let b = sg.shuffle_xor(&a, 1);
             let _ = &a * &b;
         };
-        let cfg = LaunchConfig::defaults_for(&dev.arch).deterministic();
+        let cfg = LaunchConfig::defaults_for(&dev.arch).with_exec(ExecutionPolicy::Serial);
         let report = dev.launch(&kernel, 8, cfg).unwrap();
         let profile = dev.profile(&report);
         let est = CostModel::new(dev.arch.clone()).estimate(&report);
@@ -721,7 +716,7 @@ mod tests {
             .launch(
                 &kernel,
                 640,
-                LaunchConfig::defaults_for(&dev.arch).deterministic(),
+                LaunchConfig::defaults_for(&dev.arch).with_exec(ExecutionPolicy::Serial),
             )
             .unwrap();
         assert!(ser.sched.is_none(), "serial path has no scheduler");
@@ -736,7 +731,7 @@ mod tests {
             let b = sg.shuffle_xor(&a, 1);
             let _ = &a * &b;
         };
-        let cfg = LaunchConfig::defaults_for(&device().arch).deterministic();
+        let cfg = LaunchConfig::defaults_for(&device().arch).with_exec(ExecutionPolicy::Serial);
         let clean = device();
         let slow =
             device().with_fault_injector(std::sync::Arc::new(FaultInjector::new(FaultConfig {
@@ -806,7 +801,7 @@ mod tests {
         let kernel = Writer { out: out.clone() };
         let cfg = LaunchConfig::defaults_for(&dev.arch)
             .with_sg_size(32)
-            .deterministic();
+            .with_exec(ExecutionPolicy::Serial);
         let report = dev.launch(&kernel, 1, cfg).unwrap();
         assert_eq!(report.injected_faults, 1);
         let clean = 1.0f32.to_bits();
@@ -888,7 +883,7 @@ mod tests {
             let b = sg.shuffle_xor(&a, 3);
             let _ = &a * &b;
         };
-        let cfg = LaunchConfig::defaults_for(&plain.arch).deterministic();
+        let cfg = LaunchConfig::defaults_for(&plain.arch).with_exec(ExecutionPolicy::Serial);
         let a = plain.launch(&kernel, 6, cfg).unwrap();
         let b = faulty.launch(&kernel, 6, cfg).unwrap();
         assert_eq!(a.stats, b.stats);

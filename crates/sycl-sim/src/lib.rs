@@ -139,7 +139,7 @@ mod proptests {
                 let x = sg.splat_f32(2.0);
                 let _ = x.rsqrt();
             };
-            let cfg = LaunchConfig::defaults_for(&dev.arch).deterministic();
+            let cfg = LaunchConfig::defaults_for(&dev.arch).with_exec(ExecutionPolicy::Serial);
             let model = CostModel::new(GpuArch::frontier());
             let t1 = model.estimate(&dev.launch(&kernel, n1, cfg).unwrap());
             let t2 = model.estimate(&dev.launch(&kernel, n1 + extra, cfg).unwrap());

@@ -10,10 +10,9 @@
 //! cargo run --release --example sedov_blast
 //! ```
 
-use crk_hacc::kernels::{run_hydro_step, DeviceParticles, HostParticles, Variant, WorkLists};
+use crk_hacc::kernels::{run_hydro_step, HostParticles, Offload, Variant};
 use crk_hacc::sycl::{Device, GpuArch, LaunchConfig, Toolchain};
 use crk_hacc::telemetry::{self, Recorder};
-use crk_hacc::tree::{InteractionList, RcbTree};
 
 fn main() {
     // Uniform gas lattice.
@@ -68,16 +67,15 @@ fn main() {
     );
     for step in 0..24 {
         // Rebuild the decomposition (particles move).
-        let tree = RcbTree::build(&hp.pos, variant.preferred_leaf_capacity(launch.sg_size));
         let cutoff = 2.0 * hp.h.iter().cloned().fold(0.0, f64::max) + 1e-9;
-        let list = InteractionList::build(&tree, box_size, cutoff);
-        let work = WorkLists::build(&tree, &list, launch.sg_size);
-        let ordered = hp.permuted(&tree.order);
-        let data = DeviceParticles::upload(&ordered);
+        let leaf_capacity = variant.preferred_leaf_capacity(launch.sg_size);
+        let offload = Offload::new(&hp, box_size, cutoff, leaf_capacity, launch.sg_size)
+            .expect("the blast stays a valid offload");
+        let data = offload.upload();
         run_hydro_step(
             &device,
             &data,
-            &work,
+            &offload.work,
             variant,
             box_size as f32,
             launch,
@@ -86,16 +84,15 @@ fn main() {
         .expect("fault-free hydro step must succeed");
 
         // Host leapfrog with the device-computed derivatives and CFL dt.
-        let acc = data.download_vec3(&data.acc);
-        let du = data.du_dt.to_f32_vec();
+        let (acc, du) = (data.download_vec3(&data.acc), data.du_dt.to_f32_vec());
+        let (acc, du) = (offload.scatter(|s| acc[s]), offload.scatter(|s| du[s]));
         let dt = (data.dt_min.read_f32(0) as f64).min(0.05);
-        for (slot, &pi) in tree.order.iter().enumerate() {
-            let pi = pi as usize;
+        for i in 0..hp.len() {
             for c in 0..3 {
-                hp.vel[pi][c] += acc[slot][c] as f64 * dt;
-                hp.pos[pi][c] = (hp.pos[pi][c] + hp.vel[pi][c] * dt).rem_euclid(box_size);
+                hp.vel[i][c] += acc[i][c] as f64 * dt;
+                hp.pos[i][c] = (hp.pos[i][c] + hp.vel[i][c] * dt).rem_euclid(box_size);
             }
-            hp.u[pi] = (hp.u[pi] + du[slot] as f64 * dt).max(1e-6);
+            hp.u[i] = (hp.u[i] + du[i] as f64 * dt).max(1e-6);
         }
         t += dt;
 

@@ -25,15 +25,14 @@ use crk_hacc::kernels::tuning::{
     arch_digest, hand_picked_choice, kernel_digest, tuned_timers, TunedSelector,
 };
 use crk_hacc::kernels::{
-    run_gravity, run_hydro_step_planned, DeviceParticles, GravityParams, StepPlan, Variant,
-    WorkSet, GRAVITY_TIMER,
+    run_gravity, run_hydro_step_planned, DeviceParticles, GravityParams, Offload, StepPlan,
+    Variant, WorkSet, GRAVITY_TIMER,
 };
 use crk_hacc::sycl::{
     Device, ExecutionPolicy, GpuArch, GrfMode, LaunchBounds, LaunchConfig, MeterPolicy,
     TunablePoint,
 };
 use crk_hacc::telemetry::{counter_total, KernelProfile, Recorder};
-use crk_hacc::tree::{InteractionList, RcbTree};
 use crk_hacc::tune::{SizeBand, TuneCache, TuneChoice, TuneError, TuneKey, SCHEMA_VERSION};
 use proptest::prelude::*;
 use std::sync::OnceLock;
@@ -196,27 +195,17 @@ proptest! {
 // What a plan changes.
 // ---------------------------------------------------------------------
 
-/// The pinned problem (512 particles) and its geometry at the leaf
+/// The pinned problem (512 particles) and its offload at the leaf
 /// capacity of the hand-picked Frontier build (Select, sub-group 64):
 /// what a simulation's offload uploads, whatever plan it runs.
-struct Offload {
-    problem: BenchProblem,
-    tree: RcbTree,
-    list: InteractionList,
-}
-
-fn offload() -> &'static Offload {
-    static OFFLOAD: OnceLock<Offload> = OnceLock::new();
-    OFFLOAD.get_or_init(|| {
+fn pinned() -> &'static (BenchProblem, Offload) {
+    static PINNED: OnceLock<(BenchProblem, Offload)> = OnceLock::new();
+    PINNED.get_or_init(|| {
         let problem = workload(PINNED_SIZE, PINNED_SEED);
         let leaf = Variant::Select.preferred_leaf_capacity(64);
-        let tree = RcbTree::build(&problem.particles.pos, leaf);
-        let list = InteractionList::build(&tree, problem.box_size, problem.r_cut);
-        Offload {
-            problem,
-            tree,
-            list,
-        }
+        let (box_size, cutoff) = (problem.box_size, problem.r_cut);
+        let offload = Offload::new(&problem.particles, box_size, cutoff, leaf, 64).unwrap();
+        (problem, offload)
     })
 }
 
@@ -236,7 +225,7 @@ fn hand_picked_plan(base: LaunchConfig) -> StepPlan {
 /// through the row reader a tuned run uses.
 fn frontier_plan(winners: &[(String, TuneChoice)], base: LaunchConfig) -> StepPlan {
     let arch = GpuArch::frontier();
-    let n = offload().problem.particles.pos.len();
+    let n = pinned().0.particles.len();
     let band = SizeBand::of(n);
     let mut cache = TuneCache::new(arch_digest(&arch), kernel_digest());
     for (timer, choice) in winners {
@@ -271,14 +260,10 @@ fn committed_frontier_winners() -> Vec<(String, TuneChoice)> {
 /// One hydro step plus the gravity launch under `plan`: the device
 /// state it leaves and its telemetry.
 fn run_plan(plan: &StepPlan) -> (DeviceParticles, Recorder) {
-    let Offload {
-        problem,
-        tree,
-        list,
-    } = offload();
+    let (problem, offload) = pinned();
     let device = Device::new(GpuArch::frontier(), Variant::Select.toolchain()).unwrap();
-    let works = WorkSet::build(tree, list, plan.sg_sizes());
-    let data = DeviceParticles::upload(&problem.particles.permuted(&tree.order));
+    let works = WorkSet::build(&offload.tree, &offload.list, plan.sg_sizes());
+    let data = offload.upload();
     let telemetry = Recorder::new();
     let box_size = problem.box_size as f32;
     run_hydro_step_planned(&device, &data, &works, plan, box_size, &telemetry).expect("hydro step");

@@ -3,8 +3,9 @@
 //! line in the docs is a row of `hacc_bench::TARGETS` / `FLAGS`, every
 //! flag on a `quickstart` command line is an arm of the example's
 //! argument `match`, no doc mentions a harness or environment switch
-//! that was deleted, and no crate reads its configuration from the
-//! process environment.
+//! that was deleted, no crate reads its configuration from the
+//! process environment, and no code outside the offload builds the
+//! offload's geometry by hand.
 //!
 //! A command line is recognised as `figures -- …` or `figures --flag …`
 //! (likewise `quickstart`). Inside a fenced block it runs to the end of
@@ -39,9 +40,12 @@ const DOCS: [&str; 8] = [
 /// the retired second gate (each `figures` sweep judges itself against
 /// its committed report), the retired runtime tuner and its
 /// exploration (tuning is offline; a plan is a row of the table, and
-/// `Simulation` takes none), and the retired kernel-replay checkpoint
-/// format (the §7.2 replay reads an `HCK2` capture).
-const RETIRED: [&str; 33] = [
+/// `Simulation` takes none), the retired kernel-replay checkpoint
+/// format (the §7.2 replay reads an `HCK2` capture), the retired
+/// offload prologue (`hacc_kernels::Offload` is the one), the retired
+/// serial-launch alias, and the retired transport reordering knob (a
+/// descending flush reorders arrivals).
+const RETIRED: [&str; 36] = [
     "cargo bench",
     "criterion",
     "BENCH_scaling",
@@ -75,6 +79,9 @@ const RETIRED: [&str; 33] = [
     "explore_picks",
     "set_plan",
     "HCK1",
+    "Simulation::geometry",
+    ".deterministic()",
+    "set_reorder_injection",
 ];
 
 fn read(rel: &str) -> String {
@@ -314,5 +321,46 @@ fn no_crate_reads_the_process_environment() {
         "configuration is an argument (a setter or a flag), not the \
          process environment:\n{}",
         hits.join("\n")
+    );
+}
+
+/// Outside `hacc-tree` and the work-list builders' oracle tests, only
+/// `hacc_kernels::Offload::new` builds an RCB tree: a harness that
+/// needs device work builds an offload, so the geometry has one home.
+#[test]
+fn only_the_offload_builds_an_rcb_tree() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let needle = concat!("RcbTree", "::build(");
+    let mut files = Vec::new();
+    rust_files(&root.join("tests"), &mut files);
+    rust_files(&root.join("examples"), &mut files);
+    for krate in std::fs::read_dir(root.join("crates")).expect("crates/") {
+        let krate = krate.expect("crate entry").path();
+        rust_files(&krate.join("src"), &mut files);
+        if krate.join("tests").is_dir() {
+            rust_files(&krate.join("tests"), &mut files);
+        }
+    }
+    let mut builds = Vec::new();
+    for file in &files {
+        let rel = file.strip_prefix(root).unwrap_or(file);
+        let rel = rel.to_string_lossy().replace('\\', "/");
+        if rel.starts_with("crates/hacc-tree/") {
+            continue;
+        }
+        let text = std::fs::read_to_string(file).expect("read source");
+        let end = match rel.as_str() {
+            "crates/hacc-kernels/src/worklist.rs" => text.find("#[cfg(test)]").expect("tests"),
+            _ => text.len(),
+        };
+        for (at, _) in text[..end].match_indices(needle) {
+            builds.push(format!("{rel}:{}", text[..at].matches('\n').count() + 1));
+        }
+    }
+    assert!(files.len() > 50, "only {} sources scanned", files.len());
+    assert!(
+        builds.len() == 1 && builds[0].starts_with("crates/hacc-kernels/src/offload.rs:"),
+        "build an `Offload` instead of a tree by hand; tree builds found at:\n{}",
+        builds.join("\n")
     );
 }

@@ -6,15 +6,14 @@
 //! commit ordering").
 
 use crk_hacc::kernels::{
-    run_gravity, run_hydro_step, DeviceParticles, GravityParams, HostParticles, TimerReport,
-    Variant, WorkLists, ALL_VARIANTS,
+    run_gravity, run_hydro_step, GravityParams, HostParticles, Offload, TimerReport, Variant,
+    ALL_VARIANTS,
 };
 use crk_hacc::sycl::{
     Device, ExecutionPolicy, FaultConfig, FaultInjector, GpuArch, LaunchConfig, LaunchError,
     MeterPolicy,
 };
 use crk_hacc::telemetry::Recorder;
-use crk_hacc::tree::{InteractionList, RcbTree};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -85,17 +84,16 @@ fn run_step(
         .with_sg_size(sg_size)
         .with_exec(exec)
         .with_meter(meter);
-    let tree = RcbTree::build(&hp.pos, variant.preferred_leaf_capacity(sg_size));
     let cutoff = 2.0 * 1.25 * (box_size / 4.0) + 1e-9;
-    let list = InteractionList::build(&tree, box_size, cutoff);
-    let work = WorkLists::build(&tree, &list, sg_size);
-    let data = DeviceParticles::upload(&hp.permuted(&tree.order));
+    let leaf_capacity = variant.preferred_leaf_capacity(sg_size);
+    let offload = Offload::new(hp, box_size, cutoff, leaf_capacity, sg_size).unwrap();
+    let (data, work) = (offload.upload(), &offload.work);
 
     let mut reports: Vec<TimerReport> = Vec::new();
     let outcome: Result<(), LaunchError> = run_hydro_step(
         &device,
         &data,
-        &work,
+        work,
         variant,
         box_size as f32,
         cfg,
@@ -106,7 +104,7 @@ fn run_step(
         run_gravity(
             &device,
             &data,
-            &work,
+            work,
             variant,
             box_size as f32,
             GravityParams {

@@ -6,7 +6,7 @@
 
 use crk_hacc::core::{DeviceConfig, FullCheckpoint, SimConfig, Simulation, Species};
 use crk_hacc::kernels::Variant;
-use crk_hacc::sycl::{ExecutionPolicy, FaultConfig, GpuArch, GrfMode, Lang};
+use crk_hacc::sycl::{ExecutionPolicy, FaultConfig, GpuArch, GrfMode, Lang, LaunchError};
 use crk_hacc::telemetry::counter_total;
 
 fn smoke_sim() -> Simulation {
@@ -164,6 +164,38 @@ fn a_run_that_gives_up_on_guard_violations_keeps_the_last_good_step() {
         let dm = sim.species.iter().position(|&s| s == Species::DarkMatter);
         sim.u_int[dm.expect("the smoke problem has dark matter")] = -1.0;
     });
+}
+
+/// A particle no offload can run on — `h = 0` on a baryon, a negative
+/// dark-matter mass, a NaN position — is the typed
+/// `LaunchError::Config` that `try_step` promises, naming the field
+/// and the particle's index in the offloaded subset, never a panic.
+#[test]
+fn an_invalid_particle_is_a_typed_offload_error() {
+    // Dark matter comes first: particle 0 is dark matter, n/2 a baryon.
+    let cases: [(&str, fn(&mut Simulation)); 3] = [
+        (
+            "particle 0 has a non-positive smoothing length h = 0",
+            |sim| {
+                let baryon = sim.n_particles() / 2;
+                sim.h[baryon] = 0.0
+            },
+        ),
+        ("particle 0 has a negative mass = -", |sim| {
+            sim.mass[0] = -1.0
+        }),
+        ("particle 3 has a non-finite pos = ", |sim| {
+            sim.pos[3][1] = f64::NAN
+        }),
+    ];
+    for (named, corrupt) in cases {
+        let mut sim = smoke_sim();
+        assert_eq!(sim.species[sim.n_particles() / 2], Species::Baryon);
+        corrupt(&mut sim);
+        let err = sim.try_step().expect_err(named);
+        let typed = matches!(&err, LaunchError::Config { message } if message.contains(named));
+        assert!(typed, "want a Config error naming `{named}`, got {err}");
+    }
 }
 
 /// Attaching an injector with every rate zero must leave the physics

@@ -6,11 +6,10 @@
 
 use crk_hacc::core::{DeviceConfig, FullCheckpoint, SimConfig, Simulation};
 use crk_hacc::kernels::{
-    reference, run_hydro_step, DeviceParticles, HostParticles, Variant, WorkLists,
+    reference, run_hydro_step, DeviceParticles, HostParticles, Offload, Variant,
 };
-use crk_hacc::sycl::{Device, GpuArch, LaunchConfig, Toolchain};
+use crk_hacc::sycl::{Device, ExecutionPolicy, GpuArch, LaunchConfig, Toolchain};
 use crk_hacc::telemetry::Recorder;
-use crk_hacc::tree::{InteractionList, RcbTree};
 
 fn device_cfg(variant: Variant) -> DeviceConfig {
     DeviceConfig {
@@ -36,7 +35,7 @@ fn box_size() -> f64 {
 
 /// Drives the seven hydro timers from checkpoint particles alone, with
 /// no simulation behind them. Returns the device state and the
-/// tree-ordered input it ran on.
+/// leaf-ordered input it ran on.
 fn replay(
     hp: &HostParticles,
     device: &Device,
@@ -45,17 +44,15 @@ fn replay(
     let sg = 32;
     let cfg = LaunchConfig::defaults_for(&device.arch)
         .with_sg_size(sg)
-        .deterministic();
-    let tree = RcbTree::build(&hp.pos, variant.preferred_leaf_capacity(sg));
+        .with_exec(ExecutionPolicy::Serial);
     let h_max = hp.h.iter().cloned().fold(0.0, f64::max);
-    let list = InteractionList::build(&tree, box_size(), 2.0 * h_max + 1e-9);
-    let work = WorkLists::build(&tree, &list, sg);
-    let ordered = hp.permuted(&tree.order);
-    let data = DeviceParticles::upload(&ordered);
+    let leaf_capacity = variant.preferred_leaf_capacity(sg);
+    let offload = Offload::new(hp, box_size(), 2.0 * h_max + 1e-9, leaf_capacity, sg).unwrap();
+    let data = offload.upload();
     let timers = run_hydro_step(
         device,
         &data,
-        &work,
+        &offload.work,
         variant,
         box_size() as f32,
         cfg,
@@ -67,7 +64,7 @@ fn replay(
         7,
         "the standalone replay runs all seven timers"
     );
-    (data, ordered)
+    (data, offload.particles)
 }
 
 #[test]

@@ -4,11 +4,10 @@
 //! interchangeable implementations of identical kernels.
 
 use crk_hacc::kernels::{
-    reference, run_hydro_step, DeviceParticles, HostParticles, Variant, WorkLists, ALL_VARIANTS,
+    reference, run_hydro_step, DeviceParticles, HostParticles, Offload, Variant, ALL_VARIANTS,
 };
-use crk_hacc::sycl::{Device, GpuArch, LaunchConfig, Toolchain};
+use crk_hacc::sycl::{Device, ExecutionPolicy, GpuArch, LaunchConfig, Toolchain};
 use crk_hacc::telemetry::Recorder;
-use crk_hacc::tree::{InteractionList, RcbTree};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -39,6 +38,35 @@ fn gas(n_side: usize, box_size: f64, seed: u64) -> HostParticles {
     hp
 }
 
+/// One serial hydro step of `variant` on `device` at leaf capacity
+/// `leaf_capacity`, with the cutoff covering the kernel support of a
+/// gas of `n_side`³: the offload and the device state the step leaves.
+fn hydro_step(
+    device: &Device,
+    cfg: LaunchConfig,
+    variant: Variant,
+    hp: &HostParticles,
+    box_size: f64,
+    n_side: usize,
+    leaf_capacity: usize,
+) -> (Offload, DeviceParticles) {
+    let cutoff = 2.0 * 1.25 * (box_size / n_side as f64) + 1e-9;
+    let offload = Offload::new(hp, box_size, cutoff, leaf_capacity, cfg.sg_size).unwrap();
+    let data = offload.upload();
+    let cfg = cfg.with_exec(ExecutionPolicy::Serial);
+    run_hydro_step(
+        device,
+        &data,
+        &offload.work,
+        variant,
+        box_size as f32,
+        cfg,
+        &Recorder::new(),
+    )
+    .expect("fault-free hydro step must succeed");
+    (offload, data)
+}
+
 /// Runs one variant and returns (acc_x, du_dt, rho) in original particle
 /// order.
 fn run_one(
@@ -49,34 +77,14 @@ fn run_one(
     box_size: f64,
 ) -> (Vec<f32>, Vec<f32>, Vec<f32>) {
     let device = Device::new(arch, variant.toolchain()).unwrap();
-    let cfg = LaunchConfig::defaults_for(&device.arch)
-        .with_sg_size(sg_size)
-        .deterministic();
-    let tree = RcbTree::build(&hp.pos, variant.preferred_leaf_capacity(sg_size));
-    let cutoff = 2.0 * 1.25 * (box_size / 6.0) + 1e-9;
-    let list = InteractionList::build(&tree, box_size, cutoff);
-    let work = WorkLists::build(&tree, &list, sg_size);
-    let ordered = hp.permuted(&tree.order);
-    let data = DeviceParticles::upload(&ordered);
-    run_hydro_step(
-        &device,
-        &data,
-        &work,
-        variant,
-        box_size as f32,
-        cfg,
-        &Recorder::new(),
+    let cfg = LaunchConfig::defaults_for(&device.arch).with_sg_size(sg_size);
+    let leaf_capacity = variant.preferred_leaf_capacity(sg_size);
+    let (offload, data) = hydro_step(&device, cfg, variant, hp, box_size, 6, leaf_capacity);
+    (
+        offload.scatter(|slot| data.acc[0].read_f32(slot)),
+        offload.scatter(|slot| data.du_dt.read_f32(slot)),
+        offload.scatter(|slot| data.rho.read_f32(slot)),
     )
-    .expect("fault-free hydro step must succeed");
-    // Scatter back to original order.
-    let n = hp.len();
-    let (mut ax, mut du, mut rho) = (vec![0.0; n], vec![0.0; n], vec![0.0; n]);
-    for (slot, &pi) in tree.order.iter().enumerate() {
-        ax[pi as usize] = data.acc[0].read_f32(slot);
-        du[pi as usize] = data.du_dt.read_f32(slot);
-        rho[pi as usize] = data.rho.read_f32(slot);
-    }
-    (ax, du, rho)
 }
 
 fn max_rel(a: &[f32], b: &[f32]) -> f64 {
@@ -155,22 +163,8 @@ fn fast_math_flag_does_not_change_results_materially() {
     let arch = GpuArch::polaris();
     let run = |tc: Toolchain| {
         let device = Device::new(arch.clone(), tc).unwrap();
-        let cfg = LaunchConfig::defaults_for(&device.arch).deterministic();
-        let tree = RcbTree::build(&hp.pos, 16);
-        let cutoff = 2.0 * 1.25 * (box_size / 5.0) + 1e-9;
-        let list = InteractionList::build(&tree, box_size, cutoff);
-        let work = WorkLists::build(&tree, &list, 32);
-        let data = DeviceParticles::upload(&hp.permuted(&tree.order));
-        run_hydro_step(
-            &device,
-            &data,
-            &work,
-            Variant::Select,
-            box_size as f32,
-            cfg,
-            &Recorder::new(),
-        )
-        .expect("fault-free hydro step must succeed");
+        let cfg = LaunchConfig::defaults_for(&device.arch);
+        let (_, data) = hydro_step(&device, cfg, Variant::Select, &hp, box_size, 5, 16);
         data.acc[0].to_f32_vec()
     };
     let precise = run(Toolchain::cuda());
