@@ -14,10 +14,15 @@
 //!
 //! `--size N` sets the workload side length (default 8, i.e. 8³
 //! baryons); `--json PATH` additionally writes the raw evaluation data
-//! as JSON. `faults` (not part of `all`) sweeps injected fault rates
-//! through the guarded smoke run and reports the recovery overhead;
-//! with `--json PATH` it dumps the sweep records instead of the
-//! evaluation data. `autotune` (not part of `all`) runs the offline
+//! as JSON. `fig2`, `fig9`–`fig13`, `ablations`, `cpu` and `--json` are
+//! views of one Figure 12 sweep, run once per invocation; they measure
+//! only the builds it does not hold. `cpu` (§7.3) adds the CPU as one
+//! more platform under Figure 12's PP rule.
+//!
+//! `faults` (not part of `all`) sweeps injected fault rates through the
+//! guarded smoke run and reports the recovery overhead; with
+//! `--json PATH` it dumps the sweep records instead of the evaluation
+//! data. `autotune` (not part of `all`) runs the offline
 //! autotune sweep — every (variant × sub-group × work-group × GRF ×
 //! launch-bounds) candidate per architecture, winners per kernel — and
 //! writes `BENCH_autotune.json` (or the `--json` path), exiting
@@ -333,22 +338,24 @@ fn main() {
     eprintln!("[figures] building workload: {size}³ baryons, z = 200 snapshot…");
     let problem = workload(size, PINNED_SEED);
 
+    // One Figure 12 sweep per invocation: every view of a build it
+    // holds reads it from there.
+    let views = "fig2 fig9 fig10 fig11 fig12 fig13 ablations cpu";
+    let data = (json_path.is_some() || views.split(' ').any(want)).then(|| {
+        eprintln!("[figures] running the full portability sweep…");
+        portability_data(&problem)
+    });
+    let sweep = || data.as_ref().expect("the sweep runs for every view");
     if want("fig2") {
-        println!("{}", fig2(&problem));
+        println!("{}", fig2(&problem, sweep()));
     }
-    if want("fig9") {
-        println!("{}", fig_variants(&GpuArch::aurora(), &problem).0);
-    }
-    if want("fig10") {
-        println!("{}", fig_variants(&GpuArch::polaris(), &problem).0);
-    }
-    if want("fig11") {
-        println!("{}", fig_variants(&GpuArch::frontier(), &problem).0);
+    for (i, fig) in ["fig9", "fig10", "fig11"].into_iter().enumerate() {
+        if want(fig) {
+            println!("{}", fig_variants(&sweep().runs[i]));
+        }
     }
     if want("fig12") || want("fig13") {
-        eprintln!("[figures] running the full portability sweep…");
-        let data = portability_data(&problem);
-        let (text, records) = fig12(&data);
+        let (text, records) = fig12(sweep());
         if want("fig12") {
             println!("{text}");
         }
@@ -358,11 +365,11 @@ fn main() {
     }
     if want("ablations") {
         println!("{}", ablation_registers(&problem));
-        println!("{}", ablation_fast_math(&problem));
-        println!("{}", ablation_memory_granularity(&problem));
+        println!("{}", ablation_fast_math(&problem, sweep()));
+        println!("{}", ablation_memory_granularity(sweep()));
     }
     if want("cpu") {
-        println!("{}", hacc_bench::cpu_backend::render(&problem));
+        println!("{}", cpu(&cpu_row(&problem, sweep())));
     }
     if need_profile {
         eprintln!("[figures] capturing per-launch telemetry on all architectures…");
@@ -399,7 +406,7 @@ fn main() {
     }
     if let Some(path) = json_path {
         eprintln!("[figures] writing JSON dump to {path}…");
-        let dump = evaluation_dump(&problem, &inventory);
+        let dump = evaluation_dump(&problem, sweep(), &inventory);
         let text = serde_json::to_string_pretty(&dump).expect("serialize dump");
         std::fs::write(&path, text).expect("write JSON dump");
     }

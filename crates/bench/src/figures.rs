@@ -1,21 +1,25 @@
 //! Assembly of every table and figure in the paper's evaluation.
 //!
-//! Each `figN`/`tableN` function runs the necessary experiments and
-//! returns the rendered text plus (where useful) the raw numbers, so the
-//! `figures` binary, the repo benchmark and EXPERIMENTS.md all draw from
-//! the same code paths.
+//! Each `figN`/`tableN` function returns the rendered text plus (where
+//! useful) the raw numbers, so the `figures` binary, the repo benchmark
+//! and EXPERIMENTS.md all draw from the same code paths. Every build the
+//! Figure 12 sweep ([`portability_data`]) measures is read from it, so
+//! one invocation measures each build once and every PP printed is
+//! Figure 12's rule.
 
 use crate::experiments::{
-    best_per_kernel, kernel_seconds, run_all_variants, total_seconds, ArchRun, BenchProblem,
-    VariantChoice,
+    best_per_kernel, kernel_seconds, prepare, run_all_variants, total_seconds, ArchRun,
+    BenchProblem, VariantChoice,
 };
 use hacc_kernels::Variant;
 use hacc_metrics::{
-    cascade_plot, grouped_bars, navigation_chart, AppRecord, ConfigKind, Mechanism, RepoInventory,
+    cascade_plot, grouped_bars, navigation_chart, performance_portability, AppRecord, ConfigKind,
+    Mechanism, RepoInventory,
 };
+use hacc_telemetry::Recorder;
 use serde::Serialize;
 use std::collections::BTreeMap;
-use sycl_sim::{GpuArch, GrfMode, Toolchain};
+use sycl_sim::{CostModel, GpuArch, GrfMode, InstrClass, Toolchain};
 
 /// Table 1: hardware configuration of the three systems.
 pub fn table1() -> String {
@@ -33,55 +37,52 @@ pub fn table1() -> String {
     out
 }
 
-/// The per-system builds compared in Figure 2.
-fn fig2_builds(arch: &GpuArch) -> Vec<(String, Toolchain, VariantChoice)> {
-    let initial = |sg: usize| VariantChoice {
-        variant: Variant::Select,
-        sg_size: sg,
-        grf: GrfMode::Default,
-    };
-    match arch.id {
-        "a100" => vec![
-            ("CUDA".into(), Toolchain::cuda(), initial(32)),
-            (
-                "CUDA (fast math)".into(),
-                Toolchain::cuda_fast_math(),
-                initial(32),
-            ),
-            ("SYCL (initial)".into(), Toolchain::sycl(), initial(32)),
-        ],
-        "mi250x" => vec![
-            ("HIP".into(), Toolchain::hip(), initial(64)),
-            (
-                "HIP (fast math)".into(),
-                Toolchain::hip_fast_math(),
-                initial(64),
-            ),
-            ("SYCL (initial)".into(), Toolchain::sycl(), initial(64)),
-        ],
-        _ => vec![
-            ("SYCL (initial)".into(), Toolchain::sycl(), initial(32)),
-            // The optimized entry is handled separately (per-kernel best).
-        ],
-    }
-}
-
 /// Figure 2 data: per system, (build label, total kernel seconds).
-pub fn fig2_data(problem: &BenchProblem) -> Vec<(String, Vec<(String, f64)>)> {
+pub fn fig2_data(
+    problem: &BenchProblem,
+    data: &PortabilityData,
+) -> Vec<(String, Vec<(String, f64)>)> {
     let mut out = Vec::new();
-    for arch in GpuArch::all() {
-        let mut rows = Vec::new();
-        for (label, tc, choice) in fig2_builds(&arch) {
-            let secs = kernel_seconds(&arch, tc, choice, problem);
-            rows.push((label, total_seconds(&secs)));
-        }
+    for (run, best) in data.runs.iter().zip(&data.best) {
+        let arch = &run.arch;
+        // The builds the sweep does not hold: CUDA/HIP, then the initial
+        // Select build at the system's native sub-group size.
+        let (sg_size, mut builds) = match arch.id {
+            "a100" => (
+                32,
+                vec![
+                    ("CUDA", Toolchain::cuda()),
+                    ("CUDA (fast math)", Toolchain::cuda_fast_math()),
+                ],
+            ),
+            "mi250x" => (
+                64,
+                vec![
+                    ("HIP", Toolchain::hip()),
+                    ("HIP (fast math)", Toolchain::hip_fast_math()),
+                ],
+            ),
+            _ => (32, Vec::new()),
+        };
+        builds.push(("SYCL (initial)", Toolchain::sycl()));
+        let initial = VariantChoice {
+            variant: Variant::Select,
+            sg_size,
+            grf: GrfMode::Default,
+        };
+        let mut rows: Vec<(String, f64)> = builds
+            .into_iter()
+            .map(|(label, tc)| {
+                let secs = kernel_seconds(arch, tc, initial, problem);
+                (label.to_string(), total_seconds(&secs))
+            })
+            .collect();
         if arch.id == "pvc" {
             // Optimized SYCL on Aurora: per-kernel best over all variants
             // at the paper's tuned launch parameters (§5.4, Figure 2's
-            // final bar).
-            let run = run_all_variants(&arch, problem);
-            let best = best_per_kernel(&run);
-            rows.push(("SYCL (optimized)".into(), total_seconds(&best)));
+            // final bar) — the sweep's best, with no CUDA/HIP build to
+            // merge on Aurora.
+            rows.push(("SYCL (optimized)".into(), total_seconds(best)));
         }
         out.push((arch.system.to_string(), rows));
     }
@@ -89,8 +90,8 @@ pub fn fig2_data(problem: &BenchProblem) -> Vec<(String, Vec<(String, f64)>)> {
 }
 
 /// Figure 2 rendered.
-pub fn fig2(problem: &BenchProblem) -> String {
-    let data = fig2_data(problem);
+pub fn fig2(problem: &BenchProblem, data: &PortabilityData) -> String {
+    let data = fig2_data(problem, data);
     let max = data
         .iter()
         .flat_map(|(_, rows)| rows.iter().map(|(_, v)| *v))
@@ -112,56 +113,24 @@ pub fn fig2(problem: &BenchProblem) -> String {
     out
 }
 
-/// Application-efficiency table for one architecture (Figures 9–11):
-/// per timer, each variant's `best/this`.
-pub fn variant_efficiencies(run: &ArchRun) -> Vec<(String, Vec<(String, f64)>)> {
-    let timers: Vec<String> = hacc_kernels::HYDRO_TIMERS
-        .iter()
-        .map(|s| s.to_string())
-        .collect();
-    let mut out = Vec::new();
-    for t in &timers {
-        let best = run
-            .by_variant
-            .values()
-            .filter_map(|m| m.get(t))
-            .fold(f64::INFINITY, |a, &b| a.min(b));
-        let mut row = Vec::new();
-        for (variant, timers_map) in &run.by_variant {
-            let v = timers_map.get(t).copied().unwrap_or(f64::INFINITY);
-            row.push((variant.to_string(), best / v));
-        }
-        out.push((t.clone(), row));
-    }
-    out
-}
-
 /// Figures 9, 10, 11: application efficiency of SYCL variants on one
-/// system.
-pub fn fig_variants(arch: &GpuArch, problem: &BenchProblem) -> (String, ArchRun) {
-    let run = run_all_variants(arch, problem);
-    let eff = variant_efficiencies(&run);
+/// system — per timer, each variant's `best/this` — from its row of
+/// the sweep.
+pub fn fig_variants(run: &ArchRun) -> String {
+    let best = best_per_kernel(run);
     let series: Vec<String> = run.by_variant.keys().map(|s| s.to_string()).collect();
-    let groups: Vec<(String, Vec<f64>)> = eff
+    let groups: Vec<(String, Vec<f64>)> = hacc_kernels::HYDRO_TIMERS
         .iter()
-        .map(|(t, row)| {
-            let mut by_series = Vec::new();
-            for s in &series {
-                let v = row
-                    .iter()
-                    .find(|(n, _)| n == s)
-                    .map(|(_, v)| *v)
-                    .unwrap_or(0.0);
-                by_series.push(v);
-            }
-            (t.clone(), by_series)
+        .map(|&t| {
+            let effs = run.by_variant.values().map(|m| best[t] / m[t]).collect();
+            (t.to_string(), effs)
         })
         .collect();
     let title = format!(
         "Application efficiency of SYCL variants on {} ({})",
-        arch.system, arch.gpu_name
+        run.arch.system, run.arch.gpu_name
     );
-    (grouped_bars(&title, &series, &groups, false), run)
+    grouped_bars(&title, &series, &groups, false)
 }
 
 /// Everything needed for Figures 12–13: per-platform variant runs and
@@ -228,13 +197,9 @@ fn config_times<'a>(
     data: &'a PortabilityData,
     config: ConfigKind,
 ) -> Vec<Option<&'a BTreeMap<String, f64>>> {
-    use hacc_metrics::Platform;
-    let platform_index = |p: Platform| match p {
-        Platform::Aurora => 0usize,
-        Platform::Polaris => 1,
-        Platform::Frontier => 2,
-    };
-    let variant_times = |pi: usize, label: &str| -> &'a BTreeMap<String, f64> {
+    use hacc_metrics::{ConfigKind::*, Platform};
+    let variant_times = |pi: usize, v: Variant| -> &'a BTreeMap<String, f64> {
+        let label = v.label();
         data.runs[pi]
             .by_variant
             .get(label)
@@ -243,44 +208,34 @@ fn config_times<'a>(
     // Best local-memory variant per platform (the paper's "Memory"
     // specialization picks whichever granularity wins).
     let memory_best = |pi: usize| -> &'a BTreeMap<String, f64> {
-        let m32 = variant_times(pi, Variant::Memory32.label());
-        let mob = variant_times(pi, Variant::MemoryObject.label());
+        let m32 = variant_times(pi, Variant::Memory32);
+        let mob = variant_times(pi, Variant::MemoryObject);
         if total_seconds(m32) <= total_seconds(mob) {
             m32
         } else {
             mob
         }
     };
+    // `runs` is in `ALL_PLATFORMS` order.
     hacc_metrics::ALL_PLATFORMS
-        .iter()
-        .map(|&p| {
-            let pi = platform_index(p);
-            let build = config.build_for(p)?;
+        .into_iter()
+        .enumerate()
+        .map(|(pi, p)| {
+            config.build_for(p)?;
             Some(match (config, p) {
-                (ConfigKind::CudaHip, Platform::Polaris) => &data.cuda_polaris,
-                (ConfigKind::CudaHip, Platform::Frontier) => &data.hip_frontier,
-                (ConfigKind::Unified, Platform::Polaris) => &data.cuda_polaris,
-                (ConfigKind::Unified, Platform::Frontier) => &data.hip_frontier,
-                (ConfigKind::Unified, Platform::Aurora) => memory_best(pi),
-                (ConfigKind::SyclUniform(m), _) => match m {
-                    Mechanism::Select => variant_times(pi, Variant::Select.label()),
-                    Mechanism::Broadcast => variant_times(pi, Variant::Broadcast.label()),
-                    Mechanism::Visa => variant_times(pi, Variant::Visa.label()),
-                    Mechanism::Memory => memory_best(pi),
-                },
-                (ConfigKind::SyclSelectPlusMemory, Platform::Aurora) => memory_best(pi),
-                (ConfigKind::SyclSelectPlusMemory, _) => variant_times(pi, Variant::Select.label()),
-                (ConfigKind::SyclSelectPlusVisa, Platform::Aurora) => {
-                    variant_times(pi, Variant::Visa.label())
+                (CudaHip | Unified, Platform::Polaris) => &data.cuda_polaris,
+                (CudaHip | Unified, Platform::Frontier) => &data.hip_frontier,
+                (SyclUniform(Mechanism::Memory), _) => memory_best(pi),
+                (Unified | SyclSelectPlusMemory, Platform::Aurora) => memory_best(pi),
+                (SyclUniform(Mechanism::Broadcast), _) => variant_times(pi, Variant::Broadcast),
+                (SyclUniform(Mechanism::Visa), _) => variant_times(pi, Variant::Visa),
+                (SyclSelectPlusVisa | VisaOnly, Platform::Aurora) => {
+                    variant_times(pi, Variant::Visa)
                 }
-                (ConfigKind::SyclSelectPlusVisa, _) => variant_times(pi, Variant::Select.label()),
-                (ConfigKind::VisaOnly, Platform::Aurora) => {
-                    variant_times(pi, Variant::Visa.label())
+                (SyclUniform(Mechanism::Select) | SyclSelectPlusMemory | SyclSelectPlusVisa, _) => {
+                    variant_times(pi, Variant::Select)
                 }
-                _ => {
-                    let _ = build;
-                    unreachable!("unsupported platforms filtered by build_for")
-                }
+                _ => unreachable!("unsupported platforms filtered by build_for"),
             })
         })
         .collect()
@@ -339,15 +294,19 @@ pub fn fig12(data: &PortabilityData) -> (String, Vec<AppRecord>) {
 /// Figure 13 rendered: PP vs code convergence, with convergence measured
 /// from this repository's sources by the mini-CBI.
 pub fn fig13(records: &[AppRecord], inventory: &RepoInventory) -> String {
-    let points: Vec<(String, f64, f64)> = all_configs()
+    navigation_chart(
+        "Figure 13: performance portability vs code convergence (navigation chart)",
+        &fig13_points(records, inventory),
+    )
+}
+
+/// Figure 13's points: (configuration, convergence, PP).
+fn fig13_points(records: &[AppRecord], inventory: &RepoInventory) -> Vec<(String, f64, f64)> {
+    all_configs()
         .iter()
         .zip(records)
         .map(|(config, rec)| (rec.name.clone(), inventory.convergence(*config), rec.pp()))
-        .collect();
-    navigation_chart(
-        "Figure 13: performance portability vs code convergence (navigation chart)",
-        &points,
-    )
+        .collect()
 }
 
 /// Table 2 rendered: measured SLOC breakdown.
@@ -388,26 +347,26 @@ pub fn ablation_registers(problem: &BenchProblem) -> String {
 }
 
 /// Ablation: fast math on/off per toolchain (§4.4's Figure-2 mechanism).
-pub fn ablation_fast_math(problem: &BenchProblem) -> String {
+/// The fast-math builds are the sweep's CUDA/HIP baselines; the precise
+/// ones are measured at the same launch.
+pub fn ablation_fast_math(problem: &BenchProblem, data: &PortabilityData) -> String {
     let mut out = String::from("== Ablation: fast-math flag (total kernel seconds) ==\n");
-    let cases = [
-        (
-            "CUDA on Polaris",
-            GpuArch::polaris(),
-            Toolchain::cuda(),
-            Toolchain::cuda_fast_math(),
-        ),
-        (
-            "HIP on Frontier",
-            GpuArch::frontier(),
-            Toolchain::hip(),
-            Toolchain::hip_fast_math(),
-        ),
-    ];
-    for (label, arch, off, on) in cases {
+    let cuda = (
+        "CUDA on Polaris",
+        GpuArch::polaris(),
+        Toolchain::cuda(),
+        &data.cuda_polaris,
+    );
+    let hip = (
+        "HIP on Frontier",
+        GpuArch::frontier(),
+        Toolchain::hip(),
+        &data.hip_frontier,
+    );
+    for (label, arch, off, fast) in [cuda, hip] {
         let choice = VariantChoice::paper_default(&arch, Variant::Select);
         let t_off = total_seconds(&kernel_seconds(&arch, off, choice, problem));
-        let t_on = total_seconds(&kernel_seconds(&arch, on, choice, problem));
+        let t_on = total_seconds(fast);
         out.push_str(&format!(
             "  {label:<18} precise {t_off:.4e} s → fast {t_on:.4e} s  ({:.2}×)\n",
             t_off / t_on
@@ -417,29 +376,120 @@ pub fn ablation_fast_math(problem: &BenchProblem) -> String {
 }
 
 /// Ablation: half-warp exchange granularity (Memory 32-bit vs Object),
-/// per platform.
-pub fn ablation_memory_granularity(problem: &BenchProblem) -> String {
+/// per platform, from the sweep.
+pub fn ablation_memory_granularity(data: &PortabilityData) -> String {
     let mut out =
         String::from("== Ablation: local-memory exchange granularity (total kernel seconds) ==\n");
-    for arch in GpuArch::all() {
-        let t32 = total_seconds(&kernel_seconds(
-            &arch,
-            Toolchain::sycl(),
-            VariantChoice::paper_default(&arch, Variant::Memory32),
-            problem,
-        ));
-        let tob = total_seconds(&kernel_seconds(
-            &arch,
-            Toolchain::sycl(),
-            VariantChoice::paper_default(&arch, Variant::MemoryObject),
-            problem,
-        ));
+    for run in &data.runs {
+        let t32 = total_seconds(&run.by_variant[Variant::Memory32.label()]);
+        let tob = total_seconds(&run.by_variant[Variant::MemoryObject.label()]);
         out.push_str(&format!(
             "  {:<9} 32-bit {t32:.4e} s   object {tob:.4e} s   (object/32-bit = {:.2})\n",
-            arch.system,
+            run.arch.system,
             tob / t32
         ));
     }
+    out
+}
+
+/// The §7.3 extension: the CPU joins the platform set of the paper's
+/// best configuration, `SYCL (Select + vISA)` (Select on the CPU),
+/// under Figure 12's rule — efficiency against the platform's
+/// per-kernel best measured build.
+pub struct CpuRow {
+    /// Every variant measured on the CPU.
+    pub run: ArchRun,
+    /// The configuration's efficiency on the CPU.
+    pub efficiency: f64,
+    /// The configuration's PP on the three GPUs (Figure 12's).
+    pub pp_gpus: f64,
+    /// The configuration's PP with the CPU added.
+    pub pp_gpus_and_cpu: f64,
+    /// Atomic share of the Select hydro step's lane-cycles on the CPU.
+    pub atomic_share_cpu: f64,
+    /// The same on Frontier.
+    pub atomic_share_frontier: f64,
+}
+
+/// Fraction of pre-multiplier lane-cycles in atomic classes for the
+/// Select hydro step on an architecture — the measured §7.3 mechanism
+/// (the CPU emulates every float atomic with a compare-exchange loop).
+fn atomic_share_of(arch: &GpuArch, problem: &BenchProblem) -> f64 {
+    let cost = CostModel::new(arch.clone());
+    let choice = VariantChoice {
+        variant: Variant::Select,
+        sg_size: if arch.supports_sg_size(16) {
+            16
+        } else {
+            arch.sg_sizes[0]
+        },
+        grf: GrfMode::Default,
+    };
+    let prepared = prepare(
+        arch,
+        Toolchain::sycl(),
+        Variant::Select,
+        choice.sg_size,
+        problem,
+        None,
+    );
+    let reports = prepared.hydro(&prepared.upload(), choice.launch(arch), &Recorder::new());
+    let (mut atomic, mut total) = (0.0, 0.0);
+    for r in &reports {
+        let est = cost.estimate(&r.report);
+        atomic += est.lane_cycles[InstrClass::AtomicNative as usize]
+            + est.lane_cycles[InstrClass::AtomicCas as usize];
+        total += est.total_lane_cycles();
+    }
+    atomic / total
+}
+
+/// Measures the §7.3 row: every variant on the CPU, plus the atomic
+/// shares on the CPU and on Frontier.
+pub fn cpu_row(problem: &BenchProblem, data: &PortabilityData) -> CpuRow {
+    let cpu = GpuArch::cpu_host();
+    let run = run_all_variants(&cpu, problem);
+    let select = &run.by_variant[Variant::Select.label()];
+    let efficiency = efficiency_of(select, &best_per_kernel(&run));
+    let config = ConfigKind::SyclSelectPlusVisa.label();
+    let mut effs = fig12_records(data)
+        .into_iter()
+        .find(|r| r.name == config)
+        .expect("Figure 12 scores SYCL (Select + vISA)")
+        .efficiencies;
+    let pp_gpus = performance_portability(&effs);
+    effs.push(Some(efficiency));
+    CpuRow {
+        efficiency,
+        pp_gpus,
+        pp_gpus_and_cpu: performance_portability(&effs),
+        atomic_share_cpu: atomic_share_of(&cpu, problem),
+        atomic_share_frontier: atomic_share_of(&GpuArch::frontier(), problem),
+        run,
+    }
+}
+
+/// The §7.3 row rendered.
+pub fn cpu(row: &CpuRow) -> String {
+    let mut out =
+        String::from("== Extension (§7.3): SYCL on the CPU through the OpenCL backend ==\n");
+    let cpu_name = row.run.arch.gpu_name;
+    out.push_str(&format!("total kernel seconds on {cpu_name}:\n"));
+    for (variant, timers) in &row.run.by_variant {
+        let total = total_seconds(timers);
+        out.push_str(&format!("  {variant:<16} {total:.4e} s\n"));
+    }
+    out.push_str(&format!(
+        "atomic share of lane-cycles: CPU {:.1}% vs Frontier {:.1}% — the paper's \
+         \"primarily due to the way the code uses atomics\"\n",
+        row.atomic_share_cpu * 100.0,
+        row.atomic_share_frontier * 100.0
+    ));
+    out.push_str(&format!(
+        "PP of SYCL (Select + vISA) under Figure 12's rule: {:.3} on the 3 GPUs → {:.3} with \
+         the CPU added (CPU efficiency {:.3})\n",
+        row.pp_gpus, row.pp_gpus_and_cpu, row.efficiency
+    ));
     out
 }
 
@@ -461,29 +511,31 @@ pub struct EvaluationDump {
     pub table2: Vec<(String, u32, f64)>,
 }
 
-/// Builds the JSON-ready dump (runs the full sweep).
-pub fn evaluation_dump(problem: &BenchProblem, inventory: &RepoInventory) -> EvaluationDump {
-    let data = portability_data(problem);
-    let records = fig12_records(&data);
-    let fig13_points: Vec<(String, f64, f64)> = all_configs()
+/// Builds the JSON-ready dump from the sweep (measuring Figure 2's
+/// builds that the sweep does not hold).
+pub fn evaluation_dump(
+    problem: &BenchProblem,
+    data: &PortabilityData,
+    inventory: &RepoInventory,
+) -> EvaluationDump {
+    let records = fig12_records(data);
+    let variant_seconds = data
+        .runs
         .iter()
-        .zip(&records)
-        .map(|(c, r)| (r.name.clone(), inventory.convergence(*c), r.pp()))
+        .map(|run| {
+            let per_variant = run
+                .by_variant
+                .iter()
+                .map(|(v, t)| (v.to_string(), t.clone()));
+            (run.arch.system.to_string(), per_variant.collect())
+        })
         .collect();
-    let mut variant_seconds = BTreeMap::new();
-    for run in &data.runs {
-        let mut per_variant = BTreeMap::new();
-        for (v, timers) in &run.by_variant {
-            per_variant.insert(v.to_string(), timers.clone());
-        }
-        variant_seconds.insert(run.arch.system.to_string(), per_variant);
-    }
     EvaluationDump {
         schema_version: hacc_telemetry::SCHEMA_VERSION,
-        fig2: fig2_data(problem),
+        fig2: fig2_data(problem, data),
         variant_seconds,
+        fig13: fig13_points(&records, inventory),
         fig12: records,
-        fig13: fig13_points,
         table2: inventory.table2(),
     }
 }

@@ -8,7 +8,6 @@
 
 pub mod autotune;
 pub mod cli;
-pub mod cpu_backend;
 pub mod experiments;
 pub mod faults;
 pub mod figures;

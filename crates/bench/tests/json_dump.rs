@@ -3,7 +3,7 @@
 //! and it must serialize to valid JSON.
 
 use hacc_bench::experiments::workload;
-use hacc_bench::figures::{all_configs, evaluation_dump};
+use hacc_bench::figures::{all_configs, evaluation_dump, portability_data};
 use hacc_metrics::{find_workspace_root, RepoInventory};
 use std::path::Path;
 
@@ -12,7 +12,7 @@ fn dump_is_complete_and_serializable() {
     let problem = workload(6, 21);
     let root = find_workspace_root(Path::new(env!("CARGO_MANIFEST_DIR"))).unwrap();
     let inventory = RepoInventory::measure(&root).unwrap();
-    let dump = evaluation_dump(&problem, &inventory);
+    let dump = evaluation_dump(&problem, &portability_data(&problem), &inventory);
 
     // Figure 2: three systems, each with ≥2 builds.
     assert_eq!(dump.fig2.len(), 3);

@@ -43,9 +43,10 @@ const DOCS: [&str; 8] = [
 /// `Simulation` takes none), the retired kernel-replay checkpoint
 /// format (the §7.2 replay reads an `HCK2` capture), the retired
 /// offload prologue (`hacc_kernels::Offload` is the one), the retired
-/// serial-launch alias, and the retired transport reordering knob (a
-/// descending flush reorders arrivals).
-const RETIRED: [&str; 36] = [
+/// serial-launch alias, the retired transport reordering knob (a
+/// descending flush reorders arrivals), and the retired second PP rule
+/// (§7.3 scores the CPU under Figure 12's rule).
+const RETIRED: [&str; 38] = [
     "cargo bench",
     "criterion",
     "BENCH_scaling",
@@ -82,6 +83,8 @@ const RETIRED: [&str; 36] = [
     "Simulation::geometry",
     ".deterministic()",
     "set_reorder_injection",
+    "cpu_backend",
+    "pp_with_cpu",
 ];
 
 fn read(rel: &str) -> String {

@@ -1,6 +1,7 @@
 //! Acceptance tests for the cross-rank analysis plane.
 //!
-//! Three contracts:
+//! Two contracts (the third, the telemetry overhead budget, is timed
+//! alone in `telemetry_budget.rs`):
 //!
 //! 1. **Counter conservation** — every wire byte the transport charges
 //!    appears exactly once on each side of the ledger: the
@@ -11,15 +12,10 @@
 //!    `link.<src>-><dst>` span plus α/β-decomposed counters per
 //!    message) sums back to the transport's message count and modeled
 //!    seconds; nothing is double-charged or dropped.
-//! 3. **Overhead budget** — attaching the full telemetry plane to a
-//!    512-particle multi-rank step costs less than 5% of host wall
-//!    time (the emit path is a plain `Vec` push; everything expensive
-//!    happens at analysis time).
 
 use crk_hacc::core::{MultiRankProblem, MultiRankSim};
 use crk_hacc::sycl::GpuArch;
 use crk_hacc::telemetry::{counter_total, timer_totals, EventKind, Recorder};
-use std::time::Instant;
 
 /// Rank counts the conservation contract names.
 const RANK_COUNTS: [usize; 4] = [1, 2, 4, 8];
@@ -117,47 +113,4 @@ fn link_span_totals_reconcile_with_transport_stats() {
                 .all(|e| (0.0..=1.0).contains(&e.value)));
         }
     }
-}
-
-#[test]
-fn telemetry_overhead_stays_under_budget() {
-    // Budget: attaching the recorder costs < 5% of a 512-particle
-    // step's wall time. A single step is ~1 ms, far too short to time
-    // against a 5% budget, so each measurement times a batch of steps;
-    // wall clocks on shared CI runners are also noisy, so each side
-    // takes the min of several trials (the least-disturbed run) and the
-    // whole comparison retries a few times before failing.
-    const BATCH: usize = 8;
-    let wall = |instrument: bool| -> f64 {
-        let mut best = f64::INFINITY;
-        for _trial in 0..5 {
-            let mut sim = MultiRankSim::new(8, GpuArch::frontier(), problem());
-            if instrument {
-                sim.set_recorder(Recorder::new());
-            }
-            sim.step().expect("warm-up step"); // populate ghosts, warm caches
-            let t = Instant::now();
-            for _ in 0..BATCH {
-                sim.step().expect("timed step");
-            }
-            best = best.min(t.elapsed().as_secs_f64() / BATCH as f64);
-        }
-        best
-    };
-
-    const BUDGET: f64 = 0.05;
-    let mut overhead = f64::INFINITY;
-    for _attempt in 0..4 {
-        let plain = wall(false);
-        let instrumented = wall(true);
-        overhead = (instrumented - plain) / plain;
-        if overhead < BUDGET {
-            return;
-        }
-    }
-    panic!(
-        "telemetry overhead {:.2}% exceeds the {:.0}% budget in 4 attempts",
-        overhead * 100.0,
-        BUDGET * 100.0
-    );
 }

@@ -2,31 +2,60 @@
 //! small workload must reproduce the paper's qualitative findings —
 //! the variant rankings per platform (§5.4), the configuration ordering
 //! of the cascade plot (§6.1), and the convergence structure of the
-//! navigation chart (§6.2) — and the evaluation docs must quote the
-//! numbers the program prints.
+//! navigation chart (§6.2), and the §7.3 CPU row under the same PP rule
+//! — and the evaluation docs must quote the numbers the program prints.
 
 use hacc_bench::cli::{PINNED_SEED, PINNED_SIZE};
-use hacc_bench::experiments::{run_all_variants, total_seconds, workload};
-use hacc_bench::figures::{all_configs, fig12_records, portability_data};
+use hacc_bench::experiments::{total_seconds, workload, ArchRun, BenchProblem};
+use hacc_bench::figures::{
+    all_configs, cpu_row, fig12_records, portability_data, CpuRow, PortabilityData,
+};
 use hacc_metrics::{find_workspace_root, ConfigKind, Mechanism, RepoInventory};
 use std::path::Path;
-use sycl_sim::GpuArch;
+use std::sync::OnceLock;
+
+/// The one Figure 12 sweep these tests read (6³ baryons, seed 5).
+fn sweep() -> &'static (BenchProblem, PortabilityData) {
+    static SWEEP: OnceLock<(BenchProblem, PortabilityData)> = OnceLock::new();
+    SWEEP.get_or_init(|| {
+        let problem = workload(6, 5);
+        let data = portability_data(&problem);
+        (problem, data)
+    })
+}
+
+/// The §7.3 row over [`sweep`].
+fn cpu() -> &'static CpuRow {
+    static ROW: OnceLock<CpuRow> = OnceLock::new();
+    ROW.get_or_init(|| {
+        let (problem, data) = sweep();
+        cpu_row(problem, data)
+    })
+}
+
+/// The sweep's variant runs on one system.
+fn run(system: &str) -> &'static ArchRun {
+    sweep()
+        .1
+        .runs
+        .iter()
+        .find(|r| r.arch.system == system)
+        .unwrap_or_else(|| panic!("no {system} run in the sweep"))
+}
 
 #[test]
 fn variant_rankings_match_the_paper() {
-    let problem = workload(6, 5);
-
     // Aurora (Fig 9): Select is always the worst variant.
-    let aurora = run_all_variants(&GpuArch::aurora(), &problem);
-    let t = |run: &hacc_bench::experiments::ArchRun, v: &str| total_seconds(&run.by_variant[v]);
+    let aurora = run("Aurora");
+    let t = |run: &ArchRun, v: &str| total_seconds(&run.by_variant[v]);
     for other in ["Memory, 32-bit", "Memory, Object", "Broadcast", "vISA"] {
         assert!(
-            t(&aurora, "Select") > t(&aurora, other),
+            t(aurora, "Select") > t(aurora, other),
             "Aurora: Select must be slowest (vs {other})"
         );
     }
     // §5.4: picking the right variant improves kernels by 2–5×.
-    let gain = t(&aurora, "Select") / t(&aurora, "vISA");
+    let gain = t(aurora, "Select") / t(aurora, "vISA");
     assert!(
         gain > 1.8 && gain < 6.0,
         "Aurora Select→best gain {gain:.2} should fall in the paper's 2–5× band"
@@ -34,7 +63,7 @@ fn variant_rankings_match_the_paper() {
 
     // Polaris (Fig 10): Broadcast collapses on the register-heavy
     // kernels ("almost 10× slower in some cases").
-    let polaris = run_all_variants(&GpuArch::polaris(), &problem);
+    let polaris = run("Polaris");
     let ac_sel = polaris.by_variant["Select"]["upBarAc"];
     let ac_bc = polaris.by_variant["Broadcast"]["upBarAc"];
     assert!(
@@ -43,13 +72,13 @@ fn variant_rankings_match_the_paper() {
         ac_bc / ac_sel
     );
     // Select beats both memory variants overall on Polaris.
-    assert!(t(&polaris, "Select") < t(&polaris, "Memory, 32-bit"));
-    assert!(t(&polaris, "Select") < t(&polaris, "Memory, Object"));
+    assert!(t(polaris, "Select") < t(polaris, "Memory, 32-bit"));
+    assert!(t(polaris, "Select") < t(polaris, "Memory, Object"));
 
     // Frontier (Fig 11): Select best overall; Broadcast ≈ 0.6 efficiency
     // on the force kernels; Memory (Object) second tier.
-    let frontier = run_all_variants(&GpuArch::frontier(), &problem);
-    assert!(t(&frontier, "Select") < t(&frontier, "Memory, Object"));
+    let frontier = run("Frontier");
+    assert!(t(frontier, "Select") < t(frontier, "Memory, Object"));
     let eff_bc =
         frontier.by_variant["Select"]["upBarAc"] / frontier.by_variant["Broadcast"]["upBarAc"];
     assert!(
@@ -60,9 +89,7 @@ fn variant_rankings_match_the_paper() {
 
 #[test]
 fn cascade_ordering_matches_figure_12() {
-    let problem = workload(6, 5);
-    let data = portability_data(&problem);
-    let records = fig12_records(&data);
+    let records = fig12_records(&sweep().1);
     let pp = |name: &str| {
         records
             .iter()
@@ -88,6 +115,37 @@ fn cascade_ordering_matches_figure_12() {
     assert!(v > 0.9 && v <= 1.0, "Select+vISA PP = {v:.3}, paper: 0.96");
     let m = pp("SYCL (Memory)");
     assert!(m > 0.6 && m < 0.95, "Memory PP = {m:.3}, paper: 0.79");
+}
+
+#[test]
+fn cpu_runs_all_kernels() {
+    for (variant, timers) in &cpu().run.by_variant {
+        for t in hacc_kernels::HYDRO_TIMERS.iter().chain(&["upGrav"]) {
+            assert!(timers[*t] > 0.0, "CPU {variant} {t}");
+        }
+    }
+}
+
+#[test]
+fn atomics_dominate_more_on_cpu_than_gpu() {
+    // §7.3: the CPU's penalty is "primarily due to the way the code
+    // uses atomics" — every float atomic is a compare-exchange loop.
+    let (cpu_share, gpu_share) = (cpu().atomic_share_cpu, cpu().atomic_share_frontier);
+    assert!(
+        cpu_share > 2.0 * gpu_share,
+        "CPU atomic share {cpu_share:.3} should far exceed GPU {gpu_share:.3}"
+    );
+}
+
+#[test]
+fn the_cpu_row_extends_figure_12s_pp() {
+    // One PP rule: the §7.3 row's GPU-only PP is Figure 12's, bit for bit.
+    let records = fig12_records(&sweep().1);
+    let name = ConfigKind::SyclSelectPlusVisa.label();
+    let fig12 = records.iter().find(|r| r.name == name).unwrap().pp();
+    assert_eq!(cpu().pp_gpus.to_bits(), fig12.to_bits());
+    assert!(cpu().efficiency > 0.0 && cpu().efficiency <= 1.0);
+    assert!(cpu().pp_gpus_and_cpu > 0.0 && cpu().pp_gpus_and_cpu <= 1.0);
 }
 
 #[test]
@@ -150,7 +208,9 @@ fn the_evaluation_docs_quote_the_program() {
     let read = |doc: &str| std::fs::read_to_string(root.join(doc)).unwrap();
     let (experiments, readme) = (read("EXPERIMENTS.md"), read("README.md"));
     let inv = RepoInventory::measure(&root).unwrap();
-    let records = fig12_records(&portability_data(&workload(PINNED_SIZE, PINNED_SEED)));
+    let problem = workload(PINNED_SIZE, PINNED_SEED);
+    let data = portability_data(&problem);
+    let records = fig12_records(&data);
     let pp = |name: &str| records.iter().find(|r| r.name == name).unwrap().pp();
 
     // (doc, the text its table sits in, first cell, the cell the program
@@ -195,6 +255,35 @@ fn the_evaluation_docs_quote_the_program() {
     ];
     for (key, value) in headline {
         cells.push(("README.md", &readme, key.to_string(), value));
+    }
+    let cpu = cpu_row(&problem, &data);
+    let extensions = section(&experiments, "## Extension experiments");
+    let mut cpu_cells: Vec<(String, String)> = cpu
+        .run
+        .by_variant
+        .iter()
+        .map(|(v, timers)| {
+            let total = format!("{:.4e} s", total_seconds(timers));
+            (format!("CPU total, {v}"), total)
+        })
+        .collect();
+    cpu_cells.extend([
+        ("PP on the 3 GPUs".into(), format!("{:.3}", cpu.pp_gpus)),
+        (
+            "PP with the CPU added".into(),
+            format!("{:.3}", cpu.pp_gpus_and_cpu),
+        ),
+        (
+            "Atomic share of lane-cycles, CPU".into(),
+            format!("{:.1}%", cpu.atomic_share_cpu * 100.0),
+        ),
+        (
+            "Atomic share of lane-cycles, Frontier".into(),
+            format!("{:.1}%", cpu.atomic_share_frontier * 100.0),
+        ),
+    ]);
+    for (key, value) in cpu_cells {
+        cells.push(("EXPERIMENTS.md", extensions, key, value));
     }
 
     let stale: Vec<String> = cells
