@@ -17,21 +17,11 @@
 
 use crate::pairkernel::PairPhysics;
 use crate::particles::DeviceParticles;
-use crate::physics::{corrected_gradient, pair_geometry, viscosity, CFL};
+use crate::physics::{acceleration_pair, cfl_time_step, CS, FORCE_H};
 use sycl_sim::{Lanes, Sg};
 
-/// Exchanged field indices.
-pub(crate) const F_M: usize = 0;
-pub(crate) const F_X: usize = 1;
-pub(crate) const F_V: usize = 4;
-pub(crate) const F_H: usize = 7;
-pub(crate) const F_PTERM: usize = 8;
-pub(crate) const F_A: usize = 9;
-pub(crate) const F_B: usize = 10;
-pub(crate) const F_CS: usize = 13;
-pub(crate) const F_RHO: usize = 14;
-
-/// Loads the full hydro-force particle object (shared with *Energy*).
+/// Loads the full hydro-force particle object (shared with *Energy*),
+/// in the field order of [`crate::physics`]'s force kernels.
 pub(crate) fn load_force_fields<'sg>(
     data: &DeviceParticles,
     sg: &'sg Sg,
@@ -100,38 +90,7 @@ impl PairPhysics for Acceleration {
         other: &[Lanes<'sg, f32>],
         acc: &mut [Lanes<'sg, f32>],
     ) {
-        let g = pair_geometry(
-            sg,
-            [&own[F_X], &own[F_X + 1], &own[F_X + 2]],
-            &own[F_H],
-            [&other[F_X], &other[F_X + 1], &other[F_X + 2]],
-            &other[F_H],
-            self.box_size,
-        );
-        let grad = corrected_gradient(
-            &g,
-            &own[F_A],
-            [&own[F_B], &own[F_B + 1], &own[F_B + 2]],
-            &other[F_A],
-            [&other[F_B], &other[F_B + 1], &other[F_B + 2]],
-        );
-        let visc = viscosity(
-            sg,
-            &g,
-            [&own[F_V], &own[F_V + 1], &own[F_V + 2]],
-            [&other[F_V], &other[F_V + 1], &other[F_V + 2]],
-            &own[F_CS],
-            &other[F_CS],
-            &own[F_RHO],
-            &other[F_RHO],
-        );
-        // −m_j (pterm_i + pterm_j + Π) per component.
-        let p = &(&own[F_PTERM] + &other[F_PTERM]) + &visc.pi;
-        let scale = &(&p * &other[F_M]) * -1.0;
-        for c in 0..3 {
-            acc[c] = grad[c].fma(&scale, &acc[c]);
-        }
-        acc[3] = acc[3].max(&visc.mu_abs);
+        acceleration_pair(sg, own, other, self.box_size.into(), acc);
     }
 
     fn write(
@@ -139,7 +98,6 @@ impl PairPhysics for Acceleration {
         sg: &Sg,
         slots: &Lanes<u32>,
         own: &[Lanes<f32>],
-        _own_extra: &[Lanes<f32>],
         acc: &[Lanes<f32>],
         mask: &Lanes<bool>,
         atomic: bool,
@@ -148,11 +106,9 @@ impl PairPhysics for Acceleration {
         for c in 0..3 {
             accumulate(sg, &self.data.acc[c], slots, &acc[c], mask, atomic);
         }
-        // CFL: dt = C h_i / (c_i + 2 max|μ|) → global atomic minimum.
-        // (Always atomic: there is a single reduction target.)
-        let denom = &own[F_CS] + &(&acc[3] * 2.0);
-        let denom = denom.max(&sg.splat_f32(1e-30));
-        let dt = &(&own[F_H] * CFL) / &denom;
+        // CFL time step → global atomic minimum. (Always atomic: there
+        // is a single reduction target.)
+        let dt = cfl_time_step(sg, &own[FORCE_H], &own[CS], &acc[3]);
         let zero = sg.splat_u32(0);
         sg.atomic_min(&self.data.dt_min, &zero, &dt, mask);
     }

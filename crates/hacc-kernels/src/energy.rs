@@ -8,10 +8,10 @@
 //! using the same exchanged particle object and pair-antisymmetric
 //! gradient as *Acceleration* (the other "register heavy" hot spot).
 
-use crate::acceleration::{load_force_fields, F_A, F_B, F_CS, F_H, F_M, F_PTERM, F_RHO, F_V, F_X};
+use crate::acceleration::load_force_fields;
 use crate::pairkernel::PairPhysics;
 use crate::particles::DeviceParticles;
-use crate::physics::{corrected_gradient, pair_geometry, viscosity};
+use crate::physics::energy_pair;
 use sycl_sim::{Lanes, Sg};
 
 /// Energy physics definition.
@@ -53,51 +53,6 @@ impl PairPhysics for Energy {
         other: &[Lanes<'sg, f32>],
         acc: &mut [Lanes<'sg, f32>],
     ) {
-        let g = pair_geometry(
-            sg,
-            [&own[F_X], &own[F_X + 1], &own[F_X + 2]],
-            &own[F_H],
-            [&other[F_X], &other[F_X + 1], &other[F_X + 2]],
-            &other[F_H],
-            self.box_size,
-        );
-        let grad = corrected_gradient(
-            &g,
-            &own[F_A],
-            [&own[F_B], &own[F_B + 1], &own[F_B + 2]],
-            &other[F_A],
-            [&other[F_B], &other[F_B + 1], &other[F_B + 2]],
-        );
-        let visc = viscosity(
-            sg,
-            &g,
-            [&own[F_V], &own[F_V + 1], &own[F_V + 2]],
-            [&other[F_V], &other[F_V + 1], &other[F_V + 2]],
-            &own[F_CS],
-            &other[F_CS],
-            &own[F_RHO],
-            &other[F_RHO],
-        );
-        // v_ij·Ĝ with v_ij = v_i − v_j.
-        let vx = &own[F_V] - &other[F_V];
-        let vy = &own[F_V + 1] - &other[F_V + 1];
-        let vz = &own[F_V + 2] - &other[F_V + 2];
-        let vdotg = &(&(&vx * &grad[0]) + &(&vy * &grad[1])) + &(&vz * &grad[2]);
-        let p = &own[F_PTERM] + &(&visc.pi * 0.5);
-        let contrib = &(&p * &other[F_M]) * &vdotg;
-        acc[0] = &acc[0] + &contrib;
-    }
-
-    fn write(
-        &self,
-        sg: &Sg,
-        slots: &Lanes<u32>,
-        _own: &[Lanes<f32>],
-        _own_extra: &[Lanes<f32>],
-        acc: &[Lanes<f32>],
-        mask: &Lanes<bool>,
-        atomic: bool,
-    ) {
-        crate::halfwarp::accumulate(sg, &self.data.du_dt, slots, &acc[0], mask, atomic);
+        energy_pair(sg, own, other, self.box_size.into(), acc);
     }
 }

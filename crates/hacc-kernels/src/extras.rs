@@ -9,18 +9,11 @@
 //! exchanged (the partner only contributes mass, position, and smoothing
 //! length).
 
+use crate::geometry::load_density_fields;
 use crate::pairkernel::PairPhysics;
 use crate::particles::DeviceParticles;
-use crate::physics::{corrected_gradient_own, corrected_kernel, pair_geometry};
+use crate::physics::extras_pair;
 use sycl_sim::{Lanes, Sg};
-
-/// Exchanged fields: mass weight, position, h.
-const F_M: usize = 0;
-const F_X: usize = 1;
-const F_H: usize = 4;
-/// Owner-only fields: A, B.
-const E_A: usize = 0;
-const E_B: usize = 1;
 
 /// Extras physics definition.
 #[derive(Clone)]
@@ -54,13 +47,7 @@ impl PairPhysics for Extras {
         valid_f: &Lanes<'sg, f32>,
     ) -> Vec<Lanes<'sg, f32>> {
         let m = sg.load_f32(&self.data.mass, slots);
-        vec![
-            &m * valid_f,
-            sg.load_f32(&self.data.pos[0], slots),
-            sg.load_f32(&self.data.pos[1], slots),
-            sg.load_f32(&self.data.pos[2], slots),
-            sg.load_f32(&self.data.h, slots),
-        ]
+        load_density_fields(&self.data, sg, slots, &m * valid_f)
     }
 
     fn load_own_extra<'sg>(&self, sg: &'sg Sg, slots: &Lanes<'sg, u32>) -> Vec<Lanes<'sg, f32>> {
@@ -80,38 +67,6 @@ impl PairPhysics for Extras {
         other: &[Lanes<'sg, f32>],
         acc: &mut [Lanes<'sg, f32>],
     ) {
-        let g = pair_geometry(
-            sg,
-            [&own[F_X], &own[F_X + 1], &own[F_X + 2]],
-            &own[F_H],
-            [&other[F_X], &other[F_X + 1], &other[F_X + 2]],
-            &other[F_H],
-            self.box_size,
-        );
-        let a_i = &own_extra[E_A];
-        let b_i = [&own_extra[E_B], &own_extra[E_B + 1], &own_extra[E_B + 2]];
-        let wr = corrected_kernel(&g, a_i, b_i);
-        acc[0] = &acc[0] + &(&wr * &other[F_M]);
-        let grad = corrected_gradient_own(&g, a_i, b_i);
-        for c in 0..3 {
-            acc[1 + c] = &acc[1 + c] + &(&grad[c] * &other[F_M]);
-        }
-    }
-
-    fn write(
-        &self,
-        sg: &Sg,
-        slots: &Lanes<u32>,
-        _own: &[Lanes<f32>],
-        _own_extra: &[Lanes<f32>],
-        acc: &[Lanes<f32>],
-        mask: &Lanes<bool>,
-        atomic: bool,
-    ) {
-        use crate::halfwarp::accumulate;
-        accumulate(sg, &self.data.rho, slots, &acc[0], mask, atomic);
-        for c in 0..3 {
-            accumulate(sg, &self.data.grad_rho[c], slots, &acc[1 + c], mask, atomic);
-        }
+        extras_pair(sg, own, own_extra, other, self.box_size.into(), acc);
     }
 }

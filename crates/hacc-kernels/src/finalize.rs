@@ -1,7 +1,8 @@
 //! Per-particle finalization kernels (lane-parallel, no exchange).
 //!
 //! Each pairwise kernel accumulates sums; these small device kernels turn
-//! the sums into the quantities the next kernel consumes:
+//! the sums into the quantities the next kernel consumes, with the
+//! per-particle closures of [`crate::physics`]:
 //!
 //! * [`FinalizeGeometry`] — `V = 1/n` from the number-density sum,
 //! * [`FinalizeCorrections`] — solves the first-order CRK system for
@@ -10,7 +11,8 @@
 //! * [`FinalizeEos`] — ideal-gas closure `P = (γ−1)ρu`, `c = √(γP/ρ)`,
 //!   and the force term `P/ρ²`.
 
-use crate::particles::{DeviceParticles, GAMMA};
+use crate::particles::DeviceParticles;
+use crate::physics::{crk_coefficients, eos, volume};
 use sycl_sim::{Lanes, Sg, SgKernel};
 
 /// Lane→particle mapping for a lane-parallel kernel over `n` particles.
@@ -42,22 +44,13 @@ impl SgKernel for FinalizeGeometry {
     fn run(&self, sg: &mut Sg) {
         let (slots, valid) = particle_slots(sg, self.data.n);
         let n_sum = sg.load_f32(&self.data.volume, &slots);
-        let safe = n_sum.max(&sg.splat_f32(1e-30));
-        let one = sg.splat_f32(1.0);
-        let v = &one / &safe;
+        let v = volume(&*sg, &n_sum);
         sg.store_f32(&self.data.volume, &slots, &v, &valid);
     }
 }
 
-/// Solves the first-order CRK system per particle:
-///
-/// ```text
-///   B = −M₂⁻¹ m₁        A = 1/(m₀ + B·m₁)
-/// ```
-///
-/// (equivalent to `A = 1/(m₀ − m₁ᵀM₂⁻¹m₁)`). Falls back to plain SPH
-/// (`A = 1/m₀`, `B = 0`) when the second-moment matrix is numerically
-/// singular (isolated particles).
+/// Solves the first-order CRK system per particle
+/// ([`crk_coefficients`]).
 pub struct FinalizeCorrections {
     /// The particle state.
     pub data: DeviceParticles,
@@ -78,40 +71,7 @@ impl SgKernel for FinalizeCorrections {
         let m2: Vec<Lanes<f32>> = (0..6)
             .map(|k| sg.load_f32(&self.data.crk_m2[k], &slots))
             .collect();
-        let (xx, yy, zz, xy, xz, yz) = (&m2[0], &m2[1], &m2[2], &m2[3], &m2[4], &m2[5]);
-
-        // Cofactors of the symmetric matrix.
-        let c00 = &(yy * zz) - &(yz * yz);
-        let c01 = &(xz * yz) - &(xy * zz);
-        let c02 = &(xy * yz) - &(xz * yy);
-        let c11 = &(xx * zz) - &(xz * xz);
-        let c12 = &(xy * xz) - &(xx * yz);
-        let c22 = &(xx * yy) - &(xy * xy);
-        let det = &(&(xx * &c00) + &(xy * &c01)) + &(xz * &c02);
-
-        // Scale for the singularity test: det ~ (h²-scale)³; compare with
-        // the cube of the trace as a dimensionally consistent yardstick.
-        let trace = &(xx + yy) + zz;
-        let tr3 = &(&(&trace * &trace) * &trace) * 1e-6;
-        let ok = det.abs().gt_scalar(0.0).and(&det.abs().lt(&tr3).not());
-
-        let safe_det = det.select(&ok, &sg.splat_f32(1.0));
-        let inv_det = &sg.splat_f32(1.0) / &safe_det;
-
-        // B = −M₂⁻¹ m₁ (cofactor rows dotted with m₁).
-        let bx_raw = &(&(&(&c00 * &m1[0]) + &(&c01 * &m1[1])) + &(&c02 * &m1[2])) * &inv_det;
-        let by_raw = &(&(&(&c01 * &m1[0]) + &(&c11 * &m1[1])) + &(&c12 * &m1[2])) * &inv_det;
-        let bz_raw = &(&(&(&c02 * &m1[0]) + &(&c12 * &m1[1])) + &(&c22 * &m1[2])) * &inv_det;
-        let zero = sg.splat_f32(0.0);
-        let bx = (-&bx_raw).select(&ok, &zero);
-        let by = (-&by_raw).select(&ok, &zero);
-        let bz = (-&bz_raw).select(&ok, &zero);
-
-        // A = 1/(m0 + B·m1).
-        let denom = &(&m0 + &(&bx * &m1[0])) + &(&(&by * &m1[1]) + &(&bz * &m1[2]));
-        let denom = denom.max(&sg.splat_f32(1e-30));
-        let a = &sg.splat_f32(1.0) / &denom;
-
+        let (a, [bx, by, bz]) = crk_coefficients(&*sg, &m0, &m1, &m2);
         sg.store_f32(&self.data.crk_a, &slots, &a, &valid);
         sg.store_f32(&self.data.crk_b[0], &slots, &bx, &valid);
         sg.store_f32(&self.data.crk_b[1], &slots, &by, &valid);
@@ -119,7 +79,8 @@ impl SgKernel for FinalizeCorrections {
     }
 }
 
-/// Ideal-gas closure: `P = (γ−1)ρu`, `c = √(γP/ρ)`, `pterm = P/ρ²`.
+/// Ideal-gas closure ([`eos`]): `P = (γ−1)ρu`, `c = √(γP/ρ)`,
+/// `pterm = P/ρ²`.
 pub struct FinalizeEos {
     /// The particle state.
     pub data: DeviceParticles,
@@ -134,10 +95,7 @@ impl SgKernel for FinalizeEos {
         let (slots, valid) = particle_slots(sg, self.data.n);
         let rho = sg.load_f32(&self.data.rho, &slots);
         let u = sg.load_f32(&self.data.u, &slots);
-        let rho_safe = rho.max(&sg.splat_f32(1e-30));
-        let p = &(&rho_safe * &u) * (GAMMA - 1.0);
-        let cs = (&(&p / &rho_safe) * GAMMA).sqrt();
-        let pterm = &p / &(&rho_safe * &rho_safe);
+        let (p, cs, pterm) = eos(&*sg, &rho, &u);
         sg.store_f32(&self.data.pressure, &slots, &p, &valid);
         sg.store_f32(&self.data.cs, &slots, &cs, &valid);
         sg.store_f32(&self.data.pterm, &slots, &pterm, &valid);
@@ -147,7 +105,7 @@ impl SgKernel for FinalizeEos {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::particles::HostParticles;
+    use crate::particles::{HostParticles, GAMMA};
     use sycl_sim::{Device, ExecutionPolicy, GpuArch, LaunchConfig, Toolchain};
 
     fn upload(n: usize) -> DeviceParticles {

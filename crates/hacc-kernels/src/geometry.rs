@@ -4,13 +4,25 @@
 
 use crate::pairkernel::PairPhysics;
 use crate::particles::DeviceParticles;
-use crate::physics::pair_geometry;
+use crate::physics::geometry_pair;
 use sycl_sim::{Lanes, Sg};
 
-/// Exchanged field indices.
-const F_VALID: usize = 0;
-const F_X: usize = 1;
-const F_H: usize = 4;
+/// Loads the density kernels' particle object `[weight, x, y, z, h]`
+/// (shared with *Corrections* and *Extras*).
+pub(crate) fn load_density_fields<'sg>(
+    data: &DeviceParticles,
+    sg: &'sg Sg,
+    slots: &Lanes<'sg, u32>,
+    weight: Lanes<'sg, f32>,
+) -> Vec<Lanes<'sg, f32>> {
+    vec![
+        weight,
+        sg.load_f32(&data.pos[0], slots),
+        sg.load_f32(&data.pos[1], slots),
+        sg.load_f32(&data.pos[2], slots),
+        sg.load_f32(&data.h, slots),
+    ]
+}
 
 /// Geometry physics definition.
 #[derive(Clone)]
@@ -40,13 +52,7 @@ impl PairPhysics for Geometry {
         slots: &Lanes<'sg, u32>,
         valid_f: &Lanes<'sg, f32>,
     ) -> Vec<Lanes<'sg, f32>> {
-        vec![
-            valid_f.clone(),
-            sg.load_f32(&self.data.pos[0], slots),
-            sg.load_f32(&self.data.pos[1], slots),
-            sg.load_f32(&self.data.pos[2], slots),
-            sg.load_f32(&self.data.h, slots),
-        ]
+        load_density_fields(&self.data, sg, slots, valid_f.clone())
     }
 
     fn interact<'sg>(
@@ -57,28 +63,6 @@ impl PairPhysics for Geometry {
         other: &[Lanes<'sg, f32>],
         acc: &mut [Lanes<'sg, f32>],
     ) {
-        let g = pair_geometry(
-            sg,
-            [&own[F_X], &own[F_X + 1], &own[F_X + 2]],
-            &own[F_H],
-            [&other[F_X], &other[F_X + 1], &other[F_X + 2]],
-            &other[F_H],
-            self.box_size,
-        );
-        // Number-density sum, neutralizing padding partners.
-        acc[0] = &acc[0] + &(&g.w * &other[F_VALID]);
-    }
-
-    fn write(
-        &self,
-        sg: &Sg,
-        slots: &Lanes<u32>,
-        _own: &[Lanes<f32>],
-        _own_extra: &[Lanes<f32>],
-        acc: &[Lanes<f32>],
-        mask: &Lanes<bool>,
-        atomic: bool,
-    ) {
-        crate::halfwarp::accumulate(sg, &self.data.volume, slots, &acc[0], mask, atomic);
+        geometry_pair(sg, own, other, self.box_size.into(), acc);
     }
 }

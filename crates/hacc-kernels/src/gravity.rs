@@ -9,13 +9,11 @@
 //! complement (`HACC_CUDA_POLY_ORDER=5`), computed host-side by
 //! `hacc_mesh::PolyShortRange` and baked into the kernel as coefficients.
 
+use crate::launch::GravityParams;
 use crate::pairkernel::PairPhysics;
 use crate::particles::DeviceParticles;
+use crate::physics::gravity_pair;
 use sycl_sim::{Lanes, Sg};
-
-/// Exchanged fields: mass weight + position.
-const F_M: usize = 0;
-const F_X: usize = 1;
 
 /// Short-range gravity physics definition.
 #[derive(Clone)]
@@ -24,14 +22,8 @@ pub struct Gravity {
     pub data: DeviceParticles,
     /// Periodic box side.
     pub box_size: f32,
-    /// Polynomial coefficients of the long-range complement, lowest order
-    /// first (`Σ c_k (r²)^k`).
-    pub poly: [f32; 6],
-    /// Squared interaction cutoff.
-    pub r_cut2: f32,
-    /// Plummer-equivalent softening squared (regularizes close pairs, as
-    /// in the production gravity kernel).
-    pub soft2: f32,
+    /// The force law's polynomial, cutoff and softening.
+    pub params: GravityParams,
 }
 
 impl PairPhysics for Gravity {
@@ -70,43 +62,21 @@ impl PairPhysics for Gravity {
         other: &[Lanes<'sg, f32>],
         acc: &mut [Lanes<'sg, f32>],
     ) {
-        let ex = crate::halfwarp::min_image_lanes(&own[F_X], &other[F_X], self.box_size);
-        let ey = crate::halfwarp::min_image_lanes(&own[F_X + 1], &other[F_X + 1], self.box_size);
-        let ez = crate::halfwarp::min_image_lanes(&own[F_X + 2], &other[F_X + 2], self.box_size);
-        let r2 = &(&(&ex * &ex) + &(&ey * &ey)) + &(&ez * &ez);
-        // Newtonian part with softening: (r² + ε²)^(−3/2) via rsqrt.
-        let r2_soft = &r2 + self.soft2;
-        let inv_r = r2_soft.rsqrt();
-        let inv_r3 = &(&inv_r * &inv_r) * &inv_r;
-        // Long-range complement: Horner in r².
-        let mut poly = sg.splat_f32(self.poly[5]);
-        for k in (0..5).rev() {
-            let c = sg.splat_f32(self.poly[k]);
-            poly = poly.fma(&r2, &c);
-        }
-        let f_over_r = &inv_r3 - &poly;
-        // Cutoff and self-pair masks.
-        let in_range = r2.lt_scalar(self.r_cut2);
-        let not_self = r2.gt_scalar(1e-12);
-        let active = in_range.and(&not_self);
-        let f = (&f_over_r * &other[F_M]).zero_unless(&active);
-        acc[0] = ex.fma(&f, &acc[0]);
-        acc[1] = ey.fma(&f, &acc[1]);
-        acc[2] = ez.fma(&f, &acc[2]);
-    }
-
-    fn write(
-        &self,
-        sg: &Sg,
-        slots: &Lanes<u32>,
-        _own: &[Lanes<f32>],
-        _own_extra: &[Lanes<f32>],
-        acc: &[Lanes<f32>],
-        mask: &Lanes<bool>,
-        atomic: bool,
-    ) {
-        for c in 0..3 {
-            crate::halfwarp::accumulate(sg, &self.data.acc_grav[c], slots, &acc[c], mask, atomic);
-        }
+        let GravityParams {
+            poly,
+            r_cut2,
+            soft2,
+        } = self.params;
+        let (poly, box_size) = (poly.map(f64::from), self.box_size.into());
+        gravity_pair(
+            sg,
+            own,
+            other,
+            box_size,
+            &poly,
+            r_cut2.into(),
+            soft2.into(),
+            acc,
+        );
     }
 }

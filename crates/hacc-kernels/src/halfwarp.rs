@@ -41,8 +41,8 @@ pub fn tile_slots<'sg>(sg: &'sg Sg, tile: &Tile) -> TileSlots<'sg> {
     let b_slot_raw = b_off.add_scalar(tile.b_start);
     let a_last = sg.splat_u32(tile.a_start + tile.a_len - 1);
     let b_last = sg.splat_u32(tile.b_start + tile.b_len - 1);
-    let a_slot = clamp_max(&a_slot_raw, &a_last);
-    let b_slot = clamp_max(&b_slot_raw, &b_last);
+    let a_slot = a_slot_raw.min(&a_last);
+    let b_slot = b_slot_raw.min(&b_last);
     let slots = a_slot.select(&is_lower, &b_slot);
     let a_valid = lane.lt_scalar(tile.a_len.min(h));
     // lane − h < b_len for upper lanes.
@@ -60,11 +60,6 @@ pub fn tile_slots<'sg>(sg: &'sg Sg, tile: &Tile) -> TileSlots<'sg> {
         valid_f,
         write_mask,
     }
-}
-
-/// `min(x, hi)` per lane.
-fn clamp_max<'sg>(x: &Lanes<'sg, u32>, hi: &Lanes<'sg, u32>) -> Lanes<'sg, u32> {
-    x.min(hi)
 }
 
 /// Executes the half-warp interaction loop: `interact` is called `h`
@@ -153,17 +148,6 @@ pub fn accumulate(
     }
 }
 
-/// Minimum-image displacement component `other − own` in a periodic box.
-pub fn min_image_lanes<'sg>(
-    own: &Lanes<'sg, f32>,
-    other: &Lanes<'sg, f32>,
-    box_size: f32,
-) -> Lanes<'sg, f32> {
-    let d = other - own;
-    let wraps = (&d / box_size).round();
-    &d - &(&wraps * box_size)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -244,21 +228,6 @@ mod tests {
         for l in 20..32 {
             assert!(!cs.valid.get(l));
             assert_eq!(cs.slots.get(l), 83);
-        }
-    }
-
-    #[test]
-    fn min_image_wraps_displacements() {
-        let s = sg();
-        let own = s.from_fn_f32(|_| 0.5);
-        let other = s.from_fn_f32(|_| 9.5);
-        let d = min_image_lanes(&own, &other, 10.0);
-        for l in 0..32 {
-            assert!(
-                (d.get(l) + 1.0).abs() < 1e-6,
-                "wrapped to −1, got {}",
-                d.get(l)
-            );
         }
     }
 

@@ -64,11 +64,13 @@ impl WorkLists {
 /// Gravity-kernel parameters (host-fit polynomial force law).
 #[derive(Clone, Copy, Debug)]
 pub struct GravityParams {
-    /// Polynomial coefficients of the long-range complement.
+    /// Polynomial coefficients of the long-range complement, lowest order
+    /// first (`Σ c_k (r²)^k`).
     pub poly: [f32; 6],
-    /// Squared cutoff.
+    /// Squared interaction cutoff.
     pub r_cut2: f32,
-    /// Squared softening.
+    /// Plummer-equivalent softening squared (regularizes close pairs, as
+    /// in the production gravity kernel).
     pub soft2: f32,
 }
 
@@ -571,9 +573,7 @@ pub fn run_gravity(
     let physics = Gravity {
         data: data.clone(),
         box_size,
-        poly: params.poly,
-        r_cut2: params.r_cut2,
-        soft2: params.soft2,
+        params,
     };
     let mut active = variant;
     seq.bracket(GRAVITY_TIMER, work, &mut active, cfg, physics, NO_FINALIZE)

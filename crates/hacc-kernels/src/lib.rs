@@ -15,6 +15,7 @@
 //! *working* codes, exactly as in the paper.
 
 pub mod acceleration;
+pub mod arith;
 pub mod corrections;
 pub mod energy;
 pub mod extras;

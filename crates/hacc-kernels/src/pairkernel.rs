@@ -15,7 +15,7 @@
 //!   stores since each particle belongs to exactly one chunk (the
 //!   "fewer atomic instructions" of §5.3.2).
 
-use crate::halfwarp::{chunk_slots, half_warp_loop, tile_slots};
+use crate::halfwarp::{accumulate, chunk_slots, half_warp_loop, tile_slots};
 use crate::launch::WorkLists;
 use crate::variant::Variant;
 use sycl_sim::{Buffer, Lanes, Sg, SgKernel};
@@ -65,26 +65,27 @@ pub trait PairPhysics: Sync {
         acc: &mut [Lanes<'sg, f32>],
     );
 
-    /// Writes the accumulated results for the owner lanes. `atomic` is
-    /// true under the half-warp structure (partial sums) and false under
-    /// broadcast (complete sums, plain stores).
-    #[allow(clippy::too_many_arguments)]
+    /// Writes the accumulated results for the owner lanes: accumulator
+    /// `k` into `output_buffers()[k]`. `atomic` is true under the
+    /// half-warp structure (partial sums) and false under broadcast
+    /// (complete sums, plain stores).
     fn write(
         &self,
         sg: &Sg,
         slots: &Lanes<u32>,
-        own: &[Lanes<f32>],
-        own_extra: &[Lanes<f32>],
+        _own: &[Lanes<f32>],
         acc: &[Lanes<f32>],
         mask: &Lanes<bool>,
         atomic: bool,
-    );
+    ) {
+        for (buf, acc) in self.output_buffers().iter().zip(acc) {
+            accumulate(sg, buf, slots, acc, mask, atomic);
+        }
+    }
 
     /// The buffers `write` targets — the corruption surface exposed to
-    /// an attached fault injector. Defaults to none (immune).
-    fn output_buffers(&self) -> Vec<Buffer> {
-        Vec::new()
-    }
+    /// an attached fault injector.
+    fn output_buffers(&self) -> Vec<Buffer>;
 }
 
 /// A launchable kernel: physics + work lists + variant.
@@ -121,7 +122,7 @@ impl<P: PairPhysics> PairKernel<P> {
             self.physics.interact(sg, &own, &own_extra, other, &mut acc);
         });
         self.physics
-            .write(sg, &ts.slots, &own, &own_extra, &acc, &ts.write_mask, true);
+            .write(sg, &ts.slots, &own, &acc, &ts.write_mask, true);
     }
 
     fn run_broadcast(&self, sg: &mut Sg) {
@@ -160,7 +161,7 @@ impl<P: PairPhysics> PairKernel<P> {
             }
         }
         self.physics
-            .write(sg, &cs.slots, &own, &own_extra, &acc, &cs.write_mask, false);
+            .write(sg, &cs.slots, &own, &acc, &cs.write_mask, false);
     }
 }
 

@@ -1,15 +1,23 @@
-//! Scalar f64 reference implementations of every device kernel.
+//! The f64 reference pipeline: brute-force O(n²) sums over all particle
+//! pairs, accumulated in f64, through the same CRK-SPH math the device
+//! kernels run ([`crate::physics`] instantiated at `f64`). Integration
+//! tests require every variant × architecture combination to agree with
+//! it within FP32 accumulation tolerance.
 //!
-//! These are brute-force O(n²) sums over all particle pairs (the SPH
-//! kernel's compact support makes distant pairs contribute exactly zero),
-//! mirroring the device formulas term by term. Integration tests require
-//! every variant × architecture combination to agree with these within
-//! FP32 accumulation tolerance.
+//! Agreement with this pipeline checks the device's structure — work
+//! lists, exchanges, atomics, f32 accumulation — not the math it shares.
+//! The math is checked by oracles that share no formula with it: the
+//! spline's literal values (`sphkernel`), the CRK reproducing conditions
+//! (this module's tests) and momentum and energy conservation over every
+//! device bracket (`tests/conservation.rs`).
+//!
+//! Each loop builds the particle objects the device kernels exchange,
+//! weight 1 for every real particle, and visits every pair, the self
+//! pair included, as the device does; the SPH kernel's compact support
+//! makes distant pairs contribute exactly zero.
 
 use crate::particles::HostParticles;
-use crate::physics::{CFL, VISC_ALPHA, VISC_BETA, VISC_EPS};
-use crate::sphkernel::{dw_dr_scalar, w_scalar};
-use hacc_tree::min_image;
+use crate::physics;
 
 /// Full per-particle hydro state computed by the reference pipeline.
 #[derive(Clone, Debug, Default)]
@@ -38,94 +46,68 @@ pub struct ReferenceState {
     pub dt_min: f64,
 }
 
-struct Pair {
-    eta: [f64; 3],
-    r2: f64,
-    hbar: f64,
-    w: f64,
-    dw_over_r: f64,
+/// `[weight, x, y, z, h]` per particle: the density kernels' object,
+/// whose first four fields are the gravity kernel's.
+fn density_objects(hp: &HostParticles, weight: impl Fn(usize) -> f64) -> Vec<[f64; 5]> {
+    let object = |i: usize| {
+        let p = hp.pos[i];
+        [weight(i), p[0], p[1], p[2], hp.h[i]]
+    };
+    (0..hp.len()).map(object).collect()
 }
 
-fn pair(hp: &HostParticles, i: usize, j: usize, box_size: f64) -> Pair {
-    let eta = min_image(&hp.pos[i], &hp.pos[j], box_size);
-    let r2 = eta[0] * eta[0] + eta[1] * eta[1] + eta[2] * eta[2];
-    let hbar = 0.5 * (hp.h[i] + hp.h[j]);
-    let tiny = 1e-12 * hbar * hbar;
-    let r = r2.max(tiny).sqrt();
-    let w = w_scalar(r, hbar);
-    let dw_over_r = if r2 > 1e-12 {
-        dw_dr_scalar(r, hbar) / r
-    } else {
-        0.0
+/// The force kernels' object: `[m, x, v, h, P/ρ², A, B, c, ρ]`.
+fn force_objects(
+    hp: &HostParticles,
+    crk_a: &[f64],
+    crk_b: &[[f64; 3]],
+    rho: &[f64],
+    cs: &[f64],
+    pterm: &[f64],
+) -> Vec<[f64; 15]> {
+    let object = |i: usize| {
+        let (p, v, b) = (hp.pos[i], hp.vel[i], crk_b[i]);
+        [
+            hp.mass[i], p[0], p[1], p[2], v[0], v[1], v[2], hp.h[i], pterm[i], crk_a[i], b[0],
+            b[1], b[2], cs[i], rho[i],
+        ]
     };
-    Pair {
-        eta,
-        r2,
-        hbar,
-        w,
-        dw_over_r,
-    }
+    (0..hp.len()).map(object).collect()
+}
+
+/// `N` f64 accumulators per particle `i`, summed by `pair(i, own, other,
+/// acc)` over every partner.
+fn all_pairs<const N: usize, const F: usize>(
+    objects: &[[f64; F]],
+    pair: impl Fn(usize, &[f64], &[f64], &mut [f64]),
+) -> Vec<[f64; N]> {
+    let sums = |i: usize| {
+        let mut acc = [0.0; N];
+        for other in objects {
+            pair(i, &objects[i], other, &mut acc);
+        }
+        acc
+    };
+    (0..objects.len()).map(sums).collect()
 }
 
 /// Geometry: `V_i = 1 / Σ_j W_ij` (self term included).
 pub fn geometry(hp: &HostParticles, box_size: f64) -> Vec<f64> {
-    let n = hp.len();
-    (0..n)
-        .map(|i| {
-            let nsum: f64 = (0..n).map(|j| pair(hp, i, j, box_size).w).sum();
-            1.0 / nsum.max(1e-300)
-        })
-        .collect()
+    let objects = density_objects(hp, |_| 1.0);
+    let sums = all_pairs::<1, 5>(&objects, |_, own, other, acc| {
+        physics::geometry_pair((), own, other, box_size, acc)
+    });
+    sums.iter().map(|[n]| physics::volume((), n)).collect()
 }
 
 /// Corrections: first-order CRK coefficients from volume-weighted moments.
 pub fn corrections(hp: &HostParticles, volume: &[f64], box_size: f64) -> (Vec<f64>, Vec<[f64; 3]>) {
-    let n = hp.len();
-    let mut a_out = vec![0.0; n];
-    let mut b_out = vec![[0.0; 3]; n];
-    for i in 0..n {
-        let mut m0 = 0.0;
-        let mut m1 = [0.0f64; 3];
-        let mut m2 = [0.0f64; 6]; // xx, yy, zz, xy, xz, yz
-        for j in 0..n {
-            let p = pair(hp, i, j, box_size);
-            let vw = volume[j] * p.w;
-            m0 += vw;
-            for c in 0..3 {
-                m1[c] += vw * p.eta[c];
-            }
-            m2[0] += vw * p.eta[0] * p.eta[0];
-            m2[1] += vw * p.eta[1] * p.eta[1];
-            m2[2] += vw * p.eta[2] * p.eta[2];
-            m2[3] += vw * p.eta[0] * p.eta[1];
-            m2[4] += vw * p.eta[0] * p.eta[2];
-            m2[5] += vw * p.eta[1] * p.eta[2];
-        }
-        let (xx, yy, zz, xy, xz, yz) = (m2[0], m2[1], m2[2], m2[3], m2[4], m2[5]);
-        let c00 = yy * zz - yz * yz;
-        let c01 = xz * yz - xy * zz;
-        let c02 = xy * yz - xz * yy;
-        let c11 = xx * zz - xz * xz;
-        let c12 = xy * xz - xx * yz;
-        let c22 = xx * yy - xy * xy;
-        let det = xx * c00 + xy * c01 + xz * c02;
-        let trace = xx + yy + zz;
-        let ok = det.abs() >= 1e-6 * trace * trace * trace && det.abs() > 0.0;
-        let b = if ok {
-            let inv = 1.0 / det;
-            [
-                -(c00 * m1[0] + c01 * m1[1] + c02 * m1[2]) * inv,
-                -(c01 * m1[0] + c11 * m1[1] + c12 * m1[2]) * inv,
-                -(c02 * m1[0] + c12 * m1[1] + c22 * m1[2]) * inv,
-            ]
-        } else {
-            [0.0; 3]
-        };
-        let denom = (m0 + b[0] * m1[0] + b[1] * m1[1] + b[2] * m1[2]).max(1e-300);
-        a_out[i] = 1.0 / denom;
-        b_out[i] = b;
-    }
-    (a_out, b_out)
+    let objects = density_objects(hp, |j| volume[j]);
+    let moments = all_pairs::<10, 5>(&objects, |_, own, other, acc| {
+        physics::corrections_pair((), own, other, box_size, acc)
+    });
+    let solve = |m: &[f64; 10]| physics::crk_coefficients((), &m[0], &m[1..4], &m[4..]);
+    moments.iter().map(solve).unzip()
 }
 
 /// Extras: density and density gradient with the owner-corrected kernel.
@@ -135,72 +117,25 @@ pub fn extras(
     crk_b: &[[f64; 3]],
     box_size: f64,
 ) -> (Vec<f64>, Vec<[f64; 3]>) {
-    let n = hp.len();
-    let mut rho = vec![0.0; n];
-    let mut grad = vec![[0.0; 3]; n];
-    for i in 0..n {
-        for j in 0..n {
-            let p = pair(hp, i, j, box_size);
-            let bi_eta = crk_b[i][0] * p.eta[0] + crk_b[i][1] * p.eta[1] + crk_b[i][2] * p.eta[2];
-            let wr = crk_a[i] * (1.0 + bi_eta) * p.w;
-            rho[i] += hp.mass[j] * wr;
-            let radial = -crk_a[i] * (1.0 + bi_eta) * p.dw_over_r;
-            for c in 0..3 {
-                grad[i][c] += hp.mass[j] * (radial * p.eta[c] - crk_a[i] * crk_b[i][c] * p.w);
-            }
-        }
-    }
-    (rho, grad)
+    let objects = density_objects(hp, |j| hp.mass[j]);
+    let sums = all_pairs::<4, 5>(&objects, |i, own, other, acc| {
+        let b = crk_b[i];
+        let own_extra = [crk_a[i], b[0], b[1], b[2]];
+        physics::extras_pair((), own, &own_extra, other, box_size, acc)
+    });
+    sums.iter().map(|s| (s[0], [s[1], s[2], s[3]])).unzip()
 }
 
-/// EOS closure shared by the reference pipeline.
+/// EOS closure shared by the reference pipeline: `(P, c, P/ρ²)`.
 pub fn eos(hp: &HostParticles, rho: &[f64]) -> (Vec<f64>, Vec<f64>, Vec<f64>) {
-    let gamma = crate::particles::GAMMA as f64;
-    let n = hp.len();
-    let mut p = vec![0.0; n];
-    let mut cs = vec![0.0; n];
-    let mut pt = vec![0.0; n];
-    for i in 0..n {
-        let r = rho[i].max(1e-300);
-        p[i] = (gamma - 1.0) * r * hp.u[i];
-        cs[i] = (gamma * p[i] / r).sqrt();
-        pt[i] = p[i] / (r * r);
+    let (mut p, mut cs, mut pt) = (vec![], vec![], vec![]);
+    for (r, u) in rho.iter().zip(&hp.u) {
+        let (pi, ci, ti) = physics::eos((), r, u);
+        p.push(pi);
+        cs.push(ci);
+        pt.push(ti);
     }
     (p, cs, pt)
-}
-
-/// The pair-antisymmetric corrected gradient (reference form).
-fn corrected_gradient(p: &Pair, a_i: f64, b_i: [f64; 3], a_j: f64, b_j: [f64; 3]) -> [f64; 3] {
-    let bi_eta = b_i[0] * p.eta[0] + b_i[1] * p.eta[1] + b_i[2] * p.eta[2];
-    let bj_eta = b_j[0] * p.eta[0] + b_j[1] * p.eta[1] + b_j[2] * p.eta[2];
-    let bracket = a_i * (1.0 + bi_eta) + a_j * (1.0 - bj_eta);
-    let radial = -0.5 * bracket * p.dw_over_r;
-    std::array::from_fn(|c| radial * p.eta[c] - 0.5 * (a_i * b_i[c] - a_j * b_j[c]) * p.w)
-}
-
-struct Visc {
-    pi: f64,
-    mu_abs: f64,
-}
-
-#[allow(clippy::too_many_arguments)]
-fn viscosity(
-    p: &Pair,
-    vi: [f64; 3],
-    vj: [f64; 3],
-    ci: f64,
-    cj: f64,
-    rho_i: f64,
-    rho_j: f64,
-) -> Visc {
-    let v = [vi[0] - vj[0], vi[1] - vj[1], vi[2] - vj[2]];
-    let proj = v[0] * p.eta[0] + v[1] * p.eta[1] + v[2] * p.eta[2];
-    let approaching = proj.max(0.0);
-    let mu = p.hbar * approaching / (p.r2 + VISC_EPS as f64 * p.hbar * p.hbar);
-    let cbar = 0.5 * (ci + cj);
-    let rhobar = (0.5 * (rho_i + rho_j)).max(1e-300);
-    let pi = (VISC_ALPHA as f64 * cbar * mu + VISC_BETA as f64 * mu * mu) / rhobar;
-    Visc { pi, mu_abs: mu }
 }
 
 /// Acceleration + CFL time step.
@@ -214,28 +149,13 @@ pub fn acceleration(
     pterm: &[f64],
     box_size: f64,
 ) -> (Vec<[f64; 3]>, f64) {
-    let n = hp.len();
-    let mut acc = vec![[0.0; 3]; n];
-    let mut dt_min = f64::MAX;
-    for i in 0..n {
-        let mut mu_max = 0.0f64;
-        for j in 0..n {
-            let p = pair(hp, i, j, box_size);
-            if p.r2 <= 1e-12 {
-                continue;
-            }
-            let g = corrected_gradient(&p, crk_a[i], crk_b[i], crk_a[j], crk_b[j]);
-            let v = viscosity(&p, hp.vel[i], hp.vel[j], cs[i], cs[j], rho[i], rho[j]);
-            let scale = -(pterm[i] + pterm[j] + v.pi) * hp.mass[j];
-            for c in 0..3 {
-                acc[i][c] += scale * g[c];
-            }
-            mu_max = mu_max.max(v.mu_abs);
-        }
-        let dt = CFL as f64 * hp.h[i] / (cs[i] + 2.0 * mu_max).max(1e-300);
-        dt_min = dt_min.min(dt);
-    }
-    (acc, dt_min)
+    let objects = force_objects(hp, crk_a, crk_b, rho, cs, pterm);
+    let sums = all_pairs::<4, 15>(&objects, |_, own, other, acc| {
+        physics::acceleration_pair((), own, other, box_size, acc)
+    });
+    let dt = |i: usize| physics::cfl_time_step((), &hp.h[i], &cs[i], &sums[i][3]);
+    let dt_min = (0..hp.len()).map(dt).fold(f64::MAX, f64::min);
+    (sums.iter().map(|s| [s[0], s[1], s[2]]).collect(), dt_min)
 }
 
 /// Energy derivative.
@@ -248,26 +168,11 @@ pub fn energy(
     pterm: &[f64],
     box_size: f64,
 ) -> Vec<f64> {
-    let n = hp.len();
-    let mut du = vec![0.0; n];
-    for i in 0..n {
-        for j in 0..n {
-            let p = pair(hp, i, j, box_size);
-            if p.r2 <= 1e-12 {
-                continue;
-            }
-            let g = corrected_gradient(&p, crk_a[i], crk_b[i], crk_a[j], crk_b[j]);
-            let v = viscosity(&p, hp.vel[i], hp.vel[j], cs[i], cs[j], rho[i], rho[j]);
-            let vij = [
-                hp.vel[i][0] - hp.vel[j][0],
-                hp.vel[i][1] - hp.vel[j][1],
-                hp.vel[i][2] - hp.vel[j][2],
-            ];
-            let vdotg = vij[0] * g[0] + vij[1] * g[1] + vij[2] * g[2];
-            du[i] += (pterm[i] + 0.5 * v.pi) * hp.mass[j] * vdotg;
-        }
-    }
-    du
+    let objects = force_objects(hp, crk_a, crk_b, rho, cs, pterm);
+    let sums = all_pairs::<1, 15>(&objects, |_, own, other, acc| {
+        physics::energy_pair((), own, other, box_size, acc)
+    });
+    sums.iter().map(|[du]| *du).collect()
 }
 
 /// Short-range gravity with the degree-5 polynomial force law.
@@ -278,31 +183,10 @@ pub fn gravity(
     soft2: f64,
     box_size: f64,
 ) -> Vec<[f64; 3]> {
-    let n = hp.len();
-    let mut acc = vec![[0.0; 3]; n];
-    for i in 0..n {
-        for j in 0..n {
-            if i == j {
-                continue;
-            }
-            let eta = min_image(&hp.pos[i], &hp.pos[j], box_size);
-            let r2 = eta[0] * eta[0] + eta[1] * eta[1] + eta[2] * eta[2];
-            if r2 >= r_cut2 || r2 <= 1e-12 {
-                continue;
-            }
-            let inv_r = 1.0 / (r2 + soft2).sqrt();
-            let inv_r3 = inv_r * inv_r * inv_r;
-            let mut p = poly[5];
-            for k in (0..5).rev() {
-                p = p * r2 + poly[k];
-            }
-            let f = (inv_r3 - p) * hp.mass[j];
-            for c in 0..3 {
-                acc[i][c] += f * eta[c];
-            }
-        }
-    }
-    acc
+    let objects = density_objects(hp, |j| hp.mass[j]);
+    all_pairs::<3, 5>(&objects, |_, own, other, acc| {
+        physics::gravity_pair((), own, other, box_size, poly, r_cut2, soft2, acc)
+    })
 }
 
 /// Runs the full reference pipeline (Geometry → Corrections → Extras →
@@ -332,6 +216,20 @@ pub fn full_pipeline(hp: &HostParticles, box_size: f64) -> ReferenceState {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Pair geometry of particles `i` and `j`.
+    fn pair(hp: &HostParticles, i: usize, j: usize, box_size: f64) -> physics::PairGeom<f64> {
+        let (pi, pj) = (&hp.pos[i], &hp.pos[j]);
+        let (hi, hj) = (&hp.h[i], &hp.h[j]);
+        physics::pair_geometry(
+            (),
+            [&pi[0], &pi[1], &pi[2]],
+            hi,
+            [&pj[0], &pj[1], &pj[2]],
+            hj,
+            box_size,
+        )
+    }
 
     /// A glass-like random particle set with uniform h.
     fn sample(n_side: usize, box_size: f64, seed: u64) -> HostParticles {

@@ -1,5 +1,6 @@
-//! The SPH interpolation kernel (cubic B-spline) in scalar (f64 reference)
-//! and device (`Lanes<f32>`) forms.
+//! The SPH interpolation kernel (cubic B-spline), written once over
+//! [`Real`]: the device kernels evaluate it at `Lanes<f32>`, the f64
+//! reference at `f64`.
 //!
 //! CRK-SPH builds its reproducing-kernel corrections on top of a standard
 //! spherical kernel; CRK-HACC uses the cubic spline. Conventions:
@@ -12,89 +13,97 @@
 //!   σ = 1/π
 //! ```
 //!
-//! and `dW/dr` follows by differentiation. The device form charges the
-//! meter through ordinary `Lanes` arithmetic, so kernel evaluations
-//! contribute realistically to the instruction mix.
+//! and `dW/dr` follows by differentiation. Both are branch-free, as GPU
+//! kernels are compiled: the two polynomial pieces are evaluated and
+//! blended with a predicated select, and the outer piece is clamped at
+//! `q = 2`, so every `q ≥ 2` gives exactly zero. At `Lanes<f32>` each op
+//! charges the meter, so kernel evaluations contribute realistically to
+//! the instruction mix.
 
-use sycl_sim::{Lanes, Sg};
+use crate::arith::Real;
 
 /// Normalization σ = 1/π for the 3D cubic spline.
 pub const SIGMA_3D: f64 = 1.0 / std::f64::consts::PI;
 
-/// Scalar (f64) kernel value `W(r, h)`.
-pub fn w_scalar(r: f64, h: f64) -> f64 {
-    debug_assert!(h > 0.0);
-    let q = r / h;
-    let s = SIGMA_3D / (h * h * h);
-    if q <= 1.0 {
-        s * (1.0 - 1.5 * q * q + 0.75 * q * q * q)
-    } else if q <= 2.0 {
-        let t = 2.0 - q;
-        s * 0.25 * t * t * t
-    } else {
-        0.0
-    }
-}
-
-/// Scalar kernel radial derivative `dW/dr (r, h)`.
-pub fn dw_dr_scalar(r: f64, h: f64) -> f64 {
-    debug_assert!(h > 0.0);
-    let q = r / h;
-    let s = SIGMA_3D / (h * h * h * h);
-    if q <= 1.0 {
-        s * (-3.0 * q + 2.25 * q * q)
-    } else if q <= 2.0 {
-        let t = 2.0 - q;
-        s * (-0.75) * t * t
-    } else {
-        0.0
-    }
-}
-
-/// Device kernel value for a whole sub-group: `W(r[l], h[l])` per lane.
-///
-/// Branch-free (both polynomial pieces evaluated and blended with
-/// predicated selects), as GPU kernels are compiled.
-pub fn w_lanes<'sg>(sg: &'sg Sg, r: &Lanes<'sg, f32>, h: &Lanes<'sg, f32>) -> Lanes<'sg, f32> {
-    let q = r / h;
-    let h3 = &(h * h) * h;
-    let s = &sg.splat_f32(SIGMA_3D as f32) / &h3;
+/// Kernel value `W(r, h)`.
+pub fn w<T: Real>(cx: T::Ctx, r: &T, h: &T) -> T {
+    let q = r.div(h);
+    let h3 = h.mul(h).mul(h);
+    let s = T::splat(cx, SIGMA_3D).div(&h3);
     // Inner piece: 1 − 1.5 q² + 0.75 q³.
-    let q2 = &q * &q;
-    let inner = &(&(&q2 * -1.5) + &(&(&q2 * &q) * 0.75)) + 1.0;
+    let q2 = q.mul(&q);
+    let inner = q2.mul_c(-1.5).add(&q2.mul(&q).mul_c(0.75)).add_c(1.0);
     // Outer piece: 0.25 (2 − q)³.
-    let t = &(-&q) + 2.0;
-    let t = t.max(&sg.splat_f32(0.0));
-    let outer = &(&(&t * &t) * &t) * 0.25;
-    let use_inner = q.lt_scalar(1.0);
+    let t = q.neg().add_c(2.0);
+    let t = t.max(&T::splat(cx, 0.0));
+    let outer = t.mul(&t).mul(&t).mul_c(0.25);
+    let use_inner = q.lt_c(1.0);
     let w = inner.select(&use_inner, &outer);
-    &w * &s
+    w.mul(&s)
 }
 
-/// Device kernel derivative `dW/dr` per lane (branch-free).
-pub fn dw_dr_lanes<'sg>(sg: &'sg Sg, r: &Lanes<'sg, f32>, h: &Lanes<'sg, f32>) -> Lanes<'sg, f32> {
-    let q = r / h;
-    let h2 = h * h;
-    let h4 = &h2 * &h2;
-    let s = &sg.splat_f32(SIGMA_3D as f32) / &h4;
+/// Kernel radial derivative `dW/dr (r, h)`.
+pub fn dw_dr<T: Real>(cx: T::Ctx, r: &T, h: &T) -> T {
+    let q = r.div(h);
+    let h2 = h.mul(h);
+    let h4 = h2.mul(&h2);
+    let s = T::splat(cx, SIGMA_3D).div(&h4);
     // Inner: −3q + 2.25 q².
-    let inner = &(&q * -3.0) + &(&(&q * &q) * 2.25);
+    let inner = q.mul_c(-3.0).add(&q.mul(&q).mul_c(2.25));
     // Outer: −0.75 (2 − q)².
-    let t = &(-&q) + 2.0;
-    let t = t.max(&sg.splat_f32(0.0));
-    let outer = &(&t * &t) * -0.75;
-    let use_inner = q.lt_scalar(1.0);
+    let t = q.neg().add_c(2.0);
+    let t = t.max(&T::splat(cx, 0.0));
+    let outer = t.mul(&t).mul_c(-0.75);
+    let use_inner = q.lt_c(1.0);
     let dw = inner.select(&use_inner, &outer);
-    &dw * &s
+    dw.mul(&s)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sycl_sim::{GpuArch, SgConfig};
 
-    fn sg() -> Sg {
-        Sg::new(0, 32, SgConfig::for_arch(&GpuArch::frontier(), true, false))
+    fn w64(r: f64, h: f64) -> f64 {
+        w((), &r, &h)
+    }
+
+    fn dw64(r: f64, h: f64) -> f64 {
+        dw_dr((), &r, &h)
+    }
+
+    /// Oracle: the spline against hard-coded values, not a second
+    /// formula. Rows: `h`, `W(0, h) = 1/(πh³)`, `W(h, h) = 1/(4πh³)`,
+    /// `dW/dr(h, h) = −3/(4πh⁴)`.
+    #[test]
+    #[allow(clippy::approx_constant)] // literals on purpose: no shared constant
+    fn kernel_matches_literal_values() {
+        let rows = [
+            (
+                1.0,
+                0.3183098861837907,
+                0.07957747154594767,
+                -0.238732414637843,
+            ),
+            (
+                2.0,
+                0.039788735772973836,
+                0.009947183943243459,
+                -0.014920775914865188,
+            ),
+        ];
+        let close = |got: f64, want: f64| (got / want - 1.0).abs() < 1e-15;
+        for (h, w0, w1, dw1) in rows {
+            assert!(close(w64(0.0, h), w0), "W(0, {h}) = {}", w64(0.0, h));
+            assert!(close(w64(h, h), w1), "W({h}, {h}) = {}", w64(h, h));
+            assert!(close(dw64(h, h), dw1), "dW/dr({h}, {h}) = {}", dw64(h, h));
+            for q in [2.0, 2.001, 2.5, 40.0] {
+                assert_eq!(w64(q * h, h), 0.0, "W at q = {q}");
+                assert_eq!(dw64(q * h, h), 0.0, "dW/dr at q = {q}");
+                let (r, h) = ((q * h) as f32, h as f32);
+                assert_eq!(w((), &r, &h), 0.0, "f32 W at q = {q}");
+                assert_eq!(dw_dr((), &r, &h), 0.0, "f32 dW/dr at q = {q}");
+            }
+        }
     }
 
     #[test]
@@ -106,17 +115,10 @@ mod tests {
         let integral: f64 = (0..n)
             .map(|i| {
                 let r = (i as f64 + 0.5) * dr;
-                w_scalar(r, h) * 4.0 * std::f64::consts::PI * r * r * dr
+                w64(r, h) * 4.0 * std::f64::consts::PI * r * r * dr
             })
             .sum();
         assert!((integral - 1.0).abs() < 1e-4, "∫W = {integral}");
-    }
-
-    #[test]
-    fn kernel_has_compact_support() {
-        assert_eq!(w_scalar(2.001, 1.0), 0.0);
-        assert_eq!(dw_dr_scalar(2.5, 1.0), 0.0);
-        assert!(w_scalar(1.999, 1.0) > 0.0);
     }
 
     #[test]
@@ -124,8 +126,8 @@ mod tests {
         let h = 0.9;
         for r in [0.1, 0.5, 0.95, 1.3, 1.9] {
             let eps = 1e-6;
-            let fd = (w_scalar(r + eps, h) - w_scalar(r - eps, h)) / (2.0 * eps);
-            let an = dw_dr_scalar(r, h);
+            let fd = (w64(r + eps, h) - w64(r - eps, h)) / (2.0 * eps);
+            let an = dw64(r, h);
             assert!(
                 (fd - an).abs() < 1e-5 * an.abs().max(1.0),
                 "r = {r}: {fd} vs {an}"
@@ -137,42 +139,7 @@ mod tests {
     fn derivative_is_nonpositive() {
         for i in 0..100 {
             let r = i as f64 * 0.021;
-            assert!(dw_dr_scalar(r, 1.0) <= 0.0, "monotone decreasing kernel");
-        }
-    }
-
-    #[test]
-    fn device_kernel_matches_scalar() {
-        let sg = sg();
-        let r = sg.from_fn_f32(|l| 0.07 * l as f32);
-        let h = sg.from_fn_f32(|l| 0.8 + 0.01 * l as f32);
-        let w = w_lanes(&sg, &r, &h);
-        let dw = dw_dr_lanes(&sg, &r, &h);
-        for l in 0..32 {
-            let want_w = w_scalar(r.get(l) as f64, h.get(l) as f64) as f32;
-            let want_dw = dw_dr_scalar(r.get(l) as f64, h.get(l) as f64) as f32;
-            assert!(
-                (w.get(l) - want_w).abs() < 1e-4 * want_w.abs().max(1.0),
-                "lane {l}"
-            );
-            assert!(
-                (dw.get(l) - want_dw).abs() < 1e-3 * want_dw.abs().max(1.0),
-                "lane {l}"
-            );
-        }
-    }
-
-    #[test]
-    fn device_kernel_is_branch_free_beyond_support() {
-        // q > 2 lanes must produce exactly zero (clamped outer piece).
-        let sg = sg();
-        let r = sg.from_fn_f32(|l| 2.0 + l as f32);
-        let h = sg.from_fn_f32(|_| 0.5);
-        let w = w_lanes(&sg, &r, &h);
-        let dw = dw_dr_lanes(&sg, &r, &h);
-        for l in 0..32 {
-            assert_eq!(w.get(l), 0.0);
-            assert_eq!(dw.get(l), 0.0);
+            assert!(dw64(r, 1.0) <= 0.0, "monotone decreasing kernel");
         }
     }
 }

@@ -86,8 +86,8 @@ fn single_particle_runs() {
     for variant in [Variant::Select, Variant::Broadcast] {
         let (_, data) = run(&frontier(), &hp, 10.0, variant, 32);
         assert_all_finite(&data);
-        // A lone particle sees only its self term: V = 1/W(0,h).
-        let want = 1.0 / hacc_kernels::sphkernel::w_scalar(0.0, 1.0);
+        // A lone particle sees only its self term: V = 1/W(0,h) = πh³.
+        let want = std::f64::consts::PI;
         let got = data.volume.read_f32(0) as f64;
         assert!((got / want - 1.0).abs() < 1e-4, "V = {got} vs {want}");
         // No pair forces.

@@ -164,7 +164,7 @@ pub struct RepoInventory {
     /// Host code shared by every build.
     pub host_common: u32,
     /// Compiled-but-unused files (FOF/DBSCAN, sub-grid physics, the f64
-    /// oracle, in-situ analysis: none runs in the timed adiabatic problem).
+    /// reference, in-situ analysis: none runs in the timed adiabatic problem).
     pub unused: u32,
 }
 
@@ -173,7 +173,7 @@ pub struct RepoInventory {
 const UNUSED: [&str; 4] = [
     "crates/hacc-tree/src/fof.rs", // FOF/DBSCAN halo finder (AGN feedback)
     "crates/hacc-kernels/src/subgrid.rs", // non-adiabatic physics (§3.4.3)
-    "crates/hacc-kernels/src/reference.rs", // the f64 oracle: only tests run it
+    "crates/hacc-kernels/src/reference.rs", // the f64 reference: only tests run it
     "crates/core/src/analysis.rs", // in-situ analysis, off while timing (§3.4.4)
 ];
 

@@ -4,8 +4,8 @@
 //! flag on a `quickstart` command line is an arm of the example's
 //! argument `match`, no doc mentions a harness or environment switch
 //! that was deleted, no crate reads its configuration from the
-//! process environment, and no code outside the offload builds the
-//! offload's geometry by hand.
+//! process environment, no code outside the offload builds the
+//! offload's geometry by hand, and the CRK-SPH math is written once.
 //!
 //! A command line is recognised as `figures -- …` or `figures --flag …`
 //! (likewise `quickstart`). Inside a fenced block it runs to the end of
@@ -45,8 +45,10 @@ const DOCS: [&str; 8] = [
 /// offload prologue (`hacc_kernels::Offload` is the one), the retired
 /// serial-launch alias, the retired transport reordering knob (a
 /// descending flush reorders arrivals), and the retired second PP rule
-/// (§7.3 scores the CPU under Figure 12's rule).
-const RETIRED: [&str; 38] = [
+/// (§7.3 scores the CPU under Figure 12's rule), and the retired
+/// hand-written copies of the CRK math (it is written once, generic over
+/// the arithmetic).
+const RETIRED: [&str; 43] = [
     "cargo bench",
     "criterion",
     "BENCH_scaling",
@@ -85,6 +87,11 @@ const RETIRED: [&str; 38] = [
     "set_reorder_injection",
     "cpu_backend",
     "pp_with_cpu",
+    "w_scalar",
+    "dw_dr_scalar",
+    "w_lanes",
+    "dw_dr_lanes",
+    "min_image_lanes",
 ];
 
 fn read(rel: &str) -> String {
@@ -365,5 +372,67 @@ fn only_the_offload_builds_an_rcb_tree() {
         builds.len() == 1 && builds[0].starts_with("crates/hacc-kernels/src/offload.rs:"),
         "build an `Offload` instead of a tree by hand; tree builds found at:\n{}",
         builds.join("\n")
+    );
+}
+
+/// A decimal literal `lit` standing alone in `code` (not part of a
+/// longer number).
+fn has_number(code: &str, lit: &str) -> bool {
+    code.match_indices(lit).any(|(at, _)| {
+        let before = code[..at].chars().next_back();
+        let after = code[at + lit.len()..].chars().next();
+        !before.is_some_and(|c| c.is_ascii_digit() || c == '.')
+            && !after.is_some_and(|c| c.is_ascii_digit())
+    })
+}
+
+/// The CRK-SPH math has one source, generic over the arithmetic
+/// (`hacc_kernels::sphkernel` and `hacc_kernels::physics`): the device
+/// kernels and the f64 reference instantiate it, and no other crate
+/// source holds its constants. A spline piece is caught by the pair of
+/// coefficients it cannot be written without (W's 3/2 and 3/4, dW/dr's
+/// 3 and 9/4), in compiled code, comments and tests excepted.
+#[test]
+fn the_crk_math_is_written_once() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let generic = [
+        "crates/hacc-kernels/src/sphkernel.rs",
+        "crates/hacc-kernels/src/physics.rs",
+    ];
+    let names = ["SIGMA_3D", "VISC_ALPHA", "VISC_BETA", "VISC_EPS"];
+    let spline_pieces = [["1.5", "0.75"], ["3.0", "2.25"]];
+    let mut files = Vec::new();
+    for krate in std::fs::read_dir(root.join("crates")).expect("crates/") {
+        rust_files(&krate.expect("crate entry").path().join("src"), &mut files);
+    }
+    let mut hits = Vec::new();
+    for file in &files {
+        let rel = file.strip_prefix(root).unwrap_or(file);
+        let rel = rel.to_string_lossy().replace('\\', "/");
+        if generic.contains(&rel.as_str()) {
+            continue;
+        }
+        let text = std::fs::read_to_string(file).expect("read source");
+        for name in names.iter().filter(|n| text.contains(*n)) {
+            hits.push(format!("{rel}: `{name}`"));
+        }
+        let compiled = &text[..text.find("#[cfg(test)]").unwrap_or(text.len())];
+        let code: String = compiled
+            .lines()
+            .map(|l| l.split("//").next().unwrap_or_default())
+            .collect::<Vec<_>>()
+            .join("\n");
+        for piece in spline_pieces {
+            if piece.iter().all(|lit| has_number(&code, lit)) {
+                hits.push(format!("{rel}: the spline coefficients {piece:?}"));
+            }
+        }
+    }
+    assert!(files.len() > 50, "only {} sources scanned", files.len());
+    assert!(
+        hits.is_empty(),
+        "write CRK math once, in {generic:?}, generic over `hacc_kernels::arith::Real`; \
+         found outside it:\n{}",
+        hits.join("\n")
     );
 }
