@@ -15,6 +15,7 @@
 //! velocities, thermodynamic state, and CRK coefficients are exchanged
 //! (15 32-bit fields per particle).
 
+use crate::arith::Real;
 use crate::pairkernel::PairPhysics;
 use crate::particles::DeviceParticles;
 use crate::physics::{acceleration_pair, cfl_time_step, CS, FORCE_H};
@@ -82,15 +83,16 @@ impl PairPhysics for Acceleration {
         load_force_fields(&self.data, sg, slots, valid_f)
     }
 
-    fn interact<'sg>(
+    #[inline(always)]
+    fn interact<T: Real>(
         &self,
-        sg: &'sg Sg,
-        own: &[Lanes<'sg, f32>],
-        _own_extra: &[Lanes<'sg, f32>],
-        other: &[Lanes<'sg, f32>],
-        acc: &mut [Lanes<'sg, f32>],
+        cx: T::Ctx,
+        own: &[T],
+        _own_extra: &[T],
+        other: &[T],
+        acc: &mut [T],
     ) {
-        acceleration_pair(sg, own, other, self.box_size.into(), acc);
+        acceleration_pair(cx, own, other, self.box_size.into(), acc);
     }
 
     fn write(

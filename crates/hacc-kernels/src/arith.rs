@@ -1,17 +1,21 @@
 //! The arithmetic the CRK-SPH math is written in: one small trait,
 //! [`Real`], implemented for the metered sub-group register
-//! `Lanes<'sg, f32>` and, by one macro, for plain `f32` and `f64`.
+//! `Lanes<'sg, f32>`, for the eight-lane block [`F32x8`] and, by one
+//! macro, for plain `f32` and `f64`.
 //!
 //! [`crate::sphkernel`] and [`crate::physics`] are written once over
 //! `T: Real` (one parametrised source, specialised per target). The
-//! device kernels instantiate them at `Lanes<f32>`, where each trait op
-//! is exactly one `Lanes` op — one meter charge, one register — so the
-//! instruction mix and register pressure are those of the source as
-//! written. [`crate::reference`] instantiates them at `f64`. The `f32`
-//! instance is the device math without the meter, lane for lane
-//! bit-identical to `Lanes<f32>`.
+//! device kernels instantiate the pair physics at `Lanes<f32>` when the
+//! launch is metered, where each trait op is exactly one `Lanes` op — one
+//! meter charge, one register — so the instruction mix and register
+//! pressure are those of the source as written. Under
+//! `MeterPolicy::Off` the pair kernels run the same source at
+//! [`F32x8`] in the fused block executor of [`crate::pairkernel`].
+//! [`crate::reference`] instantiates it at `f64`. The `f32` instance is
+//! the device math without the meter, lane for lane bit-identical to
+//! `Lanes<f32>`, and `F32x8` is the `f32` instance applied lane by lane.
 //!
-//! Two rules keep those two bit-identical: `fma` is unfused (`a·b + c`,
+//! Two rules keep those bit-identical: `fma` is unfused (`a·b + c`,
 //! rounded twice, as `Lanes::fma` computes it) and `rsqrt` is `1/√x`.
 //! Constants are `f64` and narrow to the instance's scalar (`c as f32`),
 //! which gives the same bits as the `f32` literal for every constant the
@@ -103,6 +107,62 @@ macro_rules! plain_real {
     )*};
 }
 plain_real!(f32, f64);
+
+/// Lanes per [`F32x8`] block: one AVX2 register of `f32`.
+pub const BLOCK: usize = 8;
+
+/// Eight `f32` lanes: the block the fused executor of
+/// [`crate::pairkernel`] runs the pair physics on. Every op is the `f32`
+/// instance applied lane by lane, written as a fixed-trip loop the
+/// compiler turns into one eight-wide SIMD op wherever it inlines.
+#[derive(Clone, Copy, Debug, Default)]
+pub struct F32x8(pub [f32; BLOCK]);
+
+/// `f(i)` for lanes `i = 0..BLOCK`, as a fixed-trip loop (which, unlike
+/// `std::array::from_fn`, always inlines).
+#[inline(always)]
+pub(crate) fn lanes<U: Copy + Default>(f: impl Fn(usize) -> U) -> [U; BLOCK] {
+    let mut out = [U::default(); BLOCK];
+    for (i, o) in out.iter_mut().enumerate() {
+        *o = f(i);
+    }
+    out
+}
+
+/// `impl Real for F32x8`, one line per op, every op `#[inline(always)]`.
+macro_rules! block_real {
+    ($(fn $name:ident($($param:tt)*) -> $ret:ty { $body:expr })*) => {
+        impl Real for F32x8 {
+            type Mask = [bool; BLOCK];
+            type Ctx = ();
+            $(#[inline(always)] fn $name($($param)*) -> $ret { $body })*
+        }
+    };
+}
+block_real! {
+    fn splat(_: (), c: f64) -> Self { F32x8([c as f32; BLOCK]) }
+    fn add(&self, o: &Self) -> Self { F32x8(lanes(|i| Real::add(&self.0[i], &o.0[i]))) }
+    fn sub(&self, o: &Self) -> Self { F32x8(lanes(|i| Real::sub(&self.0[i], &o.0[i]))) }
+    fn mul(&self, o: &Self) -> Self { F32x8(lanes(|i| Real::mul(&self.0[i], &o.0[i]))) }
+    fn div(&self, o: &Self) -> Self { F32x8(lanes(|i| Real::div(&self.0[i], &o.0[i]))) }
+    fn neg(&self) -> Self { F32x8(lanes(|i| Real::neg(&self.0[i]))) }
+    fn add_c(&self, c: f64) -> Self { F32x8(lanes(|i| Real::add_c(&self.0[i], c))) }
+    fn mul_c(&self, c: f64) -> Self { F32x8(lanes(|i| Real::mul_c(&self.0[i], c))) }
+    fn div_c(&self, c: f64) -> Self { F32x8(lanes(|i| Real::div_c(&self.0[i], c))) }
+    fn fma(&self, b: &Self, c: &Self) -> Self { F32x8(lanes(|i| self.0[i].fma(&b.0[i], &c.0[i]))) }
+    fn sqrt(&self) -> Self { F32x8(lanes(|i| Real::sqrt(&self.0[i]))) }
+    fn rsqrt(&self) -> Self { F32x8(lanes(|i| Real::rsqrt(&self.0[i]))) }
+    fn round(&self) -> Self { F32x8(lanes(|i| Real::round(&self.0[i]))) }
+    fn abs(&self) -> Self { F32x8(lanes(|i| Real::abs(&self.0[i]))) }
+    fn max(&self, o: &Self) -> Self { F32x8(lanes(|i| Real::max(&self.0[i], &o.0[i]))) }
+    fn lt(&self, o: &Self) -> [bool; BLOCK] { lanes(|i| Real::lt(&self.0[i], &o.0[i])) }
+    fn lt_c(&self, c: f64) -> [bool; BLOCK] { lanes(|i| Real::lt_c(&self.0[i], c)) }
+    fn gt_c(&self, c: f64) -> [bool; BLOCK] { lanes(|i| Real::gt_c(&self.0[i], c)) }
+    fn select(&self, m: &[bool; BLOCK], o: &Self) -> Self { F32x8(lanes(|i| Real::select(&self.0[i], &m[i], &o.0[i]))) }
+    fn zero_unless(&self, m: &[bool; BLOCK]) -> Self { F32x8(lanes(|i| Real::zero_unless(&self.0[i], &m[i]))) }
+    fn and(m: &[bool; BLOCK], o: &[bool; BLOCK]) -> [bool; BLOCK] { lanes(|i| m[i] && o[i]) }
+    fn not(m: &[bool; BLOCK]) -> [bool; BLOCK] { lanes(|i| !m[i]) }
+}
 
 impl<'sg> Real for Lanes<'sg, f32> {
     type Mask = Lanes<'sg, bool>;

@@ -10,6 +10,7 @@
 //! Raskin & Owen 2017). This kernel has the largest number of atomic
 //! accumulators (10 per particle) of the five hot spots.
 
+use crate::arith::Real;
 use crate::geometry::load_density_fields;
 use crate::pairkernel::PairPhysics;
 use crate::particles::DeviceParticles;
@@ -52,14 +53,15 @@ impl PairPhysics for Corrections {
         load_density_fields(&self.data, sg, slots, &v * valid_f)
     }
 
-    fn interact<'sg>(
+    #[inline(always)]
+    fn interact<T: Real>(
         &self,
-        sg: &'sg Sg,
-        own: &[Lanes<'sg, f32>],
-        _own_extra: &[Lanes<'sg, f32>],
-        other: &[Lanes<'sg, f32>],
-        acc: &mut [Lanes<'sg, f32>],
+        cx: T::Ctx,
+        own: &[T],
+        _own_extra: &[T],
+        other: &[T],
+        acc: &mut [T],
     ) {
-        corrections_pair(sg, own, other, self.box_size.into(), acc);
+        corrections_pair(cx, own, other, self.box_size.into(), acc);
     }
 }

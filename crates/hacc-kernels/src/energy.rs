@@ -9,6 +9,7 @@
 //! gradient as *Acceleration* (the other "register heavy" hot spot).
 
 use crate::acceleration::load_force_fields;
+use crate::arith::Real;
 use crate::pairkernel::PairPhysics;
 use crate::particles::DeviceParticles;
 use crate::physics::energy_pair;
@@ -45,14 +46,15 @@ impl PairPhysics for Energy {
         load_force_fields(&self.data, sg, slots, valid_f)
     }
 
-    fn interact<'sg>(
+    #[inline(always)]
+    fn interact<T: Real>(
         &self,
-        sg: &'sg Sg,
-        own: &[Lanes<'sg, f32>],
-        _own_extra: &[Lanes<'sg, f32>],
-        other: &[Lanes<'sg, f32>],
-        acc: &mut [Lanes<'sg, f32>],
+        cx: T::Ctx,
+        own: &[T],
+        _own_extra: &[T],
+        other: &[T],
+        acc: &mut [T],
     ) {
-        energy_pair(sg, own, other, self.box_size.into(), acc);
+        energy_pair(cx, own, other, self.box_size.into(), acc);
     }
 }

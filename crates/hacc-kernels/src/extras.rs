@@ -9,6 +9,7 @@
 //! exchanged (the partner only contributes mass, position, and smoothing
 //! length).
 
+use crate::arith::Real;
 use crate::geometry::load_density_fields;
 use crate::pairkernel::PairPhysics;
 use crate::particles::DeviceParticles;
@@ -59,14 +60,15 @@ impl PairPhysics for Extras {
         ]
     }
 
-    fn interact<'sg>(
+    #[inline(always)]
+    fn interact<T: Real>(
         &self,
-        sg: &'sg Sg,
-        own: &[Lanes<'sg, f32>],
-        own_extra: &[Lanes<'sg, f32>],
-        other: &[Lanes<'sg, f32>],
-        acc: &mut [Lanes<'sg, f32>],
+        cx: T::Ctx,
+        own: &[T],
+        own_extra: &[T],
+        other: &[T],
+        acc: &mut [T],
     ) {
-        extras_pair(sg, own, own_extra, other, self.box_size.into(), acc);
+        extras_pair(cx, own, own_extra, other, self.box_size.into(), acc);
     }
 }

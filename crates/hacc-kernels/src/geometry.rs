@@ -2,6 +2,7 @@
 //! particles from the number-density sum `n_i = Σ_j W(r_ij, h̄_ij)`, with
 //! `V_i = 1/n_i` (finalized by [`crate::finalize::FinalizeGeometry`]).
 
+use crate::arith::Real;
 use crate::pairkernel::PairPhysics;
 use crate::particles::DeviceParticles;
 use crate::physics::geometry_pair;
@@ -55,14 +56,15 @@ impl PairPhysics for Geometry {
         load_density_fields(&self.data, sg, slots, valid_f.clone())
     }
 
-    fn interact<'sg>(
+    #[inline(always)]
+    fn interact<T: Real>(
         &self,
-        sg: &'sg Sg,
-        own: &[Lanes<'sg, f32>],
-        _own_extra: &[Lanes<'sg, f32>],
-        other: &[Lanes<'sg, f32>],
-        acc: &mut [Lanes<'sg, f32>],
+        cx: T::Ctx,
+        own: &[T],
+        _own_extra: &[T],
+        other: &[T],
+        acc: &mut [T],
     ) {
-        geometry_pair(sg, own, other, self.box_size.into(), acc);
+        geometry_pair(cx, own, other, self.box_size.into(), acc);
     }
 }

@@ -9,6 +9,7 @@
 //! complement (`HACC_CUDA_POLY_ORDER=5`), computed host-side by
 //! `hacc_mesh::PolyShortRange` and baked into the kernel as coefficients.
 
+use crate::arith::Real;
 use crate::launch::GravityParams;
 use crate::pairkernel::PairPhysics;
 use crate::particles::DeviceParticles;
@@ -54,13 +55,14 @@ impl PairPhysics for Gravity {
         ]
     }
 
-    fn interact<'sg>(
+    #[inline(always)]
+    fn interact<T: Real>(
         &self,
-        sg: &'sg Sg,
-        own: &[Lanes<'sg, f32>],
-        _own_extra: &[Lanes<'sg, f32>],
-        other: &[Lanes<'sg, f32>],
-        acc: &mut [Lanes<'sg, f32>],
+        cx: T::Ctx,
+        own: &[T],
+        _own_extra: &[T],
+        other: &[T],
+        acc: &mut [T],
     ) {
         let GravityParams {
             poly,
@@ -69,7 +71,7 @@ impl PairPhysics for Gravity {
         } = self.params;
         let (poly, box_size) = (poly.map(f64::from), self.box_size.into());
         gravity_pair(
-            sg,
+            cx,
             own,
             other,
             box_size,

@@ -105,31 +105,6 @@ pub fn chunk_slots<'sg>(sg: &'sg Sg, chunk: &Chunk) -> ChunkSlots<'sg> {
     }
 }
 
-/// Executes the broadcast interaction loop over one neighbor chunk:
-/// loads the neighbor fields lane-wise with `load`, then broadcasts each
-/// valid slot in turn, calling `interact` with the broadcast fields.
-///
-/// The j-loop bound is known on the host, so no validity flag needs to be
-/// exchanged — but every lane redundantly evaluates every interaction
-/// (the paper's "redundantly compute intermediate values", §5.3.2).
-pub fn broadcast_loop<'sg>(
-    sg: &'sg Sg,
-    nbr_start: u32,
-    nbr_len: u32,
-    load: impl Fn(&'sg Sg, &Lanes<'sg, u32>) -> Vec<Lanes<'sg, f32>>,
-    mut interact: impl FnMut(&'sg Sg, &[Lanes<'sg, f32>]),
-) {
-    let lane = sg.lane_id();
-    let raw = lane.add_scalar(nbr_start);
-    let last = sg.splat_u32(nbr_start + nbr_len - 1);
-    let slots = raw.min(&last);
-    let staged = load(sg, &slots);
-    for j in 0..nbr_len as usize {
-        let other: Vec<Lanes<f32>> = staged.iter().map(|f| sg.broadcast(f, j)).collect();
-        interact(sg, &other);
-    }
-}
-
 /// Writes an accumulator back: atomic add under the half-warp structure
 /// (partial sums from many tiles), plain store under broadcast (complete
 /// sums, one owner chunk per particle).
@@ -229,20 +204,5 @@ mod tests {
             assert!(!cs.valid.get(l));
             assert_eq!(cs.slots.get(l), 83);
         }
-    }
-
-    #[test]
-    fn broadcast_loop_visits_each_neighbor_once() {
-        let s = sg();
-        let buf = Buffer::from_f32(&(0..100).map(|i| i as f32).collect::<Vec<_>>());
-        let mut seen = Vec::new();
-        broadcast_loop(
-            &s,
-            40,
-            5,
-            |sg, slots| vec![sg.load_f32(&buf, slots)],
-            |_, other| seen.push(other[0].get(0)),
-        );
-        assert_eq!(seen, vec![40.0, 41.0, 42.0, 43.0, 44.0]);
     }
 }

@@ -101,7 +101,7 @@ mod tests {
 
     /// One serial hydro step of `variant` on `setup(sg, seed)`: the
     /// offload, the device state it leaves, and the timer reports.
-    fn hydro(
+    pub(crate) fn hydro(
         device: &Device,
         variant: Variant,
         sg: usize,

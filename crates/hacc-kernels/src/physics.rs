@@ -4,7 +4,10 @@
 //! the write-back, the gravity force law included) and the per-particle
 //! closures of the finalize kernels.
 //!
-//! The device kernels instantiate it at `Lanes<f32>` (metered);
+//! The device kernels instantiate it at `Lanes<f32>` on metered
+//! launches and the pair math at [`crate::arith::F32x8`] in the fused
+//! block executor of unmetered ones (so the pair functions are
+//! `#[inline(always)]`: they must inline into its AVX2-compiled loop);
 //! [`crate::reference`] instantiates it at `f64` in its all-pairs loops.
 //! What keeps one source honest is the oracles that share no formula
 //! with it: the spline's literal values (`sphkernel`), the CRK
@@ -52,11 +55,13 @@ const B: usize = 10;
 pub(crate) const CS: usize = 13;
 const RHO: usize = 14;
 
+#[inline(always)]
 fn vec3<T>(obj: &[T], at: usize) -> [&T; 3] {
     [&obj[at], &obj[at + 1], &obj[at + 2]]
 }
 
 /// Minimum-image displacement component `other − own` in a periodic box.
+#[inline(always)]
 pub fn min_image<T: Real>(own: &T, other: &T, box_size: f64) -> T {
     let d = other.sub(own);
     let wraps = d.div_c(box_size).round();
@@ -80,6 +85,7 @@ pub struct PairGeom<T> {
 
 /// Builds the pair geometry from own/other positions and smoothing
 /// lengths.
+#[inline(always)]
 pub fn pair_geometry<T: Real>(
     cx: T::Ctx,
     own_pos: [&T; 3],
@@ -114,6 +120,7 @@ pub fn pair_geometry<T: Real>(
 }
 
 /// `B·η` for a correction vector.
+#[inline(always)]
 pub fn b_dot_eta<T: Real>(b: [&T; 3], eta: &[T; 3]) -> T {
     b[0].mul(&eta[0])
         .add(&b[1].mul(&eta[1]))
@@ -123,6 +130,7 @@ pub fn b_dot_eta<T: Real>(b: [&T; 3], eta: &[T; 3]) -> T {
 /// The pair-antisymmetric corrected gradient Ĝ_ij (three components).
 ///
 /// `a_i, b_i` are the owner's CRK coefficients, `a_j, b_j` the partner's.
+#[inline(always)]
 pub fn corrected_gradient<T: Real>(
     g: &PairGeom<T>,
     a_i: &T,
@@ -145,6 +153,7 @@ pub fn corrected_gradient<T: Real>(
 
 /// The owner-corrected kernel value `W^R = A_i (1 + B_i·η) W` used by the
 /// density sums of *Extras*.
+#[inline(always)]
 pub fn corrected_kernel<T: Real>(g: &PairGeom<T>, a_i: &T, b_i: [&T; 3]) -> T {
     let bi_eta = b_dot_eta(b_i, &g.eta);
     a_i.mul(&bi_eta.add_c(1.0)).mul(&g.w)
@@ -153,6 +162,7 @@ pub fn corrected_kernel<T: Real>(g: &PairGeom<T>, a_i: &T, b_i: [&T; 3]) -> T {
 /// The owner-corrected kernel gradient `∇ᵢW^R` (not antisymmetrized) used
 /// by the gradient estimators of *Extras*:
 /// `∇ᵢW^R = −A_i B_i W − A_i (1 + B_i·η)(W′/r) η`.
+#[inline(always)]
 pub fn corrected_gradient_own<T: Real>(g: &PairGeom<T>, a_i: &T, b_i: [&T; 3]) -> [T; 3] {
     let bi_eta = b_dot_eta(b_i, &g.eta);
     let radial = a_i.mul(&bi_eta.add_c(1.0)).mul(&g.dw_over_r).mul_c(-1.0);
@@ -170,6 +180,7 @@ pub struct Viscosity<T> {
 }
 
 /// Computes the artificial viscosity between two force-kernel objects.
+#[inline(always)]
 pub fn viscosity<T: Real>(cx: T::Ctx, g: &PairGeom<T>, own: &[T], other: &[T]) -> Viscosity<T> {
     let vx = own[V].sub(&other[V]);
     let vy = own[V + 1].sub(&other[V + 1]);
@@ -193,6 +204,7 @@ pub fn viscosity<T: Real>(cx: T::Ctx, g: &PairGeom<T>, own: &[T], other: &[T]) -
 }
 
 /// The density kernels' pair geometry: position and `h` of both objects.
+#[inline(always)]
 fn density_geometry<T: Real>(cx: T::Ctx, own: &[T], other: &[T], box_size: f64) -> PairGeom<T> {
     let (own_x, other_x) = (vec3(own, X), vec3(other, X));
     pair_geometry(cx, own_x, &own[H], other_x, &other[H], box_size)
@@ -200,6 +212,7 @@ fn density_geometry<T: Real>(cx: T::Ctx, own: &[T], other: &[T], box_size: f64) 
 
 /// *Geometry* (`upGeo`): the number-density sum `n_i += W_ij`, weighted
 /// by the partner's validity. One accumulator.
+#[inline(always)]
 pub fn geometry_pair<T: Real>(cx: T::Ctx, own: &[T], other: &[T], box_size: f64, acc: &mut [T]) {
     let g = density_geometry(cx, own, other, box_size);
     acc[0] = acc[0].add(&g.w.mul(&other[WT]));
@@ -208,6 +221,7 @@ pub fn geometry_pair<T: Real>(cx: T::Ctx, own: &[T], other: &[T], box_size: f64,
 /// *Corrections* (`upCor`): the volume-weighted moments `m₀ += V_j W`,
 /// `m₁ += V_j η W`, `m₂ += V_j η⊗η W` (xx, yy, zz, xy, xz, yz). Ten
 /// accumulators.
+#[inline(always)]
 pub fn corrections_pair<T: Real>(cx: T::Ctx, own: &[T], other: &[T], box_size: f64, acc: &mut [T]) {
     let g = density_geometry(cx, own, other, box_size);
     let vw = g.w.mul(&other[WT]);
@@ -225,6 +239,7 @@ pub fn corrections_pair<T: Real>(cx: T::Ctx, own: &[T], other: &[T], box_size: f
 /// *Extras* (`upBarEx`): `ρ_i += m_j W^R` and `∇ρ_i += m_j ∇ᵢW^R` with
 /// the owner's coefficients `own_extra = [A, B]`, which are not
 /// exchanged. Four accumulators.
+#[inline(always)]
 pub fn extras_pair<T: Real>(
     cx: T::Ctx,
     own: &[T],
@@ -246,6 +261,7 @@ pub fn extras_pair<T: Real>(
 
 /// The force kernels' shared terms: the pair geometry, Ĝ_ij and the
 /// viscosity.
+#[inline(always)]
 fn force_terms<T: Real>(
     cx: T::Ctx,
     own: &[T],
@@ -261,6 +277,7 @@ fn force_terms<T: Real>(
 
 /// *Acceleration* (`upBarAc`): `a_i −= m_j (P_i/ρ_i² + P_j/ρ_j² + Π_ij)
 /// Ĝ_ij`, and the largest |μ| for the CFL condition. Four accumulators.
+#[inline(always)]
 pub fn acceleration_pair<T: Real>(
     cx: T::Ctx,
     own: &[T],
@@ -281,6 +298,7 @@ pub fn acceleration_pair<T: Real>(
 
 /// *Energy* (`upBarDu`): `du_i/dt += m_j (P_i/ρ_i² + ½ Π_ij) v_ij·Ĝ_ij`.
 /// One accumulator.
+#[inline(always)]
 pub fn energy_pair<T: Real>(cx: T::Ctx, own: &[T], other: &[T], box_size: f64, acc: &mut [T]) {
     let (_g, grad, visc) = force_terms(cx, own, other, box_size);
     let vx = own[V].sub(&other[V]);
@@ -300,6 +318,7 @@ pub fn energy_pair<T: Real>(cx: T::Ctx, own: &[T], other: &[T], box_size: f64, a
 /// by `soft2` and `poly` the long-range complement, lowest order first.
 /// Three accumulators.
 #[allow(clippy::too_many_arguments)]
+#[inline(always)]
 pub fn gravity_pair<T: Real>(
     cx: T::Ctx,
     own: &[T],
@@ -418,6 +437,7 @@ pub fn cfl_time_step<T: Real>(cx: T::Ctx, h: &T, cs: &T, mu_max: &T) -> T {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::arith::{F32x8, BLOCK};
     use sycl_sim::{GpuArch, Lanes, Sg, SgConfig};
 
     fn geom(pi: [f64; 3], hi: f64, pj: [f64; 3], hj: f64, box_size: f64) -> PairGeom<f64> {
@@ -525,12 +545,31 @@ mod tests {
     }
 
     /// Evaluates `$body` (returning a `Vec` of outputs) at `Lanes<f32>`
-    /// on sub-groups of 16, 32 and 64 lanes, and at `f32` lane by lane,
-    /// and requires every output lane to carry the same bits.
+    /// on sub-groups of 16, 32 and 64 lanes, at [`F32x8`] over the first
+    /// `size − 3` of those lanes (so the last block is ragged, its
+    /// padding lanes NaN), and at `f32` lane by lane, and requires every
+    /// output lane to carry the same bits.
     macro_rules! same_bits {
         ($ranges:expr, |$cx:ident, $x:ident| $body:expr) => {
             for size in [16, 32, 64] {
                 let inputs = fields(&$ranges, size);
+                let want: Vec<Vec<f32>> = (0..size)
+                    .map(|l| {
+                        let scalar: Vec<f32> = inputs.iter().map(|v| v[l]).collect();
+                        let ($cx, $x) = ((), &scalar[..]);
+                        $body
+                    })
+                    .collect();
+                let check = |how: &str, l: usize, got: Vec<f32>| {
+                    assert_eq!(got.len(), want[l].len());
+                    for (k, (g, w)) in got.iter().zip(&want[l]).enumerate() {
+                        assert_eq!(
+                            g.to_bits(),
+                            w.to_bits(),
+                            "{how}: output {k}, lane {l} of {size}: {g} vs {w}"
+                        );
+                    }
+                };
                 let sg = Sg::new(
                     0,
                     size,
@@ -543,19 +582,24 @@ mod tests {
                     $body
                 };
                 for l in 0..size {
-                    let scalar: Vec<f32> = inputs.iter().map(|v| v[l]).collect();
-                    let want: Vec<f32> = {
-                        let ($cx, $x) = ((), &scalar[..]);
+                    check("Lanes", l, got.iter().map(|g| g.get(l)).collect());
+                }
+                let live = size - 3;
+                for base in (0..live).step_by(BLOCK) {
+                    let lane = |v: &Vec<f32>, i: usize| match base + i {
+                        l if l < live => v[l],
+                        _ => f32::NAN,
+                    };
+                    let blocks: Vec<F32x8> = inputs
+                        .iter()
+                        .map(|v| F32x8(std::array::from_fn(|i| lane(v, i))))
+                        .collect();
+                    let got: Vec<F32x8> = {
+                        let ($cx, $x) = ((), &blocks[..]);
                         $body
                     };
-                    assert_eq!(got.len(), want.len());
-                    for (k, (g, w)) in got.iter().zip(&want).enumerate() {
-                        let (g, w) = (g.get(l), *w);
-                        assert_eq!(
-                            g.to_bits(),
-                            w.to_bits(),
-                            "output {k}, lane {l} of {size}: {g} vs {w}"
-                        );
+                    for l in base..live.min(base + BLOCK) {
+                        check("F32x8", l, got.iter().map(|g| g.0[l - base]).collect());
                     }
                 }
             }
@@ -662,6 +706,68 @@ mod tests {
             gravity_pair(cx, &x[..4], &x[4..8], BOX, &poly, 4.0, 1e-4, &mut acc);
             acc
         });
+    }
+
+    /// The block instance keeps the `f32` bits on the inputs whose
+    /// lowering differs most between a scalar and an eight-wide body —
+    /// `round` at halves and at −0.0, `max` with a NaN operand,
+    /// `rsqrt(±0)` — in a plain build and in an AVX2-compiled one, where
+    /// `round` is an inline vector rounding instead of a libm call.
+    /// (`max(−0.0, +0.0)` is left out: `f32::max` may return either
+    /// zero, and an optimised build folds it differently from the
+    /// instruction.)
+    #[test]
+    fn block_instance_keeps_the_f32_bits_on_edge_inputs() {
+        let x = [0.5, -0.5, 1.5, -1.5, -0.0, 0.499_999_97, 8_388_607.5, 0.0];
+        let y = [f32::NAN, 1.0, 2.0, f32::NAN, 1.0, -0.0, f32::NAN, -f32::NAN];
+        #[inline(always)]
+        fn ops(x: F32x8, y: F32x8) -> [F32x8; 5] {
+            [
+                x.round(),
+                x.max(&y),
+                y.max(&x),
+                x.rsqrt(),
+                x.div_c(0.5).round(),
+            ]
+        }
+        let want = |k: usize, l: usize| {
+            let (x, y) = (&x[l], &y[l]);
+            let half = Real::div_c(x, 0.5);
+            [
+                x.round(),
+                Real::max(x, y),
+                Real::max(y, x),
+                x.rsqrt(),
+                half.round(),
+            ][k]
+        };
+        #[cfg(target_arch = "x86_64")]
+        #[target_feature(enable = "avx2")]
+        fn ops_avx2(x: F32x8, y: F32x8) -> [F32x8; 5] {
+            ops(x, y)
+        }
+        let (bx, by) = (
+            std::hint::black_box(F32x8(x)),
+            std::hint::black_box(F32x8(y)),
+        );
+        let mut runs = vec![("plain", ops(bx, by))];
+        #[cfg(target_arch = "x86_64")]
+        if std::arch::is_x86_feature_detected!("avx2") {
+            // SAFETY: guarded by the runtime AVX2 check.
+            runs.push(("avx2", unsafe { ops_avx2(bx, by) }));
+        }
+        for (how, got) in runs {
+            for (k, block) in got.iter().enumerate() {
+                for l in 0..BLOCK {
+                    let (g, w) = (block.0[l], want(k, l));
+                    assert_eq!(
+                        g.to_bits(),
+                        w.to_bits(),
+                        "{how} op {k}, lane {l}: {g} vs {w}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

@@ -26,6 +26,7 @@ use crate::arith::Real;
 pub const SIGMA_3D: f64 = 1.0 / std::f64::consts::PI;
 
 /// Kernel value `W(r, h)`.
+#[inline(always)]
 pub fn w<T: Real>(cx: T::Ctx, r: &T, h: &T) -> T {
     let q = r.div(h);
     let h3 = h.mul(h).mul(h);
@@ -43,6 +44,7 @@ pub fn w<T: Real>(cx: T::Ctx, r: &T, h: &T) -> T {
 }
 
 /// Kernel radial derivative `dW/dr (r, h)`.
+#[inline(always)]
 pub fn dw_dr<T: Real>(cx: T::Ctx, r: &T, h: &T) -> T {
     let q = r.div(h);
     let h2 = h.mul(h);

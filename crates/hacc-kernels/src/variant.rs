@@ -119,6 +119,27 @@ impl Variant {
         }
     }
 
+    /// The lane whose fields lane `lane` receives at exchange step `step`
+    /// of a sub-group of `sg_size`: `lane ^ (h | step)` for the XOR
+    /// variants (Figure 4), the cyclic butterfly of
+    /// [`Sg::visa_butterfly`] for vISA (Figure 7). This is the map
+    /// [`Variant::exchange`] moves data by; the fused executor reads
+    /// partners through it.
+    ///
+    /// Panics if called on [`Variant::Broadcast`].
+    #[inline]
+    pub fn partner(&self, lane: usize, step: usize, sg_size: usize) -> usize {
+        let h = sg_size / 2;
+        match self {
+            Variant::Select | Variant::Memory32 | Variant::MemoryObject => lane ^ (h | step),
+            Variant::Visa if lane < h => h + (lane + step) % h,
+            Variant::Visa => (lane - step) % h,
+            Variant::Broadcast => {
+                panic!("the Broadcast variant is chunk-parallel and does not exchange")
+            }
+        }
+    }
+
     /// Performs one half-warp exchange step: every lane receives the
     /// listed fields from its partner lane for step `step` (of `h =
     /// S/2` total steps). The partner pattern is XOR-based for the
@@ -219,6 +240,28 @@ mod tests {
             }
             for m in &met {
                 assert_eq!(m.len(), h, "{variant:?}: must cover all partners");
+            }
+        }
+    }
+
+    /// Lane `l` of every exchange holds input lane `partner(l)`, for every
+    /// half-warp variant, sub-group size and step.
+    #[test]
+    fn partner_is_the_lane_every_exchange_reads() {
+        for size in [2, 4, 8, 16, 32, 64] {
+            let s = Sg::new(0, size, SgConfig::for_arch(&GpuArch::aurora(), true, true));
+            let x = s.from_fn_f32(|l| l as f32);
+            for variant in ALL_VARIANTS.into_iter().filter(Variant::is_half_warp) {
+                for step in 0..size / 2 {
+                    let got = variant.exchange(&s, &[&x], step);
+                    for l in 0..size {
+                        assert_eq!(
+                            got[0].get(l) as usize,
+                            variant.partner(l, step, size),
+                            "{variant:?}, size {size}, step {step}, lane {l}"
+                        );
+                    }
+                }
             }
         }
     }

@@ -265,12 +265,11 @@ impl RepoInventory {
             subgroup,
             &["pub fn select_from_group", "pub fn shuffle_xor"],
         )?;
-        let broadcast = regions("hacc-kernels/src/pairkernel.rs", &["fn run_broadcast"])?
-            + regions("hacc-kernels/src/worklist.rs", &["pub fn build_chunks"])?
-            + regions(
-                "hacc-kernels/src/halfwarp.rs",
-                &["pub fn broadcast_loop", "pub fn chunk_slots"],
-            )?;
+        let broadcast = regions(
+            "hacc-kernels/src/pairkernel.rs",
+            &["fn run_broadcast", "Partners::Broadcast(staged) =>"],
+        )? + regions("hacc-kernels/src/worklist.rs", &["pub fn build_chunks"])?
+            + regions("hacc-kernels/src/halfwarp.rs", &["pub fn chunk_slots"])?;
         let cuda_glue = regions(toolchain, &["pub fn cuda()", "pub fn cuda_fast_math()"])?;
         let hip_glue = regions(toolchain, &["pub fn hip()", "pub fn hip_fast_math()"])?;
         let sycl_glue = regions(toolchain, &["pub fn sycl()", "pub fn sycl_visa()"])?;

@@ -100,8 +100,8 @@ pub struct LaunchConfig {
     /// fan-out over a thread pool with deterministic atomic commit. Both
     /// produce bit-identical results.
     pub exec: ExecutionPolicy,
-    /// Metering policy: whether sub-group meters record. Bookkeeping
-    /// only — both policies produce bit-identical buffer contents.
+    /// Metering policy: whether sub-group meters record (`Off` also lets
+    /// a kernel run a fused executor). Both give bit-identical buffers.
     pub meter: MeterPolicy,
     /// Per-work-item register cap (`__launch_bounds__`-style occupancy
     /// trade). [`LaunchBounds::Default`] leaves the cost model exactly

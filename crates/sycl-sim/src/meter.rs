@@ -13,12 +13,12 @@ use std::cell::Cell;
 /// Per-launch metering policy: whether the sub-group meters of a
 /// [`crate::Device::launch`] record anything.
 ///
-/// Metering is bookkeeping on the one execution path. Under
-/// [`MeterPolicy::Off`] every charge, register-tracking and local-memory
-/// call on the [`SgMeter`] is a no-op; the [`Lanes`](crate::lanes::Lanes)
-/// operations themselves are the same code on the same values either way,
-/// so results are bit-identical and only the cost of the bookkeeping
-/// differs.
+/// Under [`MeterPolicy::Off`] every charge, register-tracking and
+/// local-memory call on the [`SgMeter`] is a no-op, and a kernel may run
+/// a fused executor instead of per-op [`Lanes`](crate::lanes::Lanes)
+/// dispatch (the `hacc-kernels` pair kernels do), computing the same
+/// values: results are bit-identical under both policies, and only the
+/// cost of running and recording differs.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum MeterPolicy {
     /// Count every instruction, track register pressure and local memory.

@@ -6,7 +6,7 @@
 //! commit ordering").
 
 use crk_hacc::kernels::{
-    run_gravity, run_hydro_step, GravityParams, HostParticles, Offload, TimerReport, Variant,
+    run_gravity, run_hydro_step, GravityParams, HostParticles, Offload, Tile, TimerReport, Variant,
     ALL_VARIANTS,
 };
 use crk_hacc::sycl::{
@@ -58,10 +58,20 @@ struct StepImage {
     outcome: Result<(), String>,
 }
 
-/// Runs one full step (hydro + gravity) of `variant` under `exec` and
-/// `meter`, optionally with a seeded fault injector, and captures the
-/// image.
+/// The offload `run_step` launches: the gas at the variant's preferred
+/// leaf capacity for `sg_size`, cut off past the kernel support.
+fn offload(variant: Variant, sg_size: usize, hp: &HostParticles, box_size: f64) -> Offload {
+    let cutoff = 2.0 * 1.25 * (box_size / 4.0) + 1e-9;
+    let leaf_capacity = variant.preferred_leaf_capacity(sg_size);
+    Offload::new(hp, box_size, cutoff, leaf_capacity, sg_size).unwrap()
+}
+
+/// Runs one full step (hydro + gravity) of `variant` on `arch` under
+/// `exec` and `meter`, optionally with a seeded fault injector, and
+/// captures the image.
+#[allow(clippy::too_many_arguments)]
 fn run_step(
+    arch: &GpuArch,
     variant: Variant,
     sg_size: usize,
     hp: &HostParticles,
@@ -70,7 +80,6 @@ fn run_step(
     faults: Option<FaultConfig>,
     meter: MeterPolicy,
 ) -> (StepImage, usize) {
-    let arch = GpuArch::aurora();
     let mut device = Device::new(arch.clone(), variant.toolchain()).unwrap();
     let injector = match faults {
         Some(cfg) => {
@@ -84,10 +93,9 @@ fn run_step(
         .with_sg_size(sg_size)
         .with_exec(exec)
         .with_meter(meter);
-    let cutoff = 2.0 * 1.25 * (box_size / 4.0) + 1e-9;
-    let leaf_capacity = variant.preferred_leaf_capacity(sg_size);
-    let offload = Offload::new(hp, box_size, cutoff, leaf_capacity, sg_size).unwrap();
+    let offload = offload(variant, sg_size, hp, box_size);
     let (data, work) = (offload.upload(), &offload.work);
+    let cutoff = 2.0 * 1.25 * (box_size / 4.0) + 1e-9;
 
     let mut reports: Vec<TimerReport> = Vec::new();
     let outcome: Result<(), LaunchError> = run_hydro_step(
@@ -149,6 +157,7 @@ fn assert_equivalent(
     faults: Option<FaultConfig>,
 ) {
     let (serial, serial_faults) = run_step(
+        &GpuArch::aurora(),
         variant,
         sg_size,
         hp,
@@ -164,6 +173,7 @@ fn assert_equivalent(
     );
     for threads in THREADS {
         let (parallel, parallel_faults) = run_step(
+            &GpuArch::aurora(),
             variant,
             sg_size,
             hp,
@@ -239,6 +249,7 @@ fn fault_injection_stays_deterministic_under_parallel_execution() {
 /// thread count. Instruction histograms are the one permitted
 /// difference — fast mode records zeros — and that too is asserted.
 fn assert_fast_matches_metered(
+    arch: &GpuArch,
     variant: Variant,
     sg_size: usize,
     hp: &HostParticles,
@@ -246,6 +257,7 @@ fn assert_fast_matches_metered(
     faults: Option<FaultConfig>,
 ) {
     let (metered, metered_faults) = run_step(
+        arch,
         variant,
         sg_size,
         hp,
@@ -254,6 +266,7 @@ fn assert_fast_matches_metered(
         faults.clone(),
         MeterPolicy::Full,
     );
+    let at = format!("{}/{variant:?}/sg{sg_size}", arch.id);
     for threads in THREADS {
         let exec = if threads == 1 {
             ExecutionPolicy::Serial
@@ -261,6 +274,7 @@ fn assert_fast_matches_metered(
             ExecutionPolicy::with_threads(threads)
         };
         let (fast, fast_faults) = run_step(
+            arch,
             variant,
             sg_size,
             hp,
@@ -271,16 +285,16 @@ fn assert_fast_matches_metered(
         );
         assert_eq!(
             fast_faults, metered_faults,
-            "{variant:?}/sg{sg_size}/{threads}t fast: fault schedules diverged"
+            "{at}/{threads}t fast: fault schedules diverged"
         );
         assert_eq!(
             fast.outcome, metered.outcome,
-            "{variant:?}/sg{sg_size}/{threads}t fast: outcomes diverged"
+            "{at}/{threads}t fast: outcomes diverged"
         );
         for ((name, m), (_, f)) in metered.buffers.iter().zip(&fast.buffers) {
             assert_eq!(
                 m, f,
-                "{variant:?}/sg{sg_size}/{threads}t: fast-mode buffer {name} is not bit-identical"
+                "{at}/{threads}t: fast-mode buffer {name} is not bit-identical"
             );
         }
         // Same launches in the same order, same injected-fault counts —
@@ -301,15 +315,43 @@ fn assert_fast_matches_metered(
     }
 }
 
-/// The tentpole contract: fast mode is a pure speed knob. Every
-/// communication variant must produce the metered reference bits at
-/// every thread count with metering off.
+/// Unmetered launches run the fused block executor, metered ones the
+/// op-by-op interpreter: every communication variant must produce the
+/// metered reference bits at every thread count with metering off — on
+/// Aurora at sub-groups 16 and 32 and, vISA aside, on Frontier at 64,
+/// the size the benchmark's fast path runs. Both step halves run
+/// (hydro and gravity), and the sub-group 32 and 64 geometries are
+/// checked to hold ragged tiles, self tiles and ragged Broadcast chunks
+/// (partial blocks, the self-tile write mask, short staged chunks).
 #[test]
 fn fast_mode_is_bit_identical_for_every_variant_and_thread_count() {
     let box_size = 4.0;
-    let hp = gas(4, box_size, 1234);
+    let (lattice, ragged) = (gas(4, box_size, 1234), gas(5, box_size, 1234));
+    let (aurora, frontier) = (GpuArch::aurora(), GpuArch::frontier());
     for variant in ALL_VARIANTS {
-        assert_fast_matches_metered(variant, 16, &hp, box_size, None);
+        assert_fast_matches_metered(&aurora, variant, 16, &lattice, box_size, None);
+        let mut sizes = vec![(&aurora, 32)];
+        if !variant.needs_visa() {
+            sizes.push((&frontier, 64));
+        }
+        for (arch, sg_size) in sizes {
+            let work = offload(variant, sg_size, &ragged, box_size).work;
+            let h = (sg_size / 2) as u32;
+            if variant.is_half_warp() {
+                assert!(work.tiles.iter().any(|t| t.self_tile), "no self tile");
+                let short = |t: &Tile| t.a_len < h || t.b_len < h;
+                assert!(work.tiles.iter().any(short), "no ragged tile");
+            } else {
+                let chunks = work.chunks();
+                assert!(
+                    chunks.chunks.iter().any(|c| c.len < 2 * h),
+                    "no ragged chunk"
+                );
+                let short = |n: &(u32, u32)| n.1 < 2 * h;
+                assert!(chunks.neighbors.iter().any(short), "no ragged staged chunk");
+            }
+            assert_fast_matches_metered(arch, variant, sg_size, &ragged, box_size, None);
+        }
     }
 }
 
@@ -322,6 +364,7 @@ fn fast_mode_preserves_fault_schedules() {
     let hp = gas(4, box_size, 4321);
     for (transient, corrupt) in [(0.3, 0.0), (0.2, 0.2)] {
         assert_fast_matches_metered(
+            &GpuArch::aurora(),
             Variant::Select,
             16,
             &hp,
