@@ -4,13 +4,13 @@
 //! macro, for plain `f32` and `f64`.
 //!
 //! [`crate::sphkernel`] and [`crate::physics`] are written once over
-//! `T: Real` (one parametrised source, specialised per target). The
-//! device kernels instantiate the pair physics at `Lanes<f32>` when the
-//! launch is metered, where each trait op is exactly one `Lanes` op — one
+//! `T: Real` (one parametrised source, specialised per target). A
+//! metered pair launch runs the first interaction group of each tile at
+//! `Lanes<f32>`, where each trait op is exactly one `Lanes` op — one
 //! meter charge, one register — so the instruction mix and register
-//! pressure are those of the source as written. Under
-//! `MeterPolicy::Off` the pair kernels run the same source at
-//! [`F32x8`] in the fused block executor of [`crate::pairkernel`].
+//! pressure are those of the source as written. The fused block
+//! executor of [`crate::pairkernel`] runs every other interaction of
+//! the same source at [`F32x8`].
 //! [`crate::reference`] instantiates it at `f64`. The `f32` instance is
 //! the device math without the meter, lane for lane bit-identical to
 //! `Lanes<f32>`, and `F32x8` is the `f32` instance applied lane by lane.

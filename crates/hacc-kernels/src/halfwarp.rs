@@ -8,7 +8,6 @@
 //! particles, how the other side's data arrives, and when results are
 //! written back — is captured here.
 
-use crate::variant::Variant;
 use crate::worklist::{Chunk, Tile};
 use sycl_sim::{Buffer, Lanes, Sg};
 
@@ -59,23 +58,6 @@ pub fn tile_slots<'sg>(sg: &'sg Sg, tile: &Tile) -> TileSlots<'sg> {
         valid,
         valid_f,
         write_mask,
-    }
-}
-
-/// Executes the half-warp interaction loop: `interact` is called `h`
-/// times, once per exchange step, receiving the partner's fields in the
-/// same order as `own_fields`.
-pub fn half_warp_loop<'sg>(
-    sg: &'sg Sg,
-    variant: Variant,
-    own_fields: &[&Lanes<'sg, f32>],
-    mut interact: impl FnMut(&'sg Sg, &[Lanes<'sg, f32>]),
-) {
-    debug_assert!(variant.is_half_warp());
-    let h = sg.size / 2;
-    for step in 0..h {
-        let other = variant.exchange(sg, own_fields, step);
-        interact(sg, &other);
     }
 }
 

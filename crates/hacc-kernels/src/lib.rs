@@ -55,7 +55,7 @@ mod tests {
     use sycl_sim::{Device, ExecutionPolicy, GpuArch, LaunchConfig, Toolchain};
 
     /// A small jittered-lattice gas in a periodic box.
-    fn sample(n_side: usize, box_size: f64, seed: u64) -> HostParticles {
+    pub(crate) fn sample(n_side: usize, box_size: f64, seed: u64) -> HostParticles {
         let mut rng = StdRng::seed_from_u64(seed);
         let spacing = box_size / n_side as f64;
         let mut hp = HostParticles::default();

@@ -267,7 +267,12 @@ impl RepoInventory {
         )?;
         let broadcast = regions(
             "hacc-kernels/src/pairkernel.rs",
-            &["fn run_broadcast", "Partners::Broadcast(staged) =>"],
+            &[
+                "fn run_broadcast",
+                "fn broadcast_partners",
+                "fn broadcast_group",
+                "Partners::Broadcast(staged) =>",
+            ],
         )? + regions("hacc-kernels/src/worklist.rs", &["pub fn build_chunks"])?
             + regions("hacc-kernels/src/halfwarp.rs", &["pub fn chunk_slots"])?;
         let cuda_glue = regions(toolchain, &["pub fn cuda()", "pub fn cuda_fast_math()"])?;

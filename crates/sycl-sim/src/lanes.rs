@@ -148,6 +148,16 @@ impl<'sg, T: LaneScalar> Lanes<'sg, T> {
         self.reg().as_flattened().try_into().expect("64 lanes")
     }
 
+    /// Overwrites lanes `0..n` with `vals[..n]` in place: hands a value
+    /// computed outside the meter back into the register that held it.
+    /// Charges nothing and takes no new register, so the meter reports
+    /// the ops that ran on `Lanes` and nothing else.
+    #[inline]
+    pub fn refill(&mut self, vals: &[T]) {
+        let n = self.n;
+        self.reg_mut().as_flattened_mut()[..n].copy_from_slice(&vals[..n]);
+    }
+
     /// Element-wise map (no charge).
     #[inline]
     pub(crate) fn apply_map<U: LaneScalar>(&self, f: impl Fn(T) -> U) -> Lanes<'sg, U> {
@@ -209,7 +219,9 @@ impl<'sg, T: LaneScalar> Lanes<'sg, T> {
 }
 
 impl<T: LaneScalar> Drop for Lanes<'_, T> {
-    #[inline]
+    /// Out of line: inlined at every temporary of a kernel body, the
+    /// register bookkeeping and pool push were most of its metered copy.
+    #[inline(never)]
     fn drop(&mut self) {
         self.meter.free_regs(T::WORDS);
         if let Some(vals) = self.vals.take() {
@@ -615,6 +627,19 @@ mod tests {
         assert_eq!(meter.live_regs(), 0);
         let x = Lanes::<u32>::build(8, &meter, |l| l as u32);
         assert_eq!(x.as_slice(), &[0, 1, 2, 3, 4, 5, 6, 7]);
+    }
+
+    /// A refill writes the lanes in place: no charge, no register.
+    #[test]
+    fn refill_charges_nothing_and_keeps_its_register() {
+        let meter = meter(MeterPolicy::Full);
+        let mut a = Lanes::<f32>::build(4, &meter, |l| l as f32);
+        let storage = a.as_slice().as_ptr();
+        let before = (meter.snapshot(), meter.live_regs());
+        a.refill(&[9.0, 8.0, 7.0, 6.0, 5.0]);
+        assert_eq!(a.as_slice(), &[9.0, 8.0, 7.0, 6.0]);
+        assert_eq!(a.as_slice().as_ptr(), storage);
+        assert_eq!((meter.snapshot(), meter.live_regs()), before);
     }
 
     /// Pooling is invisible to the bookkeeping: a fixed op sequence on a

@@ -5,6 +5,8 @@
 //! live virtual registers (tracked by [`Lanes`](crate::lanes::Lanes)
 //! allocation/drop), are the inputs to the cost model — performance is
 //! derived from what the kernel actually *did*, not from declared numbers.
+//! A loop whose iterations run the same op sequence may be metered for
+//! one iteration and charged for the rest ([`SgMeter::repeat_since`]).
 
 use crate::lanes::MAX_SG_SIZE;
 use crate::simd::{Reg, LANE_BLOCK};
@@ -13,12 +15,13 @@ use std::cell::Cell;
 /// Per-launch metering policy: whether the sub-group meters of a
 /// [`crate::Device::launch`] record anything.
 ///
-/// Under [`MeterPolicy::Off`] every charge, register-tracking and
-/// local-memory call on the [`SgMeter`] is a no-op, and a kernel may run
-/// a fused executor instead of per-op [`Lanes`](crate::lanes::Lanes)
-/// dispatch (the `hacc-kernels` pair kernels do), computing the same
-/// values: results are bit-identical under both policies, and only the
-/// cost of running and recording differs.
+/// The `hacc-kernels` pair kernels run one interaction group per tile
+/// op by op on [`Lanes`](crate::lanes::Lanes), charge the identical
+/// remaining groups with [`SgMeter::repeat_since`], and run those in a
+/// fused executor. Under [`MeterPolicy::Off`] every charge,
+/// register-tracking and local-memory call on the [`SgMeter`] is a
+/// no-op, and those kernels fuse the first group too. Results are
+/// bit-identical under both policies; only the cost differs.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum MeterPolicy {
     /// Count every instruction, track register pressure and local memory.
@@ -297,6 +300,21 @@ impl SgMeter {
         }
     }
 
+    /// Charges the instructions recorded since `mark` (an earlier
+    /// [`SgMeter::snapshot`]) again, scaled to `more` iterations when
+    /// they were `of` identical iterations of a loop body. Registers and
+    /// local memory are maxima, which a repeat cannot raise.
+    pub fn repeat_since(&self, mark: &LaunchStats, of: u64, more: u64) {
+        if !self.metered {
+            return;
+        }
+        for (c, m) in self.counts.iter().zip(&mark.counts) {
+            let span = c.get() - m;
+            debug_assert_eq!(span % of, 0, "{of} iterations charged unequal counts");
+            c.set(c.get() + span / of * more);
+        }
+    }
+
     /// Currently live registers (words per work-item).
     pub fn live_regs(&self) -> u32 {
         self.live_regs.get()
@@ -437,6 +455,25 @@ mod tests {
         assert_eq!(s.local_bytes_per_sg, 0);
         assert_eq!(s.n_subgroups, 1);
         assert_eq!(m.live_regs(), 0);
+    }
+
+    #[test]
+    fn repeats_charge_the_span_since_the_mark_per_iteration() {
+        let m = SgMeter::new_with_mode(true, MeterPolicy::Full);
+        m.charge(InstrClass::Div, 7);
+        m.alloc_regs(5);
+        let mark = m.snapshot();
+        m.charge(InstrClass::Alu, 6);
+        m.charge(InstrClass::Barrier, 2);
+        m.repeat_since(&mark, 2, 5);
+        let s = m.snapshot();
+        assert_eq!(s.count(InstrClass::Alu), 6 + 15);
+        assert_eq!(s.count(InstrClass::Barrier), 2 + 5);
+        assert_eq!(s.count(InstrClass::Div), 7, "charged before the mark");
+        assert_eq!(s.peak_regs, 5);
+        let off = SgMeter::new_with_mode(true, MeterPolicy::Off);
+        off.repeat_since(&mark, 1, 3);
+        assert_eq!(off.snapshot().total(), 0);
     }
 
     #[test]

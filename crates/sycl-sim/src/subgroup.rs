@@ -109,8 +109,9 @@ impl Sg {
         std::mem::take(self.pending.get_mut())
     }
 
-    /// The meter, for snapshotting after the kernel body returns.
-    pub(crate) fn meter(&self) -> &SgMeter {
+    /// The meter: its snapshot is the stats the launch merges, and a
+    /// mark for [`SgMeter::repeat_since`].
+    pub fn meter(&self) -> &SgMeter {
         &self.meter
     }
 
@@ -363,38 +364,6 @@ impl Sg {
             }
         })
     }
-
-    /// `reduce_over_group` with `+` (§5.1): the high-level group algorithm
-    /// the optimized code uses instead of a hand-rolled shuffle network.
-    /// The compiler lowers it to log₂(S) cross-lane steps with hardware-
-    /// appropriate instructions; the result is broadcast to all lanes.
-    pub fn reduce_add(&self, x: &Lanes<f32>) -> Lanes<'_, f32> {
-        let steps = self.size.trailing_zeros() as u64;
-        // The group algorithm conveys the pattern to the compiler, which
-        // avoids the indirect-access path even on Intel (it can use
-        // regioned moves for the fixed tree pattern).
-        let class = match self.config.shuffle_hw {
-            ShuffleHw::IndirectRegister => InstrClass::ShuffleRegioned,
-            ShuffleHw::DedicatedCrossLane => InstrClass::ShuffleDedicated,
-        };
-        self.meter.charge(class, steps);
-        self.meter.charge(InstrClass::Alu, steps);
-        let sum: f32 = x.as_slice().iter().sum();
-        Lanes::build(self.size, &self.meter, |_| sum)
-    }
-
-    /// A hand-rolled shuffle-network reduction (the pre-optimization form
-    /// that the migrated CUDA code used): log₂(S) `shuffle_xor` + add.
-    pub fn shuffle_reduce_add<'sg>(&'sg self, x: &Lanes<'sg, f32>) -> Lanes<'sg, f32> {
-        let mut acc = x.clone();
-        let mut mask = self.size / 2;
-        while mask > 0 {
-            let other = self.shuffle_xor(&acc, mask);
-            acc = &acc + &other;
-            mask /= 2;
-        }
-        acc
-    }
 }
 
 #[cfg(test)]
@@ -489,7 +458,6 @@ mod tests {
             }
             // readers of the poisoned padding of fills
             let ones = s.splat_f32(1.0);
-            assert_lanes(&s.reduce_add(&ones), |_| n as f32, "reduce_add");
             assert_eq!(format!("{ones:?}"), format!("Lanes({:?})", vec![1.0f32; n]));
             let none = s.splat_bool(false);
             assert!(
@@ -696,33 +664,6 @@ mod tests {
         let s = sg(&GpuArch::polaris(), 32);
         let x = s.from_fn_f32(|l| l as f32);
         let _ = s.visa_butterfly(&x, 1);
-    }
-
-    #[test]
-    fn reductions_agree() {
-        let s = sg(&GpuArch::frontier(), 32);
-        let x = s.from_fn_f32(|l| (l as f32).sin());
-        let a = s.reduce_add(&x);
-        let b = s.shuffle_reduce_add(&x);
-        let direct: f32 = x.as_slice().iter().sum();
-        assert!((a.get(0) - direct).abs() < 1e-4);
-        assert!((b.get(0) - direct).abs() < 1e-4);
-        assert!(a.as_slice().iter().all(|&v| v == a.get(0)));
-    }
-
-    #[test]
-    fn reduce_add_is_cheaper_than_shuffle_network_on_intel() {
-        // §5.1: group algorithms convey the pattern to the compiler and
-        // avoid the indirect-access path on Intel.
-        let s1 = sg(&GpuArch::aurora(), 32);
-        let x = s1.from_fn_f32(|l| l as f32);
-        let _ = s1.reduce_add(&x);
-        assert_eq!(s1.meter().snapshot().count(C::ShuffleIndirect), 0);
-
-        let s2 = sg(&GpuArch::aurora(), 32);
-        let x = s2.from_fn_f32(|l| l as f32);
-        let _ = s2.shuffle_reduce_add(&x);
-        assert_eq!(s2.meter().snapshot().count(C::ShuffleIndirect), 5);
     }
 
     #[test]

@@ -11,6 +11,7 @@ use hacc_bench::figures::{
     all_configs, cpu_row, fig12_records, portability_data, CpuRow, PortabilityData,
 };
 use hacc_metrics::{find_workspace_root, ConfigKind, Mechanism, RepoInventory};
+use std::collections::BTreeMap;
 use std::path::Path;
 use std::sync::OnceLock;
 
@@ -303,4 +304,50 @@ fn the_evaluation_docs_quote_the_program() {
         "the evaluation docs quote stale numbers; paste these rows:\n{}",
         stale.join("\n")
     );
+}
+
+/// Name bytes and seconds bits of a timer map, one word each.
+fn timer_words(timers: &BTreeMap<String, f64>, words: &mut Vec<u64>) {
+    for (name, seconds) in timers {
+        words.extend(name.bytes().map(u64::from));
+        words.push(seconds.to_bits());
+    }
+}
+
+/// The metered sweep at the benchmark's smoke size is pinned bit for
+/// bit: every timer of every build, folded as the `pp_sweep` benchmark
+/// checksum folds them (FNV-1a over each word's little-endian bytes),
+/// and the Σ of modeled seconds. A change that moves the modeled clock
+/// (a count, a register peak, a cost model) fails here, not only in the
+/// benchmark.
+#[test]
+fn the_metered_sweep_is_pinned() {
+    let data = portability_data(&workload(4, 0xC0FFEE));
+    let mut words = Vec::new();
+    for run in &data.runs {
+        for (variant, timers) in &run.by_variant {
+            words.extend(variant.bytes().map(u64::from));
+            timer_words(timers, &mut words);
+        }
+    }
+    for timers in data
+        .best
+        .iter()
+        .chain([&data.cuda_polaris, &data.hip_frontier])
+    {
+        timer_words(timers, &mut words);
+    }
+    let bytes: Vec<u8> = words.iter().flat_map(|w| w.to_le_bytes()).collect();
+    let checksum = hacc_tune::fnv1a(&bytes);
+    let modeled: f64 = data
+        .runs
+        .iter()
+        .flat_map(|r| r.by_variant.values())
+        .map(total_seconds)
+        .sum();
+    assert_eq!(
+        checksum, 0xb584_f073_686a_1d4b,
+        "sweep checksum {checksum:#x}"
+    );
+    assert_eq!(modeled, 1.0912092791513393e-5, "Σ modeled seconds");
 }
