@@ -31,7 +31,7 @@ pub(crate) fn load_force_fields<'sg>(
 ) -> Vec<Lanes<'sg, f32>> {
     let m = sg.load_f32(&data.mass, slots);
     vec![
-        &m * valid_f,
+        m.mul(valid_f),
         sg.load_f32(&data.pos[0], slots),
         sg.load_f32(&data.pos[1], slots),
         sg.load_f32(&data.pos[2], slots),

@@ -50,7 +50,7 @@ impl PairPhysics for Corrections {
         valid_f: &Lanes<'sg, f32>,
     ) -> Vec<Lanes<'sg, f32>> {
         let v = sg.load_f32(&self.data.volume, slots);
-        load_density_fields(&self.data, sg, slots, &v * valid_f)
+        load_density_fields(&self.data, sg, slots, v.mul(valid_f))
     }
 
     #[inline(always)]

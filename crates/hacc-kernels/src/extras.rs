@@ -48,7 +48,7 @@ impl PairPhysics for Extras {
         valid_f: &Lanes<'sg, f32>,
     ) -> Vec<Lanes<'sg, f32>> {
         let m = sg.load_f32(&self.data.mass, slots);
-        load_density_fields(&self.data, sg, slots, &m * valid_f)
+        load_density_fields(&self.data, sg, slots, m.mul(valid_f))
     }
 
     fn load_own_extra<'sg>(&self, sg: &'sg Sg, slots: &Lanes<'sg, u32>) -> Vec<Lanes<'sg, f32>> {

@@ -48,7 +48,7 @@ impl PairPhysics for Gravity {
     ) -> Vec<Lanes<'sg, f32>> {
         let m = sg.load_f32(&self.data.mass, slots);
         vec![
-            &m * valid_f,
+            m.mul(valid_f),
             sg.load_f32(&self.data.pos[0], slots),
             sg.load_f32(&self.data.pos[1], slots),
             sg.load_f32(&self.data.pos[2], slots),

@@ -585,7 +585,7 @@ mod tests {
     use crate::{HostParticles, Offload};
     use hacc_telemetry::{counter_total, EventKind};
     use std::sync::Arc as StdArc;
-    use sycl_sim::{ExecutionPolicy, FaultConfig, FaultInjector, GpuArch, Sg, Toolchain};
+    use sycl_sim::{ExecutionPolicy, FaultConfig, FaultInjector, GpuArch, Real, Sg, Toolchain};
 
     fn faulty_device(cfg: FaultConfig) -> (Device, StdArc<FaultInjector>) {
         let inj = StdArc::new(FaultInjector::new(cfg));

@@ -17,9 +17,10 @@
 //! star-formation threshold (cold + dense gas converts at a fixed
 //! efficiency per dynamical time).
 
+use crate::arith::Real;
 use crate::finalize::lane_parallel_instances;
 use crate::particles::DeviceParticles;
-use sycl_sim::{Buffer, Sg, SgKernel};
+use sycl_sim::{Buffer, Lanes, Sg, SgKernel};
 
 /// Sub-grid model parameters.
 #[derive(Clone, Copy, Debug)]
@@ -104,27 +105,28 @@ impl SgKernel for Subgrid {
         let p = &self.params;
 
         // Λ = λ₀ ρ √u, masked to zero at/below the floor.
-        let u_safe = u.max(&sg.splat_f32(0.0));
+        let u_safe = u.max(&Lanes::splat(sg, 0.0));
         let sqrt_u = u_safe.sqrt();
-        let lambda = &(&rho * &sqrt_u) * p.lambda0;
-        let above_floor = u.gt_scalar(p.u_floor);
+        let lambda = rho.mul(&sqrt_u).mul_c(p.lambda0 as f64);
+        let above_floor = u.gt_c(p.u_floor as f64);
         let lambda = lambda.zero_unless(&above_floor);
-        let neg_lambda = -&lambda;
+        let neg_lambda = lambda.neg();
         sg.store_f32(&self.cool_rate, &slots, &neg_lambda, &valid);
 
         // Star formation: cold, dense gas converts at ε·m per unit time.
         let m = sg.load_f32(&self.data.mass, &slots);
-        let dense = rho.gt_scalar(p.rho_star);
-        let cold = u.lt_scalar(p.u_star);
+        let dense = rho.gt_c(p.rho_star as f64);
+        let cold = u.lt_c(p.u_star as f64);
         let eligible = dense.and(&cold);
-        let rate = (&m * p.sfr_efficiency).zero_unless(&eligible);
+        let rate = m.mul_c(p.sfr_efficiency as f64).zero_unless(&eligible);
         sg.store_f32(&self.sf_rate, &slots, &rate, &valid);
 
         // Cooling time-step limit: dt = C·u/Λ (huge when not cooling),
-        // folded into the same dt_min the CFL uses.
-        let lambda_safe = lambda.max(&sg.splat_f32(1e-30));
-        let dt = &(&u_safe * p.c_cool) / &lambda_safe;
-        let dt = dt.min(&sg.splat_f32(f32::MAX / 2.0));
+        // folded into the same dt_min the CFL uses. The `f32` constants
+        // widen exactly, so the splats narrow back to the same bits.
+        let lambda_safe = lambda.max(&Lanes::splat(sg, 1e-30_f32 as f64));
+        let dt = u_safe.mul_c(p.c_cool as f64).div(&lambda_safe);
+        let dt = dt.min(&Lanes::splat(sg, (f32::MAX / 2.0) as f64));
         let zero = sg.splat_u32(0);
         let write = valid.and(&above_floor);
         sg.atomic_min(&self.data.dt_min, &zero, &dt, &write);
@@ -158,7 +160,7 @@ pub fn reference(
 mod tests {
     use super::*;
     use crate::particles::HostParticles;
-    use sycl_sim::{Device, ExecutionPolicy, GpuArch, LaunchConfig, Toolchain};
+    use sycl_sim::{Device, ExecutionPolicy, GpuArch, LaunchConfig, LaunchReport, Toolchain};
 
     fn particles(n: usize) -> (DeviceParticles, Vec<f64>, Vec<f64>, Vec<f64>) {
         let hp = HostParticles {
@@ -178,7 +180,7 @@ mod tests {
         (dp, rho, hp.u.clone(), hp.mass.clone())
     }
 
-    fn launch(k: &Subgrid) {
+    fn launch(k: &Subgrid) -> LaunchReport {
         let dev = Device::new(GpuArch::frontier(), Toolchain::sycl()).unwrap();
         let cfg = LaunchConfig::defaults_for(&dev.arch)
             .with_sg_size(32)
@@ -192,7 +194,35 @@ mod tests {
                 self.0.run(sg)
             }
         }
-        dev.launch(&Wrap(k), k.n_instances(32), cfg).unwrap();
+        dev.launch(&Wrap(k), k.n_instances(32), cfg).unwrap()
+    }
+
+    /// One metered launch, pinned: its instruction counts per class, its
+    /// register peak and the bits it writes. `matches_reference` checks
+    /// the physics against the f64 oracle; this checks that the kernel
+    /// body computes and charges exactly what it did.
+    #[test]
+    fn a_metered_launch_is_pinned() {
+        let (dp, _, _, _) = particles(40);
+        dp.dt_min.fill_f32(f32::MAX);
+        let k = Subgrid::new(dp.clone(), SubgridParams::default());
+        let report = launch(&k);
+        assert_eq!(
+            report.stats.counts,
+            [46, 0, 4, 0, 6, 4, 0, 0, 0, 0, 0, 0, 40, 0, 0]
+        );
+        assert_eq!(report.stats.peak_regs, 22);
+        // FNV-1a over the bits of a buffer.
+        let bits = |b: &Buffer| {
+            b.to_f32_vec()
+                .iter()
+                .fold(0xcbf2_9ce4_8422_2325_u64, |h, v| {
+                    (h ^ v.to_bits() as u64).wrapping_mul(0x0100_0000_01b3)
+                })
+        };
+        assert_eq!(bits(&k.cool_rate), 0x2d95_f4cc_29e7_1887, "cool_rate");
+        assert_eq!(bits(&k.sf_rate), 0x1f6f_51ec_abbe_fe9c, "sf_rate");
+        assert_eq!(dp.dt_min.read_f32(0).to_bits(), 0x3b79_d28a, "dt_min");
     }
 
     #[test]

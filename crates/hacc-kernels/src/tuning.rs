@@ -18,7 +18,7 @@
 use crate::launch::{StepPlan, GRAVITY_TIMER, HYDRO_TIMERS};
 use crate::variant::{Variant, ALL_VARIANTS};
 use hacc_telemetry::Recorder;
-use hacc_tune::{digest_strs, SizeBand, TuneCache, TuneChoice, TuneKey, Tuner};
+use hacc_tune::{digest_strs, SizeBand, TuneCache, TuneChoice, TuneKey};
 use sycl_sim::{tunable, GpuArch, GrfMode, LaunchConfig, TunablePoint};
 
 /// All timers the tuner plans: the seven hydro brackets plus gravity.
@@ -138,7 +138,7 @@ pub fn validate_choice(
 /// validated [`StepPlan`]s.
 #[derive(Clone, Debug)]
 pub struct TunedSelector {
-    tuner: Tuner,
+    table: TuneCache,
     arch: GpuArch,
     band: SizeBand,
     toolchain_visa: bool,
@@ -158,7 +158,7 @@ impl TunedSelector {
     ) -> Self {
         assert!(epsilon == 0.0, "exploration is gone: epsilon must be 0");
         Self {
-            tuner: Tuner::new(cache),
+            table: cache,
             arch: arch.clone(),
             band: SizeBand::of(n_particles),
             toolchain_visa,
@@ -196,9 +196,14 @@ impl TunedSelector {
         let mut plan = StepPlan::uniform(hand_variant, hand_choice.knobs().apply_to(base));
         for timer in tuned_timers() {
             let key = TuneKey::new(timer, self.arch.id, self.band);
-            let picked = self.tuner.select(&key, telemetry);
+            let Some(entry) = self.table.lookup(&key) else {
+                continue;
+            };
+            if let Some(t) = telemetry {
+                t.counter("tune.cache_hits", 1.0);
+            }
             if let Some((variant, choice)) =
-                picked.and_then(|c| validate_choice(&self.arch, self.toolchain_visa, &c))
+                validate_choice(&self.arch, self.toolchain_visa, &entry.choice)
             {
                 plan.set(timer, variant, choice.knobs().apply_to(base));
             }
@@ -357,5 +362,33 @@ mod tests {
         // No entry: the hand-picked table.
         let (v_grav, cfg_grav) = plan.choice(GRAVITY_TIMER);
         assert_eq!((v_grav, cfg_grav.sg_size), (Variant::Select, 64));
+    }
+
+    /// Every table row a plan reads counts one `tune.cache_hits`, also a
+    /// row that fails re-validation; a timer without a row counts none.
+    #[test]
+    fn each_row_read_counts_a_cache_hit() {
+        let arch = GpuArch::frontier();
+        let mut cache = TuneCache::new(arch_digest(&arch), kernel_digest());
+        let band = SizeBand::of(512);
+        // sg 16 is not legal on MI250X, so upCor's row fails validation.
+        for (timer, sg_size) in [("upGeo", 64), ("upCor", 16)] {
+            let choice = TuneChoice {
+                sg_size,
+                ..hand_picked_choice(&arch, Variant::Select)
+            };
+            cache.record(&TuneKey::new(timer, arch.id, band), &choice, 1e-4);
+        }
+        let mut sel = TunedSelector::new(&arch, 512, cache, 0.0, false);
+        let rec = Recorder::new();
+        for _ in 0..5 {
+            sel.plan(
+                Variant::Select,
+                LaunchConfig::defaults_for(&arch),
+                Some(&rec),
+            );
+        }
+        let hits = hacc_telemetry::counter_total(&rec.events(), "tune.cache_hits");
+        assert_eq!(hits, 10.0);
     }
 }

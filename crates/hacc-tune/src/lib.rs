@@ -11,22 +11,18 @@
 //! Parametrized SYCL Kernels" searches them offline per device and
 //! picks a row at run time. The modeled clock is deterministic, so the
 //! offline sweep (`figures -- autotune`) finds the winners exactly, and
-//! nothing is learned while a simulation runs. This crate owns:
-//!
-//! * the **table** ([`TuneCache`]) keyed by [`TuneKey`], with a
-//!   canonical JSON form whose parser is hardened against hostile input
-//!   like the checkpoint codecs (checked schema, entry caps,
-//!   range-validated knobs; truncation and bit-flips parse to errors,
-//!   never panics);
-//! * the **row reader** ([`Tuner::select`]) — a table lookup that
-//!   counts `tune.cache_hits` through the existing [`Recorder`] plane.
+//! nothing is learned while a simulation runs. This crate owns the
+//! **table** ([`TuneCache`]) keyed by [`TuneKey`], with a canonical JSON
+//! form whose parser is hardened against hostile input like the
+//! checkpoint codecs (checked schema, entry caps, range-validated knobs;
+//! truncation and bit-flips parse to errors, never panics). A plan reads
+//! one row of it per kernel (`hacc_kernels::tuning::TunedSelector`).
 //!
 //! The variant axis is carried as a string id (`Variant::id`) so this
 //! crate stays below `hacc-kernels` in the dependency order; the kernel
 //! layer converts ids back to its `Variant` enum and re-validates every
 //! choice against the live architecture before trusting it.
 
-use hacc_telemetry::Recorder;
 use std::collections::BTreeMap;
 use std::fmt;
 use sycl_sim::{GrfMode, LaunchBounds, TunablePoint};
@@ -469,30 +465,6 @@ fn parse_entry(v: &serde::Value) -> Result<TuneEntry, String> {
     })
 }
 
-/// The row reader: a lookup in the table of winners.
-#[derive(Clone, Debug)]
-pub struct Tuner {
-    cache: TuneCache,
-}
-
-impl Tuner {
-    /// Wraps a table of winners.
-    pub fn new(cache: TuneCache) -> Self {
-        Self { cache }
-    }
-
-    /// The table's winner for `key` (`tune.cache_hits`), or `None` when
-    /// the table holds none — the caller falls back to the hand-picked
-    /// table.
-    pub fn select(&self, key: &TuneKey, telemetry: Option<&Recorder>) -> Option<TuneChoice> {
-        let entry = self.cache.lookup(key)?;
-        if let Some(t) = telemetry {
-            t.counter("tune.cache_hits", 1.0);
-        }
-        Some(entry.choice.clone())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -569,24 +541,5 @@ mod tests {
         ] {
             assert!(TuneCache::from_json(text).is_err(), "accepted: {text}");
         }
-    }
-
-    #[test]
-    fn telemetry_counters_track_tuner_activity() {
-        let mut cache = TuneCache::new(0, 0);
-        cache.record(&key(), &choice("Broadcast", 16), 1.0);
-        let t = Tuner::new(cache);
-        let rec = Recorder::new();
-        for _ in 0..5 {
-            assert_eq!(t.select(&key(), Some(&rec)), Some(choice("Broadcast", 16)));
-        }
-        assert_eq!(
-            t.select(&TuneKey::new("upCor", "pvc", SizeBand::Small), Some(&rec)),
-            None
-        );
-        assert_eq!(
-            hacc_telemetry::counter_total(&rec.events(), "tune.cache_hits"),
-            5.0
-        );
     }
 }

@@ -99,12 +99,6 @@ impl Buffer {
         self.atomic_rmw_f32(i, |old| old.min(v))
     }
 
-    /// Atomic FP32 max.
-    #[inline]
-    pub fn atomic_max_f32(&self, i: usize, v: f32) -> f32 {
-        self.atomic_rmw_f32(i, |old| old.max(v))
-    }
-
     #[inline]
     fn atomic_rmw_f32(&self, i: usize, f: impl Fn(f32) -> f32) -> f32 {
         let cell = &self.data[i];
@@ -172,14 +166,11 @@ mod tests {
     }
 
     #[test]
-    fn atomic_min_max() {
-        let b = Buffer::from_f32(&[5.0, 5.0]);
-        b.atomic_min_f32(0, 3.0);
-        b.atomic_min_f32(0, 4.0);
-        b.atomic_max_f32(1, 9.0);
-        b.atomic_max_f32(1, 7.0);
+    fn atomic_min_keeps_the_least() {
+        let b = Buffer::from_f32(&[5.0]);
+        assert_eq!(b.atomic_min_f32(0, 3.0), 5.0);
+        assert_eq!(b.atomic_min_f32(0, 4.0), 3.0);
         assert_eq!(b.read_f32(0), 3.0);
-        assert_eq!(b.read_f32(1), 9.0);
     }
 
     #[test]

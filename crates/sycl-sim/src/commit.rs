@@ -39,8 +39,6 @@ pub(crate) enum AtomicKind {
     Add,
     /// FP32 atomic min.
     Min,
-    /// FP32 atomic max.
-    Max,
 }
 
 /// One deferred atomic instruction: the active lanes' `(index, value)`
@@ -67,7 +65,6 @@ fn replay_one(buf: &Buffer, kind: AtomicKind, i: u32, v: f32) {
     match kind {
         AtomicKind::Add => buf.replay_rmw_f32(i, |old| old + v),
         AtomicKind::Min => buf.replay_rmw_f32(i, |old| old.min(v)),
-        AtomicKind::Max => buf.replay_rmw_f32(i, |old| old.max(v)),
     }
 }
 
@@ -137,14 +134,6 @@ mod tests {
         };
         mn.apply();
         assert_eq!(buf.read_f32(0), 2.5);
-
-        let mx = AtomicOp {
-            kind: AtomicKind::Max,
-            buf: buf.clone(),
-            updates: vec![(1, 9.0)],
-        };
-        mx.apply();
-        assert_eq!(buf.read_f32(1), 9.0);
     }
 
     /// Ops spanning two distinct buffers and many cache lines, with
@@ -168,7 +157,7 @@ mod tests {
                         },
                         AtomicOp {
                             kind: if k % 2 == 0 {
-                                AtomicKind::Max
+                                AtomicKind::Min
                             } else {
                                 AtomicKind::Add
                             },

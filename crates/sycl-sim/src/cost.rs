@@ -174,6 +174,7 @@ mod tests {
     use super::*;
     use crate::device::{Device, LaunchConfig};
     use crate::exec::ExecutionPolicy;
+    use crate::real::Real;
     use crate::subgroup::Sg;
     use crate::toolchain::Toolchain;
 
@@ -253,7 +254,7 @@ mod tests {
             }
             let mut acc = sg.splat_f32(0.0);
             for r in &regs {
-                acc = &acc + r;
+                acc = acc.add(r);
             }
         };
         // PVC at sg32 default GRF: budget 64 → spills.
@@ -279,7 +280,7 @@ mod tests {
             }
             let mut acc = sg.splat_f32(0.0);
             for r in &regs {
-                acc = &acc + r;
+                acc = acc.add(r);
             }
         };
         let dev = Device::new(GpuArch::aurora(), Toolchain::sycl()).unwrap();
@@ -314,7 +315,7 @@ mod tests {
             }
             let mut acc = sg.splat_f32(0.0);
             for r in &regs {
-                acc = &acc + r;
+                acc = acc.add(r);
             }
         };
         let dev = Device::new(GpuArch::frontier(), Toolchain::sycl()).unwrap();
@@ -386,7 +387,7 @@ mod tests {
         let kernel = |sg: &mut Sg| {
             let x = sg.splat_f32(1.0);
             for _ in 0..100 {
-                let _ = &x * &x;
+                let _ = x.mul(&x);
             }
         };
         // Same lane count: 16 sub-groups of 32 vs 8 of 64.

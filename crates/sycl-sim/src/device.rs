@@ -474,6 +474,7 @@ mod tests {
     use super::*;
     use crate::buffer::Buffer;
     use crate::meter::InstrClass as C;
+    use crate::real::Real;
     use crate::toolchain::Toolchain;
 
     fn device() -> Device {
@@ -488,7 +489,7 @@ mod tests {
         let kernel = move |sg: &mut Sg| {
             let v = sg.splat_f32(1.0);
             let idx = sg.splat_u32(0);
-            let mask = sg.splat_bool(true);
+            let mask = sg.lane_id().lt_scalar(sg.size as u32);
             sg.atomic_add(&out2, &idx, &v, &mask);
         };
         let cfg = LaunchConfig::defaults_for(&dev.arch).with_sg_size(32);
@@ -513,7 +514,7 @@ mod tests {
                     let m = ((sg.sg_id * 31 + l * 7) % 23) as i32 - 11;
                     (1.0f32 + l as f32 / 64.0) * (2.0f32).powi(m)
                 });
-                let mask = sg.splat_bool(true);
+                let mask = sg.lane_id().lt_scalar(sg.size as u32);
                 sg.atomic_add(&out2, &idx, &v, &mask);
                 let low = sg.lane_id().lt_scalar(8);
                 let small = sg.from_fn_f32(|l| -(l as f32) * 0.125);
@@ -541,7 +542,7 @@ mod tests {
         let kernel = move |sg: &mut Sg| {
             let idx = sg.splat_u32(0);
             let v = sg.splat_f32(1.0);
-            let mask = sg.splat_bool(true);
+            let mask = sg.lane_id().lt_scalar(sg.size as u32);
             sg.atomic_add(&out2, &idx, &v, &mask);
             if sg.sg_id == 5 {
                 panic!("injected worker failure");
@@ -569,7 +570,7 @@ mod tests {
         let kernel = |sg: &mut Sg| {
             let a = sg.from_fn_f32(|l| l as f32);
             let b = sg.shuffle_xor(&a, 7);
-            let _ = &a * &b;
+            let _ = a.mul(&b);
         };
         let cfg = LaunchConfig::defaults_for(&dev.arch);
         let par = dev.launch(&kernel, 25, cfg).unwrap();
@@ -671,7 +672,7 @@ mod tests {
         let kernel = |sg: &mut Sg| {
             let a = sg.from_fn_f32(|l| l as f32);
             let b = sg.shuffle_xor(&a, 1);
-            let _ = &a * &b;
+            let _ = a.mul(&b);
         };
         let cfg = LaunchConfig::defaults_for(&dev.arch).with_exec(ExecutionPolicy::Serial);
         let report = dev.launch(&kernel, 8, cfg).unwrap();
@@ -695,7 +696,7 @@ mod tests {
         let dev = device();
         let kernel = |sg: &mut Sg| {
             let a = sg.from_fn_f32(|l| l as f32);
-            let _ = &a * &a;
+            let _ = a.mul(&a);
         };
         let par = dev
             .launch(
@@ -729,7 +730,7 @@ mod tests {
         let kernel = |sg: &mut Sg| {
             let a = sg.from_fn_f32(|l| l as f32);
             let b = sg.shuffle_xor(&a, 1);
-            let _ = &a * &b;
+            let _ = a.mul(&b);
         };
         let cfg = LaunchConfig::defaults_for(&device().arch).with_exec(ExecutionPolicy::Serial);
         let clean = device();
@@ -760,7 +761,7 @@ mod tests {
         let kernel = move |sg: &mut Sg| {
             let v = sg.splat_f32(1.0);
             let idx = sg.splat_u32(0);
-            let mask = sg.splat_bool(true);
+            let mask = sg.lane_id().lt_scalar(sg.size as u32);
             sg.atomic_add(&out2, &idx, &v, &mask);
         };
         let cfg = LaunchConfig::defaults_for(&dev.arch).with_sg_size(32);
@@ -784,7 +785,7 @@ mod tests {
             fn run(&self, sg: &mut Sg) {
                 let v = sg.splat_f32(1.0);
                 let idx = sg.lane_id();
-                let mask = sg.splat_bool(true);
+                let mask = sg.lane_id().lt_scalar(sg.size as u32);
                 sg.store_f32(&self.out, &idx, &v, &mask);
             }
             fn output_buffers(&self) -> Vec<Buffer> {
@@ -846,8 +847,8 @@ mod tests {
                     (1.0f32 + l as f32 / 64.0) * (2.0f32).powi(m)
                 });
                 let w = sg.shuffle_xor(&v, 5);
-                let s = &v + &w.rsqrt();
-                let mask = sg.splat_bool(true);
+                let s = v.add(&w.rsqrt());
+                let mask = sg.lane_id().lt_scalar(sg.size as u32);
                 sg.atomic_add(&out2, &idx, &s, &mask);
             };
             let cfg = LaunchConfig::defaults_for(&dev.arch)
@@ -881,7 +882,7 @@ mod tests {
         let kernel = |sg: &mut Sg| {
             let a = sg.from_fn_f32(|l| l as f32);
             let b = sg.shuffle_xor(&a, 3);
-            let _ = &a * &b;
+            let _ = a.mul(&b);
         };
         let cfg = LaunchConfig::defaults_for(&plain.arch).with_exec(ExecutionPolicy::Serial);
         let a = plain.launch(&kernel, 6, cfg).unwrap();

@@ -2,12 +2,12 @@
 //! metering and virtual-register tracking.
 //!
 //! A `Lanes<f32>` models one vector register holding one 32-bit value per
-//! work-item of a sub-group. Every arithmetic operation charges the
-//! sub-group meter with the appropriate [`InstrClass`], and every live
-//! `Lanes` occupies tracked virtual registers — so a kernel's register
-//! pressure (the paper's central tuning concern, §5.2) **emerges from the
-//! number of live temporaries in the kernel source**, exactly as it does
-//! under a real compiler.
+//! work-item of a sub-group. Its arithmetic is its [`Real`] instance and
+//! nothing else: every op charges the sub-group meter with its
+//! [`InstrClass`], and every live `Lanes` occupies tracked virtual
+//! registers — so a kernel's register pressure (the paper's central
+//! tuning concern, §5.2) **emerges from the number of live temporaries in
+//! the kernel source**, exactly as it does under a real compiler.
 //!
 //! ## One data path
 //!
@@ -27,7 +27,7 @@
 //! whatever the sub-group size `n`, popped from and pushed back to a
 //! fixed stack of `Cell` slots on the sub-group's meter, so any pooled
 //! register serves any sub-group. The value borrows the meter its
-//! [`Sg`](crate::Sg) owns (`&'sg SgMeter`): an op costs no reference
+//! [`Sg`] owns (`&'sg SgMeter`): an op costs no reference
 //! count, and the compiler checks that no register outlives its
 //! sub-group. A retired meter hands its pools to the next one on the
 //! same thread through a thread-local stash.
@@ -35,8 +35,10 @@
 //! **Padding lanes** `n..` hold stale values. Only the pure element-wise
 //! loops compute on them (see `simd`); every reader sees lanes `0..n`.
 
-use crate::meter::{InstrClass, RegPool, SgMeter};
+use crate::meter::{InstrClass, InstrClass::Alu, RegPool, SgMeter};
+use crate::real::Real;
 use crate::simd::{self, Reg};
+use crate::subgroup::Sg;
 
 /// Lanes of one register: the widest sub-group the simulator runs
 /// (AMD wave64). Every register has this width; a sub-group of size
@@ -245,164 +247,68 @@ impl<T: LaneScalar> std::fmt::Debug for Lanes<'_, T> {
 }
 
 // ---------------------------------------------------------------------------
-// f32 arithmetic
+// f32 arithmetic: the `Real` instance, a register's only arithmetic
 // ---------------------------------------------------------------------------
 
-macro_rules! impl_f32_binop {
-    ($trait:ident, $method:ident, $class:expr, $op:tt) => {
-        impl<'sg> std::ops::$trait for &Lanes<'sg, f32> {
-            type Output = Lanes<'sg, f32>;
-            #[inline]
-            fn $method(self, rhs: &Lanes<'sg, f32>) -> Lanes<'sg, f32> {
-                self.zip_into(rhs, $class, |a, b| a $op b)
-            }
-        }
-        impl<'sg> std::ops::$trait<f32> for &Lanes<'sg, f32> {
-            type Output = Lanes<'sg, f32>;
-            #[inline]
-            fn $method(self, rhs: f32) -> Lanes<'sg, f32> {
-                self.map_into($class, |a| a $op rhs)
-            }
+/// `Div`, or `MathFast` under fast-math, where division and square root
+/// become reciprocal and native sequences.
+#[inline]
+fn div_class(meter: &SgMeter) -> InstrClass {
+    if meter.fast_math {
+        InstrClass::MathFast
+    } else {
+        InstrClass::Div
+    }
+}
+
+/// `impl Real for Lanes<f32>`, one line per op: one charge of the op's
+/// class and one register for its result. Every op is `#[inline]`, as
+/// the kernels that call it live in other crates.
+macro_rules! lanes_real {
+    ($(fn $name:ident($($param:tt)*) -> $ret:ty $body:block)*) => {
+        impl<'sg> Real for Lanes<'sg, f32> {
+            type Mask = Lanes<'sg, bool>;
+            type Ctx = &'sg Sg;
+            $(#[inline] fn $name($($param)*) -> $ret $body)*
         }
     };
 }
-
-impl_f32_binop!(Add, add, InstrClass::Alu, +);
-impl_f32_binop!(Sub, sub, InstrClass::Alu, -);
-impl_f32_binop!(Mul, mul, InstrClass::Alu, *);
-
-impl<'sg> std::ops::Div for &Lanes<'sg, f32> {
-    type Output = Lanes<'sg, f32>;
-    #[inline]
-    fn div(self, rhs: &Lanes<'sg, f32>) -> Lanes<'sg, f32> {
-        // Fast-math turns division into a reciprocal-multiply sequence.
-        let class = if self.meter.fast_math {
-            InstrClass::MathFast
-        } else {
-            InstrClass::Div
-        };
-        self.zip_into(rhs, class, |a, b| a / b)
-    }
-}
-
-impl<'sg> std::ops::Div<f32> for &Lanes<'sg, f32> {
-    type Output = Lanes<'sg, f32>;
-    #[inline]
-    fn div(self, rhs: f32) -> Lanes<'sg, f32> {
-        // Division by a scalar constant is strength-reduced to a multiply.
-        self.map_into(InstrClass::Alu, |a| a / rhs)
-    }
-}
-
-impl<'sg> std::ops::Neg for &Lanes<'sg, f32> {
-    type Output = Lanes<'sg, f32>;
-    #[inline]
-    fn neg(self) -> Lanes<'sg, f32> {
-        self.map_into(InstrClass::Alu, |a| -a)
-    }
-}
-
-impl<'sg> Lanes<'sg, f32> {
-    /// Fused multiply-add `self * b + c` (one instruction).
-    #[inline]
-    pub fn fma(&self, b: &Lanes<'sg, f32>, c: &Lanes<'sg, f32>) -> Lanes<'sg, f32> {
-        self.meter.charge(InstrClass::Alu, 1);
+lanes_real! {
+    fn splat(sg: &'sg Sg, c: f64) -> Self { sg.splat_f32(c as f32) }
+    fn add(&self, o: &Self) -> Self { self.zip_into(o, Alu, |a, b| a + b) }
+    fn sub(&self, o: &Self) -> Self { self.zip_into(o, Alu, |a, b| a - b) }
+    fn mul(&self, o: &Self) -> Self { self.zip_into(o, Alu, |a, b| a * b) }
+    fn div(&self, o: &Self) -> Self { self.zip_into(o, div_class(self.meter), |a, b| a / b) }
+    fn neg(&self) -> Self { self.map_into(Alu, |a| -a) }
+    fn add_c(&self, c: f64) -> Self { let c = c as f32; self.map_into(Alu, move |a| a + c) }
+    fn mul_c(&self, c: f64) -> Self { let c = c as f32; self.map_into(Alu, move |a| a * c) }
+    // Division by a constant is strength-reduced to a multiply.
+    fn div_c(&self, c: f64) -> Self { let c = c as f32; self.map_into(Alu, move |a| a / c) }
+    fn fma(&self, b: &Self, c: &Self) -> Self {
+        self.meter.charge(Alu, 1);
         self.apply_zip3(b, c, |a, b, c| a * b + c)
     }
-
-    /// |x| (single ALU op).
-    #[inline]
-    pub fn abs(&self) -> Lanes<'sg, f32> {
-        self.map_into(InstrClass::Alu, f32::abs)
+    fn sqrt(&self) -> Self { self.map_into(div_class(self.meter), f32::sqrt) }
+    // Transcendental-class, whatever the math mode.
+    fn rsqrt(&self) -> Self { self.meter.charge_math(1); self.apply_map(|v| 1.0 / v.sqrt()) }
+    fn round(&self) -> Self { self.map_into(Alu, f32::round) }
+    fn abs(&self) -> Self { self.map_into(Alu, f32::abs) }
+    fn max(&self, o: &Self) -> Self { self.zip_into(o, Alu, f32::max) }
+    fn min(&self, o: &Self) -> Self { self.zip_into(o, Alu, f32::min) }
+    fn lt(&self, o: &Self) -> Self::Mask { self.zip_into(o, Alu, |a, b| a < b) }
+    fn lt_c(&self, c: f64) -> Self::Mask { let c = c as f32; self.map_into(Alu, move |a| a < c) }
+    fn gt_c(&self, c: f64) -> Self::Mask { let c = c as f32; self.map_into(Alu, move |a| a > c) }
+    // `select` and `zero_unless` are one predicated mov each.
+    fn select(&self, m: &Self::Mask, o: &Self) -> Self {
+        self.meter.charge(Alu, 1);
+        self.apply_zip3(m, o, |a, m, b| if m { a } else { b })
     }
-
-    /// Round to nearest (single ALU op; used for minimum-image wrapping).
-    #[inline]
-    pub fn round(&self) -> Lanes<'sg, f32> {
-        self.map_into(InstrClass::Alu, f32::round)
+    fn zero_unless(&self, m: &Self::Mask) -> Self {
+        self.meter.charge(Alu, 1);
+        self.apply_zip(m, |a, m| if m { a } else { 0.0 })
     }
-
-    /// Floor (single ALU op).
-    #[inline]
-    pub fn floor(&self) -> Lanes<'sg, f32> {
-        self.map_into(InstrClass::Alu, f32::floor)
-    }
-
-    /// Square root (precise: `Div`-class pipeline; fast-math: native).
-    #[inline]
-    pub fn sqrt(&self) -> Lanes<'sg, f32> {
-        let class = if self.meter.fast_math {
-            InstrClass::MathFast
-        } else {
-            InstrClass::Div
-        };
-        self.map_into(class, f32::sqrt)
-    }
-
-    /// Reciprocal square root (always transcendental-class).
-    #[inline]
-    pub fn rsqrt(&self) -> Lanes<'sg, f32> {
-        self.meter.charge_math(1);
-        self.apply_map(|v| 1.0 / v.sqrt())
-    }
-
-    /// `exp(x)` (transcendental).
-    #[inline]
-    pub fn exp(&self) -> Lanes<'sg, f32> {
-        self.meter.charge_math(1);
-        self.apply_map(|v| v.exp())
-    }
-
-    /// `x^p` with a lane-varying exponent (transcendental).
-    #[inline]
-    pub fn powf(&self, p: &Lanes<'sg, f32>) -> Lanes<'sg, f32> {
-        self.meter.charge_math(1);
-        self.apply_zip(p, |v, e| v.powf(e))
-    }
-
-    /// Element-wise minimum.
-    #[inline]
-    pub fn min(&self, other: &Lanes<'sg, f32>) -> Lanes<'sg, f32> {
-        self.zip_into(other, InstrClass::Alu, f32::min)
-    }
-
-    /// Element-wise maximum.
-    #[inline]
-    pub fn max(&self, other: &Lanes<'sg, f32>) -> Lanes<'sg, f32> {
-        self.zip_into(other, InstrClass::Alu, f32::max)
-    }
-
-    /// `self < rhs` per lane.
-    #[inline]
-    pub fn lt(&self, rhs: &Lanes<'sg, f32>) -> Lanes<'sg, bool> {
-        self.zip_into(rhs, InstrClass::Alu, |a, b| a < b)
-    }
-
-    /// `self < c` per lane.
-    #[inline]
-    pub fn lt_scalar(&self, c: f32) -> Lanes<'sg, bool> {
-        self.map_into(InstrClass::Alu, move |a| a < c)
-    }
-
-    /// `self > c` per lane.
-    #[inline]
-    pub fn gt_scalar(&self, c: f32) -> Lanes<'sg, bool> {
-        self.map_into(InstrClass::Alu, move |a| a > c)
-    }
-
-    /// Masked select: `mask ? self : other` (one predicated mov).
-    #[inline]
-    pub fn select(&self, mask: &Lanes<'sg, bool>, other: &Lanes<'sg, f32>) -> Lanes<'sg, f32> {
-        self.meter.charge(InstrClass::Alu, 1);
-        self.apply_zip3(mask, other, |a, m, b| if m { a } else { b })
-    }
-
-    /// Zeroes lanes where the mask is false (predicated mov).
-    #[inline]
-    pub fn zero_unless(&self, mask: &Lanes<'sg, bool>) -> Lanes<'sg, f32> {
-        self.meter.charge(InstrClass::Alu, 1);
-        self.apply_zip(mask, |a, m| if m { a } else { 0.0 })
-    }
+    fn and(m: &Self::Mask, o: &Self::Mask) -> Self::Mask { m.and(o) }
+    fn not(m: &Self::Mask) -> Self::Mask { m.not() }
 }
 
 // ---------------------------------------------------------------------------
@@ -523,7 +429,7 @@ mod tests {
     use super::*;
     use crate::arch::GpuArch;
     use crate::meter::MeterPolicy;
-    use crate::subgroup::{Sg, SgConfig};
+    use crate::subgroup::SgConfig;
 
     const POLICIES: [MeterPolicy; 2] = [MeterPolicy::Full, MeterPolicy::Off];
 
@@ -537,8 +443,8 @@ mod tests {
         for meter in POLICIES.map(meter) {
             let a = Lanes::<f32>::build(32, &meter, |l| (l as f32).sin() * 3.0);
             let b = Lanes::<f32>::build(32, &meter, |l| 1.0 + l as f32);
-            let m = a.lt_scalar(0.0);
-            let sum = &a + &b;
+            let m = a.lt_c(0.0);
+            let sum = a.add(&b);
             let fma = a.fma(&b, &sum);
             let sel = a.select(&m, &b);
             let rs = b.rsqrt();
@@ -564,12 +470,12 @@ mod tests {
             meter.pools.f32.clear();
             {
                 let a = Lanes::<f32>::build(16, &meter, |l| l as f32);
-                let _b = &a * 2.0;
+                let _b = a.mul_c(2.0);
             } // both dropped into the pool
             assert_eq!(meter.pools.f32.len(), 2);
             {
                 let a = Lanes::<f32>::build(16, &meter, |l| l as f32);
-                let b = &a * 2.0;
+                let b = a.mul_c(2.0);
                 // Both values came from the pool…
                 assert_eq!(meter.pools.f32.len(), 0);
                 // …and reused storage carries no stale data.
@@ -642,6 +548,74 @@ mod tests {
         assert_eq!((meter.snapshot(), meter.live_regs()), before);
     }
 
+    /// The counts `op` charges and the registers live while its result
+    /// is held.
+    fn charged<R>(sg: &Sg, op: impl FnOnce() -> R) -> ([u64; crate::meter::N_CLASSES], u32) {
+        let before = sg.meter().snapshot().counts;
+        let result = op();
+        let after = sg.meter().snapshot().counts;
+        let live = sg.meter().live_regs();
+        drop(result);
+        (std::array::from_fn(|c| after[c] - before[c]), live)
+    }
+
+    /// The per-op charge table of `Lanes<f32>`: every arithmetic op
+    /// charges one instruction of its class, under precise and fast
+    /// math, and takes one register for its result.
+    #[test]
+    fn each_op_charges_one_instruction_of_its_class() {
+        use InstrClass::{Alu, Div, MathFast, MathPrecise};
+        for fast_math in [false, true] {
+            let sg = Sg::new(
+                0,
+                16,
+                SgConfig::for_arch(&GpuArch::aurora(), fast_math, true),
+            );
+            let a = sg.from_fn_f32(|l| 1.0 + l as f32);
+            let b = sg.from_fn_f32(|l| 2.0 - l as f32);
+            let m = a.lt_c(4.0);
+            let k = b.lt_c(0.0);
+            let base = sg.meter().live_regs();
+            let (div, math) = if fast_math {
+                (MathFast, MathFast)
+            } else {
+                (Div, MathPrecise)
+            };
+            let table = [
+                ("splat", Alu, charged(&sg, || Lanes::<f32>::splat(&sg, 0.5))),
+                ("add", Alu, charged(&sg, || a.add(&b))),
+                ("sub", Alu, charged(&sg, || a.sub(&b))),
+                ("mul", Alu, charged(&sg, || a.mul(&b))),
+                ("div", div, charged(&sg, || a.div(&b))),
+                ("neg", Alu, charged(&sg, || a.neg())),
+                ("add_c", Alu, charged(&sg, || a.add_c(0.5))),
+                ("mul_c", Alu, charged(&sg, || a.mul_c(0.5))),
+                ("div_c", Alu, charged(&sg, || a.div_c(0.5))),
+                ("fma", Alu, charged(&sg, || a.fma(&b, &a))),
+                ("sqrt", div, charged(&sg, || a.sqrt())),
+                ("rsqrt", math, charged(&sg, || a.rsqrt())),
+                ("round", Alu, charged(&sg, || a.round())),
+                ("abs", Alu, charged(&sg, || b.abs())),
+                ("max", Alu, charged(&sg, || a.max(&b))),
+                ("min", Alu, charged(&sg, || a.min(&b))),
+                ("lt", Alu, charged(&sg, || a.lt(&b))),
+                ("lt_c", Alu, charged(&sg, || a.lt_c(0.5))),
+                ("gt_c", Alu, charged(&sg, || a.gt_c(0.5))),
+                ("select", Alu, charged(&sg, || a.select(&m, &b))),
+                ("zero_unless", Alu, charged(&sg, || a.zero_unless(&m))),
+                ("and", Alu, charged(&sg, || Lanes::<f32>::and(&m, &k))),
+                ("not", Alu, charged(&sg, || Lanes::<f32>::not(&m))),
+            ];
+            for (op, class, (counts, live)) in table {
+                let mut want = [0u64; crate::meter::N_CLASSES];
+                want[class as usize] = 1;
+                assert_eq!(counts, want, "{op} (fast_math {fast_math})");
+                assert_eq!(live, base + 1, "{op} (fast_math {fast_math})");
+            }
+            assert_eq!(sg.meter().live_regs(), base);
+        }
+    }
+
     /// Pooling is invisible to the bookkeeping: a fixed op sequence on a
     /// metered sub-group reports the counts, register peak and
     /// local-memory footprint the allocate-per-op interpreter reported,
@@ -659,7 +633,7 @@ mod tests {
                 let d = sg.local_exchange(&c, &idx);
                 let e = sg.shuffle_xor(&d, 1);
                 let m = e.lt(&c);
-                let _f = (&c / &e).select(&m, &d.clone());
+                let _f = c.div(&e).select(&m, &d.clone());
             }
             let stats = sg.meter().snapshot();
             let mut want = [0u64; crate::meter::N_CLASSES];

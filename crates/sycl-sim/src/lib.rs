@@ -6,8 +6,9 @@
 //! binding or multi-vendor GPU hardware is available; see DESIGN.md §2).
 //!
 //! Kernels are written once against a portable sub-group API ([`Sg`] +
-//! [`Lanes`]) and executed *functionally*, lane by lane, so their numerical
-//! results are real and testable. During execution every instruction is
+//! [`Lanes`], whose arithmetic is the [`Real`] vocabulary) and executed
+//! *functionally*, lane by lane, so their numerical results are real and
+//! testable. During execution every instruction is
 //! metered by class ([`meter::InstrClass`]), register pressure is tracked
 //! from live temporaries, and per-architecture cost models
 //! ([`cost::CostModel`]) convert the meters into time — reproducing the
@@ -32,6 +33,7 @@ pub mod exec;
 pub mod fault;
 pub mod lanes;
 pub mod meter;
+pub mod real;
 mod simd;
 pub mod subgroup;
 pub mod taskgraph;
@@ -49,6 +51,7 @@ pub use fault::{
 };
 pub use lanes::{LaneScalar, Lanes};
 pub use meter::{InstrClass, LaunchStats, MeterPolicy, SgMeter, ALL_CLASSES, N_CLASSES};
+pub use real::Real;
 pub use subgroup::{Sg, SgConfig};
 pub use taskgraph::{GraphError, ResourceId, RunError, RunStats, TaskGraph, TaskId};
 pub use toolchain::{Lang, Toolchain};
@@ -124,7 +127,7 @@ mod proptests {
                 let mut acc = sg.splat_f32(1.0);
                 for i in 0..n_ops {
                     let t = sg.splat_f32(i as f32);
-                    acc = &acc + &t;
+                    acc = acc.add(&t);
                 }
             }
             // Everything dropped.

@@ -135,12 +135,6 @@ impl Sg {
         Lanes::build(self.size, &self.meter, |_| v)
     }
 
-    /// Splat for bool.
-    pub fn splat_bool(&self, v: bool) -> Lanes<'_, bool> {
-        self.meter.charge(InstrClass::Alu, 1);
-        Lanes::build(self.size, &self.meter, |_| v)
-    }
-
     /// Lane index vector `0, 1, …, S−1` — the SYCL
     /// `sub_group::get_local_id()` built-in, free on hardware with lane-ID
     /// registers (§5.1).
@@ -212,7 +206,6 @@ impl Sg {
                 match kind {
                     AtomicKind::Add => buf.atomic_add_f32(i, x),
                     AtomicKind::Min => buf.atomic_min_f32(i, x),
-                    AtomicKind::Max => buf.atomic_max_f32(i, x),
                 };
             }
         }
@@ -238,17 +231,6 @@ impl Sg {
             InstrClass::AtomicCas
         };
         self.atomic_rmw(AtomicKind::Min, class, buf, idx, v, mask);
-    }
-
-    /// Masked atomic FP32 max (same classification as
-    /// [`Sg::atomic_min`]).
-    pub fn atomic_max(&self, buf: &Buffer, idx: &Lanes<u32>, v: &Lanes<f32>, mask: &Lanes<bool>) {
-        let class = if self.config.native_float_minmax {
-            InstrClass::AtomicNative
-        } else {
-            InstrClass::AtomicCas
-        };
-        self.atomic_rmw(AtomicKind::Max, class, buf, idx, v, mask);
     }
 
     // -- cross-lane communication --------------------------------------------
@@ -371,6 +353,7 @@ mod tests {
     use super::*;
     use crate::arch::GpuArch;
     use crate::meter::InstrClass as C;
+    use crate::real::Real;
 
     fn sg(arch: &GpuArch, size: usize) -> Sg {
         Sg::new(0, size, SgConfig::for_arch(arch, true, arch.supports_visa))
@@ -414,14 +397,14 @@ mod tests {
             // fill, map, zip, zip3
             assert_lanes(&a, av, "fill");
             assert_lanes(&id, |l| l as u32, "lane_id");
-            assert_lanes(&-&a, |l| -av(l), "map");
+            assert_lanes(&a.neg(), |l| -av(l), "map");
             assert_lanes(
                 &id.add_scalar(7).mod_scalar(3),
                 |l| (l as u32 + 7) % 3,
                 "u32 map",
             );
             assert_lanes(&id.add(&id).to_f32(), |l| (2 * l) as f32, "u32 zip");
-            assert_lanes(&(&a + &b), |l| av(l) + bv(l), "zip");
+            assert_lanes(&a.add(&b), |l| av(l) + bv(l), "zip");
             assert_lanes(&a.fma(&b, &c), |l| av(l) * bv(l) + 0.5, "zip3");
             let lower = id.lt_scalar(h as u32);
             assert_lanes(&lower, |l| l < h, "compare");
@@ -459,12 +442,12 @@ mod tests {
             // readers of the poisoned padding of fills
             let ones = s.splat_f32(1.0);
             assert_eq!(format!("{ones:?}"), format!("Lanes({:?})", vec![1.0f32; n]));
-            let none = s.splat_bool(false);
+            let none = id.lt_scalar(0);
             assert!(
                 !none.any() && !none.all() && none.count() == 0,
                 "ballot at {n}"
             );
-            let all = s.splat_bool(true);
+            let all = id.lt_scalar(n as u32);
             assert!(
                 all.any() && all.all() && all.count() == n as u64,
                 "ballot at {n}"
@@ -481,12 +464,12 @@ mod tests {
             );
             s.atomic_add(&out, &id, &b, &all);
             s.atomic_min(&out, &id, &c, &all);
-            s.atomic_max(&out, &id, &ones, &lower);
+            s.atomic_add(&out, &id, &ones, &lower);
             let want: Vec<f32> = (0..n)
                 .map(|l| {
                     let m = (av(l) + bv(l)).min(0.5);
                     if l < h {
-                        m.max(1.0)
+                        m + 1.0
                     } else {
                         m
                     }
@@ -672,7 +655,7 @@ mod tests {
         let buf = Buffer::from_f32(&[100.0]);
         let idx = nvidia.splat_u32(0);
         let v = nvidia.from_fn_f32(|l| l as f32);
-        let mask = nvidia.splat_bool(true);
+        let mask = nvidia.lane_id().lt_scalar(nvidia.size as u32);
         nvidia.atomic_min(&buf, &idx, &v, &mask);
         assert_eq!(nvidia.meter().snapshot().count(C::AtomicCas), 32);
         assert_eq!(buf.read_f32(0), 0.0);
@@ -681,7 +664,7 @@ mod tests {
         let buf = Buffer::from_f32(&[100.0]);
         let idx = intel.splat_u32(0);
         let v = intel.from_fn_f32(|l| 50.0 - l as f32);
-        let mask = intel.splat_bool(true);
+        let mask = intel.lane_id().lt_scalar(intel.size as u32);
         intel.atomic_min(&buf, &idx, &v, &mask);
         assert_eq!(intel.meter().snapshot().count(C::AtomicNative), 32);
         assert_eq!(buf.read_f32(0), 19.0);
@@ -705,9 +688,9 @@ mod tests {
         let base = s.meter().live_regs();
         {
             let a = s.from_fn_f32(|l| l as f32);
-            let b = &a * 2.0;
-            let c = &a + &b;
-            let _d = &c - &a;
+            let b = a.mul_c(2.0);
+            let c = a.add(&b);
+            let _d = c.sub(&a);
             assert_eq!(s.meter().live_regs(), base + 4);
         }
         assert_eq!(s.meter().live_regs(), base);
