@@ -181,7 +181,7 @@ fn kernel_winners(
 }
 
 /// Runs the sweep on one architecture.
-pub fn tune_arch(arch: &GpuArch, problem: &BenchProblem, full: bool) -> ArchReport {
+fn tune_arch(arch: &GpuArch, problem: &BenchProblem, full: bool) -> ArchReport {
     let visa = arch.supports_visa;
     let space = search_space(arch, full, visa);
     let table = &measure_space(arch, &space, problem);

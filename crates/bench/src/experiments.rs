@@ -260,7 +260,7 @@ pub(crate) fn timer_seconds(telemetry: &Recorder) -> BTreeMap<String, f64> {
 }
 
 /// Per-timer simulated seconds for one (arch, toolchain, choice) run.
-pub fn kernel_seconds(
+pub(crate) fn kernel_seconds(
     arch: &GpuArch,
     toolchain: Toolchain,
     choice: VariantChoice,
@@ -301,7 +301,7 @@ pub fn run_all_variants(arch: &GpuArch, problem: &BenchProblem) -> ArchRun {
 
 /// Per-kernel best seconds over all variants (the "hypothetical
 /// application" reference of Figure 12).
-pub fn best_per_kernel(run: &ArchRun) -> BTreeMap<String, f64> {
+pub(crate) fn best_per_kernel(run: &ArchRun) -> BTreeMap<String, f64> {
     let mut best: BTreeMap<String, f64> = BTreeMap::new();
     for timers in run.by_variant.values() {
         for (k, &v) in timers {

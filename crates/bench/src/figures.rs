@@ -13,8 +13,8 @@ use crate::experiments::{
 };
 use hacc_kernels::Variant;
 use hacc_metrics::{
-    cascade_plot, grouped_bars, navigation_chart, performance_portability, AppRecord, ConfigKind,
-    Mechanism, RepoInventory,
+    app_efficiency, cascade_plot, grouped_bars, navigation_chart, performance_portability,
+    AppRecord, ConfigKind, Mechanism, RepoInventory,
 };
 use hacc_telemetry::Recorder;
 use serde::Serialize;
@@ -38,10 +38,7 @@ pub fn table1() -> String {
 }
 
 /// Figure 2 data: per system, (build label, total kernel seconds).
-pub fn fig2_data(
-    problem: &BenchProblem,
-    data: &PortabilityData,
-) -> Vec<(String, Vec<(String, f64)>)> {
+fn fig2_data(problem: &BenchProblem, data: &PortabilityData) -> Vec<(String, Vec<(String, f64)>)> {
     let mut out = Vec::new();
     for (run, best) in data.runs.iter().zip(&data.best) {
         let arch = &run.arch;
@@ -122,7 +119,11 @@ pub fn fig_variants(run: &ArchRun) -> String {
     let groups: Vec<(String, Vec<f64>)> = hacc_kernels::HYDRO_TIMERS
         .iter()
         .map(|&t| {
-            let effs = run.by_variant.values().map(|m| best[t] / m[t]).collect();
+            let effs = run
+                .by_variant
+                .values()
+                .map(|m| app_efficiency(m[t], best[t]))
+                .collect();
             (t.to_string(), effs)
         })
         .collect();
@@ -186,9 +187,7 @@ pub fn portability_data(problem: &BenchProblem) -> PortabilityData {
 }
 
 fn efficiency_of(times: &BTreeMap<String, f64>, best: &BTreeMap<String, f64>) -> f64 {
-    let t = total_seconds(times);
-    let b: f64 = best.values().sum();
-    (b / t).min(1.0)
+    app_efficiency(total_seconds(times), best.values().sum())
 }
 
 /// Per-platform timer seconds of one configuration, `None` when the

@@ -2,7 +2,7 @@
 //! targets. Each baseline is an accepted report (`perf_baseline.json` is
 //! a `BENCH_ranks.json`, …), read through the type that wrote it. A
 //! report run at the baseline's configuration is gated value by value at
-//! ±[`TOLERANCE`] (exactly when the baseline is 0); a row the report
+//! ±`TOLERANCE` (exactly when the baseline is 0); a row the report
 //! lacks fails, and a row new to the report is a note.
 
 use hacc_metrics::find_workspace_root;
@@ -12,7 +12,7 @@ use std::fmt::Debug;
 use std::path::Path;
 
 /// Relative tolerance on every gated value.
-pub const TOLERANCE: f64 = 0.25;
+const TOLERANCE: f64 = 0.25;
 
 /// Gated values by (place, metric).
 pub(crate) type Values = BTreeMap<(String, String), f64>;

@@ -72,7 +72,7 @@ pub struct HealthReport {
 /// True for metrics carrying host wall-clock (scheduler busy/barrier
 /// times, queue depths under OS scheduling) — never gated, because
 /// they are not reproducible across machines.
-pub fn is_volatile(name: &str) -> bool {
+fn is_volatile(name: &str) -> bool {
     name.starts_with("sched.")
 }
 

@@ -20,7 +20,7 @@ use sycl_sim::{FaultConfig, GpuArch, RankLoss};
 pub const RANK_COUNTS: [usize; 4] = [1, 2, 4, 8];
 
 /// Checkpoint intervals (steps between coordinated checkpoints).
-pub const INTERVALS: [u64; 3] = [1, 2, 4];
+const INTERVALS: [u64; 3] = [1, 2, 4];
 
 /// One measured configuration.
 #[derive(Clone, Debug, Serialize)]
@@ -167,7 +167,7 @@ fn run_config(
     }
 }
 
-/// Sweeps [`RANK_COUNTS`] × [`INTERVALS`] × {shrink, respawn} × seeds
+/// Sweeps [`RANK_COUNTS`] × `INTERVALS` × {shrink, respawn} × seeds
 /// on the Frontier interconnect. 1-rank rows run loss-free once per
 /// interval (per seed they would be identical).
 pub fn sweep(n: usize, steps: u64, seeds: &[u64]) -> ResilienceSweep {

@@ -1,7 +1,10 @@
 //! In-situ analysis (§3.4.4 context: production CRK-HACC interleaves
 //! in-situ analyses with the dynamical stepping; the paper disables them
-//! while timing the kernels — here they are available for the examples
-//! and validation).
+//! while timing the kernels).
+//!
+//! Public although no code in the workspace calls it: this file is
+//! Table 2's Unused-row stand-in for that analysis (one of the files
+//! `hacc_metrics::inventory` lists as compiled but never run).
 //!
 //! Provides the standard summary statistics a cosmology run monitors:
 //! the halo mass function, density PDF moments, and bulk velocity

@@ -10,7 +10,7 @@
 //! Production HACC survives node loss by writing checkpoints to the
 //! parallel filesystem; the cheaper in-memory scheme modeled here is
 //! *buddy replication*: each rank mirrors its snapshot into the memory
-//! of one 27-neighborhood partner ([`buddy_of`]), so losing any single
+//! of one 27-neighborhood partner (`buddy_of`), so losing any single
 //! rank leaves a complete copy of its state on a survivor. The mirror
 //! traffic is charged on the interconnect by the resilient run loop
 //! (see [`crate::resilience`]); this module owns the format, the buddy
@@ -53,7 +53,7 @@ pub(crate) fn section_bytes(batch: &ParticleBatch) -> u64 {
 /// function of the layout, and never the rank itself — except in the
 /// degenerate single-rank layout, where there is no partner (and no
 /// rank loss to survive).
-pub fn buddy_of(layout: &RankLayout, rank: usize) -> usize {
+pub(crate) fn buddy_of(layout: &RankLayout, rank: usize) -> usize {
     layout
         .neighbors(rank)
         .into_iter()
@@ -88,7 +88,7 @@ impl MultiRankCheckpoint {
     }
 
     /// The layout the snapshot was taken under.
-    pub fn layout(&self) -> RankLayout {
+    pub(crate) fn layout(&self) -> RankLayout {
         RankLayout::with_dims(self.dims, self.ng)
     }
 
@@ -100,7 +100,7 @@ impl MultiRankCheckpoint {
     /// Modeled interconnect bytes of the coordinated buddy mirror: each
     /// rank ships its own section to its buddy (nothing moves in a
     /// single-rank layout, where rank and buddy coincide).
-    pub fn mirror_bytes(&self) -> u64 {
+    pub(crate) fn mirror_bytes(&self) -> u64 {
         let layout = self.layout();
         self.per_rank
             .iter()

@@ -12,7 +12,7 @@ use serde::Serialize;
 
 /// One FOM problem configuration.
 #[derive(Clone, Debug, Serialize)]
-pub struct FomProblem {
+struct FomProblem {
     /// Name used by the ExaSky project.
     pub name: &'static str,
     /// Particles per dimension per GCD/rank (one species).
@@ -23,7 +23,7 @@ pub struct FomProblem {
 
 impl FomProblem {
     /// The ECP default FOM problem: 2×229³ particles per GCD.
-    pub fn default_problem() -> Self {
+    fn default_problem() -> Self {
         Self {
             name: "default",
             np_per_rank: 229,
@@ -32,7 +32,7 @@ impl FomProblem {
     }
 
     /// The ECP stretch FOM problem: 2×305³ per GCD.
-    pub fn stretch_problem() -> Self {
+    fn stretch_problem() -> Self {
         Self {
             name: "stretch",
             np_per_rank: 305,
@@ -42,7 +42,7 @@ impl FomProblem {
 
     /// The paper's scaled-down test problem: 2×256³ per GCD on one node
     /// (8 ranks), "in-between the default and stretch FOM problem sizes".
-    pub fn paper_test() -> Self {
+    fn paper_test() -> Self {
         Self {
             name: "paper-test",
             np_per_rank: 256,
@@ -51,13 +51,13 @@ impl FomProblem {
     }
 
     /// Total particles (both species) across all ranks.
-    pub fn total_particles(&self) -> u64 {
+    fn total_particles(&self) -> u64 {
         2 * (self.np_per_rank as u64).pow(3) * self.ranks as u64
     }
 
     /// Device memory per rank for this configuration, in bytes, using the
     /// same accounting as `hacc_cosmo::device_bytes_per_rank`.
-    pub fn bytes_per_rank(&self) -> u64 {
+    fn bytes_per_rank(&self) -> u64 {
         let np = self.np_per_rank;
         // One rank's slab of the global problem at FOM mass resolution.
         let spec = BoxSpec::new(177.0 * np as f64 / 512.0, np, np);

@@ -25,11 +25,10 @@ mod wire;
 pub use analysis::{density_moments, find_halos, mass_function, rms_velocity};
 pub use checkpoint::{CheckpointError, FullCheckpoint};
 pub use config::{DeviceConfig, SimConfig};
-pub use distckpt::{buddy_of, MultiRankCheckpoint};
-pub use fom::{fom, FomProblem};
+pub use distckpt::MultiRankCheckpoint;
+pub use fom::fom;
 pub use guard::{GuardViolation, StepGuard};
 pub use multirank::{MultiRankProblem, MultiRankSim, RankStepStats, StepStats};
-pub use rank::{NodeMapping, RankLayout, UnknownArch};
 pub use recovery::RecoveryError;
 pub use resilience::{
     RecoveryEvent, RecoveryMode, ResilienceConfig, ResilienceError, ResilienceReport,

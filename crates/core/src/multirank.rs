@@ -195,7 +195,7 @@ pub struct StepStats {
 /// task-graph nodes, communicating through the transport.
 pub struct MultiRankSim {
     /// Domain decomposition.
-    pub layout: RankLayout,
+    pub(crate) layout: RankLayout,
     /// Architecture whose device and interconnect are modeled.
     pub arch: GpuArch,
     problem: MultiRankProblem,
@@ -228,7 +228,7 @@ fn unit(seed: u64, id: u64, channel: u64) -> f64 {
 
 impl MultiRankSim {
     /// Builds the engine: deterministic initial conditions (identical
-    /// for every rank count), partitioned over a 3D [`RankLayout`],
+    /// for every rank count), partitioned over a 3D `RankLayout`,
     /// with the architecture's interconnect behind the transport.
     pub fn new(ranks: usize, arch: GpuArch, problem: MultiRankProblem) -> Self {
         let layout = RankLayout::new(ranks, problem.ng);
@@ -292,11 +292,6 @@ impl MultiRankSim {
     /// The injector configuration, if fault injection is enabled.
     pub fn fault_config(&self) -> Option<&FaultConfig> {
         self.fault_config.as_ref()
-    }
-
-    /// The problem definition the engine was built with.
-    pub fn problem(&self) -> &MultiRankProblem {
-        &self.problem
     }
 
     /// Emits telemetry into the recorder: per-message comm charges from
@@ -864,7 +859,7 @@ impl MultiRankSim {
     /// recovery: survivors absorb a lost rank's domain). The transport
     /// is rebuilt for the new communicator size with the same
     /// interconnect, fault configuration, and recorder.
-    pub fn restore_resized(
+    pub(crate) fn restore_resized(
         &mut self,
         ranks: usize,
         ckpt: &MultiRankCheckpoint,

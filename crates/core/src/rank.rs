@@ -8,7 +8,7 @@
 //! (balanced prime-factor dims, the `MPI_Dims_create` rule), exact
 //! plane ownership, 27-neighborhood topology, and conservative
 //! rectangular ghost-zone membership sized by the SPH kernel support
-//! radius. [`NodeMapping`] documents the §3.4.2 device mapping.
+//! radius. `NodeMapping` documents the §3.4.2 device mapping.
 
 use std::fmt;
 use sycl_sim::GpuArch;
@@ -16,7 +16,7 @@ use sycl_sim::GpuArch;
 /// An architecture id with no §3.4.2 node mapping — returned instead of
 /// panicking so new [`GpuArch`] constructors surface as typed errors.
 #[derive(Clone, Debug, PartialEq, Eq)]
-pub struct UnknownArch {
+pub(crate) struct UnknownArch {
     /// The unmapped architecture id.
     pub id: String,
 }
@@ -31,7 +31,7 @@ impl std::error::Error for UnknownArch {}
 
 /// How a system's node maps MPI ranks to accelerator devices.
 #[derive(Clone, Debug, PartialEq)]
-pub struct NodeMapping {
+pub(crate) struct NodeMapping {
     /// System name.
     pub system: &'static str,
     /// Ranks used per node (always 8 in the paper).
@@ -96,7 +96,7 @@ impl NodeMapping {
     /// fraction of it. On Polaris this is the paper's "~11% lower
     /// efficiency" configuration cost (sharing is imperfect, not a clean
     /// 2×, because the two ranks' kernels interleave).
-    pub fn sharing_penalty(&self) -> f64 {
+    pub(crate) fn sharing_penalty(&self) -> f64 {
         if self.ranks_per_device > 1 {
             1.11
         } else {
@@ -115,7 +115,7 @@ impl NodeMapping {
 /// decomposition plane belongs to exactly one rank (the upper domain;
 /// the box-closing plane wraps to domain 0).
 #[derive(Clone, Debug)]
-pub struct RankLayout {
+pub(crate) struct RankLayout {
     /// Number of ranks.
     pub ranks: usize,
     /// Grid cells per dimension (periodic box side).
@@ -161,7 +161,7 @@ impl RankLayout {
     }
 
     /// Creates a layout with explicit per-dimension rank counts.
-    pub fn with_dims(dims: [usize; 3], ng: usize) -> Self {
+    pub(crate) fn with_dims(dims: [usize; 3], ng: usize) -> Self {
         let ranks = dims[0] * dims[1] * dims[2];
         assert!(ranks >= 1, "empty rank grid");
         assert!(
@@ -205,7 +205,7 @@ impl RankLayout {
     }
 
     /// Linear rank id of grid coordinates (x-major).
-    pub fn rank_at(&self, c: [usize; 3]) -> usize {
+    fn rank_at(&self, c: [usize; 3]) -> usize {
         (c[0] * self.dims[1] + c[1]) * self.dims[2] + c[2]
     }
 
@@ -219,7 +219,7 @@ impl RankLayout {
     }
 
     /// Which rank owns a position (periodic wrap applied).
-    pub fn rank_of(&self, pos: &[f64; 3]) -> usize {
+    pub(crate) fn rank_of(&self, pos: &[f64; 3]) -> usize {
         let c = std::array::from_fn(|d| self.dim_index(d, self.wrap(pos[d])));
         self.rank_at(c)
     }
@@ -235,7 +235,7 @@ impl RankLayout {
 
     /// Narrowest domain extent over all ranks and dimensions — the upper
     /// bound on a ghost width serviceable by the 27-neighborhood.
-    pub fn min_domain_width(&self) -> f64 {
+    pub(crate) fn min_domain_width(&self) -> f64 {
         (0..3)
             .map(|d| self.ng as f64 / self.dims[d] as f64)
             .fold(f64::INFINITY, f64::min)
@@ -282,7 +282,7 @@ impl RankLayout {
     /// periodic), contains the position. Requires
     /// `width <= min_domain_width()` so the 27-neighborhood covers every
     /// consumer.
-    pub fn ghost_targets(&self, pos: &[f64; 3], width: f64) -> Vec<usize> {
+    pub(crate) fn ghost_targets(&self, pos: &[f64; 3], width: f64) -> Vec<usize> {
         debug_assert!(
             width <= self.min_domain_width() + 1e-12,
             "ghost width {width} exceeds the narrowest domain"
@@ -296,27 +296,6 @@ impl RankLayout {
                 (0..3).all(|d| self.dist_1d(w[d], lo[d], hi[d]) <= width)
             })
             .collect()
-    }
-
-    /// Partitions particle indices by owning rank.
-    pub fn partition(&self, positions: &[[f64; 3]]) -> Vec<Vec<u32>> {
-        let mut out = vec![Vec::new(); self.ranks];
-        for (i, p) in positions.iter().enumerate() {
-            out[self.rank_of(p)].push(i as u32);
-        }
-        out
-    }
-
-    /// Load imbalance: max/mean particles per rank.
-    pub fn imbalance(&self, positions: &[[f64; 3]]) -> f64 {
-        let parts = self.partition(positions);
-        let max = parts.iter().map(Vec::len).max().unwrap_or(0) as f64;
-        let mean = positions.len() as f64 / self.ranks as f64;
-        if mean == 0.0 {
-            1.0
-        } else {
-            max / mean
-        }
     }
 }
 
@@ -365,20 +344,13 @@ mod tests {
         assert_eq!(RankLayout::new(7, 16).dims, [7, 1, 1]);
     }
 
-    #[test]
-    fn partition_covers_all_particles() {
-        let layout = RankLayout::new(8, 64);
-        let pos: Vec<[f64; 3]> = (0..1000)
-            .map(|i| [(i * 7 % 64) as f64, (i * 13 % 64) as f64, (i % 64) as f64])
-            .collect();
-        let parts = layout.partition(&pos);
-        let total: usize = parts.iter().map(Vec::len).sum();
-        assert_eq!(total, 1000);
-        for (r, part) in parts.iter().enumerate() {
-            for &i in part {
-                assert_eq!(layout.rank_of(&pos[i as usize]), r);
-            }
+    /// Particles owned per rank.
+    fn counts(layout: &RankLayout, positions: &[[f64; 3]]) -> Vec<usize> {
+        let mut out = vec![0; layout.ranks];
+        for p in positions {
+            out[layout.rank_of(p)] += 1;
         }
+        out
     }
 
     #[test]
@@ -394,7 +366,8 @@ mod tests {
                 ]
             })
             .collect();
-        assert!(layout.imbalance(&pos) < 1.01);
+        let max = *counts(&layout, &pos).iter().max().unwrap();
+        assert_eq!(max, pos.len() / 8, "uniform particles split evenly");
     }
 
     #[test]
@@ -425,9 +398,7 @@ mod tests {
                 ]
             })
             .collect();
-        let parts = layout.partition(&pos);
-        assert_eq!(parts.iter().map(Vec::len).sum::<usize>(), 1000);
-        assert!(layout.imbalance(&pos) >= 1.0);
+        assert_eq!(counts(&layout, &pos).iter().sum::<usize>(), 1000);
     }
 
     #[test]
@@ -435,10 +406,9 @@ mod tests {
         let layout = RankLayout::new(8, 16);
         // All particles piled into one corner: 7 ranks own nothing.
         let pos = vec![[0.5, 0.5, 0.5]; 32];
-        let parts = layout.partition(&pos);
-        assert_eq!(parts[layout.rank_of(&[0.5, 0.5, 0.5])].len(), 32);
-        assert_eq!(parts.iter().filter(|p| p.is_empty()).count(), 7);
-        assert_eq!(layout.imbalance(&pos), 8.0);
+        let owned = counts(&layout, &pos);
+        assert_eq!(owned[layout.rank_of(&[0.5, 0.5, 0.5])], 32);
+        assert_eq!(owned.iter().filter(|&&n| n == 0).count(), 7);
     }
 
     #[test]

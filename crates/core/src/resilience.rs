@@ -6,7 +6,7 @@
 //!
 //! 1. At every `checkpoint_interval` step boundary (and at the start),
 //!    take a coordinated [`MultiRankCheckpoint`] and mirror each rank's
-//!    section to its buddy ([`crate::distckpt::buddy_of`]), charging
+//!    section to its buddy (`distckpt::buddy_of`), charging
 //!    the mirror traffic on the interconnect.
 //! 2. Before each step, consult the injector's rank-loss schedule
 //!    ([`sycl_sim::FaultConfig::rank_loss`]) and mark any scheduled

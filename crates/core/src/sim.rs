@@ -33,7 +33,7 @@ use hacc_mesh::{zeldovich_ics, ForceSplit, PmSolver, PolyShortRange};
 use hacc_telemetry::Recorder;
 use std::sync::Arc;
 use sycl_sim::{
-    Device, FaultConfig, FaultInjector, GrfMode, LaunchConfig, LaunchError, Toolchain, TunablePoint,
+    Device, FaultConfig, FaultInjector, LaunchConfig, LaunchError, Toolchain, TunablePoint,
 };
 
 /// Particle species tags.
@@ -595,7 +595,7 @@ impl Simulation {
 
     /// The density-contrast grid of the current particle state (both
     /// species, CIC-deposited).
-    pub fn density_contrast_grid(&mut self) -> Vec<f64> {
+    pub(crate) fn density_contrast_grid(&mut self) -> Vec<f64> {
         self.pm.density_contrast(&self.pos, &self.mass).to_vec()
     }
 
@@ -678,10 +678,5 @@ impl Simulation {
     /// Total stellar mass formed so far.
     pub fn total_star_mass(&self) -> f64 {
         self.star_mass.iter().sum()
-    }
-
-    /// The GRF mode in use.
-    pub fn grf(&self) -> GrfMode {
-        self.launch.grf
     }
 }

@@ -26,12 +26,12 @@ pub struct Link {
 
 impl Link {
     /// The first-byte latency (α) term in seconds.
-    pub fn alpha_seconds(&self) -> f64 {
+    pub(crate) fn alpha_seconds(&self) -> f64 {
         self.latency_us * 1e-6
     }
 
     /// The serialization (n·β) term in seconds for `bytes`.
-    pub fn beta_seconds(&self, bytes: u64) -> f64 {
+    pub(crate) fn beta_seconds(&self, bytes: u64) -> f64 {
         bytes as f64 / (self.gbps * 1e9)
     }
 
@@ -76,7 +76,7 @@ impl Interconnect {
     }
 
     /// Builds the cost model with an explicit node width.
-    pub fn with_ranks_per_node(arch: &GpuArch, ranks_per_node: usize) -> Self {
+    fn with_ranks_per_node(arch: &GpuArch, ranks_per_node: usize) -> Self {
         assert!(ranks_per_node >= 1, "a node holds at least one rank");
         Self {
             arch: arch.id.to_string(),
@@ -95,7 +95,7 @@ impl Interconnect {
     }
 
     /// True when both ranks live on the same node.
-    pub fn same_node(&self, src: usize, dst: usize) -> bool {
+    fn same_node(&self, src: usize, dst: usize) -> bool {
         src / self.ranks_per_node == dst / self.ranks_per_node
     }
 
@@ -115,7 +115,7 @@ impl Interconnect {
 
     /// Seconds for a tree allreduce of `bytes` per rank across `ranks`:
     /// `ceil(log2(ranks))` rounds, each a worst-channel hop.
-    pub fn allreduce_cost(&self, ranks: usize, bytes: u64) -> f64 {
+    pub(crate) fn allreduce_cost(&self, ranks: usize, bytes: u64) -> f64 {
         if ranks <= 1 {
             return 0.0;
         }

@@ -22,5 +22,4 @@ mod transport;
 pub use fabric::{Interconnect, Link};
 pub use transport::{
     CommError, ExchangeReport, LinkTraffic, Message, ParticleBatch, Tag, Transport, TransportStats,
-    MESSAGE_HEADER_BYTES, PARTICLE_WIRE_BYTES,
 };

@@ -72,10 +72,10 @@ pub struct ParticleBatch {
 }
 
 /// Wire size of one particle: id + pos + mom + mass + h + u.
-pub const PARTICLE_WIRE_BYTES: u64 = 8 + 24 + 24 + 8 + 8 + 8;
+const PARTICLE_WIRE_BYTES: u64 = 8 + 24 + 24 + 8 + 8 + 8;
 
 /// Fixed per-message envelope (src, dst, tag, seq, count).
-pub const MESSAGE_HEADER_BYTES: u64 = 32;
+const MESSAGE_HEADER_BYTES: u64 = 32;
 
 impl ParticleBatch {
     /// Creates an empty batch.
@@ -203,16 +203,6 @@ pub enum CommError {
         /// Step boundary at which it died.
         step: u64,
     },
-}
-
-impl CommError {
-    /// The `(src, dst)` pair of a link-scoped error, when one exists.
-    pub fn link(&self) -> Option<(usize, usize)> {
-        match self {
-            CommError::LinkFailed { src, dst, .. } => Some((*src, *dst)),
-            CommError::RankDead { .. } => None,
-        }
-    }
 }
 
 impl fmt::Display for CommError {
@@ -814,9 +804,16 @@ mod tests {
         });
         t.send(0, 1, Tag::Migrate, batch(1));
         let err = t.exchange().unwrap_err();
-        assert_eq!(err.link(), Some((0, 1)));
         assert!(
-            matches!(err, CommError::LinkFailed { attempts: 1, .. }),
+            matches!(
+                err,
+                CommError::LinkFailed {
+                    src: 0,
+                    dst: 1,
+                    attempts: 1,
+                    ..
+                }
+            ),
             "device loss is not retryable: {err:?}"
         );
         assert!(err.to_string().contains("comm.migrate"));
@@ -875,7 +872,6 @@ mod tests {
             matches!(err, CommError::RankDead { rank: 1, step: 4 }),
             "got {err:?}"
         );
-        assert_eq!(err.link(), None);
         // Recovery revives the slot; traffic flows again.
         t.purge();
         t.revive(1);

@@ -42,19 +42,12 @@ impl Friedmann {
 
     /// `E²(a) = Ωᵣ a⁻⁴ + Ωₘ a⁻³ + Ω_k a⁻² + Ω_Λ`.
     #[inline]
-    pub fn e2_of_a(&self, a: f64) -> f64 {
+    fn e2_of_a(&self, a: f64) -> f64 {
         debug_assert!(a > 0.0, "scale factor must be positive");
         let p = &self.params;
         let inv_a = 1.0 / a;
         let inv_a2 = inv_a * inv_a;
         p.omega_r * inv_a2 * inv_a2 + p.omega_m * inv_a2 * inv_a + p.omega_k() * inv_a2 + p.omega_l
-    }
-
-    /// Matter density fraction at scale factor `a`:
-    /// `Ωₘ(a) = Ωₘ a⁻³ / E²(a)`.
-    #[inline]
-    pub fn omega_m_of_a(&self, a: f64) -> f64 {
-        self.params.omega_m / (a * a * a * self.e2_of_a(a))
     }
 
     /// Drift integral `∫_{a₁}^{a₂} da / (a³ E(a))` in units of `1/H0`.
@@ -113,15 +106,6 @@ mod tests {
         let kick = f.kick_factor(a1, a2);
         let expect = 2.0 * (a2.sqrt() - a1.sqrt());
         assert!((kick - expect).abs() < 1e-9, "kick {kick} vs {expect}");
-    }
-
-    #[test]
-    fn matter_dominates_at_high_redshift() {
-        let f = Friedmann::new(CosmoParams::planck2018());
-        // Radiation still holds a ~5% share at z = 200 (Ωr(1+z)/Ωm ≈ 0.056),
-        // so matter dominates but does not saturate.
-        let om = f.omega_m_of_a(z_to_a(200.0));
-        assert!(om > 0.90 && om <= 1.0, "Ωm(z=200) = {om}");
     }
 
     #[test]

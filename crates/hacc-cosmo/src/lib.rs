@@ -15,9 +15,9 @@ pub mod units;
 
 pub use friedmann::Friedmann;
 pub use growth::Growth;
-pub use params::{a_to_z, z_to_a, CosmoParams};
+pub use params::{z_to_a, CosmoParams};
 pub use power::LinearPower;
-pub use units::{device_bytes_per_rank, BoxSpec, G_MPC_KMS, RHO_CRIT};
+pub use units::{device_bytes_per_rank, BoxSpec};
 
 #[cfg(test)]
 mod proptests {

@@ -44,24 +44,9 @@ impl CosmoParams {
         }
     }
 
-    /// An Einstein–de Sitter universe (Ωₘ = 1), handy for analytic checks:
-    /// the growth factor is exactly `D(a) = a`.
-    pub fn einstein_de_sitter() -> Self {
-        Self {
-            omega_m: 1.0,
-            omega_b: 0.05,
-            omega_l: 0.0,
-            omega_r: 0.0,
-            h: 0.7,
-            n_s: 1.0,
-            sigma8: 0.8,
-            theta_cmb: 1.0,
-        }
-    }
-
     /// Curvature fraction Ω_k = 1 − Ωₘ − Ω_Λ − Ω_r.
     #[inline]
-    pub fn omega_k(&self) -> f64 {
+    pub(crate) fn omega_k(&self) -> f64 {
         1.0 - self.omega_m - self.omega_l - self.omega_r
     }
 
@@ -105,10 +90,22 @@ pub fn z_to_a(z: f64) -> f64 {
     1.0 / (1.0 + z)
 }
 
-/// Converts scale factor to redshift, `z = 1/a − 1`.
-#[inline]
-pub fn a_to_z(a: f64) -> f64 {
-    1.0 / a - 1.0
+#[cfg(test)]
+impl CosmoParams {
+    /// An Einstein–de Sitter universe (Ωₘ = 1), the tests' analytic
+    /// oracle: `E(a) = a^{-3/2}` and the growth factor is exactly `D(a) = a`.
+    pub(crate) fn einstein_de_sitter() -> Self {
+        Self {
+            omega_m: 1.0,
+            omega_b: 0.05,
+            omega_l: 0.0,
+            omega_r: 0.0,
+            h: 0.7,
+            n_s: 1.0,
+            sigma8: 0.8,
+            theta_cmb: 1.0,
+        }
+    }
 }
 
 #[cfg(test)]
@@ -143,7 +140,7 @@ mod tests {
     #[test]
     fn redshift_scale_factor_round_trip() {
         for z in [0.0, 0.5, 1.0, 50.0, 200.0] {
-            assert!((a_to_z(z_to_a(z)) - z).abs() < 1e-12);
+            assert!((1.0 / z_to_a(z) - 1.0 - z).abs() < 1e-12);
         }
     }
 }

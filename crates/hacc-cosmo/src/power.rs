@@ -83,15 +83,9 @@ impl LinearPower {
         self.amplitude * k.powf(self.params.n_s) * t * t
     }
 
-    /// Linear power at redshift `z`: `P(k, z) = D²(z) P(k, 0)`.
-    pub fn power(&self, k: f64, z: f64) -> f64 {
-        let d = self.growth.d_of_z(z);
-        d * d * self.power_z0(k)
-    }
-
     /// RMS linear mass fluctuation in a top-hat sphere of radius `r` Mpc/h
     /// at z = 0 (so `sigma_r(8.0) == sigma8` after normalization).
-    pub fn sigma_r(&self, r: f64) -> f64 {
+    fn sigma_r(&self, r: f64) -> f64 {
         assert!(r > 0.0, "smoothing radius must be positive");
         let integrand = |k: f64| {
             let x = k * r;
@@ -106,7 +100,7 @@ impl LinearPower {
 /// Fourier transform of a real-space top-hat sphere,
 /// `W(x) = 3 (sin x − x cos x)/x³`, with the small-x Taylor limit.
 #[inline]
-pub fn tophat_window(x: f64) -> f64 {
+fn tophat_window(x: f64) -> f64 {
     if x < 1e-3 {
         1.0 - x * x / 10.0
     } else {
@@ -148,16 +142,6 @@ mod tests {
         let p = LinearPower::new(CosmoParams::planck2018());
         assert!(p.sigma_r(4.0) > p.sigma_r(8.0));
         assert!(p.sigma_r(8.0) > p.sigma_r(16.0));
-    }
-
-    #[test]
-    fn power_scales_with_growth_squared() {
-        let p = LinearPower::new(CosmoParams::planck2018());
-        let k = 0.1;
-        let z = 50.0;
-        let d = p.growth().d_of_z(z);
-        assert!((p.power(k, z) - d * d * p.power_z0(k)).abs() < 1e-12 * p.power_z0(k));
-        assert!(p.power(k, z) < p.power(k, 0.0));
     }
 
     #[test]

@@ -4,7 +4,7 @@
 //! every integrand in this crate is smooth on the integration domain.
 
 /// Composite Simpson's rule with `n` panels (`n` is rounded up to even).
-pub fn simpson<F: Fn(f64) -> f64>(f: F, a: f64, b: f64, n: usize) -> f64 {
+fn simpson<F: Fn(f64) -> f64>(f: F, a: f64, b: f64, n: usize) -> f64 {
     assert!(b >= a, "integration bounds must be ordered");
     if a == b {
         return 0.0;
@@ -20,7 +20,12 @@ pub fn simpson<F: Fn(f64) -> f64>(f: F, a: f64, b: f64, n: usize) -> f64 {
 }
 
 /// Adaptive Simpson integration to a relative tolerance.
-pub fn simpson_adaptive<F: Fn(f64) -> f64 + Copy>(f: F, a: f64, b: f64, rel_tol: f64) -> f64 {
+pub(crate) fn simpson_adaptive<F: Fn(f64) -> f64 + Copy>(
+    f: F,
+    a: f64,
+    b: f64,
+    rel_tol: f64,
+) -> f64 {
     fn recurse<F: Fn(f64) -> f64 + Copy>(
         f: F,
         a: f64,
@@ -60,7 +65,7 @@ pub fn simpson_adaptive<F: Fn(f64) -> f64 + Copy>(f: F, a: f64, b: f64, rel_tol:
 /// Integrates `f` over `[a, b]` in log-space, i.e. `∫ f(x) dx` evaluated as
 /// `∫ f(e^u) e^u du`. Appropriate for power-spectrum integrals spanning many
 /// decades in `k`. Requires `0 < a < b`.
-pub fn simpson_log<F: Fn(f64) -> f64>(f: F, a: f64, b: f64, n: usize) -> f64 {
+pub(crate) fn simpson_log<F: Fn(f64) -> f64>(f: F, a: f64, b: f64, n: usize) -> f64 {
     assert!(a > 0.0 && b > a, "log-space integration requires 0 < a < b");
     simpson(
         |u| {

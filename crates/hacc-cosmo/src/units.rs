@@ -1,20 +1,10 @@
-//! The HACC unit system and derived simulation constants.
+//! The HACC unit system: the simulation box and its working set.
 //!
 //! HACC works in comoving coordinates with lengths in Mpc/h and masses in
 //! Msun/h. Internally the code normalizes positions to grid units; this
-//! module holds the conversion factors and the derived quantities
-//! (particle mass, Hubble scaling) that the solvers need.
+//! module holds the box geometry and the per-rank memory estimate.
 
-use crate::params::CosmoParams;
 use serde::{Deserialize, Serialize};
-
-/// Critical density of the universe today in h² Msun / Mpc³
-/// (`ρ_c = 3 H₀² / 8πG = 2.77536627e11 h² Msun/Mpc³`).
-pub const RHO_CRIT: f64 = 2.77536627e11;
-
-/// Newton's constant in (Mpc/h)·(km/s)²/(Msun/h) — used when converting
-/// potential energies into peculiar-velocity kicks.
-pub const G_MPC_KMS: f64 = 4.30091e-9;
 
 /// Simulation box description: physical size and particle loading.
 #[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
@@ -68,21 +58,6 @@ impl BoxSpec {
     pub fn cell_size(&self) -> f64 {
         self.box_mpc_h / self.ng as f64
     }
-
-    /// Mass of one (total-matter) tracer particle in Msun/h, from the mean
-    /// matter density: `m_p = ρ_c Ωₘ (L/np)³`.
-    pub fn particle_mass(&self, params: &CosmoParams) -> f64 {
-        let d = self.particle_spacing();
-        RHO_CRIT * params.omega_m * d * d * d
-    }
-
-    /// Dark-matter and baryon particle masses for a two-species run with
-    /// equal particle numbers: masses are split by Ω_c : Ω_b.
-    pub fn species_masses(&self, params: &CosmoParams) -> (f64, f64) {
-        let total = self.particle_mass(params);
-        let fb = params.omega_b / params.omega_m;
-        (total * (1.0 - fb), total * fb)
-    }
 }
 
 /// Approximate device memory footprint (bytes per MPI rank) of a CRK-HACC
@@ -113,16 +88,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn paper_problem_mass_resolution_is_scale_invariant() {
-        let p = CosmoParams::planck2018();
-        let full = BoxSpec::paper_problem(1);
-        let small = BoxSpec::paper_problem(8);
-        let mf = full.particle_mass(&p);
-        let ms = small.particle_mass(&p);
-        assert!((mf / ms - 1.0).abs() < 1e-12, "mass resolution must match");
-    }
-
-    #[test]
     fn paper_problem_matches_paper_numbers() {
         let full = BoxSpec::paper_problem(1);
         assert_eq!(full.np, 512);
@@ -134,24 +99,6 @@ mod tests {
             gb > 3.0 && gb < 20.0,
             "paper problem is ~10 GB/rank, got {gb:.1}"
         );
-    }
-
-    #[test]
-    fn species_masses_sum_to_total() {
-        let p = CosmoParams::planck2018();
-        let b = BoxSpec::paper_problem(16);
-        let (dm, ba) = b.species_masses(&p);
-        assert!(dm > ba, "dark matter outweighs baryons");
-        assert!((dm + ba - b.particle_mass(&p)).abs() < 1e-6 * b.particle_mass(&p));
-    }
-
-    #[test]
-    fn particle_mass_is_realistic() {
-        // Production CRK-HACC mass resolution is ~1e9 Msun/h per particle
-        // at the paper's FOM settings (177/512 Mpc/h spacing).
-        let p = CosmoParams::planck2018();
-        let m = BoxSpec::paper_problem(1).particle_mass(&p);
-        assert!(m > 1e9 && m < 1e10, "m_p = {m:.3e}");
     }
 
     #[test]

@@ -19,10 +19,6 @@ pub struct Complex {
 
 /// The additive identity.
 pub const ZERO: Complex = Complex { re: 0.0, im: 0.0 };
-/// The multiplicative identity.
-pub const ONE: Complex = Complex { re: 1.0, im: 0.0 };
-/// The imaginary unit.
-pub const I: Complex = Complex { re: 0.0, im: 1.0 };
 
 impl Complex {
     /// Creates a complex number from real and imaginary parts.
@@ -33,20 +29,20 @@ impl Complex {
 
     /// Creates a purely real complex number.
     #[inline]
-    pub const fn from_re(re: f64) -> Self {
+    pub(crate) const fn from_re(re: f64) -> Self {
         Self { re, im: 0.0 }
     }
 
     /// `e^{iθ} = cos θ + i sin θ`.
     #[inline]
-    pub fn cis(theta: f64) -> Self {
+    pub(crate) fn cis(theta: f64) -> Self {
         let (s, c) = theta.sin_cos();
         Self { re: c, im: s }
     }
 
     /// Complex conjugate.
     #[inline]
-    pub fn conj(self) -> Self {
+    pub(crate) fn conj(self) -> Self {
         Self {
             re: self.re,
             im: -self.im,
@@ -57,12 +53,6 @@ impl Complex {
     #[inline]
     pub fn norm_sqr(self) -> f64 {
         self.re * self.re + self.im * self.im
-    }
-
-    /// Magnitude `|z|`.
-    #[inline]
-    pub fn abs(self) -> f64 {
-        self.re.hypot(self.im)
     }
 
     /// Scales by a real factor.
@@ -207,6 +197,14 @@ impl fmt::Display for Complex {
 }
 
 #[cfg(test)]
+impl Complex {
+    /// Magnitude `|z|`.
+    pub(crate) fn abs(self) -> f64 {
+        self.re.hypot(self.im)
+    }
+}
+
+#[cfg(test)]
 mod tests {
     use super::*;
 
@@ -217,10 +215,11 @@ mod tests {
     #[test]
     fn arithmetic_identities() {
         let z = Complex::new(3.0, -4.0);
+        let one = Complex::from_re(1.0);
         assert!(close(z + ZERO, z));
-        assert!(close(z * ONE, z));
+        assert!(close(z * one, z));
         assert!(close(z - z, ZERO));
-        assert!(close(z * z.inv(), ONE));
+        assert!(close(z * z.inv(), one));
     }
 
     #[test]
@@ -233,9 +232,9 @@ mod tests {
 
     #[test]
     fn mul_i_matches_full_multiply() {
-        let z = Complex::new(1.5, -2.5);
-        assert!(close(z.mul_i(), z * I));
-        assert!(close(z.mul_neg_i(), z * (-I)));
+        let (z, i) = (Complex::new(1.5, -2.5), Complex::new(0.0, 1.0));
+        assert!(close(z.mul_i(), z * i));
+        assert!(close(z.mul_neg_i(), z * (-i)));
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! One-dimensional FFTs.
 //!
-//! Two algorithms are provided behind a single [`Fft1d`] plan type:
+//! Two algorithms are provided behind a single `Fft1d` plan type:
 //!
 //! * an iterative, in-place, decimation-in-time **radix-2 Cooley–Tukey**
 //!   transform for power-of-two lengths, and
@@ -29,7 +29,7 @@ pub enum Direction {
 
 /// A reusable plan for 1D FFTs of a fixed length.
 #[derive(Clone, Debug)]
-pub struct Fft1d {
+pub(crate) struct Fft1d {
     n: usize,
     kind: PlanKind,
 }
@@ -74,18 +74,6 @@ impl Fft1d {
                 kind: Self::plan_bluestein(n),
             }
         }
-    }
-
-    /// The transform length this plan was built for.
-    #[inline]
-    pub fn len(&self) -> usize {
-        self.n
-    }
-
-    /// True when the plan length is 1 (the identity transform).
-    #[inline]
-    pub fn is_empty(&self) -> bool {
-        false
     }
 
     fn plan_radix2(n: usize) -> PlanKind {
@@ -149,13 +137,6 @@ impl Fft1d {
                 self.bluestein(data, *m, inner, chirp, chirp_hat, dir);
             }
         }
-    }
-
-    /// Convenience: transforms a copy of `data` and returns it.
-    pub fn transform(&self, data: &[Complex], dir: Direction) -> Vec<Complex> {
-        let mut out = data.to_vec();
-        self.process(&mut out, dir);
-        out
     }
 
     fn radix2(&self, data: &mut [Complex], rev: &[u32], twiddle: &[Complex], dir: Direction) {
@@ -244,9 +225,20 @@ impl Fft1d {
     }
 }
 
-/// A naive `O(n²)` DFT used as the ground truth in tests and for very small
-/// transforms where plan setup would dominate.
-pub fn dft_naive(data: &[Complex], dir: Direction) -> Vec<Complex> {
+#[cfg(test)]
+impl Fft1d {
+    /// Transforms a copy of `data` and returns it.
+    pub(crate) fn transform(&self, data: &[Complex], dir: Direction) -> Vec<Complex> {
+        let mut out = data.to_vec();
+        self.process(&mut out, dir);
+        out
+    }
+}
+
+/// A naive `O(n²)` DFT: the ground truth the fast transforms are tested
+/// against.
+#[cfg(test)]
+pub(crate) fn dft_naive(data: &[Complex], dir: Direction) -> Vec<Complex> {
     let n = data.len();
     let sign = match dir {
         Direction::Forward => -1.0,

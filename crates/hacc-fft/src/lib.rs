@@ -8,8 +8,8 @@
 //! It provides:
 //!
 //! * [`complex::Complex`] — a minimal double-precision complex type,
-//! * [`fft1d::Fft1d`] — reusable 1D plans (radix-2 for powers of two,
-//!   Bluestein for arbitrary lengths),
+//! * `fft1d::Fft1d` — the 1D plans `Fft3d` runs along each axis (radix-2
+//!   for powers of two, Bluestein for arbitrary lengths),
 //! * [`fft3d::Fft3d`] — batched 3D transforms with rayon parallelism across
 //!   independent pencils.
 //!
@@ -21,12 +21,13 @@ pub mod fft1d;
 pub mod fft3d;
 
 pub use complex::Complex;
-pub use fft1d::{dft_naive, Direction, Fft1d};
+pub use fft1d::Direction;
 pub use fft3d::{freq_index, Dims, Fft3d};
 
 #[cfg(test)]
 mod proptests {
     use super::*;
+    use crate::fft1d::{dft_naive, Fft1d};
     use proptest::prelude::*;
 
     fn arb_signal(max_len: usize) -> impl Strategy<Value = Vec<Complex>> {

@@ -51,7 +51,7 @@ pub(crate) fn load_force_fields<'sg>(
 
 /// Acceleration physics definition.
 #[derive(Clone)]
-pub struct Acceleration {
+pub(crate) struct Acceleration {
     /// The particle state.
     pub data: DeviceParticles,
     /// Periodic box side.

@@ -8,7 +8,7 @@
 //! has: each op is one meter charge and one register, so the instruction
 //! mix and register pressure are those of the source as written. The
 //! fused block executor of [`crate::pairkernel`] runs every other
-//! interaction of the same source at [`F32x8`], the `f32` instance
+//! interaction of the same source at `F32x8`, the `f32` instance
 //! applied lane by lane, and [`crate::reference`] instantiates it at
 //! `f64`. The trait's rules (unfused `fma`, `rsqrt` as `1/√x`, `f64`
 //! constants narrowed to the scalar) keep `f32`, `Lanes<f32>` and
@@ -17,14 +17,14 @@
 pub use sycl_sim::Real;
 
 /// Lanes per [`F32x8`] block: one AVX2 register of `f32`.
-pub const BLOCK: usize = 8;
+pub(crate) const BLOCK: usize = 8;
 
 /// Eight `f32` lanes: the block the fused executor of
 /// [`crate::pairkernel`] runs the pair physics on. Every op is the `f32`
 /// instance applied lane by lane, written as a fixed-trip loop the
 /// compiler turns into one eight-wide SIMD op wherever it inlines.
 #[derive(Clone, Copy, Debug, Default)]
-pub struct F32x8(pub [f32; BLOCK]);
+pub(crate) struct F32x8(pub [f32; BLOCK]);
 
 /// `f(i)` for lanes `i = 0..BLOCK`, as a fixed-trip loop (which, unlike
 /// `std::array::from_fn`, always inlines).

@@ -5,7 +5,7 @@
 //!   m₀ = Σ_j V_j W_ij        m₁ = Σ_j V_j η W_ij        m₂ = Σ_j V_j η⊗η W_ij
 //! ```
 //!
-//! from which [`crate::finalize::FinalizeCorrections`] solves the
+//! from which `finalize::FinalizeCorrections` solves the
 //! first-order reproducing-kernel coefficients `A_i`, `B_i` (Frontiere,
 //! Raskin & Owen 2017). This kernel has the largest number of atomic
 //! accumulators (10 per particle) of the five hot spots.
@@ -19,7 +19,7 @@ use sycl_sim::{Lanes, Sg};
 
 /// Corrections physics definition.
 #[derive(Clone)]
-pub struct Corrections {
+pub(crate) struct Corrections {
     /// The particle state.
     pub data: DeviceParticles,
     /// Periodic box side.

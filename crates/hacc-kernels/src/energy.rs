@@ -17,7 +17,7 @@ use sycl_sim::{Lanes, Sg};
 
 /// Energy physics definition.
 #[derive(Clone)]
-pub struct Energy {
+pub(crate) struct Energy {
     /// The particle state.
     pub data: DeviceParticles,
     /// Periodic box side.

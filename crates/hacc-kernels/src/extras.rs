@@ -18,7 +18,7 @@ use sycl_sim::{Lanes, Sg};
 
 /// Extras physics definition.
 #[derive(Clone)]
-pub struct Extras {
+pub(crate) struct Extras {
     /// The particle state.
     pub data: DeviceParticles,
     /// Periodic box side.

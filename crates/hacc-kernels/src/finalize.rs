@@ -4,11 +4,11 @@
 //! the sums into the quantities the next kernel consumes, with the
 //! per-particle closures of [`crate::physics`]:
 //!
-//! * [`FinalizeGeometry`] — `V = 1/n` from the number-density sum,
-//! * [`FinalizeCorrections`] — solves the first-order CRK system for
+//! * `FinalizeGeometry` — `V = 1/n` from the number-density sum,
+//! * `FinalizeCorrections` — solves the first-order CRK system for
 //!   `A, B` from the moments `m₀, m₁, m₂` (a 3×3 symmetric solve per
 //!   particle, by cofactor inversion),
-//! * [`FinalizeEos`] — ideal-gas closure `P = (γ−1)ρu`, `c = √(γP/ρ)`,
+//! * `FinalizeEos` — ideal-gas closure `P = (γ−1)ρu`, `c = √(γP/ρ)`,
 //!   and the force term `P/ρ²`.
 
 use crate::particles::DeviceParticles;
@@ -26,12 +26,12 @@ fn particle_slots<'sg>(sg: &'sg Sg, n: usize) -> (Lanes<'sg, u32>, Lanes<'sg, bo
 }
 
 /// Number of sub-groups needed to cover `n` particles.
-pub fn lane_parallel_instances(n: usize, sg_size: usize) -> usize {
+pub(crate) fn lane_parallel_instances(n: usize, sg_size: usize) -> usize {
     n.div_ceil(sg_size)
 }
 
 /// `V = 1/n`: inverts the Geometry number-density sum in place.
-pub struct FinalizeGeometry {
+pub(crate) struct FinalizeGeometry {
     /// The particle state.
     pub data: DeviceParticles,
 }
@@ -51,7 +51,7 @@ impl SgKernel for FinalizeGeometry {
 
 /// Solves the first-order CRK system per particle
 /// ([`crk_coefficients`]).
-pub struct FinalizeCorrections {
+pub(crate) struct FinalizeCorrections {
     /// The particle state.
     pub data: DeviceParticles,
 }
@@ -81,7 +81,7 @@ impl SgKernel for FinalizeCorrections {
 
 /// Ideal-gas closure ([`eos`]): `P = (γ−1)ρu`, `c = √(γP/ρ)`,
 /// `pterm = P/ρ²`.
-pub struct FinalizeEos {
+pub(crate) struct FinalizeEos {
     /// The particle state.
     pub data: DeviceParticles,
 }

@@ -1,6 +1,6 @@
 //! The *Geometry* kernel (timer `upGeo`): measures the volumes of gas
 //! particles from the number-density sum `n_i = Σ_j W(r_ij, h̄_ij)`, with
-//! `V_i = 1/n_i` (finalized by [`crate::finalize::FinalizeGeometry`]).
+//! `V_i = 1/n_i` (finalized by `finalize::FinalizeGeometry`).
 
 use crate::arith::Real;
 use crate::pairkernel::PairPhysics;
@@ -27,7 +27,7 @@ pub(crate) fn load_density_fields<'sg>(
 
 /// Geometry physics definition.
 #[derive(Clone)]
-pub struct Geometry {
+pub(crate) struct Geometry {
     /// The particle state.
     pub data: DeviceParticles,
     /// Periodic box side (position units).

@@ -13,12 +13,14 @@ use sycl_sim::{Buffer, Lanes, Sg};
 
 /// Slot assignment for a half-warp tile: lower lanes map to side A,
 /// upper lanes to side B (paper Figure 3).
-pub struct TileSlots<'sg> {
+pub(crate) struct TileSlots<'sg> {
     /// Global (leaf-ordered) slot index per lane, clamped in-bounds for
     /// padding lanes.
     pub slots: Lanes<'sg, u32>,
-    /// Validity of each lane's own slot.
-    pub valid: Lanes<'sg, bool>,
+    /// Validity of each lane's own slot. Held, never read: its register
+    /// stays allocated for the tile's lifetime, and the modeled register
+    /// peak counts it.
+    pub _valid: Lanes<'sg, bool>,
     /// Validity as 1.0/0.0, exchanged alongside data so partners can
     /// neutralize padding contributions.
     pub valid_f: Lanes<'sg, f32>,
@@ -28,7 +30,7 @@ pub struct TileSlots<'sg> {
 }
 
 /// Computes the lane→slot mapping for a tile.
-pub fn tile_slots<'sg>(sg: &'sg Sg, tile: &Tile) -> TileSlots<'sg> {
+pub(crate) fn tile_slots<'sg>(sg: &'sg Sg, tile: &Tile) -> TileSlots<'sg> {
     let h = (sg.size / 2) as u32;
     let lane = sg.lane_id();
     let is_lower = lane.lt_scalar(h);
@@ -55,7 +57,7 @@ pub fn tile_slots<'sg>(sg: &'sg Sg, tile: &Tile) -> TileSlots<'sg> {
     };
     TileSlots {
         slots,
-        valid,
+        _valid: valid,
         valid_f,
         write_mask,
     }
@@ -63,7 +65,7 @@ pub fn tile_slots<'sg>(sg: &'sg Sg, tile: &Tile) -> TileSlots<'sg> {
 
 /// Slot assignment for a broadcast-variant chunk: each lane owns one slot
 /// of the chunk (full sub-group width).
-pub struct ChunkSlots<'sg> {
+pub(crate) struct ChunkSlots<'sg> {
     /// Global slot per lane (clamped).
     pub slots: Lanes<'sg, u32>,
     /// Validity of the lane's own slot.
@@ -74,7 +76,7 @@ pub struct ChunkSlots<'sg> {
 }
 
 /// Computes the lane→slot mapping for a chunk.
-pub fn chunk_slots<'sg>(sg: &'sg Sg, chunk: &Chunk) -> ChunkSlots<'sg> {
+pub(crate) fn chunk_slots<'sg>(sg: &'sg Sg, chunk: &Chunk) -> ChunkSlots<'sg> {
     let lane = sg.lane_id();
     let raw = lane.add_scalar(chunk.start);
     let last = sg.splat_u32(chunk.start + chunk.len - 1);
@@ -127,21 +129,21 @@ mod tests {
         let ts = tile_slots(&s, &tile);
         // Lower lanes 0..10 valid, map to 100+lane.
         for l in 0..10 {
-            assert!(ts.valid.get(l));
+            assert_eq!(ts.valid_f.get(l), 1.0);
             assert_eq!(ts.slots.get(l), 100 + l as u32);
         }
         for l in 10..16 {
-            assert!(!ts.valid.get(l), "lane {l} is padding");
+            assert_eq!(ts.valid_f.get(l), 0.0, "lane {l} is padding");
             assert_eq!(ts.slots.get(l), 109, "padding clamps to last valid");
         }
         // Upper lanes all valid (b_len = 16).
         for l in 16..32 {
-            assert!(ts.valid.get(l));
+            assert_eq!(ts.valid_f.get(l), 1.0);
             assert_eq!(ts.slots.get(l), 200 + (l as u32 - 16));
         }
         // Non-self tile: write mask equals validity.
         for l in 0..32 {
-            assert_eq!(ts.write_mask.get(l), ts.valid.get(l));
+            assert_eq!(ts.write_mask.get(l), ts.valid_f.get(l) == 1.0);
         }
     }
 
@@ -160,7 +162,7 @@ mod tests {
             assert!(ts.write_mask.get(l));
         }
         for l in 16..32 {
-            assert!(ts.valid.get(l), "upper lanes still load data");
+            assert_eq!(ts.valid_f.get(l), 1.0, "upper lanes still load data");
             assert!(
                 !ts.write_mask.get(l),
                 "upper lanes must not write in self tiles"

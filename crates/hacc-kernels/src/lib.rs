@@ -40,11 +40,11 @@ pub use launch::{
     TimerReport, WorkLists, WorkSet, GRAVITY_TIMER, HYDRO_TIMERS,
 };
 pub use offload::Offload;
-pub use particles::{DeviceParticles, HostParticles, GAMMA};
+pub use particles::{DeviceParticles, HostParticles};
 pub use subgrid::{Subgrid, SubgridParams};
 pub use tuning::TunedSelector;
 pub use variant::{Variant, ALL_VARIANTS};
-pub use worklist::{build_chunks, build_tiles, leaf_slots, Chunk, ChunkWork, Tile};
+pub use worklist::{build_chunks, build_tiles, Tile};
 
 #[cfg(test)]
 mod tests {

@@ -1,9 +1,9 @@
 //! The generic pairwise kernel: one physics definition, two structures,
 //! two executors.
 //!
-//! Every CRK hot kernel is a sum over neighbor particles. [`PairPhysics`]
+//! Every CRK hot kernel is a sum over neighbor particles. `PairPhysics`
 //! supplies the per-kernel pieces (which fields are exchanged, the
-//! interaction math, and the write-back); [`PairKernel`] provides the two
+//! interaction math, and the write-back); `PairKernel` provides the two
 //! execution structures of the paper:
 //!
 //! * **half-warp** (Select / Memory / vISA variants): one sub-group per
@@ -11,7 +11,7 @@
 //!   atomics because a particle appears in many tiles;
 //! * **broadcast**: one sub-group per chunk, neighbor data is staged
 //!   lane-wise and broadcast per partner with the j-loop unrolled by
-//!   [`BROADCAST_UNROLL`] (holding that many partner objects live — the
+//!   `BROADCAST_UNROLL` (holding that many partner objects live — the
 //!   register-pressure cost of the restructuring, §5.3.2), and results
 //!   are written with plain stores since each particle belongs to
 //!   exactly one chunk (the "fewer atomic instructions" of §5.3.2).
@@ -19,8 +19,8 @@
 //! The tile (or chunk) prologue, the neighbor staging and the `write`
 //! epilogue always run op by op on `Lanes<f32>`. The interaction loop
 //! runs in the **fused block executor**: the owner's fields are copied
-//! out of their registers once per tile, and each [`BLOCK`]-lane block
-//! runs the same `interact` body at [`F32x8`] over the exchange steps or
+//! out of their registers once per tile, and each `BLOCK`-lane block
+//! runs the same `interact` body at `F32x8` over the exchange steps or
 //! broadcast partners, inside one AVX2-compiled loop on x86-64 hosts
 //! that have it. A metered launch first runs the loop's **first group**
 //! op by op — exchange step 0, or the first unrolled group of each
@@ -52,10 +52,10 @@ use sycl_sim::{Buffer, Lanes, MeterPolicy, Sg, SgKernel};
 /// concurrent partners models the reuse distance the paper's restructured
 /// kernels exhibit (their large register footprint is what spills on
 /// A100, §5.4).
-pub const BROADCAST_UNROLL: usize = 8;
+const BROADCAST_UNROLL: usize = 8;
 
 /// Per-kernel physics: field selection, interaction, write-back.
-pub trait PairPhysics: Sync {
+pub(crate) trait PairPhysics: Sync {
     /// Timer name (upGeo, upCor, …).
     fn name(&self) -> &'static str;
 
@@ -109,7 +109,7 @@ pub trait PairPhysics: Sync {
 }
 
 /// A launchable kernel: physics + work lists + variant.
-pub struct PairKernel<P: PairPhysics> {
+pub(crate) struct PairKernel<P: PairPhysics> {
     /// The kernel's physics definition.
     pub physics: P,
     /// Work lists: the Select/Memory/vISA variants read the tiles, the

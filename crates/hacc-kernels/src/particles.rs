@@ -10,7 +10,7 @@ use sycl_sim::Buffer;
 
 /// Adiabatic index of the ideal-gas equation of state used by the
 /// adiabatic ("non-radiative") CRK-HACC configuration.
-pub const GAMMA: f32 = 5.0 / 3.0;
+pub(crate) const GAMMA: f32 = 5.0 / 3.0;
 
 /// Host-side particle sample (one species) used to populate the device.
 #[derive(Clone, Debug, Default, PartialEq)]
@@ -182,7 +182,7 @@ impl DeviceParticles {
     }
 
     /// Clears the per-step accumulator fields.
-    pub fn clear_accumulators(&self) {
+    pub(crate) fn clear_accumulators(&self) {
         for c in 0..3 {
             self.acc[c].fill_f32(0.0);
             self.acc_grav[c].fill_f32(0.0);

@@ -5,7 +5,7 @@
 //! closures of the finalize kernels.
 //!
 //! The device kernels instantiate it at `Lanes<f32>` on metered
-//! launches and the pair math at [`crate::arith::F32x8`] in the fused
+//! launches and the pair math at `arith::F32x8` in the fused
 //! block executor of unmetered ones (so the pair functions are
 //! `#[inline(always)]`: they must inline into its AVX2-compiled loop);
 //! [`crate::reference`] instantiates it at `f64` in its all-pairs loops.
@@ -69,7 +69,7 @@ pub fn min_image<T: Real>(own: &T, other: &T, box_size: f64) -> T {
 }
 
 /// Pair geometry computed once per interaction instance.
-pub struct PairGeom<T> {
+pub(crate) struct PairGeom<T> {
     /// Displacement `x_j − x_i`, minimum image.
     pub eta: [T; 3],
     /// Squared distance.
@@ -86,7 +86,7 @@ pub struct PairGeom<T> {
 /// Builds the pair geometry from own/other positions and smoothing
 /// lengths.
 #[inline(always)]
-pub fn pair_geometry<T: Real>(
+pub(crate) fn pair_geometry<T: Real>(
     cx: T::Ctx,
     own_pos: [&T; 3],
     own_h: &T,
@@ -121,7 +121,7 @@ pub fn pair_geometry<T: Real>(
 
 /// `B·η` for a correction vector.
 #[inline(always)]
-pub fn b_dot_eta<T: Real>(b: [&T; 3], eta: &[T; 3]) -> T {
+fn b_dot_eta<T: Real>(b: [&T; 3], eta: &[T; 3]) -> T {
     b[0].mul(&eta[0])
         .add(&b[1].mul(&eta[1]))
         .add(&b[2].mul(&eta[2]))
@@ -131,7 +131,7 @@ pub fn b_dot_eta<T: Real>(b: [&T; 3], eta: &[T; 3]) -> T {
 ///
 /// `a_i, b_i` are the owner's CRK coefficients, `a_j, b_j` the partner's.
 #[inline(always)]
-pub fn corrected_gradient<T: Real>(
+fn corrected_gradient<T: Real>(
     g: &PairGeom<T>,
     a_i: &T,
     b_i: [&T; 3],
@@ -154,7 +154,7 @@ pub fn corrected_gradient<T: Real>(
 /// The owner-corrected kernel value `W^R = A_i (1 + B_i·η) W` used by the
 /// density sums of *Extras*.
 #[inline(always)]
-pub fn corrected_kernel<T: Real>(g: &PairGeom<T>, a_i: &T, b_i: [&T; 3]) -> T {
+fn corrected_kernel<T: Real>(g: &PairGeom<T>, a_i: &T, b_i: [&T; 3]) -> T {
     let bi_eta = b_dot_eta(b_i, &g.eta);
     a_i.mul(&bi_eta.add_c(1.0)).mul(&g.w)
 }
@@ -163,7 +163,7 @@ pub fn corrected_kernel<T: Real>(g: &PairGeom<T>, a_i: &T, b_i: [&T; 3]) -> T {
 /// by the gradient estimators of *Extras*:
 /// `∇ᵢW^R = −A_i B_i W − A_i (1 + B_i·η)(W′/r) η`.
 #[inline(always)]
-pub fn corrected_gradient_own<T: Real>(g: &PairGeom<T>, a_i: &T, b_i: [&T; 3]) -> [T; 3] {
+fn corrected_gradient_own<T: Real>(g: &PairGeom<T>, a_i: &T, b_i: [&T; 3]) -> [T; 3] {
     let bi_eta = b_dot_eta(b_i, &g.eta);
     let radial = a_i.mul(&bi_eta.add_c(1.0)).mul(&g.dw_over_r).mul_c(-1.0);
     std::array::from_fn(|c| radial.mul(&g.eta[c]).sub(&a_i.mul(b_i[c]).mul(&g.w)))
@@ -172,7 +172,7 @@ pub fn corrected_gradient_own<T: Real>(g: &PairGeom<T>, a_i: &T, b_i: [&T; 3]) -
 /// Monaghan artificial viscosity Π_ij and the |μ| used by the CFL
 /// condition. `v_ij = v_i − v_j` (owner minus partner); the pair is
 /// approaching when `v_ij·η > 0` with our η convention.
-pub struct Viscosity<T> {
+struct Viscosity<T> {
     /// Π_ij (non-negative; zero for receding pairs).
     pub pi: T,
     /// |μ_ij| (the signal-velocity measure for the time step).
@@ -181,7 +181,7 @@ pub struct Viscosity<T> {
 
 /// Computes the artificial viscosity between two force-kernel objects.
 #[inline(always)]
-pub fn viscosity<T: Real>(cx: T::Ctx, g: &PairGeom<T>, own: &[T], other: &[T]) -> Viscosity<T> {
+fn viscosity<T: Real>(cx: T::Ctx, g: &PairGeom<T>, own: &[T], other: &[T]) -> Viscosity<T> {
     let vx = own[V].sub(&other[V]);
     let vy = own[V + 1].sub(&other[V + 1]);
     let vz = own[V + 2].sub(&other[V + 2]);
@@ -213,7 +213,13 @@ fn density_geometry<T: Real>(cx: T::Ctx, own: &[T], other: &[T], box_size: f64) 
 /// *Geometry* (`upGeo`): the number-density sum `n_i += W_ij`, weighted
 /// by the partner's validity. One accumulator.
 #[inline(always)]
-pub fn geometry_pair<T: Real>(cx: T::Ctx, own: &[T], other: &[T], box_size: f64, acc: &mut [T]) {
+pub(crate) fn geometry_pair<T: Real>(
+    cx: T::Ctx,
+    own: &[T],
+    other: &[T],
+    box_size: f64,
+    acc: &mut [T],
+) {
     let g = density_geometry(cx, own, other, box_size);
     acc[0] = acc[0].add(&g.w.mul(&other[WT]));
 }
@@ -222,7 +228,13 @@ pub fn geometry_pair<T: Real>(cx: T::Ctx, own: &[T], other: &[T], box_size: f64,
 /// `m₁ += V_j η W`, `m₂ += V_j η⊗η W` (xx, yy, zz, xy, xz, yz). Ten
 /// accumulators.
 #[inline(always)]
-pub fn corrections_pair<T: Real>(cx: T::Ctx, own: &[T], other: &[T], box_size: f64, acc: &mut [T]) {
+pub(crate) fn corrections_pair<T: Real>(
+    cx: T::Ctx,
+    own: &[T],
+    other: &[T],
+    box_size: f64,
+    acc: &mut [T],
+) {
     let g = density_geometry(cx, own, other, box_size);
     let vw = g.w.mul(&other[WT]);
     acc[0] = acc[0].add(&vw);
@@ -240,7 +252,7 @@ pub fn corrections_pair<T: Real>(cx: T::Ctx, own: &[T], other: &[T], box_size: f
 /// the owner's coefficients `own_extra = [A, B]`, which are not
 /// exchanged. Four accumulators.
 #[inline(always)]
-pub fn extras_pair<T: Real>(
+pub(crate) fn extras_pair<T: Real>(
     cx: T::Ctx,
     own: &[T],
     own_extra: &[T],
@@ -278,7 +290,7 @@ fn force_terms<T: Real>(
 /// *Acceleration* (`upBarAc`): `a_i −= m_j (P_i/ρ_i² + P_j/ρ_j² + Π_ij)
 /// Ĝ_ij`, and the largest |μ| for the CFL condition. Four accumulators.
 #[inline(always)]
-pub fn acceleration_pair<T: Real>(
+pub(crate) fn acceleration_pair<T: Real>(
     cx: T::Ctx,
     own: &[T],
     other: &[T],
@@ -299,7 +311,13 @@ pub fn acceleration_pair<T: Real>(
 /// *Energy* (`upBarDu`): `du_i/dt += m_j (P_i/ρ_i² + ½ Π_ij) v_ij·Ĝ_ij`.
 /// One accumulator.
 #[inline(always)]
-pub fn energy_pair<T: Real>(cx: T::Ctx, own: &[T], other: &[T], box_size: f64, acc: &mut [T]) {
+pub(crate) fn energy_pair<T: Real>(
+    cx: T::Ctx,
+    own: &[T],
+    other: &[T],
+    box_size: f64,
+    acc: &mut [T],
+) {
     let (_g, grad, visc) = force_terms(cx, own, other, box_size);
     let vx = own[V].sub(&other[V]);
     let vy = own[V + 1].sub(&other[V + 1]);
@@ -319,7 +337,7 @@ pub fn energy_pair<T: Real>(cx: T::Ctx, own: &[T], other: &[T], box_size: f64, a
 /// Three accumulators.
 #[allow(clippy::too_many_arguments)]
 #[inline(always)]
-pub fn gravity_pair<T: Real>(
+pub(crate) fn gravity_pair<T: Real>(
     cx: T::Ctx,
     own: &[T],
     other: &[T],
@@ -371,7 +389,7 @@ pub fn volume<T: Real>(cx: T::Ctx, n_sum: &T) -> T {
 /// (equivalent to `A = 1/(m₀ − m₁ᵀM₂⁻¹m₁)`), by cofactor inversion of the
 /// symmetric 3×3 `M₂`. Falls back to plain SPH (`A = 1/m₀`, `B = 0`)
 /// when `M₂` is numerically singular (isolated particles).
-pub fn crk_coefficients<T: Real>(cx: T::Ctx, m0: &T, m1: &[T], m2: &[T]) -> (T, [T; 3]) {
+pub(crate) fn crk_coefficients<T: Real>(cx: T::Ctx, m0: &T, m1: &[T], m2: &[T]) -> (T, [T; 3]) {
     let (xx, yy, zz, xy, xz, yz) = (&m2[0], &m2[1], &m2[2], &m2[3], &m2[4], &m2[5]);
 
     // Cofactors of the symmetric matrix.
@@ -418,7 +436,7 @@ pub fn crk_coefficients<T: Real>(cx: T::Ctx, m0: &T, m1: &[T], m2: &[T]) -> (T, 
 
 /// Ideal-gas closure from `ρ` and `u`: `(P, c, P/ρ²)` with
 /// `P = (γ−1)ρu` and `c = √(γP/ρ)`.
-pub fn eos<T: Real>(cx: T::Ctx, rho: &T, u: &T) -> (T, T, T) {
+pub(crate) fn eos<T: Real>(cx: T::Ctx, rho: &T, u: &T) -> (T, T, T) {
     let gamma = f64::from(GAMMA);
     let rho_safe = rho.max(&T::splat(cx, 1e-30));
     let p = rho_safe.mul(u).mul_c(gamma - 1.0);
@@ -428,7 +446,7 @@ pub fn eos<T: Real>(cx: T::Ctx, rho: &T, u: &T) -> (T, T, T) {
 }
 
 /// The CFL time step `C h / (c + 2 max|μ|)`.
-pub fn cfl_time_step<T: Real>(cx: T::Ctx, h: &T, cs: &T, mu_max: &T) -> T {
+pub(crate) fn cfl_time_step<T: Real>(cx: T::Ctx, h: &T, cs: &T, mu_max: &T) -> T {
     let denom = cs.add(&mu_max.mul_c(2.0));
     let denom = denom.max(&T::splat(cx, 1e-30));
     h.mul_c(CFL).div(&denom)

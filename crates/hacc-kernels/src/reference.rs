@@ -111,7 +111,7 @@ pub fn corrections(hp: &HostParticles, volume: &[f64], box_size: f64) -> (Vec<f6
 }
 
 /// Extras: density and density gradient with the owner-corrected kernel.
-pub fn extras(
+fn extras(
     hp: &HostParticles,
     crk_a: &[f64],
     crk_b: &[[f64; 3]],
@@ -127,7 +127,7 @@ pub fn extras(
 }
 
 /// EOS closure shared by the reference pipeline: `(P, c, P/ρ²)`.
-pub fn eos(hp: &HostParticles, rho: &[f64]) -> (Vec<f64>, Vec<f64>, Vec<f64>) {
+pub(crate) fn eos(hp: &HostParticles, rho: &[f64]) -> (Vec<f64>, Vec<f64>, Vec<f64>) {
     let (mut p, mut cs, mut pt) = (vec![], vec![], vec![]);
     for (r, u) in rho.iter().zip(&hp.u) {
         let (pi, ci, ti) = physics::eos((), r, u);

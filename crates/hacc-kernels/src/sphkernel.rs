@@ -45,7 +45,7 @@ pub fn w<T: Real>(cx: T::Ctx, r: &T, h: &T) -> T {
 
 /// Kernel radial derivative `dW/dr (r, h)`.
 #[inline(always)]
-pub fn dw_dr<T: Real>(cx: T::Ctx, r: &T, h: &T) -> T {
+pub(crate) fn dw_dr<T: Real>(cx: T::Ctx, r: &T, h: &T) -> T {
     let q = r.div(h);
     let h2 = h.mul(h);
     let h4 = h2.mul(&h2);

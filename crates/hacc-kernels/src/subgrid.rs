@@ -133,8 +133,10 @@ impl SgKernel for Subgrid {
     }
 }
 
-/// f64 reference for the sub-grid update.
-pub fn reference(
+/// f64 reference for the sub-grid update: the oracle the kernel is
+/// tested against.
+#[cfg(test)]
+fn reference(
     rho: &[f64],
     u: &[f64],
     mass: &[f64],

@@ -123,7 +123,7 @@ pub fn kernel_digest() -> u64 {
 /// the variant id must parse and be legal here (vISA needs both the
 /// hardware and the toolchain), and the device knobs must be legal on
 /// `arch`.
-pub fn validate_choice(
+fn validate_choice(
     arch: &GpuArch,
     toolchain_visa: bool,
     choice: &TuneChoice,

@@ -58,7 +58,7 @@ pub struct ChunkWork {
 const PAIR_BLOCK: usize = 4096;
 
 /// Slot range `(start, end)` of every leaf, in leaf order.
-pub fn leaf_slots(tree: &RcbTree) -> Vec<(u32, u32)> {
+pub(crate) fn leaf_slots(tree: &RcbTree) -> Vec<(u32, u32)> {
     tree.leaves
         .iter()
         .map(|&ni| (tree.nodes[ni].start as u32, tree.nodes[ni].end as u32))
@@ -114,7 +114,7 @@ pub fn build_tiles(tree: &RcbTree, list: &InteractionList, sg_size: usize) -> Ve
 
 /// Builds the chunk-parallel work list for the Broadcast variant with
 /// chunk capacity `sg_size`, from every leaf's slot range
-/// ([`leaf_slots`]) and the leaf pairs.
+/// (`leaf_slots`) and the leaf pairs.
 ///
 /// Every chunk's neighbor list contains all chunks of all leaves that
 /// interact with the chunk's leaf (including its own leaf, and itself),

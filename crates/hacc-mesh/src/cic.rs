@@ -87,24 +87,6 @@ pub fn deposit(dims: Dims, positions: &[[f64; 3]], masses: &[f64], grid: &mut [f
     }
 }
 
-/// Interpolates a grid-sampled scalar field to particle positions with the
-/// same CIC weights used for deposit (ensuring no self-force at the mesh
-/// level).
-pub fn interpolate(dims: Dims, grid: &[f64], positions: &[[f64; 3]], out: &mut [f64]) {
-    assert_eq!(grid.len(), dims.len());
-    assert_eq!(positions.len(), out.len());
-    positions
-        .par_iter()
-        .zip(out.par_iter_mut())
-        .for_each(|(p, o)| {
-            let mut acc = 0.0;
-            for (idx, w) in cic_stencil(dims, p[0], p[1], p[2]) {
-                acc += grid[idx] * w;
-            }
-            *o = acc;
-        });
-}
-
 /// Interpolates a 3-component field (e.g. the mesh force) to particles.
 pub fn interpolate_vec3(
     dims: Dims,
@@ -125,6 +107,25 @@ pub fn interpolate_vec3(
                 for c in 0..3 {
                     acc[c] += fields[c][idx] * w;
                 }
+            }
+            *o = acc;
+        });
+}
+
+/// Interpolates a grid-sampled scalar field to particle positions with the
+/// CIC weights of deposit: the scalar form of [`interpolate_vec3`] the
+/// stencil tests use.
+#[cfg(test)]
+fn interpolate(dims: Dims, grid: &[f64], positions: &[[f64; 3]], out: &mut [f64]) {
+    assert_eq!(grid.len(), dims.len());
+    assert_eq!(positions.len(), out.len());
+    positions
+        .par_iter()
+        .zip(out.par_iter_mut())
+        .for_each(|(p, o)| {
+            let mut acc = 0.0;
+            for (idx, w) in cic_stencil(dims, p[0], p[1], p[2]) {
+                acc += grid[idx] * w;
             }
             *o = acc;
         });

@@ -24,12 +24,11 @@ pub mod spectrum;
 pub mod split;
 pub mod zeldovich;
 
-pub use lpt2::{d2_of_d1, lpt2_displacements, Lpt2Displacements};
 pub use pm::PmSolver;
 pub use poisson::{PoissonConfig, PoissonSolver};
 pub use spectrum::{measure_power, SpectrumBin};
 pub use split::{ForceSplit, PolyShortRange};
-pub use zeldovich::{zeldovich_ics, GaussianField, InitialConditions};
+pub use zeldovich::{zeldovich_ics, InitialConditions};
 
 #[cfg(test)]
 mod proptests {

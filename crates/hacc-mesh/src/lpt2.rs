@@ -58,7 +58,7 @@ fn potential_second_derivative(
 
 /// The 2LPT displacement fields: first- and second-order components per
 /// axis, in the same length units as the box.
-pub struct Lpt2Displacements {
+pub(crate) struct Lpt2Displacements {
     /// First-order (Zel'dovich) displacement ψ⁽¹⁾.
     pub psi1: [Vec<f64>; 3],
     /// Second-order displacement ψ⁽²⁾ (to be scaled by `−3/7 D₁²`).
@@ -66,7 +66,7 @@ pub struct Lpt2Displacements {
 }
 
 /// Derives both displacement orders from a density realization.
-pub fn lpt2_displacements(field: &GaussianField) -> Lpt2Displacements {
+pub(crate) fn lpt2_displacements(field: &GaussianField) -> Lpt2Displacements {
     let dims = field.dims;
     let box_size = field.box_size;
     let fft = Fft3d::new(dims);
@@ -120,7 +120,7 @@ pub fn lpt2_displacements(field: &GaussianField) -> Lpt2Displacements {
 /// The standard ΛCDM approximation `D₂ ≈ −(3/7) D₁² Ωₘ(a)^{−1/143}`; the
 /// tiny Ω correction is dropped (sub-percent at the starting epochs used
 /// here).
-pub fn d2_of_d1(d1: f64) -> f64 {
+pub(crate) fn d2_of_d1(d1: f64) -> f64 {
     -3.0 / 7.0 * d1 * d1
 }
 

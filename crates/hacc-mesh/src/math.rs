@@ -4,7 +4,7 @@
 /// Complementary error function, via the Cody-style rational/asymptotic
 /// blend of Numerical Recipes' `erfc` (max relative error ≈ 1.2e-7, ample
 /// for a force law that is later refit by a polynomial).
-pub fn erfc(x: f64) -> f64 {
+pub(crate) fn erfc(x: f64) -> f64 {
     let z = x.abs();
     let t = 2.0 / (2.0 + z);
     let ty = 4.0 * t - 2.0;
@@ -56,7 +56,7 @@ pub fn erfc(x: f64) -> f64 {
 
 /// Error function `erf(x) = 1 − erfc(x)`.
 #[inline]
-pub fn erf(x: f64) -> f64 {
+pub(crate) fn erf(x: f64) -> f64 {
     1.0 - erfc(x)
 }
 
@@ -64,7 +64,7 @@ pub fn erf(x: f64) -> f64 {
 /// with partial pivoting. `a` is row-major `n × n`. Panics on a singular
 /// matrix. Used by the small least-squares fits of the short-range force
 /// polynomial; the systems are ≤ 8 × 8.
-pub fn solve_dense(a: &mut [f64], b: &mut [f64]) -> Vec<f64> {
+pub(crate) fn solve_dense(a: &mut [f64], b: &mut [f64]) -> Vec<f64> {
     let n = b.len();
     assert_eq!(a.len(), n * n, "matrix shape mismatch");
     for col in 0..n {

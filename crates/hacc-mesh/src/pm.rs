@@ -76,18 +76,6 @@ impl PmSolver {
         out.resize(positions.len(), [0.0; 3]);
         cic::interpolate_vec3(self.dims, [&force[0], &force[1], &force[2]], positions, out);
     }
-
-    /// Potential energy diagnostic: `½ Σ m δφ` over the grid (grid units).
-    pub fn potential_energy(&mut self, positions: &[[f64; 3]], masses: &[f64]) -> f64 {
-        self.density_contrast(positions, masses);
-        let phi = self.solver.potential(&self.density);
-        0.5 * self
-            .density
-            .iter()
-            .zip(&phi)
-            .map(|(d, p)| d * p)
-            .sum::<f64>()
-    }
 }
 
 #[cfg(test)]
@@ -189,15 +177,5 @@ mod tests {
             a2[0][0],
             a1[0][0]
         );
-    }
-
-    #[test]
-    fn potential_energy_is_negative_for_clustered_mass() {
-        let ng = 16;
-        let mut pm = PmSolver::new(ng, None);
-        let pos = vec![[8.0, 8.0, 8.0], [8.5, 8.0, 8.0]];
-        let masses = vec![1.0, 1.0];
-        let u = pm.potential_energy(&pos, &masses);
-        assert!(u < 0.0, "clustered configuration must be bound: U = {u}");
     }
 }

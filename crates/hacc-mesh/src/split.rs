@@ -14,7 +14,7 @@
 //! `r²` (the `HACC_CUDA_POLY_ORDER=5` appendix flag), and the kernels
 //! compute `1/r³ − poly(r²)` per pair.
 
-use crate::math::{erf, erfc, solve_dense};
+use crate::math::{erf, solve_dense};
 use std::f64::consts::PI;
 
 /// Gaussian force-splitting parameters.
@@ -41,25 +41,8 @@ impl ForceSplit {
     /// k-space filter applied to the density before the Poisson solve:
     /// `S(k) = exp(−k² r_s² / 2)` (a real-space Gaussian of width `r_s`).
     #[inline]
-    pub fn filter_k(&self, k: f64) -> f64 {
+    pub(crate) fn filter_k(&self, k: f64) -> f64 {
         (-0.5 * k * k * self.r_s * self.r_s).exp()
-    }
-
-    /// Full Newtonian force-over-distance for a unit-mass pair: `1/r³`.
-    #[inline]
-    pub fn newtonian_over_r(&self, r: f64) -> f64 {
-        1.0 / (r * r * r)
-    }
-
-    /// Exact short-range force-over-distance `F_SR(r)/r` (erfc-screened).
-    ///
-    /// Derived from the point-mass long-range potential
-    /// `φ_LR = −erf(r/(√2 r_s))/r` of the Gaussian-filtered density.
-    pub fn short_over_r(&self, r: f64) -> f64 {
-        assert!(r > 0.0);
-        let s = std::f64::consts::SQRT_2 * self.r_s;
-        let u = r / s;
-        erfc(u) / (r * r * r) + (2.0 / (s * PI.sqrt())) * (-u * u).exp() / (r * r)
     }
 
     /// Exact long-range force-over-distance `F_LR(r)/r` — the smooth part
@@ -68,7 +51,7 @@ impl ForceSplit {
     /// The two closed-form terms cancel catastrophically for `r ≪ r_s`
     /// (each diverges as `1/r²` while the difference stays O(1)), so small
     /// radii use the Taylor series of the difference instead.
-    pub fn long_over_r(&self, r: f64) -> f64 {
+    pub(crate) fn long_over_r(&self, r: f64) -> f64 {
         let s = std::f64::consts::SQRT_2 * self.r_s;
         let u = r / s;
         if u < 0.25 {
@@ -139,10 +122,32 @@ impl PolyShortRange {
             .collect();
         Self { coeffs, split }
     }
+}
 
+/// The exact forms the kernels' polynomial fit is tested against.
+#[cfg(test)]
+impl ForceSplit {
+    /// Full Newtonian force-over-distance for a unit-mass pair: `1/r³`.
+    pub(crate) fn newtonian_over_r(&self, r: f64) -> f64 {
+        1.0 / (r * r * r)
+    }
+
+    /// Exact short-range force-over-distance `F_SR(r)/r` (erfc-screened).
+    ///
+    /// Derived from the point-mass long-range potential
+    /// `φ_LR = −erf(r/(√2 r_s))/r` of the Gaussian-filtered density.
+    pub(crate) fn short_over_r(&self, r: f64) -> f64 {
+        assert!(r > 0.0);
+        let s = std::f64::consts::SQRT_2 * self.r_s;
+        let u = r / s;
+        crate::math::erfc(u) / (r * r * r) + (2.0 / (s * PI.sqrt())) * (-u * u).exp() / (r * r)
+    }
+}
+
+#[cfg(test)]
+impl PolyShortRange {
     /// Evaluates the polynomial `Σ c_j (r²)^j` (the long-range model).
-    #[inline]
-    pub fn poly(&self, r2: f64) -> f64 {
+    pub(crate) fn poly(&self, r2: f64) -> f64 {
         // Horner in r².
         let mut acc = 0.0;
         for &c in self.coeffs.iter().rev() {
@@ -152,12 +157,9 @@ impl PolyShortRange {
     }
 
     /// The pairwise short-range force-over-distance the GPU kernel computes:
-    /// `1/r³ − poly(r²)` inside the cutoff, zero outside.
-    ///
-    /// Matches the single-precision device implementation in
-    /// `hacc-kernels::gravity` (this is the f64 reference).
-    #[inline]
-    pub fn force_over_r(&self, r2: f64) -> f64 {
+    /// `1/r³ − poly(r²)` inside the cutoff, zero outside (the f64 form of
+    /// `hacc-kernels::gravity`).
+    fn force_over_r(&self, r2: f64) -> f64 {
         let r_cut2 = self.split.r_cut * self.split.r_cut;
         if r2 >= r_cut2 || r2 <= 0.0 {
             return 0.0;
@@ -168,7 +170,7 @@ impl PolyShortRange {
 
     /// Maximum relative error of the fit against the exact long-range form,
     /// sampled densely over `(0.05 r_cut, r_cut)`.
-    pub fn fit_error(&self) -> f64 {
+    pub(crate) fn fit_error(&self) -> f64 {
         let mut worst: f64 = 0.0;
         for i in 0..512 {
             let r = self.split.r_cut * (0.05 + 0.95 * i as f64 / 511.0);

@@ -17,7 +17,7 @@ use rand::{Rng, SeedableRng};
 use std::f64::consts::PI;
 
 /// A realization of a Gaussian density field on a periodic grid.
-pub struct GaussianField {
+pub(crate) struct GaussianField {
     /// Grid dimensions.
     pub dims: Dims,
     /// Box side in Mpc/h.
@@ -34,7 +34,12 @@ impl GaussianField {
     ///
     /// White noise is drawn in real space so the spectrum is automatically
     /// Hermitian and the field exactly real.
-    pub fn generate<F: Fn(f64) -> f64>(dims: Dims, box_size: f64, power_fn: F, seed: u64) -> Self {
+    pub(crate) fn generate<F: Fn(f64) -> f64>(
+        dims: Dims,
+        box_size: f64,
+        power_fn: F,
+        seed: u64,
+    ) -> Self {
         assert!(box_size > 0.0);
         let mut rng = StdRng::seed_from_u64(seed);
         let n = dims.len();
@@ -134,6 +139,9 @@ pub fn zeldovich_ics(
 
 /// Generates 2LPT initial conditions (second-order displacements reduce
 /// the Zel'dovich transients that otherwise decay only as 1/a).
+///
+/// Public although nothing calls it yet: it is the 2LPT input DESIGN's
+/// feature table names for comparing initial-condition orders.
 pub fn lpt2_ics(spec: &BoxSpec, power: &LinearPower, z_init: f64, seed: u64) -> InitialConditions {
     ics_with_order(spec, power, z_init, seed, 2)
 }

@@ -8,7 +8,7 @@
 /// not pure comments (`//`, `///`, `//!`) and not inside block comments.
 /// Matches the paper's SLOC convention ("excluding whitespace and
 /// comments").
-pub fn count_sloc(text: &str) -> u32 {
+pub(crate) fn count_sloc(text: &str) -> u32 {
     let mut in_block_comment = false;
     let mut sloc = 0u32;
     for line in text.lines() {
@@ -110,7 +110,7 @@ fn item_len(text: &str) -> Option<usize> {
 /// `"fn visa_butterfly"`), or `None` when the anchor is absent: how the
 /// mini-CBI attributes specialized code (the vISA path, the broadcast
 /// restructure) to its configuration set without marker comments.
-pub fn extract_region(text: &str, anchor: &str) -> Option<String> {
+pub(crate) fn extract_region(text: &str, anchor: &str) -> Option<String> {
     let start = text[..text.find(anchor)?].rfind('\n').map_or(0, |p| p + 1);
     let len = item_len(&text[start..])?;
     Some(text[start..start + len].to_string())

@@ -13,11 +13,11 @@ use std::collections::BTreeSet;
 /// A platform's source set: identifiers of the lines compiled for it.
 /// Lines are identified as (unit id, line index) pairs encoded by the
 /// caller; any stable encoding works for the set algebra.
-pub type SourceSet = BTreeSet<(u32, u32)>;
+pub(crate) type SourceSet = BTreeSet<(u32, u32)>;
 
 /// Jaccard distance between two source sets. Two empty sets are
 /// identical (distance 0).
-pub fn jaccard_distance(a: &SourceSet, b: &SourceSet) -> f64 {
+pub(crate) fn jaccard_distance(a: &SourceSet, b: &SourceSet) -> f64 {
     let inter = a.intersection(b).count();
     let union = a.union(b).count();
     if union == 0 {
@@ -29,7 +29,7 @@ pub fn jaccard_distance(a: &SourceSet, b: &SourceSet) -> f64 {
 
 /// Code divergence: mean pairwise Jaccard distance over all platform
 /// pairs. A single platform has divergence 0 by convention.
-pub fn code_divergence(sets: &[SourceSet]) -> f64 {
+pub(crate) fn code_divergence(sets: &[SourceSet]) -> f64 {
     let n = sets.len();
     assert!(n >= 1, "divergence needs at least one platform");
     if n == 1 {
@@ -47,28 +47,18 @@ pub fn code_divergence(sets: &[SourceSet]) -> f64 {
 }
 
 /// Code convergence `1 − CD` (Figure 13's x-axis).
-pub fn code_convergence(sets: &[SourceSet]) -> f64 {
+pub(crate) fn code_convergence(sets: &[SourceSet]) -> f64 {
     1.0 - code_divergence(sets)
-}
-
-/// Builds a source set from unit sizes: `units` lists `(unit_id,
-/// line_count)` for every unit compiled into the platform's build.
-pub fn source_set_from_units(units: &[(u32, u32)]) -> SourceSet {
-    let mut s = SourceSet::new();
-    for &(id, lines) in units {
-        for l in 0..lines {
-            s.insert((id, l));
-        }
-    }
-    s
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn set(pairs: &[(u32, u32)]) -> SourceSet {
-        source_set_from_units(pairs)
+    /// The set of `(unit, line)` pairs of units `(id, line_count)`.
+    fn set(units: &[(u32, u32)]) -> SourceSet {
+        let lines = |&(id, n): &(u32, u32)| (0..n).map(move |l| (id, l));
+        units.iter().flat_map(lines).collect()
     }
 
     #[test]

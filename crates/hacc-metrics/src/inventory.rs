@@ -190,14 +190,18 @@ fn region_sloc_of(text: &str, anchors: &[&str]) -> Result<u32, String> {
     })
 }
 
+/// The package names a manifest's `[dependencies]` table lists.
+fn dependency_names(manifest: &str) -> impl Iterator<Item = &str> {
+    let deps = manifest.split("[dependencies]").nth(1).unwrap_or_default();
+    let lines = deps.lines().take_while(|l| !l.starts_with('['));
+    lines.filter_map(|l| l.strip_suffix(".workspace = true"))
+}
+
 /// The workspace crates (each in `crates/<name>`) that a crate's
 /// `[dependencies]` name.
 fn workspace_deps(root: &Path, krate: &Path) -> Result<Vec<PathBuf>, String> {
     let manifest = read(&krate.join("Cargo.toml"))?;
-    let deps = manifest.split("[dependencies]").nth(1).unwrap_or_default();
-    let names = deps.lines().take_while(|l| !l.starts_with('['));
-    let dirs = names.filter_map(|l| l.strip_suffix(".workspace = true"));
-    Ok(dirs
+    Ok(dependency_names(&manifest)
         .map(|name| root.join("crates").join(name))
         .filter(|dir| dir.is_dir())
         .collect())
@@ -274,7 +278,7 @@ impl RepoInventory {
                 "Partners::Broadcast(staged) =>",
             ],
         )? + regions("hacc-kernels/src/worklist.rs", &["pub fn build_chunks"])?
-            + regions("hacc-kernels/src/halfwarp.rs", &["pub fn chunk_slots"])?;
+            + regions("hacc-kernels/src/halfwarp.rs", &["fn chunk_slots"])?;
         let cuda_glue = regions(toolchain, &["pub fn cuda()", "pub fn cuda_fast_math()"])?;
         let hip_glue = regions(toolchain, &["pub fn hip()", "pub fn hip_fast_math()"])?;
         let sycl_glue = regions(toolchain, &["pub fn sycl()", "pub fn sycl_visa()"])?;
@@ -336,7 +340,7 @@ impl RepoInventory {
     /// Builds the source set for one configuration on one platform
     /// (`None` when unsupported). Unused lines are excluded, matching
     /// the paper's convention.
-    pub fn source_set(&self, config: ConfigKind, platform: Platform) -> Option<SourceSet> {
+    fn source_set(&self, config: ConfigKind, platform: Platform) -> Option<SourceSet> {
         let (lang, mech) = config.build_for(platform)?;
         let mut set = SourceSet::new();
         let mut add = |unit: u32, lines: u32| {
@@ -444,12 +448,7 @@ mod tests {
         };
         let deps_of = |dir: &PathBuf| -> Vec<String> {
             let manifest = read(&dir.join("Cargo.toml")).unwrap();
-            let deps = manifest.split("[dependencies]").nth(1).unwrap_or_default();
-            deps.lines()
-                .take_while(|l| !l.starts_with('['))
-                .filter_map(|l| l.strip_suffix(".workspace = true"))
-                .map(str::to_string)
-                .collect()
+            dependency_names(&manifest).map(str::to_string).collect()
         };
         let by_name: std::collections::BTreeMap<String, &PathBuf> =
             crates.iter().map(|dir| (package(dir), dir)).collect();
@@ -472,6 +471,40 @@ mod tests {
             8,
             "core, comm, cosmo, fft, mesh, telemetry, tree, tune"
         );
+    }
+
+    /// The compiled text of every `.rs` file under `dir`, recursively.
+    fn compiled_sources(dir: &Path, out: &mut String) {
+        for entry in std::fs::read_dir(dir).unwrap() {
+            let path = entry.unwrap().path();
+            if path.is_dir() {
+                compiled_sources(&path, out);
+            } else if path.extension().is_some_and(|x| x == "rs") {
+                out.push_str(&strip_tests(&read(&path).unwrap()));
+            }
+        }
+    }
+
+    /// Table 2's host closure is read from the manifests, so a dependency
+    /// edge that no compiled code uses would pull a crate into the All row.
+    #[test]
+    fn every_dependency_edge_is_used() {
+        let mut unused = Vec::new();
+        for entry in std::fs::read_dir(root().join("crates")).unwrap() {
+            let dir = entry.unwrap().path();
+            let manifest = read(&dir.join("Cargo.toml")).unwrap();
+            let mut code = String::new();
+            compiled_sources(&dir.join("src"), &mut code);
+            let words: std::collections::BTreeSet<&str> = code
+                .split(|c: char| !(c.is_alphanumeric() || c == '_'))
+                .collect();
+            for dep in dependency_names(&manifest) {
+                if !words.contains(dep.replace('-', "_").as_str()) {
+                    unused.push(format!("{} -> {dep}", dir.display()));
+                }
+            }
+        }
+        assert!(unused.is_empty(), "edges no compiled code uses: {unused:?}");
     }
 
     #[test]

@@ -22,16 +22,16 @@ pub mod inventory;
 pub mod pp;
 pub mod render;
 
-pub use divergence::{code_convergence, code_divergence, jaccard_distance, SourceSet};
 pub use inventory::{
     find_workspace_root, BodyLang, ConfigKind, Mechanism, Platform, RepoInventory, ALL_PLATFORMS,
 };
-pub use pp::{app_efficiency, performance_portability, AppRecord, Efficiency};
+pub use pp::{app_efficiency, performance_portability, AppRecord};
 pub use render::{cascade_plot, grouped_bars, navigation_chart};
 
 #[cfg(test)]
 mod proptests {
     use super::*;
+    use crate::divergence::{code_divergence, jaccard_distance, SourceSet};
     use proptest::prelude::*;
 
     proptest! {
@@ -76,8 +76,8 @@ mod proptests {
         /// platform strictly increases it.
         #[test]
         fn divergence_monotone(lines in 1u32..100) {
-            let shared = divergence::source_set_from_units(&[(0, lines)]);
-            let disjoint = divergence::source_set_from_units(&[(1, lines)]);
+            let shared: SourceSet = (0..lines).map(|l| (0, l)).collect();
+            let disjoint: SourceSet = (0..lines).map(|l| (1, l)).collect();
             let same = code_divergence(&[shared.clone(), shared.clone()]);
             prop_assert_eq!(same, 0.0);
             let mixed = code_divergence(&[shared.clone(), shared, disjoint]);

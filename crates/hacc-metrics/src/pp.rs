@@ -12,7 +12,7 @@ use serde::Serialize;
 
 /// Efficiency of one application on one platform: `None`/0 means the
 /// application does not run there.
-pub type Efficiency = Option<f64>;
+type Efficiency = Option<f64>;
 
 /// Computes PP over a platform set. Every entry must lie in `[0, 1]`
 /// when present.

@@ -34,7 +34,7 @@ use serde::{Deserialize, Serialize};
 use crate::{Event, EventKind};
 
 /// Phase timer names the multi-rank engine emits under each rank span.
-pub const PHASE_TIMERS: [&str; 4] = [
+const PHASE_TIMERS: [&str; 4] = [
     "phase.migrate",
     "phase.interior",
     "phase.halo",
@@ -73,7 +73,7 @@ pub struct RankAttribution {
 
 /// One segment of a step's critical path.
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
-pub struct PathSegment {
+pub(crate) struct PathSegment {
     /// Rank the segment executes on.
     pub rank: usize,
     /// Segment label (`migrate`, `compute-interior`,
@@ -94,7 +94,7 @@ pub struct StepCriticalPath {
     pub critical_rank: usize,
     /// Phase sequence of the critical rank; segment seconds sum to
     /// `node_seconds`.
-    pub path: Vec<PathSegment>,
+    pub(crate) path: Vec<PathSegment>,
     /// Per-rank attribution, rank-sorted.
     pub per_rank: Vec<RankAttribution>,
 }

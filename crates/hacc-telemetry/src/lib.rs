@@ -148,16 +148,6 @@ pub struct KernelProfile {
 }
 
 impl KernelProfile {
-    /// Index of the most-executed instruction class.
-    pub fn dominant_class(&self) -> usize {
-        self.instr
-            .iter()
-            .enumerate()
-            .max_by_key(|(_, &c)| c)
-            .map(|(i, _)| i)
-            .unwrap_or(0)
-    }
-
     /// Total instruction count across all classes.
     pub fn total_instr(&self) -> u64 {
         self.instr.iter().sum()
@@ -454,11 +444,6 @@ impl Recorder {
     pub fn is_empty(&self) -> bool {
         self.len() == 0
     }
-
-    /// Drops all recorded events (sinks stay registered).
-    pub fn clear(&self) {
-        self.inner.events.lock().clear();
-    }
 }
 
 /// RAII guard for an open span; dropping it emits the `SpanEnd`.
@@ -466,13 +451,6 @@ pub struct Span {
     recorder: Recorder,
     id: u64,
     name: String,
-}
-
-impl Span {
-    /// The span's event id (what child events carry as `parent`).
-    pub fn id(&self) -> u64 {
-        self.id
-    }
 }
 
 impl Drop for Span {

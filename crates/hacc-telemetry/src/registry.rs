@@ -160,7 +160,7 @@ impl Registry {
     }
 
     /// Adds `v` to the named counter.
-    pub fn inc(&mut self, name: &str, v: f64) {
+    fn inc(&mut self, name: &str, v: f64) {
         self.metric(name, MetricKind::Counter).update(v);
     }
 

@@ -20,13 +20,13 @@ use crate::KernelProfile;
 
 /// Instruction classes counted as FLOP-bearing, by histogram slot.
 /// Pinned against [`crate::INSTR_CLASS_LABELS`] by a test below.
-pub const FLOP_CLASSES: [usize; 4] = [0, 1, 2, 3];
+const FLOP_CLASSES: [usize; 4] = [0, 1, 2, 3];
 
 /// FLOPs per lane-op: the cost model's 2-FLOP-per-lane-cycle FMA rate.
-pub const FLOPS_PER_LANE_OP: f64 = 2.0;
+const FLOPS_PER_LANE_OP: f64 = 2.0;
 
 /// Modeled FLOPs of one recorded launch: FLOP-class lane-ops × 2.
-pub fn profile_flops(profile: &KernelProfile) -> f64 {
+fn profile_flops(profile: &KernelProfile) -> f64 {
     let lane_ops: u64 = FLOP_CLASSES
         .iter()
         .map(|&c| profile.instr[c] * profile.sg_size)

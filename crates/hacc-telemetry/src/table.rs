@@ -11,7 +11,7 @@ use crate::{Event, EventKind, KernelProfile, INSTR_CLASS_LABELS, N_INSTR_CLASSES
 
 /// Aggregated statistics for one timer bucket.
 #[derive(Clone, Debug, Default)]
-pub struct TimerRow {
+pub(crate) struct TimerRow {
     /// Timer bracket charges (what `Timers` counts as calls).
     pub calls: u64,
     /// Individual kernel launches inside the bracket.
@@ -45,7 +45,7 @@ impl TimerRow {
     }
 
     /// Label and share of the dominant instruction class.
-    pub fn dominant_class(&self) -> (&'static str, f64) {
+    fn dominant_class(&self) -> (&'static str, f64) {
         let total: u64 = self.instr.iter().sum();
         let (idx, &count) = self
             .instr
@@ -67,7 +67,7 @@ impl TimerRow {
 /// `Timer` events provide `calls` and `seconds`; `Kernel` events (keyed
 /// by their profile's `timer` field, falling back to the kernel name)
 /// provide launches, histograms, and register pressure.
-pub fn aggregate(events: &[Event]) -> BTreeMap<String, TimerRow> {
+pub(crate) fn aggregate(events: &[Event]) -> BTreeMap<String, TimerRow> {
     let mut rows: BTreeMap<String, TimerRow> = BTreeMap::new();
     let mut est_weight: BTreeMap<String, f64> = BTreeMap::new();
     for ev in events {

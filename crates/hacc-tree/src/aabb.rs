@@ -2,7 +2,7 @@
 
 /// An axis-aligned bounding box in 3D.
 #[derive(Clone, Copy, Debug, PartialEq)]
-pub struct Aabb {
+pub(crate) struct Aabb {
     /// Minimum corner.
     pub min: [f64; 3],
     /// Maximum corner.
@@ -11,13 +11,13 @@ pub struct Aabb {
 
 impl Aabb {
     /// An empty box (inverted bounds), the identity for [`Aabb::grow`].
-    pub const EMPTY: Aabb = Aabb {
+    const EMPTY: Aabb = Aabb {
         min: [f64::INFINITY; 3],
         max: [f64::NEG_INFINITY; 3],
     };
 
     /// The tight box around a point set. Panics on an empty set.
-    pub fn from_points<'a, I: IntoIterator<Item = &'a [f64; 3]>>(points: I) -> Self {
+    pub(crate) fn from_points<'a, I: IntoIterator<Item = &'a [f64; 3]>>(points: I) -> Self {
         let mut b = Self::EMPTY;
         let mut any = false;
         for p in points {
@@ -49,7 +49,7 @@ impl Aabb {
 
     /// Index of the widest axis (split axis for RCB).
     #[inline]
-    pub fn widest_axis(&self) -> usize {
+    pub(crate) fn widest_axis(&self) -> usize {
         let e = self.extent();
         if e[0] >= e[1] && e[0] >= e[2] {
             0
@@ -63,7 +63,7 @@ impl Aabb {
     /// Minimum squared distance between two boxes in a periodic domain of
     /// side `period` (same for all axes). Zero if they overlap (including
     /// through the periodic seam).
-    pub fn min_dist_sq_periodic(&self, other: &Aabb, period: f64) -> f64 {
+    pub(crate) fn min_dist_sq_periodic(&self, other: &Aabb, period: f64) -> f64 {
         let mut d2 = 0.0;
         for c in 0..3 {
             // Gap between intervals [a0,a1] and [b0,b1] on a circle of

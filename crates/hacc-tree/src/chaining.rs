@@ -6,7 +6,7 @@ use crate::aabb::dist_sq_periodic;
 
 /// A chaining mesh over a periodic cubic domain.
 #[derive(Clone, Debug)]
-pub struct ChainingMesh {
+pub(crate) struct ChainingMesh {
     /// Cells per dimension.
     pub nc: usize,
     /// Box side (same units as positions).
@@ -27,7 +27,7 @@ impl ChainingMesh {
     }
 
     /// Builds a mesh with exactly `nc³` cells.
-    pub fn build_with_cells(positions: &[[f64; 3]], box_size: f64, nc: usize) -> Self {
+    fn build_with_cells(positions: &[[f64; 3]], box_size: f64, nc: usize) -> Self {
         assert!(nc >= 1);
         let n_cells = nc * nc * nc;
         // Counting sort into cells (CSR).
@@ -61,12 +61,6 @@ impl ChainingMesh {
         }
     }
 
-    /// Number of cells per dimension.
-    #[inline]
-    pub fn cells_per_dim(&self) -> usize {
-        self.nc
-    }
-
     /// Particle indices in cell `(i, j, k)` (wrapped).
     pub fn cell(&self, i: i64, j: i64, k: i64) -> &[u32] {
         let w = |v: i64| -> usize {
@@ -81,7 +75,7 @@ impl ChainingMesh {
 
     /// Calls `f(j)` for every particle `j` within `radius` of `p`
     /// (minimum-image), including `p`'s own index if it is in the set.
-    pub fn for_neighbors<F: FnMut(u32)>(
+    pub(crate) fn for_neighbors<F: FnMut(u32)>(
         &self,
         positions: &[[f64; 3]],
         p: &[f64; 3],
@@ -112,9 +106,12 @@ impl ChainingMesh {
             }
         }
     }
+}
 
-    /// Collects neighbor indices into a vector (test/analysis convenience).
-    pub fn neighbors(&self, positions: &[[f64; 3]], p: &[f64; 3], radius: f64) -> Vec<u32> {
+#[cfg(test)]
+impl ChainingMesh {
+    /// Neighbor indices of `p` within `radius`, sorted.
+    pub(crate) fn neighbors(&self, positions: &[[f64; 3]], p: &[f64; 3], radius: f64) -> Vec<u32> {
         let mut out = Vec::new();
         self.for_neighbors(positions, p, radius, |j| out.push(j));
         out.sort_unstable();
@@ -201,7 +198,7 @@ mod tests {
         let pts = random_points(123, box_size, 11);
         let mesh = ChainingMesh::build(&pts, box_size, 2.0);
         let mut count = 0;
-        let n = mesh.cells_per_dim() as i64;
+        let n = mesh.nc as i64;
         for i in 0..n {
             for j in 0..n {
                 for k in 0..n {

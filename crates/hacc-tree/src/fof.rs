@@ -6,12 +6,11 @@
 //! a union-find FOF over the chaining mesh, plus a DBSCAN variant with a
 //! `min_pts` core condition (FOF is DBSCAN with `min_pts = 1`).
 
-use crate::aabb::dist_sq_periodic;
 use crate::chaining::ChainingMesh;
 
 /// Disjoint-set (union-find) with path halving and union by size.
 #[derive(Clone, Debug)]
-pub struct UnionFind {
+pub(crate) struct UnionFind {
     parent: Vec<u32>,
     size: Vec<u32>,
 }
@@ -47,17 +46,6 @@ impl UnionFind {
         self.parent[rb as usize] = ra;
         self.size[ra as usize] += self.size[rb as usize];
         ra
-    }
-
-    /// True when `a` and `b` are in the same set.
-    pub fn connected(&mut self, a: u32, b: u32) -> bool {
-        self.find(a) == self.find(b)
-    }
-
-    /// Size of the set containing `x`.
-    pub fn set_size(&mut self, x: u32) -> u32 {
-        let r = self.find(x);
-        self.size[r as usize]
     }
 }
 
@@ -212,8 +200,10 @@ fn collect_components(
     halos
 }
 
-/// Brute-force FOF reference (O(n²)) for validation.
-pub fn fof_halos_brute(
+/// Brute-force FOF reference (O(n²)): the oracle `fof_halos` is tested
+/// against.
+#[cfg(test)]
+fn fof_halos_brute(
     positions: &[[f64; 3]],
     masses: &[f64],
     box_size: f64,
@@ -224,7 +214,7 @@ pub fn fof_halos_brute(
     let b2 = linking_length * linking_length;
     for i in 0..positions.len() {
         for j in (i + 1)..positions.len() {
-            if dist_sq_periodic(&positions[i], &positions[j], box_size) <= b2 {
+            if crate::aabb::dist_sq_periodic(&positions[i], &positions[j], box_size) <= b2 {
                 uf.union(i as u32, j as u32);
             }
         }
@@ -370,11 +360,12 @@ mod tests {
         let mut uf = UnionFind::new(6);
         uf.union(0, 1);
         uf.union(2, 3);
-        assert!(uf.connected(0, 1));
-        assert!(!uf.connected(1, 2));
+        assert_eq!(uf.find(0), uf.find(1));
+        assert_ne!(uf.find(1), uf.find(2));
         uf.union(1, 3);
-        assert!(uf.connected(0, 2));
-        assert_eq!(uf.set_size(3), 4);
-        assert_eq!(uf.set_size(5), 1);
+        assert_eq!(uf.find(0), uf.find(2));
+        let r = uf.find(3) as usize;
+        assert_eq!(uf.size[r], 4);
+        assert_eq!(uf.size[5], 1);
     }
 }

@@ -100,7 +100,8 @@ impl InteractionList {
 
     /// Verifies completeness: every particle pair within `cutoff` must be
     /// covered by some leaf pair in the list. Returns the first violation.
-    /// O(n²) — for tests only.
+    /// O(n²). Public although only tests call it: it is the oracle a
+    /// change to the list's per-cell geometry is checked against.
     pub fn check_complete(
         &self,
         tree: &RcbTree,

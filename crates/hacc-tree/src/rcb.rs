@@ -12,7 +12,7 @@ use crate::aabb::Aabb;
 #[derive(Clone, Debug)]
 pub struct RcbNode {
     /// Bounding box of the particles under this node.
-    pub bounds: Aabb,
+    pub(crate) bounds: Aabb,
     /// Range into [`RcbTree::order`] covered by this node.
     pub start: usize,
     /// One past the last index of the range.
@@ -37,7 +37,7 @@ impl RcbNode {
 
     /// True when the node is a leaf.
     #[inline]
-    pub fn is_leaf(&self) -> bool {
+    fn is_leaf(&self) -> bool {
         self.children.is_none()
     }
 }
@@ -121,7 +121,7 @@ impl RcbTree {
     }
 
     /// Particle indices of a leaf (by position in [`RcbTree::leaves`]).
-    pub fn leaf_particles(&self, leaf: usize) -> &[u32] {
+    pub(crate) fn leaf_particles(&self, leaf: usize) -> &[u32] {
         let n = &self.nodes[self.leaves[leaf]];
         &self.order[n.start..n.end]
     }

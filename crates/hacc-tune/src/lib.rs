@@ -178,11 +178,11 @@ impl TuneKey {
     }
 
     /// Stable text form (`kernel@arch@band`) used in the cache file.
-    pub fn encode(&self) -> String {
+    fn encode(&self) -> String {
         format!("{}@{}@{}", self.kernel, self.arch, self.band.label())
     }
 
-    /// Parses [`TuneKey::encode`] output; rejects malformed or hostile
+    /// Parses `TuneKey::encode` output; rejects malformed or hostile
     /// keys (wrong arity, empty or over-long segments, bad charset).
     pub fn decode(s: &str) -> Option<Self> {
         if s.len() > 96 {
@@ -256,7 +256,7 @@ pub struct TuneCache {
     pub arch_digest: u64,
     /// Digest of the kernel/variant set the cache was tuned for.
     pub kernel_digest: u64,
-    /// Winners, keyed by [`TuneKey::encode`] (sorted for stable output).
+    /// Winners, keyed by `TuneKey::encode` (sorted for stable output).
     pub entries: BTreeMap<String, TuneEntry>,
 }
 

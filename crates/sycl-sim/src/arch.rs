@@ -12,7 +12,7 @@ use serde::{Deserialize, Serialize};
 /// How the hardware implements an *arbitrary-pattern* sub-group shuffle
 /// (`sycl::select_from_group` with indices unknown at compile time).
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
-pub enum ShuffleHw {
+pub(crate) enum ShuffleHw {
     /// Indirect register access: the gather walks the register file one
     /// element per cycle (Intel Xe; paper Figure 5).
     IndirectRegister,
@@ -61,7 +61,7 @@ pub struct GpuArch {
     /// Sub-group sizes the architecture supports (§4.3).
     pub sg_sizes: &'static [usize],
     /// Hardware shuffle implementation for unknown patterns.
-    pub shuffle: ShuffleHw,
+    pub(crate) shuffle: ShuffleHw,
     /// Broadcasts from compile-time-known lanes use register regioning
     /// (nearly free) instead of a shuffle (Intel; paper Figure 6).
     pub regioned_broadcast: bool,
@@ -337,7 +337,7 @@ impl GpuArch {
     /// On PVC the budget depends on both sub-group size and GRF mode (the
     /// two levers of §5.2); on other architectures the per-thread ceiling
     /// is fixed by the ISA.
-    pub fn reg_budget(&self, sg_size: usize, grf: GrfMode) -> u32 {
+    pub(crate) fn reg_budget(&self, sg_size: usize, grf: GrfMode) -> u32 {
         let base = if self.id == "pvc" {
             // 128 GRF × 64 B / 4 B = 2048 words per thread, shared by the
             // sub-group's work-items.
@@ -354,7 +354,7 @@ impl GpuArch {
     /// Maximum resident work-items per CU under a register demand of
     /// `regs` words per work-item and a sub-group size of `sg_size`
     /// (occupancy limiter: register file and hardware thread slots).
-    pub fn resident_workitems(&self, regs: u32, grf: GrfMode, sg_size: usize) -> u32 {
+    pub(crate) fn resident_workitems(&self, regs: u32, grf: GrfMode, sg_size: usize) -> u32 {
         let threads = match (grf, self.has_large_grf) {
             // Large GRF halves threads per EU (8 → 4 on PVC).
             (GrfMode::Large, true) => self.max_threads_per_cu / 2,

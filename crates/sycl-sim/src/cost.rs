@@ -27,7 +27,7 @@ use serde::Serialize;
 ///
 /// `sg_size` is needed because indirect-register-access shuffles walk the
 /// register file one element per cycle (Figure 5).
-pub fn issue_cycles(class: InstrClass, sg_size: usize) -> f64 {
+fn issue_cycles(class: InstrClass, sg_size: usize) -> f64 {
     match class {
         InstrClass::Alu => 1.0,
         InstrClass::Div => 8.0,

@@ -133,7 +133,7 @@ impl LaunchConfig {
     }
 
     /// Overrides the GRF mode.
-    pub fn with_grf(mut self, grf: GrfMode) -> Self {
+    pub(crate) fn with_grf(mut self, grf: GrfMode) -> Self {
         self.grf = grf;
         self
     }
@@ -157,7 +157,7 @@ impl LaunchConfig {
     }
 
     /// Overrides the launch-bounds register cap.
-    pub fn with_bounds(mut self, bounds: LaunchBounds) -> Self {
+    pub(crate) fn with_bounds(mut self, bounds: LaunchBounds) -> Self {
         self.bounds = bounds;
         self
     }
@@ -509,7 +509,7 @@ mod tests {
             let out = Buffer::zeros(8);
             let out2 = out.clone();
             let kernel = move |sg: &mut Sg| {
-                let idx = sg.lane_id().mod_scalar(8);
+                let idx = sg.lane_id().map_into(InstrClass::Div, |l| l % 8);
                 let v = sg.from_fn_f32(|l| {
                     let m = ((sg.sg_id * 31 + l * 7) % 23) as i32 - 11;
                     (1.0f32 + l as f32 / 64.0) * (2.0f32).powi(m)
@@ -841,7 +841,7 @@ mod tests {
             let out = Buffer::zeros(8);
             let out2 = out.clone();
             let kernel = move |sg: &mut Sg| {
-                let idx = sg.lane_id().mod_scalar(8);
+                let idx = sg.lane_id().map_into(InstrClass::Div, |l| l % 8);
                 let v = sg.from_fn_f32(|l| {
                     let m = ((sg.sg_id * 31 + l * 7) % 23) as i32 - 11;
                     (1.0f32 + l as f32 / 64.0) * (2.0f32).powi(m)

@@ -332,7 +332,7 @@ impl FaultInjector {
     /// when unconfigured). Pure lookup — repeated consults for the
     /// same launch are free and nothing is logged, since the slowdown
     /// is a standing condition rather than a discrete event.
-    pub fn latency_multiplier(&self, kernel: &str) -> f64 {
+    pub(crate) fn latency_multiplier(&self, kernel: &str) -> f64 {
         self.config
             .slow_kernels
             .iter()

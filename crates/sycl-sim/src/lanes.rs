@@ -322,19 +322,6 @@ impl<'sg> Lanes<'sg, u32> {
         self.map_into(InstrClass::Alu, move |a| a.wrapping_add(c))
     }
 
-    /// Element-wise add.
-    #[inline]
-    pub fn add(&self, other: &Lanes<'sg, u32>) -> Lanes<'sg, u32> {
-        self.zip_into(other, InstrClass::Alu, |a, b| a.wrapping_add(b))
-    }
-
-    /// `self % c` — the integer modulo CUDA code uses for warp-lane math,
-    /// which the SYCL built-ins avoid (§5.1). Charged as `Div`.
-    #[inline]
-    pub fn mod_scalar(&self, c: u32) -> Lanes<'sg, u32> {
-        self.map_into(InstrClass::Div, move |a| a % c)
-    }
-
     /// `self ^ c`.
     #[inline]
     pub fn xor_scalar(&self, c: u32) -> Lanes<'sg, u32> {
@@ -351,12 +338,6 @@ impl<'sg> Lanes<'sg, u32> {
     #[inline]
     pub fn lt_scalar(&self, c: u32) -> Lanes<'sg, bool> {
         self.map_into(InstrClass::Alu, move |a| a < c)
-    }
-
-    /// `self < rhs` per lane.
-    #[inline]
-    pub fn lt(&self, rhs: &Lanes<'sg, u32>) -> Lanes<'sg, bool> {
-        self.zip_into(rhs, InstrClass::Alu, |a, b| a < b)
     }
 
     /// Element-wise minimum.
@@ -400,13 +381,6 @@ impl<'sg> Lanes<'sg, bool> {
     #[inline]
     pub fn not(&self) -> Lanes<'sg, bool> {
         self.map_into(InstrClass::Alu, |a| !a)
-    }
-
-    /// True if any lane is set (ballot; one ALU op on all targets).
-    #[inline]
-    pub fn any(&self) -> bool {
-        self.meter.charge(InstrClass::Alu, 1);
-        self.as_slice().iter().any(|&b| b)
     }
 
     /// True if all lanes are set.

@@ -24,8 +24,6 @@
 
 pub mod arch;
 pub mod buffer;
-#[cfg(test)]
-mod buffer_tests;
 mod commit;
 pub mod cost;
 pub mod device;
@@ -40,9 +38,9 @@ pub mod taskgraph;
 pub mod toolchain;
 pub mod tunable;
 
-pub use arch::{GpuArch, GrfMode, ShuffleHw};
+pub use arch::{GpuArch, GrfMode};
 pub use buffer::Buffer;
-pub use cost::{issue_cycles, CostModel, TimeEstimate};
+pub use cost::{CostModel, TimeEstimate};
 pub use device::{Device, LaunchConfig, LaunchReport, SgKernel};
 pub use exec::ExecutionPolicy;
 pub use fault::{
@@ -50,7 +48,7 @@ pub use fault::{
     MAX_RETRIES,
 };
 pub use lanes::{LaneScalar, Lanes};
-pub use meter::{InstrClass, LaunchStats, MeterPolicy, SgMeter, ALL_CLASSES, N_CLASSES};
+pub use meter::{InstrClass, LaunchStats, MeterPolicy, SgMeter, N_CLASSES};
 pub use real::Real;
 pub use subgroup::{Sg, SgConfig};
 pub use taskgraph::{GraphError, ResourceId, RunError, RunStats, TaskGraph, TaskId};

@@ -106,7 +106,7 @@ pub enum InstrClass {
 pub const N_CLASSES: usize = 15;
 
 /// All classes, for iteration and reporting.
-pub const ALL_CLASSES: [InstrClass; N_CLASSES] = [
+pub(crate) const ALL_CLASSES: [InstrClass; N_CLASSES] = [
     InstrClass::Alu,
     InstrClass::Div,
     InstrClass::MathFast,
@@ -232,7 +232,7 @@ pub struct SgMeter {
 
 impl SgMeter {
     /// A fresh meter under an explicit [`MeterPolicy`].
-    pub fn new_with_mode(fast_math: bool, policy: MeterPolicy) -> Self {
+    pub(crate) fn new_with_mode(fast_math: bool, policy: MeterPolicy) -> Self {
         Self {
             counts: Default::default(),
             live_regs: Cell::new(0),
@@ -256,7 +256,7 @@ impl SgMeter {
 
     /// Classifies a transcendental under the current math mode.
     #[inline]
-    pub fn charge_math(&self, n: u64) {
+    pub(crate) fn charge_math(&self, n: u64) {
         if self.fast_math {
             self.charge(InstrClass::MathFast, n);
         } else {
@@ -266,7 +266,7 @@ impl SgMeter {
 
     /// Allocates `words` virtual registers per work-item (a `Lanes` value).
     #[inline]
-    pub fn alloc_regs(&self, words: u32) {
+    pub(crate) fn alloc_regs(&self, words: u32) {
         if !self.metered {
             return;
         }
@@ -279,7 +279,7 @@ impl SgMeter {
 
     /// Releases registers on `Lanes` drop.
     #[inline]
-    pub fn free_regs(&self, words: u32) {
+    pub(crate) fn free_regs(&self, words: u32) {
         if !self.metered {
             return;
         }
@@ -291,7 +291,7 @@ impl SgMeter {
     /// Records a local-memory footprint requirement (bytes per sub-group);
     /// keeps the maximum.
     #[inline]
-    pub fn note_local_bytes(&self, bytes: u32) {
+    pub(crate) fn note_local_bytes(&self, bytes: u32) {
         if !self.metered {
             return;
         }
@@ -316,7 +316,7 @@ impl SgMeter {
     }
 
     /// Currently live registers (words per work-item).
-    pub fn live_regs(&self) -> u32 {
+    pub(crate) fn live_regs(&self) -> u32 {
         self.live_regs.get()
     }
 
@@ -373,9 +373,12 @@ impl LaunchStats {
     pub fn count(&self, class: InstrClass) -> u64 {
         self.counts[class as usize]
     }
+}
 
+#[cfg(test)]
+impl LaunchStats {
     /// Total dynamic instructions (all classes).
-    pub fn total(&self) -> u64 {
+    pub(crate) fn total(&self) -> u64 {
         self.counts.iter().sum()
     }
 }

@@ -23,7 +23,7 @@ use std::cell::RefCell;
 #[derive(Clone, Copy, Debug)]
 pub struct SgConfig {
     /// Hardware shuffle implementation.
-    pub shuffle_hw: ShuffleHw,
+    pub(crate) shuffle_hw: ShuffleHw,
     /// Broadcasts with compile-time-known source lanes use register
     /// regioning.
     pub regioned_broadcast: bool,
@@ -399,11 +399,15 @@ mod tests {
             assert_lanes(&id, |l| l as u32, "lane_id");
             assert_lanes(&a.neg(), |l| -av(l), "map");
             assert_lanes(
-                &id.add_scalar(7).mod_scalar(3),
-                |l| (l as u32 + 7) % 3,
+                &id.add_scalar(7).xor_scalar(3),
+                |l| (l as u32 + 7) ^ 3,
                 "u32 map",
             );
-            assert_lanes(&id.add(&id).to_f32(), |l| (2 * l) as f32, "u32 zip");
+            assert_lanes(
+                &id.min(&id.xor_scalar(1)).to_f32(),
+                |l| l.min(l ^ 1) as f32,
+                "u32 zip",
+            );
             assert_lanes(&a.add(&b), |l| av(l) + bv(l), "zip");
             assert_lanes(&a.fma(&b, &c), |l| av(l) * bv(l) + 0.5, "zip3");
             let lower = id.lt_scalar(h as u32);
@@ -443,15 +447,9 @@ mod tests {
             let ones = s.splat_f32(1.0);
             assert_eq!(format!("{ones:?}"), format!("Lanes({:?})", vec![1.0f32; n]));
             let none = id.lt_scalar(0);
-            assert!(
-                !none.any() && !none.all() && none.count() == 0,
-                "ballot at {n}"
-            );
+            assert!(!none.all() && none.count() == 0, "ballot at {n}");
             let all = id.lt_scalar(n as u32);
-            assert!(
-                all.any() && all.all() && all.count() == n as u64,
-                "ballot at {n}"
-            );
+            assert!(all.all() && all.count() == n as u64, "ballot at {n}");
             // memory: a padding index (u32::MAX) would be out of bounds
             let buf = Buffer::from_f32(&(0..n).map(bv).collect::<Vec<_>>());
             assert_lanes(&s.load_f32(&buf, &id), bv, "load");

@@ -34,7 +34,7 @@ impl Lang {
 
     /// Compiler default for fast math (§4.4): DPC++ defaults on, nvcc and
     /// hipcc default off.
-    pub fn default_fast_math(&self) -> bool {
+    fn default_fast_math(&self) -> bool {
         matches!(self, Lang::Sycl)
     }
 

@@ -39,14 +39,6 @@ pub enum LaunchBounds {
 }
 
 impl LaunchBounds {
-    /// The cap in words, when one is set.
-    pub fn cap(&self) -> Option<u32> {
-        match self {
-            LaunchBounds::Default => None,
-            LaunchBounds::Capped(n) => Some(*n),
-        }
-    }
-
     /// Applies the cap to an architecture register budget. Identity for
     /// [`LaunchBounds::Default`]; otherwise the budget is clamped to the
     /// cap, floored at 8 words so a hostile cap cannot zero the budget.
@@ -149,15 +141,15 @@ impl TunablePoint {
 
 /// Work-group sizes the full search considers (filtered per sub-group
 /// size; CRK-HACC's production value is 128).
-pub const WG_CANDIDATES: &[usize] = &[64, 128, 256];
+const WG_CANDIDATES: &[usize] = &[64, 128, 256];
 
 /// Register-cap candidates for [`LaunchBounds::Capped`] (filtered to
 /// caps strictly below the natural budget — an inert cap is not a
 /// distinct point).
-pub const BOUNDS_CANDIDATES: &[u32] = &[48, 96];
+const BOUNDS_CANDIDATES: &[u32] = &[48, 96];
 
 /// GRF modes legal on `arch`.
-pub fn grf_candidates(arch: &GpuArch) -> Vec<GrfMode> {
+fn grf_candidates(arch: &GpuArch) -> Vec<GrfMode> {
     if arch.has_large_grf {
         vec![GrfMode::Default, GrfMode::Large]
     } else {
@@ -167,7 +159,7 @@ pub fn grf_candidates(arch: &GpuArch) -> Vec<GrfMode> {
 
 /// Work-group sizes legal for `sg` on any architecture: the candidates
 /// that are multiples of the sub-group size.
-pub fn wg_candidates(sg: usize) -> Vec<usize> {
+fn wg_candidates(sg: usize) -> Vec<usize> {
     let mut v: Vec<usize> = WG_CANDIDATES
         .iter()
         .copied()
@@ -182,7 +174,7 @@ pub fn wg_candidates(sg: usize) -> Vec<usize> {
 /// Launch-bounds candidates for a (sub-group, GRF) pair on `arch`:
 /// always [`LaunchBounds::Default`], plus each cap candidate strictly
 /// below the natural register budget.
-pub fn bounds_candidates(arch: &GpuArch, sg: usize, grf: GrfMode) -> Vec<LaunchBounds> {
+fn bounds_candidates(arch: &GpuArch, sg: usize, grf: GrfMode) -> Vec<LaunchBounds> {
     let budget = arch.reg_budget(sg, grf);
     let mut v = vec![LaunchBounds::Default];
     for &cap in BOUNDS_CANDIDATES {

@@ -4,14 +4,14 @@
 
 /// True for characters that can appear in a C identifier.
 #[inline]
-pub fn is_ident_char(c: char) -> bool {
+pub(crate) fn is_ident_char(c: char) -> bool {
     c.is_ascii_alphanumeric() || c == '_'
 }
 
 /// Finds the next occurrence of `needle` at or after `from` that is a
 /// whole token (not embedded in a longer identifier) and not inside a
 /// string, character literal, or comment.
-pub fn find_token(src: &str, needle: &str, from: usize) -> Option<usize> {
+pub(crate) fn find_token(src: &str, needle: &str, from: usize) -> Option<usize> {
     let bytes = src.as_bytes();
     let mut i = from;
     while let Some(rel) = src[i..].find(needle) {
@@ -35,7 +35,7 @@ pub fn find_token(src: &str, needle: &str, from: usize) -> Option<usize> {
 /// True when byte offset `pos` is in live code (not in a string literal,
 /// char literal, line comment, or block comment). O(pos) scan — fine for
 /// the kernel-sized inputs this tool handles.
-pub fn in_code(src: &str, pos: usize) -> bool {
+fn in_code(src: &str, pos: usize) -> bool {
     #[derive(PartialEq)]
     enum St {
         Code,
@@ -100,7 +100,7 @@ pub fn matching(src: &str, open: usize) -> Option<usize> {
 
 /// Splits a C argument list (the text between parentheses) at top-level
 /// commas.
-pub fn split_args(args: &str) -> Vec<String> {
+pub(crate) fn split_args(args: &str) -> Vec<String> {
     let mut out = Vec::new();
     let mut depth = 0i64;
     let mut cur = String::new();
@@ -125,7 +125,7 @@ pub fn split_args(args: &str) -> Vec<String> {
 
 /// Extracts the parameter *name* from a C declaration like
 /// `const float *__restrict__ pos` → `pos`.
-pub fn param_name(decl: &str) -> String {
+pub(crate) fn param_name(decl: &str) -> String {
     decl.trim_end_matches(' ')
         .rsplit(|c: char| !is_ident_char(c))
         .find(|s| !s.is_empty())
@@ -134,7 +134,7 @@ pub fn param_name(decl: &str) -> String {
 }
 
 /// 1-based line number of a byte offset.
-pub fn line_of(src: &str, pos: usize) -> usize {
+pub(crate) fn line_of(src: &str, pos: usize) -> usize {
     src[..pos.min(src.len())]
         .bytes()
         .filter(|&b| b == b'\n')
